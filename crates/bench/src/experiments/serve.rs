@@ -10,16 +10,15 @@
 //! repeats onto shared lanes:
 //!
 //! * **saturated throughput** — the admission queue is pre-filled and
-//!   drained at batch depths 1..16. The headline speedup is against the
-//!   **one-query-at-a-time baseline**: the same query stream answered by
-//!   [`Snap1::run_shared`] one call per query, the status-quo path
-//!   before the serving layer existed, which rebuilds the region map and
-//!   partition statistics per call. The serving layer amortizes that
-//!   setup across the stream (pooled contexts, one region map) and the
-//!   fused batch executor pays each CSR row probe and rank merge once
-//!   per batch; the depth-1 serve row is also reported so the
-//!   fusion-plus-coalescing gain is visible separately
-//!   (`speedup_vs_depth1`);
+//!   drained at batch depths 1..16. The **one-query-at-a-time
+//!   baseline** is the same query stream answered by
+//!   [`Snap1::run_shared`] one call per query: the library path with no
+//!   serving layer. It pays the region map and partition statistics
+//!   once per snapshot, like the server, and a fresh region and report
+//!   per call, which the server pools. The fused batch executor pays
+//!   each CSR row probe and rank merge once per batch; that gain is
+//!   read against the depth-1 serve row (`speedup_vs_depth1`), which is
+//!   what the floor below is asserted on;
 //! * **open-loop load sweep** — arrivals scheduled at a fixed offered
 //!   rate (fractions and multiples of the measured saturated rate),
 //!   latency measured from the *scheduled* arrival instant so queueing
@@ -49,6 +48,10 @@ use std::time::{Duration, Instant};
 
 /// Batch depths swept in the saturated-throughput section.
 const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Least speedup of the best depth >= 8 cell over depth-1 serving that a
+/// full run accepts.
+const FUSED_FLOOR: f64 = 1.2;
 
 /// Offered-load multipliers (of the measured saturated rate) swept in
 /// the open-loop section; the >1 row is deliberate overload.
@@ -164,10 +167,10 @@ struct SatRow {
     qps: f64,
 }
 
-/// The status-quo baseline: the same `queries`-long stream answered one
-/// call at a time through the serial engine's shared entry point. Each
-/// call pays the full per-query setup (region map, partition stats,
-/// fresh region) the serving layer amortizes.
+/// The no-serving-layer baseline: the same `queries`-long stream
+/// answered one call at a time through the serial engine's shared entry
+/// point. Each call pays a fresh region and report; the region map and
+/// partition stats are built by the first call only.
 fn serial_baseline(
     net: &Arc<SemanticNetwork>,
     seeds: &[NodeId],
@@ -428,8 +431,8 @@ fn json_open(rows: &[OpenRow], host_cpus: usize) -> String {
 ///
 /// Panics if any completion diverges from the sequential oracle, if the
 /// shed accounting does not balance exactly, or (in full mode) if
-/// batched serving misses its 2x floor over the one-query-at-a-time
-/// baseline at depth >= 8.
+/// batched serving at depth >= 8 misses [`FUSED_FLOOR`] over depth-1
+/// serving.
 pub fn run(quick: bool) -> ExperimentOutput {
     run_to(quick, repo_root().join("BENCH_serve.json"))
 }
@@ -495,11 +498,15 @@ fn run_to(quick: bool, path: PathBuf) -> ExperimentOutput {
         .filter(|r| r.depth >= 8)
         .map(|r| r.qps / depth1_qps)
         .fold(0.0, f64::max);
+    // Fusion plus coalescing on the Zipf mix must pay for itself over
+    // depth-1 serving (1.5-1.7 here, 1.95 in the recorded tuned run).
+    // The floor used to stand on the one-query-at-a-time row, which was
+    // 85 % per-call set-up until `run_shared` began memoising it.
     if !quick {
         assert!(
-            best_deep >= 2.0,
-            "batched serving speedup {best_deep:.2} over the one-query-at-a-time \
-             baseline at depth >= 8 is below the 2x floor"
+            best_fused >= FUSED_FLOOR,
+            "batched serving speedup {best_fused:.2} over depth-1 serving at \
+             depth >= 8 is below the {FUSED_FLOOR}x floor"
         );
     }
 
@@ -632,8 +639,8 @@ fn run_to(quick: bool, path: PathBuf) -> ExperimentOutput {
     );
     out.table("open-loop latency and shedding", open_table);
     out.note(format!(
-        "best speedup at depth >= 8 over the one-query-at-a-time serial baseline: {} \
-         (target >= 2.0); fusion+coalescing alone (vs serve at depth 1): {}",
+        "best speedup at depth >= 8 over the one-query-at-a-time serial baseline: {}; \
+         fusion+coalescing alone (vs serve at depth 1): {} (floor >= {FUSED_FLOOR})",
         ratio(best_deep),
         ratio(best_fused)
     ));

@@ -36,6 +36,39 @@ pub struct SingleOutcome {
     pub maintenance_ops: usize,
 }
 
+/// How one run reaches the knowledge base: exclusively
+/// ([`Snap1::run`](crate::Snap1::run), maintenance allowed) or through a
+/// shared snapshot ([`Snap1::run_shared`](crate::Snap1::run_shared),
+/// which has already rejected maintenance and staged links). It is the
+/// only difference between the two entry points, so each engine walks
+/// the plan once, over this.
+pub(crate) enum NetAccess<'a> {
+    Exclusive(&'a mut SemanticNetwork),
+    Shared(&'a SemanticNetwork),
+}
+
+impl NetAccess<'_> {
+    /// The network, for reading.
+    pub(crate) fn get(&self) -> &SemanticNetwork {
+        match self {
+            NetAccess::Exclusive(network) => network,
+            NetAccess::Shared(network) => network,
+        }
+    }
+
+    /// Executes one non-propagate instruction with the access held.
+    pub(crate) fn exec(
+        &mut self,
+        instr: &Instruction,
+        regions: &mut [Region],
+    ) -> Result<SingleOutcome, CoreError> {
+        match self {
+            NetAccess::Exclusive(network) => exec_single(instr, network, regions),
+            NetAccess::Shared(network) => exec_single_shared(instr, network, regions),
+        }
+    }
+}
+
 /// Applies `instr` to `regions`/`network`.
 ///
 /// # Errors

@@ -24,9 +24,10 @@
 use crate::config::MachineConfig;
 use crate::controller::{plan, PropSpec, Step};
 use crate::cost::CostModel;
-use crate::engine::common::{exec_single, exec_single_shared, phase_of, SingleOutcome};
+use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, visited_map_for, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
+use crate::prepared::Prepared;
 use crate::propagate::{expand, Expansion, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::RunReport;
@@ -40,58 +41,53 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Executes `program` on the simulated array.
+/// Executes `program` on the simulated array over `prepared` (this
+/// network partitioned for `config`). Exclusive and shared-snapshot
+/// runs share this body — identical simulation and accounting — and
+/// differ only in what [`NetAccess::exec`] permits.
 pub(crate) fn run(
     config: &MachineConfig,
     cost: &CostModel,
-    network: &mut SemanticNetwork,
+    mut network: NetAccess<'_>,
+    prepared: &Prepared,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
     config.validate();
-    network.flush_links();
-    let mut machine = Des::new(config, cost, network);
+    let mut machine = Des::new(config, cost, network.get(), prepared);
     for step in plan(program) {
         match step {
-            Step::Instr(idx) => machine.exec_instr(network, &program.instructions()[idx])?,
+            Step::Instr(idx) => machine.exec_instr(&mut network, &program.instructions()[idx])?,
             Step::Group(indices) => {
                 let specs: Vec<PropSpec> = indices
                     .iter()
                     .enumerate()
                     .map(|(g, &idx)| PropSpec::compile(g, &program.instructions()[idx]))
                     .collect();
-                machine.exec_group(network, &specs)?;
+                machine.exec_group(network.get(), &specs)?;
             }
         }
     }
     Ok(machine.finish())
 }
 
-/// Shared-snapshot variant of [`run`]: identical simulation and
-/// accounting over an immutably borrowed network. The facade has already
-/// rejected maintenance instructions and staged links, so instructions
-/// go through [`exec_single_shared`] and no flush is needed.
-pub(crate) fn run_shared(
+/// [`run`] the way [`Snap1::run`](crate::Snap1::run) drives it — flush,
+/// set-up for `config`, exclusive access — for engine unit tests.
+#[cfg(test)]
+pub(crate) fn run_exclusive(
     config: &MachineConfig,
     cost: &CostModel,
-    network: &SemanticNetwork,
+    network: &mut SemanticNetwork,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
-    config.validate();
-    let mut machine = Des::new(config, cost, network);
-    for step in plan(program) {
-        match step {
-            Step::Instr(idx) => machine.exec_instr_shared(network, &program.instructions()[idx])?,
-            Step::Group(indices) => {
-                let specs: Vec<PropSpec> = indices
-                    .iter()
-                    .enumerate()
-                    .map(|(g, &idx)| PropSpec::compile(g, &program.instructions()[idx]))
-                    .collect();
-                machine.exec_group(network, &specs)?;
-            }
-        }
-    }
-    Ok(machine.finish())
+    network.flush_links();
+    let prepared = Prepared::build(network, config.clusters, config.partition);
+    run(
+        config,
+        cost,
+        NetAccess::Exclusive(network),
+        &prepared,
+        program,
+    )
 }
 
 /// One scheduled event of the propagation phase. Ordering lives in the
@@ -141,10 +137,16 @@ struct Des<'c> {
 }
 
 impl<'c> Des<'c> {
-    fn new(config: &'c MachineConfig, cost: &'c CostModel, network: &SemanticNetwork) -> Self {
-        let map = RegionMap::build(network, config.clusters, config.partition);
+    fn new(
+        config: &'c MachineConfig,
+        cost: &'c CostModel,
+        network: &SemanticNetwork,
+        prepared: &Prepared,
+    ) -> Self {
+        let map = Arc::clone(prepared.map());
+        debug_assert_eq!(map.cluster_count(), config.clusters);
         let report = RunReport {
-            partition: Some(map.partition().stats(network)),
+            partition: Some(prepared.partition_stats().clone()),
             ..RunReport::default()
         };
         let regions = (0..config.clusters)
@@ -204,35 +206,19 @@ impl<'c> Des<'c> {
     /// markers.
     fn exec_instr(
         &mut self,
-        network: &mut SemanticNetwork,
+        network: &mut NetAccess<'_>,
         instr: &snap_isa::Instruction,
     ) -> Result<(), CoreError> {
         let start = self.now;
         let class = instr.class();
         self.tracer.phase_start(phase_of(class), Stamp::Sim(start));
-        let out = exec_single(instr, network, &mut self.regions)?;
-        self.account_instr(class, out, start);
-        Ok(())
-    }
-
-    /// [`Des::exec_instr`] over an immutably borrowed network: the same
-    /// cost accounting applied to an [`exec_single_shared`] outcome.
-    fn exec_instr_shared(
-        &mut self,
-        network: &SemanticNetwork,
-        instr: &snap_isa::Instruction,
-    ) -> Result<(), CoreError> {
-        let start = self.now;
-        let class = instr.class();
-        self.tracer.phase_start(phase_of(class), Stamp::Sim(start));
-        let out = exec_single_shared(instr, network, &mut self.regions)?;
+        let out = network.exec(instr, &mut self.regions)?;
         self.account_instr(class, out, start);
         Ok(())
     }
 
     /// Converts one instruction's work counts into simulated time and
-    /// report entries (shared by the exclusive and shared exec paths so
-    /// they account identically).
+    /// report entries.
     fn account_instr(&mut self, class: InstrClass, out: SingleOutcome, start: SimTime) {
         let items: usize = out.work.iter().map(|w| w.items).sum();
         match class {
@@ -798,6 +784,7 @@ impl<'c> Des<'c> {
 
 #[cfg(test)]
 mod tests {
+    use super::run_exclusive as run;
     use super::*;
     use crate::engine::sequential;
     use snap_isa::{CombineFunc, PropRule, StepFunc};
@@ -847,7 +834,7 @@ mod tests {
         let program = parse_like_program();
         let mut net1 = chain_network(64);
         let mut net2 = chain_network(64);
-        let seq = sequential::run(
+        let seq = sequential::run_exclusive(
             &MachineConfig::snap1_eval(),
             &CostModel::snap1(),
             &mut net1,

@@ -10,33 +10,37 @@
 use crate::config::{KernelStrategy, MachineConfig};
 use crate::controller::{plan, PropSpec, Step};
 use crate::cost::CostModel;
-use crate::engine::common::{exec_single, exec_single_shared, phase_of, SingleOutcome};
+use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{
     apply_arrival, maybe_plant_bug, resolve_kernel, Picker, ReadyQueue, CONTROL_STREAM,
 };
 use crate::error::CoreError;
 use crate::kernel::{propagate_wave, wave_supported, WaveSink};
+use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
-use crate::region::{Region, RegionMap};
+use crate::region::Region;
 use crate::report::RunReport;
 use snap_isa::{InstrClass, Program};
-use snap_kb::{ClusterId, PartitionScheme, SemanticNetwork};
+use snap_kb::{ClusterId, SemanticNetwork};
 use snap_mem::SimTime;
 use snap_obs::{PhaseKind, Stamp, Tracer};
 use std::sync::Arc;
 
-/// Executes `program` sequentially, returning the measured report.
+/// Executes `program` sequentially over `prepared` (a one-cluster
+/// set-up of this network), returning the measured report. Exclusive
+/// and shared-snapshot runs share this body — identical semantics and
+/// accounting — and differ only in what [`NetAccess::exec`] permits.
 pub(crate) fn run(
     config: &MachineConfig,
     cost: &CostModel,
-    network: &mut SemanticNetwork,
+    mut network: NetAccess<'_>,
+    prepared: &Prepared,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
-    network.flush_links();
-    let map = RegionMap::build(network, 1, PartitionScheme::Sequential);
-    let mut region = Region::new(ClusterId(0), Arc::clone(&map), network);
+    debug_assert_eq!(prepared.map().cluster_count(), 1);
+    let mut region = Region::new(ClusterId(0), Arc::clone(prepared.map()), network.get());
     let mut report = RunReport {
-        partition: Some(map.partition().stats(network)),
+        partition: Some(prepared.partition_stats().clone()),
         ..RunReport::default()
     };
     let mut now: SimTime = 0;
@@ -46,15 +50,14 @@ pub(crate) fn run(
     let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
     // One visited map for the whole run, reset per propagation: steady
     // state re-visits capacity instead of reallocating per phase.
-    let mut visited = VisitedMap::with_strategy(config.visited, network.node_count());
+    let mut visited = VisitedMap::with_strategy(config.visited, network.get().node_count());
 
     for step in plan(program) {
         match step {
             Step::Instr(idx) => {
                 let instr = &program.instructions()[idx];
                 tracer.phase_start(phase_of(instr.class()), Stamp::Sim(now));
-                let regions = std::slice::from_mut(&mut region);
-                let out = exec_single(instr, network, regions)?;
+                let out = network.exec(instr, std::slice::from_mut(&mut region))?;
                 let ns = instr_cost(cost, instr.class(), &out, &mut report);
                 now += ns;
                 tracer.phase_end(Stamp::Sim(now));
@@ -72,7 +75,7 @@ pub(crate) fn run(
                     let ns = run_propagate(
                         config,
                         cost,
-                        network,
+                        network.get(),
                         &mut region,
                         &spec,
                         &mut report,
@@ -101,83 +104,8 @@ pub(crate) fn run(
     Ok(report)
 }
 
-/// Shared-snapshot variant of [`run`]: identical semantics and
-/// accounting over an immutably borrowed network. The facade has already
-/// rejected maintenance instructions and staged links, so every
-/// instruction goes through [`exec_single_shared`] and no flush is
-/// needed — which is what lets many concurrent callers run against one
-/// `Arc`'d network without cloning it.
-pub(crate) fn run_shared(
-    config: &MachineConfig,
-    cost: &CostModel,
-    network: &SemanticNetwork,
-    program: &Program,
-) -> Result<RunReport, CoreError> {
-    let map = RegionMap::build(network, 1, PartitionScheme::Sequential);
-    let mut region = Region::new(ClusterId(0), Arc::clone(&map), network);
-    let mut report = RunReport {
-        partition: Some(map.partition().stats(network)),
-        ..RunReport::default()
-    };
-    let mut now: SimTime = 0;
-    let tracer = Tracer::from_config(config.trace.as_ref(), 1);
-    let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
-    let mut visited = VisitedMap::with_strategy(config.visited, network.node_count());
-
-    for step in plan(program) {
-        match step {
-            Step::Instr(idx) => {
-                let instr = &program.instructions()[idx];
-                tracer.phase_start(phase_of(instr.class()), Stamp::Sim(now));
-                let regions = std::slice::from_mut(&mut region);
-                let out = exec_single_shared(instr, network, regions)?;
-                let ns = instr_cost(cost, instr.class(), &out, &mut report);
-                now += ns;
-                tracer.phase_end(Stamp::Sim(now));
-                report.record(instr.class(), ns);
-                if let Some(c) = out.collect {
-                    report.collects.push(c);
-                }
-            }
-            Step::Group(indices) => {
-                tracer.phase_start(PhaseKind::Propagate, Stamp::Sim(now));
-                for (g, &idx) in indices.iter().enumerate() {
-                    let instr = &program.instructions()[idx];
-                    let spec = PropSpec::compile(g, instr);
-                    let ns = run_propagate(
-                        config,
-                        cost,
-                        network,
-                        &mut region,
-                        &spec,
-                        &mut report,
-                        &tracer,
-                        &mut picker,
-                        &mut visited,
-                    )?;
-                    now += ns;
-                    report.record(InstrClass::Propagate, ns);
-                }
-                tracer.phase_end(Stamp::Sim(now));
-                tracer.phase_start(PhaseKind::Barrier, Stamp::Sim(now));
-                now += cost.sync_base_ns;
-                tracer.barrier_wait(0, cost.sync_base_ns, Stamp::Sim(now));
-                tracer.phase_end(Stamp::Sim(now));
-                report.overhead.sync_ns += cost.sync_base_ns;
-                report.barriers += 1;
-                report.traffic.messages_per_sync.push(0);
-            }
-        }
-    }
-    report.total_ns = now;
-    report.trace = tracer.report();
-    report.schedule_digest = picker.digest();
-    Ok(report)
-}
-
 /// Single-PE cost of one non-propagate instruction, with the overhead
-/// and barrier side accounting (shared by [`run`] and [`run_shared`] so
-/// the two entry points report identically).
+/// and barrier side accounting.
 fn instr_cost(
     cost: &CostModel,
     class: InstrClass,
@@ -357,25 +285,44 @@ impl WaveSink for SeqWaveSink<'_> {
     }
 }
 
-/// Convenience used by tests and the machine facade.
-#[allow(dead_code)]
-pub(crate) fn run_default(
+/// [`run`] the way [`Snap1::run`](crate::Snap1::run) drives it —
+/// flush, one-cluster set-up, exclusive access — for engine unit tests.
+#[cfg(test)]
+pub(crate) fn run_exclusive(
+    config: &MachineConfig,
+    cost: &CostModel,
     network: &mut SemanticNetwork,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
+    network.flush_links();
+    let prepared = Prepared::build(network, 1, snap_kb::PartitionScheme::Sequential);
     run(
-        &MachineConfig::snap1_eval(),
-        &CostModel::snap1(),
-        network,
+        config,
+        cost,
+        NetAccess::Exclusive(network),
+        &prepared,
         program,
     )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::run_exclusive as run;
     use super::*;
     use snap_isa::{CombineFunc, PropRule, StepFunc};
     use snap_kb::{Color, Marker, NetworkConfig, RelationType};
+
+    fn run_default(
+        network: &mut SemanticNetwork,
+        program: &Program,
+    ) -> Result<RunReport, CoreError> {
+        run(
+            &MachineConfig::snap1_eval(),
+            &CostModel::snap1(),
+            network,
+            program,
+        )
+    }
 
     /// The Fig. 1 / Fig. 5 miniature: lexical nodes under syntactic
     /// categories, a concept sequence with first/last elements.

@@ -38,6 +38,7 @@ use crate::engine::sched::{
     apply_arrival, maybe_plant_bug, PhaseGate, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM,
 };
 use crate::error::CoreError;
+use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
@@ -162,15 +163,17 @@ enum PhaseExit {
 }
 
 /// Executes `program` on real threads.
+///
+/// The caller has flushed staged relation-table inserts and built
+/// `prepared` from the flushed network, so every worker's expansions
+/// take the indexed CSR fast path.
 pub(crate) fn run(
     config: &MachineConfig,
     network: &mut SemanticNetwork,
+    prepared: &Prepared,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
     config.validate();
-    // Settle any staged relation-table inserts before regions are built,
-    // so every worker's expansions take the indexed CSR fast path.
-    network.flush_links();
     // Move the network into a shared snapshot. Workers read it through
     // Arc clones shipped with each command — the propagation hot path
     // touches no lock at all — and drop the clone before replying, so
@@ -179,7 +182,7 @@ pub(crate) fn run(
     // the common path).
     let empty = SemanticNetwork::new(*network.config());
     let shared = Arc::new(std::mem::replace(network, empty));
-    let (shared, result) = run_arc(config, shared, program);
+    let (shared, result) = run_arc(config, shared, prepared, program);
     // Hand the (possibly maintenance-mutated) network back to the caller
     // even on error. `run_arc` has dropped every worker-side snapshot
     // clone by now, so the unwrap only falls back to a copy after an
@@ -196,19 +199,21 @@ pub(crate) fn run(
 pub(crate) fn run_shared(
     config: &MachineConfig,
     network: &Arc<SemanticNetwork>,
+    prepared: &Prepared,
     program: &Program,
 ) -> Result<RunReport, CoreError> {
     config.validate();
-    let (_shared, result) = run_arc(config, Arc::clone(network), program);
+    let (_shared, result) = run_arc(config, Arc::clone(network), prepared, program);
     result
 }
 
-/// The engine core over an owned `Arc` snapshot: spawns one worker per
-/// cluster, walks the plan, and returns the (possibly replaced, if
-/// maintenance forked it) snapshot alongside the report.
+/// The engine core over an owned `Arc` snapshot and its set-up: spawns
+/// one worker per cluster, walks the plan, and returns the (possibly
+/// replaced, if maintenance forked it) snapshot alongside the report.
 fn run_arc(
     config: &MachineConfig,
     mut shared: Arc<SemanticNetwork>,
+    prepared: &Prepared,
     program: &Program,
 ) -> (Arc<SemanticNetwork>, Result<RunReport, CoreError>) {
     let started = Instant::now();
@@ -216,8 +221,8 @@ fn run_arc(
         .fault_plan
         .clone()
         .map(|plan| Arc::new(FaultInjector::new(plan)));
-    let map = RegionMap::build(&shared, config.clusters, config.partition);
-    let partition_stats = map.partition().stats(&shared);
+    let map = prepared.map();
+    debug_assert_eq!(map.cluster_count(), config.clusters);
     let topology = HypercubeTopology::covering(config.clusters);
     let tracer = Tracer::from_config(config.trace.as_ref(), config.clusters);
     let (fabric, mut fabric_rxs) =
@@ -287,13 +292,13 @@ fn run_arc(
         // Spawn one worker per cluster, each under a panic catcher that
         // reports the crash instead of aborting the whole scope.
         for c in (0..config.clusters).rev() {
-            let region = Region::new(ClusterId(c as u8), Arc::clone(&map), &shared);
+            let region = Region::new(ClusterId(c as u8), Arc::clone(map), &shared);
             let worker = Worker {
                 cluster: c,
                 max_hops: config.max_hops,
                 region,
                 adopted: Vec::new(),
-                map: Arc::clone(&map),
+                map: Arc::clone(map),
                 cmd_rx: cmd_rxs.pop().expect("one rx per cluster"),
                 reply_tx: reply_tx.clone(),
                 fabric: fabric.clone(),
@@ -387,7 +392,7 @@ fn run_arc(
     // streams are individually deterministic per seed, but which worker
     // draws how many decisions depends on real thread timing.
     report.schedule_digest = controller.picker.digest();
-    report.partition = Some(partition_stats);
+    report.partition = Some(prepared.partition_stats().clone());
     report.traffic.total_messages = fabric.messages();
     report.traffic.total_hops = fabric.hops();
     report.traffic.tasks_sent = tasks_sent.load(Ordering::Relaxed);
@@ -1460,6 +1465,18 @@ mod tests {
     use snap_isa::{CombineFunc, PropRule, StepFunc};
     use snap_kb::{Marker, NetworkConfig, RelationType};
 
+    /// The engine the way [`Snap1::run`](crate::Snap1::run) drives it:
+    /// flush, then set-up for `config`.
+    fn run(
+        config: &MachineConfig,
+        network: &mut SemanticNetwork,
+        program: &Program,
+    ) -> Result<RunReport, CoreError> {
+        network.flush_links();
+        let prepared = Prepared::build(network, config.clusters, config.partition);
+        super::run(config, network, &prepared, program)
+    }
+
     fn grid_network(n: usize) -> SemanticNetwork {
         // A chain with extra skip links to create cross-cluster traffic.
         let mut net = SemanticNetwork::new(NetworkConfig::default());
@@ -1511,7 +1528,8 @@ mod tests {
         let mut cfg = MachineConfig::uniform(4, 2);
         cfg.partition = snap_kb::PartitionScheme::RoundRobin;
         let mut net1 = grid_network(100);
-        let des_report = des::run(&cfg, &CostModel::snap1(), &mut net1, &program).unwrap();
+        let des_report =
+            des::run_exclusive(&cfg, &CostModel::snap1(), &mut net1, &program).unwrap();
         let mut net2 = grid_network(100);
         let thr_report = run(&cfg, &mut net2, &program).unwrap();
         assert_eq!(des_report.collects.len(), thr_report.collects.len());
@@ -1552,7 +1570,8 @@ mod tests {
             let mut cfg = MachineConfig::uniform(clusters, 2);
             cfg.partition = snap_kb::PartitionScheme::RoundRobin;
             let mut net1 = grid_network(100);
-            let des_report = des::run(&cfg, &CostModel::snap1(), &mut net1, &program).unwrap();
+            let des_report =
+                des::run_exclusive(&cfg, &CostModel::snap1(), &mut net1, &program).unwrap();
             let mut net2 = grid_network(100);
             let thr_report =
                 run(&cfg, &mut net2, &program).unwrap_or_else(|e| panic!("{clusters}: {e}"));

@@ -35,6 +35,7 @@ mod engine;
 mod error;
 pub mod kernel;
 mod machine;
+mod prepared;
 pub mod propagate;
 mod region;
 mod report;
@@ -54,6 +55,7 @@ pub use engine::sched::{
 };
 pub use error::CoreError;
 pub use machine::{Snap1, Snap1Builder};
+pub use prepared::Prepared;
 pub use region::{Arrival, Region, RegionMap, VALUE_EPSILON};
 pub use report::{CollectOutput, OverheadBreakdown, RunReport, TrafficStats};
 // Fault-injection vocabulary, re-exported so applications can build

@@ -3,10 +3,14 @@
 
 use crate::config::{EngineKind, MachineConfig};
 use crate::cost::CostModel;
+use crate::engine::common::NetAccess;
+use crate::engine::{des, sequential, threaded};
 use crate::error::CoreError;
+use crate::prepared::{Prepared, PreparedMemo};
 use crate::report::RunReport;
 use snap_isa::Program;
 use snap_kb::{PartitionScheme, SemanticNetwork};
+use std::sync::Arc;
 
 /// A configured SNAP-1 machine.
 ///
@@ -39,17 +43,15 @@ pub struct Snap1 {
     config: MachineConfig,
     cost: CostModel,
     engine: EngineKind,
+    /// Set-up of the last shared snapshot served (see [`Snap1::prepare`]).
+    memo: PreparedMemo,
 }
 
 impl Snap1 {
     /// A machine with the paper's evaluation configuration (16 clusters,
     /// 72 PEs) on the discrete-event engine.
     pub fn new() -> Self {
-        Snap1 {
-            config: MachineConfig::snap1_eval(),
-            cost: CostModel::snap1(),
-            engine: EngineKind::Des,
-        }
+        Snap1::builder().build()
     }
 
     /// Starts a builder.
@@ -72,9 +74,26 @@ impl Snap1 {
         self.engine
     }
 
+    /// The `(clusters, partition)` this machine maps a knowledge base
+    /// onto: its configured array, except that the single-PE reference
+    /// engine holds the whole network in one region.
+    fn geometry(&self) -> (usize, PartitionScheme) {
+        match self.engine {
+            EngineKind::Sequential => (1, PartitionScheme::Sequential),
+            EngineKind::Des | EngineKind::Threaded => (self.config.clusters, self.config.partition),
+        }
+    }
+
     /// Executes `program` against `network`, returning the measured
     /// report. The network is borrowed mutably because node-maintenance
     /// instructions edit it.
+    ///
+    /// The knowledge base is mapped onto the clusters once per call: a
+    /// `&mut` network carries no identity to cache the mapping under
+    /// (it may have been edited since the last run). Callers running
+    /// many programs against an unchanging network should freeze it in
+    /// an `Arc` and use [`Snap1::run_shared`], which pays the mapping
+    /// once per snapshot.
     ///
     /// # Errors
     ///
@@ -85,19 +104,75 @@ impl Snap1 {
         network: &mut SemanticNetwork,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
+        // Settle staged relation-table inserts before the network is
+        // partitioned, so the set-up and every expansion see the
+        // indexed CSR.
+        network.flush_links();
+        let (clusters, scheme) = self.geometry();
+        let prepared = Prepared::build(network, clusters, scheme);
+        let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => {
-                crate::engine::sequential::run(&self.config, &self.cost, network, program)
-            }
-            EngineKind::Des => crate::engine::des::run(&self.config, &self.cost, network, program),
-            EngineKind::Threaded => crate::engine::threaded::run(&self.config, network, program),
+            EngineKind::Sequential => sequential::run(
+                config,
+                cost,
+                NetAccess::Exclusive(network),
+                &prepared,
+                program,
+            ),
+            EngineKind::Des => des::run(
+                config,
+                cost,
+                NetAccess::Exclusive(network),
+                &prepared,
+                program,
+            ),
+            EngineKind::Threaded => threaded::run(config, network, &prepared, program),
         }
+    }
+
+    /// The per-network set-up (region map and partition statistics) of
+    /// `network` on this machine, built on the first call for a
+    /// snapshot and returned from a one-entry memo afterwards.
+    /// [`Snap1::run_shared`] obtains it here; a serving layer holds the
+    /// same value to build its pooled regions from.
+    ///
+    /// The memo identifies a snapshot by its `Arc` allocation through a
+    /// `Weak`: it never keeps a dropped network's contents alive (only
+    /// the allocation and the last map, until another snapshot
+    /// arrives), a new network cannot alias a dropped one, and a
+    /// snapshot edited through `Arc::make_mut` is a different snapshot.
+    /// While a machine remembers a snapshot, `Arc::get_mut` on it
+    /// returns `None`; edit through `Arc::make_mut` or
+    /// `Arc::try_unwrap`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::SharedStagedLinks`] if the snapshot was
+    /// frozen with staged (unflushed) links.
+    pub fn prepare(&self, network: &Arc<SemanticNetwork>) -> Result<Arc<Prepared>, CoreError> {
+        let staged = network.staged_link_count();
+        if staged > 0 {
+            return Err(CoreError::SharedStagedLinks { staged });
+        }
+        let (clusters, scheme) = self.geometry();
+        Ok(self.memo.get(network, clusters, scheme))
     }
 
     /// Executes a maintenance-free `program` against a shared network
     /// snapshot, without cloning it. This is the serving entry point:
     /// any number of callers may run programs against one `Arc`'d
-    /// network concurrently, each getting an isolated report.
+    /// network concurrently — through one `&Snap1` or several — each
+    /// getting an isolated report.
+    ///
+    /// The knowledge base is mapped onto the clusters once per
+    /// snapshot, not once per call: the first call for a snapshot
+    /// builds the region map and partition statistics
+    /// ([`Snap1::prepare`]), later calls for the same `Arc` reuse them
+    /// and pay only for fresh marker state and the program itself. A
+    /// different snapshot (including an edited copy of this one)
+    /// replaces the remembered set-up. Concurrent callers share the
+    /// remembered set-up read-only; concurrent first calls wait for one
+    /// build.
     ///
     /// # Errors
     ///
@@ -137,7 +212,7 @@ impl Snap1 {
     /// ```
     pub fn run_shared(
         &self,
-        network: &std::sync::Arc<SemanticNetwork>,
+        network: &Arc<SemanticNetwork>,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
         if let Some(instr) = program
@@ -149,20 +224,16 @@ impl Snap1 {
                 mnemonic: instr.mnemonic(),
             });
         }
-        let staged = network.staged_link_count();
-        if staged > 0 {
-            return Err(CoreError::SharedStagedLinks { staged });
-        }
+        let prepared = self.prepare(network)?;
+        let (config, cost) = (&self.config, &self.cost);
         match self.engine {
             EngineKind::Sequential => {
-                crate::engine::sequential::run_shared(&self.config, &self.cost, network, program)
+                sequential::run(config, cost, NetAccess::Shared(network), &prepared, program)
             }
             EngineKind::Des => {
-                crate::engine::des::run_shared(&self.config, &self.cost, network, program)
+                des::run(config, cost, NetAccess::Shared(network), &prepared, program)
             }
-            EngineKind::Threaded => {
-                crate::engine::threaded::run_shared(&self.config, network, program)
-            }
+            EngineKind::Threaded => threaded::run_shared(config, network, &prepared, program),
         }
     }
 }
@@ -293,6 +364,7 @@ impl Snap1Builder {
             config: self.config,
             cost: self.cost,
             engine: self.engine,
+            memo: PreparedMemo::default(),
         }
     }
 }
@@ -358,6 +430,47 @@ mod tests {
             );
             // The caller's snapshot is untouched and still shared.
             assert_eq!(std::sync::Arc::strong_count(&shared), 1);
+        }
+    }
+
+    #[test]
+    fn run_shared_prepares_each_snapshot_once_on_every_engine() {
+        for engine in [
+            EngineKind::Sequential,
+            EngineKind::Des,
+            EngineKind::Threaded,
+        ] {
+            let machine = Snap1::builder().clusters(2).engine(engine).build();
+            let snapshot = |extra: usize| {
+                let (mut net, program) = tiny();
+                for _ in 0..extra {
+                    net.add_node(Color(3)).unwrap();
+                }
+                net.flush_links();
+                (Arc::new(net), program)
+            };
+            let (a, program) = snapshot(0);
+            let (b, _) = snapshot(5);
+            let first = machine.run_shared(&a, &program).unwrap();
+            let prepared = machine.prepare(&a).unwrap();
+            assert!(prepared.is_for(&a), "{engine:?}");
+            let second = machine.run_shared(&a, &program).unwrap();
+            // The second call built nothing: the memo still holds the
+            // value the first one left.
+            assert!(Arc::ptr_eq(&prepared, &machine.prepare(&a).unwrap()));
+            assert_eq!(first.collects, second.collects, "{engine:?}");
+            assert_eq!(first.partition, second.partition, "{engine:?}");
+            // Another snapshot replaces it, and gets its own partition.
+            let other = machine.run_shared(&b, &program).unwrap();
+            assert_eq!(other.partition.unwrap().nodes, b.node_count());
+            assert!(machine.prepare(&b).unwrap().is_for(&b));
+            assert!(!machine.prepare(&b).unwrap().is_for(&a));
+            // A clone of a warm machine starts from the same entry.
+            assert!(Arc::ptr_eq(
+                &machine.prepare(&b).unwrap(),
+                &machine.clone().prepare(&b).unwrap()
+            ));
+            assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Per-query execution contexts, pooled across queries.
 
-use snap_core::{CollectOutput, Region, RegionMap, RunReport};
-use snap_kb::{ClusterId, NodeId, PartitionStats, SemanticNetwork};
+use snap_core::{CollectOutput, Prepared, Region, RunReport};
+use snap_kb::{ClusterId, NodeId, SemanticNetwork};
 use std::sync::Arc;
 
 /// One query's isolated execution state: its marker tables (a
@@ -28,15 +28,11 @@ pub struct QueryContext {
 }
 
 impl QueryContext {
-    pub(crate) fn new(
-        map: &Arc<RegionMap>,
-        network: &SemanticNetwork,
-        partition: &PartitionStats,
-    ) -> Self {
+    pub(crate) fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
         QueryContext {
-            region: Region::new(ClusterId(0), Arc::clone(map), network),
+            region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
             report: RunReport {
-                partition: Some(partition.clone()),
+                partition: Some(prepared.partition_stats().clone()),
                 ..RunReport::default()
             },
             seeds: Vec::new(),

@@ -21,10 +21,14 @@
 //!   alone through the serial sequential-engine oracle — the batch
 //!   executor replays the exact scalar-spec event order per lane.
 //!
-//! One [`Server`] serves one immutable snapshot (one KB epoch): updates
-//! mean flushing links, wrapping the new network in an `Arc`, and
-//! standing up a new server. Maintenance programs are shed at admission
-//! for the same reason `run_shared` rejects them.
+//! One [`Server`] serves one immutable snapshot, and that is what a KB
+//! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)
+//! — the snapshot's region map and partition statistics, built once in
+//! [`Server::new`] and shared with the oracle fallback — so one server =
+//! one `Prepared` = one epoch, expressed by the type rather than a
+//! number. Updates mean flushing links, wrapping the new network in an
+//! `Arc`, and standing up a new server. Maintenance programs are shed at
+//! admission for the same reason `run_shared` rejects them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

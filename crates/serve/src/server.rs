@@ -3,9 +3,9 @@
 use crate::batch::{run_batch, BatchKernel, BatchScratch};
 use crate::context::QueryContext;
 use snap_core::kernel::{wave_supported, MAX_SLICED_LANES};
-use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, RegionMap, RunReport, Snap1};
+use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, Prepared, RunReport, Snap1};
 use snap_isa::{InstrClass, Instruction, Program};
-use snap_kb::{PartitionScheme, PartitionStats, SemanticNetwork};
+use snap_kb::SemanticNetwork;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -24,9 +24,6 @@ pub struct ServeConfig {
     pub max_hops: u8,
     /// Cost model stamped into per-query reports.
     pub cost: CostModel,
-    /// KB epoch this server serves; recorded for bookkeeping when a
-    /// fleet of servers rotates through snapshot generations.
-    pub epoch: u64,
     /// Which fused kernel batches run. [`BatchKernel::Sliced`] (the
     /// default) advances all lanes word-at-a-time; batches deeper than
     /// [`MAX_SLICED_LANES`] fall back to per-lane replay automatically.
@@ -40,7 +37,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             max_hops: MachineConfig::snap1_eval().max_hops,
             cost: CostModel::snap1(),
-            epoch: 0,
             kernel: BatchKernel::default(),
         }
     }
@@ -146,8 +142,10 @@ struct Pending {
 /// no heap allocation per query.
 pub struct Server {
     network: Arc<SemanticNetwork>,
-    map: Arc<RegionMap>,
-    partition: PartitionStats,
+    /// The snapshot's one-region set-up, built once here: pooled query
+    /// contexts take their regions from it, and it is the value the
+    /// oracle's memo holds, so a fallback query never re-partitions.
+    prepared: Arc<Prepared>,
     cfg: ServeConfig,
     /// Sequential shared-snapshot oracle for queries that cannot fuse
     /// (oversized custom rules) and for batch-failure fallback.
@@ -180,12 +178,6 @@ impl Server {
     /// [`flush_links`](SemanticNetwork::flush_links) before wrapping it
     /// in the `Arc`.
     pub fn new(network: Arc<SemanticNetwork>, cfg: ServeConfig) -> Result<Self, CoreError> {
-        let staged = network.staged_link_count();
-        if staged > 0 {
-            return Err(CoreError::SharedStagedLinks { staged });
-        }
-        let map = RegionMap::build(&network, 1, PartitionScheme::Sequential);
-        let partition = map.partition().stats(&network);
         let oracle = Snap1::builder()
             .config(MachineConfig {
                 max_hops: cfg.max_hops,
@@ -194,10 +186,10 @@ impl Server {
             .cost(cfg.cost.clone())
             .engine(EngineKind::Sequential)
             .build();
+        let prepared = oracle.prepare(&network)?;
         Ok(Server {
             network,
-            map,
-            partition,
+            prepared,
             cfg,
             oracle,
             queue: VecDeque::new(),
@@ -344,7 +336,7 @@ impl Server {
             let ctx = self
                 .pool
                 .pop()
-                .unwrap_or_else(|| QueryContext::new(&self.map, &self.network, &self.partition));
+                .unwrap_or_else(|| QueryContext::new(&self.prepared, &self.network));
             self.active.push(ctx);
         }
         // Program refs live on the stack up to the sliced-kernel width;
@@ -433,11 +425,6 @@ impl Server {
     /// this at the largest batch depth seen, allocating nothing new).
     pub fn pool_size(&self) -> usize {
         self.pool.len()
-    }
-
-    /// The KB epoch this server was configured with.
-    pub fn epoch(&self) -> u64 {
-        self.cfg.epoch
     }
 
     /// The shared snapshot being served.

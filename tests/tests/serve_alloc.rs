@@ -1,4 +1,4 @@
-//! Zero-allocation steady-state serving.
+//! Zero-allocation steady-state serving, and set-up-free solo calls.
 //!
 //! The serving layer's claim is that once its pools are warm — pending
 //! entries, query contexts, kernel scratch, report maps — a
@@ -12,31 +12,98 @@
 //! rule compilation per propagate instruction to decide fusibility, so
 //! the zero-allocation invariant is pinned to the pump — the hot path
 //! the saturated-throughput bench times.
+//!
+//! The solo case pins the other amortisation: after its first call for
+//! a snapshot, [`Snap1::run_shared`] allocates none of the
+//! node-count-sized tables of the region map and partition — a
+//! regression that silently re-partitions per call fails here, not
+//! just in a benchmark.
 
 #![cfg(feature = "alloc-count")]
 
+use snap_core::{EngineKind, RegionMap, Snap1};
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::synth::scale_free_network;
-use snap_kb::{Marker, NodeId, RelationType};
+use snap_kb::{Marker, NodeId, PartitionScheme, RelationType};
+use snap_nlu::{kb::rel, DomainSpec, PartOfSpeech};
 use snap_serve::{Admission, ServeConfig, Server};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Passes everything through to the system allocator, counting
-/// allocations (not deallocations: returning pooled memory is fine,
-/// taking new memory is what the steady-state invariant forbids) while
-/// `COUNTING` is armed.
-struct CountingAlloc;
+/// What one thread allocated while its probe was armed. Deallocations
+/// are not counted: returning pooled memory is fine, taking new memory
+/// is what the invariants forbid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    /// Allocations (and reallocations) of any size.
+    allocs: u64,
+    /// Allocations of at least the armed `large_at` bytes...
+    large: u64,
+    /// ...and the bytes they asked for.
+    large_bytes: u64,
+}
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Per-thread probe state. Thread-local so the harness's own threads
+/// and a sibling test running in parallel never count against a
+/// measured region.
+struct Probe {
+    armed: Cell<bool>,
+    large_at: Cell<usize>,
+    counts: Cell<Counts>,
+}
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator neither allocates nor registers a dtor.
+    static PROBE: Probe = const {
+        Probe {
+            armed: Cell::new(false),
+            large_at: Cell::new(usize::MAX),
+            counts: Cell::new(Counts { allocs: 0, large: 0, large_bytes: 0 }),
+        }
+    };
+}
+
+fn note(size: usize) {
+    // `try_with`: a thread being torn down may allocate after its
+    // locals are gone; it is not measuring anything then.
+    let _ = PROBE.try_with(|p| {
+        if p.armed.get() {
+            let mut c = p.counts.get();
+            c.allocs += 1;
+            if size >= p.large_at.get() {
+                c.large += 1;
+                c.large_bytes += size as u64;
+            }
+            p.counts.set(c);
+        }
+    });
+}
+
+/// Runs `f` with this thread's probe armed, counting as large every
+/// allocation of at least `large_at` bytes.
+fn counted<R>(large_at: usize, f: impl FnOnce() -> R) -> (R, Counts) {
+    PROBE.with(|p| {
+        p.large_at.set(large_at);
+        p.counts.set(Counts::default());
+        p.armed.set(true);
+    });
+    let out = f();
+    let counts = PROBE.with(|p| {
+        p.armed.set(false);
+        p.counts.get()
+    });
+    (out, counts)
+}
+
+/// Passes everything through to the system allocator, reporting each
+/// request to the calling thread's probe.
+struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -45,16 +112,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -112,16 +175,14 @@ fn steady_state_pump_allocates_nothing_per_query() {
         assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
     }
     let mut served = 0u64;
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    while server.queue_len() > 0 {
-        server.pump_with(|c| {
-            assert!(c.result.is_ok(), "measured query succeeds");
-            served += 1;
-        });
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
+        while server.queue_len() > 0 {
+            server.pump_with(|c| {
+                assert!(c.result.is_ok(), "measured query succeeds");
+                served += 1;
+            });
+        }
+    });
 
     assert_eq!(served, seeds.len() as u64, "every offer completed");
     assert_eq!(
@@ -129,4 +190,78 @@ fn steady_state_pump_allocates_nothing_per_query() {
         "steady-state pump allocated {allocs} time(s) serving {served} queries"
     );
     server.assert_accounting();
+}
+
+/// The benchmark's parse query (`solo-shared`, `serve-distinct`).
+fn parse_query(node: NodeId) -> Program {
+    Program::builder()
+        .search_node(node, Marker::binary(1), 0.0)
+        .propagate(
+            Marker::binary(1),
+            Marker::complex(2),
+            PropRule::Spread(rel::IS_A, rel::ELEM_OF),
+            StepFunc::AddWeight,
+        )
+        .collect_marker(Marker::complex(2))
+        .build()
+}
+
+#[test]
+fn warm_solo_call_allocates_no_map_or_partition_tables() {
+    let mut kb = DomainSpec::sized(12_000).build().expect("parse KB");
+    kb.network.flush_links();
+    let nouns: Vec<NodeId> = kb
+        .words(PartOfSpeech::Noun)
+        .iter()
+        .filter_map(|w| kb.word(w))
+        .collect();
+    let net = Arc::new(kb.network);
+    let programs: Vec<Program> = nouns.iter().take(8).map(|&n| parse_query(n)).collect();
+    // The smallest node-count-sized table of the set-up: the region
+    // map's u32 local index per node.
+    let large_at = net.node_count() * 4;
+
+    // What the set-up alone takes, stand-alone: this is the signature
+    // a re-partitioning call would carry.
+    let (_, setup) = counted(large_at, || {
+        let map = RegionMap::build(&net, 1, PartitionScheme::Sequential);
+        let stats = map.partition().stats(&net);
+        (map, stats)
+    });
+    assert!(
+        setup.large >= 1 && setup.large_bytes >= large_at as u64,
+        "the probe sees the region map's tables: {setup:?}"
+    );
+
+    let machine = Snap1::builder().engine(EngineKind::Sequential).build();
+    let (first, cold) = counted(large_at, || machine.run_shared(&net, &programs[0]));
+    let first = first.expect("cold call succeeds");
+    // Per-call marker and kernel tables are node-count-sized too, so a
+    // warm call is not free of large allocations; what it must not
+    // contain is the set-up's share of them.
+    let mut warm_calls = Vec::new();
+    for program in programs.iter().cycle().take(24) {
+        let (report, warm) = counted(large_at, || machine.run_shared(&net, program));
+        report.expect("warm call succeeds");
+        warm_calls.push(warm);
+    }
+    let warm = warm_calls[0];
+    assert!(
+        warm_calls
+            .iter()
+            .all(|c| (c.large, c.large_bytes) == (warm.large, warm.large_bytes)),
+        "every warm call takes the same node-count-sized tables: {warm_calls:?}"
+    );
+    assert_eq!(
+        (
+            warm.large + setup.large,
+            warm.large_bytes + setup.large_bytes
+        ),
+        (cold.large, cold.large_bytes),
+        "a cold call is a warm call plus exactly one set-up \
+         (set-up {setup:?}, cold {cold:?}, warm {warm:?})"
+    );
+    // And the memoised call still answers like a fresh machine.
+    let again = machine.run_shared(&net, &programs[0]).unwrap();
+    assert_eq!(again, first);
 }
