@@ -28,7 +28,7 @@ use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, visited_map_for, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
 use crate::prepared::Prepared;
-use crate::propagate::{expand, Expansion, PropTask, VisitedMap};
+use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::RunReport;
 use snap_isa::{InstrClass, Program};
@@ -37,8 +37,7 @@ use snap_mem::SimTime;
 use snap_net::{BusModel, HypercubeTopology, PerfCollector};
 use snap_obs::{FaultKind, PhaseKind, Stamp, Tracer, CONTROLLER_TRACK};
 use snap_sync::TieredSyncModel;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Executes `program` on the simulated array over `prepared` (this
@@ -98,11 +97,7 @@ pub(crate) fn run_exclusive(
 #[derive(Debug, Clone)]
 enum EventKind {
     /// An MU finishes expanding a task; its arrivals take effect.
-    Completion {
-        cluster: usize,
-        task: PropTask,
-        expansion: Expansion,
-    },
+    Completion { cluster: usize, task: PropTask },
     /// A marker message arrives at its destination cluster.
     Delivery { cluster: usize, task: PropTask },
 }
@@ -112,13 +107,25 @@ struct Des<'c> {
     cost: &'c CostModel,
     map: Arc<RegionMap>,
     regions: Vec<Region>,
-    topology: HypercubeTopology,
+    /// Hypercube hop count from cluster `a` to `b` at `a * clusters + b`.
+    hops: Vec<u8>,
+    /// The propagation phase's events, reused across groups (a group
+    /// drains it). One lane per server whose events ascend in time: per
+    /// MU for completions (`mu_free` only grows), then per (sending
+    /// cluster, hop count) for deliveries (`cu_free` only grows and the
+    /// wire time is a function of the hops).
+    events: EventQueue<EventKind>,
+    /// First completion lane of each cluster; the delivery lanes start
+    /// at the last entry (the machine's MU count).
+    mu_lanes: Vec<usize>,
+    /// Network diameter: delivery lanes per sending cluster.
+    diameter: usize,
     bus: BusModel,
     mu_free: Vec<Vec<SimTime>>,
     cu_free: Vec<SimTime>,
-    /// In-flight delivery times per sending cluster: the occupancy of
-    /// the CU's outgoing marker-activation buffer.
-    outbox: Vec<BinaryHeap<Reverse<SimTime>>>,
+    /// In-flight delivery times per sending cluster, ascending: the
+    /// occupancy of the CU's outgoing marker-activation buffer.
+    outbox: Vec<VecDeque<SimTime>>,
     sync: TieredSyncModel,
     perf: Option<PerfCollector>,
     injector: Option<snap_fault::FaultInjector>,
@@ -134,6 +141,8 @@ struct Des<'c> {
     /// Visited map reused across propagation groups (reset per group):
     /// steady state re-visits capacity instead of reallocating per phase.
     visited: VisitedMap,
+    /// Arrival buffer `schedule_task` expands into to cost a task.
+    arrivals: Vec<PropArrival>,
 }
 
 impl<'c> Des<'c> {
@@ -152,16 +161,33 @@ impl<'c> Des<'c> {
         let regions = (0..config.clusters)
             .map(|c| Region::new(ClusterId(c as u8), Arc::clone(&map), network))
             .collect();
+        let topology = HypercubeTopology::covering(config.clusters);
+        let ids = || (0..config.clusters).map(|c| ClusterId(c as u8));
+        let hops = ids()
+            .flat_map(|a| ids().map(move |b| (a, b)))
+            .map(|(a, b)| topology.distance(a, b) as u8)
+            .collect();
+        let mu_lanes: Vec<usize> = std::iter::once(0)
+            .chain(config.mus.iter().scan(0, |sum, &m| {
+                *sum += m;
+                Some(*sum)
+            }))
+            .collect();
+        let diameter = topology.field_count();
+        let lanes = mu_lanes[config.clusters] + config.clusters * diameter;
         Des {
             config,
             cost,
             map,
             regions,
-            topology: HypercubeTopology::covering(config.clusters),
+            hops,
+            events: EventQueue::with_lanes(lanes),
+            mu_lanes,
+            diameter,
             bus: BusModel::new(),
             mu_free: config.mus.iter().map(|&m| vec![0; m]).collect(),
             cu_free: vec![0; config.clusters],
-            outbox: (0..config.clusters).map(|_| BinaryHeap::new()).collect(),
+            outbox: vec![VecDeque::new(); config.clusters],
             sync: TieredSyncModel::new(config.pe_count()),
             perf: config
                 .instrument
@@ -177,7 +203,18 @@ impl<'c> Des<'c> {
             pending_msgs: 0,
             report,
             visited: visited_map_for(config, network.node_count()),
+            arrivals: Vec::new(),
         }
+    }
+
+    /// Hypercube hops between two clusters of this machine.
+    fn hops(&self, from: usize, to: usize) -> usize {
+        self.hops[from * self.config.clusters + to] as usize
+    }
+
+    /// The delivery lane of `cluster`'s messages that cross `hops` hops.
+    fn link_lane(&self, cluster: usize, hops: usize) -> usize {
+        self.mu_lanes[self.config.clusters] + cluster * self.diameter + hops - 1
     }
 
     fn finish(mut self) -> RunReport {
@@ -324,12 +361,16 @@ impl<'c> Des<'c> {
         specs: &[PropSpec],
         t0: SimTime,
     ) -> Result<SimTime, CoreError> {
-        let mut heap: EventQueue<EventKind> = EventQueue::new();
-        // Take the pooled visited map for the group (`deliver_local`
-        // borrows it alongside `self`), reset in place, restore after.
+        // Take the pooled event queue and visited map for the group
+        // (`deliver_local` borrows them alongside `self`); the visited
+        // map is reset in place, the queue was drained; restore after.
+        let mut heap = std::mem::take(&mut self.events);
+        debug_assert!(heap.is_empty(), "the previous group drained its events");
         let mut visited = std::mem::take(&mut self.visited);
         visited.reset();
         let mut phase_end = t0;
+        // Arrivals of the completion being fired.
+        let mut fired = Vec::new();
 
         // Seed: every cluster scans its marker status table for sources.
         for spec in specs {
@@ -358,18 +399,19 @@ impl<'c> Des<'c> {
         while let Some((ev_time, kind)) = heap.pop() {
             phase_end = phase_end.max(ev_time);
             match kind {
-                EventKind::Completion {
-                    cluster,
-                    task,
-                    expansion,
-                } => {
+                EventKind::Completion { cluster, task } => {
                     self.report.expansions += 1;
                     self.tracer.expansion(cluster as u16);
                     if task.level >= self.config.max_hops {
                         self.sync.consumed(task.level.min(63));
                         continue;
                     }
-                    for arrival in &expansion.arrivals {
+                    // The event carries no arrivals: the network does
+                    // not change within a group, so expanding the task
+                    // again yields what `schedule_task` costed.
+                    let spec = &specs[task.prop];
+                    expand_into(network, &spec.rule, spec.func, &task, &mut fired);
+                    for arrival in &fired {
                         let level = task.level + 1;
                         self.report.max_propagation_depth =
                             self.report.max_propagation_depth.max(level);
@@ -396,9 +438,7 @@ impl<'c> Des<'c> {
                             // Off-cluster: CU serializes, hypercube carries.
                             self.pending_msgs += 1;
                             self.report.traffic.total_messages += 1;
-                            let hops = self
-                                .topology
-                                .distance(ClusterId(cluster as u8), ClusterId(dest as u8));
+                            let hops = self.hops(cluster, dest);
                             self.report.traffic.total_hops += hops as u64;
                             // The outbox absorbs the burst; when full,
                             // the sender blocks until a delivery frees a
@@ -408,11 +448,11 @@ impl<'c> Des<'c> {
                             let mut blocked = false;
                             {
                                 let ob = &mut self.outbox[cluster];
-                                while ob.peek().is_some_and(|Reverse(t)| *t <= ev_time) {
-                                    ob.pop();
+                                while ob.front().is_some_and(|&t| t <= ev_time) {
+                                    ob.pop_front();
                                 }
                                 if ob.len() >= capacity {
-                                    let Reverse(freed) = ob.pop().expect("full outbox is nonempty");
+                                    let freed = ob.pop_front().expect("full outbox is nonempty");
                                     ready = ready.max(freed);
                                     blocked = true;
                                 }
@@ -492,7 +532,12 @@ impl<'c> Des<'c> {
                                 deliver += fate.delay_ns;
                                 duplicated = fate.duplicated;
                             }
-                            self.outbox[cluster].push(Reverse(deliver));
+                            // Deliveries leave the CU nearly in order
+                            // (they differ by hop count and fault delay),
+                            // so the slot is at or near the back.
+                            let ob = &mut self.outbox[cluster];
+                            let at = ob.iter().rposition(|&t| t <= deliver).map_or(0, |i| i + 1);
+                            ob.insert(at, deliver);
                             if self.tracer.is_enabled() {
                                 self.tracer.queue_depth(
                                     cluster as u16,
@@ -503,9 +548,13 @@ impl<'c> Des<'c> {
                             self.tracer
                                 .msg_recv(cluster as u16, dest as u16, Stamp::Sim(deliver));
                             self.report.overhead.communication_ns += deliver - ev_time;
+                            // Fault delays and retransmissions leave the
+                            // lane's order; the queue takes those singly.
+                            let lane = self.link_lane(cluster, hops);
                             self.sync.created(level.min(63));
                             self.seq += 1;
-                            heap.push(
+                            heap.push_lane(
+                                lane,
                                 deliver,
                                 EventKind::Delivery {
                                     cluster: dest,
@@ -526,7 +575,8 @@ impl<'c> Des<'c> {
                                 );
                                 self.sync.created(level.min(63));
                                 self.seq += 1;
-                                heap.push(
+                                heap.push_lane(
+                                    lane,
                                     deliver + self.cost.cu_service_ns,
                                     EventKind::Delivery {
                                         cluster: dest,
@@ -555,6 +605,7 @@ impl<'c> Des<'c> {
             }
         }
         debug_assert_eq!(self.sync.in_flight(), 0, "tiered counters drained");
+        self.events = heap;
         self.visited = visited;
         Ok(phase_end)
     }
@@ -603,15 +654,16 @@ impl<'c> Des<'c> {
         ready: SimTime,
     ) {
         let spec = &specs[task.prop];
-        let expansion = expand(network, &spec.rule, spec.func, &task);
-        let local_sets = expansion
+        let (segments, links_scanned) =
+            expand_into(network, &spec.rule, spec.func, &task, &mut self.arrivals);
+        let local_sets = self
             .arrivals
             .iter()
             .filter(|a| self.map.cluster_of(a.node).index() == cluster)
             .count();
         let mut dur = self
             .cost
-            .expand_ns(expansion.segments, expansion.links_scanned, local_sets)
+            .expand_ns(segments, links_scanned, local_sets)
             .max(1);
         if let Some(inj) = &self.injector {
             // An injected PE stall lengthens this expansion's service.
@@ -630,13 +682,10 @@ impl<'c> Des<'c> {
         self.mu_free[cluster][mu] = done;
         self.sync.created(task.level.min(63));
         self.seq += 1;
-        heap.push(
+        heap.push_lane(
+            self.mu_lanes[cluster] + mu,
             done,
-            EventKind::Completion {
-                cluster,
-                task,
-                expansion,
-            },
+            EventKind::Completion { cluster, task },
             &mut self.picker,
         );
     }
@@ -679,38 +728,34 @@ impl<'c> Des<'c> {
         }
 
         let mut wave_start = t0;
+        let mut next_wave = Vec::new();
+        let mut arrivals = Vec::new();
         while !wave.is_empty() {
-            let mut mu_free: Vec<Vec<SimTime>> = self
-                .config
-                .mus
-                .iter()
-                .map(|&m| vec![wave_start; m])
-                .collect();
+            for mus in &mut self.mu_free {
+                mus.fill(wave_start);
+            }
             let mut wave_end = wave_start;
-            let mut next_wave = Vec::new();
             for (cluster, task) in wave.drain(..) {
                 let spec = &specs[task.prop];
-                let expansion = expand(network, &spec.rule, spec.func, &task);
+                let (segments, links_scanned) =
+                    expand_into(network, &spec.rule, spec.func, &task, &mut arrivals);
                 self.report.expansions += 1;
                 self.tracer.expansion(cluster as u16);
                 let dur = self
                     .cost
-                    .expand_ns(
-                        expansion.segments,
-                        expansion.links_scanned,
-                        expansion.arrivals.len(),
-                    )
+                    .expand_ns(segments, links_scanned, arrivals.len())
                     .max(1);
-                let mu = (0..mu_free[cluster].len())
-                    .min_by_key(|&i| mu_free[cluster][i])
+                let mu_free = &mut self.mu_free[cluster];
+                let mu = (0..mu_free.len())
+                    .min_by_key(|&i| mu_free[i])
                     .expect("cluster has at least one MU");
-                let done = mu_free[cluster][mu] + dur;
-                mu_free[cluster][mu] = done;
+                let done = mu_free[mu] + dur;
+                mu_free[mu] = done;
                 wave_end = wave_end.max(done);
                 if task.level >= self.config.max_hops {
                     continue;
                 }
-                for arrival in &expansion.arrivals {
+                for arrival in &arrivals {
                     let level = task.level + 1;
                     self.report.max_propagation_depth =
                         self.report.max_propagation_depth.max(level);
@@ -718,9 +763,7 @@ impl<'c> Des<'c> {
                     if dest != cluster {
                         self.pending_msgs += 1;
                         self.report.traffic.total_messages += 1;
-                        let hops = self
-                            .topology
-                            .distance(ClusterId(cluster as u8), ClusterId(dest as u8));
+                        let hops = self.hops(cluster, dest);
                         self.report.traffic.total_hops += hops as u64;
                         let wire = self.cost.cu_service_ns
                             + hops as SimTime * self.cost.hop_ns
@@ -758,7 +801,7 @@ impl<'c> Des<'c> {
             self.report.overhead.broadcast_ns += self.cost.broadcast_ns;
             self.report.barriers += 1;
             wave_start = wave_end + sync + rebroadcast;
-            wave = next_wave;
+            std::mem::swap(&mut wave, &mut next_wave);
         }
         self.visited = visited;
         Ok(wave_start)

@@ -28,13 +28,6 @@
 //! change. The interleaving fuzzer in the integration-test crate sweeps
 //! seeds through the differential grid and shrinks any divergence to a
 //! minimal decision prefix via the strategy's `limit` knob.
-//!
-//! The [`Component`]/[`ComponentScheduler`] pair is the forward-looking
-//! surface of the same idea: a transport-agnostic cooperative scheduler
-//! in which components expose `next_tick`/`tick` and the strategy picks
-//! among simultaneously-ready components. A future async or
-//! multi-process engine implements [`Component`] and inherits the whole
-//! fuzzing discipline for free.
 
 use crate::propagate::PropArrival;
 use crate::region::Region;
@@ -45,6 +38,7 @@ use snap_kb::{Marker, NodeId};
 use snap_obs::Tracer;
 use snap_sync::{BarrierStall, CountingGate, TieredBarrier};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -276,33 +270,32 @@ impl<T> ReadyQueue<T> {
     }
 }
 
-/// One entry of the discrete-event queue.
-#[derive(Debug)]
-struct EventEntry<T> {
+/// Ordering key of one scheduled event — the 32 bytes the heap sifts.
+/// The payload waits in the queue's slab at `slot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
     time: u64,
     /// Strategy tie-break between equal-time events (0 under FIFO).
     tie: u64,
     /// Insertion order, the final tie-break (restores the historical
-    /// `(time, seq)` total order when `tie` is uniformly zero).
+    /// `(time, seq)` total order when `tie` is uniformly zero). Unique,
+    /// so the fields below never decide a comparison.
     seq: u64,
-    item: T,
+    slot: u32,
+    /// Lane the event queues in, or [`NO_LANE`] when it sits in the
+    /// heap on its own.
+    lane: u32,
 }
 
-impl<T> PartialEq for EventEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.tie, self.seq) == (other.time, other.tie, other.seq)
-    }
-}
-impl<T> Eq for EventEntry<T> {}
-impl<T> PartialOrd for EventEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for EventEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.tie, self.seq).cmp(&(other.time, other.tie, other.seq))
-    }
+const NO_LANE: u32 = u32::MAX;
+
+/// The events of one source that schedules in ascending key order.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Keys behind the lane's head (which is in the heap), ascending.
+    waiting: VecDeque<EventKey>,
+    /// `(time, tie)` of the newest key, while the lane holds any event.
+    newest: Option<(u64, u64)>,
 }
 
 /// Strategy-aware discrete-event queue ordered by `(time, tie, seq)`.
@@ -311,48 +304,144 @@ impl<T> Ord for EventEntry<T> {
 /// distinct timestamps — only the *tie-breaks between equal-time events*
 /// are permuted, which are exactly the orderings real concurrent
 /// hardware leaves unspecified.
+///
+/// `seq` is unique, so the order is total and [`pop`](Self::pop) has
+/// exactly one right answer: the smallest pending key. How the queue
+/// finds it is free, and the layout is chosen for a simulator whose
+/// events come from servers (a marker unit, a CU link) that each
+/// schedule in ascending time: a *lane* per such source holds its
+/// events first-in-first-out with only the lane's head in the binary
+/// heap, so the heap stays as small as the machine has servers however
+/// many events are pending. A lane event that does not ascend (a fault
+/// delay, a retransmission, a fuzzed tie key below its predecessor's)
+/// goes into the heap on its own like a plain [`push`](Self::push):
+/// lanes are a fast path, never a precondition.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<EventEntry<T>>>,
+    /// Every plain event and the head of every non-empty lane.
+    heap: BinaryHeap<Reverse<EventKey>>,
+    lanes: Vec<Lane>,
+    /// Payloads by key slot; `free` lists the vacant slots.
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+        Self::with_lanes(0)
     }
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue.
+    /// An empty queue without lanes.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedules `item` at `time`; the picker draws its tie-break key.
-    pub fn push(&mut self, time: u64, item: T, picker: &mut Picker) {
+    /// An empty queue with `lanes` lanes for [`push_lane`](Self::push_lane).
+    pub fn with_lanes(lanes: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            lanes: (0..lanes).map(|_| Lane::default()).collect(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Draws the event's tie-break key, numbers it and parks `item`.
+    fn key(&mut self, time: u64, item: T, picker: &mut Picker) -> EventKey {
         let tie = picker.tie_key();
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(EventEntry {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.slab.push(Some(item));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        EventKey {
             time,
             tie,
             seq,
-            item,
-        }));
+            slot,
+            lane: NO_LANE,
+        }
+    }
+
+    /// Schedules `item` at `time`; the picker draws its tie-break key.
+    ///
+    /// Ordering contract: events pop in ascending `(time, tie, seq)`,
+    /// where `tie` is the key drawn here (one [`Picker::tie_key`] per
+    /// call, in call order) and `seq` counts calls of `push` and
+    /// [`push_lane`](Self::push_lane) together. Nothing else — not the
+    /// lane, not what was popped in between — enters the order.
+    pub fn push(&mut self, time: u64, item: T, picker: &mut Picker) {
+        let key = self.key(time, item, picker);
+        self.heap.push(Reverse(key));
+    }
+
+    /// [`push`](Self::push) for an event of the source that owns `lane`.
+    ///
+    /// Same ordering contract, same single picker draw: the lane changes
+    /// where the event waits, never when it pops. A source whose events
+    /// ascend in `(time, tie)` keeps one heap entry however many it has
+    /// pending; an event below its lane's newest is queued like a plain
+    /// push, so callers need not guarantee monotonicity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue was built with `lane` or fewer lanes.
+    pub fn push_lane(&mut self, lane: usize, time: u64, item: T, picker: &mut Picker) {
+        let mut key = self.key(time, item, picker);
+        let at = &mut self.lanes[lane];
+        let rank = (key.time, key.tie);
+        if at.newest.is_none_or(|newest| rank >= newest) {
+            key.lane = lane as u32;
+            if at.newest.replace(rank).is_some() {
+                // Behind the lane's head: out of the heap until its turn.
+                at.waiting.push_back(key);
+                return;
+            }
+        }
+        self.heap.push(Reverse(key));
     }
 
     /// Fires the next event, returning `(time, item)`.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.item))
+        let mut top = self.heap.peek_mut()?;
+        let key = top.0;
+        let successor = if key.lane == NO_LANE {
+            None
+        } else {
+            let lane = &mut self.lanes[key.lane as usize];
+            let next = lane.waiting.pop_front();
+            if next.is_none() {
+                lane.newest = None;
+            }
+            next
+        };
+        match successor {
+            // The lane's next event takes the popped head's place: one
+            // sift instead of a pop and a push.
+            Some(next) => *top = Reverse(next),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        self.free.push(key.slot);
+        let item = self.slab[key.slot as usize].take();
+        Some((key.time, item.expect("a queued key owns its slot")))
     }
 
     /// Events still scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slab.len() - self.free.len()
     }
 
     /// True when no event is scheduled.
@@ -558,72 +647,10 @@ impl PhaseGate {
     }
 }
 
-/// A schedulable unit of a future transport: anything that can report
-/// when it next has work and perform one step of it.
-///
-/// The three built-in engines special-case their scheduling for speed,
-/// but they follow this exact discipline; an async or multi-process
-/// engine implements `Component` directly and drives its parts with a
-/// [`ComponentScheduler`], inheriting FIFO determinism and seeded
-/// fuzzing without re-deriving either.
-pub trait Component {
-    /// The next virtual time this component has work, or `None` when it
-    /// is drained.
-    fn next_tick(&self) -> Option<u64>;
-    /// Performs one step of work at virtual time `now`.
-    fn tick(&mut self, now: u64);
-}
-
-/// Drives a set of [`Component`]s to quiescence under a
-/// [`ScheduleStrategy`].
-///
-/// At each step every component due at the earliest pending tick is
-/// *ready*; the strategy picks which of them fires. FIFO always fires
-/// the lowest-indexed ready component; a fuzzed strategy permutes the
-/// choice — the component-level analogue of the engines' ready-queue
-/// and event-tie fuzzing.
-pub struct ComponentScheduler {
-    picker: Picker,
-}
-
-impl ComponentScheduler {
-    /// A scheduler drawing decisions from `strategy` on `stream`.
-    pub fn new(strategy: ScheduleStrategy, stream: u64) -> Self {
-        ComponentScheduler {
-            picker: Picker::new(strategy, stream),
-        }
-    }
-
-    /// Runs `components` until none reports a next tick, returning the
-    /// number of ticks fired. `max_ticks` bounds runaway components.
-    pub fn run(&mut self, components: &mut [Box<dyn Component + '_>], max_ticks: u64) -> u64 {
-        let mut fired = 0;
-        while fired < max_ticks {
-            let Some(now) = components.iter().filter_map(|c| c.next_tick()).min() else {
-                break;
-            };
-            let ready: Vec<usize> = components
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.next_tick() == Some(now))
-                .map(|(i, _)| i)
-                .collect();
-            let choice = ready[self.picker.pick(ready.len())];
-            components[choice].tick(now);
-            fired += 1;
-        }
-        fired
-    }
-
-    /// The decision fingerprint accumulated so far.
-    pub fn digest(&self) -> u64 {
-        self.picker.digest()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fifo_picker_never_reorders_and_never_draws() {
@@ -729,6 +756,111 @@ mod tests {
         assert!(permuted, "no seed permuted equal-time events");
     }
 
+    /// The executable spec of [`EventQueue`]: every event whole in one
+    /// heap keyed `(time, tie, seq)`, one tie key drawn per push.
+    struct ModelQueue {
+        heap: BinaryHeap<Reverse<(u64, u64, u64, u32)>>,
+        picker: Picker,
+    }
+
+    impl ModelQueue {
+        fn push(&mut self, time: u64, item: u32) {
+            let tie = self.picker.tie_key();
+            // Items are numbered in push order, so they double as `seq`.
+            self.heap.push(Reverse((time, tie, u64::from(item), item)));
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            self.heap
+                .pop()
+                .map(|Reverse((time, _, _, item))| (time, item))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Arbitrary interleavings of plain pushes, lane pushes — in
+        /// order, at equal times, out of order — and pops fire exactly
+        /// the model's `(time, item)` sequence and draw exactly its
+        /// picker decisions, under FIFO, fuzzed and limit-capped fuzzed
+        /// schedules.
+        #[test]
+        fn event_queue_pops_like_the_one_heap_model(
+            ops in proptest::collection::vec((0u8..7, 0usize..4, 0u64..10), 0..160),
+            strategy in prop_oneof![
+                Just(ScheduleStrategy::Fifo),
+                (0u64..64).prop_map(ScheduleStrategy::fuzzed),
+                (0u64..64, 0u64..40).prop_map(|(seed, limit)| ScheduleStrategy::Fuzzed { seed, limit }),
+            ],
+        ) {
+            let mut picker = Picker::new(strategy, 2);
+            let mut queue = EventQueue::with_lanes(4);
+            let mut model = ModelQueue { heap: BinaryHeap::new(), picker: picker.clone() };
+            let mut lane_clock = [0u64; 4];
+            let mut pushed = 0u32;
+            for (kind, lane, t) in ops {
+                match kind {
+                    // A lane fed like a server: each event at or after
+                    // the lane's previous one.
+                    0..=2 => {
+                        lane_clock[lane] += t % 3;
+                        queue.push_lane(lane, lane_clock[lane], pushed, &mut picker);
+                        model.push(lane_clock[lane], pushed);
+                        pushed += 1;
+                    }
+                    // A lane event at an arbitrary time: mostly below
+                    // the lane's newest.
+                    3 => {
+                        queue.push_lane(lane, t, pushed, &mut picker);
+                        model.push(t, pushed);
+                        pushed += 1;
+                    }
+                    4 => {
+                        queue.push(t, pushed, &mut picker);
+                        model.push(t, pushed);
+                        pushed += 1;
+                    }
+                    _ => prop_assert_eq!(queue.pop(), model.pop()),
+                }
+                prop_assert_eq!(queue.len(), model.heap.len());
+                prop_assert_eq!(queue.is_empty(), model.heap.is_empty());
+            }
+            while let Some(fired) = model.pop() {
+                prop_assert_eq!(queue.pop(), Some(fired));
+            }
+            prop_assert_eq!(queue.pop(), None);
+            prop_assert_eq!((queue.len(), queue.is_empty()), (0, true));
+            prop_assert_eq!(picker.decisions(), model.picker.decisions());
+            prop_assert_eq!(picker.digest(), model.picker.digest());
+        }
+    }
+
+    /// The point of the lanes: however many events ascending sources
+    /// have pending, the heap holds one key per source.
+    #[test]
+    fn event_queue_lanes_keep_one_heap_entry_per_ascending_source() {
+        let mut p = Picker::new(ScheduleStrategy::Fifo, CONTROL_STREAM);
+        let mut q = EventQueue::with_lanes(3);
+        for t in 0..100u64 {
+            for lane in 0..3 {
+                q.push_lane(lane, 10 * t + lane as u64, (t, lane), &mut p);
+            }
+        }
+        assert_eq!((q.len(), q.heap.len()), (300, 3));
+        // A straggler joins the heap on its own and fires in its turn.
+        q.push_lane(1, 5, (0, 9), &mut p);
+        assert_eq!((q.len(), q.heap.len()), (301, 4));
+        let fired: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop().map(|(_, i)| i))
+            .take(7)
+            .collect();
+        assert_eq!(
+            fired,
+            vec![(0, 0), (0, 1), (0, 2), (0, 9), (1, 0), (1, 1), (1, 2)]
+        );
+        assert_eq!((q.len(), q.heap.len()), (294, 3));
+    }
+
     #[test]
     fn gate_selection_is_strategy_aware() {
         let tracer = Tracer::disabled();
@@ -763,61 +895,6 @@ mod tests {
         gate.consumed(0);
         assert!(gate.wait_complete_timeout(Duration::from_secs(1)).is_ok());
         assert!(gate.confirm_complete(&mut p));
-    }
-
-    /// A toy race: two producers append to a shared log; the schedule
-    /// decides the interleaving. FIFO is stable; fuzzing permutes it —
-    /// exactly the kind of ordering dependence the fuzzer exists to
-    /// expose in components that (incorrectly) depend on it.
-    #[test]
-    fn component_scheduler_fuzzes_interleaving() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        struct Producer {
-            id: u8,
-            remaining: u64,
-            log: Rc<RefCell<Vec<u8>>>,
-        }
-        impl Component for Producer {
-            fn next_tick(&self) -> Option<u64> {
-                (self.remaining > 0).then_some(0)
-            }
-            fn tick(&mut self, _now: u64) {
-                self.remaining -= 1;
-                self.log.borrow_mut().push(self.id);
-            }
-        }
-
-        let run = |strategy| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut parts: Vec<Box<dyn Component>> = (0..3u8)
-                .map(|id| {
-                    Box::new(Producer {
-                        id,
-                        remaining: 4,
-                        log: Rc::clone(&log),
-                    }) as Box<dyn Component>
-                })
-                .collect();
-            let mut sched = ComponentScheduler::new(strategy, CONTROL_STREAM);
-            let fired = sched.run(&mut parts, 1_000);
-            assert_eq!(fired, 12, "every tick runs to quiescence");
-            let order = log.borrow().clone();
-            order
-        };
-        let fifo = run(ScheduleStrategy::Fifo);
-        assert_eq!(fifo, run(ScheduleStrategy::Fifo), "FIFO is stable");
-        let fuzzed = run(ScheduleStrategy::fuzzed(5));
-        assert_eq!(
-            fuzzed,
-            run(ScheduleStrategy::fuzzed(5)),
-            "same seed replays the same interleaving"
-        );
-        assert_ne!(fifo, fuzzed, "seed 5 interleaves differently");
-        let mut sorted = fuzzed.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, fifo, "fuzzing loses no work");
     }
 
     #[test]

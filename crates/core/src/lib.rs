@@ -50,9 +50,7 @@ pub mod exec {
 
 pub use config::{EngineKind, KernelStrategy, MachineConfig, VisitedStrategy};
 pub use cost::CostModel;
-pub use engine::sched::{
-    Component, ComponentScheduler, EventQueue, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM,
-};
+pub use engine::sched::{EventQueue, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM};
 pub use error::CoreError;
 pub use machine::{Snap1, Snap1Builder};
 pub use prepared::Prepared;

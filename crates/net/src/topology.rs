@@ -120,13 +120,27 @@ impl HypercubeTopology {
         ClusterId(v as u8)
     }
 
-    /// Hop distance: the number of differing address fields.
+    /// Hop distance: the number of differing address fields. Compares
+    /// the fields digit by digit without materializing them — this is
+    /// called once per message by every engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either cluster is outside the topology.
     pub fn distance(&self, from: ClusterId, to: ClusterId) -> usize {
-        self.fields(from)
-            .iter()
-            .zip(self.fields(to).iter())
-            .filter(|(a, b)| a != b)
-            .count()
+        let (mut a, mut b) = (from.index(), to.index());
+        let count = self.cluster_count();
+        for (v, cluster) in [(a, from), (b, to)] {
+            assert!(v < count, "cluster {cluster} outside topology of {count}");
+        }
+        let mut hops = 0;
+        for &s in &self.field_sizes {
+            let s = s as usize;
+            hops += usize::from(a % s != b % s);
+            a /= s;
+            b /= s;
+        }
+        hops
     }
 
     /// The route from `from` to `to`: each hop corrects one address

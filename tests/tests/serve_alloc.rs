@@ -1,4 +1,5 @@
-//! Zero-allocation steady-state serving, and set-up-free solo calls.
+//! Zero-allocation steady-state serving, set-up-free solo calls, and a
+//! discrete-event loop that does not allocate per message.
 //!
 //! The serving layer's claim is that once its pools are warm — pending
 //! entries, query contexts, kernel scratch, report maps — a
@@ -18,10 +19,15 @@
 //! node-count-sized tables of the region map and partition — a
 //! regression that silently re-partitions per call fails here, not
 //! just in a benchmark.
+//!
+//! The simulator case pins the discrete-event loop's message path: a
+//! run allocates for its set-up and for queues that double as they
+//! fill, never per message or per expansion.
 
 #![cfg(feature = "alloc-count")]
 
 use snap_core::{EngineKind, RegionMap, Snap1};
+use snap_integration_tests::grid::program_wave;
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::synth::scale_free_network;
 use snap_kb::{Marker, NodeId, PartitionScheme, RelationType};
@@ -264,4 +270,52 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
     // And the memoised call still answers like a fresh machine.
     let again = machine.run_shared(&net, &programs[0]).unwrap();
     assert_eq!(again, first);
+}
+
+/// One warm `engine-wave` run on the benchmark's simulated machine
+/// (16 `EdgeCut` clusters): allocations, messages, expansions.
+fn des_wave(nodes: usize) -> (u64, u64, u64) {
+    let mut net = scale_free_network(nodes, 3, 17);
+    net.flush_links();
+    let net = Arc::new(net);
+    let program = program_wave();
+    let machine = Snap1::builder()
+        .clusters(16)
+        .partition(PartitionScheme::EdgeCut)
+        .engine(EngineKind::Des)
+        .build();
+    // The first call builds the snapshot's set-up; measure a warm one.
+    machine.run_shared(&net, &program).expect("cold run");
+    let (report, counts) = counted(usize::MAX, || machine.run_shared(&net, &program));
+    let report = report.expect("warm run");
+    (
+        counts.allocs,
+        report.traffic.total_messages,
+        report.expansions,
+    )
+}
+
+#[test]
+fn des_run_allocations_do_not_scale_with_messages() {
+    // A run allocates its regions, tables and report, and its queues
+    // double as they fill; nothing is taken from the heap per message
+    // or per expansion. The engine this replaced took two hop-count
+    // vectors per message and an arrival vector per expansion: more
+    // than 2.5 allocations for each message added.
+    let (small_allocs, small_msgs, small_expansions) = des_wave(2_000);
+    let (large_allocs, large_msgs, large_expansions) = des_wave(8_000);
+    assert!(
+        large_msgs > 3 * small_msgs && large_expansions > 3 * small_expansions,
+        "the larger wave does several times the work: {small_msgs} → {large_msgs} messages, \
+         {small_expansions} → {large_expansions} expansions"
+    );
+    let (more_allocs, more_msgs) = (
+        large_allocs.saturating_sub(small_allocs),
+        large_msgs - small_msgs,
+    );
+    assert!(
+        more_allocs * 32 < more_msgs,
+        "{more_msgs} more messages took {more_allocs} more allocations \
+         ({small_allocs} → {large_allocs})"
+    );
 }
