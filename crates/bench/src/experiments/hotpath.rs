@@ -23,7 +23,7 @@
 use crate::output::{ms, ratio, ExperimentOutput};
 use crate::workloads::{alpha_network, alpha_program, parse_batch, CHAIN_REL, SRC_COLOR};
 use snap_core::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
-use snap_core::{EngineKind, Snap1, VisitedStrategy, VALUE_EPSILON};
+use snap_core::{EngineKind, Snap1, VALUE_EPSILON};
 use snap_isa::{PropRule, RuleProgram, StepFunc};
 use snap_kb::reference::NestedRelationTable;
 use snap_kb::{NodeId, SemanticNetwork};
@@ -153,7 +153,7 @@ fn csr_pass(
     sources: &[NodeId],
     max_hops: u8,
 ) -> (u64, u64) {
-    let mut visited = VisitedMap::with_strategy(VisitedStrategy::Auto, net.node_count());
+    let mut visited = VisitedMap::for_nodes(net.node_count());
     let mut queue: VecDeque<PropTask> = VecDeque::new();
     for &node in sources {
         if visited.should_expand(0, 0, node, 0.0, node) {

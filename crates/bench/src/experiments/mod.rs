@@ -12,7 +12,6 @@ pub mod fig19;
 pub mod fig20;
 pub mod fig21;
 pub mod hotpath;
-pub mod kernel;
 pub mod projection;
 pub mod scaling;
 pub mod serve;

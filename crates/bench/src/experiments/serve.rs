@@ -431,7 +431,7 @@ fn json_open(rows: &[OpenRow], host_cpus: usize) -> String {
 ///
 /// Panics if any completion diverges from the sequential oracle, if the
 /// shed accounting does not balance exactly, or (in full mode) if
-/// batched serving at depth >= 8 misses [`FUSED_FLOOR`] over depth-1
+/// batched serving at depth >= 8 misses `FUSED_FLOOR` over depth-1
 /// serving.
 pub fn run(quick: bool) -> ExperimentOutput {
     run_to(quick, repo_root().join("BENCH_serve.json"))

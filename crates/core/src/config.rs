@@ -21,52 +21,6 @@ pub enum EngineKind {
     Threaded,
 }
 
-/// How engines back the propagation visited table (the per-phase
-/// best-`(value, origin)` record per `(prop, state, node)` site).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum VisitedStrategy {
-    /// Dense per-`(prop, state)` arrays indexed by node when the node
-    /// space is small enough to allocate flat; the hash map otherwise.
-    #[default]
-    Auto,
-    /// Always dense arrays (O(1) probes, O(nodes) memory per visited
-    /// `(prop, state)` pair).
-    Dense,
-    /// Always the `(prop, state, node)`-keyed hash map (memory
-    /// proportional to the active set, slower probes).
-    Hashed,
-}
-
-/// Which propagation kernel the engines run (see the DESIGN.md
-/// "Propagation kernel" section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelStrategy {
-    /// Pick automatically: the bitset wave kernel where it is exact and
-    /// profitable (untraced, un-fuzzed runs), the scalar spec otherwise.
-    #[default]
-    Auto,
-    /// Always the scalar task-at-a-time loop — the executable spec every
-    /// other kernel is asserted bit-identical against.
-    Scalar,
-    /// Always the bitset wave kernel: `u64` frontier/visited bitmaps over
-    /// the CSR node arena with Beamer-style push/pull direction
-    /// switching (see [`MachineConfig::pull_density`]).
-    Bitset,
-}
-
-/// Default frontier-density threshold for switching the bitset kernel
-/// from push (scatter) to pull (gather).
-///
-/// Far above the classic direction-optimizing BFS crossover (~1/14):
-/// BFS pull early-exits on the first visited parent, but SNAP marker
-/// propagation must deliver and count *every* arrival, so pull saves no
-/// merge work — its only edge is the sequential reverse-CSR scan, which
-/// pays off only once the frontier covers most of the arena (measured
-/// on the fig. 16/19 workloads in `BENCH_kernel.json`).
-pub(crate) fn default_pull_density() -> f64 {
-    0.5
-}
-
 /// Geometry and clock configuration of a SNAP-1 machine.
 ///
 /// The constructors encode the paper's configurations:
@@ -116,11 +70,6 @@ pub struct MachineConfig {
     /// inert. The aggregated `TraceReport` lands in the run report next
     /// to the fault report.
     pub trace: Option<ObsConfig>,
-    /// Backing store for the propagation visited table. The strategy
-    /// never changes which nodes are reached — only probe cost — so it
-    /// defaults to picking automatically from the node count.
-    #[serde(default)]
-    pub visited: VisitedStrategy,
     /// How the engines order ready work. The default
     /// ([`ScheduleStrategy::Fifo`]) reproduces the historical
     /// deterministic orders bit for bit; a seeded
@@ -131,18 +80,9 @@ pub struct MachineConfig {
     /// identical either way.
     #[serde(default)]
     pub schedule: ScheduleStrategy,
-    /// Which propagation kernel runs the hot loop. Like `visited`, the
-    /// kernel never changes which nodes are reached or what the reports
-    /// count — the bitset wave kernel is asserted bit-identical to the
-    /// scalar spec — so it defaults to picking automatically.
+    /// Inert: read only by `benchmark/src/probe.rs`, which passes it to
+    /// `propagate_wave`'s ignored parameter.
     #[serde(default)]
-    pub kernel: KernelStrategy,
-    /// Frontier density (frontier tasks / nodes) at which the bitset
-    /// kernel switches from push (scatter from the frontier via CSR
-    /// out-runs) to pull (gather over candidate nodes via a lazily built
-    /// reverse CSR), à la Beamer direction-optimizing BFS. `>= 1.0`
-    /// forces pure push, `0.0` forces pure pull.
-    #[serde(default = "default_pull_density")]
     pub pull_density: f64,
 }
 
@@ -166,10 +106,8 @@ impl MachineConfig {
             instrument: false,
             fault_plan: None,
             trace: None,
-            visited: VisitedStrategy::Auto,
             schedule: ScheduleStrategy::Fifo,
-            kernel: KernelStrategy::Auto,
-            pull_density: default_pull_density(),
+            pull_density: 0.0,
         }
     }
 
@@ -243,11 +181,6 @@ impl MachineConfig {
             self.cu_outbox_capacity > 0,
             "the CU needs at least one outbox slot"
         );
-        assert!(
-            self.pull_density.is_finite() && self.pull_density >= 0.0,
-            "pull_density must be a finite non-negative fraction, got {}",
-            self.pull_density
-        );
         if let Some(plan) = &self.fault_plan {
             if let Err(e) = plan.validate() {
                 panic!("invalid fault plan: {e}");
@@ -302,36 +235,6 @@ mod tests {
     fn bad_fault_plan_rejected() {
         MachineConfig {
             fault_plan: Some(FaultPlan::seeded(1).drops(2.0)),
-            ..MachineConfig::snap1_full()
-        }
-        .validate();
-    }
-
-    #[test]
-    fn kernel_defaults_to_auto_with_majority_pull_density() {
-        let c = MachineConfig::snap1_eval();
-        assert_eq!(c.kernel, KernelStrategy::Auto);
-        assert_eq!(c.kernel, KernelStrategy::default());
-        assert!((c.pull_density - default_pull_density()).abs() < 1e-12);
-        c.validate();
-        // Forced directions are valid configurations, not errors.
-        MachineConfig {
-            pull_density: 0.0,
-            ..MachineConfig::snap1_eval()
-        }
-        .validate();
-        MachineConfig {
-            pull_density: 2.0,
-            ..MachineConfig::snap1_eval()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "pull_density")]
-    fn negative_pull_density_rejected() {
-        MachineConfig {
-            pull_density: -0.5,
             ..MachineConfig::snap1_full()
         }
         .validate();

@@ -25,7 +25,7 @@ use crate::config::MachineConfig;
 use crate::controller::{plan, PropSpec, Step};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
-use crate::engine::sched::{apply_arrival, visited_map_for, EventQueue, Picker, CONTROL_STREAM};
+use crate::engine::sched::{apply_arrival, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
@@ -202,7 +202,7 @@ impl<'c> Des<'c> {
             seq: 0,
             pending_msgs: 0,
             report,
-            visited: visited_map_for(config, network.node_count()),
+            visited: VisitedMap::for_nodes(network.node_count()),
             arrivals: Vec::new(),
         }
     }

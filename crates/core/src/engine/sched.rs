@@ -472,49 +472,6 @@ pub(crate) fn apply_arrival(
     Ok(visited.should_expand(prop, state, node, value, origin))
 }
 
-/// Resolves the configured [`KernelStrategy`](crate::KernelStrategy) to
-/// the kernel an engine actually runs, never returning `Auto`.
-///
-/// `Auto` picks the bitset wave kernel except where the scalar loop is
-/// the only faithful choice: fuzzed schedules (the wave kernel draws no
-/// picker decisions — the fuzzer's subject is the scalar spec) and
-/// traced runs (a pull-direction wave emits per-destination event order,
-/// not per-task order; counts are identical but traces would not
-/// replay). An explicit `Scalar`/`Bitset` is honored as-is — the bitset
-/// kernel is asserted bit-identical on results and reports either way.
-pub(crate) fn resolve_kernel(
-    config: &crate::MachineConfig,
-    tracer_enabled: bool,
-) -> crate::KernelStrategy {
-    use crate::KernelStrategy;
-    match config.kernel {
-        KernelStrategy::Auto => {
-            if config.schedule.is_fuzzed() || tracer_enabled {
-                KernelStrategy::Scalar
-            } else {
-                KernelStrategy::Bitset
-            }
-        }
-        explicit => explicit,
-    }
-}
-
-/// Visited map for engines whose event- or thread-granular schedules
-/// cannot be restructured into whole waves: a resolved `Bitset` kernel
-/// swaps the dense visited backing for the bitmap-fronted one
-/// (identical decisions, one-bit first-visit probes); anything else
-/// defers to the configured visited strategy.
-pub(crate) fn visited_map_for(
-    config: &crate::MachineConfig,
-    nodes: usize,
-) -> crate::propagate::VisitedMap {
-    use crate::propagate::VisitedMap;
-    match resolve_kernel(config, config.trace.is_some()) {
-        crate::KernelStrategy::Bitset => VisitedMap::bitset(nodes),
-        _ => VisitedMap::with_strategy(config.visited, nodes),
-    }
-}
-
 /// Drops a reordered expansion's arrivals when the planted ordering bug
 /// (`fuzz-bug` feature) is armed. Inert — and fully optimized out — in
 /// normal builds.

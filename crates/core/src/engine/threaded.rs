@@ -31,7 +31,7 @@
 //!   neighbor, and the propagation phase is replayed under a new epoch —
 //!   graceful degradation in place of a crashed run.
 
-use crate::config::{KernelStrategy, MachineConfig};
+use crate::config::MachineConfig;
 use crate::controller::{plan, PropSpec, Step};
 use crate::engine::common::phase_of;
 use crate::engine::sched::{
@@ -316,11 +316,7 @@ fn run_arc(
                 steps: 0,
                 arrivals: Vec::new(),
                 queue: ReadyQueue::new(),
-                visited: match crate::engine::sched::resolve_kernel(config, config.trace.is_some())
-                {
-                    KernelStrategy::Bitset => VisitedMap::bitset(shared.node_count()),
-                    _ => VisitedMap::with_strategy(config.visited, shared.node_count()),
-                },
+                visited: VisitedMap::for_nodes(shared.node_count()),
                 picker: Picker::new(config.schedule, c as u64 + 1),
                 batch_bufs: vec![Vec::new(); config.clusters],
                 batch_order: Vec::new(),

@@ -48,7 +48,7 @@ pub mod exec {
     };
 }
 
-pub use config::{EngineKind, KernelStrategy, MachineConfig, VisitedStrategy};
+pub use config::{EngineKind, MachineConfig};
 pub use cost::CostModel;
 pub use engine::sched::{EventQueue, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM};
 pub use error::CoreError;

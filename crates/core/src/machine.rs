@@ -330,20 +330,6 @@ impl Snap1Builder {
         self
     }
 
-    /// Selects the propagation kernel (see [`MachineConfig::kernel`]):
-    /// the scalar executable spec, the bitset wave kernel, or Auto.
-    pub fn kernel(mut self, kernel: crate::config::KernelStrategy) -> Self {
-        self.config.kernel = kernel;
-        self
-    }
-
-    /// Sets the frontier density at which the bitset kernel switches
-    /// from push to pull (see [`MachineConfig::pull_density`]).
-    pub fn pull_density(mut self, density: f64) -> Self {
-        self.config.pull_density = density;
-        self
-    }
-
     /// Enables structured event tracing for the run (see
     /// [`MachineConfig::trace`]; recording also needs the `obs` cargo
     /// feature).
@@ -510,17 +496,6 @@ mod tests {
         assert_eq!(m.config().clusters, 8);
         assert_eq!(m.config().pe_count(), 8 * 4);
         assert_eq!(m.engine(), EngineKind::Des);
-    }
-
-    #[test]
-    fn builder_configures_kernel() {
-        use crate::config::KernelStrategy;
-        let m = Snap1::builder()
-            .kernel(KernelStrategy::Bitset)
-            .pull_density(0.25)
-            .build();
-        assert_eq!(m.config().kernel, KernelStrategy::Bitset);
-        assert!((m.config().pull_density - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * propagation depth is capped by the machine's `max_hops`, which
 //!   bounds work on cyclic knowledge bases.
 
-use crate::config::VisitedStrategy;
+use crate::region::improves;
 use snap_isa::{RuleProgram, StepFunc, MAX_RULE_STATES};
 use snap_kb::{NodeId, SemanticNetwork};
 use std::collections::HashMap;
@@ -191,7 +191,7 @@ pub fn expand_into(
     (segments, links_scanned)
 }
 
-/// Node count up to which [`VisitedStrategy::Auto`] picks the dense
+/// Node count up to which [`VisitedMap::for_nodes`] picks the dense
 /// backing (8 bytes per node per visited `(prop, state)` pair).
 const DENSE_NODE_CAP: usize = 1 << 20;
 
@@ -208,11 +208,13 @@ const EMPTY_ORIGIN: u32 = u32::MAX;
 /// the [`crate::Region::arrive`] merge rule keeps the propagation fixed
 /// point independent of arrival order.
 ///
-/// Two backings implement identical decisions: a hash map keyed by
-/// `(prop, state, node)` (memory proportional to the active set) and
-/// dense per-`(prop, state)` arrays indexed by node (one probe, no
-/// hashing). Engines pick via [`VisitedMap::with_strategy`];
-/// [`VisitedMap::new`] keeps the historical hashed behavior.
+/// Two backings implement identical decisions: dense per-`(prop, state)`
+/// arrays indexed by node (one probe, no hashing) and a hash map keyed
+/// by `(prop, state, node)` (memory proportional to the active set).
+/// Engines take [`VisitedMap::for_nodes`], which picks from the node
+/// count; [`VisitedMap::new`] is the hashed map itself — the fallback
+/// for node spaces too large to allocate flat, and the reference the
+/// dense backing is tested against.
 #[derive(Debug)]
 pub struct VisitedMap {
     backing: Backing,
@@ -229,21 +231,7 @@ enum Backing {
         tables: Vec<Option<Vec<(f32, u32)>>>,
         nodes: usize,
     },
-    /// Dense tables with the first-visit sentinel replaced by a word-
-    /// addressable seen bitmap: the common "already expanded?" probe is
-    /// one bit test. Decisions are identical to `Dense`, including
-    /// growth past the declared node count; this is how the event- and
-    /// thread-granular engines run the `Bitset` kernel strategy, whose
-    /// schedules cannot be restructured into whole waves.
-    Bitset {
-        tables: Vec<Option<BitsetTable>>,
-        nodes: usize,
-    },
 }
-
-/// One `(prop, state)` visited table of the `Bitset` backing: the seen
-/// bitmap plus the per-node `(value, origin)` bests.
-type BitsetTable = (snap_kb::Bitmap, Vec<(f32, u32)>);
 
 impl Default for VisitedMap {
     fn default() -> Self {
@@ -271,34 +259,14 @@ impl VisitedMap {
         }
     }
 
-    /// Creates an empty bitmap-backed map for a network of `nodes`
-    /// nodes: dense value tables fronted by a seen bitmap, deciding
-    /// identically to [`VisitedMap::dense`].
-    pub fn bitset(nodes: usize) -> Self {
-        VisitedMap {
-            backing: Backing::Bitset {
-                tables: Vec::new(),
-                nodes,
-            },
-            visited: 0,
-        }
-    }
-
-    /// Creates the map an engine should use for a network of `nodes`
-    /// nodes under the configured strategy. `Auto` goes dense up to
-    /// [`DENSE_NODE_CAP`] nodes and falls back to hashing for node
-    /// spaces too large to allocate flat per visited rule state.
-    pub fn with_strategy(strategy: VisitedStrategy, nodes: usize) -> Self {
-        match strategy {
-            VisitedStrategy::Hashed => Self::new(),
-            VisitedStrategy::Dense => Self::dense(nodes),
-            VisitedStrategy::Auto => {
-                if nodes <= DENSE_NODE_CAP {
-                    Self::dense(nodes)
-                } else {
-                    Self::new()
-                }
-            }
+    /// Creates the map an engine uses for a network of `nodes` nodes:
+    /// dense up to 2^20 nodes, hashed for node spaces too large to
+    /// allocate flat per visited rule state.
+    pub fn for_nodes(nodes: usize) -> Self {
+        if nodes <= DENSE_NODE_CAP {
+            Self::dense(nodes)
+        } else {
+            Self::new()
         }
     }
 
@@ -313,7 +281,6 @@ impl VisitedMap {
         value: f32,
         origin: NodeId,
     ) -> bool {
-        const EPS: f32 = crate::region::VALUE_EPSILON;
         match &mut self.backing {
             Backing::Hashed(best) => match best.get_mut(&(prop, state, node)) {
                 None => {
@@ -321,12 +288,9 @@ impl VisitedMap {
                     self.visited += 1;
                     true
                 }
-                Some((best, best_origin)) => {
-                    if value < *best - EPS
-                        || ((value - *best).abs() <= EPS && origin < *best_origin)
-                    {
-                        *best = value.min(*best);
-                        *best_origin = origin;
+                Some(best) => {
+                    if improves(*best, value, origin) {
+                        *best = (value.min(best.0), origin);
                         true
                     } else {
                         false
@@ -349,36 +313,7 @@ impl VisitedMap {
                     *best_origin = origin.0;
                     self.visited += 1;
                     true
-                } else if value < *best - EPS
-                    || ((value - *best).abs() <= EPS && origin.0 < *best_origin)
-                {
-                    *best = value.min(*best);
-                    *best_origin = origin.0;
-                    true
-                } else {
-                    false
-                }
-            }
-            Backing::Bitset { tables, nodes } => {
-                let idx = prop * MAX_RULE_STATES + state as usize;
-                if idx >= tables.len() {
-                    tables.resize_with(idx + 1, || None);
-                }
-                let size = (*nodes).max(node.index() + 1);
-                let (seen, table) =
-                    tables[idx].get_or_insert_with(|| (snap_kb::Bitmap::new(*nodes), Vec::new()));
-                if table.len() < size {
-                    table.resize(size, (0.0, 0));
-                }
-                let (best, best_origin) = &mut table[node.index()];
-                if seen.set(node) {
-                    *best = value;
-                    *best_origin = origin.0;
-                    self.visited += 1;
-                    true
-                } else if value < *best - EPS
-                    || ((value - *best).abs() <= EPS && origin.0 < *best_origin)
-                {
+                } else if improves((*best, NodeId(*best_origin)), value, origin) {
                     *best = value.min(*best);
                     *best_origin = origin.0;
                     true
@@ -393,20 +328,13 @@ impl VisitedMap {
     /// keeping backing allocations at capacity. Decisions after a reset
     /// are identical to a freshly constructed map: the hashed backing
     /// clears its entries; the dense backing truncates each table (the
-    /// first probe re-fills it with the untouched sentinel); the bitset
-    /// backing clears the seen bitmaps and truncates the bests.
+    /// first probe re-fills it with the untouched sentinel).
     pub fn reset(&mut self) {
         match &mut self.backing {
             Backing::Hashed(best) => best.clear(),
             Backing::Dense { tables, .. } => {
                 for table in tables.iter_mut().flatten() {
                     table.clear();
-                }
-            }
-            Backing::Bitset { tables, .. } => {
-                for (seen, best) in tables.iter_mut().flatten() {
-                    seen.reset();
-                    best.clear();
                 }
             }
         }
@@ -524,34 +452,31 @@ mod tests {
     #[test]
     fn dense_visited_map_decides_identically() {
         exercise_visited(VisitedMap::dense(8));
-        exercise_visited(VisitedMap::with_strategy(
-            crate::config::VisitedStrategy::Auto,
-            8,
-        ));
     }
 
     #[test]
-    fn bitset_visited_map_decides_identically() {
-        exercise_visited(VisitedMap::bitset(8));
+    fn for_nodes_decides_identically_on_both_sides_of_the_dense_cap() {
+        // The node count picks the backing, never the decisions.
+        let small = VisitedMap::for_nodes(64);
+        let large = VisitedMap::for_nodes(DENSE_NODE_CAP + 1);
+        assert!(matches!(small.backing, Backing::Dense { .. }));
+        assert!(matches!(large.backing, Backing::Hashed(_)));
+        exercise_visited(small);
+        exercise_visited(large);
     }
 
     #[test]
     fn dense_visited_map_grows_past_declared_node_count() {
         // Maintenance can add nodes after an engine snapshots the count.
-        for mut v in [VisitedMap::dense(2), VisitedMap::bitset(2)] {
-            assert!(v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
-            assert!(!v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
-            assert_eq!(v.len(), 1);
-        }
+        let mut v = VisitedMap::dense(2);
+        assert!(v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
+        assert!(!v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
+        assert_eq!(v.len(), 1);
     }
 
     #[test]
     fn reset_restores_fresh_decisions_on_every_backing() {
-        for mut v in [
-            VisitedMap::new(),
-            VisitedMap::dense(8),
-            VisitedMap::bitset(8),
-        ] {
+        for mut v in [VisitedMap::new(), VisitedMap::dense(8)] {
             // Drive one full decision sequence, reset, and verify the
             // exact same sequence replays as if the map were fresh —
             // including growth past the declared node count.

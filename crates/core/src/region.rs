@@ -18,6 +18,16 @@ use std::sync::Arc;
 /// (guards convergence on cyclic knowledge bases).
 pub const VALUE_EPSILON: f32 = 1e-6;
 
+/// The order-sensitive `(value, origin)` merge every visited table and
+/// [`Region::arrive`] share: a strictly smaller value wins; an equal
+/// value (within [`VALUE_EPSILON`]) from a smaller origin wins the
+/// binding. Both cases re-expand, so the fixed point is independent of
+/// arrival order.
+#[inline]
+pub(crate) fn improves(best: (f32, NodeId), value: f32, origin: NodeId) -> bool {
+    value < best.0 - VALUE_EPSILON || ((value - best.0).abs() <= VALUE_EPSILON && origin < best.1)
+}
+
 /// Global node → (cluster, local index) mapping shared by all regions of
 /// one machine.
 #[derive(Debug, Clone)]
@@ -305,13 +315,7 @@ impl Region {
             value: 0.0,
             origin: node,
         });
-        // Lexicographic (value, origin) minimum: a strictly smaller value
-        // wins; an equal value (within epsilon) with a smaller origin ID
-        // wins the binding. Both cases re-expand, so the fixed point is
-        // independent of arrival order.
-        let better = value < current.value - VALUE_EPSILON
-            || ((value - current.value).abs() <= VALUE_EPSILON && origin < current.origin);
-        if better {
+        if improves((current.value, current.origin), value, origin) {
             self.markers.set_value(
                 marker,
                 local,

@@ -55,7 +55,7 @@ pub use bitmap::{Bitmap, BitmapBits, LanePlane, BITMAP_WORD_BITS};
 pub use error::KbError;
 pub use ids::{ClusterId, Color, NodeId, RelationType};
 pub use io::ParseNetworkError;
-pub use links::{Link, RelationTable, RevLink, ReverseTable, SLOTS_PER_NODE};
+pub use links::{Link, RelationTable, SLOTS_PER_NODE};
 pub use marker::{Marker, MarkerKind, MarkerState, MarkerValue};
 pub use network::{NetworkConfig, SemanticNetwork};
 pub use partition::{

@@ -373,109 +373,6 @@ impl RelationTable {
     pub fn link_count(&self) -> usize {
         self.links.len() + self.pending.len()
     }
-
-    /// Builds the reverse CSR: every link of the table grouped by its
-    /// *destination* node (a stable counting sort, O(E + N)). Within one
-    /// destination the incoming links keep the forward table's
-    /// `(source, relation, rank)` order. Pull-direction propagation
-    /// kernels build this lazily per run to gather arrivals instead of
-    /// scattering them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if additions are still staged — call
-    /// [`RelationTable::flush`] first (engines flush at run entry).
-    pub fn build_reverse(&self) -> ReverseTable {
-        assert!(
-            self.pending.is_empty(),
-            "flush the relation table before building its reverse"
-        );
-        let nodes = self.len();
-        let mut offsets = vec![0u32; nodes + 1];
-        for l in &self.links {
-            offsets[l.destination.index() + 1] += 1;
-        }
-        for i in 1..=nodes {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut rev = vec![
-            RevLink {
-                source: NodeId(0),
-                relation: RelationType(0),
-                weight: 0.0,
-                rank: 0,
-            };
-            self.links.len()
-        ];
-        for node in 0..nodes {
-            for i in self.offsets[node] as usize..self.offsets[node + 1] as usize {
-                let l = self.links[i];
-                let slot = cursor[l.destination.index()] as usize;
-                cursor[l.destination.index()] += 1;
-                rev[slot] = RevLink {
-                    source: NodeId(node as u32),
-                    relation: l.relation,
-                    weight: l.weight,
-                    rank: self.ranks[i],
-                };
-            }
-        }
-        ReverseTable { rev, offsets }
-    }
-}
-
-/// One incoming link, as seen from its destination node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RevLink {
-    /// Source node the link leaves from.
-    pub source: NodeId,
-    /// Relation (link) type.
-    pub relation: RelationType,
-    /// Link weight added along propagation.
-    pub weight: f32,
-    /// The link's insertion rank within `source` — its scan position in
-    /// the forward table. Pull kernels sort gathered arrivals by it to
-    /// reproduce the forward (push) emission order exactly.
-    pub rank: u32,
-}
-
-/// Reverse (incoming-link) CSR view of a [`RelationTable`], built by
-/// [`RelationTable::build_reverse`].
-#[derive(Debug, Clone, Default)]
-pub struct ReverseTable {
-    /// All links grouped by destination node.
-    rev: Vec<RevLink>,
-    /// Node `n`'s incoming links are `rev[offsets[n]..offsets[n + 1]]`.
-    offsets: Vec<u32>,
-}
-
-impl ReverseTable {
-    /// Incoming links of `node`, in the forward table's
-    /// `(source, relation, rank)` order.
-    pub fn incoming(&self, node: NodeId) -> &[RevLink] {
-        let n = node.index();
-        if n + 1 < self.offsets.len() {
-            &self.rev[self.offsets[n] as usize..self.offsets[n + 1] as usize]
-        } else {
-            &[]
-        }
-    }
-
-    /// Number of node rows covered.
-    pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// `true` when no node rows are covered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of links.
-    pub fn link_count(&self) -> usize {
-        self.rev.len()
-    }
 }
 
 impl PartialEq for RelationTable {
@@ -610,91 +507,7 @@ mod tests {
         assert_eq!(t.fanout(NodeId(9)), 0);
     }
 
-    #[test]
-    fn reverse_table_groups_links_by_destination() {
-        let mut t = RelationTable::new();
-        t.add_link(NodeId(0), rel(1), 0.5, NodeId(2)).unwrap();
-        t.add_link(NodeId(1), rel(2), 1.5, NodeId(2)).unwrap();
-        t.add_link(NodeId(0), rel(1), 2.5, NodeId(1)).unwrap();
-        t.add_link(NodeId(2), rel(1), 3.5, NodeId(0)).unwrap();
-        t.flush();
-        let rev = t.build_reverse();
-        assert_eq!(rev.len(), 3);
-        assert_eq!(rev.link_count(), 4);
-        let into2 = rev.incoming(NodeId(2));
-        assert_eq!(into2.len(), 2);
-        assert_eq!(
-            (
-                into2[0].source,
-                into2[0].relation,
-                into2[0].weight,
-                into2[0].rank
-            ),
-            (NodeId(0), rel(1), 0.5, 0)
-        );
-        assert_eq!((into2[1].source, into2[1].weight), (NodeId(1), 1.5));
-        assert_eq!(rev.incoming(NodeId(1)).len(), 1);
-        assert_eq!(
-            rev.incoming(NodeId(1))[0].rank,
-            1,
-            "node-wide insertion rank carried over"
-        );
-        assert!(
-            rev.incoming(NodeId(9)).is_empty(),
-            "out-of-range reads as empty"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "flush the relation table")]
-    fn reverse_table_requires_flush() {
-        let mut t = RelationTable::new();
-        t.add_link(NodeId(0), rel(1), 0.0, NodeId(1)).unwrap();
-        let _ = t.build_reverse();
-    }
-
     proptest! {
-        #[test]
-        fn prop_reverse_is_an_exact_link_transpose(
-            edges in proptest::collection::vec((0u32..20, 0u16..4, 0u32..20), 0..80),
-        ) {
-            let mut t = RelationTable::new();
-            for &(s, r, d) in &edges {
-                t.add_link(NodeId(s), rel(r), (s + d) as f32, NodeId(d)).unwrap();
-            }
-            t.flush();
-            let rev = t.build_reverse();
-            prop_assert_eq!(rev.link_count(), t.link_count());
-            // Every forward link appears exactly once under its destination,
-            // carrying the same relation/weight/rank.
-            let mut forward: Vec<(u32, u32, u16, u32)> = Vec::new();
-            for n in 0..t.len() as u32 {
-                let (run_links, run_ranks) = {
-                    let mut v = Vec::new();
-                    for r in 0u16..4 {
-                        let (ls, rs) = t.ranked_run(NodeId(n), rel(r));
-                        for (l, &rk) in ls.iter().zip(rs) {
-                            v.push((*l, rk));
-                        }
-                    }
-                    (v.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-                     v.iter().map(|(_, rk)| *rk).collect::<Vec<_>>())
-                };
-                for (l, rk) in run_links.iter().zip(run_ranks) {
-                    forward.push((n, l.destination.0, l.relation.0, rk));
-                }
-            }
-            let mut reversed: Vec<(u32, u32, u16, u32)> = Vec::new();
-            for n in 0..rev.len() as u32 {
-                for rl in rev.incoming(NodeId(n)) {
-                    reversed.push((rl.source.0, n, rl.relation.0, rl.rank));
-                }
-            }
-            forward.sort_unstable();
-            reversed.sort_unstable();
-            prop_assert_eq!(forward, reversed);
-        }
-
         #[test]
         fn prop_segments_match_ceiling_of_fanout(fanout in 0usize..100) {
             let mut t = RelationTable::new();

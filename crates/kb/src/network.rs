@@ -268,17 +268,6 @@ impl SemanticNetwork {
         self.relations.fanout(node)
     }
 
-    /// Builds the reverse (incoming-link) CSR view of the relation table,
-    /// used by pull-direction propagation kernels. Requires a flushed
-    /// table — call [`SemanticNetwork::flush_links`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if link additions are still staged.
-    pub fn build_reverse(&self) -> crate::ReverseTable {
-        self.relations.build_reverse()
-    }
-
     /// Iterates all node IDs.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.colors.len() as u32).map(NodeId)

@@ -3,20 +3,17 @@
 //!
 //! Non-propagate instructions execute per query through the shared
 //! read-only semantics ([`exec_single_shared_into`]); every `PROPAGATE`
-//! runs as one fused multi-query wave. The default kernel is the
-//! bit-sliced sweep ([`propagate_multi_wave_sliced`]): per-lane visited
-//! state lives in lane-major bit-planes, so the first-touch
-//! check-and-set for all `K ≤ 64` lanes is one AND/OR per site and only
-//! improvement comparisons replay per lane. Batches deeper than 64
-//! lanes, and servers configured with [`BatchKernel::Replay`], take the
-//! per-lane replay kernel ([`propagate_multi_wave`]) — the executable
-//! spec the sliced path is differentially tested against.
+//! runs as one fused multi-query wave through the bit-sliced sweep
+//! ([`propagate_multi_wave_sliced`]): per-lane visited state lives in
+//! lane-major bit-planes, so the first-touch check-and-set for all
+//! `K ≤ 64` lanes is one AND/OR per site and only improvement
+//! comparisons replay per lane. The server never forms a batch wider
+//! than [`MAX_SLICED_LANES`], so this is the only fused kernel.
 //!
 //! Accounting replicates the sequential engine's shared-snapshot entry
 //! point instruction for instruction, which is what the differential
-//! tests pin down: each lane's `RunReport` — collects, expansions,
-//! local activations, simulated nanoseconds — is identical to running
-//! that query alone through
+//! tests pin down: each lane's `RunReport` is identical, field for
+//! field, to running that query alone through
 //! [`Snap1::run_shared`](snap_core::Snap1::run_shared).
 //!
 //! Everything the executor needs per pump lives in [`BatchScratch`] and
@@ -28,27 +25,12 @@ use crate::context::QueryContext;
 use snap_core::controller::{PlanBuf, PlanOp};
 use snap_core::exec::{exec_single_shared_into, SingleOutcome};
 use snap_core::kernel::{
-    propagate_multi_wave, propagate_multi_wave_sliced, BatchLane, MultiWaveScratch,
-    SlicedLaneReport, WaveSink, MAX_SLICED_LANES,
+    propagate_multi_wave_sliced, BatchLane, MultiWaveScratch, SlicedLaneReport, MAX_SLICED_LANES,
 };
-use snap_core::propagate::{PropArrival, PropTask};
-use snap_core::{CoreError, CostModel, Region, RunReport};
+use snap_core::{CoreError, CostModel, RunReport};
 use snap_isa::{InstrClass, Instruction, Program, RuleProgram, StepFunc};
 use snap_kb::{Marker, MarkerKind, NodeId, SemanticNetwork};
 use snap_mem::SimTime;
-
-/// Which fused propagation kernel a batch runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchKernel {
-    /// Bit-sliced lane-parallel sweep — one lane-mask word per visited
-    /// site advances every lane at once. Batches deeper than
-    /// [`MAX_SLICED_LANES`] fall back to replay automatically.
-    #[default]
-    Sliced,
-    /// Per-lane replay of the scalar spec — the executable reference
-    /// the sliced kernel is differentially tested against.
-    Replay,
-}
 
 /// Pooled executor state shared by every batch a server pumps: the
 /// controller plan, instruction outcome, lane frontiers, wave scratch,
@@ -106,13 +88,12 @@ fn cached_rule<'a>(
 }
 
 /// Executes `programs` (all of one shape — same instruction classes,
-/// markers, and propagation rules) against the shared snapshot, one
-/// context per query, accumulating each query's report in its context
-/// (in input order).
+/// markers, and propagation rules; at most [`MAX_SLICED_LANES`] of
+/// them) against the shared snapshot, one context per query,
+/// accumulating each query's report in its context (in input order).
 pub(crate) fn run_batch(
     cost: &CostModel,
     max_hops: u8,
-    kernel: BatchKernel,
     network: &SemanticNetwork,
     programs: &[&Program],
     ctxs: &mut [QueryContext],
@@ -132,7 +113,6 @@ pub(crate) fn run_batch(
     now.clear();
     now.resize(k, 0);
     plan.plan(programs[0]);
-    let sliced = kernel == BatchKernel::Sliced && k <= MAX_SLICED_LANES;
 
     for oi in 0..plan.ops().len() {
         match plan.ops()[oi] {
@@ -187,16 +167,9 @@ pub(crate) fn run_batch(
                         }
                         report.alpha_per_propagate.push(seeds.len() as u64);
                     }
-                    if sliced {
-                        run_group_sliced(
-                            cost, max_hops, network, ctxs, lanes, wave, out, rule, func, g, target,
-                            now,
-                        )?;
-                    } else {
-                        run_group_replay(
-                            cost, max_hops, network, ctxs, lanes, wave, rule, func, g, target, now,
-                        )?;
-                    }
+                    run_group_sliced(
+                        cost, max_hops, network, ctxs, lanes, wave, out, rule, func, g, target, now,
+                    )?;
                 }
                 // Implicit barrier closing the group, per query.
                 for (q, ctx) in ctxs.iter_mut().enumerate() {
@@ -296,67 +269,6 @@ fn run_group_sliced(
     Ok(())
 }
 
-/// One propagation of a group through the per-lane replay kernel — the
-/// executable spec, also the fallback for batches deeper than
-/// [`MAX_SLICED_LANES`]. Allocates per call; only the sliced path is
-/// allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn run_group_replay(
-    cost: &CostModel,
-    max_hops: u8,
-    network: &SemanticNetwork,
-    ctxs: &mut [QueryContext],
-    lanes: &mut Vec<BatchLane>,
-    wave: &mut MultiWaveScratch,
-    rule: &RuleProgram,
-    func: StepFunc,
-    prop: usize,
-    target: Marker,
-    now: &mut [SimTime],
-) -> Result<(), CoreError> {
-    let k = ctxs.len();
-    if lanes.len() < k {
-        lanes.resize_with(k, BatchLane::new);
-    }
-    let mut slices: Vec<&[(NodeId, f32)]> = Vec::with_capacity(k);
-    let mut sinks: Vec<ServeSink> = Vec::with_capacity(k);
-    for ctx in ctxs.iter_mut() {
-        let QueryContext {
-            region,
-            report,
-            seeds,
-            ..
-        } = ctx;
-        slices.push(seeds);
-        sinks.push(ServeSink {
-            cost,
-            region,
-            target,
-            report,
-            ns: cost.pu_decode_ns,
-        });
-    }
-    let res = propagate_multi_wave(
-        network,
-        rule,
-        func,
-        prop,
-        max_hops,
-        &slices,
-        &mut lanes[..k],
-        wave,
-        &mut sinks,
-    );
-    let ns: Vec<SimTime> = sinks.iter().map(|s| s.ns).collect();
-    drop(sinks);
-    res?;
-    for (q, ctx) in ctxs.iter_mut().enumerate() {
-        now[q] += ns[q];
-        ctx.report.record(InstrClass::Propagate, ns[q]);
-    }
-    Ok(())
-}
-
 /// Single-PE cost of one non-propagate instruction — the sequential
 /// engine's formula, reproduced so batched reports time out identically.
 fn instr_cost(
@@ -392,36 +304,4 @@ fn instr_cost(
             }
             InstrClass::Propagate => unreachable!("plan puts propagates in groups"),
         }
-}
-
-/// Per-lane engine accounting behind the replay kernel: the sequential
-/// engine's wave sink minus tracing — same report fields, same cost-
-/// model nanoseconds, same region merges, in the same event order.
-struct ServeSink<'a> {
-    cost: &'a CostModel,
-    region: &'a mut Region,
-    target: Marker,
-    report: &'a mut RunReport,
-    ns: SimTime,
-}
-
-impl WaveSink for ServeSink<'_> {
-    fn on_expand(
-        &mut self,
-        _task: &PropTask,
-        segments: usize,
-        links_scanned: usize,
-        arrivals: usize,
-    ) {
-        self.report.expansions += 1;
-        self.ns += self.cost.expand_ns(segments, links_scanned, arrivals);
-    }
-
-    fn on_arrival(&mut self, task: &PropTask, arrival: &PropArrival) -> Result<(), CoreError> {
-        self.region
-            .arrive(self.target, arrival.node, arrival.value, task.origin)?;
-        self.report.traffic.local_activations += 1;
-        self.report.max_propagation_depth = self.report.max_propagation_depth.max(task.level + 1);
-        Ok(())
-    }
 }

@@ -9,12 +9,11 @@ use std::sync::Arc;
 /// for it, and its pooled seed buffer.
 ///
 /// Contexts are pooled by the [`Server`](crate::Server): after a batch
-/// completes, each context is [reset in place](QueryContext::reset) and
-/// returned to the pool, so steady-state serving reuses the per-query
-/// marker tables, report maps, and seed buffers instead of rebuilding
-/// them — zero allocations per query once warm. The partition stats are
-/// stamped into the report once, at construction, and survive every
-/// reset.
+/// completes, each context is reset in place and returned to the pool,
+/// so steady-state serving reuses the per-query marker tables, report
+/// maps, and seed buffers instead of rebuilding them — zero allocations
+/// per query once warm. The partition stats are stamped into the report
+/// once, at construction, and survive every reset.
 pub struct QueryContext {
     pub(crate) region: Region,
     pub(crate) report: RunReport,

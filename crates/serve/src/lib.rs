@@ -12,14 +12,15 @@
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
 //!   with graceful shedding and exact accounting, plus a batching
 //!   scheduler that coalesces compatible queries (same program shape,
-//!   same KB snapshot) into one fused propagation wave via
-//!   [`propagate_multi_wave`](snap_core::kernel::propagate_multi_wave),
-//!   amortizing every CSR row probe and rank merge across the batch —
-//!   and collapsing bit-identical queries onto a single lane whose
-//!   report they share;
-//! * every batched query's results are bit-identical to running it
-//!   alone through the serial sequential-engine oracle — the batch
-//!   executor replays the exact scalar-spec event order per lane.
+//!   same KB snapshot) into one fused propagation wave of up to 64
+//!   lanes via [`propagate_multi_wave_sliced`], amortizing every CSR
+//!   row probe and rank merge across the batch — and collapsing
+//!   bit-identical queries onto a single lane whose report they share;
+//! * every batched query's report is bit-identical to running it alone
+//!   through the serial sequential-engine oracle — the fused sweep
+//!   keeps the exact scalar-spec arrival order per lane.
+//!
+//! [`propagate_multi_wave_sliced`]: snap_core::kernel::propagate_multi_wave_sliced
 //!
 //! One [`Server`] serves one immutable snapshot, and that is what a KB
 //! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)
@@ -37,7 +38,6 @@ mod batch;
 mod context;
 mod server;
 
-pub use batch::BatchKernel;
 pub use context::QueryContext;
 pub use server::{
     Admission, Completion, CompletionRef, QueryId, ServeConfig, ServeStats, Server, ShedReason,

@@ -1,6 +1,6 @@
 //! Admission, shape-compatible batching, and exact shed accounting.
 
-use crate::batch::{run_batch, BatchKernel, BatchScratch};
+use crate::batch::{run_batch, BatchScratch};
 use crate::context::QueryContext;
 use snap_core::kernel::{wave_supported, MAX_SLICED_LANES};
 use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, Prepared, RunReport, Snap1};
@@ -14,7 +14,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Most queries fused into one propagation batch. Depth 1 degrades
-    /// to one-query-at-a-time serving (the bench baseline).
+    /// to one-query-at-a-time serving (the bench baseline). One fused
+    /// sweep holds at most [`MAX_SLICED_LANES`] lanes, so a pump takes
+    /// `min(max_batch, MAX_SLICED_LANES)` queries and a deeper setting
+    /// becomes more pumps.
     pub max_batch: usize,
     /// Bounded admission queue: offers beyond this capacity shed with
     /// [`ShedReason::QueueFull`] instead of growing without bound.
@@ -24,10 +27,6 @@ pub struct ServeConfig {
     pub max_hops: u8,
     /// Cost model stamped into per-query reports.
     pub cost: CostModel,
-    /// Which fused kernel batches run. [`BatchKernel::Sliced`] (the
-    /// default) advances all lanes word-at-a-time; batches deeper than
-    /// [`MAX_SLICED_LANES`] fall back to per-lane replay automatically.
-    pub kernel: BatchKernel,
 }
 
 impl Default for ServeConfig {
@@ -37,7 +36,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             max_hops: MachineConfig::snap1_eval().max_hops,
             cost: CostModel::snap1(),
-            kernel: BatchKernel::default(),
         }
     }
 }
@@ -282,12 +280,14 @@ impl Server {
             return;
         }
         debug_assert!(self.batch.is_empty() && self.active.is_empty());
+        // One fused sweep holds one lane per bit of a host word.
+        let depth_cap = self.cfg.max_batch.min(MAX_SLICED_LANES);
         self.batch
             .push(self.queue.pop_front().expect("head exists"));
         // Fast path: the matching prefix (steady-state serving is
         // shape-homogeneous, so this usually fills the batch without
         // touching the rest of the queue).
-        while self.batch.len() < self.cfg.max_batch {
+        while self.batch.len() < depth_cap {
             let matches = match self.queue.front() {
                 Some(p) => p.fusable && p.shape == self.batch[0].shape,
                 None => false,
@@ -302,7 +302,7 @@ impl Server {
         // the batch fills; unscanned and non-matching entries keep their
         // relative order.
         let mut i = 0;
-        while i < self.queue.len() && self.batch.len() < self.cfg.max_batch {
+        while i < self.queue.len() && self.batch.len() < depth_cap {
             if self.queue[i].fusable && self.queue[i].shape == self.batch[0].shape {
                 let p = self.queue.remove(i).expect("index in bounds");
                 self.batch.push(p);
@@ -339,26 +339,17 @@ impl Server {
                 .unwrap_or_else(|| QueryContext::new(&self.prepared, &self.network));
             self.active.push(ctx);
         }
-        // Program refs live on the stack up to the sliced-kernel width;
-        // deeper (replay-fallback) batches take the heap.
-        let n = self.uniq.len();
-        let mut stack: [&Program; MAX_SLICED_LANES] = [&self.batch[0].program; MAX_SLICED_LANES];
-        let mut heap: Vec<&Program> = Vec::new();
-        let programs: &[&Program] = if n <= MAX_SLICED_LANES {
-            for (j, &u) in self.uniq.iter().enumerate() {
-                stack[j] = &self.batch[u].program;
-            }
-            &stack[..n]
-        } else {
-            heap.extend(self.uniq.iter().map(|&u| &self.batch[u].program));
-            &heap
-        };
+        // Program refs live on the stack: a batch never outgrows the
+        // sliced-kernel width.
+        let mut programs: [&Program; MAX_SLICED_LANES] = [&self.batch[0].program; MAX_SLICED_LANES];
+        for (j, &u) in self.uniq.iter().enumerate() {
+            programs[j] = &self.batch[u].program;
+        }
         let res = run_batch(
             &self.cfg.cost,
             self.cfg.max_hops,
-            self.cfg.kernel,
             &self.network,
-            programs,
+            &programs[..self.uniq.len()],
             &mut self.active,
             &mut self.scratch,
         );
@@ -565,25 +556,47 @@ mod tests {
     }
 
     #[test]
-    fn replay_kernel_serves_the_same_reports() {
+    fn batches_wider_than_the_sliced_kernel_split_into_more_pumps() {
         let net = snapshot();
         let cfg = ServeConfig {
-            kernel: BatchKernel::Replay,
+            max_batch: 100,
             ..ServeConfig::default()
         };
-        let mut sliced = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-        let mut replay = Server::new(Arc::clone(&net), cfg).unwrap();
-        for n in [3u32, 3, 50, 151, 299] {
-            sliced.offer(query(n));
-            replay.offer(query(n));
+        let oracle = oracle();
+
+        // 100 distinct fusable queries: two pumps of 64 and 36 lanes,
+        // arrival order kept, every report the solo oracle's.
+        let mut server = Server::new(Arc::clone(&net), cfg.clone()).unwrap();
+        for n in 0..100u32 {
+            assert_eq!(
+                server.offer(query(n)),
+                Admission::Admitted(QueryId(n as u64))
+            );
         }
-        let a = sliced.drain();
-        let b = replay.drain();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
+        let first = server.pump();
+        let second = server.pump();
+        assert_eq!((first.len(), second.len()), (MAX_SLICED_LANES, 36));
+        assert!(first.iter().all(|c| c.batch_depth == MAX_SLICED_LANES));
+        assert!(second.iter().all(|c| c.batch_depth == 36));
+        assert_eq!(server.queue_len(), 0);
+        server.assert_accounting();
+        for (n, c) in first.iter().chain(&second).enumerate() {
+            assert_eq!(c.id, QueryId(n as u64), "arrival order kept");
+            let want = oracle.run_shared(&net, &query(n as u32)).unwrap();
+            assert_eq!(c.result.as_ref().unwrap(), &want, "query {n}");
         }
+
+        // 100 copies of one program: the same two pumps, each coalesced
+        // onto a single lane.
+        let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
+        for _ in 0..100 {
+            server.offer(query(42));
+        }
+        let depths: Vec<usize> = (0..2).map(|_| server.pump().len()).collect();
+        assert_eq!(depths, vec![MAX_SLICED_LANES, 36]);
+        assert_eq!(server.pool_size(), 1, "each pump ran one lane");
+        server.assert_accounting();
+        assert_eq!(server.stats().completed, 100);
     }
 
     #[test]

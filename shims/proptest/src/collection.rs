@@ -50,7 +50,7 @@ where
     BTreeSetStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, R> {
     element: S,

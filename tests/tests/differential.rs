@@ -71,36 +71,6 @@ fn differential_grid_cluster_count_invariant() {
     }
 }
 
-/// Dense and hashed visited backings must make identical expansion
-/// decisions: every grid cell collects the same node sets and values
-/// whichever backing the engines run on.
-#[test]
-fn differential_grid_visited_backings_agree() {
-    use snap_core::VisitedStrategy;
-    for &(kb_name, kb) in KBS {
-        for (prog_name, program) in &programs() {
-            for engine in [
-                EngineKind::Sequential,
-                EngineKind::Des,
-                EngineKind::Threaded,
-            ] {
-                let run_with = |strategy: VisitedStrategy| {
-                    run_cell_cfg(kb, program, CLUSTER_COUNTS[0], engine, |c| {
-                        c.visited = strategy;
-                    })
-                };
-                let dense = run_with(VisitedStrategy::Dense);
-                let hashed = run_with(VisitedStrategy::Hashed);
-                assert_equivalent(
-                    &format!("{kb_name}/{prog_name}/{engine:?}/dense-vs-hashed"),
-                    &dense.collects,
-                    &hashed.collects,
-                );
-            }
-        }
-    }
-}
-
 /// Every partition scheme — including the locality-aware `EdgeCut` —
 /// must leave logical results untouched on both parallel engines: the
 /// placement of a node decides who computes it, never what is computed.

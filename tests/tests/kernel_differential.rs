@@ -1,155 +1,136 @@
-//! Differential grid pinning the bitset wave kernel to the scalar
-//! executable spec.
+//! Differential grid pinning the wave kernel to the scalar executable
+//! spec.
 //!
-//! The scalar loop *is* the semantics; the bitset kernel is an
+//! The scalar loop *is* the semantics; the wave kernel is an
 //! optimisation that must be observationally indistinguishable. The
-//! grid here sweeps every knowledge base × program × engine × gate
-//! kind (counting-gate and the CM-2-style lockstep barrier) and runs
-//! each cell twice — once per `KernelStrategy` — comparing retrievals
-//! and the work counters that the kernel influences. A second sweep
-//! repeats the comparison under adversarial `Fuzzed` schedules, where
-//! `KernelStrategy::Auto` would fall back to scalar, so the bitset
-//! kernel is forced explicitly. Finally a property test checks the
-//! kernel's word-level visited tables against the hashed reference
-//! map on arbitrary probe sequences.
+//! sequential engine picks between them from the schedule: FIFO runs
+//! the wave kernel, a fuzzed schedule the scalar loop — and a fuzzed
+//! schedule with a decision budget of 0 never deviates from FIFO, so it
+//! is the scalar loop in spec order. Each cell runs both and compares
+//! the whole `RunReport`: collects, every counter, simulated
+//! nanoseconds, schedule digest and — with the `obs` feature — the
+//! `TraceReport`. A property test then checks the dense visited tables
+//! against the hashed reference map on arbitrary probe sequences.
 
 use proptest::prelude::*;
 use snap_core::propagate::VisitedMap;
-use snap_core::{EngineKind, KernelStrategy, RunReport};
+use snap_core::{EngineKind, MachineConfig, ObsConfig, RunReport, ScheduleStrategy};
 use snap_integration_tests::grid;
-use snap_kb::NodeId;
+use snap_kb::{synth, NodeId, SemanticNetwork};
+use std::collections::BTreeMap;
 
-const ENGINES: &[EngineKind] = &[
-    EngineKind::Sequential,
-    EngineKind::Des,
-    EngineKind::Threaded,
-];
+/// A 600-node preferential-attachment network of one colour:
+/// `grid::program_wave` seeds every node, so wave 0 has frontier
+/// density 1.0 — the densest frontier a wave can have.
+fn kb_scale_free() -> SemanticNetwork {
+    synth::scale_free_network(600, 2, 7)
+}
 
-/// Runs one grid cell with the given kernel strategy and gate kind.
-fn run_kernel_cell(
+/// Runs one cell on the sequential engine through both kernels.
+fn wave_and_scalar(
     kb: grid::KbBuilder,
     program: &snap_isa::Program,
-    clusters: usize,
-    engine: EngineKind,
-    kernel: KernelStrategy,
-    lockstep: bool,
-) -> RunReport {
-    grid::run_cell_cfg(kb, program, clusters, engine, |c| {
-        c.kernel = kernel;
-        c.lockstep_waves = lockstep;
-    })
+    tweak: impl Fn(&mut MachineConfig),
+) -> (RunReport, RunReport) {
+    let run = |schedule| {
+        grid::run_cell_cfg(kb, program, 1, EngineKind::Sequential, |c| {
+            tweak(c);
+            c.schedule = schedule;
+        })
+    };
+    let wave = run(ScheduleStrategy::Fifo);
+    let scalar = run(ScheduleStrategy::Fuzzed {
+        seed: 0x5EED_0001,
+        limit: 0,
+    });
+    (wave, scalar)
 }
 
-/// Every cell of the grid must produce the same retrievals under the
-/// scalar spec and the bitset kernel, with both gate kinds. The
-/// deterministic engines (sequential, DES) must also match on the
-/// kernel-sensitive work counters bit for bit; the threaded engine is
-/// compared on node sets and values only, since worker interleaving
-/// legitimately reorders arrival improvements.
+/// Every cell must produce one report under the scalar spec and the
+/// wave kernel, untraced and traced. Without the `obs` feature the
+/// trace setting is inert and the traced pass repeats the plain one;
+/// with it, the two kernels must emit the same `TraceReport`.
 #[test]
-fn bitset_kernel_matches_scalar_across_grid_and_gates() {
+fn wave_kernel_matches_scalar_spec_on_whole_reports() {
+    let mut cells: Vec<(String, grid::KbBuilder, snap_isa::Program, Option<u8>)> = Vec::new();
     for &(kb_name, kb) in grid::KBS {
         for (prog_name, program) in grid::programs() {
-            for &engine in ENGINES {
-                for lockstep in [false, true] {
-                    let label = format!("{kb_name}/{prog_name}/{engine:?}/lockstep={lockstep}");
-                    let scalar =
-                        run_kernel_cell(kb, &program, 2, engine, KernelStrategy::Scalar, lockstep);
-                    let bitset =
-                        run_kernel_cell(kb, &program, 2, engine, KernelStrategy::Bitset, lockstep);
-                    grid::assert_equivalent(&label, &scalar.collects, &bitset.collects);
-                    if engine != EngineKind::Threaded {
-                        assert_eq!(
-                            scalar.collects, bitset.collects,
-                            "[{label}] deterministic engine drifted on exact collects"
-                        );
-                        assert_eq!(
-                            scalar.expansions, bitset.expansions,
-                            "[{label}] expansion counts diverged"
-                        );
-                        assert_eq!(
-                            scalar.traffic.local_activations, bitset.traffic.local_activations,
-                            "[{label}] local activation counts diverged"
-                        );
-                    }
+            cells.push((format!("{kb_name}/{prog_name}"), kb, program, None));
+        }
+    }
+    // A hop cap that bites: the capped wave is charged but delivers
+    // nothing, in both kernels.
+    cells.push((
+        "chain/parse/hops3".into(),
+        grid::kb_chain,
+        grid::program_parse(),
+        Some(3),
+    ));
+    cells.push((
+        "scale-free/all-seeded".into(),
+        kb_scale_free,
+        grid::program_wave(),
+        None,
+    ));
+    let mut waves = BTreeMap::new();
+    for (label, kb, program, max_hops) in cells {
+        for traced in [false, true] {
+            let (wave, scalar) = wave_and_scalar(kb, &program, |c| {
+                if let Some(hops) = max_hops {
+                    c.max_hops = hops;
                 }
-            }
+                if traced {
+                    c.trace = Some(ObsConfig::full());
+                }
+            });
+            assert_eq!(wave, scalar, "[{label}] traced={traced}");
+            assert!(wave.expansions > 0, "[{label}] cell propagates");
+            assert_eq!(
+                wave.trace.enabled,
+                traced && cfg!(feature = "obs"),
+                "[{label}] trace recorded exactly when asked and compiled in"
+            );
+            waves.insert(label.clone(), wave);
         }
     }
-}
-
-/// Under a `Fuzzed` schedule `KernelStrategy::Auto` resolves to the
-/// scalar loop (the fuzzer owns task ordering), so the bitset kernel
-/// is forced explicitly here and compared against the scalar run
-/// under the same adversarial seed, and against the FIFO sequential
-/// oracle. Any divergence is a real ordering bug in the kernel.
-/// Compiled out under the planted `fuzz-bug`, which corrupts the
-/// scalar side of the comparison by design.
-#[cfg(not(feature = "fuzz-bug"))]
-#[test]
-fn bitset_kernel_matches_scalar_under_fuzzed_schedules() {
-    use snap_core::ScheduleStrategy;
-    for (prog_name, program) in grid::programs() {
-        let oracle = run_kernel_cell(
-            grid::kb_web,
-            &program,
-            5,
-            EngineKind::Sequential,
-            KernelStrategy::Scalar,
-            false,
-        );
-        for &engine in ENGINES {
-            for seed in [0x5EED_0001_u64, 0xDEAD_BEEF] {
-                let label = format!("web/{prog_name}/{engine:?}/seed={seed:#x}");
-                let run = |kernel| {
-                    grid::run_cell_cfg(grid::kb_web, &program, 5, engine, |c| {
-                        c.kernel = kernel;
-                        c.schedule = ScheduleStrategy::Fuzzed {
-                            seed,
-                            limit: u64::MAX,
-                        };
-                    })
-                };
-                let scalar = run(KernelStrategy::Scalar);
-                let bitset = run(KernelStrategy::Bitset);
-                grid::assert_equivalent(&label, &scalar.collects, &bitset.collects);
-                grid::assert_equivalent(
-                    &format!("{label} vs oracle"),
-                    &oracle.collects,
-                    &bitset.collects,
-                );
-            }
-        }
-    }
+    assert_eq!(
+        waves["scale-free/all-seeded"].alpha_per_propagate,
+        vec![600],
+        "every node seeded"
+    );
+    assert!(
+        waves["chain/parse/hops3"].expansions < waves["chain/parse"].expansions,
+        "the hop cap bites"
+    );
 }
 
 proptest! {
-    /// The word-level visited tables behind the bitset kernel must make
-    /// the same expand/suppress decision as the hashed reference map on
-    /// every probe, including nodes past the declared arena size (the
-    /// growth path) and exact value ties (the origin tie-break).
+    /// The dense visited tables must make the same expand/suppress
+    /// decision as the hashed reference map on every probe, including
+    /// nodes past the declared arena size (the growth path) and exact
+    /// value ties (the origin tie-break).
     #[test]
-    fn bitset_visited_agrees_with_hashed_reference(
+    fn dense_visited_agrees_with_hashed_reference(
         probes in proptest::collection::vec(
             (0usize..2, 0u8..8, 0u32..96, 0u32..40, 0u32..16),
             1..200,
         ),
     ) {
-        let mut bitset = VisitedMap::bitset(64);
+        let mut dense = VisitedMap::dense(64);
         let mut hashed = VisitedMap::new();
         for (prop, state, node, quantum, origin) in probes {
             // Coarse quantisation forces exact value ties so the
             // origin tie-break is exercised, not just improvements.
             let value = quantum as f32 * 0.25;
-            let b = bitset.should_expand(prop, state, NodeId(node), value, NodeId(origin));
+            let d = dense.should_expand(prop, state, NodeId(node), value, NodeId(origin));
             let h = hashed.should_expand(prop, state, NodeId(node), value, NodeId(origin));
             prop_assert_eq!(
-                b, h,
+                d, h,
                 "probe (prop={}, state={}, node={}, value={}, origin={}) diverged",
                 prop, state, node, value, origin
             );
         }
-        prop_assert_eq!(bitset.len(), hashed.len());
-        prop_assert_eq!(bitset.is_empty(), hashed.is_empty());
+        prop_assert_eq!(dense.len(), hashed.len());
+        prop_assert_eq!(dense.is_empty(), hashed.is_empty());
     }
 }
