@@ -11,10 +11,7 @@ pub mod fig18;
 pub mod fig19;
 pub mod fig20;
 pub mod fig21;
-pub mod hotpath;
 pub mod projection;
-pub mod scaling;
-pub mod serve;
 pub mod table1;
 pub mod table4;
 

@@ -5,6 +5,11 @@
 //! `src/bin/` are thin wrappers; `run_all` regenerates everything into
 //! `results/`.
 //!
+//! Everything here is deterministic simulated time: the checked-in files
+//! under `results/` are this crate's output byte for byte. Nothing here
+//! reads the host clock — host-time claims are named metrics of the
+//! repository benchmark (`benchmark/`, `BENCHMARK.json`).
+//!
 //! | ID | Paper artifact | Module |
 //! |----|----------------|--------|
 //! | Fig. 6 | instruction frequency vs time, single PE | [`experiments::fig06`] |
@@ -18,6 +23,8 @@
 //! | Fig. 20 | propagation counts vs KB size | [`experiments::fig20`] |
 //! | Fig. 21 | parallel overhead components | [`experiments::fig21`] |
 //! | §IV text | β statistics of PASS/DMSNAP analogues | [`experiments::beta`] |
+//! | Table I | design capacities exercised end to end | [`experiments::table1`] |
+//! | §V | million-concept projection, SNAP-1 vs CM-2 | [`experiments::projection`] |
 //! | ablations | tiered sync, partitioning, topology | [`experiments::ablations`] |
 
 #![forbid(unsafe_code)]

@@ -125,19 +125,6 @@ pub fn quick_requested() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// The cargo profile the harness was built under, stamped by the build
-/// script — overridable with `SNAP_BENCH_PROFILE` because custom
-/// profiles (`tuned`) surface to build scripts as the profile they
-/// inherit (`release`).
-pub fn build_profile() -> String {
-    std::env::var("SNAP_BENCH_PROFILE").unwrap_or_else(|_| env!("SNAP_BUILD_PROFILE").to_string())
-}
-
-/// The `rustc --version` that compiled the harness.
-pub fn rustc_version() -> &'static str {
-    env!("SNAP_RUSTC_VERSION")
-}
-
 /// Formats nanoseconds as milliseconds with two decimals.
 pub fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)

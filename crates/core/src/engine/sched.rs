@@ -560,26 +560,26 @@ impl PhaseGate {
         }
     }
 
-    /// Snapshot check that the phase is (still) closed.
-    pub(crate) fn is_complete(&self) -> bool {
-        match self {
-            PhaseGate::Fast(g) => g.is_quiescent(),
-            PhaseGate::Tiered(b) => b.is_complete(),
-        }
-    }
-
     /// Fuzzed gate-close timing: after the gate first reports closure,
     /// yield the controller a strategy-chosen number of times and
     /// re-verify. A protocol that can close while a token is still in
-    /// flight (false termination) is caught here as re-opened
-    /// quiescence; a correct protocol never re-opens once the phase is
-    /// quiet, because workers create tokens only while consuming one.
+    /// flight (false termination) is caught here as a counter that went
+    /// positive again; a correct protocol never re-opens once the phase
+    /// is quiet, because workers create tokens only while consuming one.
+    ///
+    /// The re-check reads the token counters only
+    /// ([`TieredBarrier::levels_drained`]): under the resilient protocol
+    /// workers pulse the busy bit after closure with no token involved,
+    /// so the AND-tree says nothing about a re-opened phase.
     pub(crate) fn confirm_complete(&self, picker: &mut Picker) -> bool {
         let rounds = picker.pick(4);
         for _ in 0..rounds {
             std::thread::yield_now();
         }
-        self.is_complete()
+        match self {
+            PhaseGate::Fast(g) => g.is_quiescent(),
+            PhaseGate::Tiered(b) => b.levels_drained(),
+        }
     }
 
     pub(crate) fn in_flight(&self) -> i64 {
@@ -852,6 +852,18 @@ mod tests {
         gate.consumed(0);
         assert!(gate.wait_complete_timeout(Duration::from_secs(1)).is_ok());
         assert!(gate.confirm_complete(&mut p));
+
+        // A busy PE with no token outstanding is not a re-opened phase;
+        // an outstanding token is, whatever the AND-tree reads.
+        let tiered = PhaseGate::Tiered(TieredBarrier::new());
+        tiered.enter_busy();
+        assert!(tiered.confirm_complete(&mut p));
+        tiered.created(3);
+        assert!(!tiered.confirm_complete(&mut p));
+        tiered.exit_busy();
+        assert!(!tiered.confirm_complete(&mut p));
+        tiered.consumed(3);
+        assert!(tiered.confirm_complete(&mut p));
     }
 
     #[test]

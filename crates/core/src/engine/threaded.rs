@@ -146,8 +146,6 @@ struct PendingSend {
     env: Envelope<Vec<PropTask>>,
     /// Destination cluster — every task in the batch shares it.
     dest: ClusterId,
-    /// Barrier level of the batch's single created-token.
-    level: u8,
     attempts: u32,
     due: Instant,
 }
@@ -1264,9 +1262,11 @@ impl Worker<'_> {
                         p.attempts
                     ),
                 });
-                // Release the held token so the phase can close; the
-                // typed error above fails the run.
-                self.gate.consumed(p.level);
+                // The token stays counted: only the receiver consumes
+                // an envelope's token, and it may already have (then
+                // died, or lost every ack). The typed error above fails
+                // the run either way — at `PhaseEnd` if the phase
+                // closes, through the stall path if it cannot.
             } else {
                 // Retransmission is work: flag the PE busy so the barrier
                 // watchdog sees live recovery activity, not dead air.
@@ -1427,7 +1427,6 @@ impl Worker<'_> {
                     PendingSend {
                         env: env.clone(),
                         dest,
-                        level,
                         attempts: 0,
                         due: Instant::now() + self.retry.backoff(0),
                     },

@@ -47,7 +47,8 @@ mod links;
 mod marker;
 mod network;
 mod partition;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod status;
 pub mod synth;
 

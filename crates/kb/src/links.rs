@@ -20,7 +20,8 @@
 //! records each link's insertion rank within its node, and a per-node
 //! rank-sorted permutation (`by_rank`) drives insertion-order iteration,
 //! so the public accessors behave exactly like the historical
-//! nested-segment representation (see `reference::NestedRelationTable`).
+//! nested-segment representation (the test-only `reference` module holds
+//! the CSR to it).
 //!
 //! Mutation is staged: `add_link` appends to a small `pending` buffer
 //! (merged into the CSR arrays geometrically, so construction stays

@@ -2,10 +2,10 @@
 //!
 //! This is the historical `Vec<Vec<Vec<Link>>>` representation the CSR
 //! [`RelationTable`](crate::RelationTable) replaced: per node, a chain of
-//! dense 16-slot segments in insertion order. It is kept as an executable
-//! specification — the property tests drive random operation sequences
-//! through both tables and require every accessor to agree — and as the
-//! baseline datapath for the `hotpath` wall-clock benchmark.
+//! dense 16-slot segments in insertion order. It is kept, for this
+//! crate's tests only, as an executable specification: the property test
+//! below drives random operation sequences through both tables and
+//! requires every accessor to agree.
 
 use crate::error::KbError;
 use crate::ids::{NodeId, RelationType};
@@ -28,11 +28,6 @@ impl NestedRelationTable {
     /// Number of node rows currently allocated.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Returns `true` if no node rows are allocated.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Extends the table so that `node` has a row.

@@ -1,8 +1,9 @@
 //! Synthetic knowledge-base topologies for benchmarks and property tests.
 //!
 //! These generators started life inside the partitioner's proptests; they
-//! are public so the scaling benchmark can sweep topologies beyond the
-//! line/grid-like parse KBs: power-law hub structure (what real semantic
+//! are public so the repository benchmark's wave workloads and the
+//! differential tests can run topologies beyond the line/grid-like parse
+//! KBs: power-law hub structure (what real semantic
 //! networks look like), the hub-and-spoke worst case for balanced
 //! partitioning, and bridged communities with an obvious minimum cut.
 //! All generators are deterministic — the random ones take an explicit

@@ -151,13 +151,24 @@ impl TieredBarrier {
     /// Reads the busy count first and re-checks it after scanning the
     /// counters, so a PE that went busy mid-scan cannot slip through.
     pub fn is_complete(&self) -> bool {
-        if self.busy_pes.load(Ordering::SeqCst) != 0 {
-            return false;
-        }
-        if self.levels.iter().any(|l| l.load(Ordering::SeqCst) != 0) {
-            return false;
-        }
         self.busy_pes.load(Ordering::SeqCst) == 0
+            && self.levels_drained()
+            && self.busy_pes.load(Ordering::SeqCst) == 0
+    }
+
+    /// Snapshot check on the counter network alone: every level counter
+    /// reads zero, whatever the AND-tree says.
+    ///
+    /// This is the predicate the no-false-termination invariant is
+    /// stated on — a token is counted before its message is visible, so
+    /// a message in flight keeps some counter positive — and therefore
+    /// the one to re-verify a reported closure with. The AND-tree is
+    /// left out on purpose: a PE may pulse busy after closure with no
+    /// token involved (handling a late ack, a suppressed duplicate or a
+    /// stale-epoch envelope, retransmitting a batch whose ack was lost),
+    /// and that pulse is not a re-opened phase.
+    pub fn levels_drained(&self) -> bool {
+        self.levels.iter().all(|l| l.load(Ordering::SeqCst) == 0)
     }
 
     /// Controller-side blocking wait (spin with yields) until the
@@ -267,6 +278,7 @@ mod tests {
         let b = TieredBarrier::new();
         b.enter_busy();
         assert!(!b.is_complete());
+        assert!(b.levels_drained(), "the AND-tree is not a counter");
         b.exit_busy();
         assert!(b.is_complete());
     }
@@ -276,6 +288,7 @@ mod tests {
         let b = TieredBarrier::new();
         b.created(3);
         assert!(!b.is_complete());
+        assert!(!b.levels_drained());
         assert_eq!(b.in_flight(), 1);
         b.consumed(3);
         assert!(b.is_complete());

@@ -17,9 +17,12 @@
 
 use snap_core::{EngineKind, FaultPlan};
 use snap_integration_tests::grid::{
-    assert_equivalent, programs, run_cell, run_cell_cfg, CLUSTER_COUNTS, KBS,
+    assert_equivalent, program_wave, programs, run_cell, run_cell_cfg, KbBuilder, CLUSTER_COUNTS,
+    KBS,
 };
-use snap_kb::PartitionScheme;
+use snap_isa::{Program, PropRule, StepFunc};
+use snap_kb::synth::{bridge_network, scale_free_network, star_network};
+use snap_kb::{Color, Marker, PartitionScheme, RelationType};
 
 /// The full differential grid: every engine must agree with the
 /// sequential oracle on every cell. 3 KBs × 2 programs × 2 cluster
@@ -98,6 +101,53 @@ fn differential_grid_partition_schemes_agree() {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    // Hub-heavy topologies at the paper's cluster counts, where the
+    // schemes place nodes very differently, every node seeded: a
+    // preferential-attachment graph and a one-hub star under the `Star`
+    // wave, and bridged communities under a `Spread` that walks the
+    // lines (rel 0) and crosses the single bridge links (rel 2). The
+    // simulator runs them at 16 clusters; real threads at what the host
+    // has, up to 4.
+    let bridged_program = Program::builder()
+        .search_color(Color(0), Marker::binary(0), 0.0)
+        .propagate(
+            Marker::binary(0),
+            Marker::complex(1),
+            PropRule::Spread(RelationType(0), RelationType(2)),
+            StepFunc::AddWeight,
+        )
+        .collect_marker(Marker::complex(1))
+        .build();
+    let hub_heavy: [(&str, KbBuilder, Program); 3] = [
+        (
+            "scale-free",
+            || scale_free_network(400, 2, 7),
+            program_wave(),
+        ),
+        ("star-hub", || star_network(256), program_wave()),
+        ("bridged", || bridge_network(4, 64), bridged_program),
+    ];
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    for (kb_name, kb, program) in &hub_heavy {
+        let oracle = run_cell(*kb, program, 1, EngineKind::Sequential, None, false);
+        assert!(
+            oracle.collects[0].len() > 100,
+            "{kb_name}: the propagation reached only {} nodes",
+            oracle.collects[0].len()
+        );
+        for &scheme in &SCHEMES[1..] {
+            for (engine, clusters) in [(EngineKind::Des, 16), (EngineKind::Threaded, threads)] {
+                let report = run_cell_cfg(*kb, program, clusters, engine, |c| {
+                    c.partition = scheme;
+                });
+                assert_eq!(
+                    oracle.collects, report.collects,
+                    "{kb_name}/c{clusters}/{scheme:?}/{engine:?}"
+                );
             }
         }
     }
