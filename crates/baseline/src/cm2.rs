@@ -17,10 +17,9 @@
 use serde::{Deserialize, Serialize};
 use snap_core::exec::exec_single;
 use snap_core::propagate::{expand, PropTask, VisitedMap};
-use snap_core::{CoreError, Region, RegionMap, RunReport};
+use snap_core::{CoreError, Region, RegionMap, RunReport, SimTime};
 use snap_isa::{InstrClass, Instruction, Program, PropRule, StepFunc};
 use snap_kb::{ClusterId, Marker, PartitionScheme, SemanticNetwork};
-use snap_mem::SimTime;
 
 /// Cost model of the SIMD comparator, nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

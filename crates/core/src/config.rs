@@ -75,7 +75,7 @@ pub struct MachineConfig {
     /// deterministic orders bit for bit; a seeded
     /// [`ScheduleStrategy::Fuzzed`] schedule permutes the orderings a
     /// legal machine leaves unspecified (ready-task picks, equal-time
-    /// event ties, worker polling order, gate selection) so the
+    /// event ties, worker polling order, close re-check timing) so the
     /// interleaving fuzzer can hunt ordering bugs. Results must be
     /// identical either way.
     #[serde(default)]

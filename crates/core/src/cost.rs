@@ -17,7 +17,7 @@
 //! All durations are nanoseconds of simulated time.
 
 use serde::{Deserialize, Serialize};
-use snap_mem::SimTime;
+use snap_net::SimTime;
 
 /// Per-operation costs of the machine, in nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -8,7 +8,7 @@
 use crate::error::CoreError;
 use crate::region::Region;
 use crate::report::CollectOutput;
-use snap_isa::Instruction;
+use snap_isa::{InstrClass, Instruction};
 use snap_kb::{Marker, NodeId, SemanticNetwork};
 
 /// Work performed by one cluster while executing a single instruction.
@@ -69,7 +69,9 @@ impl NetAccess<'_> {
     }
 }
 
-/// Applies `instr` to `regions`/`network`.
+/// Applies `instr` to `regions`/`network`: the six node-maintenance
+/// instructions edit the network, everything else goes through
+/// [`exec_single_shared`].
 ///
 /// # Errors
 ///
@@ -85,11 +87,39 @@ pub fn exec_single(
     network: &mut SemanticNetwork,
     regions: &mut [Region],
 ) -> Result<SingleOutcome, CoreError> {
-    let mut out = SingleOutcome {
+    if instr.class() != InstrClass::Maintenance {
+        // Everything else reads the network without mutating it.
+        return exec_single_shared(instr, network, regions);
+    }
+    let marked = instr.reads_fixed()[0].map_or_else(Vec::new, |m| all_active(regions, m));
+    Ok(SingleOutcome {
         work: vec![ClusterWork::default(); regions.len()],
-        ..SingleOutcome::default()
-    };
-    match instr {
+        collect: None,
+        maintenance_ops: exec_maintenance(instr, network, &marked)?,
+    })
+}
+
+/// Applies one node-maintenance instruction to `network`, returning the
+/// number of controller-side operations performed. `marked` is where the
+/// marker the instruction reads ([`Instruction::reads_fixed`]) is
+/// active, ascending — gathered by the caller, because only the engine
+/// knows where its regions live (one slice here, one thread per cluster
+/// in the threaded engine); `CREATE`, `DELETE` and `SET-COLOR` read no
+/// marker and ignore it.
+///
+/// # Errors
+///
+/// Returns [`CoreError`] for unknown nodes or missing links.
+///
+/// # Panics
+///
+/// Panics if `instr` is not a maintenance instruction.
+pub(crate) fn exec_maintenance(
+    instr: &Instruction,
+    network: &mut SemanticNetwork,
+    marked: &[NodeId],
+) -> Result<usize, CoreError> {
+    let ops = match instr {
         // ----- node maintenance (controller housekeeping) -----
         Instruction::Create {
             source,
@@ -98,7 +128,7 @@ pub fn exec_single(
             destination,
         } => {
             network.add_link(*source, *relation, *weight, *destination)?;
-            out.maintenance_ops = 1;
+            1
         }
         Instruction::Delete {
             source,
@@ -106,55 +136,51 @@ pub fn exec_single(
             destination,
         } => {
             network.remove_link(*source, *relation, *destination)?;
-            out.maintenance_ops = 1;
+            1
         }
         Instruction::SetColor { node, color } => {
             network.set_color(*node, *color)?;
-            out.maintenance_ops = 1;
+            1
         }
 
         // ----- marker node maintenance -----
         Instruction::MarkerCreate {
-            marker,
             forward,
             end,
             reverse,
+            ..
         } => {
-            let marked = all_active(regions, *marker);
-            for node in &marked {
+            for node in marked {
                 network.add_link(*node, *forward, 0.0, *end)?;
                 network.add_link(*end, *reverse, 0.0, *node)?;
             }
-            out.maintenance_ops = marked.len() * 2;
+            marked.len() * 2
         }
         Instruction::MarkerDelete {
-            marker,
             forward,
             end,
             reverse,
+            ..
         } => {
-            let marked = all_active(regions, *marker);
-            for node in &marked {
+            for node in marked {
                 network.remove_link(*node, *forward, *end)?;
                 network.remove_link(*end, *reverse, *node)?;
             }
-            out.maintenance_ops = marked.len() * 2;
+            marked.len() * 2
         }
-        Instruction::MarkerSetColor { marker, color } => {
-            let marked = all_active(regions, *marker);
-            for node in &marked {
+        Instruction::MarkerSetColor { color, .. } => {
+            for node in marked {
                 network.set_color(*node, *color)?;
             }
-            out.maintenance_ops = marked.len();
+            marked.len()
         }
 
-        // Everything else reads the network without mutating it.
-        _ => return exec_single_shared(instr, network, regions),
-    }
+        _ => unreachable!("not a maintenance instruction"),
+    };
     // Keep the relation table's contiguous index complete so the next
     // propagation phase stays on the slice-lookup fast path.
     network.flush_links();
-    Ok(out)
+    Ok(ops)
 }
 
 /// Applies one non-propagate, non-maintenance instruction to `regions`
@@ -323,11 +349,7 @@ pub fn exec_single_shared_into(
             for (c, region) in regions.iter().enumerate() {
                 out.work[c].items = region.collect_marker_into(*marker, &mut all);
             }
-            // Node IDs are unique across regions (each node lives in
-            // exactly one), so the allocation-free unstable sort is
-            // order-equivalent to a stable one.
-            all.sort_unstable_by_key(|(n, _)| *n);
-            out.collect = Some(CollectOutput::Nodes(all));
+            out.collect = Some(sorted_collect(CollectOutput::Nodes(all)));
         }
         Instruction::CollectRelation { marker, relation } => {
             let mut all = match spare {
@@ -341,10 +363,7 @@ pub fn exec_single_shared_into(
                 out.work[c].items =
                     region.collect_relation_into(network, *marker, *relation, &mut all);
             }
-            // Parallel links can tie on (node, destination); the stable
-            // sort preserves their CSR order.
-            all.sort_by_key(|(n, l)| (*n, l.destination));
-            out.collect = Some(CollectOutput::Links(all));
+            out.collect = Some(sorted_collect(CollectOutput::Links(all)));
         }
         Instruction::CollectColor { marker } => {
             let mut all = match spare {
@@ -357,9 +376,7 @@ pub fn exec_single_shared_into(
             for (c, region) in regions.iter().enumerate() {
                 out.work[c].items = region.collect_color_into(network, *marker, &mut all);
             }
-            // Unique node keys, as for COLLECT-MARKER.
-            all.sort_unstable_by_key(|(n, _)| *n);
-            out.collect = Some(CollectOutput::Colors(all));
+            out.collect = Some(sorted_collect(CollectOutput::Colors(all)));
         }
 
         // ----- explicit barrier: no marker work -----
@@ -383,8 +400,24 @@ pub(crate) fn phase_of(class: snap_isa::InstrClass) -> snap_obs::PhaseKind {
     }
 }
 
+/// Puts a retrieval gathered region by region into the order every
+/// engine reports: ascending by node (then by link destination).
+pub(crate) fn sorted_collect(mut out: CollectOutput) -> CollectOutput {
+    match &mut out {
+        // Node IDs are unique across regions (each node lives in exactly
+        // one), so the allocation-free unstable sort is order-equivalent
+        // to a stable one.
+        CollectOutput::Nodes(v) => v.sort_unstable_by_key(|(n, _)| *n),
+        // Parallel links can tie on (node, destination); the stable sort
+        // preserves their CSR order.
+        CollectOutput::Links(v) => v.sort_by_key(|(n, l)| (*n, l.destination)),
+        CollectOutput::Colors(v) => v.sort_unstable_by_key(|(n, _)| *n),
+    }
+    out
+}
+
 /// All nodes where `marker` is active, across every region, ascending.
-fn all_active(regions: &[Region], marker: Marker) -> Vec<NodeId> {
+pub(crate) fn all_active(regions: &[Region], marker: Marker) -> Vec<NodeId> {
     let mut nodes: Vec<NodeId> = regions
         .iter()
         .flat_map(|r| r.active_nodes_iter(marker))

@@ -33,7 +33,7 @@ use crate::region::{Region, RegionMap};
 use crate::report::RunReport;
 use snap_isa::{InstrClass, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
-use snap_mem::SimTime;
+use snap_net::SimTime;
 use snap_net::{BusModel, HypercubeTopology, PerfCollector};
 use snap_obs::{FaultKind, PhaseKind, Stamp, Tracer, CONTROLLER_TRACK};
 use snap_sync::TieredSyncModel;

@@ -1,47 +1,39 @@
 //! The shared scheduler core: one ordering discipline for three engines.
 //!
 //! Every engine runs the same phase shape — seed sources, drain a pool
-//! of ready work, apply arrivals, close the phase with a gate — but each
-//! used to hand-roll the ordering of that pool. This module centralizes
-//! the *choice of what fires next* behind a [`ScheduleStrategy`]:
+//! of ready work, apply arrivals, close the phase — but each used to
+//! hand-roll the ordering of that pool. This module centralizes the
+//! *choice of what fires next* behind a [`ScheduleStrategy`]:
 //!
 //! * [`ReadyQueue`] orders the ready-task pool of the sequential engine
 //!   and of each threaded worker;
 //! * [`EventQueue`] orders the discrete-event simulator's event heap,
 //!   breaking ties between equal-time events;
-//! * [`PhaseGate`] is the phase-closure protocol (the former
-//!   `threaded::Gate`), with strategy-aware selection between the
-//!   counting fast path and the faithful tiered barrier;
 //! * [`Picker`] is the per-stream deterministic decision source behind
-//!   all of them.
+//!   both.
 //!
 //! Under [`ScheduleStrategy::Fifo`] (the default) every primitive
 //! reproduces the historical orders bit for bit: `ReadyQueue` pops the
-//! front, `EventQueue` orders by `(time, seq)`, and the gate selection
-//! matches the old injector/tracer rule. Under
+//! front and `EventQueue` orders by `(time, seq)`. Under
 //! [`ScheduleStrategy::Fuzzed`] a seeded RNG permutes exactly the
 //! decisions that a legal but adversarial machine could make — which
 //! ready task runs next, which of two equal-time events fires first,
-//! whether a worker drains the fabric or its local queue, which gate
-//! protocol closes the phase — while the propagation semantics
-//! (min-`(value, origin)` convergence) guarantee the *results* must not
-//! change. The interleaving fuzzer in the integration-test crate sweeps
-//! seeds through the differential grid and shrinks any divergence to a
-//! minimal decision prefix via the strategy's `limit` knob.
+//! whether a worker drains the fabric or its local queue, how long the
+//! controller waits before re-checking a closed phase — while the
+//! propagation semantics (min-`(value, origin)` convergence) guarantee
+//! the *results* must not change. The interleaving fuzzer in the
+//! integration-test crate sweeps seeds through the differential grid and
+//! shrinks any divergence to a minimal decision prefix via the
+//! strategy's `limit` knob.
 
 use crate::propagate::PropArrival;
 use crate::region::Region;
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
-use snap_fault::FaultInjector;
 use snap_kb::{Marker, NodeId};
-use snap_obs::Tracer;
-use snap_sync::{BarrierStall, CountingGate, TieredBarrier};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// How the scheduler core orders ready work.
 ///
@@ -54,7 +46,7 @@ pub enum ScheduleStrategy {
     Fifo,
     /// Seeded adversarial order: a [`Picker`] derived from `seed`
     /// permutes ready-task picks, equal-time event ties, worker
-    /// fabric-vs-queue polling, and gate selection. Only the first
+    /// fabric-vs-queue polling, and close re-check timing. Only the first
     /// `limit` decisions of each stream are fuzzed; later ones fall back
     /// to the FIFO default, which is the shrinking knob the fuzz harness
     /// bisects (`limit = u64::MAX` fuzzes everything).
@@ -196,7 +188,7 @@ impl Picker {
     /// The planted ordering bug (test-only, behind the `fuzz-bug`
     /// feature): reports whether the last ready-pool pick was reordered,
     /// in which case the engine drops that expansion's arrivals —
-    /// truncating propagation without disturbing gate accounting, so the
+    /// truncating propagation without disturbing barrier accounting, so the
     /// differential grid sees a clean result divergence instead of a
     /// hang. Never fires under FIFO, so the feature is inert for the
     /// normal test suite.
@@ -482,128 +474,6 @@ pub(crate) fn maybe_plant_bug(picker: &Picker, arrivals: &mut Vec<PropArrival>) 
     }
 }
 
-/// Phase-closure protocol, chosen once per run.
-///
-/// Under fault injection or tracing the engine runs the faithful SNAP-1
-/// protocol: per-level counters plus the busy-PE AND-tree
-/// ([`TieredBarrier`], ~8 shared-atomic transitions per task). On the
-/// clean fast path phase closure only needs "every created token was
-/// consumed", so a single packed counter ([`CountingGate`], 2
-/// transitions per task) closes phases instead. A fuzzed schedule may
-/// force either protocol, so the fuzzer exercises both closure paths
-/// against the same workload.
-#[derive(Clone)]
-pub(crate) enum PhaseGate {
-    Fast(Arc<CountingGate>),
-    Tiered(Arc<TieredBarrier>),
-}
-
-impl PhaseGate {
-    /// Picks the protocol for this run. Injection and tracing *require*
-    /// the tiered barrier (per-level attribution, injected
-    /// counter-network stalls, barrier-arrive events); otherwise FIFO
-    /// takes the counting fast path and a fuzzed strategy flips a coin —
-    /// gate-close timing is one of the orderings under test.
-    pub(crate) fn select(
-        injector: Option<&Arc<FaultInjector>>,
-        tracer: &Tracer,
-        picker: &mut Picker,
-    ) -> Self {
-        if injector.is_some() || tracer.is_enabled() {
-            PhaseGate::Tiered(TieredBarrier::with_instruments(
-                injector.cloned(),
-                tracer.clone(),
-            ))
-        } else if picker.coin() {
-            PhaseGate::Fast(CountingGate::new())
-        } else {
-            PhaseGate::Tiered(TieredBarrier::with_instruments(None, tracer.clone()))
-        }
-    }
-
-    #[inline]
-    pub(crate) fn created(&self, level: u8) {
-        match self {
-            PhaseGate::Fast(g) => g.created(),
-            PhaseGate::Tiered(b) => b.created(level),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn consumed(&self, level: u8) {
-        match self {
-            PhaseGate::Fast(g) => g.consumed(),
-            PhaseGate::Tiered(b) => b.consumed(level),
-        }
-    }
-
-    /// The AND-tree busy bit only exists in the tiered protocol; the
-    /// counting gate detects quiescence from the token count alone.
-    #[inline]
-    pub(crate) fn enter_busy(&self) {
-        if let PhaseGate::Tiered(b) = self {
-            b.enter_busy();
-        }
-    }
-
-    #[inline]
-    pub(crate) fn exit_busy(&self) {
-        if let PhaseGate::Tiered(b) = self {
-            b.exit_busy();
-        }
-    }
-
-    pub(crate) fn wait_complete_timeout(&self, stall_after: Duration) -> Result<(), BarrierStall> {
-        match self {
-            PhaseGate::Fast(g) => g.wait_quiescent_timeout(stall_after),
-            PhaseGate::Tiered(b) => b.wait_complete_timeout(stall_after),
-        }
-    }
-
-    /// Fuzzed gate-close timing: after the gate first reports closure,
-    /// yield the controller a strategy-chosen number of times and
-    /// re-verify. A protocol that can close while a token is still in
-    /// flight (false termination) is caught here as a counter that went
-    /// positive again; a correct protocol never re-opens once the phase
-    /// is quiet, because workers create tokens only while consuming one.
-    ///
-    /// The re-check reads the token counters only
-    /// ([`TieredBarrier::levels_drained`]): under the resilient protocol
-    /// workers pulse the busy bit after closure with no token involved,
-    /// so the AND-tree says nothing about a re-opened phase.
-    pub(crate) fn confirm_complete(&self, picker: &mut Picker) -> bool {
-        let rounds = picker.pick(4);
-        for _ in 0..rounds {
-            std::thread::yield_now();
-        }
-        match self {
-            PhaseGate::Fast(g) => g.is_quiescent(),
-            PhaseGate::Tiered(b) => b.levels_drained(),
-        }
-    }
-
-    pub(crate) fn in_flight(&self) -> i64 {
-        match self {
-            PhaseGate::Fast(g) => g.in_flight(),
-            PhaseGate::Tiered(b) => b.in_flight(),
-        }
-    }
-
-    pub(crate) fn busy_pes(&self) -> usize {
-        match self {
-            PhaseGate::Fast(_) => 0,
-            PhaseGate::Tiered(b) => b.busy_pes(),
-        }
-    }
-
-    pub(crate) fn reset(&self) {
-        match self {
-            PhaseGate::Fast(g) => g.reset(),
-            PhaseGate::Tiered(b) => b.reset(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,54 +686,6 @@ mod tests {
             vec![(0, 0), (0, 1), (0, 2), (0, 9), (1, 0), (1, 1), (1, 2)]
         );
         assert_eq!((q.len(), q.heap.len()), (294, 3));
-    }
-
-    #[test]
-    fn gate_selection_is_strategy_aware() {
-        let tracer = Tracer::disabled();
-        let mut fifo = Picker::new(ScheduleStrategy::Fifo, CONTROL_STREAM);
-        assert!(matches!(
-            PhaseGate::select(None, &tracer, &mut fifo),
-            PhaseGate::Fast(_)
-        ));
-        // Some fuzz seed picks the tiered protocol even without faults.
-        let tiered = (0..64).any(|seed| {
-            let mut p = Picker::new(ScheduleStrategy::fuzzed(seed), CONTROL_STREAM);
-            matches!(
-                PhaseGate::select(None, &tracer, &mut p),
-                PhaseGate::Tiered(_)
-            )
-        });
-        assert!(tiered, "no seed selected the tiered gate");
-        // Injection always forces the faithful protocol.
-        let inj = Arc::new(FaultInjector::new(snap_fault::FaultPlan::seeded(1)));
-        let mut p = Picker::new(ScheduleStrategy::fuzzed(0), CONTROL_STREAM);
-        assert!(matches!(
-            PhaseGate::select(Some(&inj), &tracer, &mut p),
-            PhaseGate::Tiered(_)
-        ));
-    }
-
-    #[test]
-    fn gate_confirm_complete_holds_on_quiet_gate() {
-        let mut p = Picker::new(ScheduleStrategy::fuzzed(9), CONTROL_STREAM);
-        let gate = PhaseGate::select(None, &Tracer::disabled(), &mut p);
-        gate.created(0);
-        gate.consumed(0);
-        assert!(gate.wait_complete_timeout(Duration::from_secs(1)).is_ok());
-        assert!(gate.confirm_complete(&mut p));
-
-        // A busy PE with no token outstanding is not a re-opened phase;
-        // an outstanding token is, whatever the AND-tree reads.
-        let tiered = PhaseGate::Tiered(TieredBarrier::new());
-        tiered.enter_busy();
-        assert!(tiered.confirm_complete(&mut p));
-        tiered.created(3);
-        assert!(!tiered.confirm_complete(&mut p));
-        tiered.exit_busy();
-        assert!(!tiered.confirm_complete(&mut p));
-        tiered.consumed(3);
-        assert!(tiered.confirm_complete(&mut p));
     }
 
     #[test]

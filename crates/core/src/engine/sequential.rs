@@ -20,7 +20,7 @@ use crate::region::Region;
 use crate::report::RunReport;
 use snap_isa::{InstrClass, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
-use snap_mem::SimTime;
+use snap_net::SimTime;
 use snap_obs::{PhaseKind, Stamp, Tracer};
 use std::sync::Arc;
 
@@ -103,8 +103,10 @@ pub(crate) fn run(
 }
 
 /// Single-PE cost of one non-propagate instruction, with the overhead
-/// and barrier side accounting.
-fn instr_cost(
+/// and barrier side accounting. The serving layer charges each lane of
+/// a fused batch through this same function, which is what keeps a
+/// served report's `total_ns` equal to the solo run's.
+pub fn instr_cost(
     cost: &CostModel,
     class: InstrClass,
     out: &SingleOutcome,

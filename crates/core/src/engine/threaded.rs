@@ -33,9 +33,11 @@
 
 use crate::config::MachineConfig;
 use crate::controller::{plan, PropSpec, Step};
-use crate::engine::common::phase_of;
+use crate::engine::common::{
+    all_active, exec_maintenance, exec_single_shared_into, phase_of, sorted_collect, SingleOutcome,
+};
 use crate::engine::sched::{
-    apply_arrival, maybe_plant_bug, PhaseGate, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM,
+    apply_arrival, maybe_plant_bug, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM,
 };
 use crate::error::CoreError;
 use crate::prepared::Prepared;
@@ -46,9 +48,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use snap_fault::{Corruptible, DedupTable, Envelope, FaultInjector, RetryPolicy};
 use snap_isa::{InstrClass, Instruction, Program};
-use snap_kb::{ClusterId, Color, Link, MarkerValue, NodeId, SemanticNetwork};
+use snap_kb::{ClusterId, Marker, NodeId, SemanticNetwork};
 use snap_net::{Fabric, HypercubeTopology};
 use snap_obs::{FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
+use snap_sync::TieredBarrier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,14 +86,13 @@ const MAX_REPLAYS: u32 = 4;
 /// replying, so between instructions the controller holds the only
 /// reference and maintenance can mutate in place.
 enum Cmd {
-    /// Execute the local part of a non-propagate, non-collect
-    /// instruction; reply `Done`.
-    Global(Arc<Instruction>, Arc<SemanticNetwork>),
-    /// Gather the local part of a retrieval; reply with the part.
-    Collect(Arc<Instruction>, Arc<SemanticNetwork>),
+    /// Execute one non-propagate, non-maintenance instruction over the
+    /// regions this worker holds; reply `Collected` with the local part
+    /// of a retrieval, `Done` otherwise.
+    Exec(Arc<Instruction>, Arc<SemanticNetwork>),
     /// Report the nodes where a marker is active (marker-node
     /// maintenance support); reply `Active`.
-    ActiveNodes(snap_kb::Marker),
+    ActiveNodes(Marker),
     /// Enter propagation mode for these overlapped specs, under the
     /// given recovery epoch, over the given network snapshot.
     Prop {
@@ -112,9 +114,7 @@ enum Cmd {
 /// Replies from workers to the controller.
 enum Reply {
     Done,
-    Nodes(Vec<(NodeId, Option<MarkerValue>)>),
-    Links(Vec<(NodeId, Link)>),
-    Colors(Vec<(NodeId, Color)>),
+    Collected(CollectOutput),
     Active(Vec<NodeId>),
     /// A worker thread panicked; sent by its catch-unwind wrapper.
     Crashed(usize),
@@ -236,11 +236,7 @@ fn run_arc(
     // listening on the wrong slot silently strands every message sent to
     // it, which the barrier watchdog then reports as lost.
     fabric_rxs.truncate(config.clusters);
-    // Phase-closure protocol and every controller-side schedule decision
-    // draw from the control stream's picker; a fuzzed schedule may also
-    // flip the gate choice (see `PhaseGate::select`).
-    let mut ctrl_picker = Picker::new(config.schedule, CONTROL_STREAM);
-    let gate = PhaseGate::select(injector.as_ref(), &tracer, &mut ctrl_picker);
+    let barrier = TieredBarrier::with_instruments(injector.clone(), tracer.clone());
     // A fuzzed schedule additionally permutes fabric delivery order:
     // counted marker envelopes may be held back one-deep per destination
     // until overtaken or flushed by an idle worker.
@@ -273,7 +269,7 @@ fn run_arc(
         live: vec![true; config.clusters],
         owners: Arc::clone(&owners),
         checkpoints: Arc::clone(&checkpoints),
-        gate: gate.clone(),
+        barrier: Arc::clone(&barrier),
         fabric: fabric.clone(),
         rx_backups,
         injector: injector.clone(),
@@ -283,25 +279,24 @@ fn run_arc(
         msgs_before_phase: 0,
         replays: 0,
         tracer: tracer.clone(),
-        picker: ctrl_picker,
+        picker: Picker::new(config.schedule, CONTROL_STREAM),
     };
 
     let scope_result = std::thread::scope(|scope| -> Result<(), CoreError> {
         // Spawn one worker per cluster, each under a panic catcher that
         // reports the crash instead of aborting the whole scope.
         for c in (0..config.clusters).rev() {
-            let region = Region::new(ClusterId(c as u8), Arc::clone(map), &shared);
             let worker = Worker {
                 cluster: c,
                 max_hops: config.max_hops,
-                region,
-                adopted: Vec::new(),
+                regions: vec![Region::new(ClusterId(c as u8), Arc::clone(map), &shared)],
+                outcome: SingleOutcome::default(),
                 map: Arc::clone(map),
                 cmd_rx: cmd_rxs.pop().expect("one rx per cluster"),
                 reply_tx: reply_tx.clone(),
                 fabric: fabric.clone(),
                 fabric_rx: fabric_rxs.pop().expect("one fabric rx per cluster"),
-                gate: gate.clone(),
+                barrier: Arc::clone(&barrier),
                 first_error: &first_error,
                 injector: injector.clone(),
                 retry: RetryPolicy::default(),
@@ -413,7 +408,7 @@ struct Controller {
     live: Vec<bool>,
     owners: Arc<Vec<AtomicUsize>>,
     checkpoints: Arc<Mutex<Vec<Option<Region>>>>,
-    gate: PhaseGate,
+    barrier: Arc<TieredBarrier>,
     fabric: Fabric<NetMsg>,
     rx_backups: Vec<Receiver<NetMsg>>,
     injector: Option<Arc<FaultInjector>>,
@@ -423,7 +418,7 @@ struct Controller {
     msgs_before_phase: u64,
     replays: u32,
     tracer: Tracer,
-    /// Control-stream schedule decisions (gate choice, close re-checks).
+    /// Control-stream schedule decisions (close re-checks).
     picker: Picker,
 }
 
@@ -509,7 +504,7 @@ impl Controller {
                 if self.live[c] {
                     // One phase token per worker prevents completion
                     // before every cluster has seeded its sources.
-                    self.gate.created(0);
+                    self.barrier.created(0);
                     self.send_cmd(
                         c,
                         Cmd::Prop {
@@ -523,19 +518,15 @@ impl Controller {
             let wait_t0 = Instant::now();
             let mut strikes = 0;
             loop {
-                match self.gate.wait_complete_timeout(window) {
+                match self.barrier.wait_complete_timeout(window) {
                     Ok(()) => {
-                        // Fuzzed gate-close timing: yield a strategy-
-                        // chosen number of times and re-verify. A closure
-                        // protocol that can report quiescence with a
-                        // token still in flight (a false termination)
-                        // re-opens here and fails typed.
-                        if self.gate.confirm_complete(&mut self.picker) {
+                        if confirm_complete(&self.barrier, &mut self.picker) {
                             break;
                         }
                         return Err(CoreError::BarrierStalled {
-                            reason: "gate re-opened after reporting completion (false termination)"
-                                .into(),
+                            reason:
+                                "barrier re-opened after reporting completion (false termination)"
+                                    .into(),
                         });
                     }
                     Err(stall) => {
@@ -543,8 +534,8 @@ impl Controller {
                         // a stall: release the reorder hook's slots.
                         self.fabric.flush_held();
                         self.tracer.barrier_stall(
-                            self.gate.in_flight(),
-                            self.gate.busy_pes() as u64,
+                            self.barrier.in_flight(),
+                            self.barrier.busy_pes() as u64,
                             self.tracer.wall_stamp(),
                         );
                         if let Some(dead) = self.poll_crash() {
@@ -627,7 +618,7 @@ impl Controller {
         *first_error.lock() = None;
         // Abandon the dead phase's barrier accounting and any traffic
         // still queued for the dead worker.
-        self.gate.reset();
+        self.barrier.reset();
         while self.rx_backups[dead].try_recv().is_ok() {}
         // Prefer a hypercube neighbor (cheapest adoption in the modelled
         // network); fall back to any live worker.
@@ -679,40 +670,19 @@ impl Controller {
         net: &mut Arc<SemanticNetwork>,
     ) -> Result<(), CoreError> {
         match instr.class() {
-            InstrClass::Maintenance => self.exec_maintenance(instr, net),
-            InstrClass::Collect => {
-                let shared = Arc::new(instr.clone());
-                for c in 0..self.clusters {
-                    if self.live[c] {
-                        self.send_cmd(c, Cmd::Collect(Arc::clone(&shared), Arc::clone(net)))?;
-                    }
-                }
-                let mut nodes = Vec::new();
-                let mut links = Vec::new();
-                let mut colors = Vec::new();
-                for _ in 0..self.live_count() {
-                    match self.recv_reply()? {
-                        Reply::Nodes(mut v) => nodes.append(&mut v),
-                        Reply::Links(mut v) => links.append(&mut v),
-                        Reply::Colors(mut v) => colors.append(&mut v),
-                        _ => {}
-                    }
-                }
-                let out = match instr {
-                    Instruction::CollectMarker { .. } => {
-                        nodes.sort_by_key(|(n, _)| *n);
-                        CollectOutput::Nodes(nodes)
-                    }
-                    Instruction::CollectRelation { .. } => {
-                        links.sort_by_key(|(n, l)| (*n, l.destination));
-                        CollectOutput::Links(links)
-                    }
-                    _ => {
-                        colors.sort_by_key(|(n, _)| *n);
-                        CollectOutput::Colors(colors)
-                    }
+            InstrClass::Maintenance => {
+                // Node/marker maintenance runs on the controller while
+                // the array is quiescent (the paper's "housekeeping when
+                // the pipeline is empty"). Workers drop their snapshot
+                // clones before replying to each command, so the
+                // controller normally holds the only reference and
+                // `Arc::make_mut` mutates in place; it only falls back
+                // to a copy when a crashed worker stranded a clone.
+                let marked = match instr.reads_fixed()[0] {
+                    Some(marker) => self.active_marked(marker)?,
+                    None => Vec::new(),
                 };
-                self.report.collects.push(out);
+                exec_maintenance(instr, Arc::make_mut(net), &marked)?;
                 Ok(())
             }
             InstrClass::Barrier => {
@@ -724,16 +694,23 @@ impl Controller {
                 let shared = Arc::new(instr.clone());
                 for c in 0..self.clusters {
                     if self.live[c] {
-                        self.send_cmd(c, Cmd::Global(Arc::clone(&shared), Arc::clone(net)))?;
+                        self.send_cmd(c, Cmd::Exec(Arc::clone(&shared), Arc::clone(net)))?;
                     }
                 }
-                self.collect_done(self.live_count())
+                let mut parts = Vec::new();
+                for _ in 0..self.live_count() {
+                    if let Reply::Collected(part) = self.recv_reply()? {
+                        parts.push(part);
+                    }
+                }
+                self.report.collects.extend(merge_collects(parts));
+                Ok(())
             }
         }
     }
 
     /// Nodes where `marker` is active, across every live region.
-    fn active_marked(&mut self, marker: snap_kb::Marker) -> Result<Vec<NodeId>, CoreError> {
+    fn active_marked(&mut self, marker: Marker) -> Result<Vec<NodeId>, CoreError> {
         for c in 0..self.clusters {
             if self.live[c] {
                 self.send_cmd(c, Cmd::ActiveNodes(marker))?;
@@ -748,89 +725,59 @@ impl Controller {
         nodes.sort_unstable();
         Ok(nodes)
     }
+}
 
-    /// Node/marker maintenance runs on the controller while the array is
-    /// quiescent (the paper's "housekeeping when the pipeline is empty").
-    ///
-    /// Workers drop their snapshot clones before replying to each
-    /// command, so by the time a maintenance instruction executes the
-    /// controller normally holds the only reference and `Arc::make_mut`
-    /// mutates in place; it only falls back to a copy when a crashed
-    /// worker stranded a clone.
-    fn exec_maintenance(
-        &mut self,
-        instr: &Instruction,
-        net: &mut Arc<SemanticNetwork>,
-    ) -> Result<(), CoreError> {
-        match instr {
-            Instruction::Create {
-                source,
-                relation,
-                weight,
-                destination,
-            } => Arc::make_mut(net).add_link(*source, *relation, *weight, *destination)?,
-            Instruction::Delete {
-                source,
-                relation,
-                destination,
-            } => Arc::make_mut(net).remove_link(*source, *relation, *destination)?,
-            Instruction::SetColor { node, color } => Arc::make_mut(net).set_color(*node, *color)?,
-            Instruction::MarkerCreate {
-                marker,
-                forward,
-                end,
-                reverse,
-            } => {
-                let nodes = self.active_marked(*marker)?;
-                let net = Arc::make_mut(net);
-                for n in nodes {
-                    net.add_link(n, *forward, 0.0, *end)?;
-                    net.add_link(*end, *reverse, 0.0, n)?;
-                }
-            }
-            Instruction::MarkerDelete {
-                marker,
-                forward,
-                end,
-                reverse,
-            } => {
-                let nodes = self.active_marked(*marker)?;
-                let net = Arc::make_mut(net);
-                for n in nodes {
-                    net.remove_link(n, *forward, *end)?;
-                    net.remove_link(*end, *reverse, n)?;
-                }
-            }
-            Instruction::MarkerSetColor { marker, color } => {
-                let nodes = self.active_marked(*marker)?;
-                let net = Arc::make_mut(net);
-                for n in nodes {
-                    net.set_color(n, *color)?;
-                }
-            }
-            _ => unreachable!("not a maintenance instruction"),
-        }
-        // Maintenance may stage relation-table inserts; settle them while
-        // the array is quiescent so the next propagation phase expands
-        // over the indexed CSR layout.
-        Arc::make_mut(net).flush_links();
-        Ok(())
+/// Fuzzed close timing: after the barrier first reports completion,
+/// yield the controller a strategy-chosen number of times and
+/// re-verify. A protocol that can close while a token is still in
+/// flight (false termination) is caught here as a counter that went
+/// positive again; a correct protocol never re-opens once the phase is
+/// quiet, because workers create tokens only while consuming one.
+///
+/// The re-check reads the token counters only
+/// ([`TieredBarrier::levels_drained`]): under the resilient protocol
+/// workers pulse the busy bit after closure with no token involved, so
+/// the AND-tree says nothing about a re-opened phase.
+fn confirm_complete(barrier: &TieredBarrier, picker: &mut Picker) -> bool {
+    for _ in 0..picker.pick(4) {
+        std::thread::yield_now();
     }
+    barrier.levels_drained()
+}
+
+/// One retrieval from the parts the workers gathered, each over the
+/// regions it holds.
+fn merge_collects(parts: Vec<CollectOutput>) -> Option<CollectOutput> {
+    let mut parts = parts.into_iter();
+    let mut all = parts.next()?;
+    for part in parts {
+        match (&mut all, part) {
+            (CollectOutput::Nodes(a), CollectOutput::Nodes(b)) => a.extend(b),
+            (CollectOutput::Links(a), CollectOutput::Links(b)) => a.extend(b),
+            (CollectOutput::Colors(a), CollectOutput::Colors(b)) => a.extend(b),
+            _ => unreachable!("every part answers the same instruction"),
+        }
+    }
+    Some(sorted_collect(all))
 }
 
 /// One cluster's worker thread.
 struct Worker<'env> {
     cluster: usize,
     max_hops: u8,
-    region: Region,
-    /// Regions adopted from dead clusters (graceful degradation).
-    adopted: Vec<Region>,
+    /// This cluster's region, then any adopted from dead clusters
+    /// (graceful degradation): the heir does the work of the clusters it
+    /// covers.
+    regions: Vec<Region>,
+    /// Reused instruction outcome (the work counts go unread: this
+    /// engine's timing is wall-clock).
+    outcome: SingleOutcome,
     map: Arc<RegionMap>,
     cmd_rx: Receiver<Cmd>,
     reply_tx: Sender<Reply>,
     fabric: Fabric<NetMsg>,
     fabric_rx: Receiver<NetMsg>,
-    gate: PhaseGate,
+    barrier: Arc<TieredBarrier>,
     first_error: &'env Mutex<Option<CoreError>>,
     injector: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
@@ -881,27 +828,23 @@ impl Worker<'_> {
             // which lets maintenance mutate the network without copying.
             match cmd {
                 Cmd::Shutdown => return,
-                Cmd::Global(instr, net) => {
-                    if let Err(e) = self.exec_local(&instr, &net) {
+                Cmd::Exec(instr, net) => {
+                    let executed =
+                        exec_single_shared_into(&instr, &net, &mut self.regions, &mut self.outcome);
+                    if let Err(e) = executed {
                         self.report_error(e);
                     }
-                    drop(net);
-                    let _ = self.reply_tx.send(Reply::Done);
-                }
-                Cmd::Collect(instr, net) => {
-                    let reply = self.exec_collect(&instr, &net);
+                    let part = self.outcome.collect.take();
+                    let reply = part.map_or(Reply::Done, Reply::Collected);
                     drop(net);
                     let _ = self.reply_tx.send(reply);
                 }
                 Cmd::ActiveNodes(marker) => {
-                    let mut nodes = self.region.active_nodes(marker);
-                    for r in &self.adopted {
-                        nodes.extend(r.active_nodes_iter(marker));
-                    }
+                    let nodes = all_active(&self.regions, marker);
                     let _ = self.reply_tx.send(Reply::Active(nodes));
                 }
                 Cmd::Adopt(region) => {
-                    self.adopted.push(*region);
+                    self.regions.push(*region);
                     let _ = self.reply_tx.send(Reply::Done);
                 }
                 Cmd::Prop { specs, epoch, net } => {
@@ -927,96 +870,7 @@ impl Worker<'_> {
     /// The region holding `node` on this worker (own or adopted).
     fn region_for(&mut self, node: NodeId) -> Option<&mut Region> {
         let cluster = self.map.cluster_of(node);
-        if cluster.index() == self.cluster {
-            return Some(&mut self.region);
-        }
-        self.adopted.iter_mut().find(|r| r.cluster() == cluster)
-    }
-
-    fn exec_collect(&mut self, instr: &Instruction, net: &SemanticNetwork) -> Reply {
-        let mut regions: Vec<&Region> = Vec::with_capacity(1 + self.adopted.len());
-        regions.push(&self.region);
-        regions.extend(self.adopted.iter());
-        match instr {
-            Instruction::CollectMarker { marker } => Reply::Nodes(
-                regions
-                    .iter()
-                    .flat_map(|r| r.collect_marker(*marker))
-                    .collect(),
-            ),
-            Instruction::CollectRelation { marker, relation } => Reply::Links(
-                regions
-                    .iter()
-                    .flat_map(|r| r.collect_relation(net, *marker, *relation))
-                    .collect(),
-            ),
-            Instruction::CollectColor { marker } => Reply::Colors(
-                regions
-                    .iter()
-                    .flat_map(|r| r.collect_color(net, *marker))
-                    .collect(),
-            ),
-            _ => Reply::Done,
-        }
-    }
-
-    fn exec_local(&mut self, instr: &Instruction, net: &SemanticNetwork) -> Result<(), CoreError> {
-        // Adopted regions execute the same local part: the heir does the
-        // work of the cluster it covers.
-        let adopted = &mut self.adopted;
-        let own = &mut self.region;
-        let mut for_each = |f: &mut dyn FnMut(&mut Region) -> Result<(), CoreError>| {
-            f(own)?;
-            for r in adopted.iter_mut() {
-                f(r)?;
-            }
-            Ok(())
-        };
-        match instr {
-            Instruction::SearchNode {
-                node,
-                marker,
-                value,
-            } => for_each(&mut |r| r.search_node(*node, *marker, *value).map(|_| ())),
-            Instruction::SearchRelation {
-                relation,
-                marker,
-                value,
-            } => for_each(&mut |r| {
-                r.search_relation(net, *relation, *marker, *value)
-                    .map(|_| ())
-            }),
-            Instruction::SearchColor {
-                color,
-                marker,
-                value,
-            } => for_each(&mut |r| r.search_color(net, *color, *marker, *value).map(|_| ())),
-            Instruction::AndMarker {
-                a,
-                b,
-                target,
-                combine,
-            } => for_each(&mut |r| r.bool_op(true, *a, *b, *target, *combine).map(|_| ())),
-            Instruction::OrMarker {
-                a,
-                b,
-                target,
-                combine,
-            } => for_each(&mut |r| r.bool_op(false, *a, *b, *target, *combine).map(|_| ())),
-            Instruction::NotMarker { source, target } => {
-                for_each(&mut |r| r.not_op(*source, *target).map(|_| ()))
-            }
-            Instruction::SetMarker { marker, value } => {
-                for_each(&mut |r| r.set_marker(*marker, *value).map(|_| ()))
-            }
-            Instruction::ClearMarker { marker } => {
-                for_each(&mut |r| r.clear_marker(*marker).map(|_| ()))
-            }
-            Instruction::FuncMarker { marker, func } => {
-                for_each(&mut |r| r.func_marker(*marker, *func).map(|_| ()))
-            }
-            _ => Ok(()),
-        }
+        self.regions.iter_mut().find(|r| r.cluster() == cluster)
     }
 
     /// MIMD propagation under local control, with counted accounting:
@@ -1027,8 +881,7 @@ impl Worker<'_> {
             // Checkpoint every region this worker holds so the phase can
             // be replayed (by us or by an heir) after a crash.
             let mut cps = self.checkpoints.lock();
-            cps[self.cluster] = Some(self.region.clone());
-            for r in &self.adopted {
+            for r in &self.regions {
                 cps[r.cluster().index()] = Some(r.clone());
             }
             drop(cps);
@@ -1056,17 +909,17 @@ impl Worker<'_> {
         queue: &mut ReadyQueue<PropTask>,
     ) -> PhaseExit {
         // Seed local sources, then consume the controller's phase token.
-        self.gate.enter_busy();
+        self.barrier.enter_busy();
         for spec in specs {
             let mut sources: Vec<(NodeId, f32)> = Vec::new();
-            for r in std::iter::once(&self.region).chain(self.adopted.iter()) {
+            for r in &self.regions {
                 for node in r.active_nodes(spec.source) {
                     sources.push((node, r.source_value(spec.source, node)));
                 }
             }
             for (node, value) in sources {
                 if visited.should_expand(spec.prop, 0, node, value, node) {
-                    self.gate.created(0);
+                    self.barrier.created(0);
                     queue.push(PropTask {
                         prop: spec.prop,
                         node,
@@ -1078,8 +931,8 @@ impl Worker<'_> {
                 }
             }
         }
-        self.gate.consumed(0);
-        self.gate.exit_busy();
+        self.barrier.consumed(0);
+        self.barrier.exit_busy();
 
         loop {
             if self.resilient() {
@@ -1095,9 +948,9 @@ impl Worker<'_> {
             let queue_first = !queue.is_empty() && !self.picker.coin();
             if !queue_first {
                 if let Ok(msg) = self.fabric_rx.try_recv() {
-                    self.gate.enter_busy();
+                    self.barrier.enter_busy();
                     self.handle_net(specs, visited, queue, msg);
-                    self.gate.exit_busy();
+                    self.barrier.exit_busy();
                     continue;
                 }
             }
@@ -1109,10 +962,10 @@ impl Worker<'_> {
                         self.tracer.wall_stamp(),
                     );
                 }
-                self.gate.enter_busy();
+                self.barrier.enter_busy();
                 self.expand_task(specs, net, visited, queue, &task);
-                self.gate.consumed(task.level.min(63));
-                self.gate.exit_busy();
+                self.barrier.consumed(task.level.min(63));
+                self.barrier.exit_busy();
                 continue;
             }
             if self.resilient() && self.drive_retries() {
@@ -1143,10 +996,7 @@ impl Worker<'_> {
         self.pending.clear();
         self.dedup.clear();
         let cps = self.checkpoints.lock();
-        if let Some(cp) = &cps[self.cluster] {
-            self.region = cp.clone();
-        }
-        for r in &mut self.adopted {
+        for r in &mut self.regions {
             if let Some(cp) = &cps[r.cluster().index()] {
                 *r = cp.clone();
             }
@@ -1220,7 +1070,7 @@ impl Worker<'_> {
                 for task in env.payload {
                     self.handle_arrival(specs, visited, queue, task);
                 }
-                self.gate.consumed(level);
+                self.barrier.consumed(level);
             }
             NetMsg::Ack { seq, checksum } => {
                 if self
@@ -1270,7 +1120,7 @@ impl Worker<'_> {
             } else {
                 // Retransmission is work: flag the PE busy so the barrier
                 // watchdog sees live recovery activity, not dead air.
-                self.gate.enter_busy();
+                self.barrier.enter_busy();
                 let owner = self.owners[p.dest.index()].load(Ordering::Acquire);
                 self.fabric.send_faulty(
                     self.id(),
@@ -1285,7 +1135,7 @@ impl Worker<'_> {
                 p.attempts += 1;
                 p.due = Instant::now() + self.retry.backoff(p.attempts);
                 self.pending.insert(seq, p);
-                self.gate.exit_busy();
+                self.barrier.exit_busy();
             }
         }
         true
@@ -1328,7 +1178,7 @@ impl Worker<'_> {
                 .activation(self.map.cluster_of(task.node).index() as u16);
         }
         if expand {
-            self.gate.created(task.level.min(63));
+            self.barrier.created(task.level.min(63));
             queue.push(task);
         }
     }
@@ -1407,7 +1257,7 @@ impl Worker<'_> {
             let dest = self.batch_order[i];
             let batch = std::mem::take(&mut self.batch_bufs[dest.index()]);
             let owner = self.owners[dest.index()].load(Ordering::Acquire);
-            self.gate.created(level);
+            self.barrier.created(level);
             self.tasks_sent
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
             if self.tracer.is_enabled() {
@@ -1458,7 +1308,7 @@ mod tests {
     use crate::engine::des;
     use snap_fault::FaultPlan;
     use snap_isa::{CombineFunc, PropRule, StepFunc};
-    use snap_kb::{Marker, NetworkConfig, RelationType};
+    use snap_kb::{Color, NetworkConfig, RelationType};
 
     /// The engine the way [`Snap1::run`](crate::Snap1::run) drives it:
     /// flush, then set-up for `config`.
@@ -1612,6 +1462,22 @@ mod tests {
             .build();
         let cfg = MachineConfig::uniform(2, 1);
         assert!(run(&cfg, &mut net, &program).is_err());
+    }
+
+    /// A busy PE with no token outstanding is not a re-opened phase; an
+    /// outstanding token is, whatever the AND-tree reads.
+    #[test]
+    fn gate_confirm_complete_holds_on_quiet_gate() {
+        let mut p = Picker::new(ScheduleStrategy::fuzzed(9), CONTROL_STREAM);
+        let barrier = TieredBarrier::new();
+        barrier.enter_busy();
+        assert!(confirm_complete(&barrier, &mut p));
+        barrier.created(3);
+        assert!(!confirm_complete(&barrier, &mut p));
+        barrier.exit_busy();
+        assert!(!confirm_complete(&barrier, &mut p));
+        barrier.consumed(3);
+        assert!(confirm_complete(&barrier, &mut p));
     }
 
     #[test]

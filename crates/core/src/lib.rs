@@ -41,11 +41,13 @@ mod region;
 mod report;
 
 /// Engine-shared instruction semantics, public so comparator engines
-/// (the CM-2 baseline) execute the exact same logic.
+/// (the CM-2 baseline) execute the exact same logic and the serving
+/// layer charges the sequential engine's instruction costs.
 pub mod exec {
     pub use crate::engine::common::{
         exec_single, exec_single_shared, exec_single_shared_into, ClusterWork, SingleOutcome,
     };
+    pub use crate::engine::sequential::instr_cost;
 }
 
 pub use config::{EngineKind, MachineConfig};
@@ -59,6 +61,9 @@ pub use report::{CollectOutput, OverheadBreakdown, RunReport, TrafficStats};
 // Fault-injection vocabulary, re-exported so applications can build
 // plans and read reports without depending on snap-fault directly.
 pub use snap_fault::{FaultPlan, FaultReport, PanicSpec, RetryPolicy};
+// Simulated nanoseconds, defined in the lowest crate that computes with
+// them; re-exported so the layers above snap-core name one type.
+pub use snap_net::SimTime;
 // Observability vocabulary, re-exported likewise: configure tracing via
 // the builder, read `RunReport::trace`, export with `chrome_trace_json`.
 pub use snap_obs::{chrome_trace_json, ObsConfig, PhaseKind, TraceReport};

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use snap_fault::FaultReport;
 use snap_isa::InstrClass;
 use snap_kb::{Color, Link, MarkerValue, NodeId};
-use snap_mem::SimTime;
+use snap_net::SimTime;
 use snap_obs::TraceReport;
 use std::collections::BTreeMap;
 

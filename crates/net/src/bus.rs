@@ -7,8 +7,8 @@
 //! the bus is separate from the marker ICN, broadcast overhead is small
 //! and constant in the number of clusters — the property Fig. 21 reports.
 
+use crate::SimTime;
 use serde::{Deserialize, Serialize};
-use snap_mem::SimTime;
 
 /// Timing model of the global bus.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]

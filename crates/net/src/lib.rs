@@ -7,8 +7,8 @@
 //! * [`BusModel`] — the **global bus** the controller broadcasts SNAP
 //!   instructions over (and retrieves results through);
 //! * [`HypercubeTopology`] — the **4-ary hypercube** of spanning
-//!   four-port memories carrying fixed 64-bit [`MarkerMessage`]s between
-//!   clusters in at most `O(log N)` hops;
+//!   four-port memories carrying marker messages between clusters in at
+//!   most `O(log N)` hops;
 //! * [`PerfCollector`] — the **performance-collection network** of 2 Mb/s
 //!   serial links feeding a central timestamped FIFO.
 //!
@@ -20,12 +20,13 @@
 
 mod bus;
 mod fabric;
-mod message;
 mod perf;
 mod topology;
 
 pub use bus::BusModel;
 pub use fabric::Fabric;
-pub use message::MarkerMessage;
 pub use perf::{PerfCollector, PerfEvent, RECORD_BITS, RECORD_SHIFT_NS, SERIAL_LINK_BPS};
 pub use topology::HypercubeTopology;
+
+/// Simulated time in nanoseconds.
+pub type SimTime = u64;

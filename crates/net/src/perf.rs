@@ -7,8 +7,8 @@
 //! serial controller shifts the record out at 2 Mb/s to a central
 //! collection board, where it is timestamped and stored in a FIFO.
 
+use crate::SimTime;
 use serde::{Deserialize, Serialize};
-use snap_mem::SimTime;
 
 /// Serial link rate of the instrumentation network, bits per second.
 pub const SERIAL_LINK_BPS: u64 = 2_000_000;

@@ -13,12 +13,11 @@
 use crate::kb::{color, rel, LinguisticKb};
 use crate::phrasal::{PhrasalParse, PhrasalParser};
 use crate::sentence::Sentence;
-use snap_core::{CollectOutput, CoreError, RunReport, Snap1};
+use snap_core::{CollectOutput, CoreError, RunReport, SimTime, Snap1};
 use snap_isa::{
     Cmp, CombineFunc, Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc, ValueFunc,
 };
 use snap_kb::{Marker, NodeId};
-use snap_mem::SimTime;
 
 /// Maximum content phrases compiled per sentence (marker-register
 /// budget).

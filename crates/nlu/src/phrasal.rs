@@ -8,7 +8,7 @@
 //! resolves against the semantic network.
 
 use crate::kb::{LinguisticKb, PartOfSpeech};
-use snap_mem::SimTime;
+use snap_core::SimTime;
 use std::collections::HashMap;
 
 /// Controller time to process one token (serial chunker on the 32 MHz

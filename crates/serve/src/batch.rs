@@ -23,14 +23,13 @@
 
 use crate::context::QueryContext;
 use snap_core::controller::{PlanBuf, PlanOp};
-use snap_core::exec::{exec_single_shared_into, SingleOutcome};
+use snap_core::exec::{exec_single_shared_into, instr_cost, SingleOutcome};
 use snap_core::kernel::{
     propagate_multi_wave_sliced, BatchLane, MultiWaveScratch, SlicedLaneReport, MAX_SLICED_LANES,
 };
-use snap_core::{CoreError, CostModel, RunReport};
+use snap_core::{CoreError, CostModel, SimTime};
 use snap_isa::{InstrClass, Instruction, Program, RuleProgram, StepFunc};
 use snap_kb::{Marker, MarkerKind, NodeId, SemanticNetwork};
-use snap_mem::SimTime;
 
 /// Pooled executor state shared by every batch a server pumps: the
 /// controller plan, instruction outcome, lane frontiers, wave scratch,
@@ -267,41 +266,4 @@ fn run_group_sliced(
         }
     }
     Ok(())
-}
-
-/// Single-PE cost of one non-propagate instruction — the sequential
-/// engine's formula, reproduced so batched reports time out identically.
-fn instr_cost(
-    cost: &CostModel,
-    class: InstrClass,
-    out: &SingleOutcome,
-    report: &mut RunReport,
-) -> SimTime {
-    let w = out.work[0];
-    cost.pcp_ns
-        + match class {
-            InstrClass::Search => {
-                cost.pu_decode_ns
-                    + w.scans as SimTime * cost.link_scan_ns
-                    + w.value_ops as SimTime * cost.value_op_ns
-            }
-            InstrClass::Boolean | InstrClass::SetClear => {
-                cost.global_op_ns(w.words) + w.value_ops as SimTime * cost.value_op_ns
-            }
-            InstrClass::Collect => {
-                let ns = cost.collect_ns(1, w.items);
-                report.overhead.collect_ns += ns;
-                ns
-            }
-            InstrClass::Barrier => {
-                let ns = cost.sync_base_ns;
-                report.overhead.sync_ns += ns;
-                report.barriers += 1;
-                ns
-            }
-            InstrClass::Maintenance => {
-                unreachable!("admission sheds maintenance programs")
-            }
-            InstrClass::Propagate => unreachable!("plan puts propagates in groups"),
-        }
 }

@@ -701,6 +701,35 @@ mod tests {
     }
 
     #[test]
+    fn one_failing_lane_fails_alone_in_a_full_batch() {
+        let net = snapshot();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        // Warm the pool with one clean depth-16 batch.
+        for n in 0..16u32 {
+            server.offer(query(n));
+        }
+        assert_eq!(server.pump().len(), 16);
+        let (pool, warm) = (server.pool_size(), server.stats().completed);
+        // Same shape, but lane 5 asks about a node the KB does not have.
+        let node = |lane: u32| if lane == 5 { 300 } else { 100 + lane };
+        for lane in 0..16u32 {
+            server.offer(query(node(lane)));
+        }
+        let done = server.pump();
+        assert_eq!(done.len(), 16, "one pump serves the whole batch");
+        let oracle = oracle();
+        for (lane, c) in done.iter().enumerate() {
+            let want = oracle.run_shared(&net, &query(node(lane as u32)));
+            assert_eq!(c.result, want, "lane {lane}");
+            assert_eq!(c.result.is_err(), lane == 5, "lane {lane}");
+        }
+        let s = server.stats();
+        assert_eq!((s.completed - warm, s.failed), (15, 1));
+        assert_eq!(server.pool_size(), pool, "every context came back");
+        server.assert_accounting();
+    }
+
+    #[test]
     fn staged_links_are_rejected_at_construction() {
         let mut net = scale_free_network(10, 1, 3);
         net.flush_links();

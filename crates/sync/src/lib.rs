@@ -17,10 +17,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counting;
 mod model;
 mod threaded;
 
-pub use counting::CountingGate;
 pub use model::{NaiveSyncModel, TieredSyncModel, MAX_LEVELS};
 pub use threaded::{BarrierStall, TieredBarrier};

@@ -3,15 +3,11 @@
 //! Wraps `std::sync` primitives behind parking_lot's unpoisoned API:
 //! `lock()`/`read()`/`write()` return guards directly and a panic while
 //! holding a lock does not poison it for other threads (the std poison
-//! flag is ignored via `into_inner`). `Condvar::wait` takes the guard
-//! by `&mut` like parking_lot, which is why [`MutexGuard`] stores the
-//! underlying std guard in an `Option` — wait briefly takes it out,
-//! parks on the std condvar, and puts the reacquired guard back.
+//! flag is ignored via `into_inner`).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
-use std::time::Duration;
 
 /// Mutual exclusion primitive; `lock()` never returns a poison error.
 #[derive(Default)]
@@ -21,8 +17,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // Always `Some` outside of `Condvar::wait`'s take/park/replace window.
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -43,16 +38,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
 
     /// Acquires the lock only if it is free right now.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard { inner: g }),
             Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
+                inner: e.into_inner(),
             }),
             Err(sync::TryLockError::WouldBlock) => None,
         }
@@ -76,13 +71,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.inner
     }
 }
 
@@ -163,76 +158,6 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Result of a timed [`Condvar`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// `true` when the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// Condition variable usable with [`Mutex`]; waits take the guard by
-/// `&mut` like parking_lot.
-#[derive(Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically releases the guarded mutex and parks until notified;
-    /// the lock is reacquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-    }
-
-    /// Like [`wait`](Self::wait) but gives up after `timeout`.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard present");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
-    /// Wakes one parked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every parked waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar { .. }")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,34 +178,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut done = lock.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
     }
 
     #[test]

@@ -17,12 +17,12 @@
 
 use snap_core::{EngineKind, FaultPlan};
 use snap_integration_tests::grid::{
-    assert_equivalent, program_wave, programs, run_cell, run_cell_cfg, KbBuilder, CLUSTER_COUNTS,
-    KBS,
+    assert_equivalent, program_wave, programs, run_cell, run_cell_cfg, try_run_cell, KbBuilder,
+    CLUSTER_COUNTS, KBS,
 };
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::synth::{bridge_network, scale_free_network, star_network};
-use snap_kb::{Color, Marker, PartitionScheme, RelationType};
+use snap_kb::{Color, Marker, NodeId, PartitionScheme, RelationType};
 
 /// The full differential grid: every engine must agree with the
 /// sequential oracle on every cell. 3 KBs × 2 programs × 2 cluster
@@ -51,6 +51,43 @@ fn differential_grid_engines_agree() {
         combos >= 12,
         "grid shrank below the 12-combo floor: {combos}"
     );
+
+    // A program that must fail fails alike: a search for a node past the
+    // KB and a marker register past the 64-register file return the same
+    // typed error on every engine, not a collect on some.
+    let failing = [
+        (
+            "unknown-node",
+            Program::builder()
+                .search_node(NodeId(1_000), Marker::complex(0), 1.0)
+                .collect_marker(Marker::complex(0))
+                .build(),
+        ),
+        (
+            "marker-range",
+            Program::builder()
+                .set_marker(Marker::binary(70), 0.0)
+                .build(),
+        ),
+    ];
+    for &(kb_name, kb) in KBS {
+        for (prog_name, program) in &failing {
+            for &clusters in CLUSTER_COUNTS {
+                let run = |engine| {
+                    try_run_cell(kb, program, clusters, engine, |_| {}).map(|r| r.collects)
+                };
+                let oracle = run(EngineKind::Sequential);
+                assert!(oracle.is_err(), "{kb_name}/{prog_name}: {oracle:?}");
+                for engine in [EngineKind::Des, EngineKind::Threaded] {
+                    assert_eq!(
+                        run(engine),
+                        oracle,
+                        "{kb_name}/{prog_name}/c{clusters}/{engine:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Cluster count must not change logical results on any single engine
@@ -153,47 +190,42 @@ fn differential_grid_partition_schemes_agree() {
     }
 }
 
-/// The threaded engine closes fault-free propagation phases through the
-/// counting gate (no barrier round) and falls back to the tiered
-/// barrier whenever a fault injector is armed. Both termination paths
-/// must produce oracle-identical results on awkward (non-power-of-two)
-/// cluster counts — an armed-but-silent fault plan forces the tiered
-/// path without perturbing a single message, and a lossy plan exercises
-/// it under real retries.
+/// The threaded engine sends plain messages on a fault-free run and
+/// switches to the resilient protocol (envelopes, acks, retries,
+/// checkpoints) whenever a fault injector is armed; the tiered barrier
+/// closes the phases of both. Both must produce oracle-identical results
+/// on awkward (non-power-of-two) cluster counts — an armed-but-silent
+/// fault plan runs the resilient protocol without perturbing a single
+/// message, and a lossy plan exercises it under real retries.
 #[test]
-fn differential_fast_gate_and_tiered_barrier_agree() {
+fn differential_plain_and_resilient_protocols_agree() {
     for &(kb_name, kb) in KBS {
         for (prog_name, program) in &programs() {
             let oracle = run_cell(kb, program, 2, EngineKind::Sequential, None, false);
             for clusters in [2, 5, 6, 7] {
                 let label = format!("{kb_name}/{prog_name}/c{clusters}");
-                // Fast path: no injector, counting-gate termination.
-                let fast = run_cell_cfg(kb, program, clusters, EngineKind::Threaded, |c| {
+                let plain = run_cell_cfg(kb, program, clusters, EngineKind::Threaded, |c| {
                     c.partition = PartitionScheme::EdgeCut;
                 });
-                assert_equivalent(
-                    &format!("{label}/fast-gate"),
-                    &oracle.collects,
-                    &fast.collects,
-                );
-                // Tiered path, zero injected faults: pure termination A/B.
-                let tiered = run_cell_cfg(kb, program, clusters, EngineKind::Threaded, |c| {
+                assert_equivalent(&format!("{label}/plain"), &oracle.collects, &plain.collects);
+                // Zero injected faults: a pure protocol A/B.
+                let quiet = run_cell_cfg(kb, program, clusters, EngineKind::Threaded, |c| {
                     c.partition = PartitionScheme::EdgeCut;
                     c.fault_plan = Some(FaultPlan::seeded(0xD1FF));
                 });
                 assert_equivalent(
-                    &format!("{label}/tiered-quiet"),
+                    &format!("{label}/resilient-quiet"),
                     &oracle.collects,
-                    &tiered.collects,
+                    &quiet.collects,
                 );
-                // Tiered path under drops: ack/retry must still converge
-                // to the oracle.
+                // Under drops, ack/retry must still converge to the
+                // oracle.
                 let lossy = run_cell_cfg(kb, program, clusters, EngineKind::Threaded, |c| {
                     c.partition = PartitionScheme::EdgeCut;
                     c.fault_plan = Some(FaultPlan::seeded(0x5EED).drops(0.05));
                 });
                 assert_equivalent(
-                    &format!("{label}/tiered-lossy"),
+                    &format!("{label}/resilient-lossy"),
                     &oracle.collects,
                     &lossy.collects,
                 );

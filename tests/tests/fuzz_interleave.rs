@@ -3,7 +3,7 @@
 //! A seeded `ScheduleStrategy::Fuzzed` schedule permutes every ordering
 //! a legal but adversarial machine could choose — ready-task picks,
 //! equal-time event ties, worker fabric-vs-queue polling, fabric
-//! delivery order, gate protocol and gate-close timing — while the
+//! delivery order, and barrier-close timing — while the
 //! marker-propagation semantics guarantee results must not change. Any
 //! divergence from the FIFO sequential oracle is therefore a real
 //! ordering bug, and the harness shrinks it to the minimal fuzzed
