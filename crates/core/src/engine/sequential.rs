@@ -13,30 +13,125 @@ use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, maybe_plant_bug, Picker, ReadyQueue, CONTROL_STREAM};
 use crate::error::CoreError;
-use crate::kernel::{propagate_wave, wave_supported, WaveSink};
+use crate::kernel::{propagate_wave_in, wave_supported, WaveScratch, WaveSink};
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::Region;
 use crate::report::RunReport;
+use parking_lot::Mutex;
 use snap_isa::{InstrClass, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
 use snap_net::SimTime;
 use snap_obs::{PhaseKind, Stamp, Tracer};
+use std::fmt;
 use std::sync::Arc;
 
+/// What one sequential run works in: the single region's marker state,
+/// the wave kernel's scratch, and the scalar loop's visited map (reset
+/// per propagation). Every table in it is node-count-sized, so a run
+/// builds it once and [`SeqPool`] keeps it between shared runs.
+#[derive(Debug)]
+pub(crate) struct SeqState {
+    region: Region,
+    wave: WaveScratch,
+    visited: VisitedMap,
+}
+
+impl SeqState {
+    /// Empty state for one run over `prepared`'s one-cluster set-up.
+    pub(crate) fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
+        debug_assert_eq!(prepared.map().cluster_count(), 1);
+        SeqState {
+            region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
+            wave: WaveScratch::new(),
+            visited: VisitedMap::for_nodes(network.node_count()),
+        }
+    }
+}
+
+/// Run states of the snapshot [`Snap1::run_shared`](crate::Snap1::run_shared)
+/// last served, one per concurrent caller at most, so a warm call
+/// builds and zeroes no node-count-sized table.
+///
+/// A state belongs to the [`Prepared`] whose region map its region was
+/// built over and is used for no other: a call checks out only a state
+/// whose map is the one it obtained itself (whatever the memo holds by
+/// then), and the rest — an earlier snapshot's — are dropped. The pool
+/// holds region maps, never a network. Exclusive runs stay outside it:
+/// maintenance may add nodes under their region.
+#[derive(Default)]
+pub(crate) struct SeqPool(Mutex<Vec<SeqState>>);
+
+impl SeqPool {
+    /// [`run`] on a shared snapshot, in a pooled state when there is one
+    /// for `prepared`. The state goes back however the run ended; the
+    /// next call resets it.
+    pub(crate) fn run_shared(
+        &self,
+        config: &MachineConfig,
+        cost: &CostModel,
+        network: &SemanticNetwork,
+        prepared: &Prepared,
+        program: &Program,
+    ) -> Result<RunReport, CoreError> {
+        let pooled = {
+            let mut pool = self.0.lock();
+            pool.retain(|state| state.region.is_over(prepared.map()));
+            pool.pop()
+        };
+        let mut state = match pooled {
+            Some(mut state) => {
+                state.region.reset();
+                state
+            }
+            None => SeqState::new(prepared, network),
+        };
+        let result = run(
+            config,
+            cost,
+            NetAccess::Shared(network),
+            prepared,
+            program,
+            &mut state,
+        );
+        self.0.lock().push(state);
+        result
+    }
+}
+
+impl Clone for SeqPool {
+    /// A cloned machine starts with an empty pool.
+    fn clone(&self) -> Self {
+        SeqPool::default()
+    }
+}
+
+impl fmt::Debug for SeqPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SeqPool")
+            .field("idle", &self.0.lock().len())
+            .finish()
+    }
+}
+
 /// Executes `program` sequentially over `prepared` (a one-cluster
-/// set-up of this network), returning the measured report. Exclusive
-/// and shared-snapshot runs share this body — identical semantics and
-/// accounting — and differ only in what [`NetAccess::exec`] permits.
+/// set-up of this network) in `state`, which must be empty, returning
+/// the measured report. Exclusive and shared-snapshot runs share this
+/// body — identical semantics and accounting — and differ only in what
+/// [`NetAccess::exec`] permits.
 pub(crate) fn run(
     config: &MachineConfig,
     cost: &CostModel,
     mut network: NetAccess<'_>,
     prepared: &Prepared,
     program: &Program,
+    state: &mut SeqState,
 ) -> Result<RunReport, CoreError> {
-    debug_assert_eq!(prepared.map().cluster_count(), 1);
-    let mut region = Region::new(ClusterId(0), Arc::clone(prepared.map()), network.get());
+    let SeqState {
+        region,
+        wave,
+        visited,
+    } = state;
     let mut report = RunReport {
         partition: Some(prepared.partition_stats().clone()),
         ..RunReport::default()
@@ -46,16 +141,13 @@ pub(crate) fn run(
     // One decision stream for the whole run: the single PE is the only
     // scheduling consumer, so every ready-pool pick draws from it.
     let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
-    // One visited map for the whole run, reset per propagation: steady
-    // state re-visits capacity instead of reallocating per phase.
-    let mut visited = VisitedMap::for_nodes(network.get().node_count());
 
     for step in plan(program) {
         match step {
             Step::Instr(idx) => {
                 let instr = &program.instructions()[idx];
                 tracer.phase_start(phase_of(instr.class()), Stamp::Sim(now));
-                let out = network.exec(instr, std::slice::from_mut(&mut region))?;
+                let out = network.exec(instr, std::slice::from_mut(region))?;
                 let ns = instr_cost(cost, instr.class(), &out, &mut report);
                 now += ns;
                 tracer.phase_end(Stamp::Sim(now));
@@ -74,12 +166,13 @@ pub(crate) fn run(
                         config,
                         cost,
                         network.get(),
-                        &mut region,
+                        region,
+                        wave,
+                        visited,
                         &spec,
                         &mut report,
                         &tracer,
                         &mut picker,
-                        &mut visited,
                     )?;
                     now += ns;
                     report.record(InstrClass::Propagate, ns);
@@ -141,57 +234,41 @@ pub fn instr_cost(
         }
 }
 
-/// Breadth-first propagation with value re-relaxation (SPFA-style),
-/// entirely local to the single region. Ready-task order comes from the
-/// shared scheduler core: FIFO preserves the historical breadth-first
-/// order exactly, a fuzzed strategy picks any ready task — which the
-/// min-`(value, origin)` convergence must absorb without changing the
-/// result.
+/// One `PROPAGATE` on the single region. Under the FIFO schedule a
+/// wave-supported propagation is [`propagate_region`]; everything else
+/// — fuzzed schedules, staged links, oversized rules — takes the
+/// breadth-first scalar loop with value re-relaxation (SPFA-style),
+/// which stays the executable spec the differential grid holds the
+/// kernel to. Its ready-task order comes from the shared scheduler
+/// core: FIFO preserves the historical breadth-first order exactly, a
+/// fuzzed strategy picks any ready task — which the min-`(value,
+/// origin)` convergence must absorb without changing the result.
 #[allow(clippy::too_many_arguments)]
 fn run_propagate(
     config: &MachineConfig,
     cost: &CostModel,
     network: &SemanticNetwork,
     region: &mut Region,
+    wave: &mut WaveScratch,
+    visited: &mut VisitedMap,
     spec: &PropSpec,
     report: &mut RunReport,
     tracer: &Tracer,
     picker: &mut Picker,
-    visited: &mut VisitedMap,
 ) -> Result<SimTime, CoreError> {
+    // The wave kernel draws no picker decisions, so a fuzzed schedule
+    // never takes it.
+    if !config.schedule.is_fuzzed() && wave_supported(network, &spec.rule) {
+        let (expansions, activations) = (report.expansions, report.traffic.local_activations);
+        let ns = propagate_region(cost, config.max_hops, network, region, wave, spec, report)?;
+        // The tracer counts what the scalar loop below reports event by
+        // event; both are plain per-phase sums.
+        (expansions..report.expansions).for_each(|_| tracer.expansion(0));
+        (activations..report.traffic.local_activations).for_each(|_| tracer.activation(0));
+        return Ok(ns);
+    }
     let sources = region.active_nodes(spec.source);
     report.alpha_per_propagate.push(sources.len() as u64);
-    if !config.schedule.is_fuzzed() && wave_supported(network, &spec.rule) {
-        // The wave kernel: same semantics and event order, level-
-        // synchronous frontier waves over dense bit tables instead of a
-        // ready queue. It draws no picker decisions, so fuzzed schedules
-        // — like staged links and oversized rules — take the scalar loop
-        // below, which stays the executable spec the differential grid
-        // holds the kernel to.
-        let seeds: Vec<(snap_kb::NodeId, f32)> = sources
-            .into_iter()
-            .map(|node| (node, region.source_value(spec.source, node)))
-            .collect();
-        let mut sink = SeqWaveSink {
-            cost,
-            region,
-            target: spec.target,
-            report,
-            tracer,
-            ns: cost.pu_decode_ns,
-        };
-        propagate_wave(
-            network,
-            &spec.rule,
-            spec.func,
-            spec.prop,
-            config.max_hops,
-            0.0,
-            &seeds,
-            &mut sink,
-        )?;
-        return Ok(sink.ns);
-    }
     visited.reset();
     let mut queue: ReadyQueue<PropTask> = ReadyQueue::new();
     for node in sources {
@@ -250,15 +327,65 @@ fn run_propagate(
     Ok(ns)
 }
 
+/// One `PROPAGATE` on one region through the wave kernel: gathers the
+/// seeds where `spec.source` is active, records α, runs
+/// [`propagate_wave_in`] over `scratch` and delivers every arrival
+/// through [`Region::arrive`], returning the propagation's simulated
+/// nanoseconds (`pu_decode_ns` plus every expansion). `report` gains
+/// the expansions, local activations and depth; recording the
+/// instruction is the caller's, like the clock.
+///
+/// The sequential engine runs every FIFO wave through this, and the
+/// serving layer every lane of a batch, so a served report equals the
+/// solo report by shared code.
+///
+/// # Errors
+///
+/// Returns [`CoreError`] for an out-of-range target marker.
+///
+/// # Panics
+///
+/// Panics unless [`wave_supported`] holds for `spec.rule`.
+pub fn propagate_region(
+    cost: &CostModel,
+    max_hops: u8,
+    network: &SemanticNetwork,
+    region: &mut Region,
+    scratch: &mut WaveScratch,
+    spec: &PropSpec,
+    report: &mut RunReport,
+) -> Result<SimTime, CoreError> {
+    let mut seeds = std::mem::take(&mut scratch.seeds);
+    seeds.clear();
+    seeds.extend(
+        region
+            .active_nodes_iter(spec.source)
+            .map(|node| (node, region.source_value(spec.source, node))),
+    );
+    report.alpha_per_propagate.push(seeds.len() as u64);
+    let mut sink = SeqWaveSink {
+        cost,
+        region,
+        target: spec.target,
+        report,
+        ns: cost.pu_decode_ns,
+    };
+    let ran = propagate_wave_in(
+        network, &spec.rule, spec.func, spec.prop, max_hops, &seeds, scratch, &mut sink,
+    );
+    scratch.seeds = seeds;
+    ran?;
+    Ok(sink.ns)
+}
+
 /// Engine accounting behind the wave kernel: expansion and arrival
-/// events mutate the same report fields, tracer events, cost-model
-/// nanoseconds, and region the scalar loop touches — in the same places.
+/// events mutate the same report fields, cost-model nanoseconds, and
+/// region the scalar loop touches — in the same places.
 struct SeqWaveSink<'a> {
     cost: &'a CostModel,
     region: &'a mut Region,
     target: snap_kb::Marker,
     report: &'a mut RunReport,
-    tracer: &'a Tracer,
     ns: SimTime,
 }
 
@@ -271,7 +398,6 @@ impl WaveSink for SeqWaveSink<'_> {
         arrivals: usize,
     ) {
         self.report.expansions += 1;
-        self.tracer.expansion(0);
         self.ns += self.cost.expand_ns(segments, links_scanned, arrivals);
     }
 
@@ -279,7 +405,6 @@ impl WaveSink for SeqWaveSink<'_> {
         self.region
             .arrive(self.target, arrival.node, arrival.value, task.origin)?;
         self.report.traffic.local_activations += 1;
-        self.tracer.activation(0);
         self.report.max_propagation_depth = self.report.max_propagation_depth.max(task.level + 1);
         Ok(())
     }
@@ -296,12 +421,14 @@ pub(crate) fn run_exclusive(
 ) -> Result<RunReport, CoreError> {
     network.flush_links();
     let prepared = Prepared::build(network, 1, snap_kb::PartitionScheme::Sequential);
+    let mut state = SeqState::new(&prepared, network);
     run(
         config,
         cost,
         NetAccess::Exclusive(network),
         &prepared,
         program,
+        &mut state,
     )
 }
 

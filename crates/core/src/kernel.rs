@@ -1,6 +1,7 @@
-//! The wave kernels: level-synchronous frontier propagation for one
-//! query ([`propagate_wave`]) and for up to 64 fused queries
-//! ([`propagate_multi_wave_sliced`]).
+//! The wave kernel: level-synchronous frontier propagation for one
+//! query ([`propagate_wave_in`], over a pooled [`WaveScratch`]). The
+//! lockstep 64-lane sweep ([`propagate_multi_wave_sliced`]) is kept for
+//! the benchmark's probe only; no engine and no server calls it.
 //!
 //! The scalar loop in the sequential engine is the executable spec for
 //! `PROPAGATE`: pop one task, expand it, merge its arrivals, repeat.
@@ -8,7 +9,7 @@
 //! and every accepted arrival is requeued at `parent + 1` — the same
 //! computation can be restructured into *waves*: all tasks of one level
 //! expand together against dense per-state bitmaps over the node arena.
-//! [`propagate_wave`] runs that restructured loop: it scatters from the
+//! [`propagate_wave_in`] runs that restructured loop: it scatters from the
 //! frontier through the CSR out-runs, one expansion per task in wave
 //! order with its arrivals interleaved immediately. That is literally
 //! the scalar loop minus the ready-queue shuffling, so the whole event
@@ -26,18 +27,19 @@
 //! fixed for a whole run): a first visit is a single bit test instead of
 //! a sentinel compare behind an enum dispatch, and improvement decisions
 //! replicate [`VisitedMap`](crate::propagate::VisitedMap)'s dense
-//! backing exactly, including growth past the declared node count.
+//! backing exactly, including growth past the declared node count. The
+//! tables live in the caller's [`WaveScratch`]: a wave clears the seen
+//! words and nothing else, so no node-count-sized table is built or
+//! zeroed per `PROPAGATE`.
 
 use crate::error::CoreError;
 use crate::propagate::{expand_into, PropArrival, PropTask, MAX_MERGE_ARCS};
 use crate::region::improves;
 use snap_isa::{RuleProgram, StepFunc};
-use snap_kb::{Bitmap, LanePlane, MarkerValue, NodeId, SemanticNetwork};
+use snap_kb::{Bitmap, LanePlane, MarkerValue, NodeId, SemanticNetwork, BITMAP_WORD_BITS};
 
 /// Lane capacity of the bit-sliced multi-query kernel: one bit per lane
-/// in a host word, so one sweep fuses at most 64 queries. `snap-serve`
-/// stops batch formation here, so a deeper `max_batch` becomes more
-/// pumps, never a second kernel.
+/// in a host word, so one sweep fuses at most 64 queries.
 pub const MAX_SLICED_LANES: usize = 64;
 
 /// Engine-side observer for a wave run.
@@ -86,10 +88,10 @@ pub struct WaveStats {
 /// relation table must be flushed (the indexed runs are blind to staged
 /// links) and every rule state mergeable (at most
 /// [`MAX_RULE_STATES`](snap_isa::MAX_RULE_STATES) arcs). This is the
-/// whole selection rule: the sequential engine runs [`propagate_wave`]
+/// whole selection rule: the sequential engine runs [`propagate_wave_in`]
 /// when it holds and the schedule is FIFO, the scalar loop otherwise
 /// (fuzzed schedules, staged links, oversized rules); `snap-serve`
-/// fuses a query when it holds and serves it solo otherwise.
+/// batches a query when it holds and serves it solo otherwise.
 pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
     network.staged_link_count() == 0
         && rule
@@ -98,14 +100,15 @@ pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
             .all(|s| s.arcs().len() <= MAX_MERGE_ARCS)
 }
 
-/// Runs one `PROPAGATE` as level-synchronous waves, reporting every
-/// expansion and arrival to `sink`.
+/// Runs one `PROPAGATE` as level-synchronous waves over a pooled
+/// `scratch`, reporting every expansion and arrival to `sink`.
 ///
 /// `seeds` are gated through the visited tables in order (duplicates
 /// and non-improvements drop, exactly like the scalar seed loop) and
 /// become wave 0. A wave at `max_hops` still expands — its cost is
-/// charged — but delivers no arrivals. `_pull_density` is ignored: kept
-/// only because `benchmark/src/probe.rs` passes it.
+/// charged — but delivers no arrivals. Whatever `scratch` last ran —
+/// another network, another rule, a wave its sink failed — is
+/// unobservable here.
 ///
 /// # Errors
 ///
@@ -116,24 +119,32 @@ pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
 /// Panics unless [`wave_supported`] holds — callers must check and
 /// fall back to the scalar loop.
 #[allow(clippy::too_many_arguments)]
-pub fn propagate_wave<S: WaveSink>(
+pub fn propagate_wave_in<S: WaveSink>(
     network: &SemanticNetwork,
     rule: &RuleProgram,
     func: StepFunc,
     prop: usize,
     max_hops: u8,
-    _pull_density: f64,
     seeds: &[(NodeId, f32)],
+    scratch: &mut WaveScratch,
     sink: &mut S,
 ) -> Result<WaveStats, CoreError> {
     assert!(
         wave_supported(network, rule),
         "wave kernel requires a flushed relation table and mergeable rule states"
     );
-    let mut visited = WaveVisited::new(network.node_count(), rule.states().len());
+    let WaveScratch {
+        visited,
+        wave,
+        next,
+        arrivals,
+        ..
+    } = scratch;
+    visited.arm(network.node_count(), rule.states().len());
+    wave.clear();
+    next.clear();
     let mut stats = WaveStats::default();
 
-    let mut wave: Vec<PropTask> = Vec::with_capacity(seeds.len());
     for &(node, value) in seeds {
         if visited.should_expand(0, node, value, node) {
             wave.push(PropTask {
@@ -147,28 +158,42 @@ pub fn propagate_wave<S: WaveSink>(
         }
     }
 
-    let mut next: Vec<PropTask> = Vec::new();
-    let mut arrivals: Vec<PropArrival> = Vec::new();
     while !wave.is_empty() {
         stats.waves += 1;
         let capped = wave[0].level >= max_hops;
         push_wave(
-            network,
-            rule,
-            func,
-            prop,
-            capped,
-            &wave,
-            &mut visited,
-            sink,
-            &mut next,
-            &mut arrivals,
+            network, rule, func, prop, capped, wave, visited, sink, next, arrivals,
         )?;
-        std::mem::swap(&mut wave, &mut next);
+        std::mem::swap(wave, next);
         next.clear();
     }
     stats.visited = visited.visited;
     Ok(stats)
+}
+
+/// [`propagate_wave_in`] over a fresh [`WaveScratch`], with the
+/// signature `benchmark/src/probe.rs` calls; `_pull_density` is ignored.
+///
+/// # Errors
+///
+/// Propagates the first error `sink.on_arrival` returns.
+///
+/// # Panics
+///
+/// Panics unless [`wave_supported`] holds.
+#[allow(clippy::too_many_arguments)]
+pub fn propagate_wave<S: WaveSink>(
+    network: &SemanticNetwork,
+    rule: &RuleProgram,
+    func: StepFunc,
+    prop: usize,
+    max_hops: u8,
+    _pull_density: f64,
+    seeds: &[(NodeId, f32)],
+    sink: &mut S,
+) -> Result<WaveStats, CoreError> {
+    let scratch = &mut WaveScratch::new();
+    propagate_wave_in(network, rule, func, prop, max_hops, seeds, scratch, sink)
 }
 
 /// The scalar loop restructured over one wave. Expands each task in
@@ -352,7 +377,10 @@ fn stream_run<S: WaveSink>(
 /// current/next frontier and the per-task site index the sweep scatters
 /// back each level (the lane's visited state lives in the scratch's
 /// lane-major planes). Pool lanes across batches — each sweep clears
-/// them in place, so steady-state serving allocates nothing per query.
+/// them in place, so a steady-state replay allocates nothing per query.
+///
+/// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9: no
+/// engine and no server runs the fused sweep.
 #[derive(Default)]
 pub struct BatchLane {
     wave: Vec<PropTask>,
@@ -375,6 +403,9 @@ impl BatchLane {
 /// dedups sites in O(1) per task (no sorting — the per-level cost is
 /// linear in the summed frontier size). Reuse one scratch across
 /// batches; each sweep clears it in place.
+///
+/// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9: no
+/// engine and no server runs the fused sweep.
 #[derive(Default)]
 pub struct MultiWaveScratch {
     recs: Vec<SiteRec>,
@@ -539,6 +570,8 @@ struct TemplateArrival {
 /// accumulated — task expansions, arrival deliveries, deepest delivered
 /// level, and the summed per-expansion nanoseconds from the caller's
 /// cost closure.
+///
+/// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlicedLaneReport {
     /// Wave/visited statistics, identical to a solo run's.
@@ -591,11 +624,16 @@ fn sliced_visit(
 /// into lane-major bit-planes: `seeds[k]` feeds lane `k`, whose outcome
 /// lands in `out[k]`.
 ///
+/// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9: the
+/// server ran this sweep until one [`propagate_wave_in`] per lane over
+/// a pooled [`WaveScratch`] measured faster (DESIGN.md "Serving"), and
+/// nothing but the benchmark's replay calls it now.
+///
 /// All lanes advance in lockstep, one level at a time. Each level the
 /// frontier tasks of every lane are grouped by `(node, state)`
 /// site; each distinct site's CSR row probe, rank merge, and arrival
 /// template are computed **once** and shared by every lane holding a
-/// task there — the amortization that makes batched query serving pay.
+/// task there.
 /// The level then walks **rounds** (wave position `p` ascending) and
 /// each round's tasks grouped by site into one K-bit lane-mask word.
 /// That grouping is sound because visited and marker decisions at
@@ -964,6 +1002,31 @@ fn expand_template(
     }
 }
 
+/// Pooled state of one K = 1 wave: the visited tables, the current and
+/// next frontier, the merge path's arrival buffer and the seed buffer
+/// the engines gather into. One scratch serves any sequence of networks
+/// and rules: a wave arms the tables for its `(nodes, states)` by
+/// clearing the seen words — O(nodes / 64) per state — and never
+/// zeroes the `(value, origin)` arrays, which are read only behind a
+/// set seen bit.
+#[derive(Debug, Default)]
+pub struct WaveScratch {
+    visited: WaveVisited,
+    wave: Vec<PropTask>,
+    next: Vec<PropTask>,
+    arrivals: Vec<PropArrival>,
+    /// Seeds of the propagation being set up (see
+    /// [`propagate_region`](crate::exec::propagate_region)).
+    pub(crate) seeds: Vec<(NodeId, f32)>,
+}
+
+impl WaveScratch {
+    /// Creates an empty scratch; the first wave sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Kernel-owned visited tables: per rule state (the propagation index
 /// is fixed for a run), one seen-bitmap and one flat `(value, origin)`
 /// array. Decisions replicate the dense `VisitedMap` backing — first
@@ -971,30 +1034,42 @@ fn expand_template(
 /// [`VALUE_EPSILON`](crate::VALUE_EPSILON) or an equal value from a
 /// smaller origin — but the first-visit probe is one bit test instead
 /// of a sentinel compare.
+#[derive(Debug, Default)]
 struct WaveVisited {
-    /// One table per rule state, allocated up front — arrival states
+    /// One table per rule state, armed before the wave — arrival states
     /// always index a compiled state, so the probe is a plain bounds-
-    /// checked index with no lazy-init branch.
+    /// checked index with no lazy-init branch. Tables past the armed
+    /// rule's states keep whatever an earlier, wider rule left.
     tables: Vec<StateTable>,
     visited: usize,
 }
 
+#[derive(Debug, Default)]
 struct StateTable {
     seen: Bitmap,
+    /// Valid behind a set `seen` bit only, so never cleared.
     best: Vec<(f32, NodeId)>,
 }
 
 impl WaveVisited {
-    fn new(nodes: usize, states: usize) -> Self {
-        WaveVisited {
-            tables: (0..states)
-                .map(|_| StateTable {
-                    seen: Bitmap::new(nodes),
-                    best: vec![(0.0, NodeId(0)); nodes],
-                })
-                .collect(),
-            visited: 0,
+    /// Readies the first `states` tables for a wave over `nodes` node
+    /// slots: every seen word cleared (bits past `nodes` included — the
+    /// growth path may have set them), `best` grown if short.
+    fn arm(&mut self, nodes: usize, states: usize) {
+        if self.tables.len() < states {
+            self.tables.resize_with(states, StateTable::default);
         }
+        for table in &mut self.tables[..states] {
+            if table.seen.words().len() * BITMAP_WORD_BITS < nodes {
+                table.seen = Bitmap::new(nodes);
+            } else {
+                table.seen.clear_all();
+            }
+            if table.best.len() < nodes {
+                table.best.resize(nodes, (0.0, NodeId(0)));
+            }
+        }
+        self.visited = 0;
     }
 
     fn should_expand(&mut self, state: u8, node: NodeId, value: f32, origin: NodeId) -> bool {
@@ -1054,8 +1129,7 @@ mod tests {
         }
     }
 
-    /// The scalar spec, reduced to its schedule-relevant core: a FIFO
-    /// queue over the shared expansion and visited semantics.
+    /// The scalar spec's event stream alone.
     fn scalar_reference(
         network: &SemanticNetwork,
         rule: &RuleProgram,
@@ -1063,6 +1137,19 @@ mod tests {
         max_hops: u8,
         seeds: &[(NodeId, f32)],
     ) -> Recorder {
+        scalar_reference_with_stats(network, rule, func, max_hops, seeds).0
+    }
+
+    /// The scalar spec, reduced to its schedule-relevant core: a FIFO
+    /// queue over the shared expansion and visited semantics. The stats
+    /// are what a wave run of the same propagation must report.
+    fn scalar_reference_with_stats(
+        network: &SemanticNetwork,
+        rule: &RuleProgram,
+        func: StepFunc,
+        max_hops: u8,
+        seeds: &[(NodeId, f32)],
+    ) -> (Recorder, WaveStats) {
         let mut visited = VisitedMap::dense(network.node_count());
         let mut queue = VecDeque::new();
         for &(node, value) in seeds {
@@ -1100,7 +1187,12 @@ mod tests {
                 }
             }
         }
-        rec
+        let stats = WaveStats {
+            waves: rec.expands.last().map_or(0, |(t, ..)| t.level as usize + 1),
+            pull_waves: 0,
+            visited: visited.len(),
+        };
+        (rec, stats)
     }
 
     fn run_kernel(
@@ -1469,7 +1561,8 @@ mod tests {
     fn wave_visited_decides_like_the_dense_map() {
         // Mirror of propagate.rs's exercise_visited, minus the prop
         // dimension the kernel fixes per run.
-        let mut v = WaveVisited::new(8, 2);
+        let mut v = WaveVisited::default();
+        v.arm(8, 2);
         let o = NodeId(7);
         assert!(v.should_expand(0, NodeId(3), 5.0, o));
         assert!(!v.should_expand(0, NodeId(3), 5.0, o));
@@ -1482,5 +1575,92 @@ mod tests {
         // Growth past the declared node count, like the dense backing.
         assert!(v.should_expand(0, NodeId(900), 1.0, NodeId(0)));
         assert!(!v.should_expand(0, NodeId(900), 1.0, NodeId(0)));
+    }
+
+    /// The rules the pooled-scratch property draws from: one to three
+    /// states, every arc count the kernel dispatches on (one, two, the
+    /// three-arc merge path, terminal).
+    fn rule_menu() -> Vec<RuleProgram> {
+        use snap_isa::{RuleArc, RuleState};
+        let (r0, r1, r2) = (RelationType(0), RelationType(1), RelationType(2));
+        vec![
+            PropRule::Star(r0).compile(),
+            PropRule::Once(r1).compile(),
+            PropRule::Union(r0, r1).compile(),
+            PropRule::Spread(r0, r2).compile(),
+            PropRule::Seq(r2, r0).compile(),
+            RuleProgram::from_states(vec![
+                RuleState::new(vec![
+                    RuleArc::new(r0, 0),
+                    RuleArc::new(r1, 1),
+                    RuleArc::new(r2, 2),
+                ]),
+                RuleState::new(vec![RuleArc::new(r1, 1), RuleArc::new(r0, 2)]),
+                RuleState::new(vec![RuleArc::new(r2, 2)]),
+            ]),
+        ]
+    }
+
+    proptest::proptest! {
+        /// One [`WaveScratch`] reused across a random sequence of
+        /// propagations — networks of 8–300 nodes going up *and* down
+        /// in size, rules of one to three states, seeds with duplicates,
+        /// value ties and nodes past the declared node count (the
+        /// growth path), hop caps 0–6 — replays every call exactly like
+        /// a fresh scratch and like the scalar spec: stale `best`
+        /// entries, stale frontiers and seen bits past the current node
+        /// count are all unobservable. A mutant whose
+        /// [`WaveVisited::arm`] leaves one state's seen bitmap uncleared
+        /// fails here (planted by hand for each of the three states:
+        /// tables 0 and 1 fail at case 1, table 2 at case 21 of 64).
+        #[test]
+        fn prop_a_pooled_scratch_replays_like_a_fresh_one(
+            calls in proptest::collection::vec(
+                (
+                    8usize..=300,
+                    proptest::collection::vec((0u32..4096, 0u16..3, 0u8..3, 0u32..4096), 0..600),
+                    0usize..6,
+                    proptest::collection::vec((0u32..4096, 0u8..3), 0..8),
+                    0u8..=6,
+                ),
+                2..7,
+            ),
+        ) {
+            use proptest::prop_assert_eq;
+            let rules = rule_menu();
+            let mut pooled = WaveScratch::new();
+            for (nodes, links, rule, seeds, max_hops) in calls {
+                let mut net = SemanticNetwork::new(NetworkConfig::default());
+                for _ in 0..nodes {
+                    net.add_node(Color(0)).unwrap();
+                }
+                let n = nodes as u32;
+                for (src, rel, w, dst) in links {
+                    // Weights from {0, 0.5, 1}: equal-cost paths abound.
+                    net.add_link(NodeId(src % n), RelationType(rel), w as f32 * 0.5, NodeId(dst % n))
+                        .unwrap();
+                }
+                net.flush_links();
+                let rule = &rules[rule];
+                // One seed in nine or so lies past the node count.
+                let seeds: Vec<(NodeId, f32)> = seeds
+                    .into_iter()
+                    .map(|(raw, v)| (NodeId(raw % (n + n / 8 + 1)), v as f32 * 0.25))
+                    .collect();
+
+                let (spec, spec_stats) =
+                    scalar_reference_with_stats(&net, rule, StepFunc::AddWeight, max_hops, &seeds);
+                let (fresh, fresh_stats) = run_kernel(&net, rule, StepFunc::AddWeight, max_hops, &seeds);
+                let mut reused = Recorder::default();
+                let reused_stats = propagate_wave_in(
+                    &net, rule, StepFunc::AddWeight, 0, max_hops, &seeds, &mut pooled, &mut reused,
+                )
+                .unwrap();
+                prop_assert_eq!(&reused, &fresh, "pooled vs fresh events");
+                prop_assert_eq!(reused_stats, fresh_stats, "pooled vs fresh stats");
+                prop_assert_eq!(&reused, &spec, "pooled vs scalar events");
+                prop_assert_eq!(reused_stats, spec_stats, "pooled vs scalar stats");
+            }
+        }
     }
 }

@@ -42,12 +42,13 @@ mod report;
 
 /// Engine-shared instruction semantics, public so comparator engines
 /// (the CM-2 baseline) execute the exact same logic and the serving
-/// layer charges the sequential engine's instruction costs.
+/// layer runs the sequential engine's instructions, propagations and
+/// costs.
 pub mod exec {
     pub use crate::engine::common::{
         exec_single, exec_single_shared, exec_single_shared_into, ClusterWork, SingleOutcome,
     };
-    pub use crate::engine::sequential::instr_cost;
+    pub use crate::engine::sequential::{instr_cost, propagate_region};
 }
 
 pub use config::{EngineKind, MachineConfig};

@@ -45,6 +45,8 @@ pub struct Snap1 {
     engine: EngineKind,
     /// Set-up of the last shared snapshot served (see [`Snap1::prepare`]).
     memo: PreparedMemo,
+    /// The sequential engine's run states for that snapshot.
+    seq_pool: sequential::SeqPool,
 }
 
 impl Snap1 {
@@ -112,13 +114,17 @@ impl Snap1 {
         let prepared = Prepared::build(network, clusters, scheme);
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => sequential::run(
-                config,
-                cost,
-                NetAccess::Exclusive(network),
-                &prepared,
-                program,
-            ),
+            EngineKind::Sequential => {
+                let mut state = sequential::SeqState::new(&prepared, network);
+                sequential::run(
+                    config,
+                    cost,
+                    NetAccess::Exclusive(network),
+                    &prepared,
+                    program,
+                    &mut state,
+                )
+            }
             EngineKind::Des => des::run(
                 config,
                 cost,
@@ -168,11 +174,13 @@ impl Snap1 {
     /// snapshot, not once per call: the first call for a snapshot
     /// builds the region map and partition statistics
     /// ([`Snap1::prepare`]), later calls for the same `Arc` reuse them
-    /// and pay only for fresh marker state and the program itself. A
-    /// different snapshot (including an edited copy of this one)
-    /// replaces the remembered set-up. Concurrent callers share the
-    /// remembered set-up read-only; concurrent first calls wait for one
-    /// build.
+    /// and pay only for the program itself — on the sequential engine
+    /// not even for fresh marker state: its region and kernel tables
+    /// are kept between calls and cleared, not rebuilt. A different
+    /// snapshot (including an edited copy of this one) replaces the
+    /// remembered set-up and drops those tables. Concurrent callers
+    /// share the remembered set-up read-only; concurrent first calls
+    /// wait for one build.
     ///
     /// # Errors
     ///
@@ -227,9 +235,9 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => {
-                sequential::run(config, cost, NetAccess::Shared(network), &prepared, program)
-            }
+            EngineKind::Sequential => self
+                .seq_pool
+                .run_shared(config, cost, network, &prepared, program),
             EngineKind::Des => {
                 des::run(config, cost, NetAccess::Shared(network), &prepared, program)
             }
@@ -351,6 +359,7 @@ impl Snap1Builder {
             cost: self.cost,
             engine: self.engine,
             memo: PreparedMemo::default(),
+            seq_pool: sequential::SeqPool::default(),
         }
     }
 }

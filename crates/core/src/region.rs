@@ -119,6 +119,12 @@ impl Region {
         self.markers.reset();
     }
 
+    /// `true` if this region was built over exactly this `map` — the
+    /// identity a pooled region is matched to its snapshot's set-up by.
+    pub(crate) fn is_over(&self, map: &Arc<RegionMap>) -> bool {
+        Arc::ptr_eq(&self.map, map)
+    }
+
     /// The cluster this region belongs to.
     pub fn cluster(&self) -> ClusterId {
         self.cluster
@@ -338,6 +344,9 @@ impl Region {
     /// one register check and one row fetch for the whole run
     /// ([`MarkerState::merge_values`]).
     ///
+    /// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9:
+    /// every engine and the server deliver through [`Region::arrive`].
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError`] for an out-of-range marker register or a
@@ -368,6 +377,8 @@ impl Region {
     /// half of [`Region::absorb_values`]; arrivals on a binary marker
     /// carry no payload, so the fixed point is just the set of touched
     /// nodes.
+    ///
+    /// Kept for `benchmark/src/probe.rs:437-515` until ROADMAP item 9.
     ///
     /// # Errors
     ///

@@ -153,8 +153,10 @@ impl Bitmap {
 /// Clearing is proportional to the slots actually touched, not the
 /// arena size: [`LanePlane::or`] logs each slot on its `0 → nonzero`
 /// transition and [`LanePlane::reset`] zeroes only that log, so pooled
-/// planes reset in O(frontier), keeping steady-state serving
-/// allocation- and sweep-free.
+/// planes reset in O(frontier).
+///
+/// Kept for `benchmark/src/probe.rs:437-515` (through the bit-sliced
+/// kernel in `snap-core`) until ROADMAP item 9; nothing else uses it.
 ///
 /// # Examples
 ///

@@ -278,7 +278,7 @@ impl MarkerState {
     /// Bulk [`MarkerState::set_value`]: writes a run of `(node, value)`
     /// payloads on one complex marker, checking the register and
     /// fetching the status/value rows **once** instead of per node.
-    /// This is the absorb path of the bit-sliced serving kernel, which
+    /// This is the absorb path of the bit-sliced kernel, which
     /// accumulates a whole propagation's marker writes before touching
     /// the region.
     ///

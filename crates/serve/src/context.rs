@@ -1,25 +1,22 @@
 //! Per-query execution contexts, pooled across queries.
 
 use snap_core::{CollectOutput, Prepared, Region, RunReport};
-use snap_kb::{ClusterId, NodeId, SemanticNetwork};
+use snap_kb::{ClusterId, SemanticNetwork};
 use std::sync::Arc;
 
 /// One query's isolated execution state: its marker tables (a
-/// [`Region`] over the shared snapshot), the report being accumulated
-/// for it, and its pooled seed buffer.
+/// [`Region`] over the shared snapshot) and the report being
+/// accumulated for it.
 ///
 /// Contexts are pooled by the [`Server`](crate::Server): after a batch
 /// completes, each context is reset in place and returned to the pool,
-/// so steady-state serving reuses the per-query marker tables, report
-/// maps, and seed buffers instead of rebuilding them — zero allocations
-/// per query once warm. The partition stats are stamped into the report
+/// so steady-state serving reuses the per-query marker tables and
+/// report maps instead of rebuilding them — zero allocations per query
+/// once warm. The partition stats are stamped into the report
 /// once, at construction, and survive every reset.
 pub struct QueryContext {
     pub(crate) region: Region,
     pub(crate) report: RunReport,
-    /// Seed frontier of the propagation currently being set up; lives
-    /// here (not in batch scratch) so its capacity pools per query.
-    pub(crate) seeds: Vec<(NodeId, f32)>,
     /// Emptied collect buffers reclaimed from the previous query's
     /// report; the batch executor pre-seeds the instruction executor
     /// with them so `COLLECT-*` results reuse their capacity.
@@ -34,7 +31,6 @@ impl QueryContext {
                 partition: Some(prepared.partition_stats().clone()),
                 ..RunReport::default()
             },
-            seeds: Vec::new(),
             spare_collects: Vec::new(),
         }
     }
@@ -53,6 +49,5 @@ impl QueryContext {
             self.spare_collects.push(c);
         }
         self.report.reset_for_pool();
-        self.seeds.clear();
     }
 }

@@ -7,20 +7,22 @@
 //! semantics:
 //!
 //! * [`QueryContext`] — one query's isolated execution state (marker
-//!   tables, visited maps, frontier buffers), pooled and reset in place
-//!   so steady-state serving recycles the heavy per-query allocations;
+//!   tables and the report being built), pooled and reset in place so
+//!   steady-state serving recycles the heavy per-query allocations;
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
 //!   with graceful shedding and exact accounting, plus a batching
-//!   scheduler that coalesces compatible queries (same program shape,
-//!   same KB snapshot) into one fused propagation wave of up to 64
-//!   lanes via [`propagate_multi_wave_sliced`], amortizing every CSR
-//!   row probe and rank merge across the batch — and collapsing
-//!   bit-identical queries onto a single lane whose report they share;
+//!   scheduler that gathers compatible queries (same program shape,
+//!   same KB snapshot) into one batch of up to 64 lanes: one controller
+//!   plan, one warm wave scratch, bit-identical queries collapsed onto
+//!   a single lane whose report they share, and each lane's
+//!   propagations run as the sequential engine runs them
+//!   ([`propagate_region`]) — independent marker streams, as SNAP-1
+//!   overlaps them, not a lockstep sweep;
 //! * every batched query's report is bit-identical to running it alone
-//!   through the serial sequential-engine oracle — the fused sweep
-//!   keeps the exact scalar-spec arrival order per lane.
+//!   through the serial sequential-engine oracle, because it is the
+//!   oracle's code that runs it.
 //!
-//! [`propagate_multi_wave_sliced`]: snap_core::kernel::propagate_multi_wave_sliced
+//! [`propagate_region`]: snap_core::exec::propagate_region
 //!
 //! One [`Server`] serves one immutable snapshot, and that is what a KB
 //! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)

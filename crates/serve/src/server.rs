@@ -2,22 +2,26 @@
 
 use crate::batch::{run_batch, BatchScratch};
 use crate::context::QueryContext;
-use snap_core::kernel::{wave_supported, MAX_SLICED_LANES};
+use snap_core::kernel::wave_supported;
 use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, Prepared, RunReport, Snap1};
-use snap_isa::{InstrClass, Instruction, Program};
+use snap_isa::{InstrClass, Instruction, Program, PropRule};
 use snap_kb::SemanticNetwork;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+/// Most queries one pump serves, whatever [`ServeConfig::max_batch`]
+/// asks for: a pump stages its batch's program references in a stack
+/// array of this length.
+const MAX_PUMP: usize = 64;
+
 /// Serving parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most queries fused into one propagation batch. Depth 1 degrades
-    /// to one-query-at-a-time serving (the bench baseline). One fused
-    /// sweep holds at most [`MAX_SLICED_LANES`] lanes, so a pump takes
-    /// `min(max_batch, MAX_SLICED_LANES)` queries and a deeper setting
-    /// becomes more pumps.
+    /// Most queries served by one pump as one batch. Depth 1 degrades
+    /// to one-query-at-a-time serving (the bench baseline). A pump
+    /// takes at most 64 queries, so a deeper setting becomes more
+    /// pumps.
     pub max_batch: usize,
     /// Bounded admission queue: offers beyond this capacity shed with
     /// [`ShedReason::QueueFull`] instead of growing without bound.
@@ -96,7 +100,7 @@ impl ServeStats {
 pub struct Completion {
     /// The admission handle this completion answers.
     pub id: QueryId,
-    /// How many queries shared the fused batch (1 = served solo).
+    /// How many queries shared the batch (1 = served solo).
     pub batch_depth: usize,
     /// The query's report, identical to a solo
     /// [`Snap1::run_shared`] run, or the error that failed it.
@@ -111,7 +115,7 @@ pub struct Completion {
 pub struct CompletionRef<'a> {
     /// The admission handle this completion answers.
     pub id: QueryId,
-    /// How many queries shared the fused batch (1 = served solo).
+    /// How many queries shared the batch (1 = served solo).
     pub batch_depth: usize,
     /// The query's report (identical to a solo run), or its error.
     pub result: Result<&'a RunReport, &'a CoreError>,
@@ -129,8 +133,8 @@ struct Pending {
 /// [`offer`](Server::offer) admits programs into a bounded queue;
 /// [`pump`](Server::pump) takes the head-of-line query plus every
 /// queued query of the same shape (up to
-/// [`ServeConfig::max_batch`]) and executes them as one fused
-/// propagation batch. Head-of-line dispatch means no shape can starve:
+/// [`ServeConfig::max_batch`]) and executes them as one batch over one
+/// controller plan. Head-of-line dispatch means no shape can starve:
 /// whatever is oldest runs next, bringing its compatible followers
 /// along.
 ///
@@ -145,8 +149,9 @@ pub struct Server {
     /// oracle's memo holds, so a fallback query never re-partitions.
     prepared: Arc<Prepared>,
     cfg: ServeConfig,
-    /// Sequential shared-snapshot oracle for queries that cannot fuse
-    /// (oversized custom rules) and for batch-failure fallback.
+    /// Sequential shared-snapshot oracle for queries the wave kernel
+    /// cannot run (oversized custom rules) and for batch-failure
+    /// fallback.
     oracle: Snap1,
     queue: VecDeque<Pending>,
     /// Spent [`Pending`] entries, recycled by `offer` (shape strings
@@ -237,10 +242,10 @@ impl Server {
     }
 
     /// Serves one batch: the head-of-line query plus every queued query
-    /// of its shape, up to [`ServeConfig::max_batch`], as one fused
-    /// wave — with bit-identical queries coalesced onto a single lane
-    /// and sharing its report. Returns their completions (empty when
-    /// the queue is idle).
+    /// of its shape, up to [`ServeConfig::max_batch`] — with
+    /// bit-identical queries coalesced onto a single lane and sharing
+    /// its report. Returns their completions (empty when the queue is
+    /// idle).
     ///
     /// This convenience form clones each report out of its pooled
     /// context; the steady-state serving loop uses
@@ -280,8 +285,7 @@ impl Server {
             return;
         }
         debug_assert!(self.batch.is_empty() && self.active.is_empty());
-        // One fused sweep holds one lane per bit of a host word.
-        let depth_cap = self.cfg.max_batch.min(MAX_SLICED_LANES);
+        let depth_cap = self.cfg.max_batch.min(MAX_PUMP);
         self.batch
             .push(self.queue.pop_front().expect("head exists"));
         // Fast path: the matching prefix (steady-state serving is
@@ -312,9 +316,8 @@ impl Server {
         }
 
         // Coalesce bit-identical queries: one lane per *distinct*
-        // program, and duplicates share its report. A same-shape batch
-        // already fuses row probes; coalescing goes further and skips
-        // the duplicate's entire execution — the report of an identical
+        // program, and duplicates share its report, skipping the
+        // duplicate's entire execution — the report of an identical
         // program on an immutable snapshot is identical by construction
         // (the differential tests pin this down).
         self.uniq.clear();
@@ -340,8 +343,8 @@ impl Server {
             self.active.push(ctx);
         }
         // Program refs live on the stack: a batch never outgrows the
-        // sliced-kernel width.
-        let mut programs: [&Program; MAX_SLICED_LANES] = [&self.batch[0].program; MAX_SLICED_LANES];
+        // pump cap.
+        let mut programs: [&Program; MAX_PUMP] = [&self.batch[0].program; MAX_PUMP];
         for (j, &u) in self.uniq.iter().enumerate() {
             programs[j] = &self.batch[u].program;
         }
@@ -366,7 +369,7 @@ impl Server {
                 }
             }
             Err(_) => {
-                // The fused batch failed: retry each member solo so one
+                // The batch failed: retry each member solo so one
                 // poisoned query cannot take its batch-mates down.
                 for i in 0..self.batch.len() {
                     let result = self
@@ -446,12 +449,16 @@ impl Server {
 /// query asks about) are masked so queries differing only in what they
 /// ask still batch; everything else — instruction sequence, markers,
 /// propagation rules, step and combine functions — prints exactly. Two
-/// programs with equal shapes plan to the same controller steps and
-/// fuse their propagation waves.
+/// programs with equal shapes plan to the same controller steps, so a
+/// batch walks one plan.
 ///
-/// Returns `false` when some propagation rule cannot take the fused
+/// Returns `false` when some propagation rule cannot take the wave
 /// kernel (an oversized custom rule): such queries are served solo
-/// through the oracle.
+/// through the oracle. Asked of the rule as the program carries it,
+/// nothing compiled: the snapshot has no staged links
+/// ([`Server::new`]) and a built-in rule has at most two arcs per
+/// state by construction, so only a custom rule's own states can fail
+/// [`wave_supported`].
 fn shape_key(network: &SemanticNetwork, program: &Program, key: &mut String) -> bool {
     key.clear();
     let mut fusable = true;
@@ -467,7 +474,7 @@ fn shape_key(network: &SemanticNetwork, program: &Program, key: &mut String) -> 
                 let _ = write!(key, "SC({marker:?});");
             }
             Instruction::Propagate { rule, .. } => {
-                if !wave_supported(network, &rule.compile()) {
+                if matches!(rule, PropRule::Custom(p) if !wave_supported(network, p)) {
                     fusable = false;
                 }
                 let _ = write!(key, "{instr:?};");
@@ -538,7 +545,7 @@ mod tests {
         assert_eq!(done.len(), nodes.len());
         let oracle = oracle();
         for (c, &n) in done.iter().zip(&nodes) {
-            assert_eq!(c.batch_depth, nodes.len(), "one fused batch");
+            assert_eq!(c.batch_depth, nodes.len(), "one batch");
             let got = c.result.as_ref().unwrap();
             let want = oracle.run_shared(&net, &query(n)).unwrap();
             assert_eq!(got.collects, want.collects, "node {n}");
@@ -556,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_wider_than_the_sliced_kernel_split_into_more_pumps() {
+    fn batches_wider_than_the_pump_cap_split_into_more_pumps() {
         let net = snapshot();
         let cfg = ServeConfig {
             max_batch: 100,
@@ -564,7 +571,7 @@ mod tests {
         };
         let oracle = oracle();
 
-        // 100 distinct fusable queries: two pumps of 64 and 36 lanes,
+        // 100 distinct batchable queries: two pumps of 64 and 36 lanes,
         // arrival order kept, every report the solo oracle's.
         let mut server = Server::new(Arc::clone(&net), cfg.clone()).unwrap();
         for n in 0..100u32 {
@@ -575,8 +582,8 @@ mod tests {
         }
         let first = server.pump();
         let second = server.pump();
-        assert_eq!((first.len(), second.len()), (MAX_SLICED_LANES, 36));
-        assert!(first.iter().all(|c| c.batch_depth == MAX_SLICED_LANES));
+        assert_eq!((first.len(), second.len()), (MAX_PUMP, 36));
+        assert!(first.iter().all(|c| c.batch_depth == MAX_PUMP));
         assert!(second.iter().all(|c| c.batch_depth == 36));
         assert_eq!(server.queue_len(), 0);
         server.assert_accounting();
@@ -593,7 +600,7 @@ mod tests {
             server.offer(query(42));
         }
         let depths: Vec<usize> = (0..2).map(|_| server.pump().len()).collect();
-        assert_eq!(depths, vec![MAX_SLICED_LANES, 36]);
+        assert_eq!(depths, vec![MAX_PUMP, 36]);
         assert_eq!(server.pool_size(), 1, "each pump ran one lane");
         server.assert_accounting();
         assert_eq!(server.stats().completed, 100);
@@ -639,7 +646,7 @@ mod tests {
         let mut server = Server::new(net, cfg).unwrap();
         // 20 same-shape queries: a saturated queue must fill every
         // batch to min(max_batch, queued) — the depth-curve benches
-        // depend on this (a short batch dilutes the fused speedup).
+        // depend on this.
         for n in 0..20u32 {
             server.offer(query(n % 5));
         }
@@ -790,32 +797,37 @@ mod tests {
     fn oversized_custom_rules_serve_solo_through_the_oracle() {
         let net = snapshot();
         // Nine arcs in one state overflows the kernel's merge cursors:
-        // unfusable, so the server routes it through the oracle.
-        let arcs: Vec<RuleArc> = (0..9).map(|r| RuleArc::new(RelationType(r), 1)).collect();
-        let rule = PropRule::Custom(RuleProgram::from_states(vec![
-            RuleState::new(arcs),
-            RuleState::terminal(),
-        ]));
-        let program = Program::builder()
-            .search_node(NodeId(0), Marker::binary(1), 0.0)
-            .propagate(
-                Marker::binary(1),
-                Marker::complex(2),
-                rule,
-                StepFunc::AddWeight,
-            )
-            .collect_marker(Marker::complex(2))
-            .build();
-        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-        server.offer(program.clone());
-        server.offer(program.clone());
-        let done = server.drain();
-        assert_eq!(done.len(), 2);
-        assert!(done.iter().all(|c| c.batch_depth == 1), "served solo");
-        let want = oracle().run_shared(&net, &program).unwrap();
-        for c in &done {
-            assert_eq!(c.result.as_ref().unwrap().collects, want.collects);
+        // unfusable, so the server routes it through the oracle. Eight
+        // is the widest state the kernel merges, and batches.
+        for (arcs, depth) in [(9u16, 1), (8, 2)] {
+            let arcs: Vec<RuleArc> = (0..arcs)
+                .map(|r| RuleArc::new(RelationType(r), 1))
+                .collect();
+            let rule = PropRule::Custom(RuleProgram::from_states(vec![
+                RuleState::new(arcs),
+                RuleState::terminal(),
+            ]));
+            let program = Program::builder()
+                .search_node(NodeId(0), Marker::binary(1), 0.0)
+                .propagate(
+                    Marker::binary(1),
+                    Marker::complex(2),
+                    rule,
+                    StepFunc::AddWeight,
+                )
+                .collect_marker(Marker::complex(2))
+                .build();
+            let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+            server.offer(program.clone());
+            server.offer(program.clone());
+            let done = server.drain();
+            assert_eq!(done.len(), 2);
+            assert!(done.iter().all(|c| c.batch_depth == depth), "{depth}");
+            let want = oracle().run_shared(&net, &program).unwrap();
+            for c in &done {
+                assert_eq!(c.result.as_ref().unwrap().collects, want.collects);
+            }
+            server.assert_accounting();
         }
-        server.assert_accounting();
     }
 }

@@ -4,7 +4,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Runner knobs, mirroring `proptest::test_runner::Config`. Only
-/// `cases` is honored by the shim.
+/// `cases` is honored by the shim; like the real crate, its default
+/// reads the `PROPTEST_CASES` environment variable.
 #[derive(Debug, Clone)]
 #[allow(clippy::exhaustive_structs)]
 pub struct ProptestConfig {
@@ -17,7 +18,10 @@ pub struct ProptestConfig {
 impl Default for ProptestConfig {
     fn default() -> Self {
         ProptestConfig {
-            cases: 64,
+            cases: std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|cases| cases.parse().ok())
+                .unwrap_or(64),
             max_shrink_iters: 1024,
         }
     }

@@ -5,7 +5,10 @@
 //! must never change: a long-lived machine reports exactly what a fresh
 //! one does, no snapshot is ever served another's map, the memo holds
 //! no strong reference, concurrent callers agree with serial ones, and
-//! the per-call checks still run on a warm machine.
+//! the per-call checks still run on a warm machine. The sequential
+//! engine also keeps its run state (region, kernel tables) per
+//! snapshot, so the same tests are what a state returned dirty, or
+//! checked out for the wrong snapshot, has to get past.
 
 use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid::{kb_chain, kb_tree, kb_web, programs};
@@ -45,8 +48,10 @@ fn walk(node: u32, rule: PropRule) -> Program {
         .build()
 }
 
-/// 26 pairwise different programs valid on every grid KB (≥ 20 nodes):
-/// 24 single-seed walks over four rule kinds plus the grid's pipelines.
+/// 27 pairwise different programs valid on every grid KB (≥ 20 nodes):
+/// 24 single-seed walks over four rule kinds, the serving layer's parse
+/// shape (a binary seed spread into a complex target other than the
+/// walks') and the grid's pipelines.
 fn many_programs() -> Vec<Program> {
     let (r0, r1, r2) = (RelationType(0), RelationType(1), RelationType(2));
     let rules = [
@@ -59,6 +64,18 @@ fn many_programs() -> Vec<Program> {
         // The rule index shifts on the second lap over the 20 seeds.
         .map(|i| walk(i % 20, rules[(i + i / 20) as usize % rules.len()].clone()))
         .collect();
+    all.push(
+        Program::builder()
+            .search_node(NodeId(2), Marker::binary(1), 0.0)
+            .propagate(
+                Marker::binary(1),
+                Marker::complex(2),
+                PropRule::Spread(r0, r2),
+                StepFunc::AddWeight,
+            )
+            .collect_marker(Marker::complex(2))
+            .build(),
+    );
     all.extend(programs().into_iter().map(|(_, p)| p));
     all
 }
@@ -238,9 +255,42 @@ fn per_call_checks_still_run_on_a_warm_machine() {
     // only ever fire on an arriving snapshot, warm machine or not.)
     let staged = Arc::new(kb_chain());
     assert!(staged.staged_link_count() > 0);
+    // A program that fails midway: markers written and propagated, then
+    // a search for a node past the KB.
+    let failing = Program::builder()
+        .search_node(NodeId(0), Marker::complex(0), 0.0)
+        .propagate(
+            Marker::complex(0),
+            Marker::complex(1),
+            PropRule::Star(RelationType(0)),
+            StepFunc::AddWeight,
+        )
+        .search_node(NodeId(net.node_count() as u32 + 7), Marker::complex(1), 0.0)
+        .collect_marker(Marker::complex(1))
+        .build();
+    let later = walk(3, PropRule::Star(RelationType(0)));
     for engine in ENGINES {
         let m = machine(engine);
         let warm = m.run_shared(&net, &program).unwrap();
+        // The failed run sits between two that succeed: whatever state
+        // it left behind, each of the three is a fresh machine's.
+        assert_same(
+            engine,
+            "before the failure",
+            &warm,
+            &machine(engine).run_shared(&net, &program).unwrap(),
+        );
+        assert_eq!(
+            m.run_shared(&net, &failing).unwrap_err(),
+            machine(engine).run_shared(&net, &failing).unwrap_err(),
+            "{engine:?}"
+        );
+        assert_same(
+            engine,
+            "after the failure",
+            &m.run_shared(&net, &later).unwrap(),
+            &machine(engine).run_shared(&net, &later).unwrap(),
+        );
         assert!(matches!(
             m.run_shared(&net, &maintenance),
             Err(CoreError::MaintenanceOnShared { .. })

@@ -1,5 +1,6 @@
-//! Zero-allocation steady-state serving, set-up-free solo calls, and a
-//! discrete-event loop that does not allocate per message.
+//! Zero-allocation steady-state serving, warm solo calls free of
+//! node-count-sized tables, and a discrete-event loop that does not
+//! allocate per message.
 //!
 //! The serving layer's claim is that once its pools are warm — pending
 //! entries, query contexts, kernel scratch, report maps — a
@@ -9,16 +10,18 @@
 //! counter never taxes the rest of the suite) is armed after a warm-up
 //! phase, and the measured drain must record **zero** allocations.
 //!
-//! Admission is measured separately from the drain: `offer` pays one
-//! rule compilation per propagate instruction to decide fusibility, so
-//! the zero-allocation invariant is pinned to the pump — the hot path
-//! the saturated-throughput bench times.
+//! Admission is measured separately from the drain: the client builds
+//! and clones a `Program` per offer, so the zero-allocation invariant
+//! is pinned to the pump — the hot path the saturated-throughput bench
+//! times.
 //!
 //! The solo case pins the other amortisation: after its first call for
-//! a snapshot, [`Snap1::run_shared`] allocates none of the
-//! node-count-sized tables of the region map and partition — a
-//! regression that silently re-partitions per call fails here, not
-//! just in a benchmark.
+//! a snapshot, [`Snap1::run_shared`] on the sequential engine allocates
+//! no node-count-sized table at all — not the region map and partition
+//! (remembered per snapshot), not marker rows or kernel tables (pooled
+//! with it) — so a regression that silently re-partitions, or builds
+//! and zeroes a visited table per `PROPAGATE`, fails here, not just in
+//! a benchmark.
 //!
 //! The simulator case pins the discrete-event loop's message path: a
 //! run allocates for its set-up and for queues that double as they
@@ -28,9 +31,9 @@
 
 use snap_core::{EngineKind, RegionMap, Snap1};
 use snap_integration_tests::grid::program_wave;
-use snap_isa::{Program, PropRule, StepFunc};
+use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
 use snap_kb::synth::scale_free_network;
-use snap_kb::{Marker, NodeId, PartitionScheme, RelationType};
+use snap_kb::{Marker, NodeId, PartitionScheme, RelationType, SemanticNetwork};
 use snap_nlu::{kb::rel, DomainSpec, PartOfSpeech};
 use snap_serve::{Admission, ServeConfig, Server};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,17 +134,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The bench's parse-style query shape: all instances fuse.
-fn query(node: u32) -> Program {
+/// One served shape: seed a node, propagate by `rule` into `target`,
+/// collect it.
+fn query(node: u32, rule: &PropRule, target: Marker) -> Program {
     Program::builder()
         .search_node(NodeId(node), Marker::binary(1), 0.0)
-        .propagate(
-            Marker::binary(1),
-            Marker::complex(2),
-            PropRule::Star(RelationType(0)),
-            StepFunc::AddWeight,
-        )
-        .collect_marker(Marker::complex(2))
+        .propagate(Marker::binary(1), target, rule.clone(), StepFunc::AddWeight)
+        .collect_marker(target)
         .build()
 }
 
@@ -154,14 +153,32 @@ fn steady_state_pump_allocates_nothing_per_query() {
         ..ServeConfig::default()
     };
     let mut server = Server::new(Arc::new(net), cfg).unwrap();
+    // Three shapes through one server — the bench's parse-style walk,
+    // a three-state custom rule (two more visited tables to arm) and a
+    // binary target (arrivals carry no payload) — so the pump also
+    // re-plans and re-arms between batches.
+    let r0 = RelationType(0);
+    let three_states = PropRule::Custom(RuleProgram::from_states(vec![
+        RuleState::new(vec![RuleArc::new(r0, 1)]),
+        RuleState::new(vec![RuleArc::new(r0, 2)]),
+        RuleState::new(vec![RuleArc::new(r0, 2)]),
+    ]));
+    let shapes = [
+        (PropRule::Star(r0), Marker::complex(2)),
+        (three_states, Marker::complex(2)),
+        (PropRule::Star(r0), Marker::binary(2)),
+    ];
     // Distinct seeds so every query takes its own lane (no coalescing
-    // shortcut) and the batch runs the full sliced kernel.
+    // shortcut) and the batch runs one wave per lane.
     let seeds = [0u32, 17, 42, 99, 123, 200, 250, 299];
-    let programs: Vec<Program> = seeds.iter().map(|&n| query(n)).collect();
+    let programs: Vec<Program> = shapes
+        .iter()
+        .flat_map(|(rule, target)| seeds.iter().map(|&n| query(n, rule, *target)))
+        .collect();
 
     // Warm-up: several full offer-and-drain rounds grow every pool to
-    // its steady-state footprint (contexts, scratch planes, report
-    // maps, recycled pending slots, the compiled-rule cache).
+    // its steady-state footprint (contexts, wave scratch, report maps,
+    // recycled pending slots, the compiled-rule cache).
     for _ in 0..3 {
         for p in &programs {
             assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
@@ -174,23 +191,27 @@ fn steady_state_pump_allocates_nothing_per_query() {
     }
 
     // Measured round: programs are cloned and offered before the
-    // counter is armed (building a Program allocates; admission compiles
-    // rules for the fusibility check), then the drain — the path the
-    // throughput bench times — runs under the armed counter.
+    // counter is armed (cloning a Program allocates), then the drain —
+    // the path the throughput bench times — runs under the armed
+    // counter.
     for p in &programs {
         assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
     }
     let mut served = 0u64;
+    let mut reached = 0usize;
     let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
         while server.queue_len() > 0 {
             server.pump_with(|c| {
-                assert!(c.result.is_ok(), "measured query succeeds");
+                let report = c.result.expect("measured query succeeds");
+                assert_eq!(c.batch_depth, seeds.len(), "one full batch per shape");
+                reached += report.collects[0].len();
                 served += 1;
             });
         }
     });
 
-    assert_eq!(served, seeds.len() as u64, "every offer completed");
+    assert_eq!(served, programs.len() as u64, "every offer completed");
+    assert!(reached > served as usize, "the waves went somewhere");
     assert_eq!(
         allocs, 0,
         "steady-state pump allocated {allocs} time(s) serving {served} queries"
@@ -223,12 +244,12 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
         .collect();
     let net = Arc::new(kb.network);
     let programs: Vec<Program> = nouns.iter().take(8).map(|&n| parse_query(n)).collect();
-    // The smallest node-count-sized table of the set-up: the region
-    // map's u32 local index per node.
+    // The smallest node-count-sized table a call can build: the region
+    // map's u32 local index per node. Marker value rows and the wave
+    // kernel's `(value, origin)` tables are twice that per node.
     let large_at = net.node_count() * 4;
 
-    // What the set-up alone takes, stand-alone: this is the signature
-    // a re-partitioning call would carry.
+    // The probe sees such tables: this is what the set-up alone takes.
     let (_, setup) = counted(large_at, || {
         let map = RegionMap::build(&net, 1, PartitionScheme::Sequential);
         let stats = map.partition().stats(&net);
@@ -242,34 +263,41 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
     let machine = Snap1::builder().engine(EngineKind::Sequential).build();
     let (first, cold) = counted(large_at, || machine.run_shared(&net, &programs[0]));
     let first = first.expect("cold call succeeds");
-    // Per-call marker and kernel tables are node-count-sized too, so a
-    // warm call is not free of large allocations; what it must not
-    // contain is the set-up's share of them.
-    let mut warm_calls = Vec::new();
-    for program in programs.iter().cycle().take(24) {
+    // A cold call builds the set-up and, on top of it, the run state:
+    // marker rows and the kernel's visited tables.
+    assert!(
+        cold.large > setup.large && cold.large_bytes > setup.large_bytes,
+        "a cold call builds the set-up and a run state (set-up {setup:?}, cold {cold:?})"
+    );
+    // Every warm call finds both where the first call left them.
+    for (i, program) in programs.iter().cycle().take(24).enumerate() {
         let (report, warm) = counted(large_at, || machine.run_shared(&net, program));
         report.expect("warm call succeeds");
-        warm_calls.push(warm);
+        assert_eq!(
+            (warm.large, warm.large_bytes),
+            (0, 0),
+            "warm call {i} took a node-count-sized table: {warm:?}"
+        );
     }
-    let warm = warm_calls[0];
-    assert!(
-        warm_calls
-            .iter()
-            .all(|c| (c.large, c.large_bytes) == (warm.large, warm.large_bytes)),
-        "every warm call takes the same node-count-sized tables: {warm_calls:?}"
-    );
-    assert_eq!(
-        (
-            warm.large + setup.large,
-            warm.large_bytes + setup.large_bytes
-        ),
-        (cold.large, cold.large_bytes),
-        "a cold call is a warm call plus exactly one set-up \
-         (set-up {setup:?}, cold {cold:?}, warm {warm:?})"
-    );
-    // And the memoised call still answers like a fresh machine.
+    // And the warm call still answers like a fresh machine.
     let again = machine.run_shared(&net, &programs[0]).unwrap();
     assert_eq!(again, first);
+
+    // A second snapshot — same contents, another `Arc` — shares nothing
+    // with the first: its call is cold, drops the pooled state, and so
+    // is the first snapshot's next call.
+    let other = Arc::new(SemanticNetwork::clone(&net));
+    for (label, snapshot) in [("second snapshot", &other), ("first again", &net)] {
+        let (report, counts) = counted(large_at, || machine.run_shared(snapshot, &programs[0]));
+        assert_eq!(report.expect("cold call succeeds"), first, "{label}");
+        assert_eq!(
+            (counts.large, counts.large_bytes),
+            (cold.large, cold.large_bytes),
+            "{label} is as cold as the very first call"
+        );
+        let (_, warm) = counted(large_at, || machine.run_shared(snapshot, &programs[1]));
+        assert_eq!(warm.large, 0, "{label}, warm: {warm:?}");
+    }
 }
 
 /// One warm `engine-wave` run on the benchmark's simulated machine
