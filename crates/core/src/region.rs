@@ -99,6 +99,9 @@ pub struct Region {
     cluster: ClusterId,
     map: Arc<RegionMap>,
     markers: MarkerState,
+    /// Result row of the boolean instructions, computed here before the
+    /// target row is written (the target may be one of the sources).
+    scratch: StatusRow,
 }
 
 impl Region {
@@ -110,6 +113,7 @@ impl Region {
             cluster,
             map,
             markers: MarkerState::new(nodes, cfg.complex_markers, cfg.binary_markers),
+            scratch: StatusRow::new(nodes),
         }
     }
 
@@ -189,9 +193,10 @@ impl Region {
     /// paths that walk the set once borrow the status row directly
     /// instead of allocating a `Vec` per call.
     pub fn active_nodes_iter(&self, marker: Marker) -> impl Iterator<Item = NodeId> + '_ {
+        let members = self.members();
         self.markers
             .active_nodes_iter(marker)
-            .map(|l| self.global(l))
+            .map(move |l| members[l.index()])
     }
 
     /// Number of active instances of `marker` in this region.
@@ -310,30 +315,34 @@ impl Region {
         origin: NodeId,
     ) -> Result<Arrival, CoreError> {
         let local = self.local(node);
-        if !self.markers.test(marker, local) {
-            self.activate(marker, node, value, origin)?;
-            return Ok(Arrival::New);
-        }
-        if marker.kind() == MarkerKind::Binary {
-            return Ok(Arrival::Ignored);
-        }
-        let current = self.markers.value(marker, local).unwrap_or(MarkerValue {
-            value: 0.0,
-            origin: node,
-        });
-        if improves((current.value, current.origin), value, origin) {
-            self.markers.set_value(
-                marker,
-                local,
-                MarkerValue {
-                    value: value.min(current.value),
-                    origin,
-                },
-            )?;
-            Ok(Arrival::Improved)
+        // One resolution of the marker per arrival: register check, kind
+        // and row look-ups happen here and nowhere below.
+        let (row, payload) = self.markers.rows_mut(marker)?;
+        let new = row.set(local);
+        let Some(payload) = payload else {
+            return Ok(if new { Arrival::New } else { Arrival::Ignored });
+        };
+        let (outcome, stored) = if new {
+            (Arrival::New, MarkerValue { value, origin })
         } else {
-            Ok(Arrival::Ignored)
+            // A set bit with no payload behind it reads as 0.0 bound to
+            // the node itself.
+            let current = payload.get(local.index()).copied().unwrap_or(MarkerValue {
+                value: 0.0,
+                origin: node,
+            });
+            if !improves((current.value, current.origin), value, origin) {
+                return Ok(Arrival::Ignored);
+            }
+            let value = value.min(current.value);
+            (Arrival::Improved, MarkerValue { value, origin })
+        };
+        match payload.get_mut(local.index()) {
+            Some(slot) => *slot = stored,
+            // The marker's first payload: `set_value` allocates the row.
+            None => self.markers.set_value(marker, local, stored)?,
         }
+        Ok(outcome)
     }
 
     /// Bulk write-back for the bit-sliced serving kernel: stores the
@@ -361,6 +370,7 @@ impl Region {
             cluster,
             map,
             markers,
+            ..
         } = self;
         let cluster = *cluster;
         markers.merge_values(
@@ -392,6 +402,7 @@ impl Region {
             cluster,
             map,
             markers,
+            ..
         } = self;
         let cluster = *cluster;
         markers.merge_bits(
@@ -420,52 +431,41 @@ impl Region {
         target: Marker,
         combine: CombineFunc,
     ) -> Result<(usize, usize), CoreError> {
-        let empty = StatusRow::new(self.len());
-        let row_a = self
-            .markers
-            .row(a)
-            .cloned()
-            .unwrap_or_else(|| empty.clone());
-        let row_b = self.markers.row(b).cloned().unwrap_or(empty);
-        let mut result = StatusRow::new(self.len());
-        let words = if and {
-            result.assign_and(&row_a, &row_b)
-        } else {
-            result.assign_or(&row_a, &row_b)
+        let Region {
+            cluster,
+            map,
+            markers,
+            scratch,
+        } = self;
+        // A source never touched reads as all clear.
+        let words = match (markers.row(a), markers.row(b)) {
+            (Some(ra), Some(rb)) if and => scratch.assign_and(ra, rb),
+            (Some(ra), Some(rb)) => scratch.assign_or(ra, rb),
+            (Some(r), None) | (None, Some(r)) if !and => scratch.assign(r),
+            _ => scratch.clear_all(),
         };
         // Values for complex targets: combine the source payloads where
         // both are present, else take the one that is.
         let mut value_updates = 0;
         if target.kind() == MarkerKind::Complex {
-            for local in result.iter() {
-                let va = self.markers.value(a, local).map(|v| v.value);
-                let vb = self.markers.value(b, local).map(|v| v.value);
+            let members = map.members(*cluster);
+            for local in scratch.iter() {
+                let va = markers.value(a, local).map(|v| v.value);
+                let vb = markers.value(b, local).map(|v| v.value);
                 let value = match (va, vb) {
                     (Some(x), Some(y)) => combine.apply(x, y),
                     (Some(x), None) => x,
                     (None, Some(y)) => y,
                     (None, None) => 0.0,
                 };
-                let origin = self.global(local);
-                self.markers
-                    .set_value(target, local, MarkerValue { value, origin })?;
+                let origin = members[local.index()];
+                markers.set_value(target, local, MarkerValue { value, origin })?;
                 value_updates += 1;
             }
-            // Clear stale target bits not in the result.
-            let current: Vec<NodeId> = self
-                .markers
-                .row(target)
-                .map(|r| r.iter().collect())
-                .unwrap_or_default();
-            for local in current {
-                if !result.test(local) {
-                    self.markers.clear(target, local)?;
-                }
-            }
-        } else {
-            let row = self.markers.row_mut(target)?;
-            row.assign(&result);
         }
+        // The target row becomes the result exactly, which also clears
+        // stale target bits outside it.
+        markers.row_mut(target)?.assign(scratch);
         Ok((words * 3, value_updates))
     }
 
@@ -476,32 +476,24 @@ impl Region {
     ///
     /// Returns [`CoreError`] for an out-of-range marker register.
     pub fn not_op(&mut self, source: Marker, target: Marker) -> Result<usize, CoreError> {
-        let src = self
-            .markers
-            .row(source)
-            .cloned()
-            .unwrap_or_else(|| StatusRow::new(self.len()));
-        let mut result = StatusRow::new(self.len());
-        let words = result.assign_not(&src);
+        let Region {
+            cluster,
+            map,
+            markers,
+            scratch,
+        } = self;
+        let words = match markers.row(source) {
+            Some(src) => scratch.assign_not(src),
+            None => scratch.set_all(),
+        };
         if target.kind() == MarkerKind::Complex {
-            for local in result.iter() {
-                let origin = self.global(local);
-                self.markers
-                    .set_value(target, local, MarkerValue { value: 0.0, origin })?;
+            let members = map.members(*cluster);
+            for local in scratch.iter() {
+                let origin = members[local.index()];
+                markers.set_value(target, local, MarkerValue { value: 0.0, origin })?;
             }
-            let current: Vec<NodeId> = self
-                .markers
-                .row(target)
-                .map(|r| r.iter().collect())
-                .unwrap_or_default();
-            for local in current {
-                if !result.test(local) {
-                    self.markers.clear(target, local)?;
-                }
-            }
-        } else {
-            self.markers.row_mut(target)?.assign(&result);
         }
+        markers.row_mut(target)?.assign(scratch);
         Ok(words * 2)
     }
 
@@ -586,47 +578,29 @@ impl Region {
 
     // ----- retrieval phase -----
 
-    /// `COLLECT-MARKER` local part: `(global node, payload)` pairs,
-    /// ascending by node ID.
-    pub fn collect_marker(&self, marker: Marker) -> Vec<(NodeId, Option<MarkerValue>)> {
-        let mut out = Vec::new();
-        self.collect_marker_into(marker, &mut out);
-        out
-    }
-
-    /// [`Region::collect_marker`] appending into a caller-owned buffer
-    /// (the steady-state serving loop recycles it), returning how many
-    /// pairs this region contributed.
+    /// `COLLECT-MARKER` local part: appends `(global node, payload)`
+    /// pairs, ascending by node ID, into a caller-owned buffer (the
+    /// steady-state serving loop recycles it) and returns how many pairs
+    /// this region contributed.
     pub fn collect_marker_into(
         &self,
         marker: Marker,
         out: &mut Vec<(NodeId, Option<MarkerValue>)>,
     ) -> usize {
         let before = out.len();
-        if let Some(row) = self.markers.row(marker) {
-            out.extend(
-                row.iter()
-                    .map(|local| (self.global(local), self.markers.value(marker, local))),
-            );
+        if let Some((row, payload)) = self.markers.rows(marker) {
+            let members = self.members();
+            out.extend(row.iter().map(|local| {
+                let i = local.index();
+                (members[i], payload.get(i).copied())
+            }));
         }
         out.len() - before
     }
 
-    /// `COLLECT-RELATION` local part: links of `relation` at marked
-    /// member nodes.
-    pub fn collect_relation(
-        &self,
-        network: &SemanticNetwork,
-        marker: Marker,
-        relation: RelationType,
-    ) -> Vec<(NodeId, snap_kb::Link)> {
-        let mut out = Vec::new();
-        self.collect_relation_into(network, marker, relation, &mut out);
-        out
-    }
-
-    /// [`Region::collect_relation`] appending into a caller-owned
-    /// buffer, returning how many pairs this region contributed.
+    /// `COLLECT-RELATION` local part: appends the links of `relation`
+    /// at marked member nodes into a caller-owned buffer, returning how
+    /// many pairs this region contributed.
     pub fn collect_relation_into(
         &self,
         network: &SemanticNetwork,
@@ -643,15 +617,9 @@ impl Region {
         out.len() - before
     }
 
-    /// `COLLECT-COLOR` local part: colors of marked member nodes.
-    pub fn collect_color(&self, network: &SemanticNetwork, marker: Marker) -> Vec<(NodeId, Color)> {
-        let mut out = Vec::new();
-        self.collect_color_into(network, marker, &mut out);
-        out
-    }
-
-    /// [`Region::collect_color`] appending into a caller-owned buffer,
-    /// returning how many pairs this region contributed.
+    /// `COLLECT-COLOR` local part: appends the colors of marked member
+    /// nodes into a caller-owned buffer, returning how many pairs this
+    /// region contributed.
     pub fn collect_color_into(
         &self,
         network: &SemanticNetwork,
@@ -861,18 +829,127 @@ mod tests {
         let m = Marker::complex(0);
         regions[0].arrive(m, NodeId(6), 1.5, NodeId(0)).unwrap();
         regions[0].arrive(m, NodeId(0), 0.5, NodeId(0)).unwrap();
-        let collected = regions[0].collect_marker(m);
-        assert_eq!(collected.len(), 2);
+        let mut collected = Vec::new();
+        assert_eq!(regions[0].collect_marker_into(m, &mut collected), 2);
         assert_eq!(collected[0].0, NodeId(0));
         assert_eq!(collected[0].1.unwrap().value, 0.5);
         assert_eq!(collected[1].0, NodeId(6));
-        let colors = regions[0].collect_color(&net, m);
+        let mut colors = Vec::new();
+        assert_eq!(regions[0].collect_color_into(&net, m, &mut colors), 2);
         assert_eq!(colors, vec![(NodeId(0), Color(0)), (NodeId(6), Color(0))]);
-        regions[0]
-            .arrive(Marker::binary(0), NodeId(0), 0.0, NodeId(0))
-            .unwrap();
-        let links = regions[0].collect_relation(&net, Marker::binary(0), RelationType(1));
-        assert_eq!(links.len(), 1);
+        let b = Marker::binary(0);
+        regions[0].arrive(b, NodeId(0), 0.0, NodeId(0)).unwrap();
+        let mut links = Vec::new();
+        let n = regions[0].collect_relation_into(&net, b, RelationType(1), &mut links);
+        assert_eq!((n, links.len()), (1, 1));
         assert_eq!(links[0].1.destination, NodeId(1));
+        // The `_into` forms append: a second region's share lands behind
+        // the first's, and a binary marker carries no payload.
+        regions[1].arrive(b, NodeId(3), 0.0, NodeId(3)).unwrap();
+        let mut both = Vec::new();
+        assert_eq!(regions[0].collect_marker_into(b, &mut both), 1);
+        assert_eq!(regions[1].collect_marker_into(b, &mut both), 1);
+        assert_eq!(both, vec![(NodeId(0), None), (NodeId(3), None)]);
+        // A marker never touched contributes nothing.
+        assert_eq!(
+            regions[0].collect_marker_into(Marker::complex(9), &mut both),
+            0
+        );
+    }
+
+    #[test]
+    fn arrive_on_an_out_of_range_register_is_a_typed_error() {
+        let (_, _, mut regions) = setup(1);
+        let r = &mut regions[0];
+        // The register files hold 64 markers of each kind; the error is
+        // the one `search_node` and `set_marker` report for the register.
+        for marker in [Marker::complex(70), Marker::binary(70)] {
+            let want = r.search_node(NodeId(1), marker, 0.0).unwrap_err();
+            assert_eq!(
+                want,
+                CoreError::Kb(snap_kb::KbError::MarkerOutOfRange {
+                    index: 70,
+                    capacity: 64
+                })
+            );
+            assert_eq!(r.arrive(marker, NodeId(1), 1.0, NodeId(0)), Err(want));
+        }
+    }
+
+    #[test]
+    fn a_set_bit_with_no_payload_row_reads_as_zero_bound_to_the_node() {
+        let (_, _, mut regions) = setup(1);
+        let r = &mut regions[0];
+        let m = Marker::complex(4);
+        // Only `MarkerState::set` can leave a complex bit without a
+        // payload row; the region never does.
+        for n in [2u32, 3, 5] {
+            r.markers.set(m, NodeId(n)).unwrap();
+            assert_eq!(r.value(m, NodeId(n)), None);
+        }
+        // A worse value is ignored and leaves the payload unwritten.
+        assert_eq!(
+            r.arrive(m, NodeId(2), 3.0, NodeId(1)).unwrap(),
+            Arrival::Ignored
+        );
+        assert_eq!(r.value(m, NodeId(2)), None);
+        // 0.0 from an origin below the node wins the tie against the
+        // node itself; from an origin above it does not.
+        assert_eq!(
+            r.arrive(m, NodeId(5), 0.0, NodeId(7)).unwrap(),
+            Arrival::Ignored
+        );
+        assert_eq!(
+            r.arrive(m, NodeId(5), 0.0, NodeId(1)).unwrap(),
+            Arrival::Improved
+        );
+        let origin = NodeId(1);
+        assert_eq!(
+            r.value(m, NodeId(5)),
+            Some(MarkerValue { value: 0.0, origin })
+        );
+        // A smaller value improves and is stored.
+        assert_eq!(
+            r.arrive(m, NodeId(3), -1.0, NodeId(6)).unwrap(),
+            Arrival::Improved
+        );
+        let origin = NodeId(6);
+        assert_eq!(
+            r.value(m, NodeId(3)),
+            Some(MarkerValue {
+                value: -1.0,
+                origin
+            })
+        );
+    }
+
+    #[test]
+    fn bool_ops_write_a_target_that_is_also_a_source() {
+        let (_, _, mut regions) = setup(1);
+        let r = &mut regions[0];
+        let (a, b) = (Marker::complex(0), Marker::complex(1));
+        for n in [1u32, 2, 3] {
+            r.arrive(a, NodeId(n), n as f32, NodeId(n)).unwrap();
+        }
+        for n in [2u32, 3, 4] {
+            r.arrive(b, NodeId(n), 10.0, NodeId(n)).unwrap();
+        }
+        // a := a AND b — the result is computed before `a` is rewritten.
+        let (words, updates) = r.bool_op(true, a, b, a, CombineFunc::Add).unwrap();
+        assert_eq!((words, updates), (r.words() * 3, 2));
+        assert_eq!(r.active_nodes(a), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(r.value(a, NodeId(3)).unwrap().value, 13.0);
+        // b := NOT b, then an untouched source reads as all clear.
+        assert_eq!(r.not_op(b, b).unwrap(), r.words() * 2);
+        assert_eq!(r.count(b), 5);
+        let t = Marker::binary(9);
+        r.bool_op(false, a, Marker::binary(8), t, CombineFunc::Add)
+            .unwrap();
+        assert_eq!(r.active_nodes(t), vec![NodeId(2), NodeId(3)]);
+        r.bool_op(true, a, Marker::binary(8), t, CombineFunc::Add)
+            .unwrap();
+        assert_eq!(r.count(t), 0);
+        assert_eq!(r.not_op(Marker::binary(8), t).unwrap(), r.words() * 2);
+        assert_eq!(r.count(t), 8);
     }
 }

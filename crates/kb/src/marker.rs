@@ -109,6 +109,14 @@ impl Default for MarkerValue {
 /// Rows of the status table are allocated lazily: a marker that is never
 /// touched costs nothing, which keeps 12K-node experiments with the full
 /// 64+64 register file cheap.
+///
+/// The per-node methods ([`test`](MarkerState::test),
+/// [`value`](MarkerState::value), [`set_value`](MarkerState::set_value))
+/// each resolve their marker afresh — kind, register range, whether the
+/// row exists. A caller that touches one marker many times, or reads and
+/// then writes it, resolves it once through [`MarkerState::rows`] /
+/// [`MarkerState::rows_mut`] and works on the status row and payload
+/// slice it gets back.
 #[derive(Debug, Clone)]
 pub struct MarkerState {
     nodes: usize,
@@ -202,6 +210,47 @@ impl MarkerState {
             MarkerKind::Binary => &mut self.binary_status[marker.index() as usize],
         };
         Ok(slot.get_or_insert_with(|| StatusRow::new(nodes)))
+    }
+
+    /// Resolves `marker` once for reading: its status row and its payload
+    /// slice, or `None` if the marker was never touched. The slice is
+    /// empty for a binary marker and for a complex marker no payload was
+    /// ever written on, so `payload.get(node.index())` under a set bit is
+    /// exactly [`MarkerState::value`].
+    pub fn rows(&self, marker: Marker) -> Option<(&StatusRow, &[MarkerValue])> {
+        let row = self.row(marker)?;
+        let payload = match marker.kind() {
+            MarkerKind::Complex => self.values[marker.index() as usize].as_deref(),
+            MarkerKind::Binary => None,
+        };
+        Some((row, payload.unwrap_or_default()))
+    }
+
+    /// Resolves `marker` once for writing: its status row, allocated if
+    /// untouched, and — for a complex marker — its payload slice, which
+    /// stays empty until [`MarkerState::set_value`] has written the
+    /// marker's first payload. A binary marker has no payload (`None`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
+    /// register file.
+    pub fn rows_mut(
+        &mut self,
+        marker: Marker,
+    ) -> Result<(&mut StatusRow, Option<&mut [MarkerValue]>), KbError> {
+        self.check(marker)?;
+        let (nodes, i) = (self.nodes, marker.index() as usize);
+        Ok(match marker.kind() {
+            MarkerKind::Complex => (
+                self.complex_status[i].get_or_insert_with(|| StatusRow::new(nodes)),
+                Some(self.values[i].as_deref_mut().unwrap_or_default()),
+            ),
+            MarkerKind::Binary => (
+                self.binary_status[i].get_or_insert_with(|| StatusRow::new(nodes)),
+                None,
+            ),
+        })
     }
 
     /// Tests whether `marker` is active at `node`.

@@ -7,7 +7,6 @@ use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, Prepared, RunRe
 use snap_isa::{InstrClass, Instruction, Program, PropRule};
 use snap_kb::SemanticNetwork;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Most queries one pump serves, whatever [`ServeConfig::max_batch`]
@@ -124,7 +123,8 @@ pub struct CompletionRef<'a> {
 struct Pending {
     id: QueryId,
     program: Program,
-    shape: String,
+    /// Every propagation rule can take the wave kernel; a query that is
+    /// not fusable is served solo through the oracle.
     fusable: bool,
 }
 
@@ -154,8 +154,9 @@ pub struct Server {
     /// fallback.
     oracle: Snap1,
     queue: VecDeque<Pending>,
-    /// Spent [`Pending`] entries, recycled by `offer` (shape strings
-    /// and program slots keep their capacity).
+    /// Spent [`Pending`] entries, recycled by `offer`: an entry owns
+    /// nothing but its program, which the next offer replaces, so
+    /// admission allocates only while the queue is still growing.
     free: Vec<Pending>,
     /// Current batch being staged/served, drained back to `free`.
     batch: Vec<Pending>,
@@ -228,13 +229,20 @@ impl Server {
         let mut p = self.free.pop().unwrap_or_else(|| Pending {
             id: QueryId(0),
             program: std::iter::empty::<Instruction>().collect(),
-            shape: String::new(),
             fusable: false,
         });
         let id = QueryId(self.next_id);
         self.next_id += 1;
         p.id = id;
-        p.fusable = shape_key(&self.network, &program, &mut p.shape);
+        // Asked of each rule as the program carries it, nothing
+        // compiled: the snapshot has no staged links (`Server::new`) and
+        // a built-in rule has at most two arcs per state by
+        // construction, so only a custom rule's own states can fail
+        // `wave_supported`.
+        p.fusable = !program.iter().any(|i| {
+            matches!(i, Instruction::Propagate { rule: PropRule::Custom(rule), .. }
+                if !wave_supported(&self.network, rule))
+        });
         p.program = program;
         self.stats.admitted += 1;
         self.queue.push_back(p);
@@ -293,7 +301,7 @@ impl Server {
         // touching the rest of the queue).
         while self.batch.len() < depth_cap {
             let matches = match self.queue.front() {
-                Some(p) => p.fusable && p.shape == self.batch[0].shape,
+                Some(p) => p.fusable && same_shape(&p.program, &self.batch[0].program),
                 None => false,
             };
             if !matches {
@@ -307,7 +315,7 @@ impl Server {
         // relative order.
         let mut i = 0;
         while i < self.queue.len() && self.batch.len() < depth_cap {
-            if self.queue[i].fusable && self.queue[i].shape == self.batch[0].shape {
+            if self.queue[i].fusable && same_shape(&self.queue[i].program, &self.batch[0].program) {
                 let p = self.queue.remove(i).expect("index in bounds");
                 self.batch.push(p);
             } else {
@@ -444,47 +452,32 @@ impl Server {
     }
 }
 
-/// Canonical shape of a program, written into `key` (cleared first):
-/// search parameters (which node, color, relation, or initial value a
-/// query asks about) are masked so queries differing only in what they
-/// ask still batch; everything else — instruction sequence, markers,
-/// propagation rules, step and combine functions — prints exactly. Two
-/// programs with equal shapes plan to the same controller steps, so a
-/// batch walks one plan.
-///
-/// Returns `false` when some propagation rule cannot take the wave
-/// kernel (an oversized custom rule): such queries are served solo
-/// through the oracle. Asked of the rule as the program carries it,
-/// nothing compiled: the snapshot has no staged links
-/// ([`Server::new`]) and a built-in rule has at most two arcs per
-/// state by construction, so only a custom rule's own states can fail
-/// [`wave_supported`].
-fn shape_key(network: &SemanticNetwork, program: &Program, key: &mut String) -> bool {
-    key.clear();
-    let mut fusable = true;
-    for instr in program.iter() {
-        match instr {
-            Instruction::SearchNode { marker, .. } => {
-                let _ = write!(key, "SN({marker:?});");
-            }
-            Instruction::SearchRelation { marker, .. } => {
-                let _ = write!(key, "SR({marker:?});");
-            }
-            Instruction::SearchColor { marker, .. } => {
-                let _ = write!(key, "SC({marker:?});");
-            }
-            Instruction::Propagate { rule, .. } => {
-                if matches!(rule, PropRule::Custom(p) if !wave_supported(network, p)) {
-                    fusable = false;
-                }
-                let _ = write!(key, "{instr:?};");
-            }
-            other => {
-                let _ = write!(key, "{other:?};");
-            }
-        }
-    }
-    fusable
+/// `true` if `a` and `b` plan to the same controller steps, so one
+/// batch can walk one plan for both. Search parameters — which node,
+/// relation or color a query asks about, and the initial value — are
+/// masked, so queries differing only in what they ask still batch;
+/// everything else (instruction sequence, markers, propagation rules,
+/// step and combine functions and their constants) must be equal. The
+/// plan depends on instruction classes and markers only, so this is
+/// stricter than it has to be; constants compare as floats, so a `NaN`
+/// constant equals nothing and its query never batches, which is safe.
+fn same_shape(a: &Program, b: &Program) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|pair| match pair {
+            (
+                Instruction::SearchNode { marker: x, .. },
+                Instruction::SearchNode { marker: y, .. },
+            )
+            | (
+                Instruction::SearchRelation { marker: x, .. },
+                Instruction::SearchRelation { marker: y, .. },
+            )
+            | (
+                Instruction::SearchColor { marker: x, .. },
+                Instruction::SearchColor { marker: y, .. },
+            ) => x == y,
+            (x, y) => x == y,
+        })
 }
 
 #[cfg(test)]
