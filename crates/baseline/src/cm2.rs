@@ -14,7 +14,6 @@
 //! engines (via [`snap_core::exec`] and [`snap_core::propagate`]) under a
 //! lockstep wave schedule with a CM-2-style cost model.
 
-use serde::{Deserialize, Serialize};
 use snap_core::exec::exec_single;
 use snap_core::propagate::{expand, PropTask, VisitedMap};
 use snap_core::{CoreError, Region, RegionMap, RunReport, SimTime};
@@ -22,7 +21,7 @@ use snap_isa::{InstrClass, Instruction, Program, PropRule, StepFunc};
 use snap_kb::{ClusterId, Marker, PartitionScheme, SemanticNetwork};
 
 /// Cost model of the SIMD comparator, nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cm2Cost {
     /// Single-bit processing elements in the array (65 536 on a full
     /// CM-2).

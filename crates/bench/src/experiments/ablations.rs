@@ -10,12 +10,12 @@
 //!    per-wave round-trip on the SNAP array.
 
 use crate::output::{ms, ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::{alpha_network, alpha_program, parse_batch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snap_core::{MachineConfig, Snap1};
 use snap_kb::PartitionScheme;
-use snap_stats::Table;
 use snap_sync::{NaiveSyncModel, TieredSyncModel};
 
 /// Measures false-completion rates of the naive detector under random

@@ -7,10 +7,10 @@
 //! program and the compiled memory-based-parser programs.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::speech_program;
 use snap_isa::analyze_beta;
 use snap_nlu::{DomainSpec, MemoryBasedParser, SentenceGenerator};
-use snap_stats::Table;
 
 /// Runs the analysis.
 ///

@@ -6,10 +6,10 @@
 //! architecture must optimize.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::{EngineKind, RunReport, Snap1};
 use snap_isa::InstrClass;
-use snap_stats::Table;
 
 /// Runs the experiment.
 ///

@@ -7,10 +7,10 @@
 //! absorb these or senders block.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::Snap1;
 use snap_kb::PartitionScheme;
-use snap_stats::{Summary, Table};
 
 /// Runs the experiment.
 ///
@@ -36,16 +36,17 @@ pub fn run(quick: bool) -> ExperimentOutput {
         series.extend(&r.report.traffic.messages_per_sync);
         faults = faults.merged(&r.report.faults);
     }
-    let summary: Summary = series.iter().map(|&m| m as f64).collect();
+    let mean = series.iter().sum::<u64>() as f64 / series.len().max(1) as f64;
+    let max = series.iter().copied().max().unwrap_or(0);
 
     let mut table = Table::new(vec!["sync point", "messages"]);
     for (i, &m) in series.iter().enumerate() {
         table.row(vec![i.to_string(), m.to_string()]);
     }
     let mut stats = Table::new(vec!["statistic", "value"]);
-    stats.row(vec!["sync points".into(), summary.count().to_string()]);
-    stats.row(vec!["mean messages/sync".into(), ratio(summary.mean())]);
-    stats.row(vec!["max burst".into(), format!("{}", summary.max())]);
+    stats.row(vec!["sync points".into(), series.len().to_string()]);
+    stats.row(vec!["mean messages/sync".into(), ratio(mean)]);
+    stats.row(vec!["max burst".into(), max.to_string()]);
 
     let mut out = ExperimentOutput::new("fig08", "Marker traffic per barrier synchronization");
     out.table("messages at each synchronization point", table);
@@ -53,9 +54,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
     out.note(format!(
         "mean {:.2} messages/sync (paper: 11.49); max burst {} (paper: bursts over 30) — \
          bursty traffic: {}",
-        summary.mean(),
-        summary.max(),
-        if summary.max() > summary.mean() * 2.0 {
+        mean,
+        max,
+        if max as f64 > mean * 2.0 {
             "HOLDS"
         } else {
             "CHECK"

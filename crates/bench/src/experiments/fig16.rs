@@ -6,9 +6,9 @@
 //! configuration; for typical α (128–512) speedup is 18–33-fold.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::{alpha_network, alpha_program};
 use snap_core::{EngineKind, MachineConfig, Snap1};
-use snap_stats::Table;
 
 /// Machine configurations swept (cluster count, MUs per cluster).
 fn sweep(quick: bool) -> Vec<MachineConfig> {

@@ -7,11 +7,11 @@
 //! to running them **overlapped** on the same machine.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::{beta_network, beta_program, CHAIN_REL};
 use snap_core::Snap1;
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::{Color, Marker};
-use snap_stats::Table;
 
 /// The serialized variant: identical propagations with a barrier after
 /// each, so no β-overlap is possible.

@@ -5,10 +5,10 @@
 //! only to second order.
 
 use crate::output::{ms, ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::{MachineConfig, RunReport, Snap1};
 use snap_isa::InstrClass;
-use snap_stats::Table;
 
 fn batch_profile(clusters: usize, kb_nodes: usize, sentences: usize) -> RunReport {
     let mut config = MachineConfig::uniform(clusters, 3);

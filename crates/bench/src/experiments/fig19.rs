@@ -5,10 +5,10 @@
 //! the knowledge base grows.
 
 use crate::output::{ms, ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::{RunReport, Snap1};
 use snap_isa::InstrClass;
-use snap_stats::Table;
 
 /// Runs the experiment.
 ///

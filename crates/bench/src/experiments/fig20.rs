@@ -8,10 +8,10 @@
 //! constant.
 
 use crate::output::{ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::Snap1;
 use snap_isa::InstrClass;
-use snap_stats::Table;
 
 /// Runs the experiment.
 ///

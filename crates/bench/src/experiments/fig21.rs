@@ -8,10 +8,10 @@
 //! to the cluster count with the largest coefficient.
 
 use crate::output::{ms, ratio, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::{MachineConfig, OverheadBreakdown, Snap1};
 use snap_kb::PartitionScheme;
-use snap_stats::Table;
 
 /// Runs the experiment.
 ///

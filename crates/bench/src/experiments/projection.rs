@@ -9,10 +9,10 @@
 //! projected crossover falls.
 
 use crate::output::{ms, ratio, ExperimentOutput};
+use crate::table::Table;
 use snap_baseline::Cm2;
 use snap_core::Snap1;
 use snap_nlu::{hierarchy, inheritance_program};
-use snap_stats::Table;
 
 /// Runs the projection.
 ///

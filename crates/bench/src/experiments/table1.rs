@@ -8,12 +8,12 @@
 //! constants.
 
 use crate::output::ExperimentOutput;
+use crate::table::Table;
 use snap_core::{EngineKind, Snap1};
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::{
     Color, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork, SLOTS_PER_NODE,
 };
-use snap_stats::Table;
 
 /// Runs the validation.
 ///

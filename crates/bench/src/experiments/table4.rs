@@ -7,10 +7,10 @@
 //! of SNAP instructions with propagation paths of 10–15 steps.
 
 use crate::output::{ms, ExperimentOutput};
+use crate::table::Table;
 use crate::workloads::parse_batch;
 use snap_core::Snap1;
 use snap_nlu::{DomainSpec, MemoryBasedParser, SentenceGenerator};
-use snap_stats::Table;
 
 /// Runs the experiment.
 ///

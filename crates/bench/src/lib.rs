@@ -32,6 +32,7 @@
 
 pub mod experiments;
 pub mod output;
+pub mod table;
 pub mod workloads;
 
 pub use output::ExperimentOutput;

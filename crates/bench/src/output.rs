@@ -1,6 +1,6 @@
 //! Experiment output container: print to stdout, save to `results/`.
 
-use snap_stats::Table;
+use crate::table::Table;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,17 +37,6 @@ impl ExperimentOutput {
     /// Adds a note line.
     pub fn note(&mut self, note: impl Into<String>) -> &mut Self {
         self.notes.push(note.into());
-        self
-    }
-
-    /// Surfaces a run's fault-injection activity as a note. Fault-free
-    /// runs (the normal benchmark case) add nothing; any injected or
-    /// recovered fault shows up in the rendered output so a perturbed
-    /// measurement is never mistaken for a clean one.
-    pub fn note_faults(&mut self, report: &snap_core::RunReport) -> &mut Self {
-        if !report.faults.is_empty() {
-            self.note(format!("faults: {}", report.faults));
-        }
         self
     }
 

@@ -1,20 +1,18 @@
 //! Fixed-width ASCII table rendering for regenerated paper tables.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned text table.
 ///
 /// # Examples
 ///
 /// ```
-/// use snap_stats::Table;
+/// use snap_bench::table::Table;
 /// let mut t = Table::new(vec!["input", "words", "time (ms)"]);
 /// t.row(vec!["S1".into(), "8".into(), "210".into()]);
 /// let text = t.render();
 /// assert!(text.contains("S1"));
 /// assert!(text.lines().count() >= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -73,7 +71,9 @@ impl Table {
         };
         out.push_str(&fmt_row(&self.headers, &widths));
         out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push_str(
+            &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)),
+        );
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
@@ -124,6 +124,13 @@ mod tests {
     fn long_rows_rejected() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["1".into(), "2".into(), "3".into()]);
+    }
+
+    #[test]
+    fn zero_column_table_renders_empty_rule() {
+        let mut t = Table::new(Vec::<String>::new());
+        t.row(Vec::new());
+        assert_eq!(t.render(), "\n\n\n");
     }
 
     #[test]

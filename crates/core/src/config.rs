@@ -1,13 +1,12 @@
-//! Machine configuration: array geometry and clocks.
+//! Machine configuration: array geometry and run policy.
 
 use crate::engine::sched::ScheduleStrategy;
-use serde::{Deserialize, Serialize};
 use snap_fault::FaultPlan;
 use snap_kb::PartitionScheme;
 use snap_obs::ObsConfig;
 
 /// Which execution engine a [`crate::Snap1`] machine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Single-PE reference engine (the semantics oracle; also the
     /// uniprocessor used for the Fig. 6 instruction profile).
@@ -21,27 +20,22 @@ pub enum EngineKind {
     Threaded,
 }
 
-/// Geometry and clock configuration of a SNAP-1 machine.
+/// Geometry and run policy of a SNAP-1 machine. What an operation
+/// costs is [`crate::CostModel`], not a field here.
 ///
 /// The constructors encode the paper's configurations:
 /// [`MachineConfig::snap1_full`] is the constructed prototype (32
 /// clusters, 144 PEs) and [`MachineConfig::snap1_eval`] the 16-cluster /
 /// 72-PE array used for Section IV's experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of processing clusters.
     pub clusters: usize,
     /// Marker units per cluster, indexed by cluster. Each cluster also
     /// has one PU and one CU, so its PE count is `mus[i] + 2`.
     pub mus: Vec<usize>,
-    /// Controller clock in MHz (32 in the prototype).
-    pub controller_clock_mhz: u32,
-    /// Array PE clock in MHz (25 in the prototype).
-    pub pe_clock_mhz: u32,
     /// Knowledge-base partitioning function.
     pub partition: PartitionScheme,
-    /// PU circular instruction queue depth (64 in the prototype).
-    pub instr_queue_depth: usize,
     /// Maximum propagation depth before a marker is dropped (guards
     /// cyclic knowledge bases; the paper's longest paths are 10–15).
     pub max_hops: u8,
@@ -78,11 +72,9 @@ pub struct MachineConfig {
     /// event ties, worker polling order, close re-check timing) so the
     /// interleaving fuzzer can hunt ordering bugs. Results must be
     /// identical either way.
-    #[serde(default)]
     pub schedule: ScheduleStrategy,
     /// Inert: read only by `benchmark/src/probe.rs`, which passes it to
     /// `propagate_wave`'s ignored parameter.
-    #[serde(default)]
     pub pull_density: f64,
 }
 
@@ -96,10 +88,7 @@ impl MachineConfig {
         MachineConfig {
             clusters: 32,
             mus,
-            controller_clock_mhz: 32,
-            pe_clock_mhz: 25,
             partition: PartitionScheme::Semantic,
-            instr_queue_depth: 64,
             max_hops: 48,
             lockstep_waves: false,
             cu_outbox_capacity: 1024,

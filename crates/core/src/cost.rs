@@ -16,11 +16,10 @@
 //!
 //! All durations are nanoseconds of simulated time.
 
-use serde::{Deserialize, Serialize};
 use snap_net::SimTime;
 
 /// Per-operation costs of the machine, in nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Broadcasting one SNAP instruction over the global bus (constant
     /// in the number of clusters).
@@ -66,8 +65,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The default calibration for 25 MHz array PEs and a 32 MHz
-    /// controller.
+    /// The default calibration for the prototype as built: 25 MHz
+    /// array PEs, a 32 MHz controller and a 64-deep circular PU
+    /// instruction queue. The clocks are folded into these nanoseconds
+    /// and nothing scales them afterwards; the queue depth is not a
+    /// parameter of the model.
     pub fn snap1() -> Self {
         CostModel {
             broadcast_ns: 5_000,

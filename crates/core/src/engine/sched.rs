@@ -29,7 +29,6 @@
 use crate::propagate::PropArrival;
 use crate::region::Region;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
 use snap_kb::{Marker, NodeId};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -38,7 +37,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// How the scheduler core orders ready work.
 ///
 /// Lives on [`crate::MachineConfig::schedule`]; every engine consults it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleStrategy {
     /// Deterministic first-in-first-out: the historical order of every
     /// engine, preserved bit for bit.

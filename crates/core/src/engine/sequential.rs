@@ -18,13 +18,12 @@ use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::Region;
 use crate::report::RunReport;
-use parking_lot::Mutex;
 use snap_isa::{InstrClass, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
 use snap_net::SimTime;
-use snap_obs::{PhaseKind, Stamp, Tracer};
+use snap_obs::{lock_unpoisoned, PhaseKind, Stamp, Tracer};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// What one sequential run works in: the single region's marker state,
 /// the wave kernel's scratch, and the scalar loop's visited map (reset
@@ -59,8 +58,10 @@ impl SeqState {
 /// then), and the rest — an earlier snapshot's — are dropped. The pool
 /// holds region maps, never a network. Exclusive runs stay outside it:
 /// maintenance may add nodes under their region.
+/// Only whole states are pushed and popped under the lock, so a caller
+/// that panics holding it leaves a valid pool.
 #[derive(Default)]
-pub(crate) struct SeqPool(Mutex<Vec<SeqState>>);
+pub(crate) struct SeqPool(pub(crate) Mutex<Vec<SeqState>>);
 
 impl SeqPool {
     /// [`run`] on a shared snapshot, in a pooled state when there is one
@@ -75,7 +76,7 @@ impl SeqPool {
         program: &Program,
     ) -> Result<RunReport, CoreError> {
         let pooled = {
-            let mut pool = self.0.lock();
+            let mut pool = lock_unpoisoned(&self.0);
             pool.retain(|state| state.region.is_over(prepared.map()));
             pool.pop()
         };
@@ -94,7 +95,7 @@ impl SeqPool {
             program,
             &mut state,
         );
-        self.0.lock().push(state);
+        lock_unpoisoned(&self.0).push(state);
         result
     }
 }
@@ -109,7 +110,7 @@ impl Clone for SeqPool {
 impl fmt::Debug for SeqPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SeqPool")
-            .field("idle", &self.0.lock().len())
+            .field("idle", &lock_unpoisoned(&self.0).len())
             .finish()
     }
 }
@@ -512,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_strategies_report_identically() {
+    fn fuzzed_fifo_scalar_loop_reports_identically_to_the_wave() {
         // Scalar loop (a fuzzed schedule that never deviates from FIFO)
         // vs wave kernel: one report, instruction for instruction.
         let is_a = RelationType(0);

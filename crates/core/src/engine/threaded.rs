@@ -45,16 +45,15 @@ use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use snap_fault::{Corruptible, DedupTable, Envelope, FaultInjector, RetryPolicy};
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, Marker, NodeId, SemanticNetwork};
 use snap_net::{Fabric, HypercubeTopology};
-use snap_obs::{FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
+use snap_obs::{lock_unpoisoned, FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
 use snap_sync::TieredBarrier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a reply from a worker may reasonably take; exceeding it
@@ -246,8 +245,7 @@ fn run_arc(
     // owners[c] = worker currently holding cluster c's region.
     let owners: Arc<Vec<AtomicUsize>> =
         Arc::new((0..config.clusters).map(AtomicUsize::new).collect());
-    let checkpoints: Arc<Mutex<Vec<Option<Region>>>> =
-        Arc::new(Mutex::new(vec![None; config.clusters]));
+    let checkpoints: Arc<Checkpoints> = Arc::new(Mutex::new(vec![None; config.clusters]));
     let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
     let tasks_sent = Arc::new(AtomicU64::new(0));
 
@@ -393,8 +391,29 @@ fn run_arc(
     (shared, Ok(report))
 }
 
+/// Phase-start copies of every region, indexed by cluster. A worker
+/// that dies mid-phase may die holding this lock; each slot is replaced
+/// whole, so the poison flag is ignored and recovery reads what is there.
+type Checkpoints = Mutex<Vec<Option<Region>>>;
+
+fn save_checkpoints(checkpoints: &Checkpoints, regions: &[Region]) {
+    let mut cps = lock_unpoisoned(checkpoints);
+    for r in regions {
+        cps[r.cluster().index()] = Some(r.clone());
+    }
+}
+
+fn restore_checkpoints(checkpoints: &Checkpoints, regions: &mut [Region]) {
+    let cps = lock_unpoisoned(checkpoints);
+    for r in regions {
+        if let Some(cp) = &cps[r.cluster().index()] {
+            *r = cp.clone();
+        }
+    }
+}
+
 fn check_error(slot: &Mutex<Option<CoreError>>) -> Result<(), CoreError> {
-    match slot.lock().take() {
+    match lock_unpoisoned(slot).take() {
         Some(e) => Err(e),
         None => Ok(()),
     }
@@ -407,7 +426,7 @@ struct Controller {
     reply_rx: Receiver<Reply>,
     live: Vec<bool>,
     owners: Arc<Vec<AtomicUsize>>,
-    checkpoints: Arc<Mutex<Vec<Option<Region>>>>,
+    checkpoints: Arc<Checkpoints>,
     barrier: Arc<TieredBarrier>,
     fabric: Fabric<NetMsg>,
     rx_backups: Vec<Receiver<NetMsg>>,
@@ -615,7 +634,7 @@ impl Controller {
         // Survivors are idle now. Errors raised during the crashed phase
         // (e.g. retransmissions to the dead worker exhausting) are
         // symptoms of the crash; the replay re-raises any that are real.
-        *first_error.lock() = None;
+        *lock_unpoisoned(first_error) = None;
         // Abandon the dead phase's barrier accounting and any traffic
         // still queued for the dead worker.
         self.barrier.reset();
@@ -633,7 +652,7 @@ impl Controller {
             .expect("live_count checked above");
         let mut adoptions = Vec::new();
         {
-            let checkpoints = self.checkpoints.lock();
+            let checkpoints = lock_unpoisoned(&self.checkpoints);
             for cl in 0..self.clusters {
                 if self.owners[cl].load(Ordering::Acquire) == dead {
                     let region =
@@ -782,7 +801,7 @@ struct Worker<'env> {
     injector: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
     owners: Arc<Vec<AtomicUsize>>,
-    checkpoints: Arc<Mutex<Vec<Option<Region>>>>,
+    checkpoints: Arc<Checkpoints>,
     /// Current recovery epoch; envelopes from older epochs are stale.
     epoch: u32,
     next_seq: u64,
@@ -864,7 +883,7 @@ impl Worker<'_> {
     }
 
     fn report_error(&self, e: CoreError) {
-        self.first_error.lock().get_or_insert(e);
+        lock_unpoisoned(self.first_error).get_or_insert(e);
     }
 
     /// The region holding `node` on this worker (own or adopted).
@@ -880,11 +899,7 @@ impl Worker<'_> {
         if self.resilient() {
             // Checkpoint every region this worker holds so the phase can
             // be replayed (by us or by an heir) after a crash.
-            let mut cps = self.checkpoints.lock();
-            for r in &self.regions {
-                cps[r.cluster().index()] = Some(r.clone());
-            }
-            drop(cps);
+            save_checkpoints(&self.checkpoints, &self.regions);
             self.next_seq = 0;
             self.pending.clear();
             self.dedup.clear();
@@ -995,12 +1010,7 @@ impl Worker<'_> {
         while self.fabric_rx.try_recv().is_ok() {}
         self.pending.clear();
         self.dedup.clear();
-        let cps = self.checkpoints.lock();
-        for r in &mut self.regions {
-            if let Some(cp) = &cps[r.cluster().index()] {
-                *r = cp.clone();
-            }
-        }
+        restore_checkpoints(&self.checkpoints, &mut self.regions);
     }
 
     /// Processes one fabric message under the resilient protocol.
@@ -1591,5 +1601,32 @@ mod tests {
         for (a, b) in clean.collects.iter().zip(&report.collects) {
             assert_eq!(a.node_ids(), b.node_ids(), "recovery changed results");
         }
+    }
+
+    #[test]
+    fn panic_holding_checkpoints_leaves_them_restorable() {
+        let net = grid_network(40);
+        let map = RegionMap::build(&net, 2, snap_kb::PartitionScheme::RoundRobin);
+        let mut regions: Vec<Region> = (0..2)
+            .map(|c| Region::new(ClusterId(c), Arc::clone(&map), &net))
+            .collect();
+        let marker = Marker::binary(3);
+        regions[1].set_marker(marker, 0.0).unwrap();
+        let marked = regions[1].active_nodes(marker);
+        let checkpoints: Arc<Checkpoints> = Arc::new(Mutex::new(vec![None; 2]));
+        save_checkpoints(&checkpoints, &regions);
+        let worker = Arc::clone(&checkpoints);
+        let crashed = std::thread::spawn(move || {
+            let _cps = worker.lock().unwrap();
+            panic!("worker dies holding the checkpoints");
+        });
+        assert!(crashed.join().is_err());
+        assert!(checkpoints.is_poisoned());
+        regions[1].reset();
+        assert_eq!(regions[1].count(marker), 0);
+        restore_checkpoints(&checkpoints, &mut regions);
+        assert_eq!(regions[1].active_nodes(marker), marked);
+        // The replayed phase checkpoints again through the same lock.
+        save_checkpoints(&checkpoints, &regions);
     }
 }

@@ -470,6 +470,34 @@ mod tests {
     }
 
     #[test]
+    fn panic_under_the_memo_or_pool_lock_does_not_stop_serving() {
+        let sequential = || Snap1::builder().clusters(2).engine(EngineKind::Sequential);
+        let (mut net, program) = tiny();
+        let oracle = sequential().build().run(&mut net, &program).unwrap();
+        let shared = Arc::new(net);
+        let machine = Arc::new(sequential().build());
+        // Warm: one entry in the memo, one idle state in the pool.
+        machine.run_shared(&shared, &program).unwrap();
+        let prepared = machine.prepare(&shared).unwrap();
+        let server = Arc::clone(&machine);
+        let serving = std::thread::spawn(move || {
+            let _memo = server.memo.0.lock().unwrap();
+            let _pool = server.seq_pool.0.lock().unwrap();
+            panic!("serving thread dies holding both locks");
+        });
+        assert!(serving.join().is_err());
+        assert!(machine.memo.0.is_poisoned() && machine.seq_pool.0.is_poisoned());
+        assert_eq!(machine.run_shared(&shared, &program).unwrap(), oracle);
+        // Both hold what they held before the panic.
+        assert!(Arc::ptr_eq(&prepared, &machine.prepare(&shared).unwrap()));
+        assert_eq!(format!("{:?}", machine.seq_pool), "SeqPool { idle: 1 }");
+        assert!(Arc::ptr_eq(
+            &prepared,
+            &Snap1::clone(&machine).prepare(&shared).unwrap()
+        ));
+    }
+
+    #[test]
     fn run_shared_rejects_maintenance_and_staged_links() {
         use snap_isa::Instruction;
         let (net, _) = tiny();

@@ -7,10 +7,10 @@
 //! It is the only place either is built; the engines take it as given.
 
 use crate::region::RegionMap;
-use parking_lot::Mutex;
 use snap_kb::{PartitionScheme, PartitionStats, SemanticNetwork};
+use snap_obs::lock_unpoisoned;
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 /// The region map and partition statistics of one knowledge base on one
 /// machine geometry, tied to the identity of the snapshot they were
@@ -90,8 +90,10 @@ impl fmt::Debug for Prepared {
 /// One entry is what serving needs (one machine, one snapshot, many
 /// programs); callers alternating snapshots rebuild on every switch,
 /// which is what every call did before the memo existed.
+/// A caller that panics under the lock (the build runs there) leaves
+/// the old entry, which is valid.
 #[derive(Debug, Default)]
-pub(crate) struct PreparedMemo(Mutex<Option<Arc<Prepared>>>);
+pub(crate) struct PreparedMemo(pub(crate) Mutex<Option<Arc<Prepared>>>);
 
 impl PreparedMemo {
     /// The set-up for `snapshot`, built on the first call for it. The
@@ -103,7 +105,7 @@ impl PreparedMemo {
         clusters: usize,
         scheme: PartitionScheme,
     ) -> Arc<Prepared> {
-        let mut slot = self.0.lock();
+        let mut slot = lock_unpoisoned(&self.0);
         match &*slot {
             Some(prepared) if prepared.is_for(snapshot) => Arc::clone(prepared),
             _ => {
@@ -118,7 +120,7 @@ impl PreparedMemo {
 impl Clone for PreparedMemo {
     /// A cloned machine has the same geometry, so the entry stays valid.
     fn clone(&self) -> Self {
-        PreparedMemo(Mutex::new(self.0.lock().clone()))
+        PreparedMemo(Mutex::new(lock_unpoisoned(&self.0).clone()))
     }
 }
 

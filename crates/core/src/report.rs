@@ -6,7 +6,6 @@
 //! instruction counts and times, marker-traffic statistics per barrier
 //! synchronization, and the four parallel-overhead components of Fig. 21.
 
-use serde::{Deserialize, Serialize};
 use snap_fault::FaultReport;
 use snap_isa::InstrClass;
 use snap_kb::{Color, Link, MarkerValue, NodeId};
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// The output of one retrieval (`COLLECT-*`) instruction, in program
 /// order. Node lists are sorted by ID for engine-independent comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CollectOutput {
     /// `COLLECT-MARKER`: marked nodes with their complex-marker payloads.
     Nodes(Vec<(NodeId, Option<MarkerValue>)>),
@@ -53,7 +52,7 @@ impl CollectOutput {
 }
 
 /// The four components of parallel overhead (Fig. 21).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverheadBreakdown {
     /// Instruction broadcast time (configuration phase).
     pub broadcast_ns: SimTime,
@@ -74,7 +73,7 @@ impl OverheadBreakdown {
 }
 
 /// Marker-traffic statistics (Fig. 8).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Inter-cluster marker activation messages sent between each pair
     /// of consecutive barrier synchronizations, in barrier order.
@@ -85,7 +84,6 @@ pub struct TrafficStats {
     /// engine coalesces same-destination tasks into one envelope, so
     /// `tasks_sent >= total_messages` there; engines without batching
     /// leave this zero.
-    #[serde(default)]
     pub tasks_sent: u64,
     /// Total hypercube hops crossed.
     pub total_hops: u64,
@@ -114,7 +112,7 @@ impl TrafficStats {
 }
 
 /// Everything measured during one program execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Total simulated execution time (ns). Zero for engines that only
     /// measure wall-clock time.
@@ -154,8 +152,7 @@ pub struct RunReport {
     /// feature).
     pub trace: TraceReport,
     /// Locality/balance statistics of the knowledge-base partition the
-    /// run used (`None` only in reports predating the field).
-    #[serde(default)]
+    /// run used (`None` only in a default report; every engine sets it).
     pub partition: Option<snap_kb::PartitionStats>,
     /// Fingerprint of the schedule decisions the run drew (zero under
     /// the default FIFO strategy, which draws none). For the
@@ -163,7 +160,6 @@ pub struct RunReport {
     /// reproduce the same digest — the fuzz harness's replay check. The
     /// threaded engine records only its controller stream (worker
     /// decision consumption is wall-clock-dependent).
-    #[serde(default)]
     pub schedule_digest: u64,
 }
 

@@ -1,10 +1,8 @@
 //! Declarative, seeded fault schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A one-shot worker-thread panic: cluster `cluster`'s worker dies the
 /// first time it starts executing program step `step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicSpec {
     /// Cluster whose worker thread panics.
     pub cluster: u8,
@@ -21,7 +19,7 @@ pub struct PanicSpec {
 /// decision from its event sequence, so there the guarantee is absolute;
 /// the threaded engine's counters are per-link send sequences, so its
 /// schedule is deterministic per link but interleaving still varies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed mixed into every injection decision.
     pub seed: u64,

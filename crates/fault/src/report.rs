@@ -3,8 +3,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Atomic tally cells behind a [`FaultInjector`](crate::FaultInjector).
 #[derive(Debug, Default)]
 pub(crate) struct FaultStats {
@@ -49,7 +47,7 @@ impl FaultStats {
 /// `detected_*` and the recovery counters are reported back by the
 /// engines. A populated report with a correct final result is the
 /// evidence a chaos run actually exercised the resilience paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Messages the injector made vanish (incl. downed-link sends).
     pub injected_drops: u64,

@@ -14,12 +14,11 @@
 
 use crate::instruction::InstrClass;
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 use snap_kb::Marker;
 use std::collections::HashSet;
 
 /// β-parallelism statistics of one program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BetaStats {
     /// Sizes of each overlap group of `PROPAGATE` instructions, in
     /// program order.

@@ -8,11 +8,10 @@
 //! `Copy` enums.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Function applied to a complex marker's value at **each propagation
 /// step**, combining the current value with the traversed link's weight.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum StepFunc {
     /// Leave the value unchanged.
     #[default]
@@ -59,7 +58,7 @@ impl fmt::Display for StepFunc {
 
 /// Function combining two marker values in the global boolean
 /// instructions (`AND-MARKER`, `OR-MARKER`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CombineFunc {
     /// `v3 = v1 + v2` — accumulate evidence.
     #[default]
@@ -102,7 +101,7 @@ impl fmt::Display for CombineFunc {
 }
 
 /// Comparison operator used by value-conditional functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cmp {
     /// `value < threshold`
     Lt,
@@ -148,7 +147,7 @@ impl fmt::Display for Cmp {
 /// `ClearIf`/`KeepIf` are the workhorses of the multiple-hypothesis
 /// resolution phase: thresholding the cost values of competing concept
 /// sequences deactivates losing candidates in a single word-parallel pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueFunc {
     /// `value *= k`.
     Scale(f32),

@@ -12,11 +12,10 @@
 use crate::func::{CombineFunc, StepFunc, ValueFunc};
 use crate::rule::PropRule;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use snap_kb::{Color, Marker, NodeId, RelationType};
 
 /// Instruction classes used by the paper's profiles (Figs. 6, 18, 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstrClass {
     /// `PROPAGATE` — dominates execution time (64.5% at 17% frequency).
     Propagate,
@@ -66,7 +65,7 @@ impl fmt::Display for InstrClass {
 ///
 /// The set is intentionally exhaustive: the paper formalizes exactly 20
 /// high-level instructions, and engines match on all of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     // ----- node maintenance -----
     /// `CREATE source-node, relation, weight, end-node`: add a link,

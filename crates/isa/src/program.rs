@@ -9,7 +9,6 @@
 use crate::func::{CombineFunc, StepFunc, ValueFunc};
 use crate::instruction::{InstrClass, Instruction};
 use crate::rule::PropRule;
-use serde::{Deserialize, Serialize};
 use snap_kb::{Color, Marker, NodeId, RelationType};
 
 /// An ordered sequence of SNAP instructions.
@@ -37,7 +36,7 @@ use snap_kb::{Color, Marker, NodeId, RelationType};
 ///     .build();
 /// assert_eq!(program.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     instructions: Vec<Instruction>,
 }

@@ -16,7 +16,6 @@
 //! the marker continues in each arc's successor state.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use snap_kb::RelationType;
 
 /// Maximum number of states a custom rule program may use (the prototype
@@ -25,7 +24,7 @@ pub const MAX_RULE_STATES: usize = 8;
 
 /// A named propagation rule, as carried by `PROPAGATE` instructions and
 /// marker messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PropRule {
     /// One step along `r` and stop.
     Once(RelationType),
@@ -86,7 +85,7 @@ impl fmt::Display for PropRule {
 
 /// One transition of a rule state machine: traverse links of `relation`
 /// and continue in state `next`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleArc {
     /// Relation type whose links this arc traverses.
     pub relation: RelationType,
@@ -103,7 +102,7 @@ impl RuleArc {
 
 /// One state of a rule program: the set of arcs a marker in this state
 /// follows from its current node. A state with no arcs is terminal.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RuleState {
     arcs: Vec<RuleArc>,
 }
@@ -131,7 +130,7 @@ impl RuleState {
 }
 
 /// A compiled propagation-rule state machine. State 0 is initial.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleProgram {
     states: Vec<RuleState>,
 }

@@ -6,7 +6,6 @@
 //! distinct ([C-NEWTYPE]).
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a semantic-network node.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let n = NodeId(7);
 /// assert_eq!(n.index(), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -44,7 +43,7 @@ impl From<u32> for NodeId {
 }
 
 /// Identifier of a processing cluster (0..32 in the full prototype).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u8);
 
 impl ClusterId {
@@ -64,9 +63,7 @@ impl fmt::Display for ClusterId {
 /// A node color: the concept type or class a node belongs to.
 ///
 /// SNAP-1 provides 256 colors; the node table stores one per node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Color(pub u8);
 
 impl fmt::Display for Color {
@@ -80,7 +77,7 @@ impl fmt::Display for Color {
 /// SNAP-1 supports `R = 64K` distinct relation types, so this is a 16-bit
 /// value. The topmost type is reserved for internal subnode chaining (see
 /// [`RelationType::SUBNODE`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelationType(pub u16);
 
 impl RelationType {

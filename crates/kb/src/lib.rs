@@ -42,7 +42,6 @@
 mod bitmap;
 mod error;
 mod ids;
-mod io;
 mod links;
 mod marker;
 mod network;
@@ -55,7 +54,6 @@ pub mod synth;
 pub use bitmap::{Bitmap, BitmapBits, LanePlane, BITMAP_WORD_BITS};
 pub use error::KbError;
 pub use ids::{ClusterId, Color, NodeId, RelationType};
-pub use io::ParseNetworkError;
 pub use links::{Link, RelationTable, SLOTS_PER_NODE};
 pub use marker::{Marker, MarkerKind, MarkerState, MarkerValue};
 pub use network::{NetworkConfig, SemanticNetwork};

@@ -31,14 +31,13 @@
 
 use crate::error::KbError;
 use crate::ids::{NodeId, RelationType};
-use serde::{Deserialize, Serialize};
 
 /// Number of outgoing relation slots in one relation-table row.
 pub const SLOTS_PER_NODE: usize = 16;
 
 /// One outgoing link: relation type, destination, and floating-point
 /// weight (the cost added to a complex marker's value when traversed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Relation (link) type.
     pub relation: RelationType,
@@ -60,7 +59,7 @@ pub struct Link {
 /// assert_eq!(table.links(NodeId(0)).count(), 1);
 /// # Ok::<(), snap_kb::KbError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RelationTable {
     /// All links, contiguous, sorted by `(node, relation, rank)`.
     links: Vec<Link>,

@@ -18,10 +18,9 @@
 use crate::error::KbError;
 use crate::ids::NodeId;
 use crate::status::StatusRow;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a marker register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MarkerKind {
     /// Carries a floating-point value and an origin-node binding.
     Complex,
@@ -41,7 +40,7 @@ pub enum MarkerKind {
 /// assert_eq!(m1.to_string(), "m1");
 /// assert_eq!(b0.to_string(), "b0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Marker {
     kind: MarkerKind,
     index: u8,
@@ -87,7 +86,7 @@ impl core::fmt::Display for Marker {
 }
 
 /// The value payload carried by a complex marker at a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkerValue {
     /// Accumulated belief/cost value.
     pub value: f32,

@@ -10,13 +10,12 @@
 use crate::error::KbError;
 use crate::ids::{Color, NodeId, RelationType};
 use crate::links::{Link, RelationTable};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Sizing parameters of a knowledge base, defaulting to the SNAP-1
 /// prototype design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkConfig {
     /// Maximum number of semantic-network nodes (`N`, 32K in SNAP-1).
     pub node_capacity: usize,

@@ -9,7 +9,6 @@
 
 use crate::ids::{ClusterId, NodeId};
 use crate::network::SemanticNetwork;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Nodes-per-cluster granularity of the SNAP-1 prototype.
@@ -20,7 +19,7 @@ pub const MAX_NODES_PER_CLUSTER: usize = 1024;
 pub const MAX_CLUSTERS: usize = 256;
 
 /// Which partitioning function to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionScheme {
     /// Contiguous blocks of node IDs per cluster.
     #[default]
@@ -41,7 +40,7 @@ pub enum PartitionScheme {
 }
 
 /// A mapping from nodes to clusters plus its inverse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     scheme: PartitionScheme,
     cluster_of: Vec<ClusterId>,
@@ -307,7 +306,7 @@ impl Partition {
 
 /// Link traffic owned by one cluster: links whose source node lives there,
 /// split by whether the destination is local too.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterLinks {
     /// Nodes assigned to the cluster.
     pub nodes: usize,
@@ -318,8 +317,8 @@ pub struct ClusterLinks {
 }
 
 /// Locality and balance report for a [`Partition`], cheap to compute and
-/// serializable into run reports and bench JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// stamped into every run report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionStats {
     /// Scheme that produced the partition.
     pub scheme: PartitionScheme,

@@ -8,10 +8,9 @@
 //! and constant in the number of clusters — the property Fig. 21 reports.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Timing model of the global bus.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BusModel {
     busy_until: SimTime,
     broadcasts: u64,

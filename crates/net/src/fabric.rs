@@ -8,12 +8,11 @@
 
 use crate::topology::HypercubeTopology;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use snap_fault::{Corruptible, FaultInjector, SendFate};
 use snap_kb::ClusterId;
-use snap_obs::Tracer;
+use snap_obs::{lock_unpoisoned, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A message held back by an injected delay, awaiting its due time.
@@ -45,6 +44,8 @@ impl<T> Reorder<T> {
 }
 
 /// Sending half of the fabric, cloneable across cluster threads.
+/// `delayed` and `reorder` hold whole messages, valid at every step: a
+/// worker that crashes holding one must not poison it for the rest.
 #[derive(Debug, Clone)]
 pub struct Fabric<T> {
     topology: Arc<HypercubeTopology>,
@@ -145,7 +146,7 @@ impl<T> Fabric<T> {
     /// the slot still holds. With the hook off this is `deliver`.
     fn dispatch(&self, to: usize, message: T) {
         if self.reorder_on.load(Ordering::Relaxed) {
-            let mut guard = self.reorder.lock();
+            let mut guard = lock_unpoisoned(&self.reorder);
             if let Some(state) = guard.as_mut() {
                 if state.next() & 1 == 0 {
                     if let Some(prev) = state.held[to].replace(message) {
@@ -166,7 +167,7 @@ impl<T> Fabric<T> {
     /// their receive loops, exactly like [`poll_delayed`](Self::poll_delayed).
     pub fn enable_reorder(&self, seed: u64) {
         let n = self.senders.len();
-        *self.reorder.lock() = Some(Reorder {
+        *lock_unpoisoned(&self.reorder) = Some(Reorder {
             rng: seed ^ 0x5851_F42D_4C95_7F2D,
             held: (0..n).map(|_| None).collect(),
         });
@@ -179,7 +180,7 @@ impl<T> Fabric<T> {
         if !self.reorder_on.load(Ordering::Relaxed) {
             return;
         }
-        let mut guard = self.reorder.lock();
+        let mut guard = lock_unpoisoned(&self.reorder);
         if let Some(state) = guard.as_mut() {
             for to in 0..state.held.len() {
                 if let Some(message) = state.held[to].take() {
@@ -224,7 +225,7 @@ impl<T> Fabric<T> {
 
     /// Injected-delay messages not yet delivered.
     pub fn pending_delayed(&self) -> usize {
-        self.delayed.lock().len()
+        lock_unpoisoned(&self.delayed).len()
     }
 
     /// Delivers every delayed message whose due time has passed.
@@ -232,7 +233,7 @@ impl<T> Fabric<T> {
     /// delayed messages would never arrive (and the barrier watchdog
     /// would classify them as lost).
     pub fn poll_delayed(&self) {
-        let mut queue = self.delayed.lock();
+        let mut queue = lock_unpoisoned(&self.delayed);
         if queue.is_empty() {
             return;
         }
@@ -299,7 +300,7 @@ impl<T: Clone + Corruptible> Fabric<T> {
         let duplicate = fate.duplicated.then(|| message.clone());
         if fate.delay_ns > 0 {
             let due = Instant::now() + Duration::from_nanos(fate.delay_ns);
-            let mut queue = self.delayed.lock();
+            let mut queue = lock_unpoisoned(&self.delayed);
             let to = to.index();
             queue.push(Delayed { due, to, message });
             if let Some(dup) = duplicate {
@@ -463,6 +464,15 @@ mod tests {
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(5));
         assert!(fate.delay_ns > 0);
         assert!(receivers[3].try_recv().is_err(), "not delivered yet");
+        assert_eq!(fabric.pending_delayed(), 1);
+        // A worker that crashes holding the queue costs it nothing.
+        let worker = fabric.clone();
+        let crashed = thread::spawn(move || {
+            let _queue = worker.delayed.lock().unwrap();
+            panic!("worker dies holding the delayed queue");
+        });
+        assert!(crashed.join().is_err());
+        assert!(fabric.delayed.is_poisoned());
         assert_eq!(fabric.pending_delayed(), 1);
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {

@@ -8,7 +8,6 @@
 //! collection board, where it is timestamped and stored in a FIFO.
 
 use crate::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Serial link rate of the instrumentation network, bits per second.
 pub const SERIAL_LINK_BPS: u64 = 2_000_000;
@@ -20,7 +19,7 @@ pub const RECORD_BITS: u64 = 32;
 pub const RECORD_SHIFT_NS: SimTime = RECORD_BITS * 1_000_000_000 / SERIAL_LINK_BPS;
 
 /// One collected performance event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfEvent {
     /// Timestamp applied at the central collection board (ns).
     pub timestamp: SimTime,
@@ -34,7 +33,7 @@ pub struct PerfEvent {
 
 /// Model of the performance-collection network: per-PE serial links
 /// feeding a central timestamped FIFO.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfCollector {
     link_busy_until: Vec<SimTime>,
     events: Vec<PerfEvent>,

@@ -9,7 +9,6 @@
 //! Messages therefore need at most one hop per field: three hops for the
 //! 32-cluster prototype, `O(log N)` in general.
 
-use serde::{Deserialize, Serialize};
 use snap_kb::ClusterId;
 
 /// A field-decomposed hypercube topology.
@@ -29,7 +28,7 @@ use snap_kb::ClusterId;
 /// assert_eq!(topo.fields(ClusterId(23)), vec![3, 1, 1]);
 /// assert!(topo.distance(ClusterId(0), ClusterId(23)) <= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HypercubeTopology {
     field_sizes: Vec<u8>,
 }

@@ -8,8 +8,6 @@
 //! threaded engine with monotonic wall-clock nanoseconds plus the
 //! logical phase index — so one exporter renders either.
 
-use serde::{Deserialize, Serialize};
-
 /// Pseudo-track for events raised by the controller rather than a
 /// cluster (phase transitions, barrier completion).
 pub const CONTROLLER_TRACK: u16 = u16::MAX;
@@ -19,7 +17,7 @@ pub const CONTROLLER_TRACK: u16 = u16::MAX;
 pub const GLOBAL_TRACK: u16 = u16::MAX - 1;
 
 /// When an event happened, in the emitting engine's timebase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stamp {
     /// Simulated nanoseconds (the DES and sequential engines; the same
     /// clock their run-report totals use).
@@ -57,7 +55,7 @@ impl Stamp {
 /// The controller-visible phases a run moves through. One `PhaseStat`
 /// is accumulated per phase in program order, which is what makes
 /// cross-engine phase-by-phase comparison possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseKind {
     /// Marker configuration: search, boolean, and set/clear
     /// instructions broadcast to the array.
@@ -86,7 +84,7 @@ impl PhaseKind {
 }
 
 /// Which fault class an injection event reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A message copy was dropped in flight.
     Drop,
@@ -120,7 +118,7 @@ impl FaultKind {
 }
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A phase opened (controller track).
     PhaseStart {
@@ -217,7 +215,7 @@ impl EventKind {
 }
 
 /// One recorded observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Source track: a cluster index, or [`CONTROLLER_TRACK`] /
     /// [`GLOBAL_TRACK`].

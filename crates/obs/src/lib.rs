@@ -31,6 +31,8 @@
 
 #![warn(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod chrome;
 pub mod event;
 pub mod report;
@@ -42,3 +44,11 @@ pub use event::{
 };
 pub use report::{ClusterMetrics, Histogram, PhaseStat, TraceReport, HISTOGRAM_BUCKETS};
 pub use tracer::{ObsConfig, Tracer};
+
+/// Locks `mutex` whether or not a thread panicked while holding it. For
+/// data that every update leaves valid: a worker's crash (the threaded
+/// engine injects them) must not take the lock away from the
+/// controller's recovery or from the next caller.
+pub fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -3,7 +3,6 @@
 //! differential test harness is built on.
 
 use crate::event::{PhaseKind, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two buckets in a [`Histogram`]. Bucket `i` counts
 /// values `v` with `floor(log2(v)) == i` (bucket 0 additionally holds
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A fixed-footprint power-of-two histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
     pub buckets: Vec<u64>,
@@ -83,7 +82,7 @@ impl Histogram {
 }
 
 /// Counters gathered for one cluster over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterMetrics {
     /// Off-cluster marker messages sent.
     pub msgs_sent: u64,
@@ -135,7 +134,7 @@ impl ClusterMetrics {
 /// order. Identical programs on equivalent engines produce the same
 /// phase sequence, so the first index whose counts differ localizes a
 /// divergence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {
     /// The phase's kind.
     pub kind: PhaseKind,
@@ -153,7 +152,7 @@ pub struct PhaseStat {
 }
 
 /// Everything the tracer aggregated over one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
     /// `true` when tracing was enabled for the run (an all-default
     /// report also appears when the `record` feature is compiled out).

@@ -20,10 +20,9 @@ use crate::event::{FaultKind, PhaseKind, Stamp};
 use crate::report::TraceReport;
 #[cfg(feature = "record")]
 use crate::report::{ClusterMetrics, Histogram, PhaseStat};
-use serde::{Deserialize, Serialize};
 
 /// Runtime tracing configuration, carried in the machine config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record one of every `sample_every` raw events (1 = all). Phase
     /// transitions are structural and never sampled out.
@@ -70,8 +69,8 @@ impl Default for ObsConfig {
 #[cfg(feature = "record")]
 mod imp {
     use super::*;
-    use parking_lot::{Mutex, RwLock};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Mutex, PoisonError, RwLock};
     use std::time::Instant;
 
     #[derive(Default)]
@@ -158,6 +157,8 @@ mod imp {
         pub messages: AtomicU64,
     }
 
+    /// The locks guard appends and whole-value swaps, valid at every
+    /// step: a worker that crashes tracing must not poison the report.
     pub(super) struct Inner {
         pub cfg: ObsConfig,
         pub t0: Instant,
@@ -201,7 +202,7 @@ mod imp {
                     return;
                 }
             }
-            let mut events = self.events.lock();
+            let mut events = lock_unpoisoned(&self.events);
             if events.len() >= self.cfg.max_events {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -214,7 +215,12 @@ mod imp {
         }
 
         pub fn phase_add(&self, f: impl FnOnce(&PhaseCells)) {
-            if let Some(p) = self.current_phase.read().as_ref() {
+            if let Some(p) = self
+                .current_phase
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_ref()
+            {
                 f(p);
             }
         }
@@ -231,9 +237,11 @@ mod imp {
 }
 
 #[cfg(feature = "record")]
+use crate::lock_unpoisoned;
+#[cfg(feature = "record")]
 use imp::{Inner, PhaseCells};
 #[cfg(feature = "record")]
-use std::sync::{atomic::Ordering, Arc};
+use std::sync::{atomic::Ordering, Arc, PoisonError};
 
 /// The recording handle. See the module docs for the gating model.
 #[derive(Clone, Default)]
@@ -298,7 +306,9 @@ impl Tracer {
     pub fn phase_start(&self, kind: PhaseKind, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         let index = i.phase_count.fetch_add(1, Ordering::Relaxed) as u32;
-        *i.current_phase.write() = Some(PhaseCells {
+        *i.current_phase
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Some(PhaseCells {
             kind,
             start_ns: stamp.nanos(),
             activations: Default::default(),
@@ -319,10 +329,15 @@ impl Tracer {
     /// the report's phase list.
     pub fn phase_end(&self, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
-        let Some(p) = i.current_phase.write().take() else {
+        let Some(p) = i
+            .current_phase
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        else {
             return;
         };
-        let mut done = i.done_phases.lock();
+        let mut done = lock_unpoisoned(&i.done_phases);
         let index = done.len() as u32;
         done.push(PhaseStat {
             kind: p.kind,
@@ -544,8 +559,8 @@ impl Tracer {
         TraceReport {
             enabled: true,
             clusters: i.clusters.iter().map(|c| c.snapshot()).collect(),
-            phases: i.done_phases.lock().clone(),
-            events: i.events.lock().clone(),
+            phases: lock_unpoisoned(&i.done_phases).clone(),
+            events: lock_unpoisoned(&i.events).clone(),
             events_dropped: i.dropped.load(Ordering::Relaxed),
             queue_depth: i.queue_hist().snapshot(),
             barrier_wait: i.barrier_hist().snapshot(),

@@ -15,8 +15,6 @@
 //! completion while messages are still in flight — reproduced here as the
 //! ablation baseline ([`NaiveSyncModel`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum propagation tiers tracked (deep enough for the 10–15 step
 /// paths the paper reports, with margin).
 pub const MAX_LEVELS: usize = 64;
@@ -24,7 +22,7 @@ pub const MAX_LEVELS: usize = 64;
 /// Deterministic state of the tiered termination detector, as evaluated
 /// by the sequence control processor through the AND-tree and counter
 /// network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TieredSyncModel {
     /// Global creation-minus-termination count per level.
     counters: Vec<i64>,
@@ -113,7 +111,7 @@ impl TieredSyncModel {
 /// The ablation: a detector using only the AND-tree idle signal, with no
 /// in-transit accounting. It *falsely* detects completion whenever all
 /// PEs happen to be idle while messages sit in the network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaiveSyncModel {
     idle: Vec<bool>,
 }
