@@ -7,66 +7,16 @@
 //! is required before any instruction that depends on in-flight markers,
 //! and after every propagation group before the accumulation phase.
 //!
-//! [`plan`] turns a [`Program`] into the step sequence all engines
-//! execute: single instructions and overlapped propagation groups, with
-//! an implicit barrier after each group.
+//! [`PlanBuf::plan`] turns a [`Program`] into the step sequence all
+//! engines execute: single instructions and overlapped propagation
+//! groups, with an implicit barrier after each group.
 
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::Marker;
-use std::collections::HashSet;
 
-/// One controller step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
-    /// Execute a single (non-propagate) instruction, by program index.
-    Instr(usize),
-    /// Execute these `PROPAGATE` instructions overlapped, then barrier.
-    Group(Vec<usize>),
-}
-
-/// Plans `program` into controller steps, preserving program order for
-/// everything except the overlap of independent adjacent propagations.
-pub fn plan(program: &Program) -> Vec<Step> {
-    let mut steps = Vec::new();
-    let mut group: Vec<usize> = Vec::new();
-    let mut reads: HashSet<Marker> = HashSet::new();
-    let mut writes: HashSet<Marker> = HashSet::new();
-
-    let close = |group: &mut Vec<usize>,
-                 reads: &mut HashSet<Marker>,
-                 writes: &mut HashSet<Marker>,
-                 steps: &mut Vec<Step>| {
-        if !group.is_empty() {
-            steps.push(Step::Group(std::mem::take(group)));
-            reads.clear();
-            writes.clear();
-        }
-    };
-
-    for (idx, instr) in program.iter().enumerate() {
-        if instr.class() == InstrClass::Propagate {
-            let ir: HashSet<Marker> = instr.reads().into_iter().collect();
-            let iw: HashSet<Marker> = instr.writes().into_iter().collect();
-            let dependent = ir.iter().any(|m| writes.contains(m))
-                || iw.iter().any(|m| reads.contains(m) || writes.contains(m));
-            if dependent {
-                close(&mut group, &mut reads, &mut writes, &mut steps);
-            }
-            reads.extend(ir);
-            writes.extend(iw);
-            group.push(idx);
-        } else {
-            close(&mut group, &mut reads, &mut writes, &mut steps);
-            steps.push(Step::Instr(idx));
-        }
-    }
-    close(&mut group, &mut reads, &mut writes, &mut steps);
-    steps
-}
-
-/// One step of a [`PlanBuf`] plan: [`Step`] with the group flattened
-/// into a shared index arena instead of an owned `Vec`, so replanning
-/// a pooled buffer allocates nothing.
+/// One controller step. A group's members live in the plan's shared
+/// index arena instead of an owned `Vec`, so replanning a pooled buffer
+/// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Execute a single (non-propagate) instruction, by program index.
@@ -81,16 +31,19 @@ pub enum PlanOp {
     },
 }
 
-/// Reusable, allocation-free form of [`plan`] for the pooled serving
-/// path: steps, group membership, and the dependency sets all keep
-/// their capacity across calls, so steady-state replanning costs no
-/// allocations. Produces exactly the plan [`plan`] produces.
+/// The controller's plan of one program, preserving program order for
+/// everything except the overlap of independent adjacent propagations.
+/// Steps, group membership, and the dependency sets all keep their
+/// capacity across calls, so a pooled buffer replans without
+/// allocating.
 #[derive(Debug, Default)]
 pub struct PlanBuf {
     ops: Vec<PlanOp>,
     members: Vec<u32>,
-    reads: HashSet<Marker>,
-    writes: HashSet<Marker>,
+    /// Markers the open group reads and writes: a group is a handful
+    /// of propagations, so these are scanned, not hashed.
+    reads: Vec<Marker>,
+    writes: Vec<Marker>,
     /// Offset of the currently open group in `members`.
     open: u32,
 }
@@ -175,7 +128,7 @@ impl PropSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `instr` is not a `PROPAGATE` — `plan` only places
+    /// Panics if `instr` is not a `PROPAGATE` — a plan only places
     /// propagations in groups.
     pub fn compile(prop: usize, instr: &Instruction) -> Self {
         match instr {
@@ -194,6 +147,14 @@ impl PropSpec {
             other => panic!("expected PROPAGATE in group, found {}", other.mnemonic()),
         }
     }
+
+    /// Compiles one planned group — `members` as
+    /// [`PlanBuf::members`] returns them — of `program`.
+    pub fn compile_group(program: &Program, members: &[u32]) -> Vec<Self> {
+        let compile =
+            |(g, &idx): (usize, &u32)| PropSpec::compile(g, &program.instructions()[idx as usize]);
+        members.iter().enumerate().map(compile).collect()
+    }
 }
 
 #[cfg(test)]
@@ -211,120 +172,88 @@ mod tests {
         }
     }
 
+    /// `PROPAGATE` from a complex source (so propagations can chain).
+    fn chain(src: u8, dst: u8) -> Instruction {
+        Instruction::Propagate {
+            source: Marker::complex(src),
+            target: Marker::complex(dst),
+            rule: PropRule::Star(RelationType(0)),
+            func: StepFunc::Identity,
+        }
+    }
+
+    /// The three planner cases and the empty program, each with the
+    /// ops and the member arena its plan must be.
+    fn cases() -> Vec<(Program, Vec<PlanOp>, Vec<u32>)> {
+        let collect = Instruction::CollectMarker {
+            marker: Marker::complex(3),
+        };
+        let set = Instruction::SetMarker {
+            marker: Marker::binary(1),
+            value: 0.0,
+        };
+        let clear = Instruction::ClearMarker {
+            marker: Marker::binary(1),
+        };
+        let group = |start, len| PlanOp::Group { start, len };
+        let case = |instrs: Vec<Instruction>, ops, members| {
+            (instrs.into_iter().collect::<Program>(), ops, members)
+        };
+        vec![
+            case(
+                vec![prop(1, 3), prop(2, 4), collect],
+                vec![group(0, 2), PlanOp::Instr(2)],
+                vec![0, 1],
+            ),
+            case(
+                vec![prop(1, 3), chain(3, 4)],
+                vec![group(0, 1), group(1, 1)],
+                vec![0, 1],
+            ),
+            case(
+                vec![set, prop(1, 3), clear, prop(1, 4)],
+                vec![PlanOp::Instr(0), group(0, 1), PlanOp::Instr(2), group(1, 1)],
+                vec![1, 3],
+            ),
+            case(vec![], vec![], vec![]),
+        ]
+    }
+
+    /// Plans case `i` into `buf` and checks it against its literals.
+    fn assert_case(buf: &mut PlanBuf, i: usize) {
+        let (program, ops, members) = &cases()[i];
+        buf.plan(program);
+        assert_eq!(buf.ops(), &ops[..], "case {i}");
+        assert_eq!(
+            buf.members(0, members.len() as u32),
+            &members[..],
+            "case {i}"
+        );
+    }
+
     #[test]
     fn adjacent_independent_propagates_group() {
-        let p: Program = vec![
-            prop(1, 3),
-            prop(2, 4),
-            Instruction::CollectMarker {
-                marker: Marker::complex(3),
-            },
-        ]
-        .into_iter()
-        .collect();
-        let steps = plan(&p);
-        assert_eq!(steps, vec![Step::Group(vec![0, 1]), Step::Instr(2)]);
+        assert_case(&mut PlanBuf::new(), 0);
     }
 
     #[test]
     fn dependent_propagates_split_groups() {
-        let chain = Instruction::Propagate {
-            source: Marker::complex(3),
-            target: Marker::complex(4),
-            rule: PropRule::Star(RelationType(0)),
-            func: StepFunc::Identity,
-        };
-        let p: Program = vec![prop(1, 3), chain].into_iter().collect();
-        assert_eq!(plan(&p), vec![Step::Group(vec![0]), Step::Group(vec![1])]);
+        assert_case(&mut PlanBuf::new(), 1);
     }
 
     #[test]
     fn non_propagate_instructions_preserve_order() {
-        let p: Program = vec![
-            Instruction::SetMarker {
-                marker: Marker::binary(1),
-                value: 0.0,
-            },
-            prop(1, 3),
-            Instruction::ClearMarker {
-                marker: Marker::binary(1),
-            },
-            prop(1, 4),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(
-            plan(&p),
-            vec![
-                Step::Instr(0),
-                Step::Group(vec![1]),
-                Step::Instr(2),
-                Step::Group(vec![3]),
-            ]
-        );
-    }
-
-    /// Expands a [`PlanBuf`] plan back into owned [`Step`]s.
-    fn expand(buf: &PlanBuf) -> Vec<Step> {
-        buf.ops()
-            .iter()
-            .map(|op| match *op {
-                PlanOp::Instr(i) => Step::Instr(i),
-                PlanOp::Group { start, len } => Step::Group(
-                    buf.members(start, len)
-                        .iter()
-                        .map(|&i| i as usize)
-                        .collect(),
-                ),
-            })
-            .collect()
+        assert_case(&mut PlanBuf::new(), 2);
     }
 
     #[test]
     fn plan_buf_matches_plan_and_reuses_cleanly() {
-        let programs: Vec<Program> = vec![
-            vec![
-                prop(1, 3),
-                prop(2, 4),
-                Instruction::CollectMarker {
-                    marker: Marker::complex(3),
-                },
-            ]
-            .into_iter()
-            .collect(),
-            vec![
-                prop(1, 3),
-                Instruction::Propagate {
-                    source: Marker::complex(3),
-                    target: Marker::complex(4),
-                    rule: PropRule::Star(RelationType(0)),
-                    func: StepFunc::Identity,
-                },
-            ]
-            .into_iter()
-            .collect(),
-            vec![
-                Instruction::SetMarker {
-                    marker: Marker::binary(1),
-                    value: 0.0,
-                },
-                prop(1, 3),
-                Instruction::ClearMarker {
-                    marker: Marker::binary(1),
-                },
-                prop(1, 4),
-            ]
-            .into_iter()
-            .collect(),
-            Vec::<Instruction>::new().into_iter().collect(),
-        ];
         // One pooled buffer across all programs, twice over: reuse must
         // not leak state between plans.
         let mut buf = PlanBuf::new();
         for _ in 0..2 {
-            for p in &programs {
-                buf.plan(p);
-                assert_eq!(expand(&buf), plan(p));
+            for i in 0..cases().len() {
+                assert_case(&mut buf, i);
             }
         }
     }

@@ -56,22 +56,44 @@ impl NetAccess<'_> {
         }
     }
 
-    /// Executes one non-propagate instruction with the access held.
+    /// Executes one non-propagate instruction with the access held,
+    /// into a pooled outcome: the six node-maintenance instructions
+    /// edit an exclusively held network, everything else goes through
+    /// [`exec_single_shared_into`].
+    pub(crate) fn exec_into(
+        &mut self,
+        instr: &Instruction,
+        regions: &mut [Region],
+        out: &mut SingleOutcome,
+    ) -> Result<(), CoreError> {
+        let network = match self {
+            NetAccess::Exclusive(network) if instr.class() == InstrClass::Maintenance => network,
+            // Everything else reads the network without mutating it.
+            _ => return exec_single_shared_into(instr, self.get(), regions, out),
+        };
+        let marked = instr.reads_fixed()[0].map_or_else(Vec::new, |m| all_active(regions, m));
+        *out = SingleOutcome {
+            work: vec![ClusterWork::default(); regions.len()],
+            collect: None,
+            maintenance_ops: exec_maintenance(instr, network, &marked)?,
+        };
+        Ok(())
+    }
+
+    /// [`NetAccess::exec_into`] a fresh outcome.
     pub(crate) fn exec(
         &mut self,
         instr: &Instruction,
         regions: &mut [Region],
     ) -> Result<SingleOutcome, CoreError> {
-        match self {
-            NetAccess::Exclusive(network) => exec_single(instr, network, regions),
-            NetAccess::Shared(network) => exec_single_shared(instr, network, regions),
-        }
+        let mut out = SingleOutcome::default();
+        self.exec_into(instr, regions, &mut out)?;
+        Ok(out)
     }
 }
 
-/// Applies `instr` to `regions`/`network`: the six node-maintenance
-/// instructions edit the network, everything else goes through
-/// [`exec_single_shared`].
+/// Applies `instr` to `regions`/`network`, maintenance included — what
+/// [`Snap1::run`](crate::Snap1::run) permits.
 ///
 /// # Errors
 ///
@@ -87,16 +109,7 @@ pub fn exec_single(
     network: &mut SemanticNetwork,
     regions: &mut [Region],
 ) -> Result<SingleOutcome, CoreError> {
-    if instr.class() != InstrClass::Maintenance {
-        // Everything else reads the network without mutating it.
-        return exec_single_shared(instr, network, regions);
-    }
-    let marked = instr.reads_fixed()[0].map_or_else(Vec::new, |m| all_active(regions, m));
-    Ok(SingleOutcome {
-        work: vec![ClusterWork::default(); regions.len()],
-        collect: None,
-        maintenance_ops: exec_maintenance(instr, network, &marked)?,
-    })
+    NetAccess::Exclusive(network).exec(instr, regions)
 }
 
 /// Applies one node-maintenance instruction to `network`, returning the
@@ -185,7 +198,10 @@ pub(crate) fn exec_maintenance(
 
 /// Applies one non-propagate, non-maintenance instruction to `regions`
 /// against an immutably borrowed network — the instruction subset a
-/// shared-snapshot run ([`crate::Snap1::run_shared`]) may execute.
+/// shared-snapshot run ([`crate::Snap1::run_shared`]) may execute —
+/// writing into a pooled [`SingleOutcome`]: the work vector keeps its
+/// capacity across calls, so a steady-state serving loop allocates
+/// nothing for collect-free instructions.
 ///
 /// # Errors
 ///
@@ -197,28 +213,7 @@ pub(crate) fn exec_maintenance(
 ///
 /// Panics if called with a `PROPAGATE` instruction — propagation goes
 /// through each engine's phase executor.
-pub fn exec_single_shared(
-    instr: &Instruction,
-    network: &SemanticNetwork,
-    regions: &mut [Region],
-) -> Result<SingleOutcome, CoreError> {
-    let mut out = SingleOutcome::default();
-    exec_single_shared_into(instr, network, regions, &mut out)?;
-    Ok(out)
-}
-
-/// [`exec_single_shared`] writing into a pooled [`SingleOutcome`]: the
-/// work vector keeps its capacity across calls, so the steady-state
-/// serving loop allocates nothing for collect-free instructions.
-///
-/// # Errors
-///
-/// Same as [`exec_single_shared`].
-///
-/// # Panics
-///
-/// Panics on `PROPAGATE`, like [`exec_single_shared`].
-pub fn exec_single_shared_into(
+pub(crate) fn exec_single_shared_into(
     instr: &Instruction,
     network: &SemanticNetwork,
     regions: &mut [Region],
@@ -226,9 +221,9 @@ pub fn exec_single_shared_into(
 ) -> Result<(), CoreError> {
     out.work.clear();
     out.work.resize(regions.len(), ClusterWork::default());
-    // A leftover collect buffer (the serving loop pre-seeds one from its
-    // pooled reports) is recycled by the collect arms below; any other
-    // instruction discards it.
+    // A leftover collect buffer (the sequential walker pre-seeds one
+    // from the reports it is handed) is recycled by the collect arms
+    // below; any other instruction discards it.
     let spare = out.collect.take();
     out.maintenance_ops = 0;
     match instr {
@@ -587,7 +582,9 @@ mod tests {
             weight: 1.0,
             destination: NodeId(3),
         };
-        let err = exec_single_shared(&create, &net, &mut regions).unwrap_err();
+        let err = NetAccess::Shared(&net)
+            .exec(&create, &mut regions)
+            .unwrap_err();
         assert_eq!(
             err,
             CoreError::MaintenanceOnShared {
@@ -599,7 +596,7 @@ mod tests {
             color: Color(1),
         };
         assert!(matches!(
-            exec_single_shared(&recolor, &net, &mut regions),
+            NetAccess::Shared(&net).exec(&recolor, &mut regions),
             Err(CoreError::MaintenanceOnShared { .. })
         ));
     }
@@ -624,7 +621,7 @@ mod tests {
         ];
         for instr in &instrs {
             let a = exec_single(instr, &mut net, &mut regions).unwrap();
-            let b = exec_single_shared(instr, &net2, &mut regions2).unwrap();
+            let b = NetAccess::Shared(&net2).exec(instr, &mut regions2).unwrap();
             assert_eq!(a.work, b.work);
             assert_eq!(format!("{:?}", a.collect), format!("{:?}", b.collect));
         }

@@ -22,7 +22,7 @@
 //! uninjected.
 
 use crate::config::MachineConfig;
-use crate::controller::{plan, PropSpec, Step};
+use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, EventQueue, Picker, CONTROL_STREAM};
@@ -53,15 +53,13 @@ pub(crate) fn run(
 ) -> Result<RunReport, CoreError> {
     config.validate();
     let mut machine = Des::new(config, cost, network.get(), prepared);
-    for step in plan(program) {
-        match step {
-            Step::Instr(idx) => machine.exec_instr(&mut network, &program.instructions()[idx])?,
-            Step::Group(indices) => {
-                let specs: Vec<PropSpec> = indices
-                    .iter()
-                    .enumerate()
-                    .map(|(g, &idx)| PropSpec::compile(g, &program.instructions()[idx]))
-                    .collect();
+    let mut plan = PlanBuf::new();
+    plan.plan(program);
+    for &op in plan.ops() {
+        match op {
+            PlanOp::Instr(idx) => machine.exec_instr(&mut network, &program.instructions()[idx])?,
+            PlanOp::Group { start, len } => {
+                let specs = PropSpec::compile_group(program, plan.members(start, len));
                 machine.exec_group(network.get(), &specs)?;
             }
         }

@@ -2,13 +2,14 @@
 //!
 //! Runs the whole knowledge base in one region on one (simulated)
 //! processing element — no broadcast, no network, no overlap. It serves
-//! two purposes: it is the semantics oracle the parallel engines are
-//! compared against, and it produces the uniprocessor instruction
-//! profile of Fig. 6 (instruction frequency vs execution time measured
-//! "for NLU applications on a single processor").
+//! three purposes: it is the semantics oracle the parallel engines are
+//! compared against, it produces the uniprocessor instruction profile
+//! of Fig. 6 (instruction frequency vs execution time measured "for NLU
+//! applications on a single processor"), and — through [`Walker`] — it
+//! is what a served query runs on.
 
 use crate::config::MachineConfig;
-use crate::controller::{plan, PropSpec, Step};
+use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, maybe_plant_bug, Picker, ReadyQueue, CONTROL_STREAM};
@@ -17,40 +18,240 @@ use crate::kernel::{propagate_wave_in, wave_supported, WaveScratch, WaveSink};
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::Region;
-use crate::report::RunReport;
-use snap_isa::{InstrClass, Program};
+use crate::report::{CollectOutput, RunReport};
+use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
 use snap_net::SimTime;
 use snap_obs::{lock_unpoisoned, PhaseKind, Stamp, Tracer};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// What one sequential run works in: the single region's marker state,
-/// the wave kernel's scratch, and the scalar loop's visited map (reset
-/// per propagation). Every table in it is node-count-sized, so a run
-/// builds it once and [`SeqPool`] keeps it between shared runs.
+/// The sequential engine's executor: walks one program on one region.
+///
+/// Everything a run needs that is sized by the executor rather than by
+/// the query lives here and keeps its capacity between runs — the
+/// controller plan, the instruction outcome, the wave kernel's scratch,
+/// the scalar loop's visited map, compiled `PROPAGATE` rules and
+/// emptied collect buffers — so a caller that also keeps its regions
+/// and reports ([`Snap1::run_shared`](crate::Snap1::run_shared) does
+/// the former, the serving layer both) runs warm queries without
+/// allocating.
+#[derive(Debug)]
+pub struct Walker {
+    plan: PlanBuf,
+    single: SingleOutcome,
+    wave: WaveScratch,
+    /// Reset per scalar propagation; its tables are built on first use.
+    visited: VisitedMap,
+    /// Compiled `PROPAGATE`s keyed by their instruction. Serving
+    /// workloads cycle through a handful of rules, so a small linear
+    /// cache removes `RuleProgram` compilation (and its allocations)
+    /// from the steady state; it is cleared if it ever overflows.
+    rules: Vec<(Instruction, PropSpec)>,
+    /// Collect buffers reclaimed from the reports runs were handed, so
+    /// `COLLECT-*` results reuse their capacity.
+    spare_collects: Vec<CollectOutput>,
+}
+
+impl Walker {
+    /// An executor for runs over `network` (or a later edit of it).
+    pub fn new(network: &SemanticNetwork) -> Self {
+        Walker {
+            plan: PlanBuf::new(),
+            single: SingleOutcome::default(),
+            wave: WaveScratch::new(),
+            visited: VisitedMap::for_nodes(network.node_count()),
+            rules: Vec::new(),
+            spare_collects: Vec::new(),
+        }
+    }
+
+    /// Executes a maintenance-free `program` against the shared
+    /// `network` in `region` — the one region of a one-cluster set-up
+    /// of that network — leaving the measured run in `report`. Whatever
+    /// `region` and `report` held before is cleared first, capacity
+    /// kept; only `report.partition` is the caller's and stays. The
+    /// report is the one [`Snap1::run_shared`](crate::Snap1::run_shared)
+    /// returns on the sequential engine under `config` and `cost`,
+    /// because this is what it runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::MaintenanceOnShared`] at a node-maintenance
+    /// instruction and otherwise the errors of
+    /// [`Snap1::run`](crate::Snap1::run); `report` then holds the run up
+    /// to the failing instruction.
+    pub fn run(
+        &mut self,
+        config: &MachineConfig,
+        cost: &CostModel,
+        network: &SemanticNetwork,
+        region: &mut Region,
+        program: &Program,
+        report: &mut RunReport,
+    ) -> Result<(), CoreError> {
+        let network = NetAccess::Shared(network);
+        self.walk(config, cost, network, region, program, report)
+    }
+
+    /// [`Walker::run`] over either access: exclusive and shared-snapshot
+    /// runs share this body — identical semantics and accounting — and
+    /// differ only in what [`NetAccess::exec_into`] permits.
+    pub(crate) fn walk(
+        &mut self,
+        config: &MachineConfig,
+        cost: &CostModel,
+        mut network: NetAccess<'_>,
+        region: &mut Region,
+        program: &Program,
+        report: &mut RunReport,
+    ) -> Result<(), CoreError> {
+        let Walker {
+            plan,
+            single,
+            wave,
+            visited,
+            rules,
+            spare_collects,
+        } = self;
+        region.reset();
+        spare_collects.append(&mut report.collects);
+        report.reset_for_pool();
+        plan.plan(program);
+        let mut now: SimTime = 0;
+        let tracer = Tracer::from_config(config.trace.as_ref(), 1);
+        // One decision stream for the whole run: the single PE is the only
+        // scheduling consumer, so every ready-pool pick draws from it.
+        let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
+
+        for &op in plan.ops() {
+            match op {
+                PlanOp::Instr(idx) => {
+                    let instr = &program.instructions()[idx];
+                    tracer.phase_start(phase_of(instr.class()), Stamp::Sim(now));
+                    if instr.class() == InstrClass::Collect {
+                        // The collect arms refill a leftover buffer.
+                        single.collect = spare_collects.pop();
+                    }
+                    network.exec_into(instr, std::slice::from_mut(region), single)?;
+                    let ns = instr_cost(cost, instr.class(), single, report);
+                    now += ns;
+                    tracer.phase_end(Stamp::Sim(now));
+                    report.record(instr.class(), ns);
+                    report.collects.extend(single.collect.take());
+                }
+                PlanOp::Group { start, len } => {
+                    // A single PE cannot overlap propagations: run them in order.
+                    tracer.phase_start(PhaseKind::Propagate, Stamp::Sim(now));
+                    for (g, &idx) in plan.members(start, len).iter().enumerate() {
+                        let spec = cached_spec(rules, &program.instructions()[idx as usize], g);
+                        let ns = run_propagate(
+                            config,
+                            cost,
+                            network.get(),
+                            region,
+                            wave,
+                            visited,
+                            spec,
+                            report,
+                            &tracer,
+                            &mut picker,
+                        )?;
+                        now += ns;
+                        report.record(InstrClass::Propagate, ns);
+                    }
+                    tracer.phase_end(Stamp::Sim(now));
+                    // Implicit barrier closing the group (trivial on one PE).
+                    tracer.phase_start(PhaseKind::Barrier, Stamp::Sim(now));
+                    now += cost.sync_base_ns;
+                    tracer.barrier_wait(0, cost.sync_base_ns, Stamp::Sim(now));
+                    tracer.phase_end(Stamp::Sim(now));
+                    report.overhead.sync_ns += cost.sync_base_ns;
+                    report.barriers += 1;
+                    report.traffic.messages_per_sync.push(0);
+                }
+            }
+        }
+        report.total_ns = now;
+        // A default `TraceReport` allocates its histograms: a pooled
+        // report is written only when something was recorded.
+        if tracer.is_enabled() {
+            report.trace = tracer.report();
+        }
+        report.schedule_digest = picker.digest();
+        // Purge classes this run never recorded, so a pooled report is
+        // indistinguishable from a freshly built one.
+        report.seal_for_pool();
+        Ok(())
+    }
+}
+
+/// Looks up (or compiles and caches) a `PROPAGATE` instruction as
+/// member `prop` of its overlap group.
+fn cached_spec<'a>(
+    rules: &'a mut Vec<(Instruction, PropSpec)>,
+    instr: &Instruction,
+    prop: usize,
+) -> &'a PropSpec {
+    let idx = match rules.iter().position(|(key, _)| key == instr) {
+        Some(i) => i,
+        None => {
+            if rules.len() >= 64 {
+                rules.clear();
+            }
+            rules.push((instr.clone(), PropSpec::compile(prop, instr)));
+            rules.len() - 1
+        }
+    };
+    let spec = &mut rules[idx].1;
+    spec.prop = prop;
+    spec
+}
+
+/// What one sequential run works in: the single region's marker state
+/// and the executor over it. Every table in it is node-count-sized, so
+/// a run builds it once and [`SeqPool`] keeps it between shared runs.
 #[derive(Debug)]
 pub(crate) struct SeqState {
     region: Region,
-    wave: WaveScratch,
-    visited: VisitedMap,
+    walker: Walker,
 }
 
 impl SeqState {
-    /// Empty state for one run over `prepared`'s one-cluster set-up.
+    /// Empty state for runs over `prepared`'s one-cluster set-up.
     pub(crate) fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
         debug_assert_eq!(prepared.map().cluster_count(), 1);
         SeqState {
             region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
-            wave: WaveScratch::new(),
-            visited: VisitedMap::for_nodes(network.node_count()),
+            walker: Walker::new(network),
         }
+    }
+
+    /// Executes `program` over `prepared` (the one-cluster set-up of
+    /// this network the state was built for), returning the measured
+    /// report.
+    pub(crate) fn run(
+        &mut self,
+        config: &MachineConfig,
+        cost: &CostModel,
+        network: NetAccess<'_>,
+        prepared: &Prepared,
+        program: &Program,
+    ) -> Result<RunReport, CoreError> {
+        let mut report = RunReport {
+            partition: Some(prepared.partition_stats().clone()),
+            ..RunReport::default()
+        };
+        let SeqState { region, walker } = self;
+        walker.walk(config, cost, network, region, program, &mut report)?;
+        Ok(report)
     }
 }
 
 /// Run states of the snapshot [`Snap1::run_shared`](crate::Snap1::run_shared)
 /// last served, one per concurrent caller at most, so a warm call
-/// builds and zeroes no node-count-sized table.
+/// builds and zeroes no node-count-sized table, plans into a kept
+/// buffer and compiles no rule it has compiled before.
 ///
 /// A state belongs to the [`Prepared`] whose region map its region was
 /// built over and is used for no other: a call checks out only a state
@@ -64,9 +265,9 @@ impl SeqState {
 pub(crate) struct SeqPool(pub(crate) Mutex<Vec<SeqState>>);
 
 impl SeqPool {
-    /// [`run`] on a shared snapshot, in a pooled state when there is one
-    /// for `prepared`. The state goes back however the run ended; the
-    /// next call resets it.
+    /// [`SeqState::run`] on a shared snapshot, in a pooled state when
+    /// there is one for `prepared`. The state goes back however the run
+    /// ended; the next run clears it.
     pub(crate) fn run_shared(
         &self,
         config: &MachineConfig,
@@ -80,21 +281,8 @@ impl SeqPool {
             pool.retain(|state| state.region.is_over(prepared.map()));
             pool.pop()
         };
-        let mut state = match pooled {
-            Some(mut state) => {
-                state.region.reset();
-                state
-            }
-            None => SeqState::new(prepared, network),
-        };
-        let result = run(
-            config,
-            cost,
-            NetAccess::Shared(network),
-            prepared,
-            program,
-            &mut state,
-        );
+        let mut state = pooled.unwrap_or_else(|| SeqState::new(prepared, network));
+        let result = state.run(config, cost, NetAccess::Shared(network), prepared, program);
         lock_unpoisoned(&self.0).push(state);
         result
     }
@@ -115,92 +303,9 @@ impl fmt::Debug for SeqPool {
     }
 }
 
-/// Executes `program` sequentially over `prepared` (a one-cluster
-/// set-up of this network) in `state`, which must be empty, returning
-/// the measured report. Exclusive and shared-snapshot runs share this
-/// body — identical semantics and accounting — and differ only in what
-/// [`NetAccess::exec`] permits.
-pub(crate) fn run(
-    config: &MachineConfig,
-    cost: &CostModel,
-    mut network: NetAccess<'_>,
-    prepared: &Prepared,
-    program: &Program,
-    state: &mut SeqState,
-) -> Result<RunReport, CoreError> {
-    let SeqState {
-        region,
-        wave,
-        visited,
-    } = state;
-    let mut report = RunReport {
-        partition: Some(prepared.partition_stats().clone()),
-        ..RunReport::default()
-    };
-    let mut now: SimTime = 0;
-    let tracer = Tracer::from_config(config.trace.as_ref(), 1);
-    // One decision stream for the whole run: the single PE is the only
-    // scheduling consumer, so every ready-pool pick draws from it.
-    let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
-
-    for step in plan(program) {
-        match step {
-            Step::Instr(idx) => {
-                let instr = &program.instructions()[idx];
-                tracer.phase_start(phase_of(instr.class()), Stamp::Sim(now));
-                let out = network.exec(instr, std::slice::from_mut(region))?;
-                let ns = instr_cost(cost, instr.class(), &out, &mut report);
-                now += ns;
-                tracer.phase_end(Stamp::Sim(now));
-                report.record(instr.class(), ns);
-                if let Some(c) = out.collect {
-                    report.collects.push(c);
-                }
-            }
-            Step::Group(indices) => {
-                // A single PE cannot overlap propagations: run them in order.
-                tracer.phase_start(PhaseKind::Propagate, Stamp::Sim(now));
-                for (g, &idx) in indices.iter().enumerate() {
-                    let instr = &program.instructions()[idx];
-                    let spec = PropSpec::compile(g, instr);
-                    let ns = run_propagate(
-                        config,
-                        cost,
-                        network.get(),
-                        region,
-                        wave,
-                        visited,
-                        &spec,
-                        &mut report,
-                        &tracer,
-                        &mut picker,
-                    )?;
-                    now += ns;
-                    report.record(InstrClass::Propagate, ns);
-                }
-                tracer.phase_end(Stamp::Sim(now));
-                // Implicit barrier closing the group (trivial on one PE).
-                tracer.phase_start(PhaseKind::Barrier, Stamp::Sim(now));
-                now += cost.sync_base_ns;
-                tracer.barrier_wait(0, cost.sync_base_ns, Stamp::Sim(now));
-                tracer.phase_end(Stamp::Sim(now));
-                report.overhead.sync_ns += cost.sync_base_ns;
-                report.barriers += 1;
-                report.traffic.messages_per_sync.push(0);
-            }
-        }
-    }
-    report.total_ns = now;
-    report.trace = tracer.report();
-    report.schedule_digest = picker.digest();
-    Ok(report)
-}
-
 /// Single-PE cost of one non-propagate instruction, with the overhead
-/// and barrier side accounting. The serving layer charges each lane of
-/// a fused batch through this same function, which is what keeps a
-/// served report's `total_ns` equal to the solo run's.
-pub fn instr_cost(
+/// and barrier side accounting.
+fn instr_cost(
     cost: &CostModel,
     class: InstrClass,
     out: &SingleOutcome,
@@ -336,10 +441,6 @@ fn run_propagate(
 /// the expansions, local activations and depth; recording the
 /// instruction is the caller's, like the clock.
 ///
-/// The sequential engine runs every FIFO wave through this, and the
-/// serving layer every lane of a batch, so a served report equals the
-/// solo report by shared code.
-///
 /// # Errors
 ///
 /// Returns [`CoreError`] for an out-of-range target marker.
@@ -347,7 +448,7 @@ fn run_propagate(
 /// # Panics
 ///
 /// Panics unless [`wave_supported`] holds for `spec.rule`.
-pub fn propagate_region(
+fn propagate_region(
     cost: &CostModel,
     max_hops: u8,
     network: &SemanticNetwork,
@@ -411,8 +512,8 @@ impl WaveSink for SeqWaveSink<'_> {
     }
 }
 
-/// [`run`] the way [`Snap1::run`](crate::Snap1::run) drives it —
-/// flush, one-cluster set-up, exclusive access — for engine unit tests.
+/// A run the way [`Snap1::run`](crate::Snap1::run) drives it — flush,
+/// one-cluster set-up, exclusive access — for engine unit tests.
 #[cfg(test)]
 pub(crate) fn run_exclusive(
     config: &MachineConfig,
@@ -422,14 +523,12 @@ pub(crate) fn run_exclusive(
 ) -> Result<RunReport, CoreError> {
     network.flush_links();
     let prepared = Prepared::build(network, 1, snap_kb::PartitionScheme::Sequential);
-    let mut state = SeqState::new(&prepared, network);
-    run(
+    SeqState::new(&prepared, network).run(
         config,
         cost,
         NetAccess::Exclusive(network),
         &prepared,
         program,
-        &mut state,
     )
 }
 

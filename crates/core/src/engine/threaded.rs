@@ -32,7 +32,7 @@
 //!   graceful degradation in place of a crashed run.
 
 use crate::config::MachineConfig;
-use crate::controller::{plan, PropSpec, Step};
+use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::engine::common::{
     all_active, exec_maintenance, exec_single_shared_into, phase_of, sorted_collect, SingleOutcome,
 };
@@ -258,7 +258,8 @@ fn run_arc(
         cmd_rxs.push(rx);
     }
 
-    let steps = plan(program);
+    let mut plan = PlanBuf::new();
+    plan.plan(program);
 
     let mut controller = Controller {
         clusters: config.clusters,
@@ -326,10 +327,10 @@ fn run_arc(
         drop(reply_tx);
 
         let result = (|| -> Result<(), CoreError> {
-            for step in &steps {
-                match step {
-                    Step::Instr(idx) => {
-                        let instr = &program.instructions()[*idx];
+            for &op in plan.ops() {
+                match op {
+                    PlanOp::Instr(idx) => {
+                        let instr = &program.instructions()[idx];
                         tracer.phase_start(phase_of(instr.class()), tracer.wall_stamp());
                         let t0 = Instant::now();
                         controller.exec_instr(instr, &mut shared)?;
@@ -338,21 +339,16 @@ fn run_arc(
                         controller.report.record(instr.class(), ns);
                         tracer.phase_end(tracer.wall_stamp());
                     }
-                    Step::Group(indices) => {
+                    PlanOp::Group { start, len } => {
                         let t0 = Instant::now();
-                        let specs: Arc<Vec<PropSpec>> = Arc::new(
-                            indices
-                                .iter()
-                                .enumerate()
-                                .map(|(g, &idx)| PropSpec::compile(g, &program.instructions()[idx]))
-                                .collect(),
-                        );
+                        let members = plan.members(start, len);
+                        let specs = Arc::new(PropSpec::compile_group(program, members));
                         controller.run_phase(&specs, &shared, &first_error)?;
                         let ns = t0.elapsed().as_nanos() as u64;
-                        for _ in indices {
+                        for _ in members {
                             controller
                                 .report
-                                .record(InstrClass::Propagate, ns / indices.len() as u64);
+                                .record(InstrClass::Propagate, ns / u64::from(len));
                         }
                     }
                 }

@@ -91,7 +91,7 @@ pub struct WaveStats {
 /// whole selection rule: the sequential engine runs [`propagate_wave_in`]
 /// when it holds and the schedule is FIFO, the scalar loop otherwise
 /// (fuzzed schedules, staged links, oversized rules); `snap-serve`
-/// batches a query when it holds and serves it solo otherwise.
+/// runs its lanes through that engine, so the same rule serves it.
 pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
     network.staged_link_count() == 0
         && rule
@@ -1016,7 +1016,7 @@ pub struct WaveScratch {
     next: Vec<PropTask>,
     arrivals: Vec<PropArrival>,
     /// Seeds of the propagation being set up (see
-    /// [`propagate_region`](crate::exec::propagate_region)).
+    /// `propagate_region` in the sequential engine).
     pub(crate) seeds: Vec<(NodeId, f32)>,
 }
 

@@ -40,15 +40,13 @@ pub mod propagate;
 mod region;
 mod report;
 
-/// Engine-shared instruction semantics, public so comparator engines
-/// (the CM-2 baseline) execute the exact same logic and the serving
-/// layer runs the sequential engine's instructions, propagations and
-/// costs.
+/// What other crates execute with: the engine-shared instruction
+/// semantics, so comparator engines (the CM-2 baseline) run the exact
+/// same logic, and the sequential engine's program walker, so a served
+/// query is a sequential-engine run.
 pub mod exec {
-    pub use crate::engine::common::{
-        exec_single, exec_single_shared, exec_single_shared_into, ClusterWork, SingleOutcome,
-    };
-    pub use crate::engine::sequential::{instr_cost, propagate_region};
+    pub use crate::engine::common::exec_single;
+    pub use crate::engine::sequential::Walker;
 }
 
 pub use config::{EngineKind, MachineConfig};

@@ -114,17 +114,13 @@ impl Snap1 {
         let prepared = Prepared::build(network, clusters, scheme);
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => {
-                let mut state = sequential::SeqState::new(&prepared, network);
-                sequential::run(
-                    config,
-                    cost,
-                    NetAccess::Exclusive(network),
-                    &prepared,
-                    program,
-                    &mut state,
-                )
-            }
+            EngineKind::Sequential => sequential::SeqState::new(&prepared, network).run(
+                config,
+                cost,
+                NetAccess::Exclusive(network),
+                &prepared,
+                program,
+            ),
             EngineKind::Des => des::run(
                 config,
                 cost,
@@ -156,12 +152,8 @@ impl Snap1 {
     /// Returns [`CoreError::SharedStagedLinks`] if the snapshot was
     /// frozen with staged (unflushed) links.
     pub fn prepare(&self, network: &Arc<SemanticNetwork>) -> Result<Arc<Prepared>, CoreError> {
-        let staged = network.staged_link_count();
-        if staged > 0 {
-            return Err(CoreError::SharedStagedLinks { staged });
-        }
         let (clusters, scheme) = self.geometry();
-        Ok(self.memo.get(network, clusters, scheme))
+        self.memo.get(network, clusters, scheme)
     }
 
     /// Executes a maintenance-free `program` against a shared network

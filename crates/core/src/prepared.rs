@@ -6,6 +6,7 @@
 //! machine geometry plus the [`PartitionStats`] every report carries.
 //! It is the only place either is built; the engines take it as given.
 
+use crate::error::CoreError;
 use crate::region::RegionMap;
 use snap_kb::{PartitionScheme, PartitionStats, SemanticNetwork};
 use snap_obs::lock_unpoisoned;
@@ -40,16 +41,31 @@ impl Prepared {
         }
     }
 
-    /// [`Prepared::build`] remembering which snapshot it describes.
-    fn for_snapshot(
+    /// Partitions `snapshot` over `clusters` clusters, remembering
+    /// which snapshot this describes. [`Snap1::prepare`](crate::Snap1::prepare)
+    /// memoises this for the machine's own geometry; a serving layer on
+    /// the sequential engine builds its one region (`1`,
+    /// [`PartitionScheme::Sequential`]) here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::SharedStagedLinks`] if the snapshot was
+    /// frozen with staged (unflushed) links — nothing can flush them
+    /// behind an `Arc`, and neither the statistics nor the indexed
+    /// kernels see them.
+    pub fn for_snapshot(
         snapshot: &Arc<SemanticNetwork>,
         clusters: usize,
         scheme: PartitionScheme,
-    ) -> Self {
-        Prepared {
+    ) -> Result<Self, CoreError> {
+        let staged = snapshot.staged_link_count();
+        if staged > 0 {
+            return Err(CoreError::SharedStagedLinks { staged });
+        }
+        Ok(Prepared {
             snapshot: Arc::downgrade(snapshot),
             ..Self::build(snapshot, clusters, scheme)
-        }
+        })
     }
 
     /// `true` if this was built from exactly `snapshot`, unedited since.
@@ -104,14 +120,14 @@ impl PreparedMemo {
         snapshot: &Arc<SemanticNetwork>,
         clusters: usize,
         scheme: PartitionScheme,
-    ) -> Arc<Prepared> {
+    ) -> Result<Arc<Prepared>, CoreError> {
         let mut slot = lock_unpoisoned(&self.0);
         match &*slot {
-            Some(prepared) if prepared.is_for(snapshot) => Arc::clone(prepared),
+            Some(prepared) if prepared.is_for(snapshot) => Ok(Arc::clone(prepared)),
             _ => {
-                let prepared = Arc::new(Prepared::for_snapshot(snapshot, clusters, scheme));
+                let prepared = Arc::new(Prepared::for_snapshot(snapshot, clusters, scheme)?);
                 *slot = Some(Arc::clone(&prepared));
-                prepared
+                Ok(prepared)
             }
         }
     }
@@ -141,12 +157,12 @@ mod tests {
     fn memo_hits_on_the_same_snapshot_and_rebuilds_on_another() {
         let memo = PreparedMemo::default();
         let (a, b) = (snapshot(4), snapshot(9));
-        let first = memo.get(&a, 2, PartitionScheme::RoundRobin);
+        let first = memo.get(&a, 2, PartitionScheme::RoundRobin).unwrap();
         assert!(Arc::ptr_eq(
             &first,
-            &memo.get(&a, 2, PartitionScheme::RoundRobin)
+            &memo.get(&a, 2, PartitionScheme::RoundRobin).unwrap()
         ));
-        let other = memo.get(&b, 2, PartitionScheme::RoundRobin);
+        let other = memo.get(&b, 2, PartitionScheme::RoundRobin).unwrap();
         assert_eq!(other.partition_stats().nodes, 9);
         assert!(other.is_for(&b) && !other.is_for(&a));
         // The memo holds no strong reference to either snapshot.
@@ -156,14 +172,14 @@ mod tests {
     #[test]
     fn an_edited_or_reallocated_snapshot_never_matches() {
         let mut a = snapshot(4);
-        let prepared = Prepared::for_snapshot(&a, 1, PartitionScheme::Sequential);
+        let prepared = Prepared::for_snapshot(&a, 1, PartitionScheme::Sequential).unwrap();
         // A sole owner edits "in place": the outstanding Weak makes
         // make_mut move the network, so the identity changes with it.
         Arc::make_mut(&mut a).add_node(Color(1)).unwrap();
         assert!(!prepared.is_for(&a));
         // Dropping the snapshot leaves its address reserved by the Weak.
         let b = snapshot(4);
-        let prepared = Prepared::for_snapshot(&b, 1, PartitionScheme::Sequential);
+        let prepared = Prepared::for_snapshot(&b, 1, PartitionScheme::Sequential).unwrap();
         drop(b);
         for _ in 0..64 {
             assert!(!prepared.is_for(&snapshot(4)));

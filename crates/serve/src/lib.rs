@@ -7,36 +7,37 @@
 //! semantics:
 //!
 //! * [`QueryContext`] — one query's isolated execution state (marker
-//!   tables and the report being built), pooled and reset in place so
+//!   tables and the report of its run), pooled and cleared in place so
 //!   steady-state serving recycles the heavy per-query allocations;
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
-//!   with graceful shedding and exact accounting, plus a batching
-//!   scheduler that gathers compatible queries (same program shape,
-//!   same KB snapshot) into one batch of up to 64 lanes: one controller
-//!   plan, one warm wave scratch, bit-identical queries collapsed onto
-//!   a single lane whose report they share, and each lane's
-//!   propagations run as the sequential engine runs them
-//!   ([`propagate_region`]) — independent marker streams, as SNAP-1
-//!   overlaps them, not a lockstep sweep;
-//! * every batched query's report is bit-identical to running it alone
+//!   with graceful shedding and exact accounting, plus a pump that
+//!   takes the oldest [`ServeConfig::max_batch`] queued queries (64 at
+//!   most) in arrival order, collapses bit-identical ones onto a single
+//!   lane whose result they share, and runs each lane as a
+//!   sequential-engine run: [`Walker::run`](snap_core::exec::Walker::run),
+//!   the same program walker `Snap1::run` and `Snap1::run_shared` use
+//!   on that engine — one controller plan per query, `PROPAGATE`s as
+//!   independent marker streams, as SNAP-1 overlaps them, through the
+//!   wave kernel or the scalar loop as the rule allows;
+//! * a batch is that coalescing window, not a program shape: nothing
+//!   overtakes anything, completions come back in admission order, and
+//!   a query that fails does so alone, with its typed error;
+//! * every served report is bit-identical to running the query alone
 //!   through the serial sequential-engine oracle, because it is the
-//!   oracle's code that runs it.
-//!
-//! [`propagate_region`]: snap_core::exec::propagate_region
+//!   oracle's code that runs it, end to end.
 //!
 //! One [`Server`] serves one immutable snapshot, and that is what a KB
 //! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)
-//! — the snapshot's region map and partition statistics, built once in
-//! [`Server::new`] and shared with the oracle fallback — so one server =
-//! one `Prepared` = one epoch, expressed by the type rather than a
-//! number. Updates mean flushing links, wrapping the new network in an
-//! `Arc`, and standing up a new server. Maintenance programs are shed at
-//! admission for the same reason `run_shared` rejects them.
+//! — the snapshot's one-region map and partition statistics, built once
+//! in [`Server::new`] — so one server = one `Prepared` = one epoch,
+//! expressed by the type rather than a number. Updates mean flushing
+//! links, wrapping the new network in an `Arc`, and standing up a new
+//! server. Maintenance programs are shed at admission for the same
+//! reason `run_shared` rejects them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod context;
 mod server;
 

@@ -1,32 +1,32 @@
-//! Admission, shape-compatible batching, and exact shed accounting.
+//! Admission, arrival-order batching, and exact shed accounting.
 
-use crate::batch::{run_batch, BatchScratch};
 use crate::context::QueryContext;
-use snap_core::kernel::wave_supported;
-use snap_core::{CoreError, CostModel, EngineKind, MachineConfig, Prepared, RunReport, Snap1};
-use snap_isa::{InstrClass, Instruction, Program, PropRule};
-use snap_kb::SemanticNetwork;
+use snap_core::exec::Walker;
+use snap_core::{CoreError, CostModel, MachineConfig, Prepared, RunReport};
+use snap_isa::{InstrClass, Program};
+use snap_kb::{PartitionScheme, SemanticNetwork};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Most queries one pump serves, whatever [`ServeConfig::max_batch`]
-/// asks for: a pump stages its batch's program references in a stack
-/// array of this length.
+/// asks for: coalescing compares each query with every lane before it,
+/// and this bounds that square.
 const MAX_PUMP: usize = 64;
 
 /// Serving parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most queries served by one pump as one batch. Depth 1 degrades
-    /// to one-query-at-a-time serving (the bench baseline). A pump
-    /// takes at most 64 queries, so a deeper setting becomes more
-    /// pumps.
+    /// Most queries served by one pump as one batch: the oldest
+    /// `max_batch` in the queue, whatever they ask, which is also the
+    /// window identical queries coalesce in. Depth 1 degrades to
+    /// one-query-at-a-time serving (the bench baseline). A pump takes
+    /// at most 64 queries, so a deeper setting becomes more pumps.
     pub max_batch: usize,
     /// Bounded admission queue: offers beyond this capacity shed with
     /// [`ShedReason::QueueFull`] instead of growing without bound.
     pub queue_capacity: usize,
-    /// Propagation hop cap, matching the machine configuration the
-    /// oracle runs under.
+    /// Propagation hop cap of the sequential machine every query runs
+    /// on (the rest of it is [`MachineConfig::snap1_eval`]).
     pub max_hops: u8,
     /// Cost model stamped into per-query reports.
     pub cost: CostModel,
@@ -99,10 +99,12 @@ impl ServeStats {
 pub struct Completion {
     /// The admission handle this completion answers.
     pub id: QueryId,
-    /// How many queries shared the batch (1 = served solo).
+    /// How many queries the pump that served this one took from the
+    /// queue, duplicates included (1 = served alone).
     pub batch_depth: usize,
-    /// The query's report, identical to a solo
-    /// [`Snap1::run_shared`] run, or the error that failed it.
+    /// The query's report, identical to running it alone on the
+    /// sequential engine against the same snapshot, or the error that
+    /// failed it.
     pub result: Result<RunReport, CoreError>,
 }
 
@@ -114,7 +116,8 @@ pub struct Completion {
 pub struct CompletionRef<'a> {
     /// The admission handle this completion answers.
     pub id: QueryId,
-    /// How many queries shared the batch (1 = served solo).
+    /// How many queries the pump took from the queue, this one and
+    /// duplicates included (1 = served alone).
     pub batch_depth: usize,
     /// The query's report (identical to a solo run), or its error.
     pub result: Result<&'a RunReport, &'a CoreError>,
@@ -123,51 +126,42 @@ pub struct CompletionRef<'a> {
 struct Pending {
     id: QueryId,
     program: Program,
-    /// Every propagation rule can take the wave kernel; a query that is
-    /// not fusable is served solo through the oracle.
-    fusable: bool,
 }
 
 /// A query server over one immutable KB snapshot.
 ///
 /// [`offer`](Server::offer) admits programs into a bounded queue;
-/// [`pump`](Server::pump) takes the head-of-line query plus every
-/// queued query of the same shape (up to
-/// [`ServeConfig::max_batch`]) and executes them as one batch over one
-/// controller plan. Head-of-line dispatch means no shape can starve:
-/// whatever is oldest runs next, bringing its compatible followers
-/// along.
+/// [`pump`](Server::pump) takes the oldest
+/// [`ServeConfig::max_batch`] of them, in arrival order, coalesces
+/// bit-identical programs onto one lane and runs each lane through the
+/// sequential engine's [`Walker`]. Nothing overtakes anything, so
+/// completions come back in [`QueryId`] order and no query can starve;
+/// a lane that fails — or that the wave kernel cannot run — is a lane
+/// like any other.
 ///
-/// Every buffer the pump touches — pending entries, batch staging,
-/// query contexts, kernel scratch — is pooled on the server, so
+/// Every buffer the pump touches — the queue, batch staging, query
+/// contexts, the walker's scratch — is pooled on the server, so
 /// steady-state serving ([`Server::pump_with`] after warm-up) performs
 /// no heap allocation per query.
 pub struct Server {
     network: Arc<SemanticNetwork>,
     /// The snapshot's one-region set-up, built once here: pooled query
-    /// contexts take their regions from it, and it is the value the
-    /// oracle's memo holds, so a fallback query never re-partitions.
-    prepared: Arc<Prepared>,
+    /// contexts take their regions and partition statistics from it.
+    prepared: Prepared,
     cfg: ServeConfig,
-    /// Sequential shared-snapshot oracle for queries the wave kernel
-    /// cannot run (oversized custom rules) and for batch-failure
-    /// fallback.
-    oracle: Snap1,
+    /// The sequential machine every lane runs as:
+    /// [`ServeConfig::max_hops`] on the evaluation configuration.
+    machine: MachineConfig,
+    walker: Walker,
     queue: VecDeque<Pending>,
-    /// Spent [`Pending`] entries, recycled by `offer`: an entry owns
-    /// nothing but its program, which the next offer replaces, so
-    /// admission allocates only while the queue is still growing.
-    free: Vec<Pending>,
-    /// Current batch being staged/served, drained back to `free`.
+    /// The batch being served.
     batch: Vec<Pending>,
     /// Indices into `batch`: one per distinct program (lane owners).
     uniq: Vec<usize>,
-    /// For each batch member, the lane index (into `uniq`) it reads.
-    rep_of: Vec<usize>,
     pool: Vec<QueryContext>,
-    /// Contexts checked out for the batch in flight.
+    /// Contexts checked out for the batch in flight: `active[j]` is the
+    /// lane `batch[uniq[j]]` owns.
     active: Vec<QueryContext>,
-    scratch: BatchScratch,
     stats: ServeStats,
     next_id: u64,
 }
@@ -182,28 +176,23 @@ impl Server {
     /// [`flush_links`](SemanticNetwork::flush_links) before wrapping it
     /// in the `Arc`.
     pub fn new(network: Arc<SemanticNetwork>, cfg: ServeConfig) -> Result<Self, CoreError> {
-        let oracle = Snap1::builder()
-            .config(MachineConfig {
-                max_hops: cfg.max_hops,
-                ..MachineConfig::snap1_eval()
-            })
-            .cost(cfg.cost.clone())
-            .engine(EngineKind::Sequential)
-            .build();
-        let prepared = oracle.prepare(&network)?;
+        // The sequential engine holds the whole network in one region.
+        let prepared = Prepared::for_snapshot(&network, 1, PartitionScheme::Sequential)?;
+        let machine = MachineConfig {
+            max_hops: cfg.max_hops,
+            ..MachineConfig::snap1_eval()
+        };
         Ok(Server {
+            walker: Walker::new(&network),
             network,
             prepared,
             cfg,
-            oracle,
+            machine,
             queue: VecDeque::new(),
-            free: Vec::new(),
             batch: Vec::new(),
             uniq: Vec::new(),
-            rep_of: Vec::new(),
             pool: Vec::new(),
             active: Vec::new(),
-            scratch: BatchScratch::new(),
             stats: ServeStats::default(),
             next_id: 0,
         })
@@ -226,34 +215,17 @@ impl Server {
             self.stats.shed_overload += 1;
             return Admission::Shed(ShedReason::QueueFull);
         }
-        let mut p = self.free.pop().unwrap_or_else(|| Pending {
-            id: QueryId(0),
-            program: std::iter::empty::<Instruction>().collect(),
-            fusable: false,
-        });
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        p.id = id;
-        // Asked of each rule as the program carries it, nothing
-        // compiled: the snapshot has no staged links (`Server::new`) and
-        // a built-in rule has at most two arcs per state by
-        // construction, so only a custom rule's own states can fail
-        // `wave_supported`.
-        p.fusable = !program.iter().any(|i| {
-            matches!(i, Instruction::Propagate { rule: PropRule::Custom(rule), .. }
-                if !wave_supported(&self.network, rule))
-        });
-        p.program = program;
         self.stats.admitted += 1;
-        self.queue.push_back(p);
+        self.queue.push_back(Pending { id, program });
         Admission::Admitted(id)
     }
 
-    /// Serves one batch: the head-of-line query plus every queued query
-    /// of its shape, up to [`ServeConfig::max_batch`] — with
-    /// bit-identical queries coalesced onto a single lane and sharing
-    /// its report. Returns their completions (empty when the queue is
-    /// idle).
+    /// Serves one batch: the oldest [`ServeConfig::max_batch`] queued
+    /// queries, with bit-identical queries coalesced onto a single lane
+    /// and sharing its result. Returns their completions in admission
+    /// order (empty when the queue is idle).
     ///
     /// This convenience form clones each report out of its pooled
     /// context; the steady-state serving loop uses
@@ -274,134 +246,50 @@ impl Server {
     /// each completion to `sink` as a borrowed [`CompletionRef`]. Once
     /// the pools are warm, a pump performs no heap allocation.
     pub fn pump_with(&mut self, mut sink: impl FnMut(CompletionRef<'_>)) {
-        let Some(head) = self.queue.front() else {
-            return;
-        };
-        if !head.fusable {
-            let p = self.queue.pop_front().expect("head exists");
-            let result = self.oracle.run_shared(&self.network, &p.program);
-            match &result {
+        debug_assert!(self.batch.is_empty() && self.active.is_empty());
+        let depth = self.queue.len().min(self.cfg.max_batch).min(MAX_PUMP);
+        self.batch.extend(self.queue.drain(..depth));
+        // One lane per *distinct* program: a duplicate shares its
+        // lane's result and skips execution entirely — the report of an
+        // identical program on an immutable snapshot is identical by
+        // construction (the differential tests pin this down).
+        self.uniq.clear();
+        for (i, p) in self.batch.iter().enumerate() {
+            let owns = |&u: &usize| self.batch[u].program == p.program;
+            let lane = self.uniq.iter().position(owns).unwrap_or_else(|| {
+                let mut ctx = self
+                    .pool
+                    .pop()
+                    .unwrap_or_else(|| QueryContext::new(&self.prepared, &self.network));
+                ctx.outcome = self.walker.run(
+                    &self.machine,
+                    &self.cfg.cost,
+                    &self.network,
+                    &mut ctx.region,
+                    &p.program,
+                    &mut ctx.report,
+                );
+                self.active.push(ctx);
+                self.uniq.push(i);
+                self.uniq.len() - 1
+            });
+            let ctx = &self.active[lane];
+            let result = match &ctx.outcome {
+                Ok(()) => Ok(&ctx.report),
+                Err(e) => Err(e),
+            };
+            match result {
                 Ok(_) => self.stats.completed += 1,
                 Err(_) => self.stats.failed += 1,
             }
             sink(CompletionRef {
                 id: p.id,
-                batch_depth: 1,
-                result: result.as_ref(),
+                batch_depth: depth,
+                result,
             });
-            self.free.push(p);
-            return;
         }
-        debug_assert!(self.batch.is_empty() && self.active.is_empty());
-        let depth_cap = self.cfg.max_batch.min(MAX_PUMP);
-        self.batch
-            .push(self.queue.pop_front().expect("head exists"));
-        // Fast path: the matching prefix (steady-state serving is
-        // shape-homogeneous, so this usually fills the batch without
-        // touching the rest of the queue).
-        while self.batch.len() < depth_cap {
-            let matches = match self.queue.front() {
-                Some(p) => p.fusable && same_shape(&p.program, &self.batch[0].program),
-                None => false,
-            };
-            if !matches {
-                break;
-            }
-            let p = self.queue.pop_front().expect("front exists");
-            self.batch.push(p);
-        }
-        // Slow path: steal later same-shape queries, stopping as soon as
-        // the batch fills; unscanned and non-matching entries keep their
-        // relative order.
-        let mut i = 0;
-        while i < self.queue.len() && self.batch.len() < depth_cap {
-            if self.queue[i].fusable && same_shape(&self.queue[i].program, &self.batch[0].program) {
-                let p = self.queue.remove(i).expect("index in bounds");
-                self.batch.push(p);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Coalesce bit-identical queries: one lane per *distinct*
-        // program, and duplicates share its report, skipping the
-        // duplicate's entire execution — the report of an identical
-        // program on an immutable snapshot is identical by construction
-        // (the differential tests pin this down).
-        self.uniq.clear();
-        self.rep_of.clear();
-        for i in 0..self.batch.len() {
-            match self
-                .uniq
-                .iter()
-                .position(|&u| self.batch[u].program == self.batch[i].program)
-            {
-                Some(j) => self.rep_of.push(j),
-                None => {
-                    self.rep_of.push(self.uniq.len());
-                    self.uniq.push(i);
-                }
-            }
-        }
-        for _ in 0..self.uniq.len() {
-            let ctx = self
-                .pool
-                .pop()
-                .unwrap_or_else(|| QueryContext::new(&self.prepared, &self.network));
-            self.active.push(ctx);
-        }
-        // Program refs live on the stack: a batch never outgrows the
-        // pump cap.
-        let mut programs: [&Program; MAX_PUMP] = [&self.batch[0].program; MAX_PUMP];
-        for (j, &u) in self.uniq.iter().enumerate() {
-            programs[j] = &self.batch[u].program;
-        }
-        let res = run_batch(
-            &self.cfg.cost,
-            self.cfg.max_hops,
-            &self.network,
-            &programs[..self.uniq.len()],
-            &mut self.active,
-            &mut self.scratch,
-        );
-        let depth = self.batch.len();
-        match res {
-            Ok(()) => {
-                for i in 0..self.batch.len() {
-                    self.stats.completed += 1;
-                    sink(CompletionRef {
-                        id: self.batch[i].id,
-                        batch_depth: depth,
-                        result: Ok(&self.active[self.rep_of[i]].report),
-                    });
-                }
-            }
-            Err(_) => {
-                // The batch failed: retry each member solo so one
-                // poisoned query cannot take its batch-mates down.
-                for i in 0..self.batch.len() {
-                    let result = self
-                        .oracle
-                        .run_shared(&self.network, &self.batch[i].program);
-                    match &result {
-                        Ok(_) => self.stats.completed += 1,
-                        Err(_) => self.stats.failed += 1,
-                    }
-                    sink(CompletionRef {
-                        id: self.batch[i].id,
-                        batch_depth: 1,
-                        result: result.as_ref(),
-                    });
-                }
-            }
-        }
-        while let Some(mut c) = self.active.pop() {
-            c.reset();
-            self.pool.push(c);
-        }
-        while let Some(p) = self.batch.pop() {
-            self.free.push(p);
-        }
+        self.pool.append(&mut self.active);
+        self.batch.clear();
     }
 
     /// Pumps until the queue is empty, returning all completions.
@@ -424,7 +312,7 @@ impl Server {
     }
 
     /// Idle pooled contexts (diagnostic: steady-state serving holds
-    /// this at the largest batch depth seen, allocating nothing new).
+    /// this at the most lanes one batch has had, allocating nothing new).
     pub fn pool_size(&self) -> usize {
         self.pool.len()
     }
@@ -452,38 +340,13 @@ impl Server {
     }
 }
 
-/// `true` if `a` and `b` plan to the same controller steps, so one
-/// batch can walk one plan for both. Search parameters — which node,
-/// relation or color a query asks about, and the initial value — are
-/// masked, so queries differing only in what they ask still batch;
-/// everything else (instruction sequence, markers, propagation rules,
-/// step and combine functions and their constants) must be equal. The
-/// plan depends on instruction classes and markers only, so this is
-/// stricter than it has to be; constants compare as floats, so a `NaN`
-/// constant equals nothing and its query never batches, which is safe.
-fn same_shape(a: &Program, b: &Program) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|pair| match pair {
-            (
-                Instruction::SearchNode { marker: x, .. },
-                Instruction::SearchNode { marker: y, .. },
-            )
-            | (
-                Instruction::SearchRelation { marker: x, .. },
-                Instruction::SearchRelation { marker: y, .. },
-            )
-            | (
-                Instruction::SearchColor { marker: x, .. },
-                Instruction::SearchColor { marker: y, .. },
-            ) => x == y,
-            (x, y) => x == y,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_isa::{PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
+    use snap_core::{EngineKind, Snap1};
+    use snap_isa::{
+        Cmp, Instruction, PropRule, RuleArc, RuleProgram, RuleState, StepFunc, ValueFunc,
+    };
     use snap_kb::synth::scale_free_network;
     use snap_kb::{Marker, NodeId, RelationType};
 
@@ -508,7 +371,7 @@ mod tests {
             .build()
     }
 
-    /// A different shape: two-relation spread with another target.
+    /// Another shape: two-relation spread with another target.
     fn spread_query(node: u32) -> Program {
         Program::builder()
             .search_node(NodeId(node), Marker::binary(1), 0.0)
@@ -599,32 +462,80 @@ mod tests {
         assert_eq!(server.stats().completed, 100);
     }
 
+    /// A third shape: one hop into a binary target.
+    fn once_query(node: u32) -> Program {
+        Program::builder()
+            .search_node(NodeId(node), Marker::binary(1), 0.0)
+            .propagate(
+                Marker::binary(1),
+                Marker::binary(4),
+                PropRule::Once(RelationType(1)),
+                StepFunc::Identity,
+            )
+            .collect_marker(Marker::binary(4))
+            .build()
+    }
+
     #[test]
-    fn incompatible_shapes_split_into_separate_batches() {
+    fn interleaved_shapes_are_served_in_arrival_order_at_full_depth() {
         let net = snapshot();
-        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-        // Interleave two shapes: star, spread, star, spread...
-        for n in 0..6u32 {
-            let p = if n % 2 == 0 {
-                query(n)
-            } else {
-                spread_query(n)
-            };
-            assert!(matches!(server.offer(p), Admission::Admitted(_)));
+        let cfg = ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
+        let offered: Vec<Program> = (0..10u32)
+            .map(|n| [query, spread_query, once_query][n as usize % 3](n * 7))
+            .collect();
+        for p in &offered {
+            assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
         }
-        // First pump serves the head's shape only: the three stars.
-        let first = server.pump();
-        assert_eq!(first.len(), 3);
-        assert!(first.iter().all(|c| c.batch_depth == 3));
-        // Spreads kept their order and serve next.
-        let second = server.pump();
-        assert_eq!(second.len(), 3);
+        // Nothing overtakes anything: each pump takes the oldest four,
+        // whatever their shapes, and answers them in admission order.
         let oracle = oracle();
-        for (c, n) in second.iter().zip([1u32, 3, 5]) {
-            assert_eq!(c.id, QueryId(n as u64));
-            let got = c.result.as_ref().unwrap();
-            let want = oracle.run_shared(&net, &spread_query(n)).unwrap();
-            assert_eq!(got.collects, want.collects);
+        let mut next = 0;
+        for depth in [4, 4, 2] {
+            let done = server.pump();
+            assert_eq!(done.len(), depth);
+            for c in done {
+                assert_eq!((c.id, c.batch_depth), (QueryId(next), depth));
+                let want = oracle.run_shared(&net, &offered[next as usize]);
+                assert_eq!(c.result, want, "query {next}");
+                next += 1;
+            }
+        }
+        assert_eq!(server.queue_len(), 0);
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn a_nan_constant_shares_a_pump_but_never_a_lane() {
+        let net = snapshot();
+        // `value < NaN` never holds, so KEEP-IF clears every reached node
+        // and the report carries no NaN of its own to upset `assert_eq!`;
+        // the program, though, equals nothing — itself included.
+        let program = Program::builder()
+            .search_node(NodeId(3), Marker::binary(1), 0.0)
+            .propagate(
+                Marker::binary(1),
+                Marker::complex(2),
+                PropRule::Star(RelationType(0)),
+                StepFunc::AddWeight,
+            )
+            .func_marker(Marker::complex(2), ValueFunc::KeepIf(Cmp::Lt, f32::NAN))
+            .collect_marker(Marker::complex(2))
+            .build();
+        assert_ne!(program, program.clone());
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        server.offer(program.clone());
+        server.offer(program.clone());
+        let done = server.pump();
+        assert_eq!(done.len(), 2);
+        assert_eq!(server.pool_size(), 2, "two lanes: nothing coalesced");
+        let want = oracle().run_shared(&net, &program);
+        for c in &done {
+            assert_eq!(c.batch_depth, 2);
+            assert_eq!(c.result, want);
         }
         server.assert_accounting();
     }
@@ -710,8 +621,15 @@ mod tests {
         }
         assert_eq!(server.pump().len(), 16);
         let (pool, warm) = (server.pool_size(), server.stats().completed);
-        // Same shape, but lane 5 asks about a node the KB does not have.
-        let node = |lane: u32| if lane == 5 { 300 } else { 100 + lane };
+        // Lanes 5 and 9 ask — identically — about a node the KB does not
+        // have: one lane fails, both queries get its error.
+        let node = |lane: u32| {
+            if lane == 5 || lane == 9 {
+                300
+            } else {
+                100 + lane
+            }
+        };
         for lane in 0..16u32 {
             server.offer(query(node(lane)));
         }
@@ -721,10 +639,12 @@ mod tests {
         for (lane, c) in done.iter().enumerate() {
             let want = oracle.run_shared(&net, &query(node(lane as u32)));
             assert_eq!(c.result, want, "lane {lane}");
-            assert_eq!(c.result.is_err(), lane == 5, "lane {lane}");
+            assert_eq!(c.result.is_err(), lane == 5 || lane == 9, "lane {lane}");
+            assert_eq!(c.batch_depth, 16, "lane {lane} shared the pump");
         }
+        assert_eq!(done[5].result, done[9].result);
         let s = server.stats();
-        assert_eq!((s.completed - warm, s.failed), (15, 1));
+        assert_eq!((s.completed - warm, s.failed), (14, 2));
         assert_eq!(server.pool_size(), pool, "every context came back");
         server.assert_accounting();
     }
@@ -787,12 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn oversized_custom_rules_serve_solo_through_the_oracle() {
+    fn oversized_custom_rules_share_a_batch() {
         let net = snapshot();
-        // Nine arcs in one state overflows the kernel's merge cursors:
-        // unfusable, so the server routes it through the oracle. Eight
-        // is the widest state the kernel merges, and batches.
-        for (arcs, depth) in [(9u16, 1), (8, 2)] {
+        // Nine arcs in one state overflows the kernel's merge cursors,
+        // so the walker runs that propagation through its scalar loop;
+        // eight is the widest state the kernel merges. Either way the
+        // query is a lane like any other.
+        for arcs in [9u16, 8] {
             let arcs: Vec<RuleArc> = (0..arcs)
                 .map(|r| RuleArc::new(RelationType(r), 1))
                 .collect();
@@ -812,13 +733,14 @@ mod tests {
                 .build();
             let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
             server.offer(program.clone());
-            server.offer(program.clone());
+            server.offer(query(17));
             let done = server.drain();
             assert_eq!(done.len(), 2);
-            assert!(done.iter().all(|c| c.batch_depth == depth), "{depth}");
-            let want = oracle().run_shared(&net, &program).unwrap();
-            for c in &done {
-                assert_eq!(c.result.as_ref().unwrap().collects, want.collects);
+            let oracle = oracle();
+            for (c, p) in done.iter().zip([&program, &query(17)]) {
+                assert_eq!(c.batch_depth, 2);
+                assert_eq!(c.result, oracle.run_shared(&net, p));
+                assert!(c.result.as_ref().unwrap().total_ns > 0);
             }
             server.assert_accounting();
         }

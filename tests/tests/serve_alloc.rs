@@ -2,8 +2,8 @@
 //! node-count-sized tables, and a discrete-event loop that does not
 //! allocate per message.
 //!
-//! The serving layer's claim is that once its pools are warm — pending
-//! entries, query contexts, kernel scratch, report maps — a
+//! The serving layer's claim is that once its pools are warm — the
+//! queue, query contexts, the walker's scratch, report maps — a
 //! [`Server::pump_with`] cycle serves every query without touching the
 //! heap. This test makes the claim falsifiable: a counting global
 //! allocator (enabled by the `alloc-count` cargo feature, so the
@@ -19,9 +19,10 @@
 //! a snapshot, [`Snap1::run_shared`] on the sequential engine allocates
 //! no node-count-sized table at all — not the region map and partition
 //! (remembered per snapshot), not marker rows or kernel tables (pooled
-//! with it) — so a regression that silently re-partitions, or builds
-//! and zeroes a visited table per `PROPAGATE`, fails here, not just in
-//! a benchmark.
+//! with it) — and nothing at all beyond the report it returns, so a
+//! regression that silently re-partitions, builds and zeroes a visited
+//! table per `PROPAGATE`, or plans and compiles per call fails here,
+//! not just in a benchmark.
 //!
 //! The simulator case pins the discrete-event loop's message path: a
 //! run allocates for its set-up and for queues that double as they
@@ -155,8 +156,8 @@ fn steady_state_pump_allocates_nothing_per_query() {
     let mut server = Server::new(Arc::new(net), cfg).unwrap();
     // Three shapes through one server — the bench's parse-style walk,
     // a three-state custom rule (two more visited tables to arm) and a
-    // binary target (arrivals carry no payload) — so the pump also
-    // re-plans and re-arms between batches.
+    // binary target (arrivals carry no payload) — interleaved, so every
+    // pump mixes all three and re-plans and re-arms between lanes.
     let r0 = RelationType(0);
     let three_states = PropRule::Custom(RuleProgram::from_states(vec![
         RuleState::new(vec![RuleArc::new(r0, 1)]),
@@ -171,14 +172,18 @@ fn steady_state_pump_allocates_nothing_per_query() {
     // Distinct seeds so every query takes its own lane (no coalescing
     // shortcut) and the batch runs one wave per lane.
     let seeds = [0u32, 17, 42, 99, 123, 200, 250, 299];
-    let programs: Vec<Program> = shapes
+    let programs: Vec<Program> = seeds
         .iter()
-        .flat_map(|(rule, target)| seeds.iter().map(|&n| query(n, rule, *target)))
+        .flat_map(|&n| {
+            shapes
+                .iter()
+                .map(move |(rule, target)| query(n, rule, *target))
+        })
         .collect();
 
     // Warm-up: several full offer-and-drain rounds grow every pool to
-    // its steady-state footprint (contexts, wave scratch, report maps,
-    // recycled pending slots, the compiled-rule cache).
+    // its steady-state footprint (the queue, contexts, wave scratch,
+    // report maps, the compiled-rule cache).
     for _ in 0..3 {
         for p in &programs {
             assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
@@ -194,7 +199,7 @@ fn steady_state_pump_allocates_nothing_per_query() {
     // (cloning a Program allocates, and that is the client's work), then
     // admission and the drain — the path the throughput bench times —
     // each run under the armed counter. A warm offer moves the program
-    // into a recycled pending slot and compares nothing by text.
+    // into the queue and looks at nothing but its instruction classes.
     let clones = programs.clone();
     let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
         for p in clones {
@@ -208,7 +213,7 @@ fn steady_state_pump_allocates_nothing_per_query() {
         while server.queue_len() > 0 {
             server.pump_with(|c| {
                 let report = c.result.expect("measured query succeeds");
-                assert_eq!(c.batch_depth, seeds.len(), "one full batch per shape");
+                assert_eq!(c.batch_depth, 8, "full batches, three shapes in each");
                 reached += report.collects[0].len();
                 served += 1;
             });
@@ -277,11 +282,23 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
     // Every warm call finds both where the first call left them.
     for (i, program) in programs.iter().cycle().take(24).enumerate() {
         let (report, warm) = counted(large_at, || machine.run_shared(&net, program));
-        report.expect("warm call succeeds");
+        let report = report.expect("warm call succeeds");
         assert_eq!(
             (warm.large, warm.large_bytes),
             (0, 0),
             "warm call {i} took a node-count-sized table: {warm:?}"
+        );
+        // What is left is the report the caller is handed: eight
+        // allocations (its partition statistics, class maps and vectors)
+        // and the collect payload doubling 4, 8, 16, … up to its length.
+        // The plan, its dependency sets and the compiled `RuleProgram`
+        // are the pooled walker's and cost a warm call nothing.
+        let payload = report.collects[0].len().max(4).next_power_of_two();
+        assert_eq!(
+            warm.allocs,
+            8 + u64::from(payload.trailing_zeros() - 1),
+            "warm call {i}, {} nodes collected",
+            report.collects[0].len()
         );
     }
     // And the warm call still answers like a fresh machine.

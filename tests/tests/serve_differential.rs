@@ -1,7 +1,8 @@
 //! Serve isolation differential: queries answered through the batching
-//! server — fused lanes, coalesced duplicates, pooled contexts — must be
-//! indistinguishable from the same queries run serially, one at a time,
-//! on the sequential engine. The whole `RunReport` is compared per
+//! server — arrival-order batches, coalesced duplicates, pooled
+//! contexts — must be indistinguishable from the same queries run
+//! serially, one at a time, on the sequential engine, and come back in
+//! the order they were admitted. The whole `RunReport` is compared per
 //! query.
 //!
 //! Two layers:
@@ -10,24 +11,24 @@
 //!   {1, 4, 16, 64}, with a threaded cross-check of the same queries;
 //! * a **proptest sweep** over fuzzed networks and programs, offering
 //!   each random program several times so batches mix duplicates (the
-//!   coalescing path) with distinct shapes (the splitting path) and,
-//!   now and then, a query that fails beside siblings that must not
-//!   notice.
+//!   coalescing path) with distinct shapes and, now and then, a rule
+//!   too wide for the wave kernel or a query that fails beside
+//!   siblings that must not notice.
 
 use proptest::prelude::*;
 use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid;
-use snap_isa::{Program, PropRule, StepFunc};
+use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
 use snap_kb::{Color, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
 use snap_serve::{Admission, Completion, ServeConfig, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Batch depths swept; 64 is the widest fused sweep (one lane-mask word).
+/// Batch depths swept; 64 is the deepest pump the server forms.
 const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
 /// The serial one-query-at-a-time oracle, configured exactly as the
-/// server configures its internal fallback engine.
+/// server configures the machine its lanes run on.
 fn serial_oracle(cfg: &ServeConfig) -> Snap1 {
     Snap1::builder()
         .config(MachineConfig {
@@ -81,9 +82,11 @@ fn serve_all(
     let done = server.drain();
     server.assert_accounting();
     assert_eq!(done.len(), total, "every admitted query completes");
-    done.into_iter()
-        .map(|c| (offered[c.id.0 as usize], c))
-        .collect()
+    let served = done.into_iter().enumerate().map(|(nth, c)| {
+        assert_eq!(c.id.0 as usize, nth, "completion order is admission order");
+        (offered[nth], c)
+    });
+    served.collect()
 }
 
 /// The deterministic grid: shared KBs × batch depth, plus the same
@@ -163,8 +166,9 @@ fn build_net(spec: &NetSpec) -> SemanticNetwork {
 
 /// One random query: seed a node, propagate under a random rule, observe
 /// the target marker. Shapes differ across rules, so a served stream of
-/// these exercises same-shape fusion, shape splitting, the non-fusable
-/// solo fallback, and (via repeats) duplicate coalescing.
+/// these mixes shapes within a batch, runs the walker's wave and scalar
+/// paths side by side (rule 4 has a nine-arc state, one more than the
+/// wave kernel merges) and, via repeats, coalesces duplicates.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     seed: u32,
@@ -173,11 +177,9 @@ struct QuerySpec {
     fault: Fault,
 }
 
-/// What is wrong with a query, if anything. A node past the KB is a
-/// search parameter, which the shape key masks, so that query fuses
-/// with its clean same-shape siblings and fails beside them; a marker
-/// register past the file is part of the shape and fails in a batch of
-/// its own copies.
+/// What is wrong with a query, if anything: the node it seeds is past
+/// the KB (fails at the search) or its source marker register is past
+/// the file. Either fails in a batch beside clean queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fault {
     None,
@@ -186,7 +188,7 @@ enum Fault {
 }
 
 fn query_strategy() -> impl Strategy<Value = QuerySpec> {
-    (any::<u32>(), 0u8..4, (0u16..4, 0u16..4), 0u8..6).prop_map(|(seed, rule, rels, fault)| {
+    (any::<u32>(), 0u8..5, (0u16..4, 0u16..4), 0u8..6).prop_map(|(seed, rule, rels, fault)| {
         QuerySpec {
             seed,
             rule,
@@ -205,7 +207,14 @@ fn build_query(q: &QuerySpec, nodes: usize) -> Program {
         0 => PropRule::Star(RelationType(q.rels.0)),
         1 => PropRule::Once(RelationType(q.rels.0)),
         2 => PropRule::Spread(RelationType(q.rels.0), RelationType(q.rels.1)),
-        _ => PropRule::Union(RelationType(q.rels.0), RelationType(q.rels.1)),
+        3 => PropRule::Union(RelationType(q.rels.0), RelationType(q.rels.1)),
+        _ => {
+            let arcs = (0..9).map(|r| RuleArc::new(RelationType((q.rels.0 + r) % 4), 1));
+            PropRule::Custom(RuleProgram::from_states(vec![
+                RuleState::new(arcs.collect()),
+                RuleState::terminal(),
+            ]))
+        }
     };
     let seed = q.seed % nodes as u32;
     let (node, source) = match q.fault {
@@ -221,9 +230,10 @@ fn build_query(q: &QuerySpec, nodes: usize) -> Program {
         .build()
 }
 
-/// Cases of the sweep below in which a failing lane shared a fused
-/// batch with a clean one.
+/// Cases of the sweep below in which a failing lane shared a batch
+/// with a clean one, and in which an oversized rule was served.
 static MIXED_BATCHES: AtomicUsize = AtomicUsize::new(0);
+static OVERSIZED_RULES: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -247,17 +257,14 @@ proptest! {
         for (q, want) in queries.iter().zip(&serial) {
             prop_assert_eq!(want.is_err(), q.fault != Fault::None);
         }
-        // A query's shape: its program with the search parameter masked.
-        let shape = |q: &QuerySpec| {
-            let masked = QuerySpec { seed: 0, fault: Fault::None, ..q.clone() };
-            build_query(&masked, 1)
-        };
-        let mixed = queries.iter().any(|bad| {
-            bad.fault == Fault::NodePastKb
-                && queries.iter().any(|ok| ok.fault == Fault::None && shape(ok) == shape(bad))
-        });
-        if mixed && depth > 1 {
+        // Offers go round-robin and pumps take them `depth` at a time.
+        let bad: Vec<bool> = queries.iter().map(|q| q.fault != Fault::None).collect();
+        let offers: Vec<bool> = bad.iter().cycle().take(3 * bad.len()).copied().collect();
+        if offers.chunks(depth).any(|pump| pump.contains(&true) && pump.contains(&false)) {
             MIXED_BATCHES.fetch_add(1, Ordering::Relaxed);
+        }
+        if queries.iter().any(|q| q.rule == 4 && q.fault == Fault::None) {
+            OVERSIZED_RULES.fetch_add(1, Ordering::Relaxed);
         }
         for (pi, c) in serve_all(&net, &programs, 3, depth) {
             assert_isolated(&format!("fuzzed #{pi} depth {depth}"), &c, &serial[pi]);
@@ -276,5 +283,9 @@ fn served_batches_match_serial_runs_on_fuzzed_inputs() {
     assert!(
         MIXED_BATCHES.load(Ordering::Relaxed) > 0,
         "no generated batch mixed a failing lane with a clean one"
+    );
+    assert!(
+        OVERSIZED_RULES.load(Ordering::Relaxed) > 0,
+        "no generated query carried a rule the wave kernel cannot run"
     );
 }
