@@ -11,14 +11,19 @@
 //! enough knowledge bases.
 //!
 //! This engine executes the same instruction semantics as the SNAP
-//! engines (via [`snap_core::exec`] and [`snap_core::propagate`]) under a
-//! lockstep wave schedule with a CM-2-style cost model.
+//! engines (via [`snap_core::exec`]) and runs every propagation through
+//! their wave kernel ([`snap_core::kernel`]) — lockstep waves are what
+//! a SIMD array executes — with a CM-2-style cost model.
 
 use snap_core::exec::exec_single;
-use snap_core::propagate::{expand, PropTask, VisitedMap};
+use snap_core::kernel::{propagate_wave_in, WaveScratch, WaveSink};
+use snap_core::propagate::{PropArrival, PropTask};
 use snap_core::{CoreError, Region, RegionMap, RunReport, SimTime};
 use snap_isa::{InstrClass, Instruction, Program, PropRule, StepFunc};
 use snap_kb::{ClusterId, Marker, PartitionScheme, SemanticNetwork};
+
+/// Propagation depth cap of the comparator's front end.
+const MAX_HOPS: u8 = 48;
 
 /// Cost model of the SIMD comparator, nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +107,8 @@ impl Cm2 {
     }
 
     /// Executes `program`, returning the measured report. Logical
-    /// results match the SNAP engines exactly.
+    /// results match the SNAP engines exactly. Staged links are flushed
+    /// first, as every SNAP engine does.
     ///
     /// # Errors
     ///
@@ -113,8 +119,10 @@ impl Cm2 {
         network: &mut SemanticNetwork,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
+        network.flush_links();
         let map = RegionMap::build(network, 1, PartitionScheme::Sequential);
         let mut region = Region::new(ClusterId(0), map, network);
+        let mut scratch = WaveScratch::new();
         let mut report = RunReport::default();
         let mut now: SimTime = 0;
         // Virtual-processor ratio: slices needed to cover the network.
@@ -133,6 +141,7 @@ impl Cm2 {
                     now += self.run_propagate(
                         network,
                         &mut region,
+                        &mut scratch,
                         *source,
                         *target,
                         rule,
@@ -179,6 +188,7 @@ impl Cm2 {
         &self,
         network: &SemanticNetwork,
         region: &mut Region,
+        scratch: &mut WaveScratch,
         source: Marker,
         target: Marker,
         rule: &PropRule,
@@ -186,64 +196,54 @@ impl Cm2 {
         vp: SimTime,
         report: &mut RunReport,
     ) -> Result<SimTime, CoreError> {
-        let compiled = rule.compile();
-        let mut visited = VisitedMap::new();
-        let mut wave: Vec<PropTask> = Vec::new();
-        let sources = region.active_nodes(source);
-        report.alpha_per_propagate.push(sources.len() as u64);
-        for node in sources {
-            let value = region.source_value(source, node);
-            if visited.should_expand(0, 0, node, value, node) {
-                wave.push(PropTask {
-                    prop: 0,
-                    node,
-                    state: 0,
-                    value,
-                    origin: node,
-                    level: 0,
-                });
-            }
-        }
+        let seeds: Vec<(snap_kb::NodeId, f32)> = region
+            .active_nodes_iter(source)
+            .map(|node| (node, region.source_value(source, node)))
+            .collect();
+        report.alpha_per_propagate.push(seeds.len() as u64);
+        let mut sink = Cm2Sink {
+            region,
+            target,
+            report,
+        };
+        let stats = propagate_wave_in(
+            network,
+            &rule.compile(),
+            func,
+            0,
+            MAX_HOPS,
+            &seeds,
+            scratch,
+            &mut sink,
+        )?;
+        // Each data-parallel wave: the round-trip plus one slice pass
+        // per VP slice, whatever the number of active nodes.
+        let waves = stats.waves as SimTime;
+        report.overhead.sync_ns += waves * self.cost.roundtrip_ns;
+        Ok(waves * (self.cost.roundtrip_ns + self.cost.slice_ns * vp))
+    }
+}
 
-        let mut ns: SimTime = 0;
-        while !wave.is_empty() {
-            // One data-parallel wave: constant in the number of active
-            // nodes (up to the VP ratio), plus the round-trip.
-            ns += self.cost.roundtrip_ns + self.cost.slice_ns * vp;
-            report.overhead.sync_ns += self.cost.roundtrip_ns;
-            let mut next = Vec::new();
-            for task in wave.drain(..) {
-                let exp = expand(network, &compiled, func, &task);
-                report.expansions += 1;
-                if task.level >= 48 {
-                    continue;
-                }
-                for arrival in exp.arrivals {
-                    region.arrive(target, arrival.node, arrival.value, task.origin)?;
-                    report.traffic.local_activations += 1;
-                    let level = task.level + 1;
-                    report.max_propagation_depth = report.max_propagation_depth.max(level);
-                    if visited.should_expand(
-                        0,
-                        arrival.state,
-                        arrival.node,
-                        arrival.value,
-                        task.origin,
-                    ) {
-                        next.push(PropTask {
-                            prop: 0,
-                            node: arrival.node,
-                            state: arrival.state,
-                            value: arrival.value,
-                            origin: task.origin,
-                            level,
-                        });
-                    }
-                }
-            }
-            wave = next;
-        }
-        Ok(ns)
+/// The comparator's accounting per wave-kernel event: expansions,
+/// marker merges, activations and depth — no per-event time, which the
+/// array charges per wave.
+struct Cm2Sink<'a> {
+    region: &'a mut Region,
+    target: Marker,
+    report: &'a mut RunReport,
+}
+
+impl WaveSink for Cm2Sink<'_> {
+    fn on_expand(&mut self, _: &PropTask, _: usize, _: usize, _: usize) {
+        self.report.expansions += 1;
+    }
+
+    fn on_arrival(&mut self, task: &PropTask, arrival: &PropArrival) -> Result<(), CoreError> {
+        self.region
+            .arrive(self.target, arrival.node, arrival.value, task.origin)?;
+        self.report.traffic.local_activations += 1;
+        self.report.max_propagation_depth = self.report.max_propagation_depth.max(task.level + 1);
+        Ok(())
     }
 }
 

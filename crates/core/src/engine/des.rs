@@ -200,7 +200,7 @@ impl<'c> Des<'c> {
             seq: 0,
             pending_msgs: 0,
             report,
-            visited: VisitedMap::for_nodes(network.node_count()),
+            visited: VisitedMap::dense(network.node_count()),
             arrivals: Vec::new(),
         }
     }

@@ -14,9 +14,9 @@ use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, maybe_plant_bug, Picker, ReadyQueue, CONTROL_STREAM};
 use crate::error::CoreError;
-use crate::kernel::{propagate_wave_in, wave_supported, WaveScratch, WaveSink};
+use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
 use crate::prepared::Prepared;
-use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
+use crate::propagate::{expand_into, PropArrival, PropTask};
 use crate::region::Region;
 use crate::report::{CollectOutput, RunReport};
 use snap_isa::{InstrClass, Instruction, Program};
@@ -30,19 +30,17 @@ use std::sync::{Arc, Mutex};
 ///
 /// Everything a run needs that is sized by the executor rather than by
 /// the query lives here and keeps its capacity between runs — the
-/// controller plan, the instruction outcome, the wave kernel's scratch,
-/// the scalar loop's visited map, compiled `PROPAGATE` rules and
-/// emptied collect buffers — so a caller that also keeps its regions
-/// and reports ([`Snap1::run_shared`](crate::Snap1::run_shared) does
-/// the former, the serving layer both) runs warm queries without
-/// allocating.
-#[derive(Debug)]
+/// controller plan, the instruction outcome, the wave kernel's scratch
+/// (whose visited table the scalar loop uses too), compiled
+/// `PROPAGATE` rules and emptied collect buffers — so a caller that
+/// also keeps its regions and reports
+/// ([`Snap1::run_shared`](crate::Snap1::run_shared) does the former,
+/// the serving layer both) runs warm queries without allocating.
+#[derive(Debug, Default)]
 pub struct Walker {
     plan: PlanBuf,
     single: SingleOutcome,
     wave: WaveScratch,
-    /// Reset per scalar propagation; its tables are built on first use.
-    visited: VisitedMap,
     /// Compiled `PROPAGATE`s keyed by their instruction. Serving
     /// workloads cycle through a handful of rules, so a small linear
     /// cache removes `RuleProgram` compilation (and its allocations)
@@ -54,16 +52,9 @@ pub struct Walker {
 }
 
 impl Walker {
-    /// An executor for runs over `network` (or a later edit of it).
-    pub fn new(network: &SemanticNetwork) -> Self {
-        Walker {
-            plan: PlanBuf::new(),
-            single: SingleOutcome::default(),
-            wave: WaveScratch::new(),
-            visited: VisitedMap::for_nodes(network.node_count()),
-            rules: Vec::new(),
-            spare_collects: Vec::new(),
-        }
+    /// An executor for runs over any network; the first run sizes it.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Executes a maintenance-free `program` against the shared
@@ -110,7 +101,6 @@ impl Walker {
             plan,
             single,
             wave,
-            visited,
             rules,
             spare_collects,
         } = self;
@@ -151,7 +141,6 @@ impl Walker {
                             network.get(),
                             region,
                             wave,
-                            visited,
                             spec,
                             report,
                             &tracer,
@@ -223,7 +212,7 @@ impl SeqState {
         debug_assert_eq!(prepared.map().cluster_count(), 1);
         SeqState {
             region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
-            walker: Walker::new(network),
+            walker: Walker::new(),
         }
     }
 
@@ -340,15 +329,15 @@ fn instr_cost(
         }
 }
 
-/// One `PROPAGATE` on the single region. Under the FIFO schedule a
-/// wave-supported propagation is [`propagate_region`]; everything else
-/// — fuzzed schedules, staged links, oversized rules — takes the
-/// breadth-first scalar loop with value re-relaxation (SPFA-style),
-/// which stays the executable spec the differential grid holds the
-/// kernel to. Its ready-task order comes from the shared scheduler
-/// core: FIFO preserves the historical breadth-first order exactly, a
-/// fuzzed strategy picks any ready task — which the min-`(value,
-/// origin)` convergence must absorb without changing the result.
+/// One `PROPAGATE` on the single region. Under the FIFO schedule it is
+/// [`propagate_region`]; a fuzzed schedule takes the breadth-first
+/// scalar loop with value re-relaxation (SPFA-style) over the wave
+/// scratch's visited table, which stays the executable spec the
+/// differential grid holds the kernel to. Its ready-task order comes
+/// from the shared scheduler core: a fuzzed strategy that never
+/// deviates preserves the breadth-first order exactly, one that does
+/// picks any ready task — which the min-`(value, origin)` convergence
+/// must absorb without changing the result.
 #[allow(clippy::too_many_arguments)]
 fn run_propagate(
     config: &MachineConfig,
@@ -356,7 +345,6 @@ fn run_propagate(
     network: &SemanticNetwork,
     region: &mut Region,
     wave: &mut WaveScratch,
-    visited: &mut VisitedMap,
     spec: &PropSpec,
     report: &mut RunReport,
     tracer: &Tracer,
@@ -364,7 +352,7 @@ fn run_propagate(
 ) -> Result<SimTime, CoreError> {
     // The wave kernel draws no picker decisions, so a fuzzed schedule
     // never takes it.
-    if !config.schedule.is_fuzzed() && wave_supported(network, &spec.rule) {
+    if !config.schedule.is_fuzzed() {
         let (expansions, activations) = (report.expansions, report.traffic.local_activations);
         let ns = propagate_region(cost, config.max_hops, network, region, wave, spec, report)?;
         // The tracer counts what the scalar loop below reports event by
@@ -375,7 +363,8 @@ fn run_propagate(
     }
     let sources = region.active_nodes(spec.source);
     report.alpha_per_propagate.push(sources.len() as u64);
-    visited.reset();
+    let visited = &mut wave.visited;
+    visited.reset_for(network.node_count());
     let mut queue: ReadyQueue<PropTask> = ReadyQueue::new();
     for node in sources {
         let value = region.source_value(spec.source, node);
@@ -444,10 +433,6 @@ fn run_propagate(
 /// # Errors
 ///
 /// Returns [`CoreError`] for an out-of-range target marker.
-///
-/// # Panics
-///
-/// Panics unless [`wave_supported`] holds for `spec.rule`.
 fn propagate_region(
     cost: &CostModel,
     max_hops: u8,

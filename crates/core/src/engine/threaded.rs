@@ -308,7 +308,7 @@ fn run_arc(
                 steps: 0,
                 arrivals: Vec::new(),
                 queue: ReadyQueue::new(),
-                visited: VisitedMap::for_nodes(shared.node_count()),
+                visited: VisitedMap::dense(shared.node_count()),
                 picker: Picker::new(config.schedule, c as u64 + 1),
                 batch_bufs: vec![Vec::new(); config.clusters],
                 batch_order: Vec::new(),

@@ -22,21 +22,22 @@
 //! step may skip an arrival: a gather (pull) direction has nothing to
 //! early-exit on (DESIGN.md "Propagation kernel" has the measurement).
 //!
-//! Visited tracking lives inside the kernel as one seen-bitmap plus a
-//! flat `(value, origin)` array per rule state (the propagation index is
-//! fixed for a whole run): a first visit is a single bit test instead of
-//! a sentinel compare behind an enum dispatch, and improvement decisions
-//! replicate [`VisitedMap`](crate::propagate::VisitedMap)'s dense
-//! backing exactly, including growth past the declared node count. The
-//! tables live in the caller's [`WaveScratch`]: a wave clears the seen
-//! words and nothing else, so no node-count-sized table is built or
-//! zeroed per `PROPAGATE`.
+//! Visited decisions go through the one table every engine uses
+//! ([`VisitedMap`]), pooled in the caller's [`WaveScratch`]: a wave
+//! clears the seen words of the tables it touches and nothing else, so
+//! no node-count-sized table is built or zeroed per `PROPAGATE`. The
+//! kernel runs one propagation per reset, so it keys every probe by
+//! propagation 0. Rule states have at most [`MAX_RULE_ARCS`] arcs and
+//! every engine flushes its relation table at entry, so the kernel takes
+//! any `PROPAGATE`: the sequential engine (and every served query) and
+//! the CM-2 comparator run all of theirs here, and the sequential
+//! engine's scalar loop is taken for fuzzed schedules only.
 
 use crate::error::CoreError;
-use crate::propagate::{expand_into, PropArrival, PropTask, MAX_MERGE_ARCS};
+use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::improves;
-use snap_isa::{RuleProgram, StepFunc};
-use snap_kb::{Bitmap, LanePlane, MarkerValue, NodeId, SemanticNetwork, BITMAP_WORD_BITS};
+use snap_isa::{RuleProgram, StepFunc, MAX_RULE_ARCS};
+use snap_kb::{LanePlane, MarkerValue, NodeId, SemanticNetwork};
 
 /// Lane capacity of the bit-sliced multi-query kernel: one bit per lane
 /// in a host word, so one sweep fuses at most 64 queries.
@@ -78,26 +79,9 @@ pub struct WaveStats {
     pub waves: usize,
     /// Always 0: kept only because `benchmark/src/probe.rs` reads it.
     pub pull_waves: usize,
-    /// Distinct `(state, node)` sites expanded, as
-    /// [`VisitedMap::len`](crate::propagate::VisitedMap::len) counts
-    /// them.
+    /// Distinct `(state, node)` sites expanded: the
+    /// [`VisitedMap::len`] of the run's table.
     pub visited: usize,
-}
-
-/// Returns `true` when the wave kernels can run this propagation: the
-/// relation table must be flushed (the indexed runs are blind to staged
-/// links) and every rule state mergeable (at most
-/// [`MAX_RULE_STATES`](snap_isa::MAX_RULE_STATES) arcs). This is the
-/// whole selection rule: the sequential engine runs [`propagate_wave_in`]
-/// when it holds and the schedule is FIFO, the scalar loop otherwise
-/// (fuzzed schedules, staged links, oversized rules); `snap-serve`
-/// runs its lanes through that engine, so the same rule serves it.
-pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
-    network.staged_link_count() == 0
-        && rule
-            .states()
-            .iter()
-            .all(|s| s.arcs().len() <= MAX_MERGE_ARCS)
 }
 
 /// Runs one `PROPAGATE` as level-synchronous waves over a pooled
@@ -116,8 +100,7 @@ pub fn wave_supported(network: &SemanticNetwork, rule: &RuleProgram) -> bool {
 ///
 /// # Panics
 ///
-/// Panics unless [`wave_supported`] holds — callers must check and
-/// fall back to the scalar loop.
+/// Panics if `network` has staged links, like [`expand_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn propagate_wave_in<S: WaveSink>(
     network: &SemanticNetwork,
@@ -129,9 +112,10 @@ pub fn propagate_wave_in<S: WaveSink>(
     scratch: &mut WaveScratch,
     sink: &mut S,
 ) -> Result<WaveStats, CoreError> {
-    assert!(
-        wave_supported(network, rule),
-        "wave kernel requires a flushed relation table and mergeable rule states"
+    assert_eq!(
+        network.staged_link_count(),
+        0,
+        "wave kernel needs a flushed relation table"
     );
     let WaveScratch {
         visited,
@@ -140,13 +124,13 @@ pub fn propagate_wave_in<S: WaveSink>(
         arrivals,
         ..
     } = scratch;
-    visited.arm(network.node_count(), rule.states().len());
+    visited.reset_for(network.node_count());
     wave.clear();
     next.clear();
     let mut stats = WaveStats::default();
 
     for &(node, value) in seeds {
-        if visited.should_expand(0, node, value, node) {
+        if visited.should_expand(0, 0, node, value, node) {
             wave.push(PropTask {
                 prop,
                 node,
@@ -167,7 +151,7 @@ pub fn propagate_wave_in<S: WaveSink>(
         std::mem::swap(wave, next);
         next.clear();
     }
-    stats.visited = visited.visited;
+    stats.visited = visited.len();
     Ok(stats)
 }
 
@@ -180,7 +164,7 @@ pub fn propagate_wave_in<S: WaveSink>(
 ///
 /// # Panics
 ///
-/// Panics unless [`wave_supported`] holds.
+/// Panics if `network` has staged links.
 #[allow(clippy::too_many_arguments)]
 pub fn propagate_wave<S: WaveSink>(
     network: &SemanticNetwork,
@@ -207,7 +191,7 @@ fn push_wave<S: WaveSink>(
     prop: usize,
     capped: bool,
     wave: &[PropTask],
-    visited: &mut WaveVisited,
+    visited: &mut VisitedMap,
     sink: &mut S,
     next: &mut Vec<PropTask>,
     arrivals: &mut Vec<PropArrival>,
@@ -292,7 +276,7 @@ fn push_wave<S: WaveSink>(
                         value,
                     };
                     sink.on_arrival(task, &arrival)?;
-                    if visited.should_expand(state, link.destination, value, task.origin) {
+                    if visited.should_expand(0, state, link.destination, value, task.origin) {
                         next.push(PropTask {
                             prop,
                             node: link.destination,
@@ -315,6 +299,7 @@ fn push_wave<S: WaveSink>(
                 for arrival in arrivals.iter() {
                     sink.on_arrival(task, arrival)?;
                     if visited.should_expand(
+                        0,
                         arrival.state,
                         arrival.node,
                         arrival.value,
@@ -346,7 +331,7 @@ fn stream_run<S: WaveSink>(
     state: u8,
     func: StepFunc,
     prop: usize,
-    visited: &mut WaveVisited,
+    visited: &mut VisitedMap,
     sink: &mut S,
     next: &mut Vec<PropTask>,
 ) -> Result<(), CoreError> {
@@ -359,7 +344,7 @@ fn stream_run<S: WaveSink>(
             value,
         };
         sink.on_arrival(task, &arrival)?;
-        if visited.should_expand(state, link.destination, value, task.origin) {
+        if visited.should_expand(0, state, link.destination, value, task.origin) {
             next.push(PropTask {
                 prop,
                 node: link.destination,
@@ -663,7 +648,7 @@ fn sliced_visit(
 ///
 /// # Panics
 ///
-/// Panics unless [`wave_supported`] holds, if `seeds`/`lanes`/`out`
+/// Panics if `network` has staged links, if `seeds`/`lanes`/`out`
 /// disagree on the query count, or if
 /// [`MultiWaveScratch::begin_sliced`] wasn't called for this lane
 /// count.
@@ -681,9 +666,10 @@ pub fn propagate_multi_wave_sliced(
     expand_cost: impl Fn(usize, usize, usize) -> u64,
     out: &mut [SlicedLaneReport],
 ) {
-    assert!(
-        wave_supported(network, rule),
-        "wave kernel requires a flushed relation table and mergeable rule states"
+    assert_eq!(
+        network.staged_link_count(),
+        0,
+        "wave kernel needs a flushed relation table"
     );
     let k = lanes.len();
     assert!(
@@ -970,8 +956,8 @@ fn expand_template(
             });
         }
     } else {
-        let mut runs = [(&[] as &[snap_kb::Link], &[] as &[u32]); MAX_MERGE_ARCS];
-        let mut cursors = [0usize; MAX_MERGE_ARCS];
+        let mut runs = [(&[] as &[snap_kb::Link], &[] as &[u32]); MAX_RULE_ARCS];
+        let mut cursors = [0usize; MAX_RULE_ARCS];
         for (slot, arc) in runs.iter_mut().zip(arcs) {
             *slot = network.ranked_links_by(node, arc.relation);
         }
@@ -1002,16 +988,18 @@ fn expand_template(
     }
 }
 
-/// Pooled state of one K = 1 wave: the visited tables, the current and
+/// Pooled state of one K = 1 wave: the visited table, the current and
 /// next frontier, the merge path's arrival buffer and the seed buffer
 /// the engines gather into. One scratch serves any sequence of networks
-/// and rules: a wave arms the tables for its `(nodes, states)` by
-/// clearing the seen words — O(nodes / 64) per state — and never
+/// and rules: a wave resets the table, which clears the seen words of
+/// each rule state it touches — O(nodes / 64) per state — and never
 /// zeroes the `(value, origin)` arrays, which are read only behind a
 /// set seen bit.
 #[derive(Debug, Default)]
 pub struct WaveScratch {
-    visited: WaveVisited,
+    /// Also the sequential engine's scalar loop's table, so a walker
+    /// keeps one.
+    pub(crate) visited: VisitedMap,
     wave: Vec<PropTask>,
     next: Vec<PropTask>,
     arrivals: Vec<PropArrival>,
@@ -1027,78 +1015,10 @@ impl WaveScratch {
     }
 }
 
-/// Kernel-owned visited tables: per rule state (the propagation index
-/// is fixed for a run), one seen-bitmap and one flat `(value, origin)`
-/// array. Decisions replicate the dense `VisitedMap` backing — first
-/// visit always expands; re-expansion needs a value smaller beyond
-/// [`VALUE_EPSILON`](crate::VALUE_EPSILON) or an equal value from a
-/// smaller origin — but the first-visit probe is one bit test instead
-/// of a sentinel compare.
-#[derive(Debug, Default)]
-struct WaveVisited {
-    /// One table per rule state, armed before the wave — arrival states
-    /// always index a compiled state, so the probe is a plain bounds-
-    /// checked index with no lazy-init branch. Tables past the armed
-    /// rule's states keep whatever an earlier, wider rule left.
-    tables: Vec<StateTable>,
-    visited: usize,
-}
-
-#[derive(Debug, Default)]
-struct StateTable {
-    seen: Bitmap,
-    /// Valid behind a set `seen` bit only, so never cleared.
-    best: Vec<(f32, NodeId)>,
-}
-
-impl WaveVisited {
-    /// Readies the first `states` tables for a wave over `nodes` node
-    /// slots: every seen word cleared (bits past `nodes` included — the
-    /// growth path may have set them), `best` grown if short.
-    fn arm(&mut self, nodes: usize, states: usize) {
-        if self.tables.len() < states {
-            self.tables.resize_with(states, StateTable::default);
-        }
-        for table in &mut self.tables[..states] {
-            if table.seen.words().len() * BITMAP_WORD_BITS < nodes {
-                table.seen = Bitmap::new(nodes);
-            } else {
-                table.seen.clear_all();
-            }
-            if table.best.len() < nodes {
-                table.best.resize(nodes, (0.0, NodeId(0)));
-            }
-        }
-        self.visited = 0;
-    }
-
-    fn should_expand(&mut self, state: u8, node: NodeId, value: f32, origin: NodeId) -> bool {
-        let table = &mut self.tables[state as usize];
-        let i = node.index();
-        if i >= table.best.len() {
-            // Maintenance can add nodes after the engine snapshots the
-            // count; grow like the dense backing does.
-            table.best.resize(i + 1, (0.0, NodeId(0)));
-        }
-        if table.seen.set(node) {
-            table.best[i] = (value, origin);
-            self.visited += 1;
-            return true;
-        }
-        let slot = &mut table.best[i];
-        if improves(*slot, value, origin) {
-            *slot = (value.min(slot.0), origin);
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate::VisitedMap;
+    use crate::propagate::tests::{scan_into, HashedVisited};
     use snap_isa::PropRule;
     use snap_kb::synth::{line_network, scale_free_network, star_network};
     use snap_kb::{Color, NetworkConfig, RelationType};
@@ -1141,8 +1061,10 @@ mod tests {
     }
 
     /// The scalar spec, reduced to its schedule-relevant core: a FIFO
-    /// queue over the shared expansion and visited semantics. The stats
-    /// are what a wave run of the same propagation must report.
+    /// queue over the cross-product scan and the hashed visited map —
+    /// the references `propagate.rs` keeps, not the kernel's own
+    /// expansion and table. The stats are what a wave run of the same
+    /// propagation must report.
     fn scalar_reference_with_stats(
         network: &SemanticNetwork,
         rule: &RuleProgram,
@@ -1150,7 +1072,7 @@ mod tests {
         max_hops: u8,
         seeds: &[(NodeId, f32)],
     ) -> (Recorder, WaveStats) {
-        let mut visited = VisitedMap::dense(network.node_count());
+        let mut visited = HashedVisited::default();
         let mut queue = VecDeque::new();
         for &(node, value) in seeds {
             if visited.should_expand(0, 0, node, value, node) {
@@ -1167,7 +1089,7 @@ mod tests {
         let mut rec = Recorder::default();
         let mut buf = Vec::new();
         while let Some(task) = queue.pop_front() {
-            let (segments, links_scanned) = expand_into(network, rule, func, &task, &mut buf);
+            let (segments, links_scanned) = scan_into(network, rule, func, &task, &mut buf);
             rec.expands.push((task, segments, links_scanned, buf.len()));
             if task.level >= max_hops {
                 continue;
@@ -1284,18 +1206,6 @@ mod tests {
         let spec = scalar_reference(&net, &rule, StepFunc::AddWeight, 63, &seeds);
         let (push, _) = run_kernel(&net, &rule, StepFunc::AddWeight, 63, &seeds);
         assert_eq!(push, spec);
-    }
-
-    #[test]
-    fn wave_supported_rejects_staged_links() {
-        let mut net = SemanticNetwork::new(NetworkConfig::default());
-        let a = net.add_node(Color(0)).unwrap();
-        let b = net.add_node(Color(0)).unwrap();
-        net.add_link(a, RelationType(0), 1.0, b).unwrap();
-        let rule = PropRule::Star(RelationType(0)).compile();
-        assert!(!wave_supported(&net, &rule), "staged links need the scan");
-        net.flush_links();
-        assert!(wave_supported(&net, &rule));
     }
 
     /// Replays a spec event stream through [`Region::arrive`]'s exact
@@ -1557,26 +1467,6 @@ mod tests {
         assert_ne!(from_empty[&1], Some(pre_entry));
     }
 
-    #[test]
-    fn wave_visited_decides_like_the_dense_map() {
-        // Mirror of propagate.rs's exercise_visited, minus the prop
-        // dimension the kernel fixes per run.
-        let mut v = WaveVisited::default();
-        v.arm(8, 2);
-        let o = NodeId(7);
-        assert!(v.should_expand(0, NodeId(3), 5.0, o));
-        assert!(!v.should_expand(0, NodeId(3), 5.0, o));
-        assert!(!v.should_expand(0, NodeId(3), 6.0, o));
-        assert!(v.should_expand(0, NodeId(3), 3.0, o));
-        assert!(v.should_expand(0, NodeId(3), 3.0, NodeId(2)));
-        assert!(!v.should_expand(0, NodeId(3), 3.0, NodeId(5)));
-        assert!(v.should_expand(1, NodeId(3), 9.0, o));
-        assert_eq!(v.visited, 2);
-        // Growth past the declared node count, like the dense backing.
-        assert!(v.should_expand(0, NodeId(900), 1.0, NodeId(0)));
-        assert!(!v.should_expand(0, NodeId(900), 1.0, NodeId(0)));
-    }
-
     /// The rules the pooled-scratch property draws from: one to three
     /// states, every arc count the kernel dispatches on (one, two, the
     /// three-arc merge path, terminal).
@@ -1609,10 +1499,11 @@ mod tests {
         /// growth path), hop caps 0–6 — replays every call exactly like
         /// a fresh scratch and like the scalar spec: stale `best`
         /// entries, stale frontiers and seen bits past the current node
-        /// count are all unobservable. A mutant whose
-        /// [`WaveVisited::arm`] leaves one state's seen bitmap uncleared
-        /// fails here (planted by hand for each of the three states:
-        /// tables 0 and 1 fail at case 1, table 2 at case 21 of 64).
+        /// count are all unobservable. A mutant whose [`VisitedMap`]
+        /// skips arming one state's table — its seen bits survive the
+        /// reset — fails here (planted by hand for each of the three
+        /// states: tables 0 and 1 fail at case 1, table 2 at case 21 of
+        /// 64).
         #[test]
         fn prop_a_pooled_scratch_replays_like_a_fresh_one(
             calls in proptest::collection::vec(

@@ -15,9 +15,8 @@
 //!   bounds work on cyclic knowledge bases.
 
 use crate::region::improves;
-use snap_isa::{RuleProgram, StepFunc, MAX_RULE_STATES};
-use snap_kb::{NodeId, SemanticNetwork};
-use std::collections::HashMap;
+use snap_isa::{RuleProgram, StepFunc, MAX_RULE_ARCS, MAX_RULE_STATES};
+use snap_kb::{Bitmap, NodeId, SemanticNetwork, BITMAP_WORD_BITS};
 
 /// One marker instance ready to expand from a node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,17 +46,6 @@ pub struct PropArrival {
     pub value: f32,
 }
 
-/// Result of expanding one task against the relation table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Expansion {
-    /// Arrivals at successor nodes.
-    pub arrivals: Vec<PropArrival>,
-    /// Relation-table segments fetched (cost unit).
-    pub segments: usize,
-    /// Relation slots examined (cost unit).
-    pub links_scanned: usize,
-}
-
 impl snap_fault::Fingerprint for PropTask {
     fn fingerprint(&self) -> u64 {
         use snap_fault::mix64;
@@ -77,44 +65,28 @@ impl snap_fault::Corruptible for PropTask {
     }
 }
 
-/// Most rule arcs a single state may have and still take the indexed
-/// merge path; beyond this (only reachable through large custom rules)
-/// expansion falls back to the full link scan.
-pub(crate) const MAX_MERGE_ARCS: usize = MAX_RULE_STATES;
-
-/// Expands `task` one step: for each arc live in the task's rule state,
-/// traverse the matching relation links and apply the step function.
-///
-/// Allocating convenience wrapper around [`expand_into`]; engines on the
-/// hot path reuse one arrival buffer across tasks instead.
-pub fn expand(
-    network: &SemanticNetwork,
-    rule: &RuleProgram,
-    func: StepFunc,
-    task: &PropTask,
-) -> Expansion {
-    let mut arrivals = Vec::new();
-    let (segments, links_scanned) = expand_into(network, rule, func, task, &mut arrivals);
-    Expansion {
-        arrivals,
-        segments,
-        links_scanned,
-    }
-}
-
 /// Expands `task` one step into a caller-provided arrival buffer (cleared
-/// first), returning the `(segments, links_scanned)` cost units.
+/// first), returning the `(segments, links_scanned)` cost units: for each
+/// arc live in the task's rule state, traverse the matching relation
+/// links and apply the step function.
 ///
 /// Arrivals are produced via the relation table's per-`(node, relation)`
 /// runs — O(arcs · matching links) instead of the historical
 /// O(links · arcs) cross-product scan — but in the *exact* order the scan
 /// produced: ascending `(link insertion rank, arc index)`. Engines depend
 /// on that order for reproducible scheduling, so a single-arc state reads
-/// its run directly and multi-arc states merge their runs by rank. The
+/// its run directly and multi-arc states merge their runs by rank (at
+/// most [`MAX_RULE_ARCS`] of them, which `RuleProgram` enforces). The
 /// cost units are unchanged by construction: the hardware fetches every
 /// relation slot of the node regardless of how many match, so
 /// `links_scanned` stays the node's full fanout and `segments` the
 /// segment-chain length.
+///
+/// # Panics
+///
+/// Panics if `network` has staged links: the runs see only flushed ones,
+/// and every engine flushes at entry and after each maintenance
+/// instruction.
 pub fn expand_into(
     network: &SemanticNetwork,
     rule: &RuleProgram,
@@ -122,6 +94,11 @@ pub fn expand_into(
     task: &PropTask,
     arrivals: &mut Vec<PropArrival>,
 ) -> (usize, usize) {
+    assert_eq!(
+        network.staged_link_count(),
+        0,
+        "expansion needs a flushed relation table"
+    );
     arrivals.clear();
     let state = rule.state(task.state);
     if state.is_terminal() {
@@ -130,22 +107,6 @@ pub fn expand_into(
     let segments = network.segments(task.node);
     let links_scanned = network.fanout(task.node);
     let arcs = state.arcs();
-    if network.staged_link_count() > 0 || arcs.len() > MAX_MERGE_ARCS {
-        // Staged links are invisible to the indexed runs (and oversized
-        // custom rules overflow the merge cursors): take the legacy scan.
-        for link in network.links(task.node) {
-            for arc in arcs {
-                if link.relation == arc.relation {
-                    arrivals.push(PropArrival {
-                        node: link.destination,
-                        state: arc.next,
-                        value: func.apply(task.value, link.weight),
-                    });
-                }
-            }
-        }
-        return (segments, links_scanned);
-    }
     if let [arc] = arcs {
         // One arc: the relation run is already in insertion order.
         let (run, _) = network.ranked_links_by(task.node, arc.relation);
@@ -162,8 +123,8 @@ pub fn expand_into(
     // Merge the per-arc runs back into scan order: ascending
     // (insertion rank, arc index). Duplicate-relation arcs share ranks
     // and tie-break on arc index, exactly like the scan's inner loop.
-    let mut runs = [(&[] as &[snap_kb::Link], &[] as &[u32]); MAX_MERGE_ARCS];
-    let mut cursors = [0usize; MAX_MERGE_ARCS];
+    let mut runs = [(&[] as &[snap_kb::Link], &[] as &[u32]); MAX_RULE_ARCS];
+    let mut cursors = [0usize; MAX_RULE_ARCS];
     let mut total = 0;
     for (slot, arc) in runs.iter_mut().zip(arcs) {
         *slot = network.ranked_links_by(task.node, arc.relation);
@@ -191,15 +152,8 @@ pub fn expand_into(
     (segments, links_scanned)
 }
 
-/// Node count up to which [`VisitedMap::for_nodes`] picks the dense
-/// backing (8 bytes per node per visited `(prop, state)` pair).
-const DENSE_NODE_CAP: usize = 1 << 20;
-
-/// Sentinel origin marking an untouched dense slot (no real node carries
-/// `NodeId(u32::MAX)` — capacity checks cap IDs far below it).
-const EMPTY_ORIGIN: u32 = u32::MAX;
-
-/// Per-propagation visited map controlling (re-)expansion.
+/// Visited tables controlling (re-)expansion within one propagation
+/// phase.
 ///
 /// Records the best `(value, origin)` expanded from each
 /// `(prop, state, node)`; a task is worth expanding only on the first
@@ -208,71 +162,73 @@ const EMPTY_ORIGIN: u32 = u32::MAX;
 /// the [`crate::Region::arrive`] merge rule keeps the propagation fixed
 /// point independent of arrival order.
 ///
-/// Two backings implement identical decisions: dense per-`(prop, state)`
-/// arrays indexed by node (one probe, no hashing) and a hash map keyed
-/// by `(prop, state, node)` (memory proportional to the active set).
-/// Engines take [`VisitedMap::for_nodes`], which picks from the node
-/// count; [`VisitedMap::new`] is the hashed map itself — the fallback
-/// for node spaces too large to allocate flat, and the reference the
-/// dense backing is tested against.
+/// One table per `(prop, state)` key, created on the key's first visit:
+/// a seen-[`Bitmap`] over the node arena and a flat `(value, origin)`
+/// array read only behind a set seen bit, so a first visit is one bit
+/// test and the array is never zeroed. [`VisitedMap::reset`] only
+/// advances a phase counter; a table is armed — its seen words cleared,
+/// nothing else — by the first probe of a later phase, so a phase pays
+/// for the tables it touches and nothing for the rest. Tables grow past
+/// the declared node count on demand (maintenance can add nodes after
+/// an engine takes the count). Every engine, the wave kernel and the
+/// CM-2 comparator decide through this one table.
 #[derive(Debug)]
 pub struct VisitedMap {
-    backing: Backing,
+    /// `tables[prop * MAX_RULE_STATES + state]`.
+    tables: Vec<VisitedTable>,
+    /// Node slots a table is sized for when armed.
+    nodes: usize,
+    /// Current phase; a table armed in an earlier one is stale.
+    phase: u64,
     visited: usize,
 }
 
-#[derive(Debug)]
-enum Backing {
-    Hashed(HashMap<(usize, u8, NodeId), (f32, NodeId)>),
-    Dense {
-        /// `tables[prop * MAX_RULE_STATES + state]`, allocated lazily on
-        /// the first visit of each `(prop, state)` pair and grown on
-        /// demand when maintenance adds nodes mid-run.
-        tables: Vec<Option<Vec<(f32, u32)>>>,
-        nodes: usize,
-    },
+#[derive(Debug, Default)]
+struct VisitedTable {
+    seen: Bitmap,
+    /// Valid behind a set `seen` bit only, so never cleared.
+    best: Vec<(f32, NodeId)>,
+    /// Phase the table was last armed in (0: never — phases start at 1).
+    armed: u64,
+}
+
+impl VisitedTable {
+    /// Clears every seen word — bits past `nodes` included, the growth
+    /// path may have set them — and sizes the table for `nodes` slots.
+    fn arm(&mut self, nodes: usize, phase: u64) {
+        if self.seen.words().len() * BITMAP_WORD_BITS < nodes {
+            self.seen = Bitmap::new(nodes);
+        } else {
+            self.seen.clear_all();
+        }
+        if self.best.len() < nodes {
+            self.best.resize(nodes, (0.0, NodeId(0)));
+        }
+        self.armed = phase;
+    }
 }
 
 impl Default for VisitedMap {
     fn default() -> Self {
-        Self::new()
+        Self::dense(0)
     }
 }
 
 impl VisitedMap {
-    /// Creates an empty hash-backed map (one per propagation phase).
-    pub fn new() -> Self {
-        VisitedMap {
-            backing: Backing::Hashed(HashMap::new()),
-            visited: 0,
-        }
-    }
-
-    /// Creates an empty dense-backed map for a network of `nodes` nodes.
+    /// Creates an empty map whose tables are sized for `nodes` nodes.
     pub fn dense(nodes: usize) -> Self {
         VisitedMap {
-            backing: Backing::Dense {
-                tables: Vec::new(),
-                nodes,
-            },
+            tables: Vec::new(),
+            nodes,
+            phase: 1,
             visited: 0,
-        }
-    }
-
-    /// Creates the map an engine uses for a network of `nodes` nodes:
-    /// dense up to 2^20 nodes, hashed for node spaces too large to
-    /// allocate flat per visited rule state.
-    pub fn for_nodes(nodes: usize) -> Self {
-        if nodes <= DENSE_NODE_CAP {
-            Self::dense(nodes)
-        } else {
-            Self::new()
         }
     }
 
     /// Returns `true` — and records the pair — if `(prop, state, node)`
     /// has not been expanded yet or `(value, origin)` improves on the
     /// recorded pair.
+    #[inline]
     pub fn should_expand(
         &mut self,
         prop: usize,
@@ -281,64 +237,58 @@ impl VisitedMap {
         value: f32,
         origin: NodeId,
     ) -> bool {
-        match &mut self.backing {
-            Backing::Hashed(best) => match best.get_mut(&(prop, state, node)) {
-                None => {
-                    best.insert((prop, state, node), (value, origin));
-                    self.visited += 1;
-                    true
-                }
-                Some(best) => {
-                    if improves(*best, value, origin) {
-                        *best = (value.min(best.0), origin);
-                        true
-                    } else {
-                        false
-                    }
-                }
-            },
-            Backing::Dense { tables, nodes } => {
-                let idx = prop * MAX_RULE_STATES + state as usize;
-                if idx >= tables.len() {
-                    tables.resize(idx + 1, None);
-                }
-                let size = (*nodes).max(node.index() + 1);
-                let table = tables[idx].get_or_insert_with(Vec::new);
-                if table.len() < size {
-                    table.resize(size, (0.0, EMPTY_ORIGIN));
-                }
-                let (best, best_origin) = &mut table[node.index()];
-                if *best_origin == EMPTY_ORIGIN {
-                    *best = value;
-                    *best_origin = origin.0;
-                    self.visited += 1;
-                    true
-                } else if improves((*best, NodeId(*best_origin)), value, origin) {
-                    *best = value.min(*best);
-                    *best_origin = origin.0;
-                    true
-                } else {
-                    false
-                }
-            }
+        let key = prop * MAX_RULE_STATES + state as usize;
+        let i = node.index();
+        let ready = matches!(self.tables.get(key),
+            Some(table) if table.armed == self.phase && i < table.best.len());
+        if !ready {
+            self.prepare(key, i);
+        }
+        let table = &mut self.tables[key];
+        if table.seen.set(node) {
+            table.best[i] = (value, origin);
+            self.visited += 1;
+            return true;
+        }
+        let slot = &mut table.best[i];
+        if improves(*slot, value, origin) {
+            *slot = (value.min(slot.0), origin);
+            true
+        } else {
+            false
         }
     }
 
-    /// Resets the map in place for reuse by the next propagation phase,
-    /// keeping backing allocations at capacity. Decisions after a reset
-    /// are identical to a freshly constructed map: the hashed backing
-    /// clears its entries; the dense backing truncates each table (the
-    /// first probe re-fills it with the untouched sentinel).
-    pub fn reset(&mut self) {
-        match &mut self.backing {
-            Backing::Hashed(best) => best.clear(),
-            Backing::Dense { tables, .. } => {
-                for table in tables.iter_mut().flatten() {
-                    table.clear();
-                }
-            }
+    /// A probe's slow path: creates `key`'s table, arms it for this
+    /// phase and grows it to cover node slot `i`, as needed.
+    #[cold]
+    #[inline(never)]
+    fn prepare(&mut self, key: usize, i: usize) {
+        if key >= self.tables.len() {
+            self.tables.resize_with(key + 1, VisitedTable::default);
         }
+        let table = &mut self.tables[key];
+        if table.armed != self.phase {
+            table.arm(self.nodes, self.phase);
+        }
+        if i >= table.best.len() {
+            table.best.resize(i + 1, (0.0, NodeId(0)));
+        }
+    }
+
+    /// Starts the next propagation phase in place. Decisions after a
+    /// reset are identical to a freshly constructed map's; the tables
+    /// keep their allocations and are cleared when next touched.
+    pub fn reset(&mut self) {
+        self.phase += 1;
         self.visited = 0;
+    }
+
+    /// [`VisitedMap::reset`] for a phase over `nodes` node slots (one
+    /// pooled map serves any sequence of networks).
+    pub(crate) fn reset_for(&mut self, nodes: usize) {
+        self.nodes = nodes;
+        self.reset();
     }
 
     /// Number of distinct `(prop, state, node)` sites expanded.
@@ -352,11 +302,83 @@ impl VisitedMap {
     }
 }
 
+/// The two implementations the library's propagation replaced, kept as
+/// executable specifications the way `snap-kb` keeps its nested relation
+/// table: the cross-product scan [`expand_into`] must reproduce and the
+/// hashed visited map [`VisitedMap`] must decide like. `kernel.rs`'s
+/// scalar spec runs on both, so the wave kernel is never checked against
+/// its own table.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use snap_isa::PropRule;
+    use proptest::prelude::*;
+    use snap_isa::{PropRule, RuleArc, RuleState};
     use snap_kb::{Color, NetworkConfig, RelationType};
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
+
+    /// The historical expansion: every link of the node × every arc of
+    /// the state, in that nesting — the order [`expand_into`] keeps.
+    pub(crate) fn scan_into(
+        network: &SemanticNetwork,
+        rule: &RuleProgram,
+        func: StepFunc,
+        task: &PropTask,
+        arrivals: &mut Vec<PropArrival>,
+    ) -> (usize, usize) {
+        arrivals.clear();
+        let state = rule.state(task.state);
+        if state.is_terminal() {
+            return (0, 0);
+        }
+        for link in network.links(task.node) {
+            for arc in state.arcs() {
+                if link.relation == arc.relation {
+                    arrivals.push(PropArrival {
+                        node: link.destination,
+                        state: arc.next,
+                        value: func.apply(task.value, link.weight),
+                    });
+                }
+            }
+        }
+        (network.segments(task.node), network.fanout(task.node))
+    }
+
+    /// The historical visited map: one hash entry per
+    /// `(prop, state, node)` ever expanded.
+    #[derive(Debug, Default)]
+    pub(crate) struct HashedVisited(HashMap<(usize, u8, NodeId), (f32, NodeId)>);
+
+    impl HashedVisited {
+        pub(crate) fn should_expand(
+            &mut self,
+            prop: usize,
+            state: u8,
+            node: NodeId,
+            value: f32,
+            origin: NodeId,
+        ) -> bool {
+            match self.0.entry((prop, state, node)) {
+                Entry::Vacant(slot) => {
+                    slot.insert((value, origin));
+                    true
+                }
+                Entry::Occupied(mut slot) => {
+                    let best = slot.get_mut();
+                    let better = improves(*best, value, origin);
+                    if better {
+                        *best = (value.min(best.0), origin);
+                    }
+                    better
+                }
+            }
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
 
     fn diamond() -> SemanticNetwork {
         // 0 --a(1.0)--> 1 --a(2.0)--> 3
@@ -370,28 +392,42 @@ mod tests {
         net.add_link(NodeId(0), a, 5.0, NodeId(2)).unwrap();
         net.add_link(NodeId(1), a, 2.0, NodeId(3)).unwrap();
         net.add_link(NodeId(2), a, 1.0, NodeId(3)).unwrap();
+        net.flush_links();
         net
+    }
+
+    fn task_at(node: u32, state: u8) -> PropTask {
+        PropTask {
+            prop: 0,
+            node: NodeId(node),
+            state,
+            value: 0.0,
+            origin: NodeId(0),
+            level: 0,
+        }
+    }
+
+    /// [`expand_into`] into a fresh buffer.
+    fn expand(
+        net: &SemanticNetwork,
+        rule: &RuleProgram,
+        task: &PropTask,
+    ) -> (Vec<PropArrival>, (usize, usize)) {
+        let mut arrivals = Vec::new();
+        let cost = expand_into(net, rule, StepFunc::AddWeight, task, &mut arrivals);
+        (arrivals, cost)
     }
 
     #[test]
     fn expand_follows_rule_arcs() {
         let net = diamond();
         let rule = PropRule::Star(RelationType(1)).compile();
-        let task = PropTask {
-            prop: 0,
-            node: NodeId(0),
-            state: 0,
-            value: 0.0,
-            origin: NodeId(0),
-            level: 0,
-        };
-        let exp = expand(&net, &rule, StepFunc::AddWeight, &task);
-        assert_eq!(exp.arrivals.len(), 2);
-        assert_eq!(exp.arrivals[0].node, NodeId(1));
-        assert_eq!(exp.arrivals[0].value, 1.0);
-        assert_eq!(exp.arrivals[1].value, 5.0);
-        assert_eq!(exp.links_scanned, 2);
-        assert_eq!(exp.segments, 1);
+        let (arrivals, (segments, scanned)) = expand(&net, &rule, &task_at(0, 0));
+        assert_eq!(arrivals.len(), 2);
+        assert_eq!(arrivals[0].node, NodeId(1));
+        assert_eq!(arrivals[0].value, 1.0);
+        assert_eq!(arrivals[1].value, 5.0);
+        assert_eq!((segments, scanned), (1, 2));
     }
 
     #[test]
@@ -399,105 +435,31 @@ mod tests {
         let mut net = diamond();
         net.add_link(NodeId(0), RelationType(9), 1.0, NodeId(3))
             .unwrap();
+        net.flush_links();
         let rule = PropRule::Star(RelationType(1)).compile();
-        let task = PropTask {
-            prop: 0,
-            node: NodeId(0),
-            state: 0,
-            value: 0.0,
-            origin: NodeId(0),
-            level: 0,
-        };
-        let exp = expand(&net, &rule, StepFunc::AddWeight, &task);
-        assert_eq!(exp.arrivals.len(), 2, "r9 link not traversed");
-        assert_eq!(exp.links_scanned, 3, "but it was scanned");
+        let (arrivals, (_, scanned)) = expand(&net, &rule, &task_at(0, 0));
+        assert_eq!(arrivals.len(), 2, "r9 link not traversed");
+        assert_eq!(scanned, 3, "but it was scanned");
     }
 
     #[test]
     fn terminal_state_stops() {
         let net = diamond();
         let rule = PropRule::Once(RelationType(1)).compile();
-        let task = PropTask {
-            prop: 0,
-            node: NodeId(1),
-            state: 1, // terminal state of once()
-            value: 0.0,
-            origin: NodeId(0),
-            level: 1,
-        };
-        let exp = expand(&net, &rule, StepFunc::AddWeight, &task);
-        assert!(exp.arrivals.is_empty());
-    }
-
-    fn exercise_visited(mut v: VisitedMap) {
-        let o = NodeId(7);
-        assert!(v.should_expand(0, 0, NodeId(3), 5.0, o));
-        assert!(!v.should_expand(0, 0, NodeId(3), 5.0, o));
-        assert!(!v.should_expand(0, 0, NodeId(3), 6.0, o));
-        assert!(v.should_expand(0, 0, NodeId(3), 3.0, o));
-        // Equal value with a smaller origin re-expands (binding update).
-        assert!(v.should_expand(0, 0, NodeId(3), 3.0, NodeId(2)));
-        assert!(!v.should_expand(0, 0, NodeId(3), 3.0, NodeId(5)));
-        // Distinct states and propagations are independent.
-        assert!(v.should_expand(0, 1, NodeId(3), 9.0, o));
-        assert!(v.should_expand(1, 0, NodeId(3), 9.0, o));
-        assert_eq!(v.len(), 3);
+        // State 1 is once()'s terminal state.
+        let (arrivals, cost) = expand(&net, &rule, &task_at(1, 1));
+        assert!(arrivals.is_empty());
+        assert_eq!(cost, (0, 0));
     }
 
     #[test]
-    fn visited_map_permits_improvements_only() {
-        exercise_visited(VisitedMap::new());
-    }
-
-    #[test]
-    fn dense_visited_map_decides_identically() {
-        exercise_visited(VisitedMap::dense(8));
-    }
-
-    #[test]
-    fn for_nodes_decides_identically_on_both_sides_of_the_dense_cap() {
-        // The node count picks the backing, never the decisions.
-        let small = VisitedMap::for_nodes(64);
-        let large = VisitedMap::for_nodes(DENSE_NODE_CAP + 1);
-        assert!(matches!(small.backing, Backing::Dense { .. }));
-        assert!(matches!(large.backing, Backing::Hashed(_)));
-        exercise_visited(small);
-        exercise_visited(large);
-    }
-
-    #[test]
-    fn dense_visited_map_grows_past_declared_node_count() {
-        // Maintenance can add nodes after an engine snapshots the count.
-        let mut v = VisitedMap::dense(2);
-        assert!(v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
-        assert!(!v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
-        assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn reset_restores_fresh_decisions_on_every_backing() {
-        for mut v in [VisitedMap::new(), VisitedMap::dense(8)] {
-            // Drive one full decision sequence, reset, and verify the
-            // exact same sequence replays as if the map were fresh —
-            // including growth past the declared node count.
-            for _ in 0..2 {
-                exercise_visited_in_place(&mut v);
-                assert!(v.should_expand(2, 0, NodeId(500), 1.0, NodeId(0)));
-                v.reset();
-                assert!(v.is_empty());
-            }
-        }
-    }
-
-    fn exercise_visited_in_place(v: &mut VisitedMap) {
-        let o = NodeId(7);
-        assert!(v.should_expand(0, 0, NodeId(3), 5.0, o));
-        assert!(!v.should_expand(0, 0, NodeId(3), 5.0, o));
-        assert!(v.should_expand(0, 0, NodeId(3), 3.0, o));
-        assert!(v.should_expand(0, 0, NodeId(3), 3.0, NodeId(2)));
-        assert!(!v.should_expand(0, 0, NodeId(3), 3.0, NodeId(5)));
-        assert!(v.should_expand(0, 1, NodeId(3), 9.0, o));
-        assert_eq!(v.len(), 2);
+    #[should_panic(expected = "flushed relation table")]
+    fn expand_into_rejects_staged_links() {
+        let mut net = diamond();
+        net.add_link(NodeId(3), RelationType(1), 1.0, NodeId(0))
+            .unwrap();
+        let rule = PropRule::Star(RelationType(1)).compile();
+        expand(&net, &rule, &task_at(0, 0));
     }
 
     #[test]
@@ -511,19 +473,11 @@ mod tests {
         }];
         for node in 0..4u32 {
             let task = PropTask {
-                prop: 0,
-                node: NodeId(node),
-                state: 0,
                 value: 0.5,
-                origin: NodeId(0),
-                level: 0,
+                ..task_at(node, 0)
             };
-            let exp = expand(&net, &rule, StepFunc::AddWeight, &task);
-            let (segments, scanned) =
-                expand_into(&net, &rule, StepFunc::AddWeight, &task, &mut buf);
-            assert_eq!(buf, exp.arrivals, "buffer is cleared then refilled");
-            assert_eq!(segments, exp.segments);
-            assert_eq!(scanned, exp.links_scanned);
+            let cost = expand_into(&net, &rule, StepFunc::AddWeight, &task, &mut buf);
+            assert_eq!((buf.clone(), cost), expand(&net, &rule, &task));
         }
     }
 
@@ -542,17 +496,149 @@ mod tests {
         net.add_link(NodeId(0), r1, 1.0, NodeId(7)).unwrap();
         net.flush_links();
         let rule = PropRule::Spread(r1, r2).compile();
-        let task = PropTask {
-            prop: 0,
-            node: NodeId(0),
-            state: 0,
-            value: 0.0,
-            origin: NodeId(0),
-            level: 0,
-        };
-        let exp = expand(&net, &rule, StepFunc::AddWeight, &task);
-        let order: Vec<u32> = exp.arrivals.iter().map(|a| a.node.0).collect();
+        let (arrivals, (_, scanned)) = expand(&net, &rule, &task_at(0, 0));
+        let order: Vec<u32> = arrivals.iter().map(|a| a.node.0).collect();
         assert_eq!(order, vec![4, 5, 6, 7], "insertion order, not run order");
-        assert_eq!(exp.links_scanned, 4);
+        assert_eq!(scanned, 4);
+    }
+
+    proptest! {
+        /// [`expand_into`] is the cross-product scan, arrival for
+        /// arrival and cost unit for cost unit, on random flushed
+        /// networks (adds, then removals that make the relation table
+        /// rebuild its ranks) and rule states of 0 to 8 arcs over four
+        /// relations — so arcs often share a relation, their runs tie on
+        /// every rank, and each arc continues in its own state: a merge
+        /// that lets the later arc win a tie fails here.
+        #[test]
+        fn prop_expand_into_matches_the_cross_product_scan(
+            nodes in 1u32..24,
+            links in proptest::collection::vec((0u32..24, 0u16..4, 0u8..3, 0u32..24), 0..160),
+            removals in proptest::collection::vec(0usize..160, 0..12),
+            arcs in proptest::collection::vec((0u16..4, 0u8..4), 0..=MAX_RULE_ARCS),
+        ) {
+            let mut net = SemanticNetwork::new(NetworkConfig::default());
+            for _ in 0..nodes {
+                net.add_node(Color(0)).unwrap();
+            }
+            let mut added = Vec::new();
+            for (src, rel, w, dst) in links {
+                let link = (NodeId(src % nodes), RelationType(rel), NodeId(dst % nodes));
+                net.add_link(link.0, link.1, f32::from(w) * 0.5, link.2).unwrap();
+                added.push(link);
+            }
+            for r in removals {
+                if !added.is_empty() {
+                    let (src, rel, dst) = added.swap_remove(r % added.len());
+                    net.remove_link(src, rel, dst).unwrap();
+                }
+            }
+            net.flush_links();
+            let arcs = arcs.into_iter().map(|(rel, next)| RuleArc::new(RelationType(rel), next));
+            let rule = RuleProgram::from_states(vec![
+                RuleState::new(arcs.collect()),
+                RuleState::terminal(),
+                RuleState::terminal(),
+                RuleState::terminal(),
+            ]);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for node in 0..nodes {
+                let task = PropTask { value: 0.25, ..task_at(node, 0) };
+                let cost = expand_into(&net, &rule, StepFunc::AddWeight, &task, &mut got);
+                let spec = scan_into(&net, &rule, StepFunc::AddWeight, &task, &mut want);
+                prop_assert_eq!(&got, &want, "arrivals from node {}", node);
+                prop_assert_eq!(cost, spec, "cost units of node {}", node);
+            }
+        }
+    }
+
+    fn exercise_visited(mut v: impl FnMut(usize, u8, u32, f32, u32) -> bool) {
+        assert!(v(0, 0, 3, 5.0, 7));
+        assert!(!v(0, 0, 3, 5.0, 7));
+        assert!(!v(0, 0, 3, 6.0, 7));
+        assert!(v(0, 0, 3, 3.0, 7));
+        // Equal value with a smaller origin re-expands (binding update).
+        assert!(v(0, 0, 3, 3.0, 2));
+        assert!(!v(0, 0, 3, 3.0, 5));
+        // Distinct states and propagations are independent.
+        assert!(v(0, 1, 3, 9.0, 7));
+        assert!(v(1, 0, 3, 9.0, 7));
+        // Growth past the declared node count.
+        assert!(v(2, 0, 900, 1.0, 0));
+        assert!(!v(2, 0, 900, 1.0, 0));
+    }
+
+    #[test]
+    fn visited_map_permits_improvements_only() {
+        let mut v = VisitedMap::dense(8);
+        exercise_visited(|p, s, n, x, o| v.should_expand(p, s, NodeId(n), x, NodeId(o)));
+        assert_eq!(v.len(), 4);
+    }
+
+    #[test]
+    fn dense_visited_map_decides_identically() {
+        // The same decision sequence on the hashed reference.
+        let mut v = HashedVisited::default();
+        exercise_visited(|p, s, n, x, o| v.should_expand(p, s, NodeId(n), x, NodeId(o)));
+        assert_eq!(v.len(), 4);
+    }
+
+    #[test]
+    fn dense_visited_map_grows_past_declared_node_count() {
+        // Maintenance can add nodes after an engine snapshots the count.
+        let mut v = VisitedMap::dense(2);
+        assert!(v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
+        assert!(!v.should_expand(0, 0, NodeId(900), 1.0, NodeId(0)));
+        assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn reset_restores_fresh_decisions_on_every_backing() {
+        // Drive one full decision sequence, reset, and verify the exact
+        // same sequence replays as if the map were fresh — including
+        // the seen bits the growth path set past the declared count,
+        // and for a map whose node count changes between phases.
+        let mut v = VisitedMap::dense(8);
+        for nodes in [8, 8, 1000, 4] {
+            v.reset_for(nodes);
+            assert!(v.is_empty());
+            exercise_visited(|p, s, n, x, o| v.should_expand(p, s, NodeId(n), x, NodeId(o)));
+            assert_eq!(v.len(), 4);
+        }
+    }
+
+    proptest! {
+        /// The table makes the same expand/suppress decision as the
+        /// hashed reference on every probe, including nodes past the
+        /// declared arena size (the growth path), exact value ties (the
+        /// origin tie-break) and resets between phases (the lazy arming:
+        /// a table not touched in one phase must still come back clean).
+        #[test]
+        fn dense_visited_agrees_with_hashed_reference(
+            probes in proptest::collection::vec(
+                (0usize..2, 0u8..8, 0u32..96, 0u32..40, 0u32..16, 0u8..24),
+                1..200,
+            ),
+        ) {
+            let mut dense = VisitedMap::dense(64);
+            let mut hashed = HashedVisited::default();
+            for (prop, state, node, quantum, origin, reset) in probes {
+                if reset == 0 {
+                    dense.reset();
+                    hashed = HashedVisited::default();
+                }
+                // Coarse quantisation forces exact value ties so the
+                // origin tie-break is exercised, not just improvements.
+                let value = quantum as f32 * 0.25;
+                let d = dense.should_expand(prop, state, NodeId(node), value, NodeId(origin));
+                let h = hashed.should_expand(prop, state, NodeId(node), value, NodeId(origin));
+                prop_assert_eq!(
+                    d, h,
+                    "probe (prop={}, state={}, node={}, value={}, origin={}) diverged",
+                    prop, state, node, value, origin
+                );
+                prop_assert_eq!(dense.len(), hashed.len());
+            }
+        }
     }
 }

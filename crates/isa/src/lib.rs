@@ -49,5 +49,5 @@ pub use asm::{assemble, disassemble, AsmError, SymbolTable};
 pub use func::{Cmp, CombineFunc, StepFunc, ValueFunc};
 pub use instruction::{InstrClass, Instruction};
 pub use program::{Program, ProgramBuilder};
-pub use rule::{PropRule, RuleArc, RuleProgram, RuleState, MAX_RULE_STATES};
+pub use rule::{PropRule, RuleArc, RuleProgram, RuleState, MAX_RULE_ARCS, MAX_RULE_STATES};
 pub use schedule::schedule_beta;

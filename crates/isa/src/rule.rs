@@ -22,6 +22,11 @@ use snap_kb::RelationType;
 /// microcodes rules into a small fixed table).
 pub const MAX_RULE_STATES: usize = 8;
 
+/// Maximum number of arcs one state of a rule program may have: the
+/// width of a microcode table row, and the number of relation runs an
+/// engine merges per expansion.
+pub const MAX_RULE_ARCS: usize = 8;
+
 /// A named propagation rule, as carried by `PROPAGATE` instructions and
 /// marker messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,8 +145,9 @@ impl RuleProgram {
     ///
     /// # Panics
     ///
-    /// Panics if there are no states, more than [`MAX_RULE_STATES`], or an
-    /// arc points outside the state table.
+    /// Panics if there are no states, more than [`MAX_RULE_STATES`], a
+    /// state with more than [`MAX_RULE_ARCS`] arcs, or an arc pointing
+    /// outside the state table.
     pub fn from_states(states: Vec<RuleState>) -> Self {
         assert!(!states.is_empty(), "rule program needs at least one state");
         assert!(
@@ -149,6 +155,10 @@ impl RuleProgram {
             "rule program exceeds {MAX_RULE_STATES} states"
         );
         for (i, s) in states.iter().enumerate() {
+            assert!(
+                s.arcs().len() <= MAX_RULE_ARCS,
+                "state {i} exceeds {MAX_RULE_ARCS} arcs"
+            );
             for arc in s.arcs() {
                 assert!(
                     (arc.next as usize) < states.len(),
@@ -234,6 +244,13 @@ mod tests {
     #[should_panic(expected = "missing state")]
     fn dangling_arc_rejected() {
         RuleProgram::from_states(vec![RuleState::new(vec![RuleArc::new(r(1), 3)])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "state 1 exceeds 8 arcs")]
+    fn oversized_state_rejected() {
+        let arcs = (0..9).map(|x| RuleArc::new(r(x), 0)).collect();
+        RuleProgram::from_states(vec![RuleState::terminal(), RuleState::new(arcs)]);
     }
 
     #[test]

@@ -16,9 +16,9 @@ pub const BITMAP_WORD_BITS: usize = 64;
 /// words.
 ///
 /// Unlike [`StatusRow`](crate::StatusRow) this type grows on demand past
-/// its declared capacity (mirroring the dense `VisitedMap` tables, which
-/// tolerate nodes added after the capacity hint was taken) and exposes its
-/// word array for word-at-a-time kernels.
+/// its declared capacity (the engines' visited tables are built on it
+/// and tolerate nodes added after the capacity hint was taken) and
+/// exposes its word array for word-at-a-time kernels.
 ///
 /// # Examples
 ///

@@ -17,8 +17,8 @@
 //!   sequential-engine run: [`Walker::run`](snap_core::exec::Walker::run),
 //!   the same program walker `Snap1::run` and `Snap1::run_shared` use
 //!   on that engine — one controller plan per query, `PROPAGATE`s as
-//!   independent marker streams, as SNAP-1 overlaps them, through the
-//!   wave kernel or the scalar loop as the rule allows;
+//!   independent marker streams, as SNAP-1 overlaps them, each through
+//!   the wave kernel;
 //! * a batch is that coalescing window, not a program shape: nothing
 //!   overtakes anything, completions come back in admission order, and
 //!   a query that fails does so alone, with its typed error;

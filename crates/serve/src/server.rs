@@ -136,8 +136,7 @@ struct Pending {
 /// bit-identical programs onto one lane and runs each lane through the
 /// sequential engine's [`Walker`]. Nothing overtakes anything, so
 /// completions come back in [`QueryId`] order and no query can starve;
-/// a lane that fails — or that the wave kernel cannot run — is a lane
-/// like any other.
+/// a lane that fails is a lane like any other.
 ///
 /// Every buffer the pump touches — the queue, batch staging, query
 /// contexts, the walker's scratch — is pooled on the server, so
@@ -183,7 +182,7 @@ impl Server {
             ..MachineConfig::snap1_eval()
         };
         Ok(Server {
-            walker: Walker::new(&network),
+            walker: Walker::new(),
             network,
             prepared,
             cfg,
@@ -707,42 +706,36 @@ mod tests {
     }
 
     #[test]
-    fn oversized_custom_rules_share_a_batch() {
+    fn widest_custom_rules_share_a_batch() {
         let net = snapshot();
-        // Nine arcs in one state overflows the kernel's merge cursors,
-        // so the walker runs that propagation through its scalar loop;
-        // eight is the widest state the kernel merges. Either way the
-        // query is a lane like any other.
-        for arcs in [9u16, 8] {
-            let arcs: Vec<RuleArc> = (0..arcs)
-                .map(|r| RuleArc::new(RelationType(r), 1))
-                .collect();
-            let rule = PropRule::Custom(RuleProgram::from_states(vec![
-                RuleState::new(arcs),
-                RuleState::terminal(),
-            ]));
-            let program = Program::builder()
-                .search_node(NodeId(0), Marker::binary(1), 0.0)
-                .propagate(
-                    Marker::binary(1),
-                    Marker::complex(2),
-                    rule,
-                    StepFunc::AddWeight,
-                )
-                .collect_marker(Marker::complex(2))
-                .build();
-            let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-            server.offer(program.clone());
-            server.offer(query(17));
-            let done = server.drain();
-            assert_eq!(done.len(), 2);
-            let oracle = oracle();
-            for (c, p) in done.iter().zip([&program, &query(17)]) {
-                assert_eq!(c.batch_depth, 2);
-                assert_eq!(c.result, oracle.run_shared(&net, p));
-                assert!(c.result.as_ref().unwrap().total_ns > 0);
-            }
-            server.assert_accounting();
+        // Eight arcs in one state is the widest a rule program admits
+        // and the kernel merges: the query is a lane like any other.
+        let arcs: Vec<RuleArc> = (0..8).map(|r| RuleArc::new(RelationType(r), 1)).collect();
+        let rule = PropRule::Custom(RuleProgram::from_states(vec![
+            RuleState::new(arcs),
+            RuleState::terminal(),
+        ]));
+        let program = Program::builder()
+            .search_node(NodeId(0), Marker::binary(1), 0.0)
+            .propagate(
+                Marker::binary(1),
+                Marker::complex(2),
+                rule,
+                StepFunc::AddWeight,
+            )
+            .collect_marker(Marker::complex(2))
+            .build();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        server.offer(program.clone());
+        server.offer(query(17));
+        let done = server.drain();
+        assert_eq!(done.len(), 2);
+        let oracle = oracle();
+        for (c, p) in done.iter().zip([&program, &query(17)]) {
+            assert_eq!(c.batch_depth, 2);
+            assert_eq!(c.result, oracle.run_shared(&net, p));
+            assert!(c.result.as_ref().unwrap().total_ns > 0);
         }
+        server.assert_accounting();
     }
 }

@@ -9,14 +9,11 @@
 //! is the scalar loop in spec order. Each cell runs both and compares
 //! the whole `RunReport`: collects, every counter, simulated
 //! nanoseconds, schedule digest and — with the `obs` feature — the
-//! `TraceReport`. A property test then checks the dense visited tables
-//! against the hashed reference map on arbitrary probe sequences.
+//! `TraceReport`.
 
-use proptest::prelude::*;
-use snap_core::propagate::VisitedMap;
 use snap_core::{EngineKind, MachineConfig, ObsConfig, RunReport, ScheduleStrategy};
 use snap_integration_tests::grid;
-use snap_kb::{synth, NodeId, SemanticNetwork};
+use snap_kb::{synth, SemanticNetwork};
 use std::collections::BTreeMap;
 
 /// A 600-node preferential-attachment network of one colour:
@@ -102,35 +99,4 @@ fn wave_kernel_matches_scalar_spec_on_whole_reports() {
         waves["chain/parse/hops3"].expansions < waves["chain/parse"].expansions,
         "the hop cap bites"
     );
-}
-
-proptest! {
-    /// The dense visited tables must make the same expand/suppress
-    /// decision as the hashed reference map on every probe, including
-    /// nodes past the declared arena size (the growth path) and exact
-    /// value ties (the origin tie-break).
-    #[test]
-    fn dense_visited_agrees_with_hashed_reference(
-        probes in proptest::collection::vec(
-            (0usize..2, 0u8..8, 0u32..96, 0u32..40, 0u32..16),
-            1..200,
-        ),
-    ) {
-        let mut dense = VisitedMap::dense(64);
-        let mut hashed = VisitedMap::new();
-        for (prop, state, node, quantum, origin) in probes {
-            // Coarse quantisation forces exact value ties so the
-            // origin tie-break is exercised, not just improvements.
-            let value = quantum as f32 * 0.25;
-            let d = dense.should_expand(prop, state, NodeId(node), value, NodeId(origin));
-            let h = hashed.should_expand(prop, state, NodeId(node), value, NodeId(origin));
-            prop_assert_eq!(
-                d, h,
-                "probe (prop={}, state={}, node={}, value={}, origin={}) diverged",
-                prop, state, node, value, origin
-            );
-        }
-        prop_assert_eq!(dense.len(), hashed.len());
-        prop_assert_eq!(dense.is_empty(), hashed.is_empty());
-    }
 }

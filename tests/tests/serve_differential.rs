@@ -12,7 +12,7 @@
 //! * a **proptest sweep** over fuzzed networks and programs, offering
 //!   each random program several times so batches mix duplicates (the
 //!   coalescing path) with distinct shapes and, now and then, a rule
-//!   too wide for the wave kernel or a query that fails beside
+//!   as wide as a rule state may be or a query that fails beside
 //!   siblings that must not notice.
 
 use proptest::prelude::*;
@@ -166,9 +166,10 @@ fn build_net(spec: &NetSpec) -> SemanticNetwork {
 
 /// One random query: seed a node, propagate under a random rule, observe
 /// the target marker. Shapes differ across rules, so a served stream of
-/// these mixes shapes within a batch, runs the walker's wave and scalar
-/// paths side by side (rule 4 has a nine-arc state, one more than the
-/// wave kernel merges) and, via repeats, coalesces duplicates.
+/// these mixes shapes within a batch, runs every arc-count path of the
+/// wave kernel side by side (rule 4 has an eight-arc state over four
+/// relations, the widest a rule admits, so arcs share relations) and,
+/// via repeats, coalesces duplicates.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     seed: u32,
@@ -209,7 +210,7 @@ fn build_query(q: &QuerySpec, nodes: usize) -> Program {
         2 => PropRule::Spread(RelationType(q.rels.0), RelationType(q.rels.1)),
         3 => PropRule::Union(RelationType(q.rels.0), RelationType(q.rels.1)),
         _ => {
-            let arcs = (0..9).map(|r| RuleArc::new(RelationType((q.rels.0 + r) % 4), 1));
+            let arcs = (0..8).map(|r| RuleArc::new(RelationType((q.rels.0 + r) % 4), 1));
             PropRule::Custom(RuleProgram::from_states(vec![
                 RuleState::new(arcs.collect()),
                 RuleState::terminal(),
@@ -231,9 +232,9 @@ fn build_query(q: &QuerySpec, nodes: usize) -> Program {
 }
 
 /// Cases of the sweep below in which a failing lane shared a batch
-/// with a clean one, and in which an oversized rule was served.
+/// with a clean one, and in which a widest rule was served.
 static MIXED_BATCHES: AtomicUsize = AtomicUsize::new(0);
-static OVERSIZED_RULES: AtomicUsize = AtomicUsize::new(0);
+static WIDEST_RULES: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -264,7 +265,7 @@ proptest! {
             MIXED_BATCHES.fetch_add(1, Ordering::Relaxed);
         }
         if queries.iter().any(|q| q.rule == 4 && q.fault == Fault::None) {
-            OVERSIZED_RULES.fetch_add(1, Ordering::Relaxed);
+            WIDEST_RULES.fetch_add(1, Ordering::Relaxed);
         }
         for (pi, c) in serve_all(&net, &programs, 3, depth) {
             assert_isolated(&format!("fuzzed #{pi} depth {depth}"), &c, &serial[pi]);
@@ -285,7 +286,7 @@ fn served_batches_match_serial_runs_on_fuzzed_inputs() {
         "no generated batch mixed a failing lane with a clean one"
     );
     assert!(
-        OVERSIZED_RULES.load(Ordering::Relaxed) > 0,
-        "no generated query carried a rule the wave kernel cannot run"
+        WIDEST_RULES.load(Ordering::Relaxed) > 0,
+        "no generated query carried an eight-arc rule state"
     );
 }
