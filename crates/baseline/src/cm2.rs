@@ -196,10 +196,7 @@ impl Cm2 {
         vp: SimTime,
         report: &mut RunReport,
     ) -> Result<SimTime, CoreError> {
-        let seeds: Vec<(snap_kb::NodeId, f32)> = region
-            .active_nodes_iter(source)
-            .map(|node| (node, region.source_value(source, node)))
-            .collect();
+        let seeds: Vec<(snap_kb::NodeId, f32)> = region.seeds(source)?.collect();
         report.alpha_per_propagate.push(seeds.len() as u64);
         let mut sink = Cm2Sink {
             region,

@@ -71,7 +71,10 @@ impl NetAccess<'_> {
             // Everything else reads the network without mutating it.
             _ => return exec_single_shared_into(instr, self.get(), regions, out),
         };
-        let marked = instr.reads_fixed()[0].map_or_else(Vec::new, |m| all_active(regions, m));
+        let marked = match instr.reads_fixed()[0] {
+            Some(marker) => all_active(regions, marker)?,
+            None => Vec::new(),
+        };
         *out = SingleOutcome {
             work: vec![ClusterWork::default(); regions.len()],
             collect: None,
@@ -342,7 +345,7 @@ pub(crate) fn exec_single_shared_into(
                 _ => Vec::new(),
             };
             for (c, region) in regions.iter().enumerate() {
-                out.work[c].items = region.collect_marker_into(*marker, &mut all);
+                out.work[c].items = region.collect_marker(*marker, &mut all)?;
             }
             out.collect = Some(sorted_collect(CollectOutput::Nodes(all)));
         }
@@ -356,7 +359,7 @@ pub(crate) fn exec_single_shared_into(
             };
             for (c, region) in regions.iter().enumerate() {
                 out.work[c].items =
-                    region.collect_relation_into(network, *marker, *relation, &mut all);
+                    region.collect_relation(network, *marker, *relation, &mut all)?;
             }
             out.collect = Some(sorted_collect(CollectOutput::Links(all)));
         }
@@ -369,7 +372,7 @@ pub(crate) fn exec_single_shared_into(
                 _ => Vec::new(),
             };
             for (c, region) in regions.iter().enumerate() {
-                out.work[c].items = region.collect_color_into(network, *marker, &mut all);
+                out.work[c].items = region.collect_color(network, *marker, &mut all)?;
             }
             out.collect = Some(sorted_collect(CollectOutput::Colors(all)));
         }
@@ -412,13 +415,17 @@ pub(crate) fn sorted_collect(mut out: CollectOutput) -> CollectOutput {
 }
 
 /// All nodes where `marker` is active, across every region, ascending.
-pub(crate) fn all_active(regions: &[Region], marker: Marker) -> Vec<NodeId> {
-    let mut nodes: Vec<NodeId> = regions
-        .iter()
-        .flat_map(|r| r.active_nodes_iter(marker))
-        .collect();
+///
+/// # Errors
+///
+/// Returns [`CoreError`] for an out-of-range marker register.
+pub(crate) fn all_active(regions: &[Region], marker: Marker) -> Result<Vec<NodeId>, CoreError> {
+    let mut nodes = Vec::new();
+    for region in regions {
+        nodes.extend(region.active_nodes_iter(marker)?);
+    }
     nodes.sort_unstable();
-    nodes
+    Ok(nodes)
 }
 
 #[cfg(test)]

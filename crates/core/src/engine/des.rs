@@ -77,7 +77,7 @@ pub(crate) fn run_exclusive(
     program: &Program,
 ) -> Result<RunReport, CoreError> {
     network.flush_links();
-    let prepared = Prepared::build(network, config.clusters, config.partition);
+    let prepared = Prepared::for_snapshot(network, config.clusters, config.partition)?;
     run(
         config,
         cost,
@@ -374,10 +374,9 @@ impl<'c> Des<'c> {
         for spec in specs {
             let mut alpha = 0u64;
             for c in 0..self.regions.len() {
-                let sources = self.regions[c].active_nodes(spec.source);
+                let sources: Vec<_> = self.regions[c].seeds(spec.source)?.collect();
                 alpha += sources.len() as u64;
-                for node in sources {
-                    let value = self.regions[c].source_value(spec.source, node);
+                for (node, value) in sources {
                     if visited.should_expand(spec.prop, 0, node, value, node) {
                         let task = PropTask {
                             prop: spec.prop,
@@ -704,9 +703,8 @@ impl<'c> Des<'c> {
         for spec in specs {
             let mut alpha = 0u64;
             for c in 0..self.regions.len() {
-                for node in self.regions[c].active_nodes(spec.source) {
+                for (node, value) in self.regions[c].seeds(spec.source)? {
                     alpha += 1;
-                    let value = self.regions[c].source_value(spec.source, node);
                     if visited.should_expand(spec.prop, 0, node, value, node) {
                         wave.push((
                             c,

@@ -81,8 +81,8 @@ impl Walker {
         program: &Program,
         report: &mut RunReport,
     ) -> Result<(), CoreError> {
-        let network = NetAccess::Shared(network);
-        self.walk(config, cost, network, region, program, report)
+        let mut network = NetAccess::Shared(network);
+        self.walk(config, cost, &mut network, region, program, report)
     }
 
     /// [`Walker::run`] over either access: exclusive and shared-snapshot
@@ -92,7 +92,7 @@ impl Walker {
         &mut self,
         config: &MachineConfig,
         cost: &CostModel,
-        mut network: NetAccess<'_>,
+        network: &mut NetAccess<'_>,
         region: &mut Region,
         program: &Program,
         report: &mut RunReport,
@@ -199,7 +199,7 @@ fn cached_spec<'a>(
 
 /// What one sequential run works in: the single region's marker state
 /// and the executor over it. Every table in it is node-count-sized, so
-/// a run builds it once and [`SeqPool`] keeps it between shared runs.
+/// [`SeqPool`] keeps it between runs.
 #[derive(Debug)]
 pub(crate) struct SeqState {
     region: Region,
@@ -208,7 +208,7 @@ pub(crate) struct SeqState {
 
 impl SeqState {
     /// Empty state for runs over `prepared`'s one-cluster set-up.
-    pub(crate) fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
+    fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
         debug_assert_eq!(prepared.map().cluster_count(), 1);
         SeqState {
             region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
@@ -219,11 +219,11 @@ impl SeqState {
     /// Executes `program` over `prepared` (the one-cluster set-up of
     /// this network the state was built for), returning the measured
     /// report.
-    pub(crate) fn run(
+    fn run(
         &mut self,
         config: &MachineConfig,
         cost: &CostModel,
-        network: NetAccess<'_>,
+        network: &mut NetAccess<'_>,
         prepared: &Prepared,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
@@ -237,31 +237,35 @@ impl SeqState {
     }
 }
 
-/// Run states of the snapshot [`Snap1::run_shared`](crate::Snap1::run_shared)
-/// last served, one per concurrent caller at most, so a warm call
-/// builds and zeroes no node-count-sized table, plans into a kept
-/// buffer and compiles no rule it has compiled before.
+/// Run states of the network revision [`Snap1::run`](crate::Snap1::run)
+/// and [`Snap1::run_shared`](crate::Snap1::run_shared) last ran on, one
+/// per concurrent caller at most, so a warm run builds and zeroes no
+/// node-count-sized table, plans into a kept buffer and compiles no rule
+/// it has compiled before.
 ///
 /// A state belongs to the [`Prepared`] whose region map its region was
-/// built over and is used for no other: a call checks out only a state
+/// built over and is used for no other: a run checks out only a state
 /// whose map is the one it obtained itself (whatever the memo holds by
-/// then), and the rest — an earlier snapshot's — are dropped. The pool
-/// holds region maps, never a network. Exclusive runs stay outside it:
-/// maintenance may add nodes under their region.
+/// then), and the rest — an earlier revision's — are dropped. A state
+/// goes back only while its `Prepared` still describes the network, so
+/// one whose run edited the network (maintenance) is dropped with it.
+/// The pool holds region maps, never a network.
 /// Only whole states are pushed and popped under the lock, so a caller
 /// that panics holding it leaves a valid pool.
 #[derive(Default)]
 pub(crate) struct SeqPool(pub(crate) Mutex<Vec<SeqState>>);
 
 impl SeqPool {
-    /// [`SeqState::run`] on a shared snapshot, in a pooled state when
-    /// there is one for `prepared`. The state goes back however the run
-    /// ended; the next run clears it.
-    pub(crate) fn run_shared(
+    /// Executes `program` over `prepared` (the one-cluster set-up of
+    /// `network`'s revision) in a pooled state when there is one for it,
+    /// returning the measured report. The state goes back however the
+    /// run ended, unless the run moved the network's revision; the next
+    /// run clears it.
+    pub(crate) fn run(
         &self,
         config: &MachineConfig,
         cost: &CostModel,
-        network: &SemanticNetwork,
+        mut network: NetAccess<'_>,
         prepared: &Prepared,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
@@ -270,9 +274,11 @@ impl SeqPool {
             pool.retain(|state| state.region.is_over(prepared.map()));
             pool.pop()
         };
-        let mut state = pooled.unwrap_or_else(|| SeqState::new(prepared, network));
-        let result = state.run(config, cost, NetAccess::Shared(network), prepared, program);
-        lock_unpoisoned(&self.0).push(state);
+        let mut state = pooled.unwrap_or_else(|| SeqState::new(prepared, network.get()));
+        let result = state.run(config, cost, &mut network, prepared, program);
+        if prepared.is_for(network.get()) {
+            lock_unpoisoned(&self.0).push(state);
+        }
         result
     }
 }
@@ -361,13 +367,12 @@ fn run_propagate(
         (activations..report.traffic.local_activations).for_each(|_| tracer.activation(0));
         return Ok(ns);
     }
-    let sources = region.active_nodes(spec.source);
+    let sources: Vec<_> = region.seeds(spec.source)?.collect();
     report.alpha_per_propagate.push(sources.len() as u64);
     let visited = &mut wave.visited;
     visited.reset_for(network.node_count());
     let mut queue: ReadyQueue<PropTask> = ReadyQueue::new();
-    for node in sources {
-        let value = region.source_value(spec.source, node);
+    for (node, value) in sources {
         if visited.should_expand(spec.prop, 0, node, value, node) {
             queue.push(PropTask {
                 prop: spec.prop,
@@ -432,7 +437,7 @@ fn run_propagate(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] for an out-of-range target marker.
+/// Returns [`CoreError`] for an out-of-range source or target marker.
 fn propagate_region(
     cost: &CostModel,
     max_hops: u8,
@@ -442,13 +447,10 @@ fn propagate_region(
     spec: &PropSpec,
     report: &mut RunReport,
 ) -> Result<SimTime, CoreError> {
+    let sources = region.seeds(spec.source)?;
     let mut seeds = std::mem::take(&mut scratch.seeds);
     seeds.clear();
-    seeds.extend(
-        region
-            .active_nodes_iter(spec.source)
-            .map(|node| (node, region.source_value(spec.source, node))),
-    );
+    seeds.extend(sources);
     report.alpha_per_propagate.push(seeds.len() as u64);
     let mut sink = SeqWaveSink {
         cost,
@@ -497,8 +499,8 @@ impl WaveSink for SeqWaveSink<'_> {
     }
 }
 
-/// A run the way [`Snap1::run`](crate::Snap1::run) drives it — flush,
-/// one-cluster set-up, exclusive access — for engine unit tests.
+/// A cold run the way [`Snap1::run`](crate::Snap1::run) drives it —
+/// flush, one-cluster set-up, exclusive access — for engine unit tests.
 #[cfg(test)]
 pub(crate) fn run_exclusive(
     config: &MachineConfig,
@@ -507,11 +509,11 @@ pub(crate) fn run_exclusive(
     program: &Program,
 ) -> Result<RunReport, CoreError> {
     network.flush_links();
-    let prepared = Prepared::build(network, 1, snap_kb::PartitionScheme::Sequential);
+    let prepared = Prepared::for_snapshot(network, 1, snap_kb::PartitionScheme::Sequential)?;
     SeqState::new(&prepared, network).run(
         config,
         cost,
-        NetAccess::Exclusive(network),
+        &mut NetAccess::Exclusive(network),
         &prepared,
         program,
     )

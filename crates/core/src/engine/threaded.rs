@@ -114,7 +114,8 @@ enum Cmd {
 enum Reply {
     Done,
     Collected(CollectOutput),
-    Active(Vec<NodeId>),
+    /// The nodes asked for, or why the marker could not be read.
+    Active(Result<Vec<NodeId>, CoreError>),
     /// A worker thread panicked; sent by its catch-unwind wrapper.
     Crashed(usize),
 }
@@ -732,10 +733,18 @@ impl Controller {
             }
         }
         let mut nodes = Vec::new();
+        let mut unreadable = None;
+        // Every reply is taken, failed or not, so none is left behind for
+        // the next command to read.
         for _ in 0..self.live_count() {
-            if let Reply::Active(mut v) = self.recv_reply()? {
-                nodes.append(&mut v);
+            match self.recv_reply()? {
+                Reply::Active(Ok(mut part)) => nodes.append(&mut part),
+                Reply::Active(Err(e)) => unreadable = Some(e),
+                _ => {}
             }
+        }
+        if let Some(e) = unreadable {
+            return Err(e);
         }
         nodes.sort_unstable();
         Ok(nodes)
@@ -855,8 +864,9 @@ impl Worker<'_> {
                     let _ = self.reply_tx.send(reply);
                 }
                 Cmd::ActiveNodes(marker) => {
-                    let nodes = all_active(&self.regions, marker);
-                    let _ = self.reply_tx.send(Reply::Active(nodes));
+                    let _ = self
+                        .reply_tx
+                        .send(Reply::Active(all_active(&self.regions, marker)));
                 }
                 Cmd::Adopt(region) => {
                     self.regions.push(*region);
@@ -924,8 +934,11 @@ impl Worker<'_> {
         for spec in specs {
             let mut sources: Vec<(NodeId, f32)> = Vec::new();
             for r in &self.regions {
-                for node in r.active_nodes(spec.source) {
-                    sources.push((node, r.source_value(spec.source, node)));
+                // An unreadable source seeds nothing here; the controller
+                // returns the error once the (empty) phase closes.
+                match r.seeds(spec.source) {
+                    Ok(seeds) => sources.extend(seeds),
+                    Err(e) => self.report_error(e),
                 }
             }
             for (node, value) in sources {
@@ -1324,7 +1337,7 @@ mod tests {
         program: &Program,
     ) -> Result<RunReport, CoreError> {
         network.flush_links();
-        let prepared = Prepared::build(network, config.clusters, config.partition);
+        let prepared = Prepared::for_snapshot(network, config.clusters, config.partition)?;
         super::run(config, network, &prepared, program)
     }
 
@@ -1608,7 +1621,7 @@ mod tests {
             .collect();
         let marker = Marker::binary(3);
         regions[1].set_marker(marker, 0.0).unwrap();
-        let marked = regions[1].active_nodes(marker);
+        let marked = regions[1].active_nodes(marker).unwrap();
         let checkpoints: Arc<Checkpoints> = Arc::new(Mutex::new(vec![None; 2]));
         save_checkpoints(&checkpoints, &regions);
         let worker = Arc::clone(&checkpoints);
@@ -1621,7 +1634,7 @@ mod tests {
         regions[1].reset();
         assert_eq!(regions[1].count(marker), 0);
         restore_checkpoints(&checkpoints, &mut regions);
-        assert_eq!(regions[1].active_nodes(marker), marked);
+        assert_eq!(regions[1].active_nodes(marker).unwrap(), marked);
         // The replayed phase checkpoints again through the same lock.
         save_checkpoints(&checkpoints, &regions);
     }

@@ -43,9 +43,9 @@ pub struct Snap1 {
     config: MachineConfig,
     cost: CostModel,
     engine: EngineKind,
-    /// Set-up of the last shared snapshot served (see [`Snap1::prepare`]).
+    /// Set-up of the last network revision run on (see [`Snap1::prepare`]).
     memo: PreparedMemo,
-    /// The sequential engine's run states for that snapshot.
+    /// The sequential engine's run states for that revision.
     seq_pool: sequential::SeqPool,
 }
 
@@ -90,12 +90,14 @@ impl Snap1 {
     /// report. The network is borrowed mutably because node-maintenance
     /// instructions edit it.
     ///
-    /// The knowledge base is mapped onto the clusters once per call: a
-    /// `&mut` network carries no identity to cache the mapping under
-    /// (it may have been edited since the last run). Callers running
-    /// many programs against an unchanging network should freeze it in
-    /// an `Arc` and use [`Snap1::run_shared`], which pays the mapping
-    /// once per snapshot.
+    /// The knowledge base is mapped onto the clusters once per
+    /// [revision](SemanticNetwork::revision), not once per call: a run on
+    /// a network nobody has edited since the machine's last run on it
+    /// (or on a clone of it) reuses that run's region map and partition
+    /// statistics ([`Snap1::prepare`]) and, on the sequential engine, its
+    /// region and kernel tables — exactly as a warm [`Snap1::run_shared`]
+    /// does. A program whose maintenance edits the network leaves a new
+    /// revision behind, and the next run maps it afresh.
     ///
     /// # Errors
     ///
@@ -110,11 +112,10 @@ impl Snap1 {
         // partitioned, so the set-up and every expansion see the
         // indexed CSR.
         network.flush_links();
-        let (clusters, scheme) = self.geometry();
-        let prepared = Prepared::build(network, clusters, scheme);
+        let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => sequential::SeqState::new(&prepared, network).run(
+            EngineKind::Sequential => self.seq_pool.run(
                 config,
                 cost,
                 NetAccess::Exclusive(network),
@@ -133,25 +134,23 @@ impl Snap1 {
     }
 
     /// The per-network set-up (region map and partition statistics) of
-    /// `network` on this machine, built on the first call for a
-    /// snapshot and returned from a one-entry memo afterwards.
-    /// [`Snap1::run_shared`] obtains it here; a serving layer holds the
+    /// `network` on this machine, built on the first call for its
+    /// [revision](SemanticNetwork::revision) and returned from a
+    /// one-entry memo afterwards. [`Snap1::run`] and
+    /// [`Snap1::run_shared`] obtain it here; a serving layer holds the
     /// same value to build its pooled regions from.
     ///
-    /// The memo identifies a snapshot by its `Arc` allocation through a
-    /// `Weak`: it never keeps a dropped network's contents alive (only
-    /// the allocation and the last map, until another snapshot
-    /// arrives), a new network cannot alias a dropped one, and a
-    /// snapshot edited through `Arc::make_mut` is a different snapshot.
-    /// While a machine remembers a snapshot, `Arc::get_mut` on it
-    /// returns `None`; edit through `Arc::make_mut` or
-    /// `Arc::try_unwrap`.
+    /// The memo identifies a network by its content revision, never by
+    /// its address: it holds no reference to any network, a new network
+    /// never matches a dropped one, and an edit through any path —
+    /// `&mut`, `Arc::get_mut`, `Arc::make_mut` — draws a new revision and
+    /// so a new set-up. A clone shares its original's revision and set-up.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SharedStagedLinks`] if the snapshot was
-    /// frozen with staged (unflushed) links.
-    pub fn prepare(&self, network: &Arc<SemanticNetwork>) -> Result<Arc<Prepared>, CoreError> {
+    /// Returns [`CoreError::SharedStagedLinks`] if the network has staged
+    /// (unflushed) links.
+    pub fn prepare(&self, network: &SemanticNetwork) -> Result<Arc<Prepared>, CoreError> {
         let (clusters, scheme) = self.geometry();
         self.memo.get(network, clusters, scheme)
     }
@@ -163,16 +162,16 @@ impl Snap1 {
     /// getting an isolated report.
     ///
     /// The knowledge base is mapped onto the clusters once per
-    /// snapshot, not once per call: the first call for a snapshot
+    /// revision, not once per call: the first call for a revision
     /// builds the region map and partition statistics
-    /// ([`Snap1::prepare`]), later calls for the same `Arc` reuse them
+    /// ([`Snap1::prepare`]), later calls on the same contents reuse them
     /// and pay only for the program itself — on the sequential engine
     /// not even for fresh marker state: its region and kernel tables
-    /// are kept between calls and cleared, not rebuilt. A different
-    /// snapshot (including an edited copy of this one) replaces the
-    /// remembered set-up and drops those tables. Concurrent callers
-    /// share the remembered set-up read-only; concurrent first calls
-    /// wait for one build.
+    /// are kept between calls and cleared, not rebuilt. Another network
+    /// (including an edited copy of this one) replaces the remembered
+    /// set-up and drops those tables. Concurrent callers share the
+    /// remembered set-up read-only; concurrent first calls wait for one
+    /// build. Exclusive [`Snap1::run`]s share the same memo and tables.
     ///
     /// # Errors
     ///
@@ -227,9 +226,10 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => self
-                .seq_pool
-                .run_shared(config, cost, network, &prepared, program),
+            EngineKind::Sequential => {
+                self.seq_pool
+                    .run(config, cost, NetAccess::Shared(network), &prepared, program)
+            }
             EngineKind::Des => {
                 des::run(config, cost, NetAccess::Shared(network), &prepared, program)
             }

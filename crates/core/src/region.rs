@@ -178,28 +178,60 @@ impl Region {
         self.markers.value(marker, self.local(node))
     }
 
-    /// The value a propagation starting at `node` begins with: the
-    /// stored value for complex markers, 0.0 for binary markers.
-    pub fn source_value(&self, marker: Marker, node: NodeId) -> f32 {
-        self.value(marker, node).map_or(0.0, |v| v.value)
+    /// The seeds of a `PROPAGATE` sourced at `marker`: every member node
+    /// where it is active, ascending by global ID, with the value a
+    /// propagation starting there begins with — the stored value for a
+    /// complex marker (0.0 under a set bit with no payload), 0.0 for a
+    /// binary one. The marker is resolved once for the whole set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn seeds(
+        &self,
+        marker: Marker,
+    ) -> Result<impl Iterator<Item = (NodeId, f32)> + '_, CoreError> {
+        let members = self.members();
+        let rows = self.markers.rows(marker)?;
+        Ok(rows.into_iter().flat_map(move |(row, payload)| {
+            row.iter().map(move |local| {
+                let i = local.index();
+                (members[i], payload.get(i).map_or(0.0, |v| v.value))
+            })
+        }))
     }
 
     /// Member nodes where `marker` is active, ascending by global ID.
-    pub fn active_nodes(&self, marker: Marker) -> Vec<NodeId> {
-        self.active_nodes_iter(marker).collect()
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn active_nodes(&self, marker: Marker) -> Result<Vec<NodeId>, CoreError> {
+        Ok(self.active_nodes_iter(marker)?.collect())
     }
 
     /// Iterator form of [`Region::active_nodes`]: report and collect
     /// paths that walk the set once borrow the status row directly
-    /// instead of allocating a `Vec` per call.
-    pub fn active_nodes_iter(&self, marker: Marker) -> impl Iterator<Item = NodeId> + '_ {
+    /// instead of allocating a `Vec` per call. `PROPAGATE` sources, the
+    /// relation and color collects and the marker maintenance
+    /// instructions read a marker's active set here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn active_nodes_iter(
+        &self,
+        marker: Marker,
+    ) -> Result<impl Iterator<Item = NodeId> + '_, CoreError> {
         let members = self.members();
-        self.markers
-            .active_nodes_iter(marker)
-            .map(move |l| members[l.index()])
+        Ok(self
+            .markers
+            .active_nodes_iter(marker)?
+            .map(move |l| members[l.index()]))
     }
 
-    /// Number of active instances of `marker` in this region.
+    /// Number of active instances of `marker` in this region (none, for
+    /// an out-of-range register).
     pub fn count(&self, marker: Marker) -> usize {
         self.markers.count(marker)
     }
@@ -438,7 +470,7 @@ impl Region {
             scratch,
         } = self;
         // A source never touched reads as all clear.
-        let words = match (markers.row(a), markers.row(b)) {
+        let words = match (markers.row(a)?, markers.row(b)?) {
             (Some(ra), Some(rb)) if and => scratch.assign_and(ra, rb),
             (Some(ra), Some(rb)) => scratch.assign_or(ra, rb),
             (Some(r), None) | (None, Some(r)) if !and => scratch.assign(r),
@@ -482,7 +514,7 @@ impl Region {
             markers,
             scratch,
         } = self;
-        let words = match markers.row(source) {
+        let words = match markers.row(source)? {
             Some(src) => scratch.assign_not(src),
             None => scratch.set_all(),
         };
@@ -535,11 +567,7 @@ impl Region {
         marker: Marker,
         func: ValueFunc,
     ) -> Result<(usize, usize), CoreError> {
-        let active: Vec<NodeId> = self
-            .markers
-            .row(marker)
-            .map(|r| r.iter().collect())
-            .unwrap_or_default();
+        let active = self.markers.active_nodes(marker)?;
         let mut cleared = 0;
         for local in &active {
             let current = self.markers.value(marker, *local).map_or(0.0, |v| v.value);
@@ -582,56 +610,82 @@ impl Region {
     /// pairs, ascending by node ID, into a caller-owned buffer (the
     /// steady-state serving loop recycles it) and returns how many pairs
     /// this region contributed.
-    pub fn collect_marker_into(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn collect_marker(
         &self,
         marker: Marker,
         out: &mut Vec<(NodeId, Option<MarkerValue>)>,
-    ) -> usize {
+    ) -> Result<usize, CoreError> {
         let before = out.len();
-        if let Some((row, payload)) = self.markers.rows(marker) {
+        if let Some((row, payload)) = self.markers.rows(marker)? {
             let members = self.members();
             out.extend(row.iter().map(|local| {
                 let i = local.index();
                 (members[i], payload.get(i).copied())
             }));
         }
-        out.len() - before
+        Ok(out.len() - before)
+    }
+
+    /// [`Region::collect_marker`] reading an out-of-range register as
+    /// never touched.
+    ///
+    /// Kept for `benchmark/src/probe.rs:515` until ROADMAP item 1(a):
+    /// every engine and the server collect through
+    /// [`Region::collect_marker`].
+    pub fn collect_marker_into(
+        &self,
+        marker: Marker,
+        out: &mut Vec<(NodeId, Option<MarkerValue>)>,
+    ) -> usize {
+        self.collect_marker(marker, out).unwrap_or(0)
     }
 
     /// `COLLECT-RELATION` local part: appends the links of `relation`
     /// at marked member nodes into a caller-owned buffer, returning how
     /// many pairs this region contributed.
-    pub fn collect_relation_into(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn collect_relation(
         &self,
         network: &SemanticNetwork,
         marker: Marker,
         relation: RelationType,
         out: &mut Vec<(NodeId, snap_kb::Link)>,
-    ) -> usize {
+    ) -> Result<usize, CoreError> {
         let before = out.len();
-        for node in self.active_nodes_iter(marker) {
+        for node in self.active_nodes_iter(marker)? {
             for link in network.links_by(node, relation) {
                 out.push((node, *link));
             }
         }
-        out.len() - before
+        Ok(out.len() - before)
     }
 
     /// `COLLECT-COLOR` local part: appends the colors of marked member
     /// nodes into a caller-owned buffer, returning how many pairs this
     /// region contributed.
-    pub fn collect_color_into(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    pub fn collect_color(
         &self,
         network: &SemanticNetwork,
         marker: Marker,
         out: &mut Vec<(NodeId, Color)>,
-    ) -> usize {
+    ) -> Result<usize, CoreError> {
         let before = out.len();
         out.extend(
-            self.active_nodes_iter(marker)
+            self.active_nodes_iter(marker)?
                 .filter_map(|n| network.color(n).ok().map(|c| (n, c))),
         );
-        out.len() - before
+        Ok(out.len() - before)
     }
 }
 
@@ -677,7 +731,10 @@ mod tests {
         // Color 0 nodes: 0, 3, 6 — cluster 0 owns 0 and 6.
         let hits = regions[0].search_color(&net, Color(0), m, 0.0).unwrap();
         assert_eq!(hits, 2);
-        assert_eq!(regions[0].active_nodes(m), vec![NodeId(0), NodeId(6)]);
+        assert_eq!(
+            regions[0].active_nodes(m).unwrap(),
+            vec![NodeId(0), NodeId(6)]
+        );
     }
 
     #[test]
@@ -689,7 +746,7 @@ mod tests {
             .unwrap();
         assert_eq!(hits, 3); // nodes 0, 1, 4 have r1 links
         assert_eq!(
-            regions[0].active_nodes(m),
+            regions[0].active_nodes(m).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(4)]
         );
     }
@@ -749,15 +806,15 @@ mod tests {
             r.arrive(b, NodeId(n), 0.0, NodeId(n)).unwrap();
         }
         r.bool_op(true, a, b, t, CombineFunc::Add).unwrap();
-        assert_eq!(r.active_nodes(t), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(r.active_nodes(t).unwrap(), vec![NodeId(1), NodeId(2)]);
         r.bool_op(false, a, b, t, CombineFunc::Add).unwrap();
         assert_eq!(
-            r.active_nodes(t),
+            r.active_nodes(t).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
         r.not_op(a, t).unwrap();
         assert_eq!(
-            r.active_nodes(t),
+            r.active_nodes(t).unwrap(),
             vec![NodeId(3), NodeId(4), NodeId(5), NodeId(6), NodeId(7)]
         );
     }
@@ -785,7 +842,7 @@ mod tests {
         r.arrive(b, NodeId(1), 1.0, NodeId(1)).unwrap();
         r.bool_op(true, a, b, t, CombineFunc::Add).unwrap();
         assert_eq!(
-            r.active_nodes(t),
+            r.active_nodes(t).unwrap(),
             vec![NodeId(1)],
             "stale bit at n5 cleared"
         );
@@ -820,7 +877,7 @@ mod tests {
         r.arrive(m, NodeId(1), 9.0, NodeId(1)).unwrap();
         let (_, cleared) = r.func_marker(m, ValueFunc::KeepIf(Cmp::Lt, 5.0)).unwrap();
         assert_eq!(cleared, 1);
-        assert_eq!(r.active_nodes(m), vec![NodeId(0)]);
+        assert_eq!(r.active_nodes(m).unwrap(), vec![NodeId(0)]);
     }
 
     #[test]
@@ -830,31 +887,67 @@ mod tests {
         regions[0].arrive(m, NodeId(6), 1.5, NodeId(0)).unwrap();
         regions[0].arrive(m, NodeId(0), 0.5, NodeId(0)).unwrap();
         let mut collected = Vec::new();
-        assert_eq!(regions[0].collect_marker_into(m, &mut collected), 2);
+        assert_eq!(regions[0].collect_marker(m, &mut collected), Ok(2));
         assert_eq!(collected[0].0, NodeId(0));
         assert_eq!(collected[0].1.unwrap().value, 0.5);
         assert_eq!(collected[1].0, NodeId(6));
         let mut colors = Vec::new();
-        assert_eq!(regions[0].collect_color_into(&net, m, &mut colors), 2);
+        assert_eq!(regions[0].collect_color(&net, m, &mut colors), Ok(2));
         assert_eq!(colors, vec![(NodeId(0), Color(0)), (NodeId(6), Color(0))]);
         let b = Marker::binary(0);
         regions[0].arrive(b, NodeId(0), 0.0, NodeId(0)).unwrap();
         let mut links = Vec::new();
-        let n = regions[0].collect_relation_into(&net, b, RelationType(1), &mut links);
-        assert_eq!((n, links.len()), (1, 1));
+        let n = regions[0].collect_relation(&net, b, RelationType(1), &mut links);
+        assert_eq!((n, links.len()), (Ok(1), 1));
         assert_eq!(links[0].1.destination, NodeId(1));
-        // The `_into` forms append: a second region's share lands behind
-        // the first's, and a binary marker carries no payload.
+        // The collects append: a second region's share lands behind the
+        // first's, and a binary marker carries no payload.
         regions[1].arrive(b, NodeId(3), 0.0, NodeId(3)).unwrap();
         let mut both = Vec::new();
-        assert_eq!(regions[0].collect_marker_into(b, &mut both), 1);
+        assert_eq!(regions[0].collect_marker(b, &mut both), Ok(1));
         assert_eq!(regions[1].collect_marker_into(b, &mut both), 1);
         assert_eq!(both, vec![(NodeId(0), None), (NodeId(3), None)]);
         // A marker never touched contributes nothing.
         assert_eq!(
-            regions[0].collect_marker_into(Marker::complex(9), &mut both),
-            0
+            regions[0].collect_marker(Marker::complex(9), &mut both),
+            Ok(0)
         );
+    }
+
+    #[test]
+    fn reads_of_an_out_of_range_register_are_typed_errors() {
+        let (net, _, mut regions) = setup(1);
+        let r = &mut regions[0];
+        let (bad, ok) = (Marker::binary(70), Marker::binary(1));
+        let want = CoreError::Kb(snap_kb::KbError::MarkerOutOfRange {
+            index: 70,
+            capacity: 64,
+        });
+        r.arrive(ok, NodeId(1), 0.0, NodeId(1)).unwrap();
+        assert_eq!(r.active_nodes(bad).err(), Some(want.clone()));
+        assert_eq!(r.collect_marker(bad, &mut Vec::new()), Err(want.clone()));
+        assert_eq!(
+            r.collect_relation(&net, bad, RelationType(1), &mut Vec::new()),
+            Err(want.clone())
+        );
+        assert_eq!(
+            r.collect_color(&net, bad, &mut Vec::new()),
+            Err(want.clone())
+        );
+        assert_eq!(
+            r.bool_op(true, ok, bad, ok, CombineFunc::Add),
+            Err(want.clone())
+        );
+        assert_eq!(
+            r.bool_op(false, bad, ok, ok, CombineFunc::Add),
+            Err(want.clone())
+        );
+        assert_eq!(r.not_op(bad, ok), Err(want.clone()));
+        assert_eq!(r.func_marker(bad, ValueFunc::Scale(2.0)), Err(want));
+        // None of the failed reads wrote anything.
+        assert_eq!(r.active_nodes(ok).unwrap(), vec![NodeId(1)]);
+        // The probe's collect reads the register as never touched.
+        assert_eq!(r.collect_marker_into(bad, &mut Vec::new()), 0);
     }
 
     #[test]
@@ -937,7 +1030,7 @@ mod tests {
         // a := a AND b — the result is computed before `a` is rewritten.
         let (words, updates) = r.bool_op(true, a, b, a, CombineFunc::Add).unwrap();
         assert_eq!((words, updates), (r.words() * 3, 2));
-        assert_eq!(r.active_nodes(a), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(r.active_nodes(a).unwrap(), vec![NodeId(2), NodeId(3)]);
         assert_eq!(r.value(a, NodeId(3)).unwrap().value, 13.0);
         // b := NOT b, then an untouched source reads as all clear.
         assert_eq!(r.not_op(b, b).unwrap(), r.words() * 2);
@@ -945,7 +1038,7 @@ mod tests {
         let t = Marker::binary(9);
         r.bool_op(false, a, Marker::binary(8), t, CombineFunc::Add)
             .unwrap();
-        assert_eq!(r.active_nodes(t), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(r.active_nodes(t).unwrap(), vec![NodeId(2), NodeId(3)]);
         r.bool_op(true, a, Marker::binary(8), t, CombineFunc::Add)
             .unwrap();
         assert_eq!(r.count(t), 0);

@@ -109,13 +109,19 @@ impl Default for MarkerValue {
 /// touched costs nothing, which keeps 12K-node experiments with the full
 /// 64+64 register file cheap.
 ///
-/// The per-node methods ([`test`](MarkerState::test),
-/// [`value`](MarkerState::value), [`set_value`](MarkerState::set_value))
-/// each resolve their marker afresh — kind, register range, whether the
-/// row exists. A caller that touches one marker many times, or reads and
-/// then writes it, resolves it once through [`MarkerState::rows`] /
-/// [`MarkerState::rows_mut`] and works on the status row and payload
-/// slice it gets back.
+/// A register name is checked against its register file in one place,
+/// which every row and payload access goes through; a read of an
+/// out-of-range register ([`MarkerState::rows`], [`MarkerState::row`])
+/// is [`KbError::MarkerOutOfRange`], like a write.
+/// The per-node predicates ([`test`](MarkerState::test),
+/// [`value`](MarkerState::value), [`count`](MarkerState::count)) read
+/// such a register as never touched.
+///
+/// The per-node methods each resolve their marker afresh — kind,
+/// register range, whether the row exists. A caller that touches one
+/// marker many times, or reads and then writes it, resolves it once
+/// through [`MarkerState::rows`] / [`MarkerState::rows_mut`] and works on
+/// the status row and payload slice it gets back.
 #[derive(Debug, Clone)]
 pub struct MarkerState {
     nodes: usize,
@@ -171,28 +177,43 @@ impl MarkerState {
         self.nodes = nodes;
     }
 
-    fn check(&self, marker: Marker) -> Result<(), KbError> {
-        let cap = match marker.kind() {
+    /// The one resolver of a register name: `marker`'s slot in its kind's
+    /// register file, checked against the file's size. Every status row
+    /// and payload row is indexed by what this returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
+    /// register file.
+    fn register(&self, marker: Marker) -> Result<usize, KbError> {
+        let capacity = match marker.kind() {
             MarkerKind::Complex => self.max_complex,
             MarkerKind::Binary => self.max_binary,
         };
-        if (marker.index() as usize) < cap {
-            Ok(())
+        let slot = usize::from(marker.index());
+        if slot < capacity {
+            Ok(slot)
         } else {
             Err(KbError::MarkerOutOfRange {
                 index: marker.index(),
-                capacity: cap,
+                capacity,
             })
         }
     }
 
-    /// Read-only view of a marker's status row, if it was ever touched.
-    pub fn row(&self, marker: Marker) -> Option<&StatusRow> {
-        let slot = match marker.kind() {
-            MarkerKind::Complex => &self.complex_status[marker.index() as usize],
-            MarkerKind::Binary => &self.binary_status[marker.index() as usize],
-        };
-        slot.as_ref()
+    /// Read-only view of a marker's status row, `None` if it was never
+    /// touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
+    /// register file.
+    pub fn row(&self, marker: Marker) -> Result<Option<&StatusRow>, KbError> {
+        let i = self.register(marker)?;
+        Ok(match marker.kind() {
+            MarkerKind::Complex => self.complex_status[i].as_ref(),
+            MarkerKind::Binary => self.binary_status[i].as_ref(),
+        })
     }
 
     /// Mutable view of a marker's status row, allocating it if untouched.
@@ -202,11 +223,10 @@ impl MarkerState {
     /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
     /// register file.
     pub fn row_mut(&mut self, marker: Marker) -> Result<&mut StatusRow, KbError> {
-        self.check(marker)?;
-        let nodes = self.nodes;
+        let (i, nodes) = (self.register(marker)?, self.nodes);
         let slot = match marker.kind() {
-            MarkerKind::Complex => &mut self.complex_status[marker.index() as usize],
-            MarkerKind::Binary => &mut self.binary_status[marker.index() as usize],
+            MarkerKind::Complex => &mut self.complex_status[i],
+            MarkerKind::Binary => &mut self.binary_status[i],
         };
         Ok(slot.get_or_insert_with(|| StatusRow::new(nodes)))
     }
@@ -216,13 +236,18 @@ impl MarkerState {
     /// empty for a binary marker and for a complex marker no payload was
     /// ever written on, so `payload.get(node.index())` under a set bit is
     /// exactly [`MarkerState::value`].
-    pub fn rows(&self, marker: Marker) -> Option<(&StatusRow, &[MarkerValue])> {
-        let row = self.row(marker)?;
-        let payload = match marker.kind() {
-            MarkerKind::Complex => self.values[marker.index() as usize].as_deref(),
-            MarkerKind::Binary => None,
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
+    /// register file.
+    pub fn rows(&self, marker: Marker) -> Result<Option<(&StatusRow, &[MarkerValue])>, KbError> {
+        let i = self.register(marker)?;
+        let (row, payload) = match marker.kind() {
+            MarkerKind::Complex => (&self.complex_status[i], self.values[i].as_deref()),
+            MarkerKind::Binary => (&self.binary_status[i], None),
         };
-        Some((row, payload.unwrap_or_default()))
+        Ok(row.as_ref().map(|row| (row, payload.unwrap_or_default())))
     }
 
     /// Resolves `marker` once for writing: its status row, allocated if
@@ -238,8 +263,7 @@ impl MarkerState {
         &mut self,
         marker: Marker,
     ) -> Result<(&mut StatusRow, Option<&mut [MarkerValue]>), KbError> {
-        self.check(marker)?;
-        let (nodes, i) = (self.nodes, marker.index() as usize);
+        let (i, nodes) = (self.register(marker)?, self.nodes);
         Ok(match marker.kind() {
             MarkerKind::Complex => (
                 self.complex_status[i].get_or_insert_with(|| StatusRow::new(nodes)),
@@ -252,9 +276,10 @@ impl MarkerState {
         })
     }
 
-    /// Tests whether `marker` is active at `node`.
+    /// Tests whether `marker` is active at `node` (never, for an
+    /// out-of-range register).
     pub fn test(&self, marker: Marker, node: NodeId) -> bool {
-        self.row(marker).is_some_and(|r| r.test(node))
+        matches!(self.row(marker), Ok(Some(row)) if row.test(node))
     }
 
     /// Activates `marker` at `node`. Returns `true` if newly activated.
@@ -277,17 +302,16 @@ impl MarkerState {
 
     /// The value payload of a complex marker at `node`, if the marker is a
     /// complex marker that has been written there. Binary markers have no
-    /// payload and always return `None`.
+    /// payload and always return `None`, as does an out-of-range register.
     pub fn value(&self, marker: Marker, node: NodeId) -> Option<MarkerValue> {
         if marker.kind() != MarkerKind::Complex {
             return None;
         }
-        if !self.test(marker, node) {
+        let (row, payload) = self.rows(marker).ok()??;
+        if !row.test(node) {
             return None;
         }
-        self.values[marker.index() as usize]
-            .as_ref()
-            .map(|vals| vals[node.index()])
+        payload.get(node.index()).copied()
     }
 
     /// Writes the value payload of a complex marker at `node` and activates
@@ -311,14 +335,14 @@ impl MarkerState {
                 capacity: 0,
             });
         }
-        self.check(marker)?;
-        if node.index() >= self.nodes {
+        let (i, nodes) = (self.register(marker)?, self.nodes);
+        if node.index() >= nodes {
             return Err(KbError::UnknownNode(node));
         }
-        self.row_mut(marker)?.set(node);
-        let nodes = self.nodes;
-        let vals = self.values[marker.index() as usize]
-            .get_or_insert_with(|| vec![MarkerValue::default(); nodes]);
+        self.complex_status[i]
+            .get_or_insert_with(|| StatusRow::new(nodes))
+            .set(node);
+        let vals = self.values[i].get_or_insert_with(|| vec![MarkerValue::default(); nodes]);
         vals[node.index()] = value;
         Ok(())
     }
@@ -347,14 +371,9 @@ impl MarkerState {
                 capacity: 0,
             });
         }
-        self.check(marker)?;
-        let nodes = self.nodes;
-        let row = {
-            let slot = &mut self.complex_status[marker.index() as usize];
-            slot.get_or_insert_with(|| StatusRow::new(nodes))
-        };
-        let vals = self.values[marker.index() as usize]
-            .get_or_insert_with(|| vec![MarkerValue::default(); nodes]);
+        let (i, nodes) = (self.register(marker)?, self.nodes);
+        let row = self.complex_status[i].get_or_insert_with(|| StatusRow::new(nodes));
+        let vals = self.values[i].get_or_insert_with(|| vec![MarkerValue::default(); nodes]);
         for (node, value) in items {
             if node.index() >= nodes {
                 return Err(KbError::UnknownNode(node));
@@ -391,11 +410,7 @@ impl MarkerState {
     ///
     /// Returns [`KbError::MarkerOutOfRange`] for an invalid register index.
     pub fn clear_marker(&mut self, marker: Marker) -> Result<usize, KbError> {
-        self.check(marker)?;
-        match self.row_mut(marker) {
-            Ok(row) => Ok(row.clear_all()),
-            Err(e) => Err(e),
-        }
+        Ok(self.row_mut(marker)?.clear_all())
     }
 
     /// Clears every allocated marker row in place, keeping the row and
@@ -415,21 +430,33 @@ impl MarkerState {
         }
     }
 
-    /// Iterates the nodes where `marker` is active, ascending.
-    pub fn active_nodes(&self, marker: Marker) -> Vec<NodeId> {
-        self.active_nodes_iter(marker).collect()
+    /// The nodes where `marker` is active, ascending.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] for an invalid register index.
+    pub fn active_nodes(&self, marker: Marker) -> Result<Vec<NodeId>, KbError> {
+        Ok(self.active_nodes_iter(marker)?.collect())
     }
 
     /// Iterates the nodes where `marker` is active, ascending, without
     /// allocating. Report and collect paths prefer this over
     /// [`MarkerState::active_nodes`].
-    pub fn active_nodes_iter(&self, marker: Marker) -> impl Iterator<Item = NodeId> + '_ {
-        self.row(marker).into_iter().flat_map(|r| r.iter())
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KbError::MarkerOutOfRange`] for an invalid register index.
+    pub fn active_nodes_iter(
+        &self,
+        marker: Marker,
+    ) -> Result<impl Iterator<Item = NodeId> + '_, KbError> {
+        Ok(self.row(marker)?.into_iter().flat_map(StatusRow::iter))
     }
 
-    /// Number of nodes where `marker` is active.
+    /// Number of nodes where `marker` is active (none, for an
+    /// out-of-range register).
     pub fn count(&self, marker: Marker) -> usize {
-        self.row(marker).map_or(0, |r| r.count())
+        self.row(marker).ok().flatten().map_or(0, StatusRow::count)
     }
 }
 
@@ -490,6 +517,31 @@ mod tests {
                 capacity: 2
             }
         );
+    }
+
+    #[test]
+    fn reading_an_out_of_range_register_is_the_same_typed_error() {
+        let mut st = MarkerState::new(20, 2, 2);
+        st.set(Marker::binary(1), NodeId(3)).unwrap();
+        for marker in [Marker::complex(2), Marker::binary(70)] {
+            let want = KbError::MarkerOutOfRange {
+                index: marker.index(),
+                capacity: 2,
+            };
+            assert_eq!(st.set(marker, NodeId(0)).unwrap_err(), want);
+            assert_eq!(st.rows(marker).unwrap_err(), want);
+            assert_eq!(st.row(marker).unwrap_err(), want);
+            assert_eq!(st.active_nodes(marker).unwrap_err(), want);
+            assert!(st.active_nodes_iter(marker).is_err());
+            assert_eq!(st.clear_marker(marker).unwrap_err(), want);
+            // The per-node predicates read it as never touched.
+            assert!(!st.test(marker, NodeId(3)));
+            assert_eq!(st.value(marker, NodeId(3)), None);
+            assert_eq!(st.count(marker), 0);
+        }
+        // An in-range register never touched is no error.
+        assert!(st.rows(Marker::complex(1)).unwrap().is_none());
+        assert_eq!(st.active_nodes(Marker::binary(1)).unwrap(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -612,7 +664,7 @@ mod tests {
         let b = Marker::binary(1);
         st.merge_bits(b, [NodeId(5), NodeId(1), NodeId(5)].into_iter())
             .unwrap();
-        assert_eq!(st.active_nodes(b), vec![NodeId(1), NodeId(5)]);
+        assert_eq!(st.active_nodes(b).unwrap(), vec![NodeId(1), NodeId(5)]);
         assert!(matches!(
             st.merge_bits(Marker::binary(2), std::iter::empty())
                 .unwrap_err(),
@@ -626,14 +678,10 @@ mod tests {
         for &i in &[33u32, 2, 17] {
             st.set(Marker::binary(0), NodeId(i)).unwrap();
         }
-        assert_eq!(
-            st.active_nodes(Marker::binary(0)),
-            vec![NodeId(2), NodeId(17), NodeId(33)]
-        );
-        assert!(st
-            .active_nodes_iter(Marker::binary(0))
-            .eq(st.active_nodes(Marker::binary(0))));
+        let active = st.active_nodes(Marker::binary(0)).unwrap();
+        assert_eq!(active, vec![NodeId(2), NodeId(17), NodeId(33)]);
+        assert!(st.active_nodes_iter(Marker::binary(0)).unwrap().eq(active));
         // Untouched rows iterate as empty without allocating.
-        assert_eq!(st.active_nodes_iter(Marker::complex(0)).count(), 0);
+        assert_eq!(st.active_nodes_iter(Marker::complex(0)).unwrap().count(), 0);
     }
 }

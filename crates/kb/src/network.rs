@@ -11,7 +11,16 @@ use crate::error::KbError;
 use crate::ids::{Color, NodeId, RelationType};
 use crate::links::{Link, RelationTable};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The source of every network's revisions: one process-wide counter, so
+/// no two networks, and no two states of one network, draw the same value.
+static REVISIONS: AtomicU64 = AtomicU64::new(0);
+
+fn next_revision() -> u64 {
+    REVISIONS.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Sizing parameters of a knowledge base, defaulting to the SNAP-1
 /// prototype design point.
@@ -64,6 +73,8 @@ pub struct SemanticNetwork {
     names: Vec<Option<Arc<str>>>,
     name_index: HashMap<Arc<str>, NodeId>,
     relations: RelationTable,
+    /// See [`SemanticNetwork::revision`].
+    revision: u64,
 }
 
 impl SemanticNetwork {
@@ -75,12 +86,43 @@ impl SemanticNetwork {
             names: Vec::new(),
             name_index: HashMap::new(),
             relations: RelationTable::new(),
+            revision: next_revision(),
         }
     }
 
     /// The sizing configuration this network was created with.
     pub fn config(&self) -> &NetworkConfig {
         &self.config
+    }
+
+    /// The content revision: a value drawn from one process-wide counter
+    /// by [`SemanticNetwork::new`] and by every call that changes what
+    /// the network holds — [`add_node`](SemanticNetwork::add_node) (so
+    /// [`add_named_node`](SemanticNetwork::add_named_node)),
+    /// [`set_color`](SemanticNetwork::set_color),
+    /// [`add_link`](SemanticNetwork::add_link) and
+    /// [`remove_link`](SemanticNetwork::remove_link) when they succeed.
+    /// [`flush_links`](SemanticNetwork::flush_links) changes the layout,
+    /// not the contents, and keeps it; `clone` copies it.
+    ///
+    /// Two networks with one revision therefore hold the same contents,
+    /// so whatever was derived from one (a partition, a region map) is
+    /// valid for the other: a machine keys its per-network set-up on it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use snap_kb::{Color, NetworkConfig, SemanticNetwork};
+    ///
+    /// let mut net = SemanticNetwork::new(NetworkConfig::default());
+    /// let before = net.revision();
+    /// net.add_node(Color(1))?;
+    /// assert_ne!(net.revision(), before);
+    /// assert_eq!(net.clone().revision(), net.revision());
+    /// # Ok::<(), snap_kb::KbError>(())
+    /// ```
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Number of nodes currently defined.
@@ -109,6 +151,7 @@ impl SemanticNetwork {
         self.colors.push(color);
         self.names.push(None);
         self.relations.ensure_node(id);
+        self.revision = next_revision();
         Ok(id)
     }
 
@@ -167,6 +210,7 @@ impl SemanticNetwork {
             .get_mut(node.index())
             .ok_or(KbError::UnknownNode(node))?;
         *slot = color;
+        self.revision = next_revision();
         Ok(())
     }
 
@@ -195,7 +239,9 @@ impl SemanticNetwork {
             return Err(KbError::UnknownNode(destination));
         }
         self.relations
-            .add_link(source, relation, weight, destination)
+            .add_link(source, relation, weight, destination)?;
+        self.revision = next_revision();
+        Ok(())
     }
 
     /// Removes a link (the `DELETE` instruction body).
@@ -209,7 +255,9 @@ impl SemanticNetwork {
         relation: RelationType,
         destination: NodeId,
     ) -> Result<(), KbError> {
-        self.relations.remove_link(source, relation, destination)
+        self.relations.remove_link(source, relation, destination)?;
+        self.revision = next_revision();
+        Ok(())
     }
 
     /// All outgoing links of `node`.
@@ -245,7 +293,9 @@ impl SemanticNetwork {
 
     /// Merges staged link additions into the contiguous relation table so
     /// the hot-path slice lookups see every link. Engines call this once
-    /// before propagation and after each maintenance instruction.
+    /// before propagation and after each maintenance instruction. The
+    /// contents stay what they were, and so does the
+    /// [revision](SemanticNetwork::revision).
     pub fn flush_links(&mut self) {
         self.relations.flush();
     }
@@ -353,5 +403,86 @@ mod tests {
         assert_eq!(net.links_by(a, RelationType(5)).count(), 1);
         net.remove_link(a, RelationType(5), b).unwrap();
         assert_eq!(net.link_count(), 0);
+    }
+
+    #[test]
+    fn each_mutator_moves_the_revision_to_a_value_never_seen() {
+        let mut net = small();
+        let mut seen = vec![net.revision()];
+        let mut moved = |net: &SemanticNetwork, what: &str| {
+            assert!(
+                !seen.contains(&net.revision()),
+                "{what} kept or reused a revision"
+            );
+            seen.push(net.revision());
+        };
+        let a = net.add_node(Color(0)).unwrap();
+        moved(&net, "add_node");
+        let b = net.add_named_node("b", Color(1)).unwrap();
+        moved(&net, "add_named_node");
+        net.set_color(a, Color(2)).unwrap();
+        moved(&net, "set_color");
+        net.add_link(a, RelationType(1), 0.5, b).unwrap();
+        moved(&net, "add_link");
+        net.remove_link(a, RelationType(1), b).unwrap();
+        moved(&net, "remove_link");
+    }
+
+    #[test]
+    fn flush_reads_and_failed_mutators_keep_the_revision() {
+        let mut net = small();
+        let a = net.add_named_node("a", Color(1)).unwrap();
+        let b = net.add_node(Color(2)).unwrap();
+        net.add_link(a, RelationType(1), 0.5, b).unwrap();
+        let revision = net.revision();
+        assert_eq!(net.staged_link_count(), 1);
+        net.flush_links();
+        assert_eq!(net.staged_link_count(), 0);
+        assert_eq!(net.revision(), revision, "flush_links");
+        // Every `&self` method.
+        let _ = (net.config(), net.node_count(), net.link_count());
+        let _ = (net.lookup("a"), net.name(a), net.color(a), net.contains(b));
+        let _ = (
+            net.links(a).count(),
+            net.links_by(a, RelationType(1)).count(),
+        );
+        let _ = net.ranked_links_by(a, RelationType(1));
+        let _ = net.ranked_links_with_cost(a, RelationType(1));
+        let _ = (net.segments(a), net.fanout(a), net.staged_link_count());
+        let _ = (net.nodes().count(), net.nodes_with_color(Color(1)).count());
+        assert_eq!(net.revision(), revision, "reads");
+        // A mutator that fails leaves the contents, and the revision, alone.
+        assert!(net.add_named_node("a", Color(3)).is_err());
+        assert!(net.set_color(NodeId(99), Color(3)).is_err());
+        assert!(net.add_link(a, RelationType(1), 0.5, NodeId(99)).is_err());
+        assert!(net.remove_link(b, RelationType(1), a).is_err());
+        for _ in 0..6 {
+            net.add_node(Color(0)).unwrap();
+        }
+        let full = net.revision();
+        assert!(net.add_node(Color(0)).is_err());
+        assert_eq!(net.revision(), full, "failed mutators");
+    }
+
+    #[test]
+    fn clones_share_a_revision_until_one_is_edited() {
+        let mut net = small();
+        let a = net.add_node(Color(1)).unwrap();
+        let mut copy = net.clone();
+        assert_eq!(copy.revision(), net.revision());
+        copy.set_color(a, Color(2)).unwrap();
+        assert_ne!(copy.revision(), net.revision());
+        net.set_color(a, Color(2)).unwrap();
+        // Equal contents reached by two edits are two revisions.
+        assert_ne!(copy.revision(), net.revision());
+    }
+
+    #[test]
+    fn two_new_networks_never_share_a_revision() {
+        let nets: Vec<SemanticNetwork> = (0..64).map(|_| small()).collect();
+        let mut revisions: Vec<u64> = nets.iter().map(SemanticNetwork::revision).collect();
+        revisions.sort_unstable();
+        revisions.dedup();
+        assert_eq!(revisions.len(), nets.len());
     }
 }

@@ -1,14 +1,16 @@
-//! The prepared-snapshot memo behind `Snap1::run_shared`.
+//! The prepared-snapshot memo behind `Snap1::run` and `Snap1::run_shared`.
 //!
-//! A machine maps a shared snapshot onto its clusters on the first call
-//! and remembers the mapping for the next. These tests pin what that
-//! must never change: a long-lived machine reports exactly what a fresh
-//! one does, no snapshot is ever served another's map, the memo holds
-//! no strong reference, concurrent callers agree with serial ones, and
-//! the per-call checks still run on a warm machine. The sequential
-//! engine also keeps its run state (region, kernel tables) per
-//! snapshot, so the same tests are what a state returned dirty, or
-//! checked out for the wrong snapshot, has to get past.
+//! A machine maps a knowledge base onto its clusters on the first run
+//! for its content revision and remembers the mapping for the next,
+//! whether the run holds the network exclusively (`&mut`) or shares it
+//! (`Arc`). These tests pin what that must never change: a long-lived
+//! machine reports exactly what a fresh one does, no network is ever
+//! served another revision's map, the memo holds no reference,
+//! concurrent callers agree with serial ones, and the per-call checks
+//! still run on a warm machine. The sequential engine also keeps its run
+//! state (region, kernel tables) per revision, so the same tests are
+//! what a state returned dirty, or checked out for the wrong revision,
+//! has to get past.
 
 use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid::{kb_chain, kb_tree, kb_web, programs};
@@ -250,9 +252,9 @@ fn per_call_checks_still_run_on_a_warm_machine() {
         })
         .build();
     // A snapshot frozen with its links still staged: the caller bug
-    // `SharedStagedLinks` reports. (A snapshot the memo already holds
-    // cannot grow staged links — it is immutable — so the check can
-    // only ever fire on an arriving snapshot, warm machine or not.)
+    // `SharedStagedLinks` reports, on a warm machine too. (An unflushed
+    // clone of a remembered network carries its revision: see
+    // `an_unflushed_clone_of_a_remembered_network`.)
     let staged = Arc::new(kb_chain());
     assert!(staged.staged_link_count() > 0);
     // A program that fails midway: markers written and propagated, then
@@ -310,5 +312,226 @@ fn per_call_checks_still_run_on_a_warm_machine() {
         );
         let again = m.run_shared(&net, &program).unwrap();
         assert_same(engine, "after rejections", &again, &warm);
+    }
+}
+
+/// Each node's color and `(relation, destination, weight bits)` links.
+type Contents = Vec<(Color, Vec<(u16, u32, u32)>)>;
+
+/// What a network holds, for comparing two that were edited apart.
+fn contents(net: &SemanticNetwork) -> Contents {
+    net.nodes()
+        .map(|n| {
+            let links = net.links(n);
+            let links = links.map(|l| (l.relation.0, l.destination.0, l.weight.to_bits()));
+            (net.color(n).unwrap(), links.collect())
+        })
+        .collect()
+}
+
+/// One step of an exclusive stream: a program run on the network, or
+/// an edit made on the host between two runs.
+enum Step {
+    Run(&'static str, Program),
+    Edit(&'static str, fn(&mut SemanticNetwork)),
+}
+
+/// Walks, every maintenance instruction that edits the network, two
+/// failing programs (one of them after an edit) and host-side edits
+/// between runs, on `kb_chain` (24 nodes, `rel0` chain, `rel2` skips).
+/// Each walk runs at least twice in a row, so most runs are warm.
+fn exclusive_stream() -> Vec<Step> {
+    let (r0, r2, r3) = (RelationType(0), RelationType(2), RelationType(3));
+    let star = |node| walk(node, PropRule::Star(r0));
+    let recolored = Program::builder()
+        .set_color(NodeId(5), Color(9))
+        .search_color(Color(9), Marker::complex(0), 0.0)
+        .collect_marker(Marker::complex(0))
+        .build();
+    let by_color = Program::builder()
+        .search_color(Color(9), Marker::binary(0), 0.0)
+        .propagate(
+            Marker::binary(0),
+            Marker::complex(1),
+            PropRule::Star(r0),
+            StepFunc::AddWeight,
+        )
+        .collect_color(Marker::complex(1))
+        .build();
+    let failing = Program::builder()
+        .search_node(NodeId(0), Marker::complex(0), 0.0)
+        .search_node(NodeId(999), Marker::complex(0), 0.0)
+        .collect_marker(Marker::complex(0))
+        .build();
+    let edits_then_fails = Program::builder()
+        .set_color(NodeId(6), Color(9))
+        .delete(NodeId(6), r3, NodeId(7))
+        .build();
+    let bind = Program::builder()
+        .search_node(NodeId(2), Marker::binary(1), 0.0)
+        .search_node(NodeId(4), Marker::binary(1), 0.0)
+        .marker_create(Marker::binary(1), r3, NodeId(20), r3)
+        .search_node(NodeId(20), Marker::binary(2), 0.0)
+        .propagate(
+            Marker::binary(2),
+            Marker::binary(3),
+            PropRule::Once(r3),
+            StepFunc::Identity,
+        )
+        .collect_relation(Marker::binary(3), r0)
+        .build();
+    vec![
+        Step::Run("star 0", star(0)),
+        Step::Run("star 0 again", star(0)),
+        Step::Run("spread 3", walk(3, PropRule::Spread(r0, r2))),
+        Step::Run("set-color", recolored),
+        Step::Run("by color", by_color.clone()),
+        Step::Run("by color again", by_color),
+        Step::Run(
+            "create",
+            Program::builder()
+                .create(NodeId(23), r0, 0.5, NodeId(1))
+                .build(),
+        ),
+        Step::Run("star 20 over the new link", star(20)),
+        Step::Run("star 20 again", star(20)),
+        Step::Run("failing", failing.clone()),
+        Step::Run("star 20 after the failure", star(20)),
+        Step::Run(
+            "delete",
+            Program::builder().delete(NodeId(23), r0, NodeId(1)).build(),
+        ),
+        Step::Run("star 20 after the delete", star(20)),
+        Step::Run("edits, then fails", edits_then_fails),
+        Step::Run("star 5", star(5)),
+        Step::Edit("host adds a node and a link to it", |net| {
+            let tail = NodeId(net.node_count() as u32 - 1);
+            let added = net.add_node(Color(4)).unwrap();
+            net.add_link(tail, RelationType(0), 1.0, added).unwrap();
+        }),
+        Step::Run("star 0 reaches the new node", star(0)),
+        Step::Run("star 0 once more", star(0)),
+        Step::Run("marker-create", bind),
+        Step::Run("failing again", failing),
+        Step::Edit("host recolors a node", |net| {
+            net.set_color(NodeId(1), Color(9)).unwrap()
+        }),
+        Step::Run("star 1", star(1)),
+        Step::Run("star 1 again", star(1)),
+    ]
+}
+
+#[test]
+fn warm_exclusive_runs_report_like_a_fresh_machine_through_edits() {
+    for engine in ENGINES {
+        let long_lived = machine(engine);
+        let mut kb = kb_chain();
+        let (mut warm_runs, mut editing_runs) = (0, 0);
+        for step in exclusive_stream() {
+            let (label, program) = match step {
+                Step::Edit(label, edit) => {
+                    let revision = kb.revision();
+                    edit(&mut kb);
+                    assert_ne!(kb.revision(), revision, "{label}");
+                    continue;
+                }
+                Step::Run(label, program) => (label, program),
+            };
+            // A fresh machine runs the same program on a copy of the
+            // network as it stands; the long-lived one on the network.
+            let mut copy = kb.clone();
+            let fresh = machine(engine).run(&mut copy, &program);
+            kb.flush_links();
+            let revision = kb.revision();
+            let before = long_lived.prepare(&kb).unwrap();
+            let warm = long_lived.run(&mut kb, &program);
+            match (&warm, &fresh) {
+                (Ok(w), Ok(f)) => assert_same(engine, label, w, f),
+                (Err(w), Err(f)) => assert_eq!(w, f, "{engine:?} {label}"),
+                _ => panic!("{engine:?} {label}: {warm:?} but a fresh machine says {fresh:?}"),
+            }
+            assert_eq!(contents(&kb), contents(&copy), "{engine:?} {label}");
+            if kb.revision() == revision {
+                // Nothing was edited: the run used the remembered set-up.
+                assert!(
+                    Arc::ptr_eq(&before, &long_lived.prepare(&kb).unwrap()),
+                    "{engine:?} {label}"
+                );
+                warm_runs += 1;
+            } else {
+                // An editing run keeps no run state over the pre-edit map:
+                // the set-up it ran on is all that still holds it.
+                assert_eq!(Arc::strong_count(before.map()), 1, "{engine:?} {label}");
+                assert!(!before.is_for(&kb), "{engine:?} {label}");
+                editing_runs += 1;
+            }
+        }
+        assert_eq!(editing_runs, 5, "{engine:?}: the stream's edits are edits");
+        assert!(warm_runs >= 12, "{engine:?}: {warm_runs} warm runs");
+    }
+}
+
+#[test]
+fn arc_get_mut_edits_between_shared_runs_are_seen() {
+    let program = walk(0, PropRule::Star(RelationType(0)));
+    for engine in ENGINES {
+        let m = machine(engine);
+        let mut net = frozen(kb_chain());
+        let before = m.run_shared(&net, &program).unwrap();
+        // The memo holds no reference to the snapshot, so its sole owner
+        // edits it in place.
+        let edit = Arc::get_mut(&mut net).expect("the machine holds no reference");
+        let tail = NodeId(edit.node_count() as u32 - 1);
+        let added = edit.add_node(Color(0)).unwrap();
+        edit.add_link(tail, RelationType(0), 1.0, added).unwrap();
+        edit.flush_links();
+        let after = m.run_shared(&net, &program).unwrap();
+        assert!(!before.collects[0].node_ids().contains(&added));
+        assert!(after.collects[0].node_ids().contains(&added), "{engine:?}");
+        let fresh = machine(engine).run_shared(&net, &program).unwrap();
+        assert_same(engine, "after get_mut", &after, &fresh);
+        // And once more without an edit: warm, and still the same.
+        let again = m.run_shared(&net, &program).unwrap();
+        assert_same(engine, "again", &again, &fresh);
+    }
+}
+
+#[test]
+fn an_unflushed_clone_of_a_remembered_network() {
+    let program = walk(0, PropRule::Star(RelationType(0)));
+    for engine in ENGINES {
+        let m = machine(engine);
+        let raw = kb_chain();
+        assert!(raw.staged_link_count() > 0);
+        let mut unflushed = raw.clone();
+        let net = frozen(raw);
+        let warm = m.run_shared(&net, &program).unwrap();
+        let remembered = m.prepare(&net).unwrap();
+        // The clone carries the remembered revision and its staged links.
+        assert_eq!(unflushed.revision(), net.revision());
+        assert!(remembered.is_for(&unflushed));
+        let shared = Arc::new(unflushed.clone());
+        assert_eq!(
+            m.run_shared(&shared, &program).unwrap_err(),
+            CoreError::SharedStagedLinks {
+                staged: unflushed.staged_link_count()
+            },
+            "{engine:?}"
+        );
+        assert!(matches!(
+            m.prepare(&unflushed),
+            Err(CoreError::SharedStagedLinks { .. })
+        ));
+        // An exclusive run flushes first, and then it is the remembered
+        // network's contents: served warm, reported the same.
+        let exclusive = m.run(&mut unflushed, &program).unwrap();
+        assert_same(engine, "unflushed clone", &exclusive, &warm);
+        assert!(Arc::ptr_eq(&remembered, &m.prepare(&unflushed).unwrap()));
+        assert_same(
+            engine,
+            "the original after the clone",
+            &m.run_shared(&net, &program).unwrap(),
+            &warm,
+        );
     }
 }

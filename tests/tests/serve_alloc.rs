@@ -16,13 +16,14 @@
 //! saturated-throughput bench times — are each held to zero.
 //!
 //! The solo case pins the other amortisation: after its first call for
-//! a snapshot, [`Snap1::run_shared`] on the sequential engine allocates
-//! no node-count-sized table at all — not the region map and partition
-//! (remembered per snapshot), not marker rows or kernel tables (pooled
-//! with it) — and nothing at all beyond the report it returns, so a
-//! regression that silently re-partitions, builds and zeroes a visited
-//! table per `PROPAGATE`, or plans and compiles per call fails here,
-//! not just in a benchmark.
+//! a network revision, [`Snap1::run_shared`] on the sequential engine
+//! allocates no node-count-sized table at all — not the region map and
+//! partition (remembered per revision), not marker rows or kernel tables
+//! (pooled with it) — and nothing at all beyond the report it returns,
+//! so a regression that silently re-partitions, builds and zeroes a
+//! visited table per `PROPAGATE`, or plans and compiles per call fails
+//! here, not just in a benchmark. [`Snap1::run`] on a `&mut` network
+//! that no run edits is held to the same tables.
 //!
 //! The simulator case pins the discrete-event loop's message path: a
 //! run allocates for its set-up and for queues that double as they
@@ -305,11 +306,20 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
     let again = machine.run_shared(&net, &programs[0]).unwrap();
     assert_eq!(again, first);
 
-    // A second snapshot — same contents, another `Arc` — shares nothing
-    // with the first: its call is cold, drops the pooled state, and so
-    // is the first snapshot's next call.
-    let other = Arc::new(SemanticNetwork::clone(&net));
-    for (label, snapshot) in [("second snapshot", &other), ("first again", &net)] {
+    // A clone — another `Arc` over the same contents and revision — is
+    // served from the same set-up and pooled state.
+    let clone = Arc::new(SemanticNetwork::clone(&net));
+    let (report, counts) = counted(large_at, || machine.run_shared(&clone, &programs[0]));
+    assert_eq!(report.expect("clone call succeeds"), first);
+    assert_eq!(counts.large, 0, "a clone's call is warm: {counts:?}");
+    // An edited copy — same contents, but a mutator drew a new revision —
+    // shares nothing with the first: its call is cold, drops the pooled
+    // state, and so is the first snapshot's next call.
+    let mut edited = SemanticNetwork::clone(&net);
+    let color = edited.color(NodeId(0)).unwrap();
+    edited.set_color(NodeId(0), color).unwrap();
+    let other = Arc::new(edited);
+    for (label, snapshot) in [("edited copy", &other), ("first again", &net)] {
         let (report, counts) = counted(large_at, || machine.run_shared(snapshot, &programs[0]));
         assert_eq!(report.expect("cold call succeeds"), first, "{label}");
         assert_eq!(
@@ -320,6 +330,55 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
         let (_, warm) = counted(large_at, || machine.run_shared(snapshot, &programs[1]));
         assert_eq!(warm.large, 0, "{label}, warm: {warm:?}");
     }
+}
+
+#[test]
+fn warm_exclusive_runs_allocate_no_map_or_partition_tables() {
+    let kb = DomainSpec::sized(12_000).build().expect("parse KB");
+    let nouns: Vec<NodeId> = kb
+        .words(PartOfSpeech::Noun)
+        .iter()
+        .filter_map(|w| kb.word(w))
+        .collect();
+    let programs: Vec<Program> = nouns.iter().take(8).map(|&n| parse_query(n)).collect();
+    let mut net = kb.network;
+    net.flush_links();
+    let large_at = net.node_count() * 4;
+
+    // `Snap1::run` on a `&mut` network the runs leave unedited: the
+    // first run builds the set-up and a run state, every later one finds
+    // both where the first left them, as a warm `run_shared` does.
+    let machine = Snap1::builder().engine(EngineKind::Sequential).build();
+    let (first, cold) = counted(large_at, || machine.run(&mut net, &programs[0]));
+    let first = first.expect("cold run succeeds");
+    assert!(cold.large > 0, "the first run builds the set-up: {cold:?}");
+    for (i, program) in programs.iter().cycle().take(24).enumerate() {
+        let (report, warm) = counted(large_at, || machine.run(&mut net, program));
+        report.expect("warm run succeeds");
+        assert_eq!(
+            (warm.large, warm.large_bytes),
+            (0, 0),
+            "warm exclusive run {i} took a node-count-sized table: {warm:?}"
+        );
+    }
+    assert_eq!(machine.run(&mut net, &programs[0]).unwrap(), first);
+
+    // One `add_link` draws a new revision: the next run maps the network
+    // afresh and builds a new run state, exactly as cold as the first.
+    net.add_link(nouns[0], rel::IS_A, 0.5, nouns[1]).unwrap();
+    net.flush_links();
+    let (report, counts) = counted(large_at, || machine.run(&mut net, &programs[0]));
+    report.expect("run after the edit succeeds");
+    assert_eq!(
+        (counts.large, counts.large_bytes),
+        (cold.large, cold.large_bytes),
+        "the run after an add_link is as cold as the very first"
+    );
+    let (_, warm) = counted(large_at, || machine.run(&mut net, &programs[1]));
+    assert_eq!(
+        warm.large, 0,
+        "and the one after it is warm again: {warm:?}"
+    );
 }
 
 /// One warm `engine-wave` run on the benchmark's simulated machine

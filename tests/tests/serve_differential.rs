@@ -16,10 +16,11 @@
 //!   siblings that must not notice.
 
 use proptest::prelude::*;
+use snap_baseline::Cm2;
 use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid;
 use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
-use snap_kb::{Color, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
+use snap_kb::{Color, KbError, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
 use snap_serve::{Admission, Completion, ServeConfig, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -126,6 +127,102 @@ fn served_batches_match_serial_runs_across_grid() {
             grid::assert_equivalent(&label, &got.collects, &want.collects);
         }
     }
+}
+
+/// A read of a marker register past the 64-entry file — a `COLLECT`
+/// of it, or a `PROPAGATE` sourced at it — is one typed error on every
+/// engine, exclusive or shared, on the CM-2 comparator and in a served
+/// batch at depths 1 and 16, beside clean queries that must not notice
+/// and with exact accounting. Each program carries a second, different
+/// fault after the bad read, so the error also says which instruction
+/// the run stopped at.
+#[test]
+fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
+    let out_of_range = CoreError::Kb(KbError::MarkerOutOfRange {
+        index: 70,
+        capacity: 64,
+    });
+    let (bad, past_kb) = (Marker::binary(70), NodeId(9_999));
+    let star = PropRule::Star(RelationType(0));
+    let clean = Program::builder()
+        .search_node(NodeId(0), Marker::binary(1), 0.0)
+        .propagate(
+            Marker::binary(1),
+            Marker::complex(2),
+            star.clone(),
+            StepFunc::AddWeight,
+        )
+        .collect_marker(Marker::complex(2))
+        .build();
+    let collect = Program::builder()
+        .collect_marker(bad)
+        .search_node(past_kb, Marker::binary(1), 0.0)
+        .build();
+    let propagate = Program::builder()
+        .search_node(NodeId(0), Marker::binary(1), 0.0)
+        .propagate(bad, Marker::complex(2), star, StepFunc::AddWeight)
+        .search_node(past_kb, Marker::binary(1), 0.0)
+        .collect_marker(Marker::complex(2))
+        .build();
+    let mut raw = grid::kb_chain();
+    raw.flush_links();
+    let net = Arc::new(raw);
+    let oracle = serial_oracle(&ServeConfig::default());
+    let want_clean = oracle.run_shared(&net, &clean);
+    assert!(want_clean.is_ok());
+    for (name, program) in [("collect", &collect), ("propagate", &propagate)] {
+        for engine in [
+            EngineKind::Sequential,
+            EngineKind::Des,
+            EngineKind::Threaded,
+        ] {
+            let machine = Snap1::builder()
+                .config(MachineConfig::uniform(4, 3))
+                .engine(engine)
+                .build();
+            let shared = machine.run_shared(&net, program);
+            assert_eq!(
+                shared.unwrap_err(),
+                out_of_range,
+                "{name} {engine:?} shared"
+            );
+            let mut copy = SemanticNetwork::clone(&net);
+            let exclusive = machine.run(&mut copy, program);
+            assert_eq!(
+                exclusive.unwrap_err(),
+                out_of_range,
+                "{name} {engine:?} exclusive"
+            );
+            // The failure is the query's alone: the machine serves on.
+            assert!(
+                machine.run_shared(&net, &clean).is_ok(),
+                "{name} {engine:?}"
+            );
+        }
+        let mut copy = SemanticNetwork::clone(&net);
+        let cm2 = Cm2::new().run(&mut copy, program);
+        assert_eq!(cm2.unwrap_err(), out_of_range, "{name} cm2");
+        let batch = [clean.clone(), program.clone(), clean.clone()];
+        for depth in [1, 16] {
+            for (pi, c) in serve_all(&net, &batch, 6, depth) {
+                let want = if pi == 1 {
+                    Err(out_of_range.clone())
+                } else {
+                    want_clean.clone()
+                };
+                assert_isolated(&format!("{name} depth {depth} #{pi}"), &c, &want);
+            }
+        }
+    }
+    // The other way round, the unknown node is read first and wins.
+    let swapped = Program::builder()
+        .search_node(past_kb, Marker::binary(1), 0.0)
+        .collect_marker(bad)
+        .build();
+    assert_eq!(
+        oracle.run_shared(&net, &swapped).unwrap_err(),
+        CoreError::Kb(KbError::UnknownNode(past_kb))
+    );
 }
 
 // ---- proptest sweep over fuzzed networks and programs ----
