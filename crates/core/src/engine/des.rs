@@ -40,35 +40,9 @@ use snap_sync::TieredSyncModel;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Executes `program` on the simulated array over `prepared` (this
-/// network partitioned for `config`). Exclusive and shared-snapshot
-/// runs share this body — identical simulation and accounting — and
-/// differ only in what [`NetAccess::exec`] permits.
-pub(crate) fn run(
-    config: &MachineConfig,
-    cost: &CostModel,
-    mut network: NetAccess<'_>,
-    prepared: &Prepared,
-    program: &Program,
-) -> Result<RunReport, CoreError> {
-    config.validate();
-    let mut machine = Des::new(config, cost, network.get(), prepared);
-    let mut plan = PlanBuf::new();
-    plan.plan(program);
-    for &op in plan.ops() {
-        match op {
-            PlanOp::Instr(idx) => machine.exec_instr(&mut network, &program.instructions()[idx])?,
-            PlanOp::Group { start, len } => {
-                let specs = PropSpec::compile_group(program, plan.members(start, len));
-                machine.exec_group(network.get(), &specs)?;
-            }
-        }
-    }
-    Ok(machine.finish())
-}
-
-/// [`run`] the way [`Snap1::run`](crate::Snap1::run) drives it — flush,
-/// set-up for `config`, exclusive access — for engine unit tests.
+/// [`DesState::run`] the way [`Snap1::run`](crate::Snap1::run) drives
+/// it on a new machine — flush, set-up for `config`, a fresh state,
+/// exclusive access — for engine unit tests.
 #[cfg(test)]
 pub(crate) fn run_exclusive(
     config: &MachineConfig,
@@ -78,10 +52,10 @@ pub(crate) fn run_exclusive(
 ) -> Result<RunReport, CoreError> {
     network.flush_links();
     let prepared = Prepared::for_snapshot(network, config.clusters, config.partition)?;
-    run(
+    DesState::new(config, &prepared, network).run(
         config,
         cost,
-        NetAccess::Exclusive(network),
+        &mut NetAccess::Exclusive(network),
         &prepared,
         program,
     )
@@ -94,68 +68,70 @@ pub(crate) fn run_exclusive(
 /// equal-time orderings concurrent hardware leaves unspecified.
 #[derive(Debug, Clone)]
 enum EventKind {
-    /// An MU finishes expanding a task; its arrivals take effect.
-    Completion { cluster: usize, task: PropTask },
+    /// An MU finishes expanding a task; its arrivals — the run
+    /// `expanded[arrivals.0..arrivals.1]` of the group's arrival arena,
+    /// where `schedule_task` left them — take effect.
+    Completion {
+        cluster: usize,
+        task: PropTask,
+        arrivals: (u32, u32),
+    },
     /// A marker message arrives at its destination cluster.
     Delivery { cluster: usize, task: PropTask },
 }
 
-struct Des<'c> {
-    config: &'c MachineConfig,
-    cost: &'c CostModel,
+/// What a simulator run works in: the clusters' regions, the visited
+/// tables, the event queue, the per-server timelines and the array's
+/// hop table, with the arrival buffers beside them. None of it is built
+/// for a program — the regions and visited tables are sized by the
+/// network, the lanes, timelines and hop table by the machine, and the
+/// buffers keep the largest group's capacity — so the machine's
+/// run-state pool keeps one per concurrent caller for the network
+/// revision it last ran on, and a run clears it in place instead of
+/// building it.
+#[derive(Debug)]
+pub(crate) struct DesState {
     map: Arc<RegionMap>,
     regions: Vec<Region>,
     /// Hypercube hop count from cluster `a` to `b` at `a * clusters + b`.
     hops: Vec<u8>,
-    /// The propagation phase's events, reused across groups (a group
-    /// drains it). One lane per server whose events ascend in time: per
-    /// MU for completions (`mu_free` only grows), then per (sending
-    /// cluster, hop count) for deliveries (`cu_free` only grows and the
-    /// wire time is a function of the hops).
+    /// The propagation phase's events (a group drains it). One lane per
+    /// server whose events ascend in time: per MU for completions
+    /// (`mu_free` only grows), then per (sending cluster, hop count) for
+    /// deliveries (`cu_free` only grows and the wire time is a function
+    /// of the hops).
     events: EventQueue<EventKind>,
     /// First completion lane of each cluster; the delivery lanes start
     /// at the last entry (the machine's MU count).
     mu_lanes: Vec<usize>,
     /// Network diameter: delivery lanes per sending cluster.
     diameter: usize,
-    bus: BusModel,
     mu_free: Vec<Vec<SimTime>>,
     cu_free: Vec<SimTime>,
     /// In-flight delivery times per sending cluster, ascending: the
     /// occupancy of the CU's outgoing marker-activation buffer.
     outbox: Vec<VecDeque<SimTime>>,
-    sync: TieredSyncModel,
-    perf: Option<PerfCollector>,
-    injector: Option<snap_fault::FaultInjector>,
-    tracer: Tracer,
-    /// Schedule decision stream (event tie-breaks). Distinct from `seq`,
-    /// which keys fault-injection draws and must stay untouched so a
-    /// seeded fault plan reproduces bit-identically under any schedule.
-    picker: Picker,
-    now: SimTime,
-    seq: u64,
-    pending_msgs: u64,
-    report: RunReport,
-    /// Visited map reused across propagation groups (reset per group):
-    /// steady state re-visits capacity instead of reallocating per phase.
+    /// Reset per propagation group.
     visited: VisitedMap,
-    /// Arrival buffer `schedule_task` expands into to cost a task.
+    /// Arrival buffer `schedule_task` expands into to cost a task
+    /// before appending it to `expanded`.
     arrivals: Vec<PropArrival>,
+    /// Every arrival costed this propagation group, in scheduling order:
+    /// an expansion is computed once, when its task is scheduled, and
+    /// its completion event names its run here.
+    expanded: Vec<PropArrival>,
 }
 
-impl<'c> Des<'c> {
-    fn new(
-        config: &'c MachineConfig,
-        cost: &'c CostModel,
-        network: &SemanticNetwork,
+impl DesState {
+    /// An empty state for `config`'s array over `prepared`, the set-up of
+    /// `network` for that geometry.
+    pub(crate) fn new(
+        config: &MachineConfig,
         prepared: &Prepared,
+        network: &SemanticNetwork,
     ) -> Self {
         let map = Arc::clone(prepared.map());
         debug_assert_eq!(map.cluster_count(), config.clusters);
-        let report = RunReport {
-            partition: Some(prepared.partition_stats().clone()),
-            ..RunReport::default()
-        };
         let regions = (0..config.clusters)
             .map(|c| Region::new(ClusterId(c as u8), Arc::clone(&map), network))
             .collect();
@@ -173,19 +149,104 @@ impl<'c> Des<'c> {
             .collect();
         let diameter = topology.field_count();
         let lanes = mu_lanes[config.clusters] + config.clusters * diameter;
-        Des {
-            config,
-            cost,
+        DesState {
             map,
             regions,
             hops,
             events: EventQueue::with_lanes(lanes),
             mu_lanes,
             diameter,
-            bus: BusModel::new(),
             mu_free: config.mus.iter().map(|&m| vec![0; m]).collect(),
             cu_free: vec![0; config.clusters],
             outbox: vec![VecDeque::new(); config.clusters],
+            visited: VisitedMap::dense(network.node_count()),
+            arrivals: Vec::new(),
+            expanded: Vec::new(),
+        }
+    }
+
+    /// `true` if this state's regions were built over exactly `map` —
+    /// the identity the pool matches a state to its set-up by.
+    pub(crate) fn is_over(&self, map: &Arc<RegionMap>) -> bool {
+        Arc::ptr_eq(&self.map, map)
+    }
+
+    /// Executes `program` on the simulated array over `prepared` (this
+    /// network partitioned for `config`, the set-up the state was built
+    /// over). Exclusive and shared-snapshot runs share this body —
+    /// identical simulation and accounting — and differ only in what
+    /// [`NetAccess::exec_into`] permits. Whatever an earlier run left in
+    /// the state, finished or failed, is cleared first.
+    pub(crate) fn run(
+        &mut self,
+        config: &MachineConfig,
+        cost: &CostModel,
+        network: &mut NetAccess<'_>,
+        prepared: &Prepared,
+        program: &Program,
+    ) -> Result<RunReport, CoreError> {
+        config.validate();
+        let mut machine = Des::new(config, cost, prepared, self);
+        let mut plan = PlanBuf::new();
+        plan.plan(program);
+        for &op in plan.ops() {
+            match op {
+                PlanOp::Instr(idx) => machine.exec_instr(network, &program.instructions()[idx])?,
+                PlanOp::Group { start, len } => {
+                    let specs = PropSpec::compile_group(program, plan.members(start, len));
+                    machine.exec_group(network.get(), &specs)?;
+                }
+            }
+        }
+        Ok(machine.finish())
+    }
+}
+
+/// One run on the simulated array: the machine's clocks, models and
+/// report, over a borrowed [`DesState`].
+struct Des<'c> {
+    config: &'c MachineConfig,
+    cost: &'c CostModel,
+    st: &'c mut DesState,
+    bus: BusModel,
+    sync: TieredSyncModel,
+    perf: Option<PerfCollector>,
+    injector: Option<snap_fault::FaultInjector>,
+    tracer: Tracer,
+    /// Schedule decision stream (event tie-breaks). Distinct from `seq`,
+    /// which keys fault-injection draws and must stay untouched so a
+    /// seeded fault plan reproduces bit-identically under any schedule.
+    picker: Picker,
+    now: SimTime,
+    seq: u64,
+    pending_msgs: u64,
+    report: RunReport,
+}
+
+impl<'c> Des<'c> {
+    fn new(
+        config: &'c MachineConfig,
+        cost: &'c CostModel,
+        prepared: &Prepared,
+        st: &'c mut DesState,
+    ) -> Self {
+        debug_assert!(st.is_over(prepared.map()));
+        // Clear what the last run left: marker rows, events a failed
+        // group never fired, outbox occupancy on its clock. The visited
+        // tables, the arrival arena and the MU and CU timelines restart
+        // at every group.
+        st.regions.iter_mut().for_each(Region::reset);
+        st.events.clear();
+        st.outbox.iter_mut().for_each(VecDeque::clear);
+        let report = RunReport {
+            partition: Some(prepared.partition_stats().clone()),
+            ..RunReport::default()
+        };
+        Des {
+            config,
+            cost,
+            st,
+            bus: BusModel::new(),
             sync: TieredSyncModel::new(config.pe_count()),
             perf: config
                 .instrument
@@ -200,19 +261,17 @@ impl<'c> Des<'c> {
             seq: 0,
             pending_msgs: 0,
             report,
-            visited: VisitedMap::dense(network.node_count()),
-            arrivals: Vec::new(),
         }
     }
 
     /// Hypercube hops between two clusters of this machine.
     fn hops(&self, from: usize, to: usize) -> usize {
-        self.hops[from * self.config.clusters + to] as usize
+        self.st.hops[from * self.config.clusters + to] as usize
     }
 
     /// The delivery lane of `cluster`'s messages that cross `hops` hops.
     fn link_lane(&self, cluster: usize, hops: usize) -> usize {
-        self.mu_lanes[self.config.clusters] + cluster * self.diameter + hops - 1
+        self.st.mu_lanes[self.config.clusters] + cluster * self.st.diameter + hops - 1
     }
 
     fn finish(mut self) -> RunReport {
@@ -247,7 +306,7 @@ impl<'c> Des<'c> {
         let start = self.now;
         let class = instr.class();
         self.tracer.phase_start(phase_of(class), Stamp::Sim(start));
-        let out = network.exec(instr, &mut self.regions)?;
+        let out = network.exec(instr, &mut self.st.regions)?;
         self.account_instr(class, out, start);
         Ok(())
     }
@@ -327,10 +386,10 @@ impl<'c> Des<'c> {
         let t0 = self.now + self.cost.pu_decode_ns;
         // Reset MU/CU timelines to the phase start (they were drained by
         // the previous barrier).
-        for mus in &mut self.mu_free {
+        for mus in &mut self.st.mu_free {
             mus.iter_mut().for_each(|t| *t = t0);
         }
-        self.cu_free.iter_mut().for_each(|t| *t = t0);
+        self.st.cu_free.iter_mut().for_each(|t| *t = t0);
 
         let phase_end = if self.config.lockstep_waves {
             self.run_group_lockstep(network, specs, t0)?
@@ -359,25 +418,26 @@ impl<'c> Des<'c> {
         specs: &[PropSpec],
         t0: SimTime,
     ) -> Result<SimTime, CoreError> {
-        // Take the pooled event queue and visited map for the group
-        // (`deliver_local` borrows them alongside `self`); the visited
-        // map is reset in place, the queue was drained; restore after.
-        let mut heap = std::mem::take(&mut self.events);
-        debug_assert!(heap.is_empty(), "the previous group drained its events");
-        let mut visited = std::mem::take(&mut self.visited);
-        visited.reset();
+        debug_assert!(
+            self.st.events.is_empty(),
+            "the previous group drained its events"
+        );
+        self.st.visited.reset();
         let mut phase_end = t0;
-        // Arrivals of the completion being fired.
-        let mut fired = Vec::new();
+        self.st.expanded.clear();
 
         // Seed: every cluster scans its marker status table for sources.
         for spec in specs {
             let mut alpha = 0u64;
-            for c in 0..self.regions.len() {
-                let sources: Vec<_> = self.regions[c].seeds(spec.source)?.collect();
+            for c in 0..self.st.regions.len() {
+                let sources: Vec<_> = self.st.regions[c].seeds(spec.source)?.collect();
                 alpha += sources.len() as u64;
                 for (node, value) in sources {
-                    if visited.should_expand(spec.prop, 0, node, value, node) {
+                    if self
+                        .st
+                        .visited
+                        .should_expand(spec.prop, 0, node, value, node)
+                    {
                         let task = PropTask {
                             prop: spec.prop,
                             node,
@@ -386,29 +446,31 @@ impl<'c> Des<'c> {
                             origin: node,
                             level: 0,
                         };
-                        self.schedule_task(network, specs, &mut heap, c, task, t0);
+                        self.schedule_task(network, specs, c, task, t0);
                     }
                 }
             }
             self.report.alpha_per_propagate.push(alpha);
         }
 
-        while let Some((ev_time, kind)) = heap.pop() {
+        while let Some((ev_time, kind)) = self.st.events.pop() {
             phase_end = phase_end.max(ev_time);
             match kind {
-                EventKind::Completion { cluster, task } => {
+                EventKind::Completion {
+                    cluster,
+                    task,
+                    arrivals,
+                } => {
                     self.report.expansions += 1;
                     self.tracer.expansion(cluster as u16);
                     if task.level >= self.config.max_hops {
                         self.sync.consumed(task.level.min(63));
                         continue;
                     }
-                    // The event carries no arrivals: the network does
-                    // not change within a group, so expanding the task
-                    // again yields what `schedule_task` costed.
-                    let spec = &specs[task.prop];
-                    expand_into(network, &spec.rule, spec.func, &task, &mut fired);
-                    for arrival in &fired {
+                    // By index: delivering schedules more expansions,
+                    // which append to the arena.
+                    for at in arrivals.0..arrivals.1 {
+                        let arrival = self.st.expanded[at as usize];
                         let level = task.level + 1;
                         self.report.max_propagation_depth =
                             self.report.max_propagation_depth.max(level);
@@ -420,17 +482,9 @@ impl<'c> Des<'c> {
                             origin: task.origin,
                             level,
                         };
-                        let dest = self.map.cluster_of(arrival.node).index();
+                        let dest = self.st.map.cluster_of(arrival.node).index();
                         if dest == cluster {
-                            self.deliver_local(
-                                network,
-                                specs,
-                                &mut heap,
-                                &mut visited,
-                                dest,
-                                next,
-                                ev_time,
-                            )?;
+                            self.deliver_local(network, specs, dest, next, ev_time)?;
                         } else {
                             // Off-cluster: CU serializes, hypercube carries.
                             self.pending_msgs += 1;
@@ -444,7 +498,7 @@ impl<'c> Des<'c> {
                             let mut ready = ev_time;
                             let mut blocked = false;
                             {
-                                let ob = &mut self.outbox[cluster];
+                                let ob = &mut self.st.outbox[cluster];
                                 while ob.front().is_some_and(|&t| t <= ev_time) {
                                     ob.pop_front();
                                 }
@@ -457,7 +511,7 @@ impl<'c> Des<'c> {
                             if blocked {
                                 self.report.traffic.blocked_sends += 1;
                             }
-                            let mut cu_start = ready.max(self.cu_free[cluster]);
+                            let mut cu_start = ready.max(self.st.cu_free[cluster]);
                             if let Some(inj) = &self.injector {
                                 // Arbiter starvation delays the CU grant.
                                 let starve = inj.starvation_ns(cluster as u8, self.seq);
@@ -478,7 +532,7 @@ impl<'c> Des<'c> {
                                 Stamp::Sim(cu_start),
                             );
                             let cu_done = cu_start + self.cost.cu_service_ns;
-                            self.cu_free[cluster] = cu_done;
+                            self.st.cu_free[cluster] = cu_done;
                             let wire = hops as SimTime * self.cost.hop_ns
                                 + hops.saturating_sub(1) as SimTime * self.cost.cu_service_ns;
                             let mut deliver = cu_done + wire;
@@ -532,13 +586,13 @@ impl<'c> Des<'c> {
                             // Deliveries leave the CU nearly in order
                             // (they differ by hop count and fault delay),
                             // so the slot is at or near the back.
-                            let ob = &mut self.outbox[cluster];
+                            let ob = &mut self.st.outbox[cluster];
                             let at = ob.iter().rposition(|&t| t <= deliver).map_or(0, |i| i + 1);
                             ob.insert(at, deliver);
                             if self.tracer.is_enabled() {
                                 self.tracer.queue_depth(
                                     cluster as u16,
-                                    self.outbox[cluster].len() as u64,
+                                    self.st.outbox[cluster].len() as u64,
                                     Stamp::Sim(ev_time),
                                 );
                             }
@@ -550,7 +604,7 @@ impl<'c> Des<'c> {
                             let lane = self.link_lane(cluster, hops);
                             self.sync.created(level.min(63));
                             self.seq += 1;
-                            heap.push_lane(
+                            self.st.events.push_lane(
                                 lane,
                                 deliver,
                                 EventKind::Delivery {
@@ -572,7 +626,7 @@ impl<'c> Des<'c> {
                                 );
                                 self.sync.created(level.min(63));
                                 self.seq += 1;
-                                heap.push_lane(
+                                self.st.events.push_lane(
                                     lane,
                                     deliver + self.cost.cu_service_ns,
                                     EventKind::Delivery {
@@ -588,42 +642,29 @@ impl<'c> Des<'c> {
                 }
                 EventKind::Delivery { cluster, task } => {
                     let level = task.level;
-                    self.deliver_local(
-                        network,
-                        specs,
-                        &mut heap,
-                        &mut visited,
-                        cluster,
-                        task,
-                        ev_time,
-                    )?;
+                    self.deliver_local(network, specs, cluster, task, ev_time)?;
                     self.sync.consumed(level.min(63));
                 }
             }
         }
         debug_assert_eq!(self.sync.in_flight(), 0, "tiered counters drained");
-        self.events = heap;
-        self.visited = visited;
         Ok(phase_end)
     }
 
     /// Applies an arrival at its home cluster and schedules the follow-on
     /// expansion if warranted.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_local(
         &mut self,
         network: &SemanticNetwork,
         specs: &[PropSpec],
-        heap: &mut EventQueue<EventKind>,
-        visited: &mut VisitedMap,
         cluster: usize,
         task: PropTask,
         now: SimTime,
     ) -> Result<(), CoreError> {
         let spec = &specs[task.prop];
         let expand = apply_arrival(
-            &mut self.regions[cluster],
-            visited,
+            &mut self.st.regions[cluster],
+            &mut self.st.visited,
             spec.target,
             task.prop,
             task.state,
@@ -634,7 +675,7 @@ impl<'c> Des<'c> {
         self.report.traffic.local_activations += 1;
         self.tracer.activation(cluster as u16);
         if expand {
-            self.schedule_task(network, specs, heap, cluster, task, now);
+            self.schedule_task(network, specs, cluster, task, now);
         }
         Ok(())
     }
@@ -645,19 +686,23 @@ impl<'c> Des<'c> {
         &mut self,
         network: &SemanticNetwork,
         specs: &[PropSpec],
-        heap: &mut EventQueue<EventKind>,
         cluster: usize,
         task: PropTask,
         ready: SimTime,
     ) {
         let spec = &specs[task.prop];
         let (segments, links_scanned) =
-            expand_into(network, &spec.rule, spec.func, &task, &mut self.arrivals);
+            expand_into(network, &spec.rule, spec.func, &task, &mut self.st.arrivals);
         let local_sets = self
+            .st
             .arrivals
             .iter()
-            .filter(|a| self.map.cluster_of(a.node).index() == cluster)
+            .filter(|a| self.st.map.cluster_of(a.node).index() == cluster)
             .count();
+        let first = self.st.expanded.len();
+        self.st.expanded.extend_from_slice(&self.st.arrivals);
+        let end = |len: usize| u32::try_from(len).expect("fewer than 2^32 arrivals per group");
+        let arrivals = (end(first), end(self.st.expanded.len()));
         let mut dur = self
             .cost
             .expand_ns(segments, links_scanned, local_sets)
@@ -671,18 +716,23 @@ impl<'c> Des<'c> {
             }
             dur += stall;
         }
-        let mu = (0..self.mu_free[cluster].len())
-            .min_by_key(|&i| self.mu_free[cluster][i])
+        let mu_free = &mut self.st.mu_free[cluster];
+        let mu = (0..mu_free.len())
+            .min_by_key(|&i| mu_free[i])
             .expect("cluster has at least one MU");
-        let start = ready.max(self.mu_free[cluster][mu]);
+        let start = ready.max(mu_free[mu]);
         let done = start + dur;
-        self.mu_free[cluster][mu] = done;
+        mu_free[mu] = done;
         self.sync.created(task.level.min(63));
         self.seq += 1;
-        heap.push_lane(
-            self.mu_lanes[cluster] + mu,
+        self.st.events.push_lane(
+            self.st.mu_lanes[cluster] + mu,
             done,
-            EventKind::Completion { cluster, task },
+            EventKind::Completion {
+                cluster,
+                task,
+                arrivals,
+            },
             &mut self.picker,
         );
     }
@@ -696,16 +746,19 @@ impl<'c> Des<'c> {
         specs: &[PropSpec],
         t0: SimTime,
     ) -> Result<SimTime, CoreError> {
-        let mut visited = std::mem::take(&mut self.visited);
-        visited.reset();
+        self.st.visited.reset();
         // (cluster, task) pairs of the current wave.
         let mut wave: Vec<(usize, PropTask)> = Vec::new();
         for spec in specs {
             let mut alpha = 0u64;
-            for c in 0..self.regions.len() {
-                for (node, value) in self.regions[c].seeds(spec.source)? {
+            for c in 0..self.st.regions.len() {
+                for (node, value) in self.st.regions[c].seeds(spec.source)? {
                     alpha += 1;
-                    if visited.should_expand(spec.prop, 0, node, value, node) {
+                    if self
+                        .st
+                        .visited
+                        .should_expand(spec.prop, 0, node, value, node)
+                    {
                         wave.push((
                             c,
                             PropTask {
@@ -727,7 +780,7 @@ impl<'c> Des<'c> {
         let mut next_wave = Vec::new();
         let mut arrivals = Vec::new();
         while !wave.is_empty() {
-            for mus in &mut self.mu_free {
+            for mus in &mut self.st.mu_free {
                 mus.fill(wave_start);
             }
             let mut wave_end = wave_start;
@@ -741,7 +794,7 @@ impl<'c> Des<'c> {
                     .cost
                     .expand_ns(segments, links_scanned, arrivals.len())
                     .max(1);
-                let mu_free = &mut self.mu_free[cluster];
+                let mu_free = &mut self.st.mu_free[cluster];
                 let mu = (0..mu_free.len())
                     .min_by_key(|&i| mu_free[i])
                     .expect("cluster has at least one MU");
@@ -755,7 +808,7 @@ impl<'c> Des<'c> {
                     let level = task.level + 1;
                     self.report.max_propagation_depth =
                         self.report.max_propagation_depth.max(level);
-                    let dest = self.map.cluster_of(arrival.node).index();
+                    let dest = self.st.map.cluster_of(arrival.node).index();
                     if dest != cluster {
                         self.pending_msgs += 1;
                         self.report.traffic.total_messages += 1;
@@ -775,10 +828,15 @@ impl<'c> Des<'c> {
                         origin: task.origin,
                         level,
                     };
-                    self.regions[dest].arrive(spec.target, next.node, next.value, next.origin)?;
+                    self.st.regions[dest].arrive(
+                        spec.target,
+                        next.node,
+                        next.value,
+                        next.origin,
+                    )?;
                     self.report.traffic.local_activations += u64::from(dest == cluster);
                     self.tracer.activation(dest as u16);
-                    if visited.should_expand(
+                    if self.st.visited.should_expand(
                         next.prop,
                         next.state,
                         next.node,
@@ -799,7 +857,6 @@ impl<'c> Des<'c> {
             wave_start = wave_end + sync + rebroadcast;
             std::mem::swap(&mut wave, &mut next_wave);
         }
-        self.visited = visited;
         Ok(wave_start)
     }
 
@@ -1094,6 +1151,69 @@ mod tests {
             a.faults, c.faults,
             "a different seed should draw a different schedule"
         );
+    }
+
+    #[test]
+    fn a_pooled_state_runs_like_a_fresh_one_after_any_run() {
+        // A group whose first arrival fails leaves events queued, visited
+        // tables written and markers set on the state; the outbox and the
+        // arrival arena keep the last run's times and arrivals. None of
+        // it may reach the next run.
+        let fails_mid_group = Program::builder()
+            .search_color(Color(0), Marker::binary(1), 0.0)
+            .propagate(
+                Marker::binary(1),
+                Marker::complex(70),
+                PropRule::Star(RelationType(1)),
+                StepFunc::AddWeight,
+            )
+            .build();
+        let from_node_0 = Program::builder()
+            .search_node(NodeId(0), Marker::binary(0), 0.0)
+            .propagate(
+                Marker::binary(0),
+                Marker::binary(1),
+                PropRule::Star(RelationType(1)),
+                StepFunc::Identity,
+            )
+            .collect_marker(Marker::binary(1))
+            .build();
+        let programs = [
+            parse_like_program(),
+            fails_mid_group,
+            from_node_0,
+            parse_like_program(),
+        ];
+        let mut small_outbox = MachineConfig::uniform(4, 2);
+        small_outbox.partition = snap_kb::PartitionScheme::RoundRobin;
+        small_outbox.cu_outbox_capacity = 2;
+        let mut faulty = small_outbox.clone();
+        faulty.fault_plan = Some(
+            snap_fault::FaultPlan::seeded(5)
+                .drops(0.2)
+                .delays(0.2, 8_000)
+                .stalls(0.1, 3_000),
+        );
+        let mut lockstep = MachineConfig::uniform(4, 2);
+        lockstep.lockstep_waves = true;
+        let cost = CostModel::snap1();
+        for (label, cfg) in [
+            ("plain", MachineConfig::uniform(4, 2)),
+            ("small outbox", small_outbox),
+            ("faulty", faulty),
+            ("lockstep", lockstep),
+        ] {
+            let mut net = chain_network(64);
+            net.flush_links();
+            let prepared = Prepared::for_snapshot(&net, cfg.clusters, cfg.partition).unwrap();
+            let mut pooled = DesState::new(&cfg, &prepared, &net);
+            for (i, program) in programs.iter().enumerate() {
+                let mut access = NetAccess::Shared(&net);
+                let warm = pooled.run(&cfg, &cost, &mut access, &prepared, program);
+                let fresh = run(&cfg, &cost, &mut net.clone(), program);
+                assert_eq!(warm, fresh, "{label}: program {i}");
+            }
+        }
     }
 
     #[test]

@@ -439,6 +439,20 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// Drops every scheduled event and restarts the insertion count,
+    /// keeping the lanes and every allocation: the queue then pops
+    /// exactly like a new one with as many lanes.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        for lane in &mut self.lanes {
+            lane.waiting.clear();
+            lane.newest = None;
+        }
+        self.slab.clear();
+        self.free.clear();
+        self.next_seq = 0;
+    }
 }
 
 /// Applies one propagation arrival at its home region and decides
@@ -607,13 +621,13 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
         /// Arbitrary interleavings of plain pushes, lane pushes — in
-        /// order, at equal times, out of order — and pops fire exactly
-        /// the model's `(time, item)` sequence and draw exactly its
-        /// picker decisions, under FIFO, fuzzed and limit-capped fuzzed
-        /// schedules.
+        /// order, at equal times, out of order — pops and clears fire
+        /// exactly the model's `(time, item)` sequence and draw exactly
+        /// its picker decisions, under FIFO, fuzzed and limit-capped
+        /// fuzzed schedules.
         #[test]
         fn event_queue_pops_like_the_one_heap_model(
-            ops in proptest::collection::vec((0u8..7, 0usize..4, 0u64..10), 0..160),
+            ops in proptest::collection::vec((0u8..8, 0usize..4, 0u64..10), 0..160),
             strategy in prop_oneof![
                 Just(ScheduleStrategy::Fifo),
                 (0u64..64).prop_map(ScheduleStrategy::fuzzed),
@@ -646,6 +660,12 @@ mod tests {
                         queue.push(t, pushed, &mut picker);
                         model.push(t, pushed);
                         pushed += 1;
+                    }
+                    // A pooled queue is cleared with events pending.
+                    7 => {
+                        queue.clear();
+                        model.heap.clear();
+                        lane_clock = [0; 4];
                     }
                     _ => prop_assert_eq!(queue.pop(), model.pop()),
                 }

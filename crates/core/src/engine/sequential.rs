@@ -17,14 +17,13 @@ use crate::error::CoreError;
 use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask};
-use crate::region::Region;
+use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
 use snap_net::SimTime;
-use snap_obs::{lock_unpoisoned, PhaseKind, Stamp, Tracer};
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use snap_obs::{PhaseKind, Stamp, Tracer};
+use std::sync::Arc;
 
 /// The sequential engine's executor: walks one program on one region.
 ///
@@ -199,7 +198,7 @@ fn cached_spec<'a>(
 
 /// What one sequential run works in: the single region's marker state
 /// and the executor over it. Every table in it is node-count-sized, so
-/// [`SeqPool`] keeps it between runs.
+/// the machine's run-state pool keeps it between runs.
 #[derive(Debug)]
 pub(crate) struct SeqState {
     region: Region,
@@ -208,7 +207,7 @@ pub(crate) struct SeqState {
 
 impl SeqState {
     /// Empty state for runs over `prepared`'s one-cluster set-up.
-    fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
+    pub(crate) fn new(prepared: &Prepared, network: &SemanticNetwork) -> Self {
         debug_assert_eq!(prepared.map().cluster_count(), 1);
         SeqState {
             region: Region::new(ClusterId(0), Arc::clone(prepared.map()), network),
@@ -216,10 +215,15 @@ impl SeqState {
         }
     }
 
+    /// `true` if this state's region was built over exactly `map`.
+    pub(crate) fn is_over(&self, map: &Arc<RegionMap>) -> bool {
+        self.region.is_over(map)
+    }
+
     /// Executes `program` over `prepared` (the one-cluster set-up of
     /// this network the state was built for), returning the measured
     /// report.
-    fn run(
+    pub(crate) fn run(
         &mut self,
         config: &MachineConfig,
         cost: &CostModel,
@@ -234,67 +238,6 @@ impl SeqState {
         let SeqState { region, walker } = self;
         walker.walk(config, cost, network, region, program, &mut report)?;
         Ok(report)
-    }
-}
-
-/// Run states of the network revision [`Snap1::run`](crate::Snap1::run)
-/// and [`Snap1::run_shared`](crate::Snap1::run_shared) last ran on, one
-/// per concurrent caller at most, so a warm run builds and zeroes no
-/// node-count-sized table, plans into a kept buffer and compiles no rule
-/// it has compiled before.
-///
-/// A state belongs to the [`Prepared`] whose region map its region was
-/// built over and is used for no other: a run checks out only a state
-/// whose map is the one it obtained itself (whatever the memo holds by
-/// then), and the rest — an earlier revision's — are dropped. A state
-/// goes back only while its `Prepared` still describes the network, so
-/// one whose run edited the network (maintenance) is dropped with it.
-/// The pool holds region maps, never a network.
-/// Only whole states are pushed and popped under the lock, so a caller
-/// that panics holding it leaves a valid pool.
-#[derive(Default)]
-pub(crate) struct SeqPool(pub(crate) Mutex<Vec<SeqState>>);
-
-impl SeqPool {
-    /// Executes `program` over `prepared` (the one-cluster set-up of
-    /// `network`'s revision) in a pooled state when there is one for it,
-    /// returning the measured report. The state goes back however the
-    /// run ended, unless the run moved the network's revision; the next
-    /// run clears it.
-    pub(crate) fn run(
-        &self,
-        config: &MachineConfig,
-        cost: &CostModel,
-        mut network: NetAccess<'_>,
-        prepared: &Prepared,
-        program: &Program,
-    ) -> Result<RunReport, CoreError> {
-        let pooled = {
-            let mut pool = lock_unpoisoned(&self.0);
-            pool.retain(|state| state.region.is_over(prepared.map()));
-            pool.pop()
-        };
-        let mut state = pooled.unwrap_or_else(|| SeqState::new(prepared, network.get()));
-        let result = state.run(config, cost, &mut network, prepared, program);
-        if prepared.is_for(network.get()) {
-            lock_unpoisoned(&self.0).push(state);
-        }
-        result
-    }
-}
-
-impl Clone for SeqPool {
-    /// A cloned machine starts with an empty pool.
-    fn clone(&self) -> Self {
-        SeqPool::default()
-    }
-}
-
-impl fmt::Debug for SeqPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SeqPool")
-            .field("idle", &lock_unpoisoned(&self.0).len())
-            .finish()
     }
 }
 

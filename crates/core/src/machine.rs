@@ -4,7 +4,8 @@
 use crate::config::{EngineKind, MachineConfig};
 use crate::cost::CostModel;
 use crate::engine::common::NetAccess;
-use crate::engine::{des, sequential, threaded};
+use crate::engine::pool::RunPool;
+use crate::engine::threaded;
 use crate::error::CoreError;
 use crate::prepared::{Prepared, PreparedMemo};
 use crate::report::RunReport;
@@ -45,8 +46,9 @@ pub struct Snap1 {
     engine: EngineKind,
     /// Set-up of the last network revision run on (see [`Snap1::prepare`]).
     memo: PreparedMemo,
-    /// The sequential engine's run states for that revision.
-    seq_pool: sequential::SeqPool,
+    /// The sequential engine's or the simulator's run states for that
+    /// revision.
+    pool: RunPool,
 }
 
 impl Snap1 {
@@ -94,8 +96,9 @@ impl Snap1 {
     /// [revision](SemanticNetwork::revision), not once per call: a run on
     /// a network nobody has edited since the machine's last run on it
     /// (or on a clone of it) reuses that run's region map and partition
-    /// statistics ([`Snap1::prepare`]) and, on the sequential engine, its
-    /// region and kernel tables — exactly as a warm [`Snap1::run_shared`]
+    /// statistics ([`Snap1::prepare`]) and, on the sequential engine and
+    /// the simulator, its regions, visited tables and — simulated — event
+    /// queue and server timelines, exactly as a warm [`Snap1::run_shared`]
     /// does. A program whose maintenance edits the network leaves a new
     /// revision behind, and the next run maps it afresh.
     ///
@@ -115,21 +118,15 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => self.seq_pool.run(
-                config,
-                cost,
-                NetAccess::Exclusive(network),
-                &prepared,
-                program,
-            ),
-            EngineKind::Des => des::run(
-                config,
-                cost,
-                NetAccess::Exclusive(network),
-                &prepared,
-                program,
-            ),
             EngineKind::Threaded => threaded::run(config, network, &prepared, program),
+            engine => self.pool.run(
+                engine,
+                config,
+                cost,
+                NetAccess::Exclusive(network),
+                &prepared,
+                program,
+            ),
         }
     }
 
@@ -166,8 +163,9 @@ impl Snap1 {
     /// builds the region map and partition statistics
     /// ([`Snap1::prepare`]), later calls on the same contents reuse them
     /// and pay only for the program itself — on the sequential engine
-    /// not even for fresh marker state: its region and kernel tables
-    /// are kept between calls and cleared, not rebuilt. Another network
+    /// and the simulator not even for fresh run state: their regions,
+    /// visited tables and (simulated) event queue are kept between calls
+    /// and cleared, not rebuilt. Another network
     /// (including an edited copy of this one) replaces the remembered
     /// set-up and drops those tables. Concurrent callers share the
     /// remembered set-up read-only; concurrent first calls wait for one
@@ -226,14 +224,15 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Sequential => {
-                self.seq_pool
-                    .run(config, cost, NetAccess::Shared(network), &prepared, program)
-            }
-            EngineKind::Des => {
-                des::run(config, cost, NetAccess::Shared(network), &prepared, program)
-            }
             EngineKind::Threaded => threaded::run_shared(config, network, &prepared, program),
+            engine => self.pool.run(
+                engine,
+                config,
+                cost,
+                NetAccess::Shared(network),
+                &prepared,
+                program,
+            ),
         }
     }
 }
@@ -351,7 +350,7 @@ impl Snap1Builder {
             cost: self.cost,
             engine: self.engine,
             memo: PreparedMemo::default(),
-            seq_pool: sequential::SeqPool::default(),
+            pool: RunPool::default(),
         }
     }
 }
@@ -474,15 +473,15 @@ mod tests {
         let server = Arc::clone(&machine);
         let serving = std::thread::spawn(move || {
             let _memo = server.memo.0.lock().unwrap();
-            let _pool = server.seq_pool.0.lock().unwrap();
+            let _pool = server.pool.0.lock().unwrap();
             panic!("serving thread dies holding both locks");
         });
         assert!(serving.join().is_err());
-        assert!(machine.memo.0.is_poisoned() && machine.seq_pool.0.is_poisoned());
+        assert!(machine.memo.0.is_poisoned() && machine.pool.0.is_poisoned());
         assert_eq!(machine.run_shared(&shared, &program).unwrap(), oracle);
         // Both hold what they held before the panic.
         assert!(Arc::ptr_eq(&prepared, &machine.prepare(&shared).unwrap()));
-        assert_eq!(format!("{:?}", machine.seq_pool), "SeqPool { idle: 1 }");
+        assert_eq!(format!("{:?}", machine.pool), "RunPool { idle: 1 }");
         assert!(Arc::ptr_eq(
             &prepared,
             &Snap1::clone(&machine).prepare(&shared).unwrap()

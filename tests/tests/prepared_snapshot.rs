@@ -7,10 +7,11 @@
 //! machine reports exactly what a fresh one does, no network is ever
 //! served another revision's map, the memo holds no reference,
 //! concurrent callers agree with serial ones, and the per-call checks
-//! still run on a warm machine. The sequential engine also keeps its run
-//! state (region, kernel tables) per revision, so the same tests are
-//! what a state returned dirty, or checked out for the wrong revision,
-//! has to get past.
+//! still run on a warm machine. The sequential engine and the simulator
+//! also keep their run state (regions, visited tables and — simulated —
+//! the event queue and server timelines) per revision, so the same tests
+//! are what a state returned dirty, or checked out for the wrong
+//! revision, has to get past.
 
 use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid::{kb_chain, kb_tree, kb_web, programs};
@@ -336,8 +337,8 @@ enum Step {
     Edit(&'static str, fn(&mut SemanticNetwork)),
 }
 
-/// Walks, every maintenance instruction that edits the network, two
-/// failing programs (one of them after an edit) and host-side edits
+/// Walks, every maintenance instruction that edits the network, three
+/// failing programs (one in a propagation, one after an edit) and host-side edits
 /// between runs, on `kb_chain` (24 nodes, `rel0` chain, `rel2` skips).
 /// Each walk runs at least twice in a row, so most runs are warm.
 fn exclusive_stream() -> Vec<Step> {
@@ -362,6 +363,16 @@ fn exclusive_stream() -> Vec<Step> {
         .search_node(NodeId(0), Marker::complex(0), 0.0)
         .search_node(NodeId(999), Marker::complex(0), 0.0)
         .collect_marker(Marker::complex(0))
+        .build();
+    // Fails at the first arrival, with expansions still scheduled.
+    let fails_mid_propagation = Program::builder()
+        .search_color(Color(0), Marker::binary(0), 0.0)
+        .propagate(
+            Marker::binary(0),
+            Marker::complex(70),
+            PropRule::Star(r0),
+            StepFunc::AddWeight,
+        )
         .build();
     let edits_then_fails = Program::builder()
         .set_color(NodeId(6), Color(9))
@@ -397,6 +408,8 @@ fn exclusive_stream() -> Vec<Step> {
         Step::Run("star 20 again", star(20)),
         Step::Run("failing", failing.clone()),
         Step::Run("star 20 after the failure", star(20)),
+        Step::Run("fails mid-propagation", fails_mid_propagation),
+        Step::Run("star 20 after that", star(20)),
         Step::Run(
             "delete",
             Program::builder().delete(NodeId(23), r0, NodeId(1)).build(),

@@ -25,9 +25,10 @@
 //! here, not just in a benchmark. [`Snap1::run`] on a `&mut` network
 //! that no run edits is held to the same tables.
 //!
-//! The simulator case pins the discrete-event loop's message path: a
-//! run allocates for its set-up and for queues that double as they
-//! fill, never per message or per expansion.
+//! The simulator is held to the same tables: its regions, visited tables
+//! and event queue are pooled per revision like the sequential engine's
+//! state, and its discrete-event loop allocates nothing per message or
+//! per expansion.
 
 #![cfg(feature = "alloc-count")]
 
@@ -381,6 +382,70 @@ fn warm_exclusive_runs_allocate_no_map_or_partition_tables() {
     );
 }
 
+#[test]
+fn warm_des_runs_allocate_no_node_count_sized_tables() {
+    let kb = DomainSpec::sized(12_000).build().expect("parse KB");
+    let nouns: Vec<NodeId> = kb
+        .words(PartOfSpeech::Noun)
+        .iter()
+        .filter_map(|w| kb.word(w))
+        .collect();
+    let programs: Vec<Program> = nouns.iter().take(8).map(|&n| parse_query(n)).collect();
+    let mut net = kb.network;
+    net.flush_links();
+    let large_at = net.node_count() * 4;
+
+    // The paper's 16-cluster machine on the simulator. The first run
+    // maps the network and builds a run state: sixteen regions, the
+    // visited tables (`(value, origin)` per node), the event queue.
+    let machine = Snap1::builder().engine(EngineKind::Des).build();
+    let (first, cold) = counted(large_at, || machine.run(&mut net, &programs[0]));
+    let first = first.expect("cold run succeeds");
+    assert!(
+        cold.large >= 2,
+        "the first run builds the set-up and a visited table: {cold:?}"
+    );
+    // Every later run on the unedited network, exclusive or shared,
+    // finds both where the first left them. Once the first lap has grown
+    // the pooled buffers to its largest program, a run pays the same on
+    // every lap: nothing pooled keeps growing.
+    let snapshot = Arc::new(net.clone());
+    let mut second_lap = Vec::new();
+    for (i, program) in programs.iter().cycle().take(24).enumerate() {
+        let (report, warm) = if i % 2 == 0 {
+            counted(large_at, || machine.run(&mut net, program))
+        } else {
+            counted(large_at, || machine.run_shared(&snapshot, program))
+        };
+        report.expect("warm run succeeds");
+        assert_eq!(
+            (warm.large, warm.large_bytes),
+            (0, 0),
+            "warm simulator run {i} took a node-count-sized table: {warm:?}"
+        );
+        match (i / programs.len(), second_lap.get(i % programs.len())) {
+            (0, _) => {}
+            (_, Some(&allocs)) => assert_eq!(warm.allocs, allocs, "warm simulator run {i}"),
+            (_, None) => second_lap.push(warm.allocs),
+        }
+    }
+    assert_eq!(machine.run(&mut net, &programs[0]).unwrap(), first);
+
+    // One `add_link` draws a new revision: the next run is exactly as
+    // cold as the first, and the one after it warm again.
+    net.add_link(nouns[0], rel::IS_A, 0.5, nouns[1]).unwrap();
+    net.flush_links();
+    let (report, counts) = counted(large_at, || machine.run(&mut net, &programs[0]));
+    report.expect("run after the edit succeeds");
+    assert_eq!(
+        (counts.large, counts.large_bytes),
+        (cold.large, cold.large_bytes),
+        "the run after an add_link is as cold as the very first"
+    );
+    let (_, warm) = counted(large_at, || machine.run(&mut net, &programs[1]));
+    assert_eq!(warm.large, 0, "and the one after it is warm: {warm:?}");
+}
+
 /// One warm `engine-wave` run on the benchmark's simulated machine
 /// (16 `EdgeCut` clusters): allocations, messages, expansions.
 fn des_wave(nodes: usize) -> (u64, u64, u64) {
@@ -406,11 +471,12 @@ fn des_wave(nodes: usize) -> (u64, u64, u64) {
 
 #[test]
 fn des_run_allocations_do_not_scale_with_messages() {
-    // A run allocates its regions, tables and report, and its queues
-    // double as they fill; nothing is taken from the heap per message
-    // or per expansion. The engine this replaced took two hop-count
-    // vectors per message and an arrival vector per expansion: more
-    // than 2.5 allocations for each message added.
+    // A warm run allocates its report and per-run models, and its
+    // pooled queues only grow past their last size; nothing is taken
+    // from the heap per message or per expansion. The engine this
+    // replaced took two hop-count vectors per message and an arrival
+    // vector per expansion: more than 2.5 allocations for each message
+    // added.
     let (small_allocs, small_msgs, small_expansions) = des_wave(2_000);
     let (large_allocs, large_msgs, large_expansions) = des_wave(8_000);
     assert!(
