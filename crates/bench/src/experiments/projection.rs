@@ -10,8 +10,7 @@
 
 use crate::output::{ms, ratio, ExperimentOutput};
 use crate::table::Table;
-use snap_baseline::Cm2;
-use snap_core::Snap1;
+use snap_core::{Cm2, Snap1};
 use snap_nlu::{hierarchy, inheritance_program};
 
 /// Runs the projection.

@@ -1,4 +1,4 @@
-//! A CM-2-class SIMD comparator engine.
+//! A CM-2-class SIMD comparator.
 //!
 //! The paper compares SNAP-1 against marker propagation on the
 //! Connection Machine CM-2 (Fig. 15): the CM-2's 65 536 single-bit PEs
@@ -10,17 +10,21 @@
 //! grows faster as the knowledge base grows — the lines cross for large
 //! enough knowledge bases.
 //!
-//! This engine executes the same instruction semantics as the SNAP
-//! engines (via [`snap_core::exec`]) and runs every propagation through
-//! their wave kernel ([`snap_core::kernel`]) — lockstep waves are what
-//! a SIMD array executes — with a CM-2-style cost model.
+//! A second cost model over the engines' semantics, not a SNAP
+//! configuration: instructions go through [`NetAccess::exec`] and every
+//! propagation through [`propagate_wave_in`] (lockstep waves are what a
+//! SIMD array executes), charged per `PROPAGATE` with a hop cap of its
+//! own where the engines charge per overlap group.
 
-use snap_core::exec::exec_single;
-use snap_core::kernel::{propagate_wave_in, WaveScratch, WaveSink};
-use snap_core::propagate::{PropArrival, PropTask};
-use snap_core::{CoreError, Region, RegionMap, RunReport, SimTime};
+use crate::engine::common::NetAccess;
+use crate::error::CoreError;
+use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
+use crate::propagate::{PropArrival, PropTask};
+use crate::region::{Region, RegionMap};
+use crate::report::RunReport;
 use snap_isa::{InstrClass, Instruction, Program, PropRule, StepFunc};
 use snap_kb::{ClusterId, Marker, PartitionScheme, SemanticNetwork};
+use snap_net::SimTime;
 
 /// Propagation depth cap of the comparator's front end.
 const MAX_HOPS: u8 = 48;
@@ -67,7 +71,7 @@ impl Default for Cm2Cost {
 /// # Examples
 ///
 /// ```
-/// use snap_baseline::Cm2;
+/// use snap_core::Cm2;
 /// use snap_isa::{Program, PropRule, StepFunc};
 /// use snap_kb::{Color, Marker, NetworkConfig, RelationType, SemanticNetwork};
 ///
@@ -99,11 +103,6 @@ impl Cm2 {
     /// A CM-2 with a custom cost model.
     pub fn with_cost(cost: Cm2Cost) -> Self {
         Cm2 { cost }
-    }
-
-    /// The cost model in use.
-    pub fn cost(&self) -> &Cm2Cost {
-        &self.cost
     }
 
     /// Executes `program`, returning the measured report. Logical
@@ -154,7 +153,7 @@ impl Cm2 {
                 }
                 other => {
                     let regions = std::slice::from_mut(&mut region);
-                    let out = exec_single(other, network, regions)?;
+                    let out = NetAccess::Exclusive(network).exec(other, regions)?;
                     now += self.cost.issue_ns;
                     now += match other.class() {
                         InstrClass::Collect => {
@@ -182,7 +181,8 @@ impl Cm2 {
 
     /// Lockstep wave propagation: all active nodes expand data-parallel
     /// in one slice pass, then the front end intervenes before the next
-    /// wave.
+    /// wave. Both registers are resolved first, as every engine resolves
+    /// a group's.
     #[allow(clippy::too_many_arguments)]
     fn run_propagate(
         &self,
@@ -196,6 +196,7 @@ impl Cm2 {
         vp: SimTime,
         report: &mut RunReport,
     ) -> Result<SimTime, CoreError> {
+        region.check_group([(source, target)])?;
         let seeds: Vec<(snap_kb::NodeId, f32)> = region.seeds(source)?.collect();
         report.alpha_per_propagate.push(seeds.len() as u64);
         let mut sink = Cm2Sink {
@@ -244,13 +245,10 @@ impl WaveSink for Cm2Sink<'_> {
     }
 }
 
-/// Re-export for result comparison in tests and benches.
-pub use snap_core::RunReport as Cm2Report;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_core::{EngineKind, Snap1};
+    use crate::{EngineKind, Snap1};
     use snap_kb::{Color, NetworkConfig, NodeId, RelationType};
 
     fn chain(n: usize) -> SemanticNetwork {

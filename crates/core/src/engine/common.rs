@@ -1,9 +1,10 @@
 //! Instruction execution shared by all engines.
 //!
-//! [`exec_single`] applies one non-propagate instruction to the regions
-//! and network, returning per-cluster work counts that each engine
-//! converts to time with its own cost model. Keeping this logic in one
-//! place is what guarantees the engines' logical results agree.
+//! [`NetAccess::exec`] applies one non-propagate instruction to the
+//! regions and network, returning per-cluster work counts that each
+//! engine (and the CM-2 comparator) converts to time with its own cost
+//! model. Keeping this logic in one place is what guarantees the
+//! engines' logical results agree.
 
 use crate::error::CoreError;
 use crate::region::Region;
@@ -93,26 +94,6 @@ impl NetAccess<'_> {
         self.exec_into(instr, regions, &mut out)?;
         Ok(out)
     }
-}
-
-/// Applies `instr` to `regions`/`network`, maintenance included — what
-/// [`Snap1::run`](crate::Snap1::run) permits.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] for unknown nodes, out-of-range markers, or
-/// missing links (DELETE / MARKER-DELETE).
-///
-/// # Panics
-///
-/// Panics if called with a `PROPAGATE` instruction — propagation goes
-/// through each engine's phase executor.
-pub fn exec_single(
-    instr: &Instruction,
-    network: &mut SemanticNetwork,
-    regions: &mut [Region],
-) -> Result<SingleOutcome, CoreError> {
-    NetAccess::Exclusive(network).exec(instr, regions)
 }
 
 /// Applies one node-maintenance instruction to `network`, returning the
@@ -209,8 +190,8 @@ pub(crate) fn exec_maintenance(
 /// # Errors
 ///
 /// Returns [`CoreError::MaintenanceOnShared`] for the six
-/// node-maintenance instructions, and the same errors as [`exec_single`]
-/// otherwise (unknown nodes, out-of-range markers).
+/// node-maintenance instructions, and otherwise unknown nodes and
+/// out-of-range markers.
 ///
 /// # Panics
 ///
@@ -430,6 +411,7 @@ pub(crate) fn all_active(regions: &[Region], marker: Marker) -> Result<Vec<NodeI
 
 #[cfg(test)]
 mod tests {
+    use super::NetAccess::Exclusive;
     use super::*;
     use crate::region::RegionMap;
     use snap_isa::CombineFunc;
@@ -459,7 +441,7 @@ mod tests {
             marker: Marker::binary(0),
             value: 0.0,
         };
-        let out = exec_single(&instr, &mut net, &mut regions).unwrap();
+        let out = Exclusive(&mut net).exec(&instr, &mut regions).unwrap();
         // Node 3 is odd → cluster 1 under round-robin.
         assert_eq!(out.work[0].scans, 0);
         assert_eq!(out.work[1].scans, 1);
@@ -474,7 +456,7 @@ mod tests {
             marker: Marker::binary(0),
             value: 0.0,
         };
-        assert!(exec_single(&instr, &mut net, &mut regions).is_err());
+        assert!(Exclusive(&mut net).exec(&instr, &mut regions).is_err());
     }
 
     #[test]
@@ -484,14 +466,14 @@ mod tests {
             marker: Marker::binary(0),
             value: 0.0,
         };
-        exec_single(&set, &mut net, &mut regions).unwrap();
+        Exclusive(&mut net).exec(&set, &mut regions).unwrap();
         let and = Instruction::AndMarker {
             a: Marker::binary(0),
             b: Marker::binary(0),
             target: Marker::binary(1),
             combine: CombineFunc::Add,
         };
-        let out = exec_single(&and, &mut net, &mut regions).unwrap();
+        let out = Exclusive(&mut net).exec(&and, &mut regions).unwrap();
         assert!(out.work.iter().all(|w| w.words > 0));
         let total: usize = regions.iter().map(|r| r.count(Marker::binary(1))).sum();
         assert_eq!(total, 6);
@@ -512,7 +494,7 @@ mod tests {
         let instr = Instruction::CollectMarker {
             marker: Marker::binary(0),
         };
-        let out = exec_single(&instr, &mut net, &mut regions).unwrap();
+        let out = Exclusive(&mut net).exec(&instr, &mut regions).unwrap();
         let Some(CollectOutput::Nodes(nodes)) = out.collect else {
             panic!("expected node collect");
         };
@@ -539,7 +521,7 @@ mod tests {
             end: NodeId(5),
             reverse: rev,
         };
-        let out = exec_single(&instr, &mut net, &mut regions).unwrap();
+        let out = Exclusive(&mut net).exec(&instr, &mut regions).unwrap();
         assert_eq!(out.maintenance_ops, 4);
         assert_eq!(net.links_by(NodeId(2), fwd).count(), 1);
         assert_eq!(net.links_by(NodeId(5), rev).count(), 2);
@@ -550,7 +532,7 @@ mod tests {
             end: NodeId(5),
             reverse: rev,
         };
-        exec_single(&del, &mut net, &mut regions).unwrap();
+        Exclusive(&mut net).exec(&del, &mut regions).unwrap();
         assert_eq!(net.links_by(NodeId(5), rev).count(), 0);
     }
 
@@ -563,20 +545,20 @@ mod tests {
             weight: 1.0,
             destination: NodeId(3),
         };
-        exec_single(&create, &mut net, &mut regions).unwrap();
+        Exclusive(&mut net).exec(&create, &mut regions).unwrap();
         assert_eq!(net.links_by(NodeId(2), RelationType(7)).count(), 1);
         let recolor = Instruction::SetColor {
             node: NodeId(2),
             color: Color(9),
         };
-        exec_single(&recolor, &mut net, &mut regions).unwrap();
+        Exclusive(&mut net).exec(&recolor, &mut regions).unwrap();
         assert_eq!(net.color(NodeId(2)).unwrap(), Color(9));
         let delete = Instruction::Delete {
             source: NodeId(2),
             relation: RelationType(7),
             destination: NodeId(3),
         };
-        exec_single(&delete, &mut net, &mut regions).unwrap();
+        Exclusive(&mut net).exec(&delete, &mut regions).unwrap();
         assert_eq!(net.links_by(NodeId(2), RelationType(7)).count(), 0);
     }
 
@@ -627,7 +609,7 @@ mod tests {
             },
         ];
         for instr in &instrs {
-            let a = exec_single(instr, &mut net, &mut regions).unwrap();
+            let a = Exclusive(&mut net).exec(instr, &mut regions).unwrap();
             let b = NetAccess::Shared(&net2).exec(instr, &mut regions2).unwrap();
             assert_eq!(a.work, b.work);
             assert_eq!(format!("{:?}", a.collect), format!("{:?}", b.collect));
@@ -644,6 +626,6 @@ mod tests {
             rule: snap_isa::PropRule::Star(RelationType(0)),
             func: snap_isa::StepFunc::Identity,
         };
-        let _ = exec_single(&instr, &mut net, &mut regions);
+        let _ = NetAccess::Exclusive(&mut net).exec(&instr, &mut regions);
     }
 }

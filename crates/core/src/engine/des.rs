@@ -374,6 +374,8 @@ impl<'c> Des<'c> {
         network: &SemanticNetwork,
         specs: &[PropSpec],
     ) -> Result<(), CoreError> {
+        let registers = specs.iter().map(|s| (s.source, s.target));
+        self.st.regions[0].check_group(registers)?;
         let start = self.now;
         self.tracer
             .phase_start(PhaseKind::Propagate, Stamp::Sim(start));
@@ -739,7 +741,9 @@ impl<'c> Des<'c> {
 
     /// SIMD-only ablation: a global barrier plus controller round-trip
     /// after every propagation wave, the way the CM-2 had to iterate
-    /// between controller and array on the critical path.
+    /// between controller and array on the critical path. Every member
+    /// of the group advances in one shared wave, which the one-spec wave
+    /// kernel cannot express (DESIGN.md "Propagation kernel").
     fn run_group_lockstep(
         &mut self,
         network: &SemanticNetwork,

@@ -1,5 +1,7 @@
-//! Execution engines sharing one instruction semantics.
+//! Execution engines sharing one instruction semantics, and the CM-2
+//! comparator's cost model over it.
 
+pub(crate) mod cm2;
 pub(crate) mod common;
 pub(crate) mod sched;
 

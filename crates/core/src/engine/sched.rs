@@ -43,7 +43,7 @@ pub enum ScheduleStrategy {
     /// engine, preserved bit for bit.
     #[default]
     Fifo,
-    /// Seeded adversarial order: a [`Picker`] derived from `seed`
+    /// Seeded adversarial order: a decision stream derived from `seed`
     /// permutes ready-task picks, equal-time event ties, worker
     /// fabric-vs-queue polling, and close re-check timing. Only the first
     /// `limit` decisions of each stream are fuzzed; later ones fall back
@@ -165,16 +165,6 @@ impl Picker {
             return 0;
         }
         self.draw()
-    }
-
-    /// Whether the most recent [`pick`](Self::pick) deviated from FIFO.
-    pub fn last_reordered(&self) -> bool {
-        self.reordered
-    }
-
-    /// Decisions drawn so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     /// Replay fingerprint: a fold of every decision drawn. Two runs of a
@@ -305,11 +295,12 @@ struct Lane {
 /// heap, so the heap stays as small as the machine has servers however
 /// many events are pending. A lane event that does not ascend (a fault
 /// delay, a retransmission, a fuzzed tie key below its predecessor's)
-/// goes into the heap on its own like a plain [`push`](Self::push):
-/// lanes are a fast path, never a precondition.
+/// goes into the heap on its own: lanes are a fast path, never a
+/// precondition.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Every plain event and the head of every non-empty lane.
+    /// Every event out of its lane's order and the head of every
+    /// non-empty lane.
     heap: BinaryHeap<Reverse<EventKey>>,
     lanes: Vec<Lane>,
     /// Payloads by key slot; `free` lists the vacant slots.
@@ -318,18 +309,7 @@ pub struct EventQueue<T> {
     next_seq: u64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::with_lanes(0)
-    }
-}
-
 impl<T> EventQueue<T> {
-    /// An empty queue without lanes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty queue with `lanes` lanes for [`push_lane`](Self::push_lane).
     pub fn with_lanes(lanes: usize) -> Self {
         EventQueue {
@@ -365,25 +345,17 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedules `item` at `time`; the picker draws its tie-break key.
+    /// Schedules `item` at `time` for the source that owns `lane`; the
+    /// picker draws its tie-break key.
     ///
     /// Ordering contract: events pop in ascending `(time, tie, seq)`,
     /// where `tie` is the key drawn here (one [`Picker::tie_key`] per
-    /// call, in call order) and `seq` counts calls of `push` and
-    /// [`push_lane`](Self::push_lane) together. Nothing else — not the
-    /// lane, not what was popped in between — enters the order.
-    pub fn push(&mut self, time: u64, item: T, picker: &mut Picker) {
-        let key = self.key(time, item, picker);
-        self.heap.push(Reverse(key));
-    }
-
-    /// [`push`](Self::push) for an event of the source that owns `lane`.
-    ///
-    /// Same ordering contract, same single picker draw: the lane changes
-    /// where the event waits, never when it pops. A source whose events
-    /// ascend in `(time, tie)` keeps one heap entry however many it has
-    /// pending; an event below its lane's newest is queued like a plain
-    /// push, so callers need not guarantee monotonicity.
+    /// call, in call order) and `seq` counts calls. Nothing else — not
+    /// the lane, not what was popped in between — enters the order: the
+    /// lane changes where the event waits, never when it pops. A source
+    /// whose events ascend in `(time, tie)` keeps one heap entry however
+    /// many it has pending; an event below its lane's newest waits in the
+    /// heap on its own, so callers need not guarantee monotonicity.
     ///
     /// # Panics
     ///
@@ -428,11 +400,6 @@ impl<T> EventQueue<T> {
         self.free.push(key.slot);
         let item = self.slab[key.slot as usize].take();
         Some((key.time, item.expect("a queued key owns its slot")))
-    }
-
-    /// Events still scheduled.
-    pub fn len(&self) -> usize {
-        self.slab.len() - self.free.len()
     }
 
     /// True when no event is scheduled.
@@ -497,11 +464,11 @@ mod tests {
         let mut p = Picker::new(ScheduleStrategy::Fifo, CONTROL_STREAM);
         for len in [0, 1, 2, 100] {
             assert_eq!(p.pick(len), 0);
-            assert!(!p.last_reordered());
+            assert!(!p.reordered);
         }
         assert!(p.coin());
         assert_eq!(p.tie_key(), 0);
-        assert_eq!(p.decisions(), 0);
+        assert_eq!(p.decisions, 0);
         assert_eq!(p.digest(), 0);
     }
 
@@ -526,14 +493,14 @@ mod tests {
         for _ in 0..5 {
             p.pick(100);
         }
-        assert_eq!(p.decisions(), 5);
+        assert_eq!(p.decisions, 5);
         // Decision budget exhausted: everything is FIFO from here on.
         for _ in 0..20 {
             assert_eq!(p.pick(100), 0);
             assert!(p.coin());
             assert_eq!(p.tie_key(), 0);
         }
-        assert_eq!(p.decisions(), 5);
+        assert_eq!(p.decisions, 5);
     }
 
     #[test]
@@ -563,10 +530,10 @@ mod tests {
     #[test]
     fn event_queue_fifo_orders_by_time_then_insertion() {
         let mut p = Picker::new(ScheduleStrategy::Fifo, CONTROL_STREAM);
-        let mut q = EventQueue::new();
-        q.push(20, "c", &mut p);
-        q.push(10, "a", &mut p);
-        q.push(10, "b", &mut p);
+        let mut q = EventQueue::with_lanes(1);
+        q.push_lane(0, 20, "c", &mut p);
+        q.push_lane(0, 10, "a", &mut p);
+        q.push_lane(0, 10, "b", &mut p);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -576,9 +543,9 @@ mod tests {
         // Distinct timestamps must stay in time order whatever the seed.
         for seed in 0..20 {
             let mut p = Picker::new(ScheduleStrategy::fuzzed(seed), 2);
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::with_lanes(1);
             for t in [30u64, 10, 20, 10, 20, 10] {
-                q.push(t, t, &mut p);
+                q.push_lane(0, t, t, &mut p);
             }
             let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
             assert_eq!(times, vec![10, 10, 10, 20, 20, 30], "seed {seed}");
@@ -586,14 +553,19 @@ mod tests {
         // And some seed does permute equal-time insertion order.
         let permuted = (0..50).any(|seed| {
             let mut p = Picker::new(ScheduleStrategy::fuzzed(seed), 2);
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::with_lanes(1);
             for i in 0..8 {
-                q.push(5, i, &mut p);
+                q.push_lane(0, 5, i, &mut p);
             }
             let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
             order != (0..8).collect::<Vec<_>>()
         });
         assert!(permuted, "no seed permuted equal-time events");
+    }
+
+    /// Events still scheduled: every slab slot not on the free list.
+    fn pending<T>(q: &EventQueue<T>) -> usize {
+        q.slab.len() - q.free.len()
     }
 
     /// The executable spec of [`EventQueue`]: every event whole in one
@@ -620,8 +592,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-        /// Arbitrary interleavings of plain pushes, lane pushes — in
-        /// order, at equal times, out of order — pops and clears fire
+        /// Arbitrary interleavings of pushes — in their lane's order, at
+        /// equal times, out of order — pops and clears fire
         /// exactly the model's `(time, item)` sequence and draw exactly
         /// its picker decisions, under FIFO, fuzzed and limit-capped
         /// fuzzed schedules.
@@ -656,11 +628,6 @@ mod tests {
                         model.push(t, pushed);
                         pushed += 1;
                     }
-                    4 => {
-                        queue.push(t, pushed, &mut picker);
-                        model.push(t, pushed);
-                        pushed += 1;
-                    }
                     // A pooled queue is cleared with events pending.
                     7 => {
                         queue.clear();
@@ -669,15 +636,15 @@ mod tests {
                     }
                     _ => prop_assert_eq!(queue.pop(), model.pop()),
                 }
-                prop_assert_eq!(queue.len(), model.heap.len());
+                prop_assert_eq!(pending(&queue), model.heap.len());
                 prop_assert_eq!(queue.is_empty(), model.heap.is_empty());
             }
             while let Some(fired) = model.pop() {
                 prop_assert_eq!(queue.pop(), Some(fired));
             }
             prop_assert_eq!(queue.pop(), None);
-            prop_assert_eq!((queue.len(), queue.is_empty()), (0, true));
-            prop_assert_eq!(picker.decisions(), model.picker.decisions());
+            prop_assert_eq!((pending(&queue), queue.is_empty()), (0, true));
+            prop_assert_eq!(picker.decisions, model.picker.decisions);
             prop_assert_eq!(picker.digest(), model.picker.digest());
         }
     }
@@ -693,10 +660,10 @@ mod tests {
                 q.push_lane(lane, 10 * t + lane as u64, (t, lane), &mut p);
             }
         }
-        assert_eq!((q.len(), q.heap.len()), (300, 3));
+        assert_eq!((pending(&q), q.heap.len()), (300, 3));
         // A straggler joins the heap on its own and fires in its turn.
         q.push_lane(1, 5, (0, 9), &mut p);
-        assert_eq!((q.len(), q.heap.len()), (301, 4));
+        assert_eq!((pending(&q), q.heap.len()), (301, 4));
         let fired: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop().map(|(_, i)| i))
             .take(7)
             .collect();
@@ -704,7 +671,7 @@ mod tests {
             fired,
             vec![(0, 0), (0, 1), (0, 2), (0, 9), (1, 0), (1, 1), (1, 2)]
         );
-        assert_eq!((q.len(), q.heap.len()), (294, 3));
+        assert_eq!((pending(&q), q.heap.len()), (294, 3));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::propagate::{expand_into, PropArrival, PropTask};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
 use snap_isa::{InstrClass, Instruction, Program};
-use snap_kb::{ClusterId, SemanticNetwork};
+use snap_kb::{ClusterId, Marker, SemanticNetwork};
 use snap_net::SimTime;
 use snap_obs::{PhaseKind, Stamp, Tracer};
 use std::sync::Arc;
@@ -130,10 +130,13 @@ impl Walker {
                     report.collects.extend(single.collect.take());
                 }
                 PlanOp::Group { start, len } => {
-                    // A single PE cannot overlap propagations: run them in order.
+                    // Registers resolve before any member runs; a single
+                    // PE cannot overlap propagations: run them in order.
+                    let (members, instrs) = (plan.members(start, len), program.instructions());
+                    region.check_group(members.iter().map(|&i| registers(&instrs[i as usize])))?;
                     tracer.phase_start(PhaseKind::Propagate, Stamp::Sim(now));
-                    for (g, &idx) in plan.members(start, len).iter().enumerate() {
-                        let spec = cached_spec(rules, &program.instructions()[idx as usize], g);
+                    for (g, &idx) in members.iter().enumerate() {
+                        let spec = cached_spec(rules, &instrs[idx as usize], g);
                         let ns = run_propagate(
                             config,
                             cost,
@@ -194,6 +197,14 @@ fn cached_spec<'a>(
     let spec = &mut rules[idx].1;
     spec.prop = prop;
     spec
+}
+
+/// The `(source, target)` registers of a `PROPAGATE` the plan grouped.
+fn registers(instr: &Instruction) -> (Marker, Marker) {
+    match instr {
+        Instruction::Propagate { source, target, .. } => (*source, *target),
+        _ => unreachable!("a plan groups only propagations"),
+    }
 }
 
 /// What one sequential run works in: the single region's marker state

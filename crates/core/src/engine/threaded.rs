@@ -930,12 +930,20 @@ impl Worker<'_> {
         queue: &mut ReadyQueue<PropTask>,
     ) -> PhaseExit {
         // Seed local sources, then consume the controller's phase token.
+        // A bad register seeds nothing; the controller returns the error
+        // once the (empty) phase closes.
         self.barrier.enter_busy();
-        for spec in specs {
+        let registers = specs.iter().map(|s| (s.source, s.target));
+        let seeded = match self.regions.first().map(|r| r.check_group(registers)) {
+            Some(Err(e)) => {
+                self.report_error(e);
+                &[]
+            }
+            _ => specs,
+        };
+        for spec in seeded {
             let mut sources: Vec<(NodeId, f32)> = Vec::new();
             for r in &self.regions {
-                // An unreadable source seeds nothing here; the controller
-                // returns the error once the (empty) phase closes.
                 match r.seeds(spec.source) {
                     Ok(seeds) => sources.extend(seeds),
                     Err(e) => self.report_error(e),

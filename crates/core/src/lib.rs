@@ -16,10 +16,14 @@
 //! * [`RunReport`] — the integrated measurement system: per-class
 //!   instruction profiles (Figs. 6, 18, 19), marker traffic per barrier
 //!   (Fig. 8), α per propagation (Fig. 16), and the four overhead
-//!   components (Fig. 21).
+//!   components (Fig. 21);
+//! * [`Cm2`] — Fig. 15's CM-2 comparator, a second cost model over the
+//!   same semantics.
 //!
-//! The engine-shared semantics ([`Region`], [`propagate`]) are public so
-//! comparator engines (e.g. the CM-2 baseline) can reuse them.
+//! The crate exports what a caller outside it uses: [`kernel`],
+//! [`propagate`], [`Region`] and [`RegionMap`] because the repository
+//! benchmark's probe (`benchmark/src/probe.rs`) times them directly,
+//! [`exec::Walker`] because each served query runs on it.
 //!
 //! # Examples
 //!
@@ -29,7 +33,7 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod controller;
+mod controller;
 mod cost;
 mod engine;
 mod error;
@@ -40,18 +44,16 @@ pub mod propagate;
 mod region;
 mod report;
 
-/// What other crates execute with: the engine-shared instruction
-/// semantics, so comparator engines (the CM-2 baseline) run the exact
-/// same logic, and the sequential engine's program walker, so a served
-/// query is a sequential-engine run.
+/// What the serving layer executes with: the sequential engine's
+/// program walker, so a served query is a sequential-engine run.
 pub mod exec {
-    pub use crate::engine::common::exec_single;
     pub use crate::engine::sequential::Walker;
 }
 
 pub use config::{EngineKind, MachineConfig};
 pub use cost::CostModel;
-pub use engine::sched::{EventQueue, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM};
+pub use engine::cm2::{Cm2, Cm2Cost};
+pub use engine::sched::ScheduleStrategy;
 pub use error::CoreError;
 pub use machine::{Snap1, Snap1Builder};
 pub use prepared::Prepared;

@@ -201,6 +201,25 @@ impl Region {
         }))
     }
 
+    /// Resolves the `(source, target)` registers of an overlap group's
+    /// `PROPAGATE`s in member order, touching neither. Every engine calls
+    /// it before any member propagates, so a group's error is the same
+    /// whatever the data and however the engine interleaves members.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for the first out-of-range register.
+    pub(crate) fn check_group(
+        &self,
+        group: impl IntoIterator<Item = (Marker, Marker)>,
+    ) -> Result<(), CoreError> {
+        for (source, target) in group {
+            self.markers.row(source)?;
+            self.markers.row(target)?;
+        }
+        Ok(())
+    }
+
     /// Member nodes where `marker` is active, ascending by global ID.
     ///
     /// # Errors

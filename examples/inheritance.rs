@@ -7,8 +7,7 @@
 //! cargo run --release --example inheritance
 //! ```
 
-use snap_baseline::Cm2;
-use snap_core::Snap1;
+use snap_core::{Cm2, Snap1};
 use snap_nlu::{hierarchy, inheritance_program};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -15,7 +15,7 @@
 //! hop budget cut to 1) must be localized to the first `Propagate`
 //! phase by `TraceReport::first_diverging_phase`.
 
-use snap_core::{EngineKind, FaultPlan};
+use snap_core::{Cm2, EngineKind, FaultPlan};
 use snap_integration_tests::grid::{
     assert_equivalent, program_wave, programs, run_cell, run_cell_cfg, try_run_cell, KbBuilder,
     CLUSTER_COUNTS, KBS,
@@ -54,7 +54,8 @@ fn differential_grid_engines_agree() {
 
     // A program that must fail fails alike: a search for a node past the
     // KB and a marker register past the 64-register file return the same
-    // typed error on every engine, not a collect on some.
+    // typed error on every engine and on the CM-2 comparator, not a
+    // collect on some.
     let failing = [
         (
             "unknown-node",
@@ -85,6 +86,8 @@ fn differential_grid_engines_agree() {
                         "{kb_name}/{prog_name}/c{clusters}/{engine:?}"
                     );
                 }
+                let cm2 = Cm2::new().run(&mut kb(), program).map(|r| r.collects);
+                assert_eq!(cm2, oracle, "{kb_name}/{prog_name}/cm2");
             }
         }
     }

@@ -5,8 +5,7 @@
 //! step functions), per the engine semantics contract in DESIGN.md.
 
 use proptest::prelude::*;
-use snap_baseline::Cm2;
-use snap_core::{CollectOutput, EngineKind, Snap1};
+use snap_core::{Cm2, CollectOutput, EngineKind, Snap1};
 use snap_isa::{CombineFunc, Program, PropRule, StepFunc, ValueFunc};
 use snap_kb::{
     Color, Marker, NetworkConfig, NodeId, PartitionScheme, RelationType, SemanticNetwork,

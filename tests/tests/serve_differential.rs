@@ -16,8 +16,7 @@
 //!   siblings that must not notice.
 
 use proptest::prelude::*;
-use snap_baseline::Cm2;
-use snap_core::{CoreError, EngineKind, MachineConfig, RunReport, Snap1};
+use snap_core::{Cm2, CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid;
 use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
 use snap_kb::{Color, KbError, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
@@ -129,13 +128,14 @@ fn served_batches_match_serial_runs_across_grid() {
     }
 }
 
-/// A read of a marker register past the 64-entry file — a `COLLECT`
-/// of it, or a `PROPAGATE` sourced at it — is one typed error on every
-/// engine, exclusive or shared, on the CM-2 comparator and in a served
-/// batch at depths 1 and 16, beside clean queries that must not notice
-/// and with exact accounting. Each program carries a second, different
-/// fault after the bad read, so the error also says which instruction
-/// the run stopped at.
+/// A marker register past the 64-entry file — a `COLLECT` of it, a
+/// `PROPAGATE` sourced at it, one overlap group naming it and another
+/// bad register, or a `PROPAGATE` into it that reaches no node — is one
+/// typed error on every engine, exclusive or shared, on the CM-2
+/// comparator and in a served batch at depths 1 and 16, beside clean
+/// queries that must not notice and with exact accounting. Each program
+/// carries a second, different fault after the bad register, so the
+/// error also says which instruction the run stopped at.
 #[test]
 fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
     let out_of_range = CoreError::Kb(KbError::MarkerOutOfRange {
@@ -160,9 +160,25 @@ fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
         .build();
     let propagate = Program::builder()
         .search_node(NodeId(0), Marker::binary(1), 0.0)
-        .propagate(bad, Marker::complex(2), star, StepFunc::AddWeight)
+        .propagate(bad, Marker::complex(2), star.clone(), StepFunc::AddWeight)
         .search_node(past_kb, Marker::binary(1), 0.0)
         .collect_marker(Marker::complex(2))
+        .build();
+    // Two independent propagations the controller overlaps in one group:
+    // the first fails on its target, the second on its source. Every
+    // member's registers resolve, in member order, before any member
+    // propagates, so no engine reports the second.
+    let (b1, c70, add) = (Marker::binary(1), Marker::complex(70), StepFunc::AddWeight);
+    let group = Program::builder()
+        .search_node(NodeId(0), b1, 0.0)
+        .propagate(b1, c70, star.clone(), add)
+        .propagate(Marker::binary(71), Marker::complex(3), star.clone(), add)
+        .search_node(past_kb, b1, 0.0)
+        .build();
+    // From a marker active nowhere: the bad target is never written.
+    let reaches_nothing = Program::builder()
+        .propagate(b1, c70, star, add)
+        .search_node(past_kb, b1, 0.0)
         .build();
     let mut raw = grid::kb_chain();
     raw.flush_links();
@@ -170,7 +186,12 @@ fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
     let oracle = serial_oracle(&ServeConfig::default());
     let want_clean = oracle.run_shared(&net, &clean);
     assert!(want_clean.is_ok());
-    for (name, program) in [("collect", &collect), ("propagate", &propagate)] {
+    for (name, program) in [
+        ("collect", &collect),
+        ("propagate", &propagate),
+        ("group", &group),
+        ("reaches nothing", &reaches_nothing),
+    ] {
         for engine in [
             EngineKind::Sequential,
             EngineKind::Des,
