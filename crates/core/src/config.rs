@@ -64,14 +64,16 @@ pub struct MachineConfig {
     /// inert. The aggregated `TraceReport` lands in the run report next
     /// to the fault report.
     pub trace: Option<ObsConfig>,
-    /// How the engines order ready work. The default
-    /// ([`ScheduleStrategy::Fifo`]) reproduces the historical
+    /// How the engines with concurrent actors order their work. The
+    /// default ([`ScheduleStrategy::Fifo`]) reproduces the historical
     /// deterministic orders bit for bit; a seeded
     /// [`ScheduleStrategy::Fuzzed`] schedule permutes the orderings a
-    /// legal machine leaves unspecified (ready-task picks, equal-time
-    /// event ties, worker polling order, close re-check timing) so the
+    /// legal machine leaves unspecified — the discrete-event simulator's
+    /// equal-time event ties, and the threaded engine's ready-task
+    /// picks, worker polling order and close re-check timing — so the
     /// interleaving fuzzer can hunt ordering bugs. Results must be
-    /// identical either way.
+    /// identical either way. The sequential engine is one PE with
+    /// nothing to order: it runs the same under every schedule.
     pub schedule: ScheduleStrategy,
     /// Inert: read only by `benchmark/src/probe.rs`, which passes it to
     /// `propagate_wave`'s ignored parameter.

@@ -25,7 +25,7 @@ use crate::config::MachineConfig;
 use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
-use crate::engine::sched::{apply_arrival, EventQueue, Picker, CONTROL_STREAM};
+use crate::engine::sched::{apply_arrival, maybe_plant_bug, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
@@ -695,6 +695,7 @@ impl<'c> Des<'c> {
         let spec = &specs[task.prop];
         let (segments, links_scanned) =
             expand_into(network, &spec.rule, spec.func, &task, &mut self.st.arrivals);
+        maybe_plant_bug(&self.picker, &mut self.st.arrivals);
         let local_sets = self
             .st
             .arrivals

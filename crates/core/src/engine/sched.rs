@@ -1,12 +1,15 @@
-//! The shared scheduler core: one ordering discipline for three engines.
+//! The shared scheduler core: one ordering discipline for the engines
+//! with concurrent actors.
 //!
-//! Every engine runs the same phase shape — seed sources, drain a pool
-//! of ready work, apply arrivals, close the phase — but each used to
-//! hand-roll the ordering of that pool. This module centralizes the
-//! *choice of what fires next* behind a [`ScheduleStrategy`]:
+//! The discrete-event simulator and the threaded engine run the same
+//! phase shape — seed sources, drain a pool of ready work, apply
+//! arrivals, close the phase — and each used to hand-roll the ordering
+//! of that pool. This module centralizes the *choice of what fires
+//! next* behind a [`ScheduleStrategy`]. The sequential engine is one PE
+//! with no concurrency, so it has no ordering to choose and takes no
+//! part:
 //!
-//! * [`ReadyQueue`] orders the ready-task pool of the sequential engine
-//!   and of each threaded worker;
+//! * [`ReadyQueue`] orders the ready-task pool of each threaded worker;
 //! * [`EventQueue`] orders the discrete-event simulator's event heap,
 //!   breaking ties between equal-time events;
 //! * [`Picker`] is the per-stream deterministic decision source behind
@@ -36,7 +39,10 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// How the scheduler core orders ready work.
 ///
-/// Lives on [`crate::MachineConfig::schedule`]; every engine consults it.
+/// Lives on [`crate::MachineConfig::schedule`]. The discrete-event
+/// simulator and the threaded engine consult it; the sequential engine
+/// has one PE, nothing to order, and runs identically under every
+/// strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleStrategy {
     /// Deterministic first-in-first-out: the historical order of every
@@ -65,11 +71,6 @@ impl ScheduleStrategy {
             limit: u64::MAX,
         }
     }
-
-    /// True when any decision may deviate from FIFO.
-    pub fn is_fuzzed(&self) -> bool {
-        matches!(self, ScheduleStrategy::Fuzzed { .. })
-    }
 }
 
 /// SplitMix64: tiny, seedable, and good enough to decorrelate decision
@@ -84,11 +85,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// One deterministic decision stream of the schedule.
 ///
-/// Each concurrent consumer (the sequential engine, the DES event heap,
-/// every threaded worker, the controller) owns a picker salted with its
-/// own `stream` id, so decisions taken by one never perturb another's —
-/// the property that makes a threaded fuzzed run replayable per stream
-/// even though real threads race.
+/// Each concurrent consumer (the DES event heap, every threaded worker,
+/// the controller) owns a picker salted with its own `stream` id, so
+/// decisions taken by one never perturb another's — the property that
+/// makes a threaded fuzzed run replayable per stream even though real
+/// threads race.
 #[derive(Debug, Clone)]
 pub struct Picker {
     strategy: ScheduleStrategy,
@@ -97,11 +98,12 @@ pub struct Picker {
     decisions: u64,
     /// FNV-style fold of every decision, for replay fingerprinting.
     digest: u64,
-    /// Whether the most recent pick deviated from the FIFO default.
+    /// Whether the most recent pick or tie key deviated from the FIFO
+    /// default.
     reordered: bool,
 }
 
-/// Stream id of the controller / single-threaded engines.
+/// Stream id of the controller and of the DES event heap.
 pub const CONTROL_STREAM: u64 = 0;
 
 impl Picker {
@@ -159,12 +161,17 @@ impl Picker {
     }
 
     /// Tie-break key for equal-time events: FIFO answers `0` for every
-    /// event (preserving arrival order), fuzzed draws a random key.
+    /// event (preserving arrival order), fuzzed draws a random key. Like
+    /// [`pick`](Self::pick), a drawn answer other than FIFO's marks the
+    /// decision reordered.
     pub fn tie_key(&mut self) -> u64 {
         if !self.fuzzing() {
+            self.reordered = false;
             return 0;
         }
-        self.draw()
+        let tie = self.draw();
+        self.reordered = tie != 0;
+        tie
     }
 
     /// Replay fingerprint: a fold of every decision drawn. Two runs of a
@@ -175,12 +182,13 @@ impl Picker {
     }
 
     /// The planted ordering bug (test-only, behind the `fuzz-bug`
-    /// feature): reports whether the last ready-pool pick was reordered,
-    /// in which case the engine drops that expansion's arrivals —
-    /// truncating propagation without disturbing barrier accounting, so the
-    /// differential grid sees a clean result divergence instead of a
-    /// hang. Never fires under FIFO, so the feature is inert for the
-    /// normal test suite.
+    /// feature): reports whether the last decision — a threaded
+    /// worker's ready-pool pick, or a tie key the DES event heap drew —
+    /// was reordered, in which case the engine drops the arrivals of the
+    /// expansion it is scheduling, truncating propagation without
+    /// disturbing barrier accounting, so the differential grid sees a
+    /// clean result divergence instead of a hang. Never fires under
+    /// FIFO, so the feature is inert for the normal test suite.
     #[cfg(feature = "fuzz-bug")]
     pub fn bug_armed(&self) -> bool {
         self.reordered
@@ -468,6 +476,7 @@ mod tests {
         }
         assert!(p.coin());
         assert_eq!(p.tie_key(), 0);
+        assert!(!p.reordered);
         assert_eq!(p.decisions, 0);
         assert_eq!(p.digest(), 0);
     }
@@ -490,15 +499,23 @@ mod tests {
             ScheduleStrategy::Fuzzed { seed: 3, limit: 5 },
             CONTROL_STREAM,
         );
-        for _ in 0..5 {
+        for _ in 0..4 {
             p.pick(100);
         }
+        // A one-task pool draws nothing and reorders nothing; a fuzzed
+        // tie key is a reordered decision, like a fuzzed pick.
+        assert_eq!(p.pick(1), 0);
+        assert!(!p.reordered);
+        assert_ne!(p.tie_key(), 0);
+        assert!(p.reordered);
         assert_eq!(p.decisions, 5);
-        // Decision budget exhausted: everything is FIFO from here on.
+        // Decision budget exhausted: everything is FIFO from here on,
+        // and a tie key drawn past it clears the flag.
         for _ in 0..20 {
+            assert_eq!(p.tie_key(), 0);
+            assert!(!p.reordered);
             assert_eq!(p.pick(100), 0);
             assert!(p.coin());
-            assert_eq!(p.tie_key(), 0);
         }
         assert_eq!(p.decisions, 5);
     }
@@ -677,7 +694,5 @@ mod tests {
     #[test]
     fn strategy_default_is_fifo() {
         assert_eq!(ScheduleStrategy::default(), ScheduleStrategy::Fifo);
-        assert!(ScheduleStrategy::fuzzed(1).is_fuzzed());
-        assert!(!ScheduleStrategy::Fifo.is_fuzzed());
     }
 }

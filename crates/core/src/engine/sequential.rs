@@ -7,16 +7,23 @@
 //! of Fig. 6 (instruction frequency vs execution time measured "for NLU
 //! applications on a single processor"), and — through [`Walker`] — it
 //! is what a served query runs on.
+//!
+//! Every `PROPAGATE` runs through the wave kernel
+//! ([`propagate_wave_in`]). One PE has no concurrent actors, so there is
+//! no ordering for a schedule to permute: the engine draws no schedule
+//! decisions, a fuzzed run is the FIFO run bit for bit, and its
+//! `schedule_digest` is 0 under every [`ScheduleStrategy`].
+//!
+//! [`ScheduleStrategy`]: crate::ScheduleStrategy
 
 use crate::config::MachineConfig;
 use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
-use crate::engine::sched::{apply_arrival, maybe_plant_bug, Picker, ReadyQueue, CONTROL_STREAM};
 use crate::error::CoreError;
 use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
 use crate::prepared::Prepared;
-use crate::propagate::{expand_into, PropArrival, PropTask};
+use crate::propagate::{PropArrival, PropTask};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
 use snap_isa::{InstrClass, Instruction, Program};
@@ -29,10 +36,9 @@ use std::sync::Arc;
 ///
 /// Everything a run needs that is sized by the executor rather than by
 /// the query lives here and keeps its capacity between runs — the
-/// controller plan, the instruction outcome, the wave kernel's scratch
-/// (whose visited table the scalar loop uses too), compiled
-/// `PROPAGATE` rules and emptied collect buffers — so a caller that
-/// also keeps its regions and reports
+/// controller plan, the instruction outcome, the wave kernel's scratch,
+/// compiled `PROPAGATE` rules and emptied collect buffers — so a caller
+/// that also keeps its regions and reports
 /// ([`Snap1::run_shared`](crate::Snap1::run_shared) does the former,
 /// the serving layer both) runs warm queries without allocating.
 #[derive(Debug, Default)]
@@ -109,9 +115,6 @@ impl Walker {
         plan.plan(program);
         let mut now: SimTime = 0;
         let tracer = Tracer::from_config(config.trace.as_ref(), 1);
-        // One decision stream for the whole run: the single PE is the only
-        // scheduling consumer, so every ready-pool pick draws from it.
-        let mut picker = Picker::new(config.schedule, CONTROL_STREAM);
 
         for &op in plan.ops() {
             match op {
@@ -137,17 +140,22 @@ impl Walker {
                     tracer.phase_start(PhaseKind::Propagate, Stamp::Sim(now));
                     for (g, &idx) in members.iter().enumerate() {
                         let spec = cached_spec(rules, &instrs[idx as usize], g);
-                        let ns = run_propagate(
-                            config,
+                        let (expansions, activations) =
+                            (report.expansions, report.traffic.local_activations);
+                        let ns = propagate_region(
                             cost,
+                            config.max_hops,
                             network.get(),
                             region,
                             wave,
                             spec,
                             report,
-                            &tracer,
-                            &mut picker,
                         )?;
+                        // The trace keeps per-phase sums, so the kernel's
+                        // counts are posted after the propagation.
+                        (expansions..report.expansions).for_each(|_| tracer.expansion(0));
+                        (activations..report.traffic.local_activations)
+                            .for_each(|_| tracer.activation(0));
                         now += ns;
                         report.record(InstrClass::Propagate, ns);
                     }
@@ -169,7 +177,6 @@ impl Walker {
         if tracer.is_enabled() {
             report.trace = tracer.report();
         }
-        report.schedule_digest = picker.digest();
         // Purge classes this run never recorded, so a pooled report is
         // indistinguishable from a freshly built one.
         report.seal_for_pool();
@@ -289,98 +296,6 @@ fn instr_cost(
         }
 }
 
-/// One `PROPAGATE` on the single region. Under the FIFO schedule it is
-/// [`propagate_region`]; a fuzzed schedule takes the breadth-first
-/// scalar loop with value re-relaxation (SPFA-style) over the wave
-/// scratch's visited table, which stays the executable spec the
-/// differential grid holds the kernel to. Its ready-task order comes
-/// from the shared scheduler core: a fuzzed strategy that never
-/// deviates preserves the breadth-first order exactly, one that does
-/// picks any ready task — which the min-`(value, origin)` convergence
-/// must absorb without changing the result.
-#[allow(clippy::too_many_arguments)]
-fn run_propagate(
-    config: &MachineConfig,
-    cost: &CostModel,
-    network: &SemanticNetwork,
-    region: &mut Region,
-    wave: &mut WaveScratch,
-    spec: &PropSpec,
-    report: &mut RunReport,
-    tracer: &Tracer,
-    picker: &mut Picker,
-) -> Result<SimTime, CoreError> {
-    // The wave kernel draws no picker decisions, so a fuzzed schedule
-    // never takes it.
-    if !config.schedule.is_fuzzed() {
-        let (expansions, activations) = (report.expansions, report.traffic.local_activations);
-        let ns = propagate_region(cost, config.max_hops, network, region, wave, spec, report)?;
-        // The tracer counts what the scalar loop below reports event by
-        // event; both are plain per-phase sums.
-        (expansions..report.expansions).for_each(|_| tracer.expansion(0));
-        (activations..report.traffic.local_activations).for_each(|_| tracer.activation(0));
-        return Ok(ns);
-    }
-    let sources: Vec<_> = region.seeds(spec.source)?.collect();
-    report.alpha_per_propagate.push(sources.len() as u64);
-    let visited = &mut wave.visited;
-    visited.reset_for(network.node_count());
-    let mut queue: ReadyQueue<PropTask> = ReadyQueue::new();
-    for (node, value) in sources {
-        if visited.should_expand(spec.prop, 0, node, value, node) {
-            queue.push(PropTask {
-                prop: spec.prop,
-                node,
-                state: 0,
-                value,
-                origin: node,
-                level: 0,
-            });
-        }
-    }
-
-    let mut ns = cost.pu_decode_ns;
-    let mut arrivals: Vec<PropArrival> = Vec::new();
-    while let Some(task) = queue.pop(picker) {
-        let (segments, links_scanned) =
-            expand_into(network, &spec.rule, spec.func, &task, &mut arrivals);
-        maybe_plant_bug(picker, &mut arrivals);
-        report.expansions += 1;
-        tracer.expansion(0);
-        ns += cost.expand_ns(segments, links_scanned, arrivals.len());
-        if task.level >= config.max_hops {
-            continue;
-        }
-        for &arrival in &arrivals {
-            let expand = apply_arrival(
-                region,
-                visited,
-                spec.target,
-                spec.prop,
-                arrival.state,
-                arrival.node,
-                arrival.value,
-                task.origin,
-            )?;
-            report.traffic.local_activations += 1;
-            tracer.activation(0);
-            let level = task.level + 1;
-            report.max_propagation_depth = report.max_propagation_depth.max(level);
-            if expand {
-                queue.push(PropTask {
-                    prop: spec.prop,
-                    node: arrival.node,
-                    state: arrival.state,
-                    value: arrival.value,
-                    origin: task.origin,
-                    level,
-                });
-            }
-        }
-    }
-    Ok(ns)
-}
-
 /// One `PROPAGATE` on one region through the wave kernel: gathers the
 /// seeds where `spec.source` is active, records α, runs
 /// [`propagate_wave_in`] over `scratch` and delivers every arrival
@@ -421,9 +336,9 @@ fn propagate_region(
     Ok(sink.ns)
 }
 
-/// Engine accounting behind the wave kernel: expansion and arrival
-/// events mutate the same report fields, cost-model nanoseconds, and
-/// region the scalar loop touches — in the same places.
+/// Engine accounting behind the wave kernel: each expansion charges
+/// its cost-model nanoseconds and counts; each arrival merges into the
+/// region's target marker and counts a local activation and its depth.
 struct SeqWaveSink<'a> {
     cost: &'a CostModel,
     region: &'a mut Region,
@@ -477,7 +392,6 @@ pub(crate) fn run_exclusive(
 mod tests {
     use super::run_exclusive as run;
     use super::*;
-    use crate::engine::sched::ScheduleStrategy;
     use snap_isa::{CombineFunc, PropRule, StepFunc};
     use snap_kb::{Color, Marker, NetworkConfig, RelationType};
 
@@ -553,42 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn fuzzed_fifo_scalar_loop_reports_identically_to_the_wave() {
-        // Scalar loop (a fuzzed schedule that never deviates from FIFO)
-        // vs wave kernel: one report, instruction for instruction.
-        let is_a = RelationType(0);
-        let first = RelationType(1);
-        let last = RelationType(2);
-        let (m1, m2, m3, m4, m5) = (
-            Marker::binary(1),
-            Marker::binary(2),
-            Marker::complex(3),
-            Marker::complex(4),
-            Marker::complex(5),
-        );
-        let program = Program::builder()
-            .search_color(Color(1), m1, 0.0)
-            .search_color(Color(2), m2, 0.0)
-            .propagate(m1, m3, PropRule::Spread(is_a, first), StepFunc::AddWeight)
-            .propagate(m2, m4, PropRule::Spread(is_a, last), StepFunc::AddWeight)
-            .and_marker(m3, m4, m5, CombineFunc::Add)
-            .collect_marker(m5)
-            .build();
-        let run_with = |schedule| {
-            let mut net = fig1_network();
-            let config = MachineConfig {
-                schedule,
-                ..MachineConfig::snap1_eval()
-            };
-            run(&config, &CostModel::snap1(), &mut net, &program).unwrap()
-        };
-        let scalar = run_with(ScheduleStrategy::Fuzzed { seed: 7, limit: 0 });
-        let wave = run_with(ScheduleStrategy::Fifo);
-        assert_eq!(wave, scalar);
-        assert!(wave.expansions > 0);
-    }
-
-    #[test]
     fn propagate_dominates_time_not_count() {
         let mut net = fig1_network();
         let is_a = RelationType(0);
@@ -606,6 +484,23 @@ mod tests {
         assert_eq!(report.instruction_count(), 5);
         assert!(report.time_of(InstrClass::Propagate) > 0);
         assert!(report.total_ns > 0);
+
+        // Traced, the run records a trace exactly when tracing is
+        // compiled in, and the trace counts what the report counts.
+        let config = MachineConfig {
+            trace: Some(snap_obs::ObsConfig::full()),
+            ..MachineConfig::snap1_eval()
+        };
+        let mut traced = run(&config, &CostModel::snap1(), &mut net, &program).unwrap();
+        assert_eq!(traced.trace.enabled, cfg!(feature = "obs"));
+        let trace = std::mem::take(&mut traced.trace);
+        assert_eq!(traced, report, "tracing changes nothing else");
+        if cfg!(feature = "obs") {
+            let sum = |f: fn(&snap_obs::PhaseStat) -> u64| trace.phases.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|p| p.expansions), report.expansions);
+            assert_eq!(sum(|p| p.activations), report.traffic.local_activations);
+            assert!(report.expansions > 0);
+        }
     }
 
     #[test]

@@ -1496,7 +1496,7 @@ mod tests {
     #[test]
     fn gate_confirm_complete_holds_on_quiet_gate() {
         let mut p = Picker::new(ScheduleStrategy::fuzzed(9), CONTROL_STREAM);
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         barrier.enter_busy();
         assert!(confirm_complete(&barrier, &mut p));
         barrier.created(3);

@@ -3,18 +3,23 @@
 //! lockstep 64-lane sweep ([`propagate_multi_wave_sliced`]) is kept for
 //! the benchmark's probe only; no engine and no server calls it.
 //!
-//! The scalar loop in the sequential engine is the executable spec for
-//! `PROPAGATE`: pop one task, expand it, merge its arrivals, repeat.
-//! Because the FIFO schedule is level-synchronous — seeds sit at level 0
-//! and every accepted arrival is requeued at `parent + 1` — the same
+//! The executable spec for `PROPAGATE` is a scalar FIFO loop: pop one
+//! task, expand it, merge its arrivals, repeat. It lives in this
+//! module's tests (`scalar_reference_with_stats`), over `propagate.rs`'s
+//! reference cross-product scan and hashed visited map, so it shares
+//! neither the expansion nor the table with the kernel it checks.
+//! Because a FIFO queue is level-synchronous — seeds sit at level 0 and
+//! every accepted arrival is requeued at `parent + 1` — the same
 //! computation can be restructured into *waves*: all tasks of one level
 //! expand together against dense per-state bitmaps over the node arena.
 //! [`propagate_wave_in`] runs that restructured loop: it scatters from the
 //! frontier through the CSR out-runs, one expansion per task in wave
 //! order with its arrivals interleaved immediately. That is literally
-//! the scalar loop minus the ready-queue shuffling, so the whole event
-//! sequence — every expansion, every arrival, in order — matches the
-//! spec, which the differential grid asserts on whole reports.
+//! the scalar loop minus the queue, so the whole event sequence — every
+//! expansion, every arrival, in order — matches the spec, which
+//! `prop_a_pooled_scratch_replays_like_a_fresh_one` asserts event for
+//! event over random networks, rules, step functions, seeds and hop
+//! caps.
 //!
 //! There is one direction. SNAP-1 scatters a marker from the active
 //! node through that node's relation slots and its tiered
@@ -30,8 +35,7 @@
 //! propagation 0. Rule states have at most [`MAX_RULE_ARCS`] arcs and
 //! every engine flushes its relation table at entry, so the kernel takes
 //! any `PROPAGATE`: the sequential engine (and every served query) and
-//! the CM-2 comparator run all of theirs here, and the sequential
-//! engine's scalar loop is taken for fuzzed schedules only.
+//! the CM-2 comparator run all of theirs here, under every schedule.
 
 use crate::error::CoreError;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
@@ -57,7 +61,7 @@ pub trait WaveSink {
     /// table cost units and `arrivals` the number of arrivals it
     /// produced. Called once per task in spec order, including tasks at
     /// the hop cap, whose arrivals are charged but never delivered
-    /// (exactly like the scalar loop).
+    /// (exactly like the scalar spec).
     fn on_expand(
         &mut self,
         task: &PropTask,
@@ -88,7 +92,7 @@ pub struct WaveStats {
 /// `scratch`, reporting every expansion and arrival to `sink`.
 ///
 /// `seeds` are gated through the visited tables in order (duplicates
-/// and non-improvements drop, exactly like the scalar seed loop) and
+/// and non-improvements drop, exactly like the scalar spec's seeds) and
 /// become wave 0. A wave at `max_hops` still expands — its cost is
 /// charged — but delivers no arrivals. Whatever `scratch` last ran —
 /// another network, another rule, a wave its sink failed — is
@@ -180,7 +184,7 @@ pub fn propagate_wave<S: WaveSink>(
     propagate_wave_in(network, rule, func, prop, max_hops, seeds, scratch, sink)
 }
 
-/// The scalar loop restructured over one wave. Expands each task in
+/// The scalar spec restructured over one wave. Expands each task in
 /// wave order and interleaves its arrivals immediately, so the full
 /// event sequence matches the spec.
 #[allow(clippy::too_many_arguments)]
@@ -627,14 +631,14 @@ fn sliced_visit(
 /// so its arrivals still land in (round ascending, template order) =
 /// wave order × template order: exactly the scalar spec's sequence, so
 /// every lane is bit-identical to running [`propagate_wave`] — and
-/// therefore the scalar loop — on that lane's seeds alone. Per template
+/// therefore the scalar spec — on that lane's seeds alone. Per template
 /// arrival, one `OR` on the site's lane plane check-and-sets **all**
 /// lanes at once; lanes whose bit was clear are guaranteed first visits
 /// and skip the comparator, and only the rest replay the per-lane
 /// `(value, origin)` merge.
 ///
 /// A level at `max_hops` still counts every lane's expansions (their
-/// cost is charged) but delivers no arrivals, like the scalar loop.
+/// cost is charged) but delivers no arrivals, like the scalar spec.
 ///
 /// The target-marker fold runs in the same planes ([`Region::arrive`]'s
 /// exact merge, keyed by node), so the region is untouched during the
@@ -683,7 +687,7 @@ pub fn propagate_multi_wave_sliced(
     let states = rule.states().len();
 
     // Seeds gate through the state-0 visited plane in order, exactly
-    // like the scalar seed loop.
+    // like the scalar spec's seeds.
     for (li, (lane, &lane_seeds)) in lanes.iter_mut().zip(seeds).enumerate() {
         lane.wave.clear();
         lane.next.clear();
@@ -997,9 +1001,7 @@ fn expand_template(
 /// set seen bit.
 #[derive(Debug, Default)]
 pub struct WaveScratch {
-    /// Also the sequential engine's scalar loop's table, so a walker
-    /// keeps one.
-    pub(crate) visited: VisitedMap,
+    visited: VisitedMap,
     wave: Vec<PropTask>,
     next: Vec<PropTask>,
     arrivals: Vec<PropArrival>,
@@ -1494,16 +1496,18 @@ mod tests {
     proptest::proptest! {
         /// One [`WaveScratch`] reused across a random sequence of
         /// propagations — networks of 8–300 nodes going up *and* down
-        /// in size, rules of one to three states, seeds with duplicates,
-        /// value ties and nodes past the declared node count (the
-        /// growth path), hop caps 0–6 — replays every call exactly like
-        /// a fresh scratch and like the scalar spec: stale `best`
-        /// entries, stale frontiers and seen bits past the current node
-        /// count are all unobservable. A mutant whose [`VisitedMap`]
-        /// skips arming one state's table — its seen bits survive the
-        /// reset — fails here (planted by hand for each of the three
-        /// states: tables 0 and 1 fail at case 1, table 2 at case 21 of
-        /// 64).
+        /// in size, rules of one to three states, all five step
+        /// functions, seeds with duplicates, value ties and nodes past
+        /// the declared node count (the growth path), hop caps 0–6 —
+        /// replays every call exactly like a fresh scratch and like the
+        /// scalar spec: stale `best` entries, stale frontiers and seen
+        /// bits past the current node count are all unobservable. A
+        /// mutant whose [`VisitedMap`] skips arming one state's table —
+        /// its seen bits survive the reset — fails here (planted by hand
+        /// for each of the three states while only `AddWeight` was
+        /// drawn: tables 0 and 1 failed at case 1, table 2 at case 21 of
+        /// 64), and so does one whose single-arc path ignores the link
+        /// weight under `MaxWeight` alone.
         #[test]
         fn prop_a_pooled_scratch_replays_like_a_fresh_one(
             calls in proptest::collection::vec(
@@ -1513,14 +1517,22 @@ mod tests {
                     0usize..6,
                     proptest::collection::vec((0u32..4096, 0u8..3), 0..8),
                     0u8..=6,
+                    0usize..5,
                 ),
                 2..7,
             ),
         ) {
             use proptest::prop_assert_eq;
             let rules = rule_menu();
+            let funcs = [
+                StepFunc::Identity,
+                StepFunc::AddWeight,
+                StepFunc::MulWeight,
+                StepFunc::MinWeight,
+                StepFunc::MaxWeight,
+            ];
             let mut pooled = WaveScratch::new();
-            for (nodes, links, rule, seeds, max_hops) in calls {
+            for (nodes, links, rule, seeds, max_hops, func) in calls {
                 let mut net = SemanticNetwork::new(NetworkConfig::default());
                 for _ in 0..nodes {
                     net.add_node(Color(0)).unwrap();
@@ -1539,12 +1551,13 @@ mod tests {
                     .map(|(raw, v)| (NodeId(raw % (n + n / 8 + 1)), v as f32 * 0.25))
                     .collect();
 
+                let func = funcs[func];
                 let (spec, spec_stats) =
-                    scalar_reference_with_stats(&net, rule, StepFunc::AddWeight, max_hops, &seeds);
-                let (fresh, fresh_stats) = run_kernel(&net, rule, StepFunc::AddWeight, max_hops, &seeds);
+                    scalar_reference_with_stats(&net, rule, func, max_hops, &seeds);
+                let (fresh, fresh_stats) = run_kernel(&net, rule, func, max_hops, &seeds);
                 let mut reused = Recorder::default();
                 let reused_stats = propagate_wave_in(
-                    &net, rule, StepFunc::AddWeight, 0, max_hops, &seeds, &mut pooled, &mut reused,
+                    &net, rule, func, 0, max_hops, &seeds, &mut pooled, &mut reused,
                 )
                 .unwrap();
                 prop_assert_eq!(&reused, &fresh, "pooled vs fresh events");

@@ -306,8 +306,9 @@ impl VisitedMap {
 /// executable specifications the way `snap-kb` keeps its nested relation
 /// table: the cross-product scan [`expand_into`] must reproduce and the
 /// hashed visited map [`VisitedMap`] must decide like. `kernel.rs`'s
-/// scalar spec runs on both, so the wave kernel is never checked against
-/// its own table.
+/// scalar spec — the one executable spec for `PROPAGATE` — runs on both,
+/// so the wave kernel is never checked against its own expansion or its
+/// own table.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

@@ -68,33 +68,13 @@ pub struct Fabric<T> {
 
 impl<T> Fabric<T> {
     /// Creates a fabric over `topology`; returns the fabric plus one
-    /// receiver per cluster (in cluster order).
-    pub fn new(topology: HypercubeTopology) -> (Self, Vec<Receiver<T>>) {
-        Self::build(topology, None, Tracer::disabled())
-    }
-
-    /// Creates a fabric whose [`send_faulty`](Self::send_faulty) and
-    /// [`send_control`](Self::send_control) paths are subject to
-    /// `injector`'s plan. The plain [`send`](Self::send) path stays
-    /// fault-free either way.
-    pub fn with_injector(
-        topology: HypercubeTopology,
-        injector: Arc<FaultInjector>,
-    ) -> (Self, Vec<Receiver<T>>) {
-        Self::build(topology, Some(injector), Tracer::disabled())
-    }
-
-    /// Creates a fabric with an optional injector and a tracer that
-    /// observes destination-mailbox depth on every counted send.
+    /// receiver per cluster (in cluster order). With an `injector`, the
+    /// [`send_faulty`](Self::send_faulty) and
+    /// [`send_control`](Self::send_control) paths are subject to its
+    /// plan; the plain [`send`](Self::send) path stays fault-free either
+    /// way. `tracer` observes destination-mailbox depth on every counted
+    /// send ([`Tracer::disabled`] for none).
     pub fn with_instruments(
-        topology: HypercubeTopology,
-        injector: Option<Arc<FaultInjector>>,
-        tracer: Tracer,
-    ) -> (Self, Vec<Receiver<T>>) {
-        Self::build(topology, injector, tracer)
-    }
-
-    fn build(
         topology: HypercubeTopology,
         injector: Option<Arc<FaultInjector>>,
         tracer: Tracer,
@@ -333,7 +313,8 @@ mod tests {
 
     #[test]
     fn messages_arrive_at_their_cluster() {
-        let (fabric, receivers) = Fabric::new(HypercubeTopology::snap1());
+        let (fabric, receivers) =
+            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
         fabric.send(ClusterId(0), ClusterId(23), 42u32);
         fabric.send(ClusterId(5), ClusterId(23), 43u32);
         let rx = &receivers[23];
@@ -348,7 +329,8 @@ mod tests {
 
     #[test]
     fn fabric_works_across_threads() {
-        let (fabric, receivers) = Fabric::new(HypercubeTopology::snap1());
+        let (fabric, receivers) =
+            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
         let f2 = fabric.clone();
         let sender = thread::spawn(move || {
             for i in 0..100u32 {
@@ -374,7 +356,8 @@ mod tests {
             got
         };
         let run = |seed: u64| {
-            let (fabric, receivers) = Fabric::new(HypercubeTopology::snap1());
+            let (fabric, receivers) =
+                Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
             fabric.enable_reorder(seed);
             for i in 0..50u32 {
                 fabric.send(ClusterId(0), ClusterId(9), i);
@@ -408,7 +391,8 @@ mod tests {
 
     #[test]
     fn faulty_path_without_injector_is_plain_delivery() {
-        let (fabric, receivers) = Fabric::new(HypercubeTopology::snap1());
+        let (fabric, receivers) =
+            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(1), Payload(7));
         assert!(fate.is_clean());
         assert_eq!(receivers[1].try_recv().unwrap(), Payload(7));
@@ -422,8 +406,11 @@ mod tests {
     #[test]
     fn injected_drops_never_arrive_but_are_counted() {
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).drops(1.0)));
-        let (fabric, receivers) =
-            Fabric::with_injector(HypercubeTopology::snap1(), Arc::clone(&injector));
+        let (fabric, receivers) = Fabric::with_instruments(
+            HypercubeTopology::snap1(),
+            Some(Arc::clone(&injector)),
+            Tracer::disabled(),
+        );
         for i in 0..20 {
             let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(i));
             assert!(fate.dropped);
@@ -436,8 +423,11 @@ mod tests {
     #[test]
     fn injected_duplicates_arrive_twice() {
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).duplicates(1.0)));
-        let (fabric, receivers) =
-            Fabric::with_injector(HypercubeTopology::snap1(), Arc::clone(&injector));
+        let (fabric, receivers) = Fabric::with_instruments(
+            HypercubeTopology::snap1(),
+            Some(Arc::clone(&injector)),
+            Tracer::disabled(),
+        );
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(9));
         assert!(fate.duplicated);
         assert_eq!(receivers[3].try_recv().unwrap(), Payload(9));
@@ -448,8 +438,11 @@ mod tests {
     #[test]
     fn injected_corruption_alters_payload() {
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).corruptions(1.0)));
-        let (fabric, receivers) =
-            Fabric::with_injector(HypercubeTopology::snap1(), Arc::clone(&injector));
+        let (fabric, receivers) = Fabric::with_instruments(
+            HypercubeTopology::snap1(),
+            Some(Arc::clone(&injector)),
+            Tracer::disabled(),
+        );
         fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(9));
         assert_ne!(receivers[3].try_recv().unwrap(), Payload(9));
     }
@@ -459,8 +452,11 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(
             FaultPlan::seeded(11).delays(1.0, 2_000_000),
         ));
-        let (fabric, receivers) =
-            Fabric::with_injector(HypercubeTopology::snap1(), Arc::clone(&injector));
+        let (fabric, receivers) = Fabric::with_instruments(
+            HypercubeTopology::snap1(),
+            Some(Arc::clone(&injector)),
+            Tracer::disabled(),
+        );
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(5));
         assert!(fate.delay_ns > 0);
         assert!(receivers[3].try_recv().is_err(), "not delivered yet");

@@ -70,27 +70,13 @@ pub struct TieredBarrier {
 }
 
 impl TieredBarrier {
-    /// Creates the barrier; all PEs start idle.
-    pub fn new() -> Arc<Self> {
-        Self::build(None, Tracer::disabled())
-    }
-
-    /// Creates the barrier with a fault injector attached: counter
-    /// updates may be stalled (after publication, so the no-false-
-    /// termination invariant is untouched), modeling counter-network
-    /// contention.
-    pub fn with_injector(injector: Arc<FaultInjector>) -> Arc<Self> {
-        Self::build(Some(injector), Tracer::disabled())
-    }
-
-    /// Creates the barrier with both an optional injector and a tracer:
-    /// every created-token arrival is reported to the counter-network
-    /// track of the trace (subject to the tracer's sampling).
+    /// Creates the barrier; all PEs start idle. With an `injector`,
+    /// counter updates may be stalled (after publication, so the
+    /// no-false-termination invariant is untouched), modeling
+    /// counter-network contention. `tracer` receives every created-token
+    /// arrival on the counter-network track of the trace (subject to its
+    /// sampling; [`Tracer::disabled`] for none).
     pub fn with_instruments(injector: Option<Arc<FaultInjector>>, tracer: Tracer) -> Arc<Self> {
-        Self::build(injector, tracer)
-    }
-
-    fn build(injector: Option<Arc<FaultInjector>>, tracer: Tracer) -> Arc<Self> {
         Arc::new(TieredBarrier {
             levels: (0..MAX_LEVELS).map(|_| AtomicI64::new(0)).collect(),
             busy_pes: AtomicUsize::new(0),
@@ -268,14 +254,14 @@ mod tests {
 
     #[test]
     fn starts_complete() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         assert!(b.is_complete());
         assert_eq!(b.in_flight(), 0);
     }
 
     #[test]
     fn busy_pe_blocks_completion() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.enter_busy();
         assert!(!b.is_complete());
         assert!(b.levels_drained(), "the AND-tree is not a counter");
@@ -285,7 +271,7 @@ mod tests {
 
     #[test]
     fn in_flight_message_blocks_completion() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.created(3);
         assert!(!b.is_complete());
         assert!(!b.levels_drained());
@@ -301,7 +287,7 @@ mod tests {
     fn wait_complete_never_fires_early() {
         const WORKERS: usize = 4;
         const SEEDS: u32 = 200;
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..WORKERS).map(|_| unbounded::<(u8, u32)>()).unzip();
         let processed = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -357,7 +343,7 @@ mod tests {
 
     #[test]
     fn deep_levels_saturate_in_threaded_barrier() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.created(250);
         b.created(MAX_LEVELS as u8);
         assert!(!b.is_complete());
@@ -370,7 +356,7 @@ mod tests {
 
     #[test]
     fn watchdog_classifies_lost_messages() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.created(0); // never consumed: models a dropped message
         let err = b
             .wait_complete_timeout(Duration::from_millis(20))
@@ -381,7 +367,7 @@ mod tests {
 
     #[test]
     fn watchdog_classifies_wedged_pes() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.enter_busy(); // never exits: models a wedged worker
         let err = b
             .wait_complete_timeout(Duration::from_millis(20))
@@ -392,7 +378,7 @@ mod tests {
 
     #[test]
     fn watchdog_tolerates_slow_but_live_traffic() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.created(0);
         let worker = {
             let b = Arc::clone(&b);
@@ -415,7 +401,7 @@ mod tests {
 
     #[test]
     fn reset_abandons_outstanding_accounting() {
-        let b = TieredBarrier::new();
+        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
         b.created(0);
         b.created(5);
         b.enter_busy();
@@ -429,7 +415,7 @@ mod tests {
     fn injector_stall_delays_but_preserves_accounting() {
         use snap_fault::{FaultInjector, FaultPlan};
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(5).stalls(1.0, 10_000)));
-        let b = TieredBarrier::with_injector(Arc::clone(&injector));
+        let b = TieredBarrier::with_instruments(Some(Arc::clone(&injector)), Tracer::disabled());
         for _ in 0..16 {
             b.created(0);
         }

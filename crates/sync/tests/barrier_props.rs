@@ -10,6 +10,7 @@
 //! regardless of the exact (saturated) level values used on each side.
 
 use proptest::prelude::*;
+use snap_obs::Tracer;
 use snap_sync::{TieredBarrier, MAX_LEVELS};
 
 /// Deterministically interleaves consumptions among later creations:
@@ -48,7 +49,7 @@ proptest! {
     fn any_arrival_order_drains_to_completion(
         ops in proptest::collection::vec((0u8..=255, 0u8..32), 1..120),
     ) {
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         run_schedule(&barrier, &ops);
         prop_assert!(barrier.is_complete());
         prop_assert_eq!(barrier.in_flight(), 0);
@@ -66,7 +67,7 @@ proptest! {
         consume_levels in proptest::collection::vec(
             (MAX_LEVELS as u8)..=255, 1..40),
     ) {
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         let n = create_levels.len().min(consume_levels.len());
         for &l in &create_levels[..n] {
             barrier.created(l);
@@ -87,7 +88,7 @@ proptest! {
         tokens in proptest::collection::vec(0u8..=255, 0..20),
         busy in 1usize..8,
     ) {
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         for _ in 0..busy {
             barrier.enter_busy();
         }
@@ -116,7 +117,7 @@ proptest! {
         busy in 0usize..4,
         replay in proptest::collection::vec(0u8..=255, 0..20),
     ) {
-        let barrier = TieredBarrier::new();
+        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
         for _ in 0..busy {
             barrier.enter_busy();
         }

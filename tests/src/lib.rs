@@ -5,8 +5,9 @@
 //!   exemplar programs, cell runners, and the equivalence check.
 //! * [`fuzz`] — the deterministic interleaving fuzzer: sweeps seeded
 //!   [`ScheduleStrategy::Fuzzed`](snap_core::ScheduleStrategy) schedules
-//!   through the grid, and shrinks any divergence to a minimal decision
-//!   prefix (the strategy's `limit` knob) plus a replayable JSON repro.
+//!   through the grid on the simulator and the threaded engine, and
+//!   shrinks any divergence to a minimal decision prefix (the
+//!   strategy's `limit` knob) plus a replayable JSON repro.
 
 pub mod grid {
     //! The differential grid: knowledge bases × programs × cluster
@@ -286,11 +287,14 @@ pub mod fuzz {
     //! Instead of waiting for a race to strike in production, the
     //! fuzzer *constructs* adversarial-but-legal schedules: each seed
     //! derives a `ScheduleStrategy::Fuzzed` schedule that permutes
-    //! ready-task picks, equal-time event ties, worker fabric-vs-queue
-    //! polling, fabric delivery order, and barrier-close timing, then runs
-    //! the differential grid under it. The propagation semantics are
-    //! order-independent, so any divergence from the FIFO sequential
-    //! oracle is a real ordering bug.
+    //! the simulator's equal-time event ties and the threaded engine's
+    //! ready-task picks, worker fabric-vs-queue polling, fabric delivery
+    //! order and barrier-close timing, then runs the differential grid
+    //! under it on those two engines ([`ENGINES`]). The propagation
+    //! semantics are order-independent, so any divergence from the FIFO
+    //! sequential oracle is a real ordering bug. The sequential engine
+    //! itself is one PE with nothing to reorder: a schedule leaves it
+    //! untouched.
     //!
     //! A divergence is shrunk by bisecting the strategy's `limit` knob
     //! (how many leading schedule decisions are fuzzed before the
@@ -342,12 +346,10 @@ pub mod fuzz {
         },
     ];
 
-    /// The engines a fuzzed schedule is differentially checked on.
-    pub const ENGINES: &[EngineKind] = &[
-        EngineKind::Sequential,
-        EngineKind::Des,
-        EngineKind::Threaded,
-    ];
+    /// The engines a fuzzed schedule is differentially checked on: the
+    /// two with concurrent actors. The sequential engine is one PE and
+    /// draws no decisions, so its fuzzed run is its FIFO oracle.
+    pub const ENGINES: &[EngineKind] = &[EngineKind::Des, EngineKind::Threaded];
 
     fn program_for(name: &str) -> snap_isa::Program {
         match name {
@@ -431,7 +433,7 @@ pub mod fuzz {
     }
 
     /// Like [`check_seed`] but restricted to one engine (the planted-
-    /// bug test pins the fully deterministic sequential engine).
+    /// bug test pins the deterministic discrete-event simulator).
     pub fn check_seed_on(seed: u64, engine: EngineKind) -> Option<Divergence> {
         (0..FUZZ_CELLS.len()).find_map(|idx| check_cell(idx, engine, seed, u64::MAX))
     }

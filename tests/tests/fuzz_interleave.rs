@@ -1,21 +1,25 @@
 //! The interleaving fuzzer against the differential grid.
 //!
 //! A seeded `ScheduleStrategy::Fuzzed` schedule permutes every ordering
-//! a legal but adversarial machine could choose — ready-task picks,
-//! equal-time event ties, worker fabric-vs-queue polling, fabric
-//! delivery order, and barrier-close timing — while the
-//! marker-propagation semantics guarantee results must not change. Any
-//! divergence from the FIFO sequential oracle is therefore a real
-//! ordering bug, and the harness shrinks it to the minimal fuzzed
-//! decision prefix (`limit` bisection) plus a replayable JSON repro.
+//! a legal but adversarial machine could choose — the simulator's
+//! equal-time event ties, and the threaded engine's ready-task picks,
+//! worker fabric-vs-queue polling, fabric delivery order and
+//! barrier-close timing — while the marker-propagation semantics
+//! guarantee results must not change. Any divergence from the FIFO
+//! sequential oracle is therefore a real ordering bug, and the harness
+//! shrinks it to the minimal fuzzed decision prefix (`limit` bisection)
+//! plus a replayable JSON repro. The sequential engine is one PE with
+//! no ordering to permute: under any schedule it runs its FIFO run.
 //!
 //! The sweep width follows the `FUZZ_SEEDS` env var (like
 //! `CHAOS_SEEDS` in the chaos tests); CI smoke jobs trim it.
 //!
-//! With the `fuzz-bug` feature the engines carry a planted ordering bug
-//! (a reordered ready-pool pick silently drops its expansion's
-//! arrivals); the clean-sweep tests are compiled out and replaced by
-//! the catch-and-shrink test, which demands the fuzzer find the plant.
+//! With the `fuzz-bug` feature the simulator and the threaded engine
+//! carry a planted ordering bug (an expansion scheduled right after a
+//! reordered decision — a drawn tie key, a reordered ready-pool pick —
+//! silently drops its arrivals); the clean-sweep tests are compiled out
+//! and replaced by the catch-and-shrink test, which demands the fuzzer
+//! find the plant.
 
 use snap_core::{EngineKind, ScheduleStrategy};
 use snap_integration_tests::{fuzz, grid};
@@ -31,7 +35,7 @@ use snap_integration_tests::{fuzz, grid};
 #[test]
 fn fuzzed_schedule_replays_deterministically() {
     #[cfg(feature = "fuzz-bug")]
-    let engines = &[EngineKind::Sequential, EngineKind::Des];
+    let engines = &[EngineKind::Des];
     #[cfg(not(feature = "fuzz-bug"))]
     let engines = fuzz::ENGINES;
     for &engine in engines {
@@ -55,15 +59,17 @@ fn fuzzed_schedule_replays_deterministically() {
 
 /// FIFO draws no schedule decisions (digest 0); a fuzzed schedule
 /// draws and fingerprints them, and different seeds fingerprint
-/// differently on the single-threaded engines.
+/// differently on the simulator. The sequential engine draws nothing
+/// under any schedule: its fuzzed run is its FIFO run, report for
+/// report.
 #[test]
 fn schedule_digest_fingerprints_the_schedule() {
-    let digest = |engine, schedule| {
+    let run = |engine, schedule| {
         grid::run_cell_cfg(grid::kb_chain, &grid::program_parse(), 2, engine, |c| {
             c.schedule = schedule;
         })
-        .schedule_digest
     };
+    let digest = |engine, schedule| run(engine, schedule).schedule_digest;
     for &engine in fuzz::ENGINES {
         assert_eq!(
             digest(engine, ScheduleStrategy::Fifo),
@@ -76,12 +82,17 @@ fn schedule_digest_fingerprints_the_schedule() {
             "{engine:?}: a fuzzed run must fingerprint its decisions"
         );
     }
-    for engine in [EngineKind::Sequential, EngineKind::Des] {
-        assert_ne!(
-            digest(engine, ScheduleStrategy::fuzzed(3)),
-            digest(engine, ScheduleStrategy::fuzzed(4)),
-            "{engine:?}: different seeds must fingerprint differently"
-        );
+    assert_ne!(
+        digest(EngineKind::Des, ScheduleStrategy::fuzzed(3)),
+        digest(EngineKind::Des, ScheduleStrategy::fuzzed(4)),
+        "Des: different seeds must fingerprint differently"
+    );
+    let fifo = run(EngineKind::Sequential, ScheduleStrategy::Fifo);
+    assert!(fifo.expansions > 0, "the cell propagates");
+    for seed in [3, 4] {
+        let fuzzed = run(EngineKind::Sequential, ScheduleStrategy::fuzzed(seed));
+        assert_eq!(fuzzed, fifo, "Sequential: fuzzed({seed}) is the FIFO run");
+        assert_eq!(fuzzed.schedule_digest, 0, "Sequential draws no decisions");
     }
 }
 
@@ -90,7 +101,7 @@ mod clean {
     use super::*;
     use snap_core::FaultPlan;
 
-    /// The headline sweep: N seeds × the fuzz grid × 3 engines, every
+    /// The headline sweep: N seeds × the fuzz grid × 2 engines, every
     /// cell compared against the FIFO sequential oracle. On divergence
     /// the harness shrinks to the minimal repro, writes the JSON
     /// artifact, and fails with the replay line.
@@ -143,15 +154,15 @@ mod clean {
 mod planted {
     use super::*;
 
-    /// The fuzzer must catch the planted ordering bug (a reordered
-    /// ready-pool pick drops its expansion's arrivals) and shrink it to
-    /// a boundary-verified minimal decision prefix: the divergence
-    /// reproduces at `limit` and vanishes at `limit - 1`.
+    /// The fuzzer must catch the planted ordering bug (an expansion the
+    /// simulator schedules after a drawn tie key drops its arrivals)
+    /// and shrink it to a boundary-verified minimal decision prefix:
+    /// the divergence reproduces at `limit` and vanishes at `limit - 1`.
     #[test]
     fn planted_bug_is_caught_and_shrunk() {
-        // The sequential engine makes the whole hunt deterministic;
-        // nearly every seed reorders some pick on these KBs.
-        let found = (0..32).find_map(|seed| fuzz::check_seed_on(seed, EngineKind::Sequential));
+        // The simulator makes the whole hunt deterministic; every
+        // fuzzed run draws tie keys on these KBs.
+        let found = (0..32).find_map(|seed| fuzz::check_seed_on(seed, EngineKind::Des));
         let d = found.expect("planted bug escaped a 32-seed sweep");
 
         let minimal = fuzz::shrink(&d);
