@@ -455,7 +455,7 @@ impl<'c> Des<'c> {
             self.report.alpha_per_propagate.push(alpha);
         }
 
-        while let Some((ev_time, kind)) = self.st.events.pop() {
+        while let Some((ev_time, kind)) = self.st.events.pop(&mut self.picker) {
             phase_end = phase_end.max(ev_time);
             match kind {
                 EventKind::Completion {

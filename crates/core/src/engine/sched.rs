@@ -1,13 +1,11 @@
-//! The shared scheduler core: one ordering discipline for the engines
-//! with concurrent actors.
+//! The shared scheduler core: one ordering discipline for the two
+//! engines with concurrent actors (one PE has nothing to order).
 //!
 //! The discrete-event simulator and the threaded engine run the same
 //! phase shape — seed sources, drain a pool of ready work, apply
 //! arrivals, close the phase — and each used to hand-roll the ordering
 //! of that pool. This module centralizes the *choice of what fires
-//! next* behind a [`ScheduleStrategy`]. The sequential engine is one PE
-//! with no concurrency, so it has no ordering to choose and takes no
-//! part:
+//! next* behind a [`ScheduleStrategy`]:
 //!
 //! * [`ReadyQueue`] orders the ready-task pool of each threaded worker;
 //! * [`EventQueue`] orders the discrete-event simulator's event heap,
@@ -39,10 +37,9 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// How the scheduler core orders ready work.
 ///
-/// Lives on [`crate::MachineConfig::schedule`]. The discrete-event
-/// simulator and the threaded engine consult it; the sequential engine
-/// has one PE, nothing to order, and runs identically under every
-/// strategy.
+/// Lives on [`crate::MachineConfig::schedule`]. The simulator and the
+/// threaded engine consult it; the one-PE sequential engine runs
+/// identically under every strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleStrategy {
     /// Deterministic first-in-first-out: the historical order of every
@@ -98,8 +95,8 @@ pub struct Picker {
     decisions: u64,
     /// FNV-style fold of every decision, for replay fingerprinting.
     digest: u64,
-    /// Whether the most recent pick or tie key deviated from the FIFO
-    /// default.
+    /// Whether the most recent pick, or the most recent event popped
+    /// from an [`EventQueue`], deviated from the FIFO order.
     reordered: bool,
 }
 
@@ -161,17 +158,12 @@ impl Picker {
     }
 
     /// Tie-break key for equal-time events: FIFO answers `0` for every
-    /// event (preserving arrival order), fuzzed draws a random key. Like
-    /// [`pick`](Self::pick), a drawn answer other than FIFO's marks the
-    /// decision reordered.
+    /// event (preserving arrival order), fuzzed draws a random key.
     pub fn tie_key(&mut self) -> u64 {
         if !self.fuzzing() {
-            self.reordered = false;
             return 0;
         }
-        let tie = self.draw();
-        self.reordered = tie != 0;
-        tie
+        self.draw()
     }
 
     /// Replay fingerprint: a fold of every decision drawn. Two runs of a
@@ -182,13 +174,14 @@ impl Picker {
     }
 
     /// The planted ordering bug (test-only, behind the `fuzz-bug`
-    /// feature): reports whether the last decision — a threaded
-    /// worker's ready-pool pick, or a tie key the DES event heap drew —
-    /// was reordered, in which case the engine drops the arrivals of the
-    /// expansion it is scheduling, truncating propagation without
-    /// disturbing barrier accounting, so the differential grid sees a
-    /// clean result divergence instead of a hang. Never fires under
-    /// FIFO, so the feature is inert for the normal test suite.
+    /// feature): reports whether the last ready-pool pick took a task
+    /// other than the front, or the last event popped from the DES queue
+    /// overtook an equal-time event pushed before it. The engine then
+    /// drops the arrivals of the expansion it is scheduling, truncating
+    /// propagation without disturbing barrier accounting, so the
+    /// differential grid sees a clean result divergence instead of a
+    /// hang. Never fires under FIFO, so the feature is inert for the
+    /// normal test suite.
     #[cfg(feature = "fuzz-bug")]
     pub fn bug_armed(&self) -> bool {
         self.reordered
@@ -383,8 +376,10 @@ impl<T> EventQueue<T> {
         self.heap.push(Reverse(key));
     }
 
-    /// Fires the next event, returning `(time, item)`.
-    pub fn pop(&mut self) -> Option<(u64, T)> {
+    /// Fires the next event, returning `(time, item)`. Under `fuzz-bug`,
+    /// marks `picker` reordered when the event overtook an equal-time one
+    /// pushed before it (see [`Picker::bug_armed`]); the scan is no hot path.
+    pub fn pop(&mut self, picker: &mut Picker) -> Option<(u64, T)> {
         let mut top = self.heap.peek_mut()?;
         let key = top.0;
         let successor = if key.lane == NO_LANE {
@@ -400,13 +395,23 @@ impl<T> EventQueue<T> {
         match successor {
             // The lane's next event takes the popped head's place: one
             // sift instead of a pop and a push.
-            Some(next) => *top = Reverse(next),
+            Some(next) => {
+                *top = Reverse(next);
+                drop(top);
+            }
             None => {
                 PeekMut::pop(top);
             }
         }
         self.free.push(key.slot);
         let item = self.slab[key.slot as usize].take();
+        if cfg!(feature = "fuzz-bug") {
+            // Overtaken: an equal-time event pushed earlier still waits.
+            let earlier = |k: &EventKey| k.time == key.time && k.seq < key.seq;
+            picker.reordered = picker.strategy != ScheduleStrategy::Fifo
+                && (self.heap.iter().any(|Reverse(k)| earlier(k))
+                    || self.lanes.iter().any(|l| l.waiting.iter().any(earlier)));
+        }
         Some((key.time, item.expect("a queued key owns its slot")))
     }
 
@@ -476,7 +481,6 @@ mod tests {
         }
         assert!(p.coin());
         assert_eq!(p.tie_key(), 0);
-        assert!(!p.reordered);
         assert_eq!(p.decisions, 0);
         assert_eq!(p.digest(), 0);
     }
@@ -499,23 +503,15 @@ mod tests {
             ScheduleStrategy::Fuzzed { seed: 3, limit: 5 },
             CONTROL_STREAM,
         );
-        for _ in 0..4 {
+        for _ in 0..5 {
             p.pick(100);
         }
-        // A one-task pool draws nothing and reorders nothing; a fuzzed
-        // tie key is a reordered decision, like a fuzzed pick.
-        assert_eq!(p.pick(1), 0);
-        assert!(!p.reordered);
-        assert_ne!(p.tie_key(), 0);
-        assert!(p.reordered);
         assert_eq!(p.decisions, 5);
-        // Decision budget exhausted: everything is FIFO from here on,
-        // and a tie key drawn past it clears the flag.
+        // Decision budget exhausted: everything is FIFO from here on.
         for _ in 0..20 {
-            assert_eq!(p.tie_key(), 0);
-            assert!(!p.reordered);
             assert_eq!(p.pick(100), 0);
             assert!(p.coin());
+            assert_eq!(p.tie_key(), 0);
         }
         assert_eq!(p.decisions, 5);
     }
@@ -551,7 +547,7 @@ mod tests {
         q.push_lane(0, 20, "c", &mut p);
         q.push_lane(0, 10, "a", &mut p);
         q.push_lane(0, 10, "b", &mut p);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop(&mut p).map(|(_, i)| i)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
@@ -564,7 +560,7 @@ mod tests {
             for t in [30u64, 10, 20, 10, 20, 10] {
                 q.push_lane(0, t, t, &mut p);
             }
-            let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
+            let times: Vec<u64> = std::iter::from_fn(|| q.pop(&mut p).map(|(t, _)| t)).collect();
             assert_eq!(times, vec![10, 10, 10, 20, 20, 30], "seed {seed}");
         }
         // And some seed does permute equal-time insertion order.
@@ -574,7 +570,7 @@ mod tests {
             for i in 0..8 {
                 q.push_lane(0, 5, i, &mut p);
             }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop(&mut p).map(|(_, i)| i)).collect();
             order != (0..8).collect::<Vec<_>>()
         });
         assert!(permuted, "no seed permuted equal-time events");
@@ -599,10 +595,15 @@ mod tests {
             self.heap.push(Reverse((time, tie, u64::from(item), item)));
         }
 
-        fn pop(&mut self) -> Option<(u64, u32)> {
-            self.heap
-                .pop()
-                .map(|Reverse((time, _, _, item))| (time, item))
+        /// The next `(time, item)`, and whether it overtook an
+        /// equal-time event pushed before it.
+        fn pop(&mut self) -> Option<((u64, u32), bool)> {
+            let Reverse((time, _, seq, item)) = self.heap.pop()?;
+            let overtook = self
+                .heap
+                .iter()
+                .any(|&Reverse((t, _, s, _))| t == time && s < seq);
+            Some(((time, item), overtook))
         }
     }
 
@@ -613,7 +614,9 @@ mod tests {
         /// equal times, out of order — pops and clears fire
         /// exactly the model's `(time, item)` sequence and draw exactly
         /// its picker decisions, under FIFO, fuzzed and limit-capped
-        /// fuzzed schedules.
+        /// fuzzed schedules. With the planted bug compiled in, each pop
+        /// marks the picker reordered exactly when the model's event
+        /// overtook an equal-time one.
         #[test]
         fn event_queue_pops_like_the_one_heap_model(
             ops in proptest::collection::vec((0u8..8, 0usize..4, 0u64..10), 0..160),
@@ -651,15 +654,24 @@ mod tests {
                         model.heap.clear();
                         lane_clock = [0; 4];
                     }
-                    _ => prop_assert_eq!(queue.pop(), model.pop()),
+                    _ => {
+                        let fired = model.pop();
+                        prop_assert_eq!(queue.pop(&mut picker), fired.map(|(event, _)| event));
+                        if let (true, Some((_, overtook))) = (cfg!(feature = "fuzz-bug"), fired) {
+                            prop_assert_eq!(picker.reordered, overtook);
+                        }
+                    }
                 }
                 prop_assert_eq!(pending(&queue), model.heap.len());
                 prop_assert_eq!(queue.is_empty(), model.heap.is_empty());
             }
-            while let Some(fired) = model.pop() {
-                prop_assert_eq!(queue.pop(), Some(fired));
+            while let Some((event, overtook)) = model.pop() {
+                prop_assert_eq!(queue.pop(&mut picker), Some(event));
+                if cfg!(feature = "fuzz-bug") {
+                    prop_assert_eq!(picker.reordered, overtook);
+                }
             }
-            prop_assert_eq!(queue.pop(), None);
+            prop_assert_eq!(queue.pop(&mut picker), None);
             prop_assert_eq!((pending(&queue), queue.is_empty()), (0, true));
             prop_assert_eq!(picker.decisions, model.picker.decisions);
             prop_assert_eq!(picker.digest(), model.picker.digest());
@@ -681,7 +693,7 @@ mod tests {
         // A straggler joins the heap on its own and fires in its turn.
         q.push_lane(1, 5, (0, 9), &mut p);
         assert_eq!((pending(&q), q.heap.len()), (301, 4));
-        let fired: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop().map(|(_, i)| i))
+        let fired: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop(&mut p).map(|(_, i)| i))
             .take(7)
             .collect();
         assert_eq!(

@@ -11,7 +11,9 @@
 //! the event queue and message path were rebuilt; a change that alters
 //! any of them has changed the simulated machine, not its speed.
 
-use snap_core::{EngineKind, FaultPlan, MachineConfig, RunReport, ScheduleStrategy, Snap1};
+#[cfg(not(feature = "fuzz-bug"))]
+use snap_core::ScheduleStrategy;
+use snap_core::{EngineKind, FaultPlan, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid::program_wave;
 use snap_kb::synth::scale_free_network;
 use snap_kb::{PartitionScheme, SemanticNetwork};
@@ -134,18 +136,23 @@ fn wave_under_a_seeded_fault_plan() {
         "01182574b755a5ee total_ns=3028254 comm_ns=672966670 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
     );
     // And under a fuzzed schedule: out-of-order deliveries and drawn
-    // tie keys meet in the event queue.
-    let fuzzed = run_wave(MachineConfig {
-        fault_plan: Some(plan),
-        schedule: ScheduleStrategy::fuzzed(7),
-        ..wave_config()
-    });
-    assert_eq!(
-        pin(&fuzzed),
-        "dda25351be9f86a6 total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
-    );
+    // tie keys meet in the event queue. The planted ordering bug makes
+    // fuzzed runs wrong on purpose, so fuzzed pins hold without it.
+    #[cfg(not(feature = "fuzz-bug"))]
+    {
+        let fuzzed = run_wave(MachineConfig {
+            fault_plan: Some(plan),
+            schedule: ScheduleStrategy::fuzzed(7),
+            ..wave_config()
+        });
+        assert_eq!(
+            pin(&fuzzed),
+            "dda25351be9f86a6 total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
+        );
+    }
 }
 
+#[cfg(not(feature = "fuzz-bug"))]
 #[test]
 fn wave_under_fuzzed_schedules() {
     let fifo = run_wave(wave_config());

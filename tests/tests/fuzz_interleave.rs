@@ -16,8 +16,9 @@
 //!
 //! With the `fuzz-bug` feature the simulator and the threaded engine
 //! carry a planted ordering bug (an expansion scheduled right after a
-//! reordered decision — a drawn tie key, a reordered ready-pool pick —
-//! silently drops its arrivals); the clean-sweep tests are compiled out
+//! reordered decision — an event whose drawn tie key put it ahead of an
+//! equal-time event pushed before it, a ready-pool pick other than the
+//! front — silently drops its arrivals); the clean-sweep tests are compiled out
 //! and replaced by the catch-and-shrink test, which demands the fuzzer
 //! find the plant.
 
@@ -155,13 +156,15 @@ mod planted {
     use super::*;
 
     /// The fuzzer must catch the planted ordering bug (an expansion the
-    /// simulator schedules after a drawn tie key drops its arrivals)
+    /// simulator schedules while handling an event that overtook an
+    /// equal-time one drops its arrivals)
     /// and shrink it to a boundary-verified minimal decision prefix:
     /// the divergence reproduces at `limit` and vanishes at `limit - 1`.
     #[test]
     fn planted_bug_is_caught_and_shrunk() {
-        // The simulator makes the whole hunt deterministic; every
-        // fuzzed run draws tie keys on these KBs.
+        // The simulator makes the whole hunt deterministic. The plant
+        // fires only where a drawn tie key changed the pop order, so a
+        // catch shows that the permutations expose ordering bugs.
         let found = (0..32).find_map(|seed| fuzz::check_seed_on(seed, EngineKind::Des));
         let d = found.expect("planted bug escaped a 32-seed sweep");
 
