@@ -44,15 +44,15 @@ use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use snap_fault::{Corruptible, DedupTable, Envelope, FaultInjector, RetryPolicy};
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, Marker, NodeId, SemanticNetwork};
-use snap_net::{Fabric, HypercubeTopology};
+use snap_net::{Fabric, HypercubeTopology, Inbox};
 use snap_obs::{lock_unpoisoned, FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
 use snap_sync::TieredBarrier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -160,60 +160,25 @@ enum PhaseExit {
     Shutdown,
 }
 
-/// Executes `program` on real threads.
+/// Executes `program` on real threads over the network snapshot
+/// `shared`, and hands the snapshot back beside the report: the same
+/// `Arc` unless a maintenance instruction forked it.
 ///
 /// The caller has flushed staged relation-table inserts and built
 /// `prepared` from the flushed network, so every worker's expansions
-/// take the indexed CSR fast path.
+/// take the indexed CSR fast path. Workers read the snapshot through
+/// `Arc` clones shipped with each command — the propagation hot path
+/// touches no lock at all — and drop the clone before replying, so
+/// between instructions the controller holds the only reference the
+/// run took, and maintenance mutates in place through `Arc::make_mut`
+/// when the caller holds none.
 pub(crate) fn run(
-    config: &MachineConfig,
-    network: &mut SemanticNetwork,
-    prepared: &Prepared,
-    program: &Program,
-) -> Result<RunReport, CoreError> {
-    config.validate();
-    // Move the network into a shared snapshot. Workers read it through
-    // Arc clones shipped with each command — the propagation hot path
-    // touches no lock at all — and drop the clone before replying, so
-    // between instructions the controller holds the only reference and
-    // maintenance mutates in place through `Arc::make_mut` (no copy on
-    // the common path).
-    let empty = SemanticNetwork::new(*network.config());
-    let shared = Arc::new(std::mem::replace(network, empty));
-    let (shared, result) = run_arc(config, shared, prepared, program);
-    // Hand the (possibly maintenance-mutated) network back to the caller
-    // even on error. `run_arc` has dropped every worker-side snapshot
-    // clone by now, so the unwrap only falls back to a copy after an
-    // unrecovered crash.
-    *network = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-    result
-}
-
-/// Shared-snapshot variant of [`run`]: executes against an `Arc`'d
-/// network without taking ownership. The facade has already rejected
-/// maintenance instructions (which would fork the snapshot through
-/// `Arc::make_mut`) and staged links, so the caller's snapshot is
-/// observationally untouched.
-pub(crate) fn run_shared(
-    config: &MachineConfig,
-    network: &Arc<SemanticNetwork>,
-    prepared: &Prepared,
-    program: &Program,
-) -> Result<RunReport, CoreError> {
-    config.validate();
-    let (_shared, result) = run_arc(config, Arc::clone(network), prepared, program);
-    result
-}
-
-/// The engine core over an owned `Arc` snapshot and its set-up: spawns
-/// one worker per cluster, walks the plan, and returns the (possibly
-/// replaced, if maintenance forked it) snapshot alongside the report.
-fn run_arc(
     config: &MachineConfig,
     mut shared: Arc<SemanticNetwork>,
     prepared: &Prepared,
     program: &Program,
 ) -> (Arc<SemanticNetwork>, Result<RunReport, CoreError>) {
+    config.validate();
     let started = Instant::now();
     let injector = config
         .fault_plan
@@ -223,19 +188,17 @@ fn run_arc(
     debug_assert_eq!(map.cluster_count(), config.clusters);
     let topology = HypercubeTopology::covering(config.clusters);
     let tracer = Tracer::from_config(config.trace.as_ref(), config.clusters);
-    let (fabric, mut fabric_rxs) =
+    let (fabric, mut inboxes) =
         Fabric::<NetMsg>::with_instruments(topology, injector.clone(), tracer.clone());
-    // The controller keeps a clone of every fabric receiver so a dead
-    // worker's channel never disconnects (which would panic senders) and
-    // its undelivered traffic can be drained during recovery.
-    let rx_backups: Vec<Receiver<NetMsg>> = fabric_rxs.clone();
     // The covering topology may span more address slots than the machine
     // has clusters (e.g. 5 clusters on a 4x2 cube); the fabric allocates
-    // one channel per slot. Keep only the first `clusters` receivers so
-    // the reversed pop below pairs worker c with receiver c — a worker
+    // one channel per slot. Keep only the first `clusters` inboxes so
+    // the reversed pop below pairs worker c with inbox c — a worker
     // listening on the wrong slot silently strands every message sent to
-    // it, which the barrier watchdog then reports as lost.
-    fabric_rxs.truncate(config.clusters);
+    // it, which the barrier watchdog then reports as lost. Each inbox
+    // closes with its worker, so a dead worker's traffic is lost at the
+    // send, like any other lost message.
+    inboxes.truncate(config.clusters);
     let barrier = TieredBarrier::with_instruments(injector.clone(), tracer.clone());
     // A fuzzed schedule additionally permutes fabric delivery order:
     // counted marker envelopes may be held back one-deep per destination
@@ -250,14 +213,9 @@ fn run_arc(
     let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
     let tasks_sent = Arc::new(AtomicU64::new(0));
 
-    let (reply_tx, reply_rx) = unbounded::<Reply>();
-    let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(config.clusters);
-    let mut cmd_rxs: Vec<Receiver<Cmd>> = Vec::with_capacity(config.clusters);
-    for _ in 0..config.clusters {
-        let (tx, rx) = unbounded();
-        cmd_txs.push(tx);
-        cmd_rxs.push(rx);
-    }
+    let (reply_tx, reply_rx) = channel::<Reply>();
+    let (cmd_txs, mut cmd_rxs): (Vec<Sender<Cmd>>, Vec<Receiver<Cmd>>) =
+        (0..config.clusters).map(|_| channel()).unzip();
 
     let mut plan = PlanBuf::new();
     plan.plan(program);
@@ -271,7 +229,6 @@ fn run_arc(
         checkpoints: Arc::clone(&checkpoints),
         barrier: Arc::clone(&barrier),
         fabric: fabric.clone(),
-        rx_backups,
         injector: injector.clone(),
         epoch: 0,
         pending_crash: None,
@@ -295,7 +252,7 @@ fn run_arc(
                 cmd_rx: cmd_rxs.pop().expect("one rx per cluster"),
                 reply_tx: reply_tx.clone(),
                 fabric: fabric.clone(),
-                fabric_rx: fabric_rxs.pop().expect("one fabric rx per cluster"),
+                inbox: inboxes.pop().expect("one inbox per cluster"),
                 barrier: Arc::clone(&barrier),
                 first_error: &first_error,
                 injector: injector.clone(),
@@ -426,7 +383,6 @@ struct Controller {
     checkpoints: Arc<Checkpoints>,
     barrier: Arc<TieredBarrier>,
     fabric: Fabric<NetMsg>,
-    rx_backups: Vec<Receiver<NetMsg>>,
     injector: Option<Arc<FaultInjector>>,
     epoch: u32,
     pending_crash: Option<usize>,
@@ -632,10 +588,9 @@ impl Controller {
         // (e.g. retransmissions to the dead worker exhausting) are
         // symptoms of the crash; the replay re-raises any that are real.
         *lock_unpoisoned(first_error) = None;
-        // Abandon the dead phase's barrier accounting and any traffic
-        // still queued for the dead worker.
+        // Abandon the dead phase's barrier accounting; the traffic the
+        // dead worker never read went with its inbox.
         self.barrier.reset();
-        while self.rx_backups[dead].try_recv().is_ok() {}
         // Prefer a hypercube neighbor (cheapest adoption in the modelled
         // network); fall back to any live worker.
         let heir = self
@@ -800,7 +755,7 @@ struct Worker<'env> {
     cmd_rx: Receiver<Cmd>,
     reply_tx: Sender<Reply>,
     fabric: Fabric<NetMsg>,
-    fabric_rx: Receiver<NetMsg>,
+    inbox: Inbox<NetMsg>,
     barrier: Arc<TieredBarrier>,
     first_error: &'env Mutex<Option<CoreError>>,
     injector: Option<Arc<FaultInjector>>,
@@ -979,7 +934,7 @@ impl Worker<'_> {
             // burns fuzz-decision budget.
             let queue_first = !queue.is_empty() && !self.picker.coin();
             if !queue_first {
-                if let Ok(msg) = self.fabric_rx.try_recv() {
+                if let Some(msg) = self.inbox.try_recv() {
                     self.barrier.enter_busy();
                     self.handle_net(specs, visited, queue, msg);
                     self.barrier.exit_busy();
@@ -1024,7 +979,7 @@ impl Worker<'_> {
     /// Discards the aborted phase's state and restores the phase-start
     /// checkpoints; the controller resets the barrier.
     fn abort_phase(&mut self) {
-        while self.fabric_rx.try_recv().is_ok() {}
+        while self.inbox.try_recv().is_some() {}
         self.pending.clear();
         self.dedup.clear();
         restore_checkpoints(&self.checkpoints, &mut self.regions);
@@ -1308,12 +1263,9 @@ impl Worker<'_> {
                         due: Instant::now() + self.retry.backoff(0),
                     },
                 );
-                self.fabric
-                    .send_faulty(self.id(), ClusterId(owner as u8), NetMsg::Marker(env));
-            } else {
-                self.fabric
-                    .send(self.id(), ClusterId(owner as u8), NetMsg::Marker(env));
             }
+            self.fabric
+                .send_faulty(self.id(), ClusterId(owner as u8), NetMsg::Marker(env));
         }
         self.batch_order.clear();
     }
@@ -1337,16 +1289,17 @@ mod tests {
     use snap_isa::{CombineFunc, PropRule, StepFunc};
     use snap_kb::{Color, NetworkConfig, RelationType};
 
-    /// The engine the way [`Snap1::run`](crate::Snap1::run) drives it:
-    /// flush, then set-up for `config`.
+    /// The engine through [`Snap1::run`](crate::Snap1::run).
     fn run(
         config: &MachineConfig,
         network: &mut SemanticNetwork,
         program: &Program,
     ) -> Result<RunReport, CoreError> {
-        network.flush_links();
-        let prepared = Prepared::for_snapshot(network, config.clusters, config.partition)?;
-        super::run(config, network, &prepared, program)
+        crate::Snap1::builder()
+            .config(config.clone())
+            .engine(crate::EngineKind::Threaded)
+            .build()
+            .run(network, program)
     }
 
     fn grid_network(n: usize) -> SemanticNetwork {
@@ -1601,23 +1554,69 @@ mod tests {
         }
     }
 
+    /// Also at 5 clusters, whose covering cube leaves a fabric slot no
+    /// worker holds.
     #[test]
     fn worker_panic_recovers_with_identical_results() {
         let program = workload();
-        let mut cfg = MachineConfig::uniform(4, 2);
-        cfg.partition = snap_kb::PartitionScheme::RoundRobin;
-        let mut clean_net = grid_network(80);
-        let clean = run(&cfg, &mut clean_net, &program).unwrap();
-        cfg.fault_plan = Some(FaultPlan::seeded(34).worker_panic(2, 5));
-        let mut net = grid_network(80);
-        let report = run(&cfg, &mut net, &program).unwrap();
-        assert_eq!(report.faults.injected_panics, 1);
-        assert_eq!(report.faults.recovered_workers, 1);
-        assert!(report.faults.remapped_regions >= 1);
-        assert!(report.faults.replays >= 1);
-        for (a, b) in clean.collects.iter().zip(&report.collects) {
-            assert_eq!(a.node_ids(), b.node_ids(), "recovery changed results");
+        for clusters in [4, 5] {
+            let mut cfg = MachineConfig::uniform(clusters, 2);
+            cfg.partition = snap_kb::PartitionScheme::RoundRobin;
+            let mut clean_net = grid_network(80);
+            let clean = run(&cfg, &mut clean_net, &program).unwrap();
+            cfg.fault_plan = Some(FaultPlan::seeded(34).worker_panic(2, 5));
+            let mut net = grid_network(80);
+            let report =
+                run(&cfg, &mut net, &program).unwrap_or_else(|e| panic!("{clusters}: {e}"));
+            assert_eq!(report.faults.injected_panics, 1, "{clusters} clusters");
+            assert_eq!(report.faults.recovered_workers, 1, "{clusters} clusters");
+            assert!(report.faults.remapped_regions >= 1);
+            assert!(report.faults.replays >= 1);
+            for (a, b) in clean.collects.iter().zip(&report.collects) {
+                assert_eq!(
+                    a.node_ids(),
+                    b.node_ids(),
+                    "{clusters}: recovery changed results"
+                );
+            }
         }
+    }
+
+    /// The fabric counts each slot's undelivered messages itself; the
+    /// traced mailbox depth is that count.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn traced_fabric_reads_back_undelivered_depth() {
+        use snap_obs::{EventKind, ObsConfig};
+        let tracer = Tracer::from_config(Some(&ObsConfig::full()), 4);
+        let (fabric, inboxes) = Fabric::<NetMsg>::with_instruments(
+            HypercubeTopology::covering(4),
+            None,
+            tracer.clone(),
+        );
+        let send = |seq| {
+            let env = Envelope::seal(0, 0, seq, Vec::new());
+            fabric.send_faulty(ClusterId(0), ClusterId(3), NetMsg::Marker(env));
+        };
+        let depths = || -> Vec<u32> {
+            let events = tracer.report().events;
+            let at_3 = events.into_iter().filter(|e| e.track == 3);
+            at_3.filter_map(|e| match e.kind {
+                EventKind::QueueDepth { depth } => Some(depth),
+                _ => None,
+            })
+            .collect()
+        };
+        for seq in 0..5 {
+            send(seq);
+        }
+        assert_eq!(depths(), [1, 2, 3, 4, 5]);
+        assert_eq!(tracer.report().clusters[3].max_queue_depth, 5);
+        for _ in 0..3 {
+            assert!(inboxes[3].try_recv().is_some());
+        }
+        send(5);
+        assert_eq!(depths().last(), Some(&3), "two unread plus the new one");
     }
 
     #[test]

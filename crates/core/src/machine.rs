@@ -118,7 +118,19 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Threaded => threaded::run(config, network, &prepared, program),
+            EngineKind::Threaded => {
+                // The threaded engine shares the network with its workers
+                // as an `Arc` snapshot: move it in, and hand the (possibly
+                // maintenance-edited) network back even on error. The
+                // engine has dropped every worker-side clone by then, so
+                // the unwrap only falls back to a copy after an
+                // unrecovered crash.
+                let empty = SemanticNetwork::new(*network.config());
+                let shared = Arc::new(std::mem::replace(network, empty));
+                let (shared, result) = threaded::run(config, shared, &prepared, program);
+                *network = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
+                result
+            }
             engine => self.pool.run(
                 engine,
                 config,
@@ -224,7 +236,9 @@ impl Snap1 {
         let prepared = self.prepare(network)?;
         let (config, cost) = (&self.config, &self.cost);
         match self.engine {
-            EngineKind::Threaded => threaded::run_shared(config, network, &prepared, program),
+            EngineKind::Threaded => {
+                threaded::run(config, Arc::clone(network), &prepared, program).1
+            }
             engine => self.pool.run(
                 engine,
                 config,

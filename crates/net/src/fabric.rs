@@ -1,17 +1,24 @@
 //! Threaded message fabric: the hypercube as real channels.
 //!
 //! The threaded execution engine exchanges marker messages between
-//! cluster threads through this fabric. Logical delivery is direct (the
-//! receiving cluster gets the message in one `send`), but the fabric
-//! computes the hypercube hop count for every message so the traffic
-//! statistics match the modelled network.
+//! cluster threads through this fabric: one `std::sync::mpsc` channel
+//! per cluster slot, its [`Inbox`] held by the worker on that cluster.
+//! Logical delivery is direct (the receiving cluster gets the message in
+//! one send), but the fabric computes the hypercube hop count for every
+//! message so the traffic statistics match the modelled network.
+//!
+//! An inbox closes with the worker that holds it. A message sent to a
+//! closed inbox is lost, as one written to a dead PE's mailbox would
+//! be: it still counts as traffic, and the sender's resilience protocol
+//! (ack, retry to the region's new owner, barrier watchdog, replay)
+//! covers it like any other lost message.
 
 use crate::topology::HypercubeTopology;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use snap_fault::{Corruptible, FaultInjector, SendFate};
 use snap_kb::ClusterId;
 use snap_obs::{lock_unpoisoned, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -64,29 +71,56 @@ pub struct Fabric<T> {
     /// Observability hook: records destination-mailbox depth per
     /// counted send (the ICN four-port mailbox occupancy).
     tracer: Tracer,
+    /// Messages put in each slot and not yet received, kept only when
+    /// `tracer` records: sends add, the slot's [`Inbox`] subtracts. A
+    /// closed slot's count keeps what its dead worker never read.
+    depth: Option<Arc<[AtomicU64]>>,
+}
+
+/// Receiving half of one cluster slot's mailbox, owned by the worker on
+/// that cluster. Dropping it closes the slot: later sends to it are
+/// lost.
+#[derive(Debug)]
+pub struct Inbox<T> {
+    rx: Receiver<T>,
+    depth: Option<Arc<[AtomicU64]>>,
+    slot: usize,
+}
+
+impl<T> Inbox<T> {
+    /// The next queued message, if one has arrived.
+    pub fn try_recv(&self) -> Option<T> {
+        let message = self.rx.try_recv().ok()?;
+        if let Some(depth) = &self.depth {
+            depth[self.slot].fetch_sub(1, Ordering::Relaxed);
+        }
+        Some(message)
+    }
 }
 
 impl<T> Fabric<T> {
     /// Creates a fabric over `topology`; returns the fabric plus one
-    /// receiver per cluster (in cluster order). With an `injector`, the
+    /// inbox per cluster slot (in slot order). With an `injector`, the
     /// [`send_faulty`](Self::send_faulty) and
     /// [`send_control`](Self::send_control) paths are subject to its
-    /// plan; the plain [`send`](Self::send) path stays fault-free either
-    /// way. `tracer` observes destination-mailbox depth on every counted
+    /// plan. `tracer` observes destination-mailbox depth on every counted
     /// send ([`Tracer::disabled`] for none).
     pub fn with_instruments(
         topology: HypercubeTopology,
         injector: Option<Arc<FaultInjector>>,
         tracer: Tracer,
-    ) -> (Self, Vec<Receiver<T>>) {
+    ) -> (Self, Vec<Inbox<T>>) {
         let n = topology.cluster_count();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let depth: Option<Arc<[AtomicU64]>> = tracer
+            .is_enabled()
+            .then(|| (0..n).map(|_| AtomicU64::new(0)).collect());
+        let (senders, inboxes) = (0..n)
+            .map(|slot| {
+                let (tx, rx) = channel();
+                let depth = depth.clone();
+                (tx, Inbox { rx, depth, slot })
+            })
+            .unzip();
         (
             Fabric {
                 topology: Arc::new(topology),
@@ -99,24 +133,10 @@ impl<T> Fabric<T> {
                 reorder: Arc::new(Mutex::new(None)),
                 reorder_on: Arc::new(AtomicBool::new(false)),
                 tracer,
+                depth,
             },
-            receivers,
+            inboxes,
         )
-    }
-
-    /// Sends `message` from `from` to `to`, recording the hypercube hop
-    /// count. Never faulted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either cluster is outside the topology or the receiver
-    /// has been dropped.
-    pub fn send(&self, from: ClusterId, to: ClusterId, message: T) {
-        let hops = self.topology.distance(from, to) as u64;
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.hops.fetch_add(hops, Ordering::Relaxed);
-        self.dispatch(to.index(), message);
-        self.observe_depth(to.index());
     }
 
     /// Counted-marker delivery point: when the fuzzer's reorder hook is
@@ -170,20 +190,21 @@ impl<T> Fabric<T> {
         }
     }
 
+    /// Puts `message` in slot `to`'s inbox; a closed inbox loses it.
     fn deliver(&self, to: usize, message: T) {
-        self.senders[to]
-            .send(message)
-            .expect("fabric receiver dropped while senders alive");
+        // Count before the send, so the receiver never subtracts first.
+        if let Some(depth) = &self.depth {
+            depth[to].fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = self.senders[to].send(message);
     }
 
     /// Reports the destination mailbox's current depth to the tracer.
     fn observe_depth(&self, to: usize) {
-        if self.tracer.is_enabled() {
-            self.tracer.queue_depth(
-                to as u16,
-                self.senders[to].len() as u64,
-                self.tracer.wall_stamp(),
-            );
+        if let Some(depth) = &self.depth {
+            let queued = depth[to].load(Ordering::Relaxed);
+            self.tracer
+                .queue_depth(to as u16, queued, self.tracer.wall_stamp());
         }
     }
 
@@ -201,11 +222,6 @@ impl<T> Fabric<T> {
     /// Total hypercube hops across all messages.
     pub fn hops(&self) -> u64 {
         self.hops.load(Ordering::Relaxed)
-    }
-
-    /// Injected-delay messages not yet delivered.
-    pub fn pending_delayed(&self) -> usize {
-        lock_unpoisoned(&self.delayed).len()
     }
 
     /// Delivers every delayed message whose due time has passed.
@@ -231,10 +247,11 @@ impl<T> Fabric<T> {
 }
 
 impl<T: Clone + Corruptible> Fabric<T> {
-    /// Marker-path send: counted in traffic stats and subject to the
-    /// attached injector's plan (drop, duplicate, delay, corrupt).
-    /// Returns what was done to the message so the sender's resilience
-    /// protocol and the run report can account for it.
+    /// Marker-path send, the only one: counted in traffic stats and
+    /// subject to the attached injector's plan (drop, duplicate, delay,
+    /// corrupt); without an injector, plain delivery. Returns what was
+    /// done to the message so the sender's resilience protocol and the
+    /// run report can account for it.
     pub fn send_faulty(&self, from: ClusterId, to: ClusterId, message: T) -> SendFate {
         self.send_shaped(from, to, message, true)
     }
@@ -309,78 +326,10 @@ impl<T: Clone + Corruptible> Fabric<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_fault::FaultPlan;
     use std::thread;
 
-    #[test]
-    fn messages_arrive_at_their_cluster() {
-        let (fabric, receivers) =
-            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
-        fabric.send(ClusterId(0), ClusterId(23), 42u32);
-        fabric.send(ClusterId(5), ClusterId(23), 43u32);
-        let rx = &receivers[23];
-        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, vec![42, 43]);
-        assert!(receivers[0].try_recv().is_err());
-        assert_eq!(fabric.messages(), 2);
-        // 0→23 differs in all three fields, 5→23 (L:1→3, X:1→1, Y:0→1) in two.
-        assert_eq!(fabric.hops(), 5);
-    }
-
-    #[test]
-    fn fabric_works_across_threads() {
-        let (fabric, receivers) =
-            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
-        let f2 = fabric.clone();
-        let sender = thread::spawn(move || {
-            for i in 0..100u32 {
-                f2.send(ClusterId((i % 32) as u8), ClusterId(7), i);
-            }
-        });
-        let mut sum = 0u32;
-        for _ in 0..100 {
-            sum += receivers[7].recv().unwrap();
-        }
-        sender.join().unwrap();
-        assert_eq!(sum, (0..100).sum());
-        assert_eq!(fabric.messages(), 100);
-    }
-
-    #[test]
-    fn reorder_hook_permutes_but_loses_nothing() {
-        let drain = |rx: &Receiver<u32>| {
-            let mut got = Vec::new();
-            while let Ok(v) = rx.try_recv() {
-                got.push(v);
-            }
-            got
-        };
-        let run = |seed: u64| {
-            let (fabric, receivers) =
-                Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
-            fabric.enable_reorder(seed);
-            for i in 0..50u32 {
-                fabric.send(ClusterId(0), ClusterId(9), i);
-            }
-            fabric.flush_held();
-            drain(&receivers[9])
-        };
-        let got = run(42);
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (0..50).collect::<Vec<_>>(),
-            "nothing lost or duplicated"
-        );
-        assert_ne!(got, sorted, "delivery order was permuted");
-        assert_eq!(got, run(42), "same seed replays the same order");
-        assert_ne!(got, run(43), "different seed permutes differently");
-    }
-
-    use snap_fault::{Corruptible, FaultInjector, FaultPlan};
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     struct Payload(u32);
 
     impl Corruptible for Payload {
@@ -389,78 +338,149 @@ mod tests {
         }
     }
 
+    fn clean_fabric() -> (Fabric<Payload>, Vec<Inbox<Payload>>) {
+        Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled())
+    }
+
+    fn faulty_fabric(
+        plan: FaultPlan,
+    ) -> (Fabric<Payload>, Vec<Inbox<Payload>>, Arc<FaultInjector>) {
+        let injector = Arc::new(FaultInjector::new(plan));
+        let (fabric, inboxes) = Fabric::with_instruments(
+            HypercubeTopology::snap1(),
+            Some(Arc::clone(&injector)),
+            Tracer::disabled(),
+        );
+        (fabric, inboxes, injector)
+    }
+
+    fn drain(inbox: &Inbox<Payload>) -> Vec<Payload> {
+        std::iter::from_fn(|| inbox.try_recv()).collect()
+    }
+
+    #[test]
+    fn messages_arrive_at_their_cluster() {
+        let (fabric, inboxes) = clean_fabric();
+        fabric.send_faulty(ClusterId(0), ClusterId(23), Payload(42));
+        fabric.send_faulty(ClusterId(5), ClusterId(23), Payload(43));
+        let mut got = drain(&inboxes[23]);
+        got.sort_unstable();
+        assert_eq!(got, vec![Payload(42), Payload(43)]);
+        assert!(inboxes[0].try_recv().is_none());
+        assert_eq!(fabric.messages(), 2);
+        // 0→23 differs in all three fields, 5→23 (L:1→3, X:1→1, Y:0→1) in two.
+        assert_eq!(fabric.hops(), 5);
+    }
+
+    #[test]
+    fn fabric_works_across_threads() {
+        let (fabric, inboxes) = clean_fabric();
+        let f2 = fabric.clone();
+        let sender = thread::spawn(move || {
+            for i in 0..100u32 {
+                f2.send_faulty(ClusterId((i % 32) as u8), ClusterId(7), Payload(i));
+            }
+        });
+        let (mut sum, mut got) = (0, 0);
+        while got < 100 {
+            match inboxes[7].try_recv() {
+                Some(Payload(v)) => (sum, got) = (sum + v, got + 1),
+                None => thread::yield_now(),
+            }
+        }
+        sender.join().unwrap();
+        assert_eq!(sum, (0..100).sum());
+        assert_eq!(fabric.messages(), 100);
+    }
+
+    /// A dead worker's inbox is closed: what is sent to it is counted
+    /// traffic and lost, and the sender carries on.
+    #[test]
+    fn send_to_a_closed_inbox_is_counted_and_lost() {
+        let (fabric, inboxes) = clean_fabric();
+        let mut inboxes = inboxes.into_iter();
+        let open = inboxes.next().expect("slot 0");
+        drop(inboxes);
+        let fate = fabric.send_faulty(ClusterId(1), ClusterId(3), Payload(1));
+        assert!(fate.is_clean());
+        fabric.send_control(ClusterId(1), ClusterId(3), Payload(2));
+        assert_eq!(fabric.messages(), 1, "the marker counts, control does not");
+        fabric.send_faulty(ClusterId(1), ClusterId(0), Payload(3));
+        assert_eq!(drain(&open), vec![Payload(3)]);
+    }
+
+    #[test]
+    fn reorder_hook_permutes_but_loses_nothing() {
+        let run = |seed: u64| {
+            let (fabric, inboxes) = clean_fabric();
+            fabric.enable_reorder(seed);
+            for i in 0..50u32 {
+                fabric.send_faulty(ClusterId(0), ClusterId(9), Payload(i));
+            }
+            fabric.flush_held();
+            drain(&inboxes[9])
+        };
+        let got = run(42);
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (0..50).map(Payload).collect::<Vec<_>>(),
+            "nothing lost or duplicated"
+        );
+        assert_ne!(got, sorted, "delivery order was permuted");
+        assert_eq!(got, run(42), "same seed replays the same order");
+        assert_ne!(got, run(43), "different seed permutes differently");
+    }
+
     #[test]
     fn faulty_path_without_injector_is_plain_delivery() {
-        let (fabric, receivers) =
-            Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled());
+        let (fabric, inboxes) = clean_fabric();
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(1), Payload(7));
         assert!(fate.is_clean());
-        assert_eq!(receivers[1].try_recv().unwrap(), Payload(7));
+        assert_eq!(inboxes[1].try_recv(), Some(Payload(7)));
         assert_eq!(fabric.messages(), 1);
         let fate = fabric.send_control(ClusterId(0), ClusterId(1), Payload(8));
         assert!(fate.is_clean());
-        assert_eq!(receivers[1].try_recv().unwrap(), Payload(8));
+        assert_eq!(inboxes[1].try_recv(), Some(Payload(8)));
         assert_eq!(fabric.messages(), 1, "control sends are uncounted");
     }
 
     #[test]
     fn injected_drops_never_arrive_but_are_counted() {
-        let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).drops(1.0)));
-        let (fabric, receivers) = Fabric::with_instruments(
-            HypercubeTopology::snap1(),
-            Some(Arc::clone(&injector)),
-            Tracer::disabled(),
-        );
+        let (fabric, inboxes, injector) = faulty_fabric(FaultPlan::seeded(11).drops(1.0));
         for i in 0..20 {
             let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(i));
             assert!(fate.dropped);
         }
-        assert!(receivers[3].try_recv().is_err());
+        assert!(inboxes[3].try_recv().is_none());
         assert_eq!(fabric.messages(), 20, "drops still count as traffic");
         assert_eq!(injector.report().injected_drops, 20);
     }
 
     #[test]
     fn injected_duplicates_arrive_twice() {
-        let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).duplicates(1.0)));
-        let (fabric, receivers) = Fabric::with_instruments(
-            HypercubeTopology::snap1(),
-            Some(Arc::clone(&injector)),
-            Tracer::disabled(),
-        );
+        let (fabric, inboxes, _) = faulty_fabric(FaultPlan::seeded(11).duplicates(1.0));
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(9));
         assert!(fate.duplicated);
-        assert_eq!(receivers[3].try_recv().unwrap(), Payload(9));
-        assert_eq!(receivers[3].try_recv().unwrap(), Payload(9));
-        assert!(receivers[3].try_recv().is_err());
+        assert_eq!(drain(&inboxes[3]), vec![Payload(9), Payload(9)]);
     }
 
     #[test]
     fn injected_corruption_alters_payload() {
-        let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(11).corruptions(1.0)));
-        let (fabric, receivers) = Fabric::with_instruments(
-            HypercubeTopology::snap1(),
-            Some(Arc::clone(&injector)),
-            Tracer::disabled(),
-        );
+        let (fabric, inboxes, _) = faulty_fabric(FaultPlan::seeded(11).corruptions(1.0));
         fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(9));
-        assert_ne!(receivers[3].try_recv().unwrap(), Payload(9));
+        assert_ne!(inboxes[3].try_recv(), Some(Payload(9)));
     }
 
     #[test]
     fn delayed_messages_arrive_after_poll() {
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::seeded(11).delays(1.0, 2_000_000),
-        ));
-        let (fabric, receivers) = Fabric::with_instruments(
-            HypercubeTopology::snap1(),
-            Some(Arc::clone(&injector)),
-            Tracer::disabled(),
-        );
+        let (fabric, inboxes, _) = faulty_fabric(FaultPlan::seeded(11).delays(1.0, 2_000_000));
+        let pending = |fabric: &Fabric<Payload>| lock_unpoisoned(&fabric.delayed).len();
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(3), Payload(5));
         assert!(fate.delay_ns > 0);
-        assert!(receivers[3].try_recv().is_err(), "not delivered yet");
-        assert_eq!(fabric.pending_delayed(), 1);
+        assert!(inboxes[3].try_recv().is_none(), "not delivered yet");
+        assert_eq!(pending(&fabric), 1);
         // A worker that crashes holding the queue costs it nothing.
         let worker = fabric.clone();
         let crashed = thread::spawn(move || {
@@ -469,17 +489,17 @@ mod tests {
         });
         assert!(crashed.join().is_err());
         assert!(fabric.delayed.is_poisoned());
-        assert_eq!(fabric.pending_delayed(), 1);
+        assert_eq!(pending(&fabric), 1);
         let deadline = Instant::now() + Duration::from_secs(2);
         loop {
             fabric.poll_delayed();
-            if let Ok(got) = receivers[3].try_recv() {
+            if let Some(got) = inboxes[3].try_recv() {
                 assert_eq!(got, Payload(5));
                 break;
             }
             assert!(Instant::now() < deadline, "delayed message never arrived");
             thread::yield_now();
         }
-        assert_eq!(fabric.pending_delayed(), 0);
+        assert_eq!(pending(&fabric), 0);
     }
 }

@@ -24,7 +24,7 @@ mod perf;
 mod topology;
 
 pub use bus::BusModel;
-pub use fabric::Fabric;
+pub use fabric::{Fabric, Inbox};
 pub use perf::{PerfCollector, PerfEvent, RECORD_BITS, RECORD_SHIFT_NS, SERIAL_LINK_BPS};
 pub use topology::HypercubeTopology;
 

@@ -249,7 +249,7 @@ fn spin_for(d: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
     use std::thread;
 
     #[test]
@@ -288,7 +288,7 @@ mod tests {
         const WORKERS: usize = 4;
         const SEEDS: u32 = 200;
         let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..WORKERS).map(|_| unbounded::<(u8, u32)>()).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..WORKERS).map(|_| channel::<(u8, u32)>()).unzip();
         let processed = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
