@@ -14,9 +14,8 @@ use crate::table::Table;
 use crate::workloads::{alpha_network, alpha_program, parse_batch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snap_core::{MachineConfig, Snap1};
+use snap_core::{MachineConfig, NaiveSyncModel, Snap1, TieredSyncModel};
 use snap_kb::PartitionScheme;
-use snap_sync::{NaiveSyncModel, TieredSyncModel};
 
 /// Measures false-completion rates of the naive detector under random
 /// message schedules (the tiered detector is exact by construction).

@@ -1,9 +1,9 @@
 //! Machine configuration: array geometry and run policy.
 
 use crate::engine::sched::ScheduleStrategy;
-use snap_fault::FaultPlan;
+use crate::obs::ObsConfig;
+use crate::plan::FaultPlan;
 use snap_kb::PartitionScheme;
-use snap_obs::ObsConfig;
 
 /// Which execution engine a [`crate::Snap1`] machine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -16,7 +16,7 @@
 //!
 //! All durations are nanoseconds of simulated time.
 
-use snap_net::SimTime;
+use crate::SimTime;
 
 /// Per-operation costs of the machine, in nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,9 +22,9 @@ use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
 use crate::propagate::{PropArrival, PropTask};
 use crate::region::{Region, RegionMap};
 use crate::report::RunReport;
+use crate::SimTime;
 use snap_isa::{InstrClass, Instruction, Program, PropRule, StepFunc};
 use snap_kb::{ClusterId, Marker, PartitionScheme, SemanticNetwork};
-use snap_net::SimTime;
 
 /// Propagation depth cap of the comparator's front end.
 const MAX_HOPS: u8 = 48;

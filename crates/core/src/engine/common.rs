@@ -367,9 +367,9 @@ pub(crate) fn exec_single_shared_into(
 /// The trace phase an instruction class belongs to. Shared by the three
 /// engines so their phase sequences line up index-for-index, which is
 /// what the differential harness compares.
-pub(crate) fn phase_of(class: snap_isa::InstrClass) -> snap_obs::PhaseKind {
+pub(crate) fn phase_of(class: snap_isa::InstrClass) -> crate::obs::PhaseKind {
+    use crate::obs::PhaseKind;
     use snap_isa::InstrClass;
-    use snap_obs::PhaseKind;
     match class {
         InstrClass::Search | InstrClass::Boolean | InstrClass::SetClear => PhaseKind::Configure,
         InstrClass::Propagate => PhaseKind::Propagate,

@@ -12,7 +12,7 @@
 //!
 //! # Fault injection
 //!
-//! With a [`snap_fault::FaultPlan`] attached, injection decisions key off
+//! With a [`FaultPlan`](crate::FaultPlan) attached, injection decisions key off
 //! the simulator's event sequence number, so a seeded plan perturbs the
 //! *timing* of a run absolutely deterministically while the modelled
 //! reliable link layer (detect + retransmit, one extra CU service and
@@ -21,22 +21,24 @@
 //! modelled here; the SIMD lockstep ablation path is likewise
 //! uninjected.
 
+use crate::bus::BusModel;
 use crate::config::MachineConfig;
 use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, maybe_plant_bug, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
+use crate::obs::{FaultKind, PhaseKind, Stamp, Tracer, CONTROLLER_TRACK};
+use crate::perf::PerfCollector;
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::RunReport;
+use crate::sync::TieredSyncModel;
+use crate::topology::HypercubeTopology;
+use crate::SimTime;
 use snap_isa::{InstrClass, Program};
 use snap_kb::{ClusterId, SemanticNetwork};
-use snap_net::SimTime;
-use snap_net::{BusModel, HypercubeTopology, PerfCollector};
-use snap_obs::{FaultKind, PhaseKind, Stamp, Tracer, CONTROLLER_TRACK};
-use snap_sync::TieredSyncModel;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -211,7 +213,7 @@ struct Des<'c> {
     bus: BusModel,
     sync: TieredSyncModel,
     perf: Option<PerfCollector>,
-    injector: Option<snap_fault::FaultInjector>,
+    injector: Option<crate::inject::FaultInjector>,
     tracer: Tracer,
     /// Schedule decision stream (event tie-breaks). Distinct from `seq`,
     /// which keys fault-injection draws and must stay untouched so a
@@ -254,7 +256,7 @@ impl<'c> Des<'c> {
             injector: config
                 .fault_plan
                 .clone()
-                .map(snap_fault::FaultInjector::new),
+                .map(crate::inject::FaultInjector::new),
             tracer: Tracer::from_config(config.trace.as_ref(), config.clusters),
             picker: Picker::new(config.schedule, CONTROL_STREAM),
             now: 0,
@@ -1108,7 +1110,7 @@ mod tests {
         let mut net1 = chain_network(64);
         let clean = run(&cfg, &CostModel::snap1(), &mut net1, &program).unwrap();
         cfg.fault_plan = Some(
-            snap_fault::FaultPlan::seeded(9)
+            crate::plan::FaultPlan::seeded(9)
                 .drops(0.2)
                 .duplicates(0.1)
                 .delays(0.2, 10_000)
@@ -1138,7 +1140,7 @@ mod tests {
         let mut cfg = MachineConfig::uniform(4, 2);
         cfg.partition = snap_kb::PartitionScheme::RoundRobin;
         cfg.fault_plan = Some(
-            snap_fault::FaultPlan::seeded(77)
+            crate::plan::FaultPlan::seeded(77)
                 .drops(0.15)
                 .delays(0.2, 8_000)
                 .corruptions(0.1),
@@ -1148,7 +1150,7 @@ mod tests {
         let mut net2 = chain_network(64);
         let b = run(&cfg, &CostModel::snap1(), &mut net2, &program).unwrap();
         assert_eq!(a, b, "same seed must reproduce the whole report");
-        cfg.fault_plan = Some(snap_fault::FaultPlan::seeded(78).drops(0.15));
+        cfg.fault_plan = Some(crate::plan::FaultPlan::seeded(78).drops(0.15));
         let mut net3 = chain_network(64);
         let c = run(&cfg, &CostModel::snap1(), &mut net3, &program).unwrap();
         assert_eq!(a.collects, c.collects);
@@ -1194,7 +1196,7 @@ mod tests {
         small_outbox.cu_outbox_capacity = 2;
         let mut faulty = small_outbox.clone();
         faulty.fault_plan = Some(
-            snap_fault::FaultPlan::seeded(5)
+            crate::plan::FaultPlan::seeded(5)
                 .drops(0.2)
                 .delays(0.2, 8_000)
                 .stalls(0.1, 3_000),

@@ -13,11 +13,11 @@ use crate::engine::common::NetAccess;
 use crate::engine::des::DesState;
 use crate::engine::sequential::SeqState;
 use crate::error::CoreError;
+use crate::lock_unpoisoned;
 use crate::prepared::Prepared;
 use crate::report::RunReport;
 use snap_isa::Program;
 use snap_kb::SemanticNetwork;
-use snap_obs::lock_unpoisoned;
 use std::fmt;
 use std::sync::Mutex;
 

@@ -27,6 +27,7 @@
 //! shrinks any divergence to a minimal decision prefix via the
 //! strategy's `limit` knob.
 
+use crate::envelope::splitmix64;
 use crate::propagate::PropArrival;
 use crate::region::Region;
 use crate::CoreError;
@@ -68,16 +69,6 @@ impl ScheduleStrategy {
             limit: u64::MAX,
         }
     }
-}
-
-/// SplitMix64: tiny, seedable, and good enough to decorrelate decision
-/// streams (same generator snap-fault uses for injection draws).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One deterministic decision stream of the schedule.

@@ -22,14 +22,14 @@ use crate::cost::CostModel;
 use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::error::CoreError;
 use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
+use crate::obs::{PhaseKind, Stamp, Tracer};
 use crate::prepared::Prepared;
 use crate::propagate::{PropArrival, PropTask};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
+use crate::SimTime;
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, Marker, SemanticNetwork};
-use snap_net::SimTime;
-use snap_obs::{PhaseKind, Stamp, Tracer};
 use std::sync::Arc;
 
 /// The sequential engine's executor: walks one program on one region.
@@ -488,7 +488,7 @@ mod tests {
         // Traced, the run records a trace exactly when tracing is
         // compiled in, and the trace counts what the report counts.
         let config = MachineConfig {
-            trace: Some(snap_obs::ObsConfig::full()),
+            trace: Some(crate::obs::ObsConfig::full()),
             ..MachineConfig::snap1_eval()
         };
         let mut traced = run(&config, &CostModel::snap1(), &mut net, &program).unwrap();
@@ -496,9 +496,10 @@ mod tests {
         let trace = std::mem::take(&mut traced.trace);
         assert_eq!(traced, report, "tracing changes nothing else");
         if cfg!(feature = "obs") {
-            let sum = |f: fn(&snap_obs::PhaseStat) -> u64| trace.phases.iter().map(f).sum::<u64>();
-            assert_eq!(sum(|p| p.expansions), report.expansions);
-            assert_eq!(sum(|p| p.activations), report.traffic.local_activations);
+            let expansions: u64 = trace.phases.iter().map(|p| p.expansions).sum();
+            let activations: u64 = trace.phases.iter().map(|p| p.activations).sum();
+            assert_eq!(expansions, report.expansions);
+            assert_eq!(activations, report.traffic.local_activations);
             assert!(report.expansions > 0);
         }
     }

@@ -1,16 +1,16 @@
 //! The threaded parallel engine: one real thread per cluster.
 //!
 //! Cluster threads own their regions and exchange marker messages
-//! through the [`snap_net::Fabric`]; the controller (the calling thread)
+//! through the [`Fabric`]; the controller (the calling thread)
 //! broadcasts commands over channels, overlaps independent propagations,
 //! and closes each propagation group with the tiered barrier
-//! ([`snap_sync::TieredBarrier`]) — the same protocol the hardware
+//! ([`TieredBarrier`]) — the same protocol the hardware
 //! implements with its AND-tree and counter network. Logical results are
 //! identical to the other engines; timing is wall-clock.
 //!
 //! # Resilience
 //!
-//! When a [`snap_fault::FaultPlan`] is attached, marker traffic runs a
+//! When a [`FaultPlan`](crate::FaultPlan) is attached, marker traffic runs a
 //! resilient protocol instead of trusting the channels:
 //!
 //! * off-cluster markers bound for the same destination cluster are
@@ -39,17 +39,20 @@ use crate::engine::common::{
 use crate::engine::sched::{
     apply_arrival, maybe_plant_bug, Picker, ReadyQueue, ScheduleStrategy, CONTROL_STREAM,
 };
+use crate::envelope::{Corruptible, DedupTable, Envelope};
 use crate::error::CoreError;
+use crate::fabric::{Fabric, Inbox};
+use crate::inject::{FaultInjector, RetryPolicy};
+use crate::lock_unpoisoned;
+use crate::obs::{FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
 use crate::report::{CollectOutput, RunReport};
-use snap_fault::{Corruptible, DedupTable, Envelope, FaultInjector, RetryPolicy};
+use crate::sync::{spin_for, TieredBarrier};
+use crate::topology::HypercubeTopology;
 use snap_isa::{InstrClass, Instruction, Program};
 use snap_kb::{ClusterId, Marker, NodeId, SemanticNetwork};
-use snap_net::{Fabric, HypercubeTopology, Inbox};
-use snap_obs::{lock_unpoisoned, FaultKind, PhaseKind, Tracer, CONTROLLER_TRACK};
-use snap_sync::TieredBarrier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -1271,21 +1274,12 @@ impl Worker<'_> {
     }
 }
 
-/// Busy-waits for sub-millisecond injected stalls (`thread::sleep` is
-/// too coarse at ns granularity).
-fn spin_for(d: Duration) {
-    let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::engine::des;
-    use snap_fault::FaultPlan;
+    use crate::plan::FaultPlan;
     use snap_isa::{CombineFunc, PropRule, StepFunc};
     use snap_kb::{Color, NetworkConfig, RelationType};
 
@@ -1449,7 +1443,7 @@ mod tests {
     #[test]
     fn gate_confirm_complete_holds_on_quiet_gate() {
         let mut p = Picker::new(ScheduleStrategy::fuzzed(9), CONTROL_STREAM);
-        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let barrier = TieredBarrier::with_instruments(None, Tracer::default());
         barrier.enter_busy();
         assert!(confirm_complete(&barrier, &mut p));
         barrier.created(3);
@@ -1587,7 +1581,8 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn traced_fabric_reads_back_undelivered_depth() {
-        use snap_obs::{EventKind, ObsConfig};
+        use crate::obs::event::EventKind;
+        use crate::obs::ObsConfig;
         let tracer = Tracer::from_config(Some(&ObsConfig::full()), 4);
         let (fabric, inboxes) = Fabric::<NetMsg>::with_instruments(
             HypercubeTopology::covering(4),

@@ -2,25 +2,36 @@
 
 use std::collections::HashSet;
 
+/// SplitMix64's increment (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Finalizer from SplitMix64: a cheap, well-mixed 64-bit hash used for
 /// checksums and injection decisions throughout the crate.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// One step of a SplitMix64 stream at `state`: the seedable generator
+/// behind the schedule fuzzer's decisions and the fabric's reorder hook.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    let z = mix64(*state);
+    *state = state.wrapping_add(GAMMA);
+    z
+}
+
 /// Payloads that can be summarized into a 64-bit digest for envelope
 /// checksums. The digest must cover every field that affects execution.
-pub trait Fingerprint {
+pub(crate) trait Fingerprint {
     /// Stable digest of the payload's contents.
     fn fingerprint(&self) -> u64;
 }
 
 /// Payloads the injector knows how to damage in flight. `salt` is the
 /// injection decision hash, so corruption is deterministic per plan.
-pub trait Corruptible {
+pub(crate) trait Corruptible {
     /// Flips some execution-relevant part of the payload.
     fn corrupt(&mut self, salt: u64);
 }
@@ -59,7 +70,7 @@ impl<T: Corruptible> Corruptible for Vec<T> {
 /// receivers detect in-flight corruption and discard the packet — the
 /// sender's retry path then re-delivers the original.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Envelope<T> {
+pub(crate) struct Envelope<T> {
     /// Recovery epoch the sender was in; stale epochs are discarded.
     pub epoch: u32,
     /// Sending cluster.
@@ -73,7 +84,7 @@ pub struct Envelope<T> {
 
 impl<T: Fingerprint> Envelope<T> {
     /// Seals `payload` with a checksum over all routing fields.
-    pub fn seal(epoch: u32, from: u8, seq: u64, payload: T) -> Self {
+    pub(crate) fn seal(epoch: u32, from: u8, seq: u64, payload: T) -> Self {
         let checksum = Self::digest(epoch, from, seq, &payload);
         Envelope {
             epoch,
@@ -86,18 +97,18 @@ impl<T: Fingerprint> Envelope<T> {
 
     /// `true` when the checksum still matches the payload — i.e. the
     /// envelope was not corrupted after sealing.
-    pub fn is_intact(&self) -> bool {
+    pub(crate) fn is_intact(&self) -> bool {
         self.checksum == Self::digest(self.epoch, self.from, self.seq, &self.payload)
     }
 
     /// The `(sender, sequence)` key used for acks and deduplication.
-    pub fn key(&self) -> (u8, u64) {
+    pub(crate) fn key(&self) -> (u8, u64) {
         (self.from, self.seq)
     }
 
     /// The checksum receivers echo back in acks, so a corrupted ack
     /// cannot falsely acknowledge a different payload.
-    pub fn checksum(&self) -> u64 {
+    pub(crate) fn checksum(&self) -> u64 {
         self.checksum
     }
 
@@ -114,7 +125,7 @@ impl<T: Fingerprint> Envelope<T> {
 impl<T: Corruptible> Envelope<T> {
     /// Damages the payload *without* resealing, modeling in-flight bit
     /// corruption: [`Envelope::is_intact`] turns false at the receiver.
-    pub fn corrupt_in_flight(&mut self, salt: u64) {
+    pub(crate) fn corrupt_in_flight(&mut self, salt: u64) {
         self.payload.corrupt(salt);
     }
 }
@@ -125,35 +136,25 @@ impl<T: Corruptible> Envelope<T> {
 /// the same key (an injected duplicate, or a retry racing its ack) is
 /// reported stale so its markers are not double-counted.
 #[derive(Debug, Default)]
-pub struct DedupTable {
+pub(crate) struct DedupTable {
     seen: HashSet<(u8, u64)>,
 }
 
 impl DedupTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DedupTable::default()
     }
 
     /// Records `key`; returns `true` the first time it is seen.
-    pub fn insert(&mut self, key: (u8, u64)) -> bool {
+    pub(crate) fn insert(&mut self, key: (u8, u64)) -> bool {
         self.seen.insert(key)
     }
 
     /// Forgets everything (called at phase boundaries, where sequence
     /// numbers restart).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.seen.clear();
-    }
-
-    /// Number of distinct keys seen.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// `true` when no key has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
     }
 }
 
@@ -205,7 +206,6 @@ mod tests {
         assert!(table.insert((0, 1)));
         assert!(!table.insert((0, 1)));
         assert!(table.insert((1, 1)));
-        assert_eq!(table.len(), 2);
         table.clear();
         assert!(table.insert((0, 1)));
     }

@@ -13,10 +13,12 @@
 //! (ack, retry to the region's new owner, barrier watchdog, replay)
 //! covers it like any other lost message.
 
+use crate::envelope::{splitmix64, Corruptible};
+use crate::inject::{FaultInjector, SendFate};
+use crate::lock_unpoisoned;
+use crate::obs::Tracer;
 use crate::topology::HypercubeTopology;
-use snap_fault::{Corruptible, FaultInjector, SendFate};
 use snap_kb::ClusterId;
-use snap_obs::{lock_unpoisoned, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -40,21 +42,11 @@ struct Reorder<T> {
     held: Vec<Option<T>>,
 }
 
-impl<T> Reorder<T> {
-    fn next(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// Sending half of the fabric, cloneable across cluster threads.
 /// `delayed` and `reorder` hold whole messages, valid at every step: a
 /// worker that crashes holding one must not poison it for the rest.
 #[derive(Debug, Clone)]
-pub struct Fabric<T> {
+pub(crate) struct Fabric<T> {
     topology: Arc<HypercubeTopology>,
     senders: Vec<Sender<T>>,
     messages: Arc<AtomicU64>,
@@ -81,7 +73,7 @@ pub struct Fabric<T> {
 /// that cluster. Dropping it closes the slot: later sends to it are
 /// lost.
 #[derive(Debug)]
-pub struct Inbox<T> {
+pub(crate) struct Inbox<T> {
     rx: Receiver<T>,
     depth: Option<Arc<[AtomicU64]>>,
     slot: usize,
@@ -89,7 +81,7 @@ pub struct Inbox<T> {
 
 impl<T> Inbox<T> {
     /// The next queued message, if one has arrived.
-    pub fn try_recv(&self) -> Option<T> {
+    pub(crate) fn try_recv(&self) -> Option<T> {
         let message = self.rx.try_recv().ok()?;
         if let Some(depth) = &self.depth {
             depth[self.slot].fetch_sub(1, Ordering::Relaxed);
@@ -104,8 +96,8 @@ impl<T> Fabric<T> {
     /// [`send_faulty`](Self::send_faulty) and
     /// [`send_control`](Self::send_control) paths are subject to its
     /// plan. `tracer` observes destination-mailbox depth on every counted
-    /// send ([`Tracer::disabled`] for none).
-    pub fn with_instruments(
+    /// send (a default tracer for none).
+    pub(crate) fn with_instruments(
         topology: HypercubeTopology,
         injector: Option<Arc<FaultInjector>>,
         tracer: Tracer,
@@ -148,7 +140,7 @@ impl<T> Fabric<T> {
         if self.reorder_on.load(Ordering::Relaxed) {
             let mut guard = lock_unpoisoned(&self.reorder);
             if let Some(state) = guard.as_mut() {
-                if state.next() & 1 == 0 {
+                if splitmix64(&mut state.rng) & 1 == 0 {
                     if let Some(prev) = state.held[to].replace(message) {
                         self.deliver(to, prev);
                     }
@@ -165,7 +157,7 @@ impl<T> Fabric<T> {
     /// pass straight through. Callers that can go idle while markers
     /// are in flight must call [`flush_held`](Self::flush_held) from
     /// their receive loops, exactly like [`poll_delayed`](Self::poll_delayed).
-    pub fn enable_reorder(&self, seed: u64) {
+    pub(crate) fn enable_reorder(&self, seed: u64) {
         let n = self.senders.len();
         *lock_unpoisoned(&self.reorder) = Some(Reorder {
             rng: seed ^ 0x5851_F42D_4C95_7F2D,
@@ -176,7 +168,7 @@ impl<T> Fabric<T> {
 
     /// Releases every message currently held back by the reorder hook.
     /// No-op when the hook is disarmed.
-    pub fn flush_held(&self) {
+    pub(crate) fn flush_held(&self) {
         if !self.reorder_on.load(Ordering::Relaxed) {
             return;
         }
@@ -209,18 +201,18 @@ impl<T> Fabric<T> {
     }
 
     /// The topology the fabric routes over.
-    pub fn topology(&self) -> &HypercubeTopology {
+    pub(crate) fn topology(&self) -> &HypercubeTopology {
         &self.topology
     }
 
     /// Total messages sent (marker traffic; control sends are not
     /// counted, matching the modelled network's accounting).
-    pub fn messages(&self) -> u64 {
+    pub(crate) fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
     }
 
     /// Total hypercube hops across all messages.
-    pub fn hops(&self) -> u64 {
+    pub(crate) fn hops(&self) -> u64 {
         self.hops.load(Ordering::Relaxed)
     }
 
@@ -228,7 +220,7 @@ impl<T> Fabric<T> {
     /// Workers call this from their receive loops; without a caller,
     /// delayed messages would never arrive (and the barrier watchdog
     /// would classify them as lost).
-    pub fn poll_delayed(&self) {
+    pub(crate) fn poll_delayed(&self) {
         let mut queue = lock_unpoisoned(&self.delayed);
         if queue.is_empty() {
             return;
@@ -252,7 +244,7 @@ impl<T: Clone + Corruptible> Fabric<T> {
     /// corrupt); without an injector, plain delivery. Returns what was
     /// done to the message so the sender's resilience protocol and the
     /// run report can account for it.
-    pub fn send_faulty(&self, from: ClusterId, to: ClusterId, message: T) -> SendFate {
+    pub(crate) fn send_faulty(&self, from: ClusterId, to: ClusterId, message: T) -> SendFate {
         self.send_shaped(from, to, message, true)
     }
 
@@ -260,7 +252,7 @@ impl<T: Clone + Corruptible> Fabric<T> {
     /// traffic stats — the modelled network carries these on dedicated
     /// wires — but still subject to faults, so a lost or corrupted ack
     /// exercises the retry path like a lost marker does.
-    pub fn send_control(&self, from: ClusterId, to: ClusterId, message: T) -> SendFate {
+    pub(crate) fn send_control(&self, from: ClusterId, to: ClusterId, message: T) -> SendFate {
         self.send_shaped(from, to, message, false)
     }
 
@@ -326,7 +318,7 @@ impl<T: Clone + Corruptible> Fabric<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_fault::FaultPlan;
+    use crate::plan::FaultPlan;
     use std::thread;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -339,7 +331,7 @@ mod tests {
     }
 
     fn clean_fabric() -> (Fabric<Payload>, Vec<Inbox<Payload>>) {
-        Fabric::with_instruments(HypercubeTopology::snap1(), None, Tracer::disabled())
+        Fabric::with_instruments(HypercubeTopology::covering(32), None, Tracer::default())
     }
 
     fn faulty_fabric(
@@ -347,9 +339,9 @@ mod tests {
     ) -> (Fabric<Payload>, Vec<Inbox<Payload>>, Arc<FaultInjector>) {
         let injector = Arc::new(FaultInjector::new(plan));
         let (fabric, inboxes) = Fabric::with_instruments(
-            HypercubeTopology::snap1(),
+            HypercubeTopology::covering(32),
             Some(Arc::clone(&injector)),
-            Tracer::disabled(),
+            Tracer::default(),
         );
         (fabric, inboxes, injector)
     }
@@ -402,7 +394,7 @@ mod tests {
         let open = inboxes.next().expect("slot 0");
         drop(inboxes);
         let fate = fabric.send_faulty(ClusterId(1), ClusterId(3), Payload(1));
-        assert!(fate.is_clean());
+        assert_eq!(fate, SendFate::default());
         fabric.send_control(ClusterId(1), ClusterId(3), Payload(2));
         assert_eq!(fabric.messages(), 1, "the marker counts, control does not");
         fabric.send_faulty(ClusterId(1), ClusterId(0), Payload(3));
@@ -437,11 +429,11 @@ mod tests {
     fn faulty_path_without_injector_is_plain_delivery() {
         let (fabric, inboxes) = clean_fabric();
         let fate = fabric.send_faulty(ClusterId(0), ClusterId(1), Payload(7));
-        assert!(fate.is_clean());
+        assert_eq!(fate, SendFate::default());
         assert_eq!(inboxes[1].try_recv(), Some(Payload(7)));
         assert_eq!(fabric.messages(), 1);
         let fate = fabric.send_control(ClusterId(0), ClusterId(1), Payload(8));
-        assert!(fate.is_clean());
+        assert_eq!(fate, SendFate::default());
         assert_eq!(inboxes[1].try_recv(), Some(Payload(8)));
         assert_eq!(fabric.messages(), 1, "control sends are uncounted");
     }

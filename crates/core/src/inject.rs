@@ -1,11 +1,11 @@
 //! Runtime injection decisions and resilience policies.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::envelope::mix64;
 use crate::plan::FaultPlan;
-use crate::report::{FaultReport, FaultStats};
+use crate::report::FaultReport;
 
 // Per-class salts keep the decision streams independent: a message that
 // would be dropped at one probability is not automatically the one that
@@ -19,7 +19,7 @@ const SITE_STARVE: u64 = 0x06;
 
 /// What the injector decided to do with one off-cluster message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SendFate {
+pub(crate) struct SendFate {
     /// Message vanishes in flight (never delivered on first attempt).
     pub dropped: bool,
     /// Message is delivered a second time.
@@ -33,10 +33,41 @@ pub struct SendFate {
     pub salt: u64,
 }
 
-impl SendFate {
-    /// `true` when the message passes through untouched.
-    pub fn is_clean(&self) -> bool {
-        !self.dropped && !self.duplicated && !self.corrupted && self.delay_ns == 0
+/// Atomic tally cells behind a [`FaultInjector`].
+#[derive(Debug, Default)]
+pub(crate) struct FaultStats {
+    pub injected_drops: AtomicU64,
+    pub injected_duplicates: AtomicU64,
+    pub injected_delays: AtomicU64,
+    pub injected_corruptions: AtomicU64,
+    pub injected_stalls: AtomicU64,
+    pub injected_starvations: AtomicU64,
+    pub injected_panics: AtomicU64,
+    pub detected_corruptions: AtomicU64,
+    pub detected_duplicates: AtomicU64,
+    pub retries: AtomicU64,
+    pub replays: AtomicU64,
+    pub recovered_workers: AtomicU64,
+    pub remapped_regions: AtomicU64,
+}
+
+impl FaultStats {
+    pub(crate) fn snapshot(&self) -> FaultReport {
+        FaultReport {
+            injected_drops: self.injected_drops.load(Ordering::Relaxed),
+            injected_duplicates: self.injected_duplicates.load(Ordering::Relaxed),
+            injected_delays: self.injected_delays.load(Ordering::Relaxed),
+            injected_corruptions: self.injected_corruptions.load(Ordering::Relaxed),
+            injected_stalls: self.injected_stalls.load(Ordering::Relaxed),
+            injected_starvations: self.injected_starvations.load(Ordering::Relaxed),
+            injected_panics: self.injected_panics.load(Ordering::Relaxed),
+            detected_corruptions: self.detected_corruptions.load(Ordering::Relaxed),
+            detected_duplicates: self.detected_duplicates.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            replays: self.replays.load(Ordering::Relaxed),
+            recovered_workers: self.recovered_workers.load(Ordering::Relaxed),
+            remapped_regions: self.remapped_regions.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -48,7 +79,7 @@ impl SendFate {
 /// adds no nondeterminism. Tallies are atomic and surface through
 /// [`report`](FaultInjector::report).
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     stats: FaultStats,
     panic_fired: AtomicBool,
@@ -56,17 +87,12 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Wraps `plan` for runtime evaluation.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
             stats: FaultStats::default(),
             panic_fired: AtomicBool::new(false),
         }
-    }
-
-    /// The plan being evaluated.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     fn chance(&self, site: u64, route: u64, counter: u64, prob: f64) -> Option<u64> {
@@ -81,7 +107,7 @@ impl FaultInjector {
 
     /// Decides the fate of message number `counter` on link `from → to`.
     /// Sends over a downed link always drop.
-    pub fn fate(&self, from: u8, to: u8, counter: u64) -> SendFate {
+    pub(crate) fn fate(&self, from: u8, to: u8, counter: u64) -> SendFate {
         let route = u64::from(from) | (u64::from(to) << 8);
         let mut fate = SendFate::default();
         if self.link_is_down(from, to) {
@@ -122,7 +148,7 @@ impl FaultInjector {
     }
 
     /// `true` when the plan forces the `from ↔ to` link down.
-    pub fn link_is_down(&self, from: u8, to: u8) -> bool {
+    pub(crate) fn link_is_down(&self, from: u8, to: u8) -> bool {
         self.plan
             .down_links
             .iter()
@@ -131,7 +157,7 @@ impl FaultInjector {
 
     /// Injected stall, in ns, before PE task number `counter` on
     /// `cluster` executes (0 = no stall).
-    pub fn stall_ns(&self, cluster: u8, counter: u64) -> u64 {
+    pub(crate) fn stall_ns(&self, cluster: u8, counter: u64) -> u64 {
         match self.chance(
             SITE_STALL,
             u64::from(cluster),
@@ -149,7 +175,7 @@ impl FaultInjector {
     /// Injected stall, in ns, on barrier counter-network update number
     /// `counter` for `level` (0 = no stall). Shares the plan's PE-stall
     /// rate but draws from an independent decision stream.
-    pub fn barrier_stall_ns(&self, level: u8, counter: u64) -> u64 {
+    pub(crate) fn barrier_stall_ns(&self, level: u8, counter: u64) -> u64 {
         match self.chance(
             SITE_STALL,
             0x100 | u64::from(level),
@@ -166,7 +192,7 @@ impl FaultInjector {
 
     /// Injected starvation, in ns, before arbiter grant number
     /// `counter` on `cluster` issues (0 = no starvation).
-    pub fn starvation_ns(&self, cluster: u8, counter: u64) -> u64 {
+    pub(crate) fn starvation_ns(&self, cluster: u8, counter: u64) -> u64 {
         match self.chance(
             SITE_STARVE,
             u64::from(cluster),
@@ -185,7 +211,7 @@ impl FaultInjector {
 
     /// `true` exactly once: when `cluster` starts program step `step`
     /// and the plan schedules its worker to panic there.
-    pub fn should_panic(&self, cluster: u8, step: usize) -> bool {
+    pub(crate) fn should_panic(&self, cluster: u8, step: usize) -> bool {
         match self.plan.panic_worker {
             Some(spec) if spec.cluster == cluster && spec.step == step => {
                 let first = !self.panic_fired.swap(true, Ordering::SeqCst);
@@ -199,41 +225,41 @@ impl FaultInjector {
     }
 
     /// Records a checksum mismatch caught by a receiver.
-    pub fn note_detected_corruption(&self) {
+    pub(crate) fn note_detected_corruption(&self) {
         self.stats
             .detected_corruptions
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a duplicate suppressed by a receiver.
-    pub fn note_detected_duplicate(&self) {
+    pub(crate) fn note_detected_duplicate(&self) {
         self.stats
             .detected_duplicates
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retransmission of an unacked envelope.
-    pub fn note_retry(&self) {
+    pub(crate) fn note_retry(&self) {
         self.stats.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one replayed propagation phase after a recovery.
-    pub fn note_replay(&self) {
+    pub(crate) fn note_replay(&self) {
         self.stats.replays.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one worker panic survived via recovery.
-    pub fn note_recovered_worker(&self) {
+    pub(crate) fn note_recovered_worker(&self) {
         self.stats.recovered_workers.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one region remapped to a neighbor cluster.
-    pub fn note_remapped_region(&self) {
+    pub(crate) fn note_remapped_region(&self) {
         self.stats.remapped_regions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of every tally so far.
-    pub fn report(&self) -> FaultReport {
+    pub(crate) fn report(&self) -> FaultReport {
         self.stats.snapshot()
     }
 }
@@ -262,7 +288,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before retry number `attempt` (0-based): doubles each
     /// attempt, capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let scaled = self
             .initial
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
@@ -270,7 +296,7 @@ impl RetryPolicy {
     }
 
     /// `true` when `attempt` retransmissions exhaust the policy.
-    pub fn exhausted(&self, attempt: u32) -> bool {
+    pub(crate) fn exhausted(&self, attempt: u32) -> bool {
         attempt >= self.max_retries
     }
 }
@@ -278,13 +304,12 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
 
     #[test]
     fn benign_plan_injects_nothing() {
         let inj = FaultInjector::new(FaultPlan::seeded(1));
         for counter in 0..500 {
-            assert!(inj.fate(0, 1, counter).is_clean());
+            assert_eq!(inj.fate(0, 1, counter), SendFate::default());
             assert_eq!(inj.stall_ns(2, counter), 0);
             assert_eq!(inj.starvation_ns(2, counter), 0);
         }

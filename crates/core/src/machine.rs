@@ -338,7 +338,7 @@ impl Snap1Builder {
 
     /// Injects a seeded fault schedule during execution (see
     /// [`MachineConfig::fault_plan`]).
-    pub fn faults(mut self, plan: snap_fault::FaultPlan) -> Self {
+    pub fn faults(mut self, plan: crate::plan::FaultPlan) -> Self {
         self.config.fault_plan = Some(plan);
         self
     }
@@ -346,7 +346,7 @@ impl Snap1Builder {
     /// Enables structured event tracing for the run (see
     /// [`MachineConfig::trace`]; recording also needs the `obs` cargo
     /// feature).
-    pub fn trace(mut self, cfg: snap_obs::ObsConfig) -> Self {
+    pub fn trace(mut self, cfg: crate::obs::ObsConfig) -> Self {
         self.config.trace = Some(cfg);
         self
     }

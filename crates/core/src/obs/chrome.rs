@@ -13,8 +13,8 @@
 //! The JSON is assembled by hand: the event shapes are small and fixed,
 //! and the build carries no JSON serializer.
 
-use crate::event::{EventKind, Stamp, TraceEvent, CONTROLLER_TRACK, GLOBAL_TRACK};
-use crate::report::TraceReport;
+use super::event::{EventKind, Stamp, TraceEvent, CONTROLLER_TRACK, GLOBAL_TRACK};
+use super::report::TraceReport;
 
 /// Stable `pid` for a track. Cluster tracks keep their index; the pseudo
 /// tracks get the next ids after the real clusters so they sort last.
@@ -162,7 +162,7 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultKind, PhaseKind};
+    use crate::obs::event::{FaultKind, PhaseKind};
 
     fn report_with(events: Vec<TraceEvent>, clusters: usize) -> TraceReport {
         TraceReport {

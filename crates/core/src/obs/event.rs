@@ -10,11 +10,11 @@
 
 /// Pseudo-track for events raised by the controller rather than a
 /// cluster (phase transitions, barrier completion).
-pub const CONTROLLER_TRACK: u16 = u16::MAX;
+pub(crate) const CONTROLLER_TRACK: u16 = u16::MAX;
 
 /// Pseudo-track for events raised by shared structures that have no
 /// cluster identity (the tiered barrier's counter network).
-pub const GLOBAL_TRACK: u16 = u16::MAX - 1;
+pub(crate) const GLOBAL_TRACK: u16 = u16::MAX - 1;
 
 /// When an event happened, in the emitting engine's timebase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,16 +35,12 @@ pub enum Stamp {
 
 impl Stamp {
     /// The stamp's time in microseconds (the chrome-trace unit).
-    pub fn micros(&self) -> f64 {
-        let ns = match self {
-            Stamp::Sim(ns) => *ns,
-            Stamp::Wall { ns, .. } => *ns,
-        };
-        ns as f64 / 1_000.0
+    pub(crate) fn micros(&self) -> f64 {
+        self.nanos() as f64 / 1_000.0
     }
 
     /// The stamp's raw nanosecond value, timebase notwithstanding.
-    pub fn nanos(&self) -> u64 {
+    pub(crate) fn nanos(&self) -> u64 {
         match self {
             Stamp::Sim(ns) => *ns,
             Stamp::Wall { ns, .. } => *ns,
@@ -72,7 +68,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Short display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             PhaseKind::Configure => "configure",
             PhaseKind::Propagate => "propagate",
@@ -104,7 +100,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Short display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
@@ -197,7 +193,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Short display name for exporters.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::PhaseStart { kind, .. } | EventKind::PhaseEnd { kind, .. } => kind.name(),
             EventKind::MsgSend { .. } => "send",

@@ -2,12 +2,12 @@
 //! per-phase statistics, plus the cross-engine comparison helpers the
 //! differential test harness is built on.
 
-use crate::event::{PhaseKind, TraceEvent};
+use super::event::{PhaseKind, TraceEvent};
 
 /// Number of power-of-two buckets in a [`Histogram`]. Bucket `i` counts
 /// values `v` with `floor(log2(v)) == i` (bucket 0 additionally holds
 /// zero), so the top bucket covers everything from `2^31` up.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+pub(super) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A fixed-footprint power-of-two histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,13 +34,9 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The bucket index `value` falls in.
-    pub fn bucket_of(value: u64) -> usize {
+    /// The bucket index `value` falls in (only the tracer records).
+    #[cfg(any(test, feature = "obs"))]
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -48,16 +44,8 @@ impl Histogram {
         }
     }
 
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
     /// Mean of the observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -66,18 +54,8 @@ impl Histogram {
     }
 
     /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Merges `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -114,7 +92,7 @@ pub struct ClusterMetrics {
 
 impl ClusterMetrics {
     /// Merges `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &ClusterMetrics) {
+    pub(crate) fn merge(&mut self, other: &ClusterMetrics) {
         self.msgs_sent += other.msgs_sent;
         self.msgs_recv += other.msgs_recv;
         self.retries += other.retries;
@@ -155,7 +133,7 @@ pub struct PhaseStat {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
     /// `true` when tracing was enabled for the run (an all-default
-    /// report also appears when the `record` feature is compiled out).
+    /// report also appears when the `obs` feature is compiled out).
     pub enabled: bool,
     /// Per-cluster counters, indexed by cluster.
     pub clusters: Vec<ClusterMetrics>,
@@ -178,7 +156,7 @@ impl TraceReport {
     }
 
     /// All cluster counters merged into one.
-    pub fn totals(&self) -> ClusterMetrics {
+    pub(crate) fn totals(&self) -> ClusterMetrics {
         let mut total = ClusterMetrics::default();
         for c in &self.clusters {
             total.merge(c);
@@ -275,22 +253,18 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count, 6);
-        assert_eq!(h.max, 1024);
-        assert_eq!(h.buckets[0], 2); // 0 and 1
-        assert_eq!(h.buckets[1], 2); // 2 and 3
-        assert_eq!(h.buckets[3], 1); // 8
-        assert_eq!(h.buckets[10], 1); // 1024
+        let buckets = [0, 1, 2, 3, 8, 1024, u64::MAX].map(Histogram::bucket_of);
+        assert_eq!(buckets, [0, 0, 1, 1, 3, 10, HISTOGRAM_BUCKETS - 1]);
+        let empty = Histogram::default();
+        assert!(empty.is_empty());
+        assert_eq!(empty.mean(), 0.0);
+        let h = Histogram {
+            count: 6,
+            sum: 1038,
+            ..Histogram::default()
+        };
+        assert!(!h.is_empty());
         assert!((h.mean() - (1038.0 / 6.0)).abs() < 1e-9);
-        let mut other = Histogram::new();
-        other.record(u64::MAX);
-        h.merge(&other);
-        assert_eq!(h.count, 7);
-        assert_eq!(h.buckets[HISTOGRAM_BUCKETS - 1], 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! recording methods from hot paths. Two gates keep release benchmarks
 //! honest:
 //!
-//! * **compile time** — without the crate's `record` feature every
+//! * **compile time** — without the crate's `obs` feature every
 //!   method body is empty and `is_enabled` is a constant `false`, so
 //!   instrumented call sites (and any `if tracer.is_enabled()` guards
 //!   around stamp computation) optimize away entirely;
@@ -14,12 +14,12 @@
 //!   `sample_every` and stops appending at `max_events` (counters and
 //!   histograms are always exact).
 
-#[cfg(feature = "record")]
-use crate::event::{EventKind, TraceEvent};
-use crate::event::{FaultKind, PhaseKind, Stamp};
-use crate::report::TraceReport;
-#[cfg(feature = "record")]
-use crate::report::{ClusterMetrics, Histogram, PhaseStat};
+#[cfg(feature = "obs")]
+use super::event::{EventKind, TraceEvent};
+use super::event::{FaultKind, PhaseKind, Stamp};
+use super::report::TraceReport;
+#[cfg(feature = "obs")]
+use super::report::{ClusterMetrics, Histogram, PhaseStat};
 
 /// Runtime tracing configuration, carried in the machine config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,14 +42,6 @@ impl ObsConfig {
         }
     }
 
-    /// Record one raw event in `n` (counters stay exact).
-    pub fn sampled(n: u32) -> Self {
-        ObsConfig {
-            sample_every: n.max(1),
-            max_events: 1 << 20,
-        }
-    }
-
     /// Keep counters, histograms, and phase statistics but no raw
     /// event buffer.
     pub fn counters_only() -> Self {
@@ -66,7 +58,7 @@ impl Default for ObsConfig {
     }
 }
 
-#[cfg(feature = "record")]
+#[cfg(feature = "obs")]
 mod imp {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,7 +82,7 @@ mod imp {
     }
 
     impl Cells {
-        pub fn snapshot(&self) -> ClusterMetrics {
+        pub(super) fn snapshot(&self) -> ClusterMetrics {
             ClusterMetrics {
                 msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
                 msgs_recv: self.msgs_recv.load(Ordering::Relaxed),
@@ -116,9 +108,9 @@ mod imp {
     }
 
     impl AtomicHist {
-        pub fn new() -> Self {
+        pub(super) fn new() -> Self {
             AtomicHist {
-                buckets: (0..crate::report::HISTOGRAM_BUCKETS)
+                buckets: (0..crate::obs::report::HISTOGRAM_BUCKETS)
                     .map(|_| AtomicU64::new(0))
                     .collect(),
                 count: AtomicU64::new(0),
@@ -127,14 +119,14 @@ mod imp {
             }
         }
 
-        pub fn record(&self, value: u64) {
+        pub(super) fn record(&self, value: u64) {
             self.buckets[Histogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
             self.count.fetch_add(1, Ordering::Relaxed);
             self.sum.fetch_add(value, Ordering::Relaxed);
             self.max.fetch_max(value, Ordering::Relaxed);
         }
 
-        pub fn snapshot(&self) -> Histogram {
+        pub(super) fn snapshot(&self) -> Histogram {
             Histogram {
                 buckets: self
                     .buckets
@@ -174,7 +166,7 @@ mod imp {
     }
 
     impl Inner {
-        pub fn new(cfg: ObsConfig, clusters: usize) -> Self {
+        pub(super) fn new(cfg: ObsConfig, clusters: usize) -> Self {
             Inner {
                 cfg,
                 t0: Instant::now(),
@@ -192,7 +184,7 @@ mod imp {
 
         /// Appends a raw event, honoring sampling and the cap.
         /// `structural` events (phase transitions) bypass sampling.
-        pub fn push(&self, ev: TraceEvent, structural: bool) {
+        pub(super) fn push(&self, ev: TraceEvent, structural: bool) {
             if !structural {
                 let tick = self.tick.fetch_add(1, Ordering::Relaxed);
                 if self.cfg.sample_every > 1
@@ -210,11 +202,11 @@ mod imp {
             }
         }
 
-        pub fn cells(&self, track: u16) -> Option<&Cells> {
+        pub(super) fn cells(&self, track: u16) -> Option<&Cells> {
             self.clusters.get(usize::from(track))
         }
 
-        pub fn phase_add(&self, f: impl FnOnce(&PhaseCells)) {
+        pub(super) fn phase_add(&self, f: impl FnOnce(&PhaseCells)) {
             if let Some(p) = self
                 .current_phase
                 .read()
@@ -227,26 +219,27 @@ mod imp {
     }
 
     impl Inner {
-        pub fn queue_hist(&self) -> &AtomicHist {
+        pub(super) fn queue_hist(&self) -> &AtomicHist {
             &self.queue_depth
         }
-        pub fn barrier_hist(&self) -> &AtomicHist {
+        pub(super) fn barrier_hist(&self) -> &AtomicHist {
             &self.barrier_wait
         }
     }
 }
 
-#[cfg(feature = "record")]
+#[cfg(feature = "obs")]
 use crate::lock_unpoisoned;
-#[cfg(feature = "record")]
+#[cfg(feature = "obs")]
 use imp::{Inner, PhaseCells};
-#[cfg(feature = "record")]
+#[cfg(feature = "obs")]
 use std::sync::{atomic::Ordering, Arc, PoisonError};
 
-/// The recording handle. See the module docs for the gating model.
+/// The recording handle; the default records nothing. See the module
+/// docs for the gating model.
 #[derive(Clone, Default)]
-pub struct Tracer {
-    #[cfg(feature = "record")]
+pub(crate) struct Tracer {
+    #[cfg(feature = "obs")]
     inner: Option<Arc<Inner>>,
 }
 
@@ -259,21 +252,16 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer that records nothing.
-    pub fn disabled() -> Self {
-        Tracer::default()
-    }
-
     /// A tracer from an optional runtime config: `None` disables.
-    /// Without the `record` feature the result is always disabled.
-    pub fn from_config(cfg: Option<&ObsConfig>, clusters: usize) -> Self {
-        #[cfg(feature = "record")]
+    /// Without the `obs` feature the result is always disabled.
+    pub(crate) fn from_config(cfg: Option<&ObsConfig>, clusters: usize) -> Self {
+        #[cfg(feature = "obs")]
         {
             Tracer {
                 inner: cfg.map(|c| Arc::new(Inner::new(*c, clusters))),
             }
         }
-        #[cfg(not(feature = "record"))]
+        #[cfg(not(feature = "obs"))]
         {
             let _ = (cfg, clusters);
             Tracer::default()
@@ -281,18 +269,18 @@ impl Tracer {
     }
 }
 
-#[cfg(feature = "record")]
+#[cfg(feature = "obs")]
 impl Tracer {
     /// `true` when this tracer records.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// A wall-clock stamp (ns since tracer creation) carrying the
     /// current logical phase index.
     #[inline]
-    pub fn wall_stamp(&self) -> Stamp {
+    pub(crate) fn wall_stamp(&self) -> Stamp {
         match &self.inner {
             Some(i) => Stamp::Wall {
                 ns: i.t0.elapsed().as_nanos() as u64,
@@ -303,7 +291,7 @@ impl Tracer {
     }
 
     /// Opens a phase of `kind` at `stamp`.
-    pub fn phase_start(&self, kind: PhaseKind, stamp: Stamp) {
+    pub(crate) fn phase_start(&self, kind: PhaseKind, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         let index = i.phase_count.fetch_add(1, Ordering::Relaxed) as u32;
         *i.current_phase
@@ -317,7 +305,7 @@ impl Tracer {
         });
         i.push(
             TraceEvent {
-                track: crate::event::CONTROLLER_TRACK,
+                track: super::event::CONTROLLER_TRACK,
                 stamp,
                 kind: EventKind::PhaseStart { kind, index },
             },
@@ -327,7 +315,7 @@ impl Tracer {
 
     /// Closes the open phase at `stamp`, folding its accumulators into
     /// the report's phase list.
-    pub fn phase_end(&self, stamp: Stamp) {
+    pub(crate) fn phase_end(&self, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         let Some(p) = i
             .current_phase
@@ -350,7 +338,7 @@ impl Tracer {
         drop(done);
         i.push(
             TraceEvent {
-                track: crate::event::CONTROLLER_TRACK,
+                track: super::event::CONTROLLER_TRACK,
                 stamp,
                 kind: EventKind::PhaseEnd { kind, index },
             },
@@ -360,7 +348,7 @@ impl Tracer {
 
     /// Records one applied marker activation on `track`.
     #[inline]
-    pub fn activation(&self, track: u16) {
+    pub(crate) fn activation(&self, track: u16) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             c.activations.fetch_add(1, Ordering::Relaxed);
@@ -372,7 +360,7 @@ impl Tracer {
 
     /// Records one node expansion on `track`.
     #[inline]
-    pub fn expansion(&self, track: u16) {
+    pub(crate) fn expansion(&self, track: u16) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             c.expansions.fetch_add(1, Ordering::Relaxed);
@@ -383,7 +371,7 @@ impl Tracer {
     }
 
     /// Records an off-cluster message send.
-    pub fn msg_send(&self, from: u16, to: u16, hops: u8, stamp: Stamp) {
+    pub(crate) fn msg_send(&self, from: u16, to: u16, hops: u8, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(from) {
             c.msgs_sent.fetch_add(1, Ordering::Relaxed);
@@ -406,7 +394,7 @@ impl Tracer {
     }
 
     /// Records a message applied at its destination.
-    pub fn msg_recv(&self, from: u16, to: u16, stamp: Stamp) {
+    pub(crate) fn msg_recv(&self, from: u16, to: u16, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(to) {
             c.msgs_recv.fetch_add(1, Ordering::Relaxed);
@@ -425,7 +413,7 @@ impl Tracer {
     }
 
     /// Records a retransmission from `from` toward `to`.
-    pub fn msg_retry(&self, from: u16, to: u16, stamp: Stamp) {
+    pub(crate) fn msg_retry(&self, from: u16, to: u16, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(from) {
             c.retries.fetch_add(1, Ordering::Relaxed);
@@ -444,11 +432,11 @@ impl Tracer {
     }
 
     /// Records a created-token arrival at the barrier counter network.
-    pub fn barrier_arrive(&self, level: u8, stamp: Stamp) {
+    pub(crate) fn barrier_arrive(&self, level: u8, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         i.push(
             TraceEvent {
-                track: crate::event::GLOBAL_TRACK,
+                track: super::event::GLOBAL_TRACK,
                 stamp,
                 kind: EventKind::BarrierArrive { level },
             },
@@ -457,7 +445,7 @@ impl Tracer {
     }
 
     /// Records a completed barrier wait of `wait_ns` on `track`.
-    pub fn barrier_wait(&self, track: u16, wait_ns: u64, stamp: Stamp) {
+    pub(crate) fn barrier_wait(&self, track: u16, wait_ns: u64, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             c.barrier_waits.fetch_add(1, Ordering::Relaxed);
@@ -475,11 +463,11 @@ impl Tracer {
     }
 
     /// Records a watchdog stall classification.
-    pub fn barrier_stall(&self, in_flight: i64, busy_pes: u64, stamp: Stamp) {
+    pub(crate) fn barrier_stall(&self, in_flight: i64, busy_pes: u64, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         i.push(
             TraceEvent {
-                track: crate::event::GLOBAL_TRACK,
+                track: super::event::GLOBAL_TRACK,
                 stamp,
                 kind: EventKind::BarrierStall {
                     in_flight,
@@ -492,7 +480,7 @@ impl Tracer {
 
     /// Records an arbiter decision on `track`: an immediate grant when
     /// `wait_ns` is zero, a deferral otherwise.
-    pub fn arbiter(&self, track: u16, wait_ns: u64, stamp: Stamp) {
+    pub(crate) fn arbiter(&self, track: u16, wait_ns: u64, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             if wait_ns == 0 {
@@ -517,7 +505,7 @@ impl Tracer {
     }
 
     /// Records an injected fault of `kind` on `track`.
-    pub fn fault(&self, track: u16, kind: FaultKind, stamp: Stamp) {
+    pub(crate) fn fault(&self, track: u16, kind: FaultKind, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             c.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -533,7 +521,7 @@ impl Tracer {
     }
 
     /// Records a work-queue / outbox depth observation on `track`.
-    pub fn queue_depth(&self, track: u16, depth: u64, stamp: Stamp) {
+    pub(crate) fn queue_depth(&self, track: u16, depth: u64, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
             c.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
@@ -552,7 +540,7 @@ impl Tracer {
     }
 
     /// Snapshots everything recorded so far into a [`TraceReport`].
-    pub fn report(&self) -> TraceReport {
+    pub(crate) fn report(&self) -> TraceReport {
         let Some(i) = &self.inner else {
             return TraceReport::default();
         };
@@ -568,74 +556,73 @@ impl Tracer {
     }
 }
 
-#[cfg(not(feature = "record"))]
-#[allow(missing_docs)]
+#[cfg(not(feature = "obs"))]
 impl Tracer {
-    /// Constant `false`: the `record` feature is compiled out, so every
+    /// Constant `false`: the `obs` feature is compiled out, so every
     /// guard folds to a no-op.
     #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         false
     }
 
     #[inline(always)]
-    pub fn wall_stamp(&self) -> Stamp {
+    pub(crate) fn wall_stamp(&self) -> Stamp {
         Stamp::Wall { ns: 0, phase: 0 }
     }
 
     #[inline(always)]
-    pub fn phase_start(&self, _kind: PhaseKind, _stamp: Stamp) {}
+    pub(crate) fn phase_start(&self, _kind: PhaseKind, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn phase_end(&self, _stamp: Stamp) {}
+    pub(crate) fn phase_end(&self, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn activation(&self, _track: u16) {}
+    pub(crate) fn activation(&self, _track: u16) {}
 
     #[inline(always)]
-    pub fn expansion(&self, _track: u16) {}
+    pub(crate) fn expansion(&self, _track: u16) {}
 
     #[inline(always)]
-    pub fn msg_send(&self, _from: u16, _to: u16, _hops: u8, _stamp: Stamp) {}
+    pub(crate) fn msg_send(&self, _from: u16, _to: u16, _hops: u8, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn msg_recv(&self, _from: u16, _to: u16, _stamp: Stamp) {}
+    pub(crate) fn msg_recv(&self, _from: u16, _to: u16, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn msg_retry(&self, _from: u16, _to: u16, _stamp: Stamp) {}
+    pub(crate) fn msg_retry(&self, _from: u16, _to: u16, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn barrier_arrive(&self, _level: u8, _stamp: Stamp) {}
+    pub(crate) fn barrier_arrive(&self, _level: u8, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn barrier_wait(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
+    pub(crate) fn barrier_wait(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn barrier_stall(&self, _in_flight: i64, _busy_pes: u64, _stamp: Stamp) {}
+    pub(crate) fn barrier_stall(&self, _in_flight: i64, _busy_pes: u64, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn arbiter(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
+    pub(crate) fn arbiter(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn fault(&self, _track: u16, _kind: FaultKind, _stamp: Stamp) {}
+    pub(crate) fn fault(&self, _track: u16, _kind: FaultKind, _stamp: Stamp) {}
 
     #[inline(always)]
-    pub fn queue_depth(&self, _track: u16, _depth: u64, _stamp: Stamp) {}
+    pub(crate) fn queue_depth(&self, _track: u16, _depth: u64, _stamp: Stamp) {}
 
     /// Always the default (empty, disabled) report.
-    pub fn report(&self) -> TraceReport {
+    pub(crate) fn report(&self) -> TraceReport {
         TraceReport::default()
     }
 }
 
-#[cfg(all(test, feature = "record"))]
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
-    use crate::event::{FaultKind, CONTROLLER_TRACK};
+    use crate::obs::event::{FaultKind, CONTROLLER_TRACK};
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled();
+        let t = Tracer::default();
         assert!(!t.is_enabled());
         t.activation(0);
         t.msg_send(0, 1, 1, Stamp::Sim(5));
@@ -677,7 +664,13 @@ mod tests {
 
     #[test]
     fn sampling_drops_raw_events_but_not_counters() {
-        let t = Tracer::from_config(Some(&ObsConfig::sampled(10)), 1);
+        let t = Tracer::from_config(
+            Some(&ObsConfig {
+                sample_every: 10,
+                ..ObsConfig::full()
+            }),
+            1,
+        );
         for i in 0..100 {
             t.msg_send(0, 0, 1, Stamp::Sim(i));
         }

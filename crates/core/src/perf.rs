@@ -10,17 +10,17 @@
 use crate::SimTime;
 
 /// Serial link rate of the instrumentation network, bits per second.
-pub const SERIAL_LINK_BPS: u64 = 2_000_000;
+const SERIAL_LINK_BPS: u64 = 2_000_000;
 
 /// Bits per event record (8-bit code + 24-bit status).
-pub const RECORD_BITS: u64 = 32;
+const RECORD_BITS: u64 = 32;
 
 /// Nanoseconds needed to shift one record out of a PE's serial port.
-pub const RECORD_SHIFT_NS: SimTime = RECORD_BITS * 1_000_000_000 / SERIAL_LINK_BPS;
+const RECORD_SHIFT_NS: SimTime = RECORD_BITS * 1_000_000_000 / SERIAL_LINK_BPS;
 
 /// One collected performance event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PerfEvent {
+pub(super) struct PerfEvent {
     /// Timestamp applied at the central collection board (ns).
     pub timestamp: SimTime,
     /// Index of the reporting PE.
@@ -34,21 +34,19 @@ pub struct PerfEvent {
 /// Model of the performance-collection network: per-PE serial links
 /// feeding a central timestamped FIFO.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PerfCollector {
+pub(crate) struct PerfCollector {
     link_busy_until: Vec<SimTime>,
     events: Vec<PerfEvent>,
-    dropped: u64,
     fifo_capacity: usize,
 }
 
 impl PerfCollector {
     /// Creates a collector for `pes` processing elements with the given
     /// central FIFO capacity.
-    pub fn new(pes: usize, fifo_capacity: usize) -> Self {
+    pub(crate) fn new(pes: usize, fifo_capacity: usize) -> Self {
         PerfCollector {
             link_busy_until: vec![0; pes],
             events: Vec::new(),
-            dropped: 0,
             fifo_capacity,
         }
     }
@@ -61,13 +59,18 @@ impl PerfCollector {
     /// # Panics
     ///
     /// Panics if `pe` is out of range.
-    pub fn record(&mut self, pe: u32, now: SimTime, code: u8, status: u32) -> Option<SimTime> {
+    pub(crate) fn record(
+        &mut self,
+        pe: u32,
+        now: SimTime,
+        code: u8,
+        status: u32,
+    ) -> Option<SimTime> {
         let link = &mut self.link_busy_until[pe as usize];
         let start = now.max(*link);
         let arrival = start + RECORD_SHIFT_NS;
         *link = arrival;
         if self.events.len() >= self.fifo_capacity {
-            self.dropped += 1;
             return None;
         }
         self.events.push(PerfEvent {
@@ -77,21 +80,6 @@ impl PerfCollector {
             status: status & 0x00FF_FFFF,
         });
         Some(arrival)
-    }
-
-    /// All collected events in arrival order.
-    pub fn events(&self) -> &[PerfEvent] {
-        &self.events
-    }
-
-    /// Number of records lost to FIFO overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the FIFO (transfer to mass storage).
-    pub fn drain(&mut self) -> Vec<PerfEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 
@@ -116,14 +104,14 @@ mod tests {
         // Different PE: independent link.
         let t3 = pc.record(1, 1_000, 3, 0).unwrap();
         assert_eq!(t3, 17_000);
-        assert_eq!(pc.events().len(), 3);
+        assert_eq!(pc.events.len(), 3);
     }
 
     #[test]
     fn status_is_masked_to_24_bits() {
         let mut pc = PerfCollector::new(1, 10);
         pc.record(0, 0, 1, 0xFFFF_FFFF);
-        assert_eq!(pc.events()[0].status, 0x00FF_FFFF);
+        assert_eq!(pc.events[0].status, 0x00FF_FFFF);
     }
 
     #[test]
@@ -131,10 +119,10 @@ mod tests {
         let mut pc = PerfCollector::new(1, 2);
         assert!(pc.record(0, 0, 1, 0).is_some());
         assert!(pc.record(0, 0, 2, 0).is_some());
-        assert!(pc.record(0, 0, 3, 0).is_none());
-        assert_eq!(pc.dropped(), 1);
-        let drained = pc.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(pc.events().is_empty());
+        assert!(
+            pc.record(0, 0, 3, 0).is_none(),
+            "the caller counts the drop"
+        );
+        assert_eq!(pc.events.len(), 2);
     }
 }

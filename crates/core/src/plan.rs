@@ -12,7 +12,7 @@ pub struct PanicSpec {
 
 /// A deterministic, seeded schedule of injected faults.
 ///
-/// Probabilities are evaluated by [`FaultInjector`](crate::FaultInjector)
+/// Probabilities are evaluated by the engines' `FaultInjector`
 /// against `(seed, site, counter)` hashes, never a live RNG: replaying
 /// the same plan against the same deterministic counter streams yields
 /// the same injected schedule. The discrete-event engine drives every
@@ -130,24 +130,12 @@ impl FaultPlan {
         self
     }
 
-    /// `true` when no fault class is armed.
-    pub fn is_benign(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.corrupt_prob == 0.0
-            && self.stall_prob == 0.0
-            && self.starvation_prob == 0.0
-            && self.down_links.is_empty()
-            && self.panic_worker.is_none()
-    }
-
     /// Checks every probability lies in `[0, 1]`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first out-of-range field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let probs = [
             ("drop_prob", self.drop_prob),
             ("duplicate_prob", self.duplicate_prob),
@@ -180,7 +168,6 @@ mod tests {
             .starvation(0.02, 2_000)
             .link_down(1, 5)
             .worker_panic(3, 0);
-        assert!(!plan.is_benign());
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.down_links, vec![(1, 5)]);
         assert_eq!(
@@ -195,9 +182,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_benign_and_valid() {
-        let plan = FaultPlan::seeded(0);
-        assert!(plan.is_benign());
-        plan.validate().unwrap();
+        FaultPlan::seeded(0).validate().unwrap();
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! ([`Snap1::run_shared`](crate::Snap1::run_shared)) alike.
 
 use crate::error::CoreError;
+use crate::lock_unpoisoned;
 use crate::region::RegionMap;
 use snap_kb::{PartitionScheme, PartitionStats, SemanticNetwork};
-use snap_obs::lock_unpoisoned;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 

@@ -46,16 +46,16 @@ pub struct PropArrival {
     pub value: f32,
 }
 
-impl snap_fault::Fingerprint for PropTask {
+impl crate::envelope::Fingerprint for PropTask {
     fn fingerprint(&self) -> u64 {
-        use snap_fault::mix64;
+        use crate::envelope::mix64;
         mix64(self.prop as u64 ^ (u64::from(self.node.0) << 20))
             ^ mix64(u64::from(self.state) | (u64::from(self.value.to_bits()) << 8))
             ^ mix64(u64::from(self.origin.0) | (u64::from(self.level) << 40))
     }
 }
 
-impl snap_fault::Corruptible for PropTask {
+impl crate::envelope::Corruptible for PropTask {
     fn corrupt(&mut self, salt: u64) {
         // Flip value bits (|1 guarantees a change) and smear the rule
         // state: enough to invalidate the envelope checksum whatever the

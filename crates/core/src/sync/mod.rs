@@ -1,4 +1,4 @@
-//! # snap-sync — tiered barrier synchronization for marker propagation
+//! Tiered barrier synchronization for marker propagation.
 //!
 //! Before an accumulation-phase instruction can execute, every in-flight
 //! propagation must have terminated — but in MIMD mode nobody knows a
@@ -15,10 +15,12 @@
 //!   completes while messages are in transit.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod model;
 mod threaded;
 
-pub use model::{NaiveSyncModel, TieredSyncModel, MAX_LEVELS};
-pub use threaded::{BarrierStall, TieredBarrier};
+#[cfg(test)]
+mod barrier_props;
+
+pub use model::{NaiveSyncModel, TieredSyncModel};
+pub(crate) use threaded::{spin_for, TieredBarrier};

@@ -17,7 +17,7 @@
 
 /// Maximum propagation tiers tracked (deep enough for the 10–15 step
 /// paths the paper reports, with margin).
-pub const MAX_LEVELS: usize = 64;
+pub(super) const MAX_LEVELS: usize = 64;
 
 /// Deterministic state of the tiered termination detector, as evaluated
 /// by the sequence control processor through the AND-tree and counter
@@ -28,18 +28,13 @@ pub struct TieredSyncModel {
     counters: Vec<i64>,
     /// Idle flag per PE (the AND-tree inputs).
     idle: Vec<bool>,
-    /// Completion checks performed (each costs one AND-tree round).
-    checks: u64,
-    /// Creations/terminations whose level exceeded the tier table and
-    /// were accounted in the top tier instead.
-    level_overflows: u64,
 }
 
 /// The counter index a propagation level maps to: levels beyond the
 /// hardware's tier table share the top tier. The termination condition
 /// (every counter zero) stays exact — deep levels merely lose per-tier
 /// attribution, as the real counter network would.
-fn tier(level: u8) -> usize {
+pub(super) fn tier(level: u8) -> usize {
     (level as usize).min(MAX_LEVELS - 1)
 }
 
@@ -49,40 +44,27 @@ impl TieredSyncModel {
         TieredSyncModel {
             counters: vec![0; MAX_LEVELS],
             idle: vec![true; pes],
-            checks: 0,
-            level_overflows: 0,
         }
     }
 
     /// Records a marker/process creation at `level` (increment before the
-    /// message is sent). Levels beyond [`MAX_LEVELS`] saturate into the
+    /// message is sent). Levels beyond `MAX_LEVELS` saturate into the
     /// top tier.
     pub fn created(&mut self, level: u8) {
-        if level as usize >= MAX_LEVELS {
-            self.level_overflows += 1;
-        }
         self.counters[tier(level)] += 1;
     }
 
     /// Records a marker/process termination at `level`. Levels beyond
-    /// [`MAX_LEVELS`] saturate into the top tier.
+    /// `MAX_LEVELS` saturate into the top tier.
     ///
     /// # Panics
     ///
     /// Panics if the counter would go negative — more terminations than
     /// creations indicates a protocol violation.
     pub fn consumed(&mut self, level: u8) {
-        if level as usize >= MAX_LEVELS {
-            self.level_overflows += 1;
-        }
         let c = &mut self.counters[tier(level)];
         assert!(*c > 0, "level {level} terminated more than created");
         *c -= 1;
-    }
-
-    /// Operations that saturated into the top tier.
-    pub fn level_overflows(&self) -> u64 {
-        self.level_overflows
     }
 
     /// Sets PE `pe`'s idle flag.
@@ -92,19 +74,13 @@ impl TieredSyncModel {
 
     /// `true` when every PE is idle **and** every level's counter is zero
     /// — the tiered barrier condition.
-    pub fn is_complete(&mut self) -> bool {
-        self.checks += 1;
+    pub fn is_complete(&self) -> bool {
         self.idle.iter().all(|&i| i) && self.counters.iter().all(|&c| c == 0)
     }
 
     /// Messages currently in transit (sum of all level counters).
-    pub fn in_flight(&self) -> i64 {
+    pub(crate) fn in_flight(&self) -> i64 {
         self.counters.iter().sum()
-    }
-
-    /// Number of completion checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
     }
 }
 
@@ -159,7 +135,6 @@ mod tests {
         assert!(!sync.is_complete(), "level-1 child still outstanding");
         sync.consumed(1);
         assert!(sync.is_complete());
-        assert_eq!(sync.checks(), 4);
     }
 
     #[test]
@@ -198,11 +173,6 @@ mod tests {
         assert!(!sync.is_complete());
         sync.consumed(MAX_LEVELS as u8);
         assert!(sync.is_complete());
-        assert_eq!(sync.level_overflows(), 6);
-        // In-table levels do not count as overflows.
-        sync.created((MAX_LEVELS - 1) as u8);
-        sync.consumed((MAX_LEVELS - 1) as u8);
-        assert_eq!(sync.level_overflows(), 6);
     }
 
     proptest! {

@@ -9,9 +9,9 @@
 //! the message becomes visible to any other thread, so whenever a message
 //! is in flight some counter is positive.
 
-use crate::model::MAX_LEVELS;
-use snap_fault::FaultInjector;
-use snap_obs::Tracer;
+use super::model::{tier, MAX_LEVELS};
+use crate::inject::FaultInjector;
+use crate::obs::Tracer;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// Why a watched barrier wait gave up, as classified by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum BarrierStall {
+pub(crate) enum BarrierStall {
     /// Every PE is idle and no counter has moved for the whole timeout,
     /// yet levels remain positive: the counted messages will never
     /// arrive — they were lost in the interconnect.
@@ -49,22 +49,15 @@ impl fmt::Display for BarrierStall {
     }
 }
 
-/// The counter a propagation level maps to; deep levels share the top
-/// tier, mirroring [`TieredSyncModel`](crate::TieredSyncModel).
-fn tier(level: u8) -> usize {
-    (level as usize).min(MAX_LEVELS - 1)
-}
-
 /// Shared tiered-barrier state for one array run.
 #[derive(Debug)]
-pub struct TieredBarrier {
+pub(crate) struct TieredBarrier {
     levels: Vec<AtomicI64>,
     busy_pes: AtomicUsize,
     /// Bumped on every counter/AND-tree transition; the watchdog
     /// distinguishes "still propagating" (activity advancing) from
     /// "stalled" (activity frozen) by watching this.
     activity: AtomicU64,
-    level_overflows: AtomicU64,
     injector: Option<Arc<FaultInjector>>,
     tracer: Tracer,
 }
@@ -75,13 +68,15 @@ impl TieredBarrier {
     /// no-false-termination invariant is untouched), modeling
     /// counter-network contention. `tracer` receives every created-token
     /// arrival on the counter-network track of the trace (subject to its
-    /// sampling; [`Tracer::disabled`] for none).
-    pub fn with_instruments(injector: Option<Arc<FaultInjector>>, tracer: Tracer) -> Arc<Self> {
+    /// sampling; a default tracer for none).
+    pub(crate) fn with_instruments(
+        injector: Option<Arc<FaultInjector>>,
+        tracer: Tracer,
+    ) -> Arc<Self> {
         Arc::new(TieredBarrier {
             levels: (0..MAX_LEVELS).map(|_| AtomicI64::new(0)).collect(),
             busy_pes: AtomicUsize::new(0),
             activity: AtomicU64::new(0),
-            level_overflows: AtomicU64::new(0),
             injector,
             tracer,
         })
@@ -94,10 +89,7 @@ impl TieredBarrier {
     /// Records a marker/process creation at `level`. Call **before**
     /// publishing the message. Levels beyond the tier table saturate
     /// into the top tier.
-    pub fn created(&self, level: u8) {
-        if level as usize >= MAX_LEVELS {
-            self.level_overflows.fetch_add(1, Ordering::Relaxed);
-        }
+    pub(crate) fn created(&self, level: u8) {
         self.levels[tier(level)].fetch_add(1, Ordering::SeqCst);
         if self.tracer.is_enabled() {
             self.tracer.barrier_arrive(level, self.tracer.wall_stamp());
@@ -113,20 +105,20 @@ impl TieredBarrier {
 
     /// Records a termination at `level`. Call **after** fully processing
     /// the message (including counting any children it created).
-    pub fn consumed(&self, level: u8) {
+    pub(crate) fn consumed(&self, level: u8) {
         let prev = self.levels[tier(level)].fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "level {level} terminated more than created");
         self.touch();
     }
 
     /// Marks one PE busy (clears its AND-tree input).
-    pub fn enter_busy(&self) {
+    pub(crate) fn enter_busy(&self) {
         self.busy_pes.fetch_add(1, Ordering::SeqCst);
         self.touch();
     }
 
     /// Marks one PE idle again.
-    pub fn exit_busy(&self) {
+    pub(crate) fn exit_busy(&self) {
         let prev = self.busy_pes.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "exit_busy without matching enter_busy");
         self.touch();
@@ -136,7 +128,7 @@ impl TieredBarrier {
     ///
     /// Reads the busy count first and re-checks it after scanning the
     /// counters, so a PE that went busy mid-scan cannot slip through.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.busy_pes.load(Ordering::SeqCst) == 0
             && self.levels_drained()
             && self.busy_pes.load(Ordering::SeqCst) == 0
@@ -153,18 +145,8 @@ impl TieredBarrier {
     /// token involved (handling a late ack, a suppressed duplicate or a
     /// stale-epoch envelope, retransmitting a batch whose ack was lost),
     /// and that pulse is not a re-opened phase.
-    pub fn levels_drained(&self) -> bool {
+    pub(crate) fn levels_drained(&self) -> bool {
         self.levels.iter().all(|l| l.load(Ordering::SeqCst) == 0)
-    }
-
-    /// Controller-side blocking wait (spin with yields) until the
-    /// barrier condition holds. Unbounded: prefer
-    /// [`wait_complete_timeout`](Self::wait_complete_timeout) whenever
-    /// traffic may be faulty.
-    pub fn wait_complete(&self) {
-        while !self.is_complete() {
-            std::thread::yield_now();
-        }
     }
 
     /// Waits for the barrier with a watchdog: returns `Ok(())` on
@@ -177,7 +159,7 @@ impl TieredBarrier {
     /// [`BarrierStall::MessagesLost`] when everything is idle but
     /// levels stay positive; [`BarrierStall::Wedged`] when PEs hold the
     /// AND-tree low without progressing.
-    pub fn wait_complete_timeout(&self, stall_after: Duration) -> Result<(), BarrierStall> {
+    pub(crate) fn wait_complete_timeout(&self, stall_after: Duration) -> Result<(), BarrierStall> {
         let mut last_activity = self.activity.load(Ordering::SeqCst);
         let mut last_progress = Instant::now();
         loop {
@@ -203,23 +185,13 @@ impl TieredBarrier {
     }
 
     /// Total messages currently accounted as in flight.
-    pub fn in_flight(&self) -> i64 {
+    pub(crate) fn in_flight(&self) -> i64 {
         self.levels.iter().map(|l| l.load(Ordering::SeqCst)).sum()
     }
 
     /// PEs currently holding the AND-tree low.
-    pub fn busy_pes(&self) -> usize {
+    pub(crate) fn busy_pes(&self) -> usize {
         self.busy_pes.load(Ordering::SeqCst)
-    }
-
-    /// Counter/AND-tree transitions so far (the watchdog's clock).
-    pub fn activity(&self) -> u64 {
-        self.activity.load(Ordering::SeqCst)
-    }
-
-    /// Operations that saturated into the top tier.
-    pub fn level_overflows(&self) -> u64 {
-        self.level_overflows.load(Ordering::Relaxed)
     }
 
     /// Zeroes every level counter and the busy count, abandoning any
@@ -228,7 +200,7 @@ impl TieredBarrier {
     /// controller quiesces the surviving workers, resets the barrier,
     /// and replays the phase. Only call while no worker is touching the
     /// barrier.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for l in &self.levels {
             l.store(0, Ordering::SeqCst);
         }
@@ -239,7 +211,7 @@ impl TieredBarrier {
 
 /// Busy-waits for sub-millisecond injected stalls (`thread::sleep` is
 /// too coarse at ns granularity).
-fn spin_for(d: Duration) {
+pub(crate) fn spin_for(d: Duration) {
     let start = Instant::now();
     while start.elapsed() < d {
         std::hint::spin_loop();
@@ -254,14 +226,14 @@ mod tests {
 
     #[test]
     fn starts_complete() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         assert!(b.is_complete());
         assert_eq!(b.in_flight(), 0);
     }
 
     #[test]
     fn busy_pe_blocks_completion() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.enter_busy();
         assert!(!b.is_complete());
         assert!(b.levels_drained(), "the AND-tree is not a counter");
@@ -271,7 +243,7 @@ mod tests {
 
     #[test]
     fn in_flight_message_blocks_completion() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.created(3);
         assert!(!b.is_complete());
         assert!(!b.levels_drained());
@@ -281,13 +253,13 @@ mod tests {
     }
 
     /// End-to-end: worker threads forward messages in random-ish chains;
-    /// the controller's wait_complete must not return until every message
+    /// the controller's watched wait must not return until every message
     /// has been fully processed.
     #[test]
     fn wait_complete_never_fires_early() {
         const WORKERS: usize = 4;
         const SEEDS: u32 = 200;
-        let barrier = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let barrier = TieredBarrier::with_instruments(None, Tracer::default());
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..WORKERS).map(|_| channel::<(u8, u32)>()).unzip();
         let processed = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -331,7 +303,9 @@ mod tests {
             txs[(i % WORKERS as u32) as usize].send((0, 3)).unwrap();
             expected += 4; // each seed is processed once per hop level 0..=3
         }
-        barrier.wait_complete();
+        barrier
+            .wait_complete_timeout(Duration::from_secs(60))
+            .unwrap();
         // At completion every created message must have been processed.
         assert_eq!(processed.load(Ordering::SeqCst), expected);
         assert_eq!(barrier.in_flight(), 0);
@@ -343,7 +317,7 @@ mod tests {
 
     #[test]
     fn deep_levels_saturate_in_threaded_barrier() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.created(250);
         b.created(MAX_LEVELS as u8);
         assert!(!b.is_complete());
@@ -351,12 +325,11 @@ mod tests {
         b.consumed(MAX_LEVELS as u8);
         b.consumed(250);
         assert!(b.is_complete());
-        assert_eq!(b.level_overflows(), 2);
     }
 
     #[test]
     fn watchdog_classifies_lost_messages() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.created(0); // never consumed: models a dropped message
         let err = b
             .wait_complete_timeout(Duration::from_millis(20))
@@ -367,7 +340,7 @@ mod tests {
 
     #[test]
     fn watchdog_classifies_wedged_pes() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.enter_busy(); // never exits: models a wedged worker
         let err = b
             .wait_complete_timeout(Duration::from_millis(20))
@@ -378,7 +351,7 @@ mod tests {
 
     #[test]
     fn watchdog_tolerates_slow_but_live_traffic() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.created(0);
         let worker = {
             let b = Arc::clone(&b);
@@ -401,7 +374,7 @@ mod tests {
 
     #[test]
     fn reset_abandons_outstanding_accounting() {
-        let b = TieredBarrier::with_instruments(None, Tracer::disabled());
+        let b = TieredBarrier::with_instruments(None, Tracer::default());
         b.created(0);
         b.created(5);
         b.enter_busy();
@@ -413,9 +386,10 @@ mod tests {
 
     #[test]
     fn injector_stall_delays_but_preserves_accounting() {
-        use snap_fault::{FaultInjector, FaultPlan};
+        use crate::inject::FaultInjector;
+        use crate::plan::FaultPlan;
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(5).stalls(1.0, 10_000)));
-        let b = TieredBarrier::with_instruments(Some(Arc::clone(&injector)), Tracer::disabled());
+        let b = TieredBarrier::with_instruments(Some(Arc::clone(&injector)), Tracer::default());
         for _ in 0..16 {
             b.created(0);
         }
