@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snap_isa::SymbolTable;
 use snap_kb::{KbError, NetworkConfig, NodeId, SemanticNetwork};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Relation types of the linguistic knowledge base.
 pub mod rel {
@@ -233,10 +233,11 @@ impl DomainSpec {
         // paper's 10–15 step propagation paths) ---
         let root = net.add_named_node("entity", color::CATEGORY)?;
         let mut categories = vec![root];
-        let mut frontier = vec![root];
+        let mut frontier = VecDeque::from([root]);
         while categories.len() < hier_budget {
-            let parent = frontier.remove(0);
-            let mut children = Vec::new();
+            let parent = frontier
+                .pop_front()
+                .expect("the frontier outlasts the budget");
             for _ in 0..3 {
                 if categories.len() >= hier_budget {
                     break;
@@ -246,16 +247,12 @@ impl DomainSpec {
                 net.add_link(child, rel::IS_A, 0.1, parent)?;
                 net.add_link(parent, rel::SUBSUMES, 0.1, child)?;
                 categories.push(child);
-                children.push(child);
-            }
-            frontier.extend(children);
-            if frontier.is_empty() {
-                break;
+                frontier.push_back(child);
             }
         }
         // The current frontier is the set of leaf categories; recolor
         // them so leaf searches are one color scan.
-        let leaves: Vec<NodeId> = frontier;
+        let leaves: Vec<NodeId> = frontier.into();
         for &leaf in &leaves {
             net.set_color(leaf, color::LEAF_CATEGORY)?;
         }
@@ -268,12 +265,15 @@ impl DomainSpec {
         // --- lexical layer ---
         let mut lexicon: HashMap<String, NodeId> = HashMap::new();
         let mut words_by_pos: HashMap<PartOfSpeech, Vec<String>> = HashMap::new();
-        let add_word = |net: &mut SemanticNetwork,
-                        rng: &mut StdRng,
-                        word: String,
-                        pos: PartOfSpeech,
-                        lexicon: &mut HashMap<String, NodeId>,
-                        words_by_pos: &mut HashMap<PartOfSpeech, Vec<String>>|
+        // (category, part of speech) for every category that subsumes a
+        // word of that part of speech.
+        let mut subsumes: HashSet<(NodeId, PartOfSpeech)> = HashSet::new();
+        let mut add_word = |net: &mut SemanticNetwork,
+                            rng: &mut StdRng,
+                            word: String,
+                            pos: PartOfSpeech,
+                            lexicon: &mut HashMap<String, NodeId>,
+                            words_by_pos: &mut HashMap<PartOfSpeech, Vec<String>>|
          -> Result<(), KbError> {
             if lexicon.contains_key(&word) {
                 return Ok(());
@@ -293,6 +293,7 @@ impl DomainSpec {
                 let cat = attach_points[rng.gen_range(0..attach_points.len())];
                 net.add_link(id, rel::IS_A, 0.1, cat)?;
                 net.add_link(cat, rel::SUBSUMES, 0.1, id)?;
+                subsumes.insert((cat, pos));
             }
             lexicon.insert(word.clone(), id);
             words_by_pos.entry(pos).or_default().push(word);
@@ -378,15 +379,6 @@ impl DomainSpec {
         // for the action element) so the sentence generator can realize
         // it. Words may carry several semantic memberships, like the
         // real lexicon.
-        let has_pos = |net: &SemanticNetwork,
-                       cat: NodeId,
-                       pool: &[String],
-                       lexicon: &HashMap<String, NodeId>| {
-            net.links_by(cat, rel::SUBSUMES).any(|l| {
-                net.name(l.destination)
-                    .is_some_and(|n| pool.iter().any(|w| w == n) && lexicon.contains_key(n))
-            })
-        };
         for seq in &sequences {
             for (e, &cat) in seq.element_categories.iter().enumerate() {
                 let pos = if e == 1 {
@@ -394,8 +386,8 @@ impl DomainSpec {
                 } else {
                     PartOfSpeech::Noun
                 };
-                let pool = words_by_pos.get(&pos).cloned().unwrap_or_default();
-                if !has_pos(&net, cat, &pool, &lexicon) {
+                if subsumes.insert((cat, pos)) {
+                    let pool = &words_by_pos[&pos];
                     let word = &pool[rng.gen_range(0..pool.len())];
                     let id = lexicon[word];
                     net.add_link(id, rel::IS_A, 0.1, cat)?;
@@ -542,6 +534,104 @@ mod tests {
         let small = DomainSpec::sized(1000).build().unwrap();
         let large = DomainSpec::sized(8000).build().unwrap();
         assert!(large.sequences.len() > small.sequences.len() * 4);
+    }
+
+    /// FNV-1a over everything a build produces: node names and colours,
+    /// every link in insertion order, the sorted lexicon, the
+    /// part-of-speech pools, categories, leaves and sequences.
+    fn fingerprint(kb: &LinguisticKb) -> u64 {
+        struct Fnv(u64);
+        impl Fnv {
+            fn bytes(&mut self, bytes: &[u8]) {
+                for &b in bytes {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            fn u64(&mut self, v: u64) {
+                self.bytes(&v.to_le_bytes());
+            }
+            fn str(&mut self, s: &str) {
+                self.u64(s.len() as u64);
+                self.bytes(s.as_bytes());
+            }
+            fn ids(&mut self, ids: &[NodeId]) {
+                self.u64(ids.len() as u64);
+                ids.iter().for_each(|id| self.u64(u64::from(id.0)));
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let net = &kb.network;
+        h.u64(net.node_count() as u64);
+        for i in 0..net.node_count() {
+            let node = NodeId(i as u32);
+            h.str(net.name(node).unwrap_or("\u{0}"));
+            h.u64(u64::from(net.color(node).unwrap().0));
+            for l in net.links(node) {
+                h.u64(u64::from(l.relation.0));
+                h.u64(u64::from(l.weight.to_bits()));
+                h.u64(u64::from(l.destination.0));
+            }
+            h.u64(u64::MAX);
+        }
+        let mut lexicon: Vec<_> = kb.lexicon.iter().collect();
+        lexicon.sort();
+        for (word, id) in lexicon {
+            h.str(word);
+            h.u64(u64::from(id.0));
+        }
+        for pos in [
+            PartOfSpeech::Noun,
+            PartOfSpeech::Verb,
+            PartOfSpeech::Determiner,
+            PartOfSpeech::Adjective,
+            PartOfSpeech::Preposition,
+        ] {
+            h.u64(kb.words(pos).len() as u64);
+            kb.words(pos).iter().for_each(|w| h.str(w));
+        }
+        h.ids(&kb.categories);
+        h.ids(&kb.leaves);
+        for seq in &kb.sequences {
+            h.u64(u64::from(seq.root.0));
+            h.ids(&seq.element_categories);
+        }
+        h.u64(u64::from(kb.hierarchy_root.0));
+        h.0
+    }
+
+    #[test]
+    fn builds_the_pinned_kb() {
+        for (n, pin) in [
+            (300, 0xfd03_8e9b_7cda_f4f8),
+            (2_000, 0x6b23_e37e_e04b_8ef1),
+            (12_000, 0x3b6c_40b1_eb01_e00b),
+        ] {
+            let kb = DomainSpec::sized(n).build().unwrap();
+            assert_eq!(fingerprint(&kb), pin, "the {n}-node KB changed");
+        }
+    }
+
+    #[test]
+    fn every_element_constraint_is_satisfiable() {
+        for n in [300, 2_000, 12_000] {
+            let mut kb = DomainSpec::sized(n).build().unwrap();
+            kb.network.flush_links();
+            let ids =
+                |pos| -> HashSet<NodeId> { kb.words(pos).iter().map(|w| kb.lexicon[w]).collect() };
+            let (nouns, verbs) = (ids(PartOfSpeech::Noun), ids(PartOfSpeech::Verb));
+            for seq in &kb.sequences {
+                for (e, &cat) in seq.element_categories.iter().enumerate() {
+                    let pool = if e == 1 { &verbs } else { &nouns };
+                    assert!(
+                        kb.network
+                            .links_by(cat, rel::SUBSUMES)
+                            .any(|l| pool.contains(&l.destination)),
+                        "{n} nodes: element {e} of sequence {:?} has no filler",
+                        seq.root
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -494,3 +494,26 @@ fn des_run_allocations_do_not_scale_with_messages() {
          ({small_allocs} → {large_allocs})"
     );
 }
+
+#[test]
+fn kb_build_allocations_scale_linearly_with_nodes() {
+    // Building the parse KB allocates a bounded number of times per
+    // node: its names, the relation table's growth and the lexicon. A
+    // constraint pass that cloned a part-of-speech pool per sequence
+    // element made it quadratic (4.0× from 6K to 12K nodes, 581
+    // allocations per node at 12K).
+    let allocs = |n| {
+        counted(usize::MAX, || DomainSpec::sized(n).build().unwrap())
+            .1
+            .allocs
+    };
+    let (small, large) = (allocs(6_000), allocs(12_000));
+    assert!(
+        large * 10 <= small * 22,
+        "doubling the KB from 6K to 12K nodes took {small} → {large} allocations"
+    );
+    assert!(
+        large <= 4 * 12_000,
+        "the 12K-node KB took {large} allocations, more than 4 per node"
+    );
+}
