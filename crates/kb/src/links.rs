@@ -18,16 +18,20 @@
 //! `(node, relation)` pair are a contiguous sub-slice found by binary
 //! search ([`RelationTable::relation_run`]). A parallel `ranks` array
 //! records each link's insertion rank within its node, and a per-node
-//! rank-sorted permutation (`by_rank`) drives insertion-order iteration,
-//! so the public accessors behave exactly like the historical
-//! nested-segment representation (the test-only `reference` module holds
-//! the CSR to it).
+//! rank-sorted permutation of row-relative positions (`by_rank`) drives
+//! insertion-order iteration, so the public accessors behave exactly like
+//! the historical nested-segment representation (the test-only
+//! `reference` module holds the CSR to it).
 //!
-//! Mutation is staged: `add_link` appends to a small `pending` buffer
-//! (merged into the CSR arrays geometrically, so construction stays
-//! amortized O(E log E)); [`RelationTable::flush`] forces the merge.
-//! Engines flush before entering the propagation hot path so every
-//! expansion is pure slice arithmetic.
+//! Mutation is staged: `add_link` appends to a `pending` buffer that is
+//! merged into the CSR arrays once it exceeds 64 links and an eighth of
+//! the table; [`RelationTable::flush`] forces the merge. A flush of `P`
+//! staged links sorts them, block-copies the links of every row after
+//! the first touched one, shifts those rows' offsets, and merges and
+//! rank-sorts only the touched rows: O(P log P + links and rows after
+//! the first touched row), never a walk of the rows before it. Engines
+//! flush before entering the propagation hot path so every expansion is
+//! pure slice arithmetic.
 
 use crate::error::KbError;
 use crate::ids::{NodeId, RelationType};
@@ -68,8 +72,8 @@ pub struct RelationTable {
     /// Node `n` owns `links[offsets[n]..offsets[n + 1]]`. Empty table has
     /// an empty offset array; otherwise `offsets.len() == len() + 1`.
     offsets: Vec<u32>,
-    /// Global link positions grouped per node and sorted by rank within
-    /// each node: drives insertion-order iteration.
+    /// Row-relative link positions grouped per node and sorted by rank
+    /// within each node: drives insertion-order iteration.
     by_rank: Vec<u32>,
     /// Next insertion rank per node. Monotone — never reused after a
     /// removal, so relative order of surviving links is stable.
@@ -167,56 +171,61 @@ impl RelationTable {
             return;
         }
         let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|&(node, rank, link)| (node.0, link.relation.0, rank));
-        let nodes = self.len();
+        // `(node, rank)` is unique, so the unstable sort is deterministic.
+        pending.sort_unstable_by_key(|&(node, rank, link)| (node.0, link.relation.0, rank));
+        // Merge in place from the back, touched row by touched row: the
+        // untouched rows after a touched one move up by the staged links
+        // before them in one block copy, and only the touched row is
+        // merged and has its insertion order re-sorted.
         let total = self.links.len() + pending.len();
-        let mut links = Vec::with_capacity(total);
-        let mut ranks = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        offsets.push(0u32);
-        let mut p = 0;
-        for node in 0..nodes {
-            let mut i = self.offsets[node] as usize;
-            let end = self.offsets[node + 1] as usize;
-            while p < pending.len() && pending[p].0.index() == node {
-                let key = (pending[p].2.relation.0, pending[p].1);
-                while i < end && (self.links[i].relation.0, self.ranks[i]) < key {
-                    links.push(self.links[i]);
-                    ranks.push(self.ranks[i]);
-                    i += 1;
+        let (mut p, mut read_end, mut rows_end) = (pending.len(), self.links.len(), self.len());
+        self.links.resize(total, pending[0].2);
+        self.ranks.resize(total, 0);
+        self.by_rank.resize(total, 0);
+        while p > 0 {
+            let node = pending[p - 1].0.index();
+            let q = pending[..p].partition_point(|e| e.0.index() < node);
+            let (start, end) = (self.offsets[node] as usize, self.offsets[node + 1] as usize);
+            self.links.copy_within(end..read_end, end + p);
+            self.ranks.copy_within(end..read_end, end + p);
+            self.by_rank.copy_within(end..read_end, end + p);
+            self.offsets[node + 1..=rows_end]
+                .iter_mut()
+                .for_each(|o| *o += p as u32);
+            // Backward merge by (relation, rank); the write cursor stays
+            // `k` ahead of the read cursor, so no unread link is clobbered.
+            let (mut i, mut k) = (end, p);
+            while k > q {
+                let (_, rank, link) = pending[k - 1];
+                if i > start
+                    && (self.links[i - 1].relation.0, self.ranks[i - 1]) > (link.relation.0, rank)
+                {
+                    i -= 1;
+                    self.links[i + k] = self.links[i];
+                    self.ranks[i + k] = self.ranks[i];
+                } else {
+                    k -= 1;
+                    self.links[i + k] = link;
+                    self.ranks[i + k] = rank;
                 }
-                links.push(pending[p].2);
-                ranks.push(pending[p].1);
-                p += 1;
             }
-            while i < end {
-                links.push(self.links[i]);
-                ranks.push(self.ranks[i]);
-                i += 1;
-            }
-            offsets.push(links.len() as u32);
+            self.links.copy_within(start..i, start + q);
+            self.ranks.copy_within(start..i, start + q);
+            let row = start + q..end + p;
+            let (ranks, order) = (&self.ranks[row.clone()], &mut self.by_rank[row]);
+            order.iter_mut().zip(0..).for_each(|(o, j)| *o = j);
+            order.sort_unstable_by_key(|&j| ranks[j as usize]);
+            self.pending_per_node[node] = 0;
+            (p, read_end, rows_end) = (q, start, node);
         }
-        self.links = links;
-        self.ranks = ranks;
-        self.offsets = offsets;
-        self.pending_per_node.iter_mut().for_each(|c| *c = 0);
-        self.rebuild_by_rank();
+        pending.clear();
+        self.pending = pending;
     }
 
     /// Number of staged (not yet merged) links. The propagation fast path
     /// requires this to be zero.
     pub fn staged_links(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Rebuilds the per-node insertion-order permutation from `ranks`.
-    fn rebuild_by_rank(&mut self) {
-        self.by_rank.clear();
-        self.by_rank.extend(0..self.links.len() as u32);
-        for node in 0..self.len() {
-            let (s, e) = (self.offsets[node] as usize, self.offsets[node + 1] as usize);
-            self.by_rank[s..e].sort_by_key(|&i| self.ranks[i as usize]);
-        }
     }
 
     /// Removes the first link matching `(source, relation, destination)`.
@@ -236,33 +245,43 @@ impl RelationTable {
         }
         self.flush();
         let range = self.node_range(source).expect("row checked above");
-        // "First" means first in insertion order: the minimum-rank match.
-        let pos = range
-            .filter(|&i| {
-                self.links[i].relation == relation && self.links[i].destination == destination
+        // "First" means first in insertion order.
+        let order = &self.by_rank[range.clone()];
+        let slot = order
+            .iter()
+            .position(|&j| {
+                let l = &self.links[range.start + j as usize];
+                l.relation == relation && l.destination == destination
             })
-            .min_by_key(|&i| self.ranks[i])
             .ok_or(KbError::LinkNotFound {
                 source,
                 relation,
                 destination,
             })?;
-        self.links.remove(pos);
-        self.ranks.remove(pos);
+        let at = order[slot];
+        self.links.remove(range.start + at as usize);
+        self.ranks.remove(range.start + at as usize);
+        // Only this row's insertion order changes: it loses `at`, and its
+        // later row-relative positions move down by one.
+        self.by_rank.remove(range.start + slot);
+        for j in &mut self.by_rank[range.start..range.end - 1] {
+            if *j > at {
+                *j -= 1;
+            }
+        }
         for off in &mut self.offsets[source.index() + 1..] {
             *off -= 1;
         }
-        self.rebuild_by_rank();
         Ok(())
     }
 
     /// Iterates every outgoing link of `node`, in insertion order,
     /// transparently crossing subnode segments.
     pub fn links(&self, node: NodeId) -> impl Iterator<Item = &Link> {
-        let order = self
-            .node_range(node)
-            .map_or(&[] as &[u32], |r| &self.by_rank[r]);
-        order.iter().map(move |&i| &self.links[i as usize]).chain(
+        let range = self.node_range(node).unwrap_or_default();
+        let row = &self.links[range.clone()];
+        let order = &self.by_rank[range];
+        order.iter().map(move |&j| &row[j as usize]).chain(
             self.pending
                 .iter()
                 .filter(move |(n, _, _)| *n == node)

@@ -146,7 +146,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// One randomized table operation.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy)]
     enum Op {
         Add {
             source: u32,
@@ -154,30 +154,36 @@ mod tests {
             destination: u32,
             weight: f32,
         },
+        /// Removes the `nth` of `source`'s links in insertion order,
+        /// modulo fanout + 1: the extra index names a link no row has.
         Remove {
             source: u32,
-            relation: u16,
-            destination: u32,
+            nth: usize,
         },
         Flush,
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        // kind 0..=5: add (weighted dominant), 6..=7: remove, 8: flush.
-        (0u8..9, 0u32..24, 0u16..5, 0u32..24, 0u8..8).prop_map(
-            |(kind, source, relation, destination, weight)| match kind {
-                0..=5 => Op::Add {
-                    source,
-                    relation,
-                    destination,
-                    weight: weight as f32,
-                },
-                6 | 7 => Op::Remove {
-                    source,
-                    relation,
-                    destination,
-                },
-                _ => Op::Flush,
+    /// One add, remove or flush over nodes `0..256`. One op in `every` is
+    /// a flush and one a remove, so a large `every` stages long runs of
+    /// additions and lets the auto-flush fire. Half the ops name one of
+    /// four hub sources, whose rows grow past one 16-slot segment.
+    fn op_strategy(every: u8) -> impl Strategy<Value = Op> {
+        (0..every, 0u32..512, 0u16..5, 0u32..256, 0u8..8).prop_map(
+            |(kind, source, relation, destination, weight)| {
+                let source = if source < 256 { source } else { source % 4 };
+                match kind {
+                    0 => Op::Flush,
+                    1 => Op::Remove {
+                        source,
+                        nth: destination as usize,
+                    },
+                    _ => Op::Add {
+                        source,
+                        relation,
+                        destination,
+                        weight: weight as f32,
+                    },
+                }
             },
         )
     }
@@ -186,26 +192,47 @@ mod tests {
         assert_eq!(csr.len(), reference.len());
         assert_eq!(csr.link_count(), reference.link_count());
         for n in 0..csr.len() as u32 {
-            let node = NodeId(n);
+            assert_rows_agree(csr, reference, NodeId(n));
+        }
+    }
+
+    fn assert_rows_agree(csr: &RelationTable, reference: &NestedRelationTable, node: NodeId) {
+        assert_eq!(
+            csr.fanout(node),
+            reference.fanout(node),
+            "fanout of {node:?}"
+        );
+        assert_eq!(
+            csr.segments(node),
+            reference.segments(node),
+            "segments of {node:?}"
+        );
+        let a: Vec<Link> = csr.links(node).copied().collect();
+        let b: Vec<Link> = reference.links(node).copied().collect();
+        assert_eq!(a, b, "links of {node:?}");
+        for r in 0..6u16 {
+            let relation = RelationType(r);
+            let a: Vec<Link> = csr.links_by(node, relation).copied().collect();
+            let b: Vec<Link> = reference.links_by(node, relation).copied().collect();
+            assert_eq!(a, b, "links_by of {node:?} {relation:?}");
+            // The hot-path run holds the flushed links only, which
+            // precede every staged one in insertion order.
+            let (segments, fanout, run, ranks) = csr.ranked_run_with_cost(node, relation);
             assert_eq!(
-                csr.fanout(node),
-                reference.fanout(node),
-                "fanout of {node:?}"
-            );
-            assert_eq!(
-                csr.segments(node),
+                segments,
                 reference.segments(node),
-                "segments of {node:?}"
+                "cost segments of {node:?}"
             );
-            let a: Vec<Link> = csr.links(node).copied().collect();
-            let b: Vec<Link> = reference.links(node).copied().collect();
-            assert_eq!(a, b, "links of {node:?}");
-            for r in 0..6u16 {
-                let relation = RelationType(r);
-                let a: Vec<Link> = csr.links_by(node, relation).copied().collect();
-                let b: Vec<Link> = reference.links_by(node, relation).copied().collect();
-                assert_eq!(a, b, "links_by of {node:?} {relation:?}");
+            assert_eq!(fanout, reference.fanout(node), "cost fanout of {node:?}");
+            assert_eq!(run.len(), ranks.len());
+            assert!(b.starts_with(run), "run of {node:?} {relation:?}");
+            if csr.staged_links() == 0 {
+                assert_eq!(run, &b[..], "flushed run of {node:?} {relation:?}");
             }
+            assert!(
+                ranks.windows(2).all(|w| w[0] < w[1]),
+                "ranks of {node:?} {relation:?}"
+            );
         }
     }
 
@@ -214,24 +241,44 @@ mod tests {
         /// accessor after any operation sequence, both while additions
         /// are staged and after an explicit flush.
         #[test]
-        fn prop_csr_matches_nested_reference(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+        fn prop_csr_matches_nested_reference(
+            ops in (3u8..=200).prop_flat_map(|every| proptest::collection::vec(op_strategy(every), 1..400)),
+        ) {
             let mut csr = RelationTable::new();
             let mut reference = NestedRelationTable::new();
-            for op in ops {
+            for (i, op) in ops.into_iter().enumerate() {
+                let rows = csr.len() as u32;
                 match op {
                     Op::Add { source, relation, destination, weight } => {
                         let a = csr.add_link(NodeId(source), RelationType(relation), weight, NodeId(destination));
                         let b = reference.add_link(NodeId(source), RelationType(relation), weight, NodeId(destination));
                         prop_assert_eq!(a, b);
                     }
-                    Op::Remove { source, relation, destination } => {
-                        let a = csr.remove_link(NodeId(source), RelationType(relation), NodeId(destination));
-                        let b = reference.remove_link(NodeId(source), RelationType(relation), NodeId(destination));
+                    Op::Remove { source, nth } => {
+                        let row: Vec<Link> = reference.links(NodeId(source)).copied().collect();
+                        let (relation, destination) = match row.get(nth % (row.len() + 1)) {
+                            Some(l) => (l.relation, l.destination),
+                            None => (RelationType(5), NodeId(0)),
+                        };
+                        let a = csr.remove_link(NodeId(source), relation, destination);
+                        let b = reference.remove_link(NodeId(source), relation, destination);
                         prop_assert_eq!(a, b);
                     }
                     Op::Flush => csr.flush(),
                 }
-                assert_tables_agree(&csr, &reference);
+                // Every flush, explicit or automatic, and every 16th op is
+                // checked on every row; other staged additions on their
+                // source row and the rows they allocated.
+                if csr.staged_links() == 0 || i % 16 == 0 {
+                    assert_tables_agree(&csr, &reference);
+                } else if let Op::Add { source, .. } = op {
+                    assert_eq!(csr.len(), reference.len());
+                    assert_eq!(csr.link_count(), reference.link_count());
+                    assert_rows_agree(&csr, &reference, NodeId(source));
+                    for n in rows..csr.len() as u32 {
+                        assert_rows_agree(&csr, &reference, NodeId(n));
+                    }
+                }
             }
             csr.flush();
             prop_assert_eq!(csr.staged_links(), 0);
