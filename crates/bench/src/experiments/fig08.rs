@@ -20,13 +20,9 @@ use snap_kb::PartitionScheme;
 pub fn run(quick: bool) -> ExperimentOutput {
     let (kb_nodes, sentences) = if quick { (1_500, 2) } else { (12_000, 8) };
     // Semantically-based allocation, as the machine would be run.
-    // Counter-level tracing is free without the `obs` feature and
-    // cheap with it; a traced build surfaces per-phase message counts
-    // next to the burst table below.
     let machine = Snap1::builder()
         .clusters(16)
         .partition(PartitionScheme::Semantic)
-        .trace(snap_core::ObsConfig::counters_only())
         .build();
     let reports = parse_batch(kb_nodes, sentences, &machine, 0x0F160008).expect("parse batch");
 
@@ -69,9 +65,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     if !faults.is_empty() {
         out.note(format!("faults: {faults}"));
-    }
-    if let Some(last) = reports.last() {
-        out.note_trace(&last.report);
     }
     out
 }

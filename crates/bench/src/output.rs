@@ -40,20 +40,6 @@ impl ExperimentOutput {
         self
     }
 
-    /// Surfaces a traced run's per-phase counters as notes. Untraced
-    /// runs — the normal benchmark case, and every build without the
-    /// `obs` cargo feature — add nothing, so enabling tracing on a
-    /// machine is safe in measurement code: the summary only rides
-    /// along when something was actually recorded.
-    pub fn note_trace(&mut self, report: &snap_core::RunReport) -> &mut Self {
-        if !report.trace.is_empty() {
-            for line in report.trace.summary().lines() {
-                self.note(format!("trace: {line}"));
-            }
-        }
-        self
-    }
-
     /// Renders everything as text.
     pub fn render(&self) -> String {
         let mut out = format!("== {} — {} ==\n", self.id, self.title);

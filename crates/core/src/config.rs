@@ -59,10 +59,8 @@ pub struct MachineConfig {
     /// sequential engine ignores it.
     pub fault_plan: Option<FaultPlan>,
     /// Structured event tracing configuration. `None` (the default)
-    /// disables tracing; recording additionally requires building
-    /// `snap-core` with the `obs` feature, without which this setting is
-    /// inert. The aggregated `TraceReport` lands in the run report next
-    /// to the fault report.
+    /// disables tracing. The aggregated `TraceReport` lands in the run
+    /// report next to the fault report.
     pub trace: Option<ObsConfig>,
     /// How the engines with concurrent actors order their work. The
     /// default ([`ScheduleStrategy::Fifo`]) reproduces the historical

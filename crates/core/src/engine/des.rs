@@ -466,7 +466,7 @@ impl<'c> Des<'c> {
                     arrivals,
                 } => {
                     self.report.expansions += 1;
-                    self.tracer.expansion(cluster as u16);
+                    self.tracer.expansion(cluster as u16, 1);
                     if task.level >= self.config.max_hops {
                         self.sync.consumed(task.level.min(63));
                         continue;
@@ -677,7 +677,7 @@ impl<'c> Des<'c> {
             task.origin,
         )?;
         self.report.traffic.local_activations += 1;
-        self.tracer.activation(cluster as u16);
+        self.tracer.activation(cluster as u16, 1);
         if expand {
             self.schedule_task(network, specs, cluster, task, now);
         }
@@ -796,7 +796,7 @@ impl<'c> Des<'c> {
                 let (segments, links_scanned) =
                     expand_into(network, &spec.rule, spec.func, &task, &mut arrivals);
                 self.report.expansions += 1;
-                self.tracer.expansion(cluster as u16);
+                self.tracer.expansion(cluster as u16, 1);
                 let dur = self
                     .cost
                     .expand_ns(segments, links_scanned, arrivals.len())
@@ -842,7 +842,7 @@ impl<'c> Des<'c> {
                         next.origin,
                     )?;
                     self.report.traffic.local_activations += u64::from(dest == cluster);
-                    self.tracer.activation(dest as u16);
+                    self.tracer.activation(dest as u16, 1);
                     if self.st.visited.should_expand(
                         next.prop,
                         next.state,

@@ -153,9 +153,8 @@ impl Walker {
                         )?;
                         // The trace keeps per-phase sums, so the kernel's
                         // counts are posted after the propagation.
-                        (expansions..report.expansions).for_each(|_| tracer.expansion(0));
-                        (activations..report.traffic.local_activations)
-                            .for_each(|_| tracer.activation(0));
+                        tracer.expansion(0, report.expansions - expansions);
+                        tracer.activation(0, report.traffic.local_activations - activations);
                         now += ns;
                         report.record(InstrClass::Propagate, ns);
                     }
@@ -172,11 +171,7 @@ impl Walker {
             }
         }
         report.total_ns = now;
-        // A default `TraceReport` allocates its histograms: a pooled
-        // report is written only when something was recorded.
-        if tracer.is_enabled() {
-            report.trace = tracer.report();
-        }
+        report.trace = tracer.report();
         // Purge classes this run never recorded, so a pooled report is
         // indistinguishable from a freshly built one.
         report.seal_for_pool();
@@ -485,23 +480,21 @@ mod tests {
         assert!(report.time_of(InstrClass::Propagate) > 0);
         assert!(report.total_ns > 0);
 
-        // Traced, the run records a trace exactly when tracing is
-        // compiled in, and the trace counts what the report counts.
+        // Traced, the run records a trace that counts what the report
+        // counts.
         let config = MachineConfig {
             trace: Some(crate::obs::ObsConfig::full()),
             ..MachineConfig::snap1_eval()
         };
         let mut traced = run(&config, &CostModel::snap1(), &mut net, &program).unwrap();
-        assert_eq!(traced.trace.enabled, cfg!(feature = "obs"));
+        assert!(traced.trace.enabled);
         let trace = std::mem::take(&mut traced.trace);
         assert_eq!(traced, report, "tracing changes nothing else");
-        if cfg!(feature = "obs") {
-            let expansions: u64 = trace.phases.iter().map(|p| p.expansions).sum();
-            let activations: u64 = trace.phases.iter().map(|p| p.activations).sum();
-            assert_eq!(expansions, report.expansions);
-            assert_eq!(activations, report.traffic.local_activations);
-            assert!(report.expansions > 0);
-        }
+        let expansions: u64 = trace.phases.iter().map(|p| p.expansions).sum();
+        let activations: u64 = trace.phases.iter().map(|p| p.activations).sum();
+        assert_eq!(expansions, report.expansions);
+        assert_eq!(activations, report.traffic.local_activations);
+        assert!(report.expansions > 0);
     }
 
     #[test]

@@ -1160,7 +1160,7 @@ impl Worker<'_> {
             // Attribute the activation to the region's home cluster (as
             // the other engines do), not to an adopting worker.
             self.tracer
-                .activation(self.map.cluster_of(task.node).index() as u16);
+                .activation(self.map.cluster_of(task.node).index() as u16, 1);
         }
         if expand {
             self.barrier.created(task.level.min(63));
@@ -1177,7 +1177,7 @@ impl Worker<'_> {
         task: &PropTask,
     ) {
         self.steps += 1;
-        self.tracer.expansion(self.cluster as u16);
+        self.tracer.expansion(self.cluster as u16, 1);
         if let Some(inj) = &self.injector {
             if inj.should_panic(self.cluster as u8, self.steps as usize) {
                 self.tracer.fault(
@@ -1578,7 +1578,6 @@ mod tests {
 
     /// The fabric counts each slot's undelivered messages itself; the
     /// traced mailbox depth is that count.
-    #[cfg(feature = "obs")]
     #[test]
     fn traced_fabric_reads_back_undelivered_depth() {
         use crate::obs::event::EventKind;

@@ -344,8 +344,7 @@ impl Snap1Builder {
     }
 
     /// Enables structured event tracing for the run (see
-    /// [`MachineConfig::trace`]; recording also needs the `obs` cargo
-    /// feature).
+    /// [`MachineConfig::trace`]).
     pub fn trace(mut self, cfg: crate::obs::ObsConfig) -> Self {
         self.config.trace = Some(cfg);
         self

@@ -1,6 +1,6 @@
 //! Tracing and metrics.
 //!
-//! A zero-cost-when-disabled observability layer shared by all three
+//! An observability layer, off unless a run asks, shared by all three
 //! engines. It has three pieces:
 //!
 //! * **events** ([`event`]) — a structured vocabulary (phase start/end,
@@ -20,14 +20,12 @@
 //!
 //! ## Cost model
 //!
-//! Recording is double-gated. The crate's `obs` cargo feature compiles
-//! the machinery in at all; without it every [`Tracer`] method is an
-//! empty `#[inline(always)]` stub and the types still exist, so the
-//! engines compile identically and release benchmarks measure the real
-//! hot path. With the feature on, runtime behaviour is governed by
-//! [`ObsConfig`]: absent, the tracer is a null pointer check; present,
-//! raw events are subsampled by `sample_every` and capped at
-//! `max_events` while counters and histograms stay exact.
+//! The tracer is always compiled in and has one gate, the run-time
+//! [`ObsConfig`] in the machine config: absent, every [`Tracer`] call
+//! returns after one null-pointer test; present, raw events are capped
+//! at `max_events` while counters, histograms and phases stay exact.
+//! The disabled path's cost on the timed workloads is measured in
+//! DESIGN.md ("What the always-compiled tracer costs").
 
 #![forbid(unsafe_code)]
 

@@ -10,10 +10,10 @@ use super::event::{PhaseKind, TraceEvent};
 pub(super) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A fixed-footprint power-of-two histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
-    pub buckets: Vec<u64>,
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Observations recorded.
     pub count: u64,
     /// Sum of all observed values.
@@ -22,20 +22,8 @@ pub struct Histogram {
     pub max: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
 impl Histogram {
     /// The bucket index `value` falls in (only the tracer records).
-    #[cfg(any(test, feature = "obs"))]
     pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
@@ -132,16 +120,15 @@ pub struct PhaseStat {
 /// Everything the tracer aggregated over one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
-    /// `true` when tracing was enabled for the run (an all-default
-    /// report also appears when the `obs` feature is compiled out).
+    /// `true` when tracing was enabled for the run.
     pub enabled: bool,
     /// Per-cluster counters, indexed by cluster.
     pub clusters: Vec<ClusterMetrics>,
     /// Per-phase statistics, in program order.
     pub phases: Vec<PhaseStat>,
-    /// Recorded events (subject to sampling and the event cap).
+    /// Recorded events (subject to the event cap).
     pub events: Vec<TraceEvent>,
-    /// Events not recorded because of sampling or the cap.
+    /// Events not recorded because of the cap.
     pub events_dropped: u64,
     /// Work-queue / outbox depth observations across all clusters.
     pub queue_depth: Histogram,

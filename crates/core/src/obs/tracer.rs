@@ -1,32 +1,22 @@
 //! The recording handle engines carry.
 //!
 //! A [`Tracer`] is cheap to clone and thread-safe; engines call its
-//! recording methods from hot paths. Two gates keep release benchmarks
-//! honest:
-//!
-//! * **compile time** — without the crate's `obs` feature every
-//!   method body is empty and `is_enabled` is a constant `false`, so
-//!   instrumented call sites (and any `if tracer.is_enabled()` guards
-//!   around stamp computation) optimize away entirely;
-//! * **run time** — with the feature compiled in, a machine without an
-//!   [`ObsConfig`] gets a disabled tracer whose methods return after one
-//!   pointer test, and an enabled tracer still subsamples raw events by
-//!   `sample_every` and stops appending at `max_events` (counters and
-//!   histograms are always exact).
+//! recording methods from hot paths. It is always compiled in and has
+//! one gate, the machine's [`ObsConfig`]: a machine without one gets a
+//! disabled tracer whose methods return after one pointer test, and an
+//! enabled tracer stops appending raw events at `max_events` (counters,
+//! histograms and phases are always exact).
 
-#[cfg(feature = "obs")]
-use super::event::{EventKind, TraceEvent};
-use super::event::{FaultKind, PhaseKind, Stamp};
-use super::report::TraceReport;
-#[cfg(feature = "obs")]
-use super::report::{ClusterMetrics, Histogram, PhaseStat};
+use super::event::{EventKind, FaultKind, PhaseKind, Stamp, TraceEvent};
+use super::report::{ClusterMetrics, Histogram, PhaseStat, TraceReport, HISTOGRAM_BUCKETS};
+use crate::lock_unpoisoned;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::Instant;
 
 /// Runtime tracing configuration, carried in the machine config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Record one of every `sample_every` raw events (1 = all). Phase
-    /// transitions are structural and never sampled out.
-    pub sample_every: u32,
     /// Hard cap on recorded events; once reached, further events only
     /// bump the dropped count. Zero keeps counters/histograms/phases
     /// without any event buffer.
@@ -37,7 +27,6 @@ impl ObsConfig {
     /// Record everything (bounded by a generous default cap).
     pub fn full() -> Self {
         ObsConfig {
-            sample_every: 1,
             max_events: 1 << 20,
         }
     }
@@ -45,201 +34,141 @@ impl ObsConfig {
     /// Keep counters, histograms, and phase statistics but no raw
     /// event buffer.
     pub fn counters_only() -> Self {
-        ObsConfig {
-            sample_every: 1,
-            max_events: 0,
+        ObsConfig { max_events: 0 }
+    }
+}
+
+#[derive(Default)]
+struct Cells {
+    msgs_sent: AtomicU64,
+    msgs_recv: AtomicU64,
+    retries: AtomicU64,
+    activations: AtomicU64,
+    expansions: AtomicU64,
+    arbiter_grants: AtomicU64,
+    arbiter_defers: AtomicU64,
+    arbiter_wait_ns: AtomicU64,
+    barrier_waits: AtomicU64,
+    barrier_wait_ns: AtomicU64,
+    faults_injected: AtomicU64,
+    max_queue_depth: AtomicU64,
+}
+
+impl Cells {
+    fn snapshot(&self) -> ClusterMetrics {
+        ClusterMetrics {
+            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
+            msgs_recv: self.msgs_recv.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            activations: self.activations.load(Ordering::Relaxed),
+            expansions: self.expansions.load(Ordering::Relaxed),
+            arbiter_grants: self.arbiter_grants.load(Ordering::Relaxed),
+            arbiter_defers: self.arbiter_defers.load(Ordering::Relaxed),
+            arbiter_wait_ns: self.arbiter_wait_ns.load(Ordering::Relaxed),
+            barrier_waits: self.barrier_waits.load(Ordering::Relaxed),
+            barrier_wait_ns: self.barrier_wait_ns.load(Ordering::Relaxed),
+            faults_injected: self.faults_injected.load(Ordering::Relaxed),
+            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
         }
     }
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self::full()
-    }
+#[derive(Default)]
+struct AtomicHist {
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, PoisonError, RwLock};
-    use std::time::Instant;
-
-    #[derive(Default)]
-    pub(super) struct Cells {
-        pub msgs_sent: AtomicU64,
-        pub msgs_recv: AtomicU64,
-        pub retries: AtomicU64,
-        pub activations: AtomicU64,
-        pub expansions: AtomicU64,
-        pub arbiter_grants: AtomicU64,
-        pub arbiter_defers: AtomicU64,
-        pub arbiter_wait_ns: AtomicU64,
-        pub barrier_waits: AtomicU64,
-        pub barrier_wait_ns: AtomicU64,
-        pub faults_injected: AtomicU64,
-        pub max_queue_depth: AtomicU64,
+impl AtomicHist {
+    fn record(&self, value: u64) {
+        self.buckets[Histogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    impl Cells {
-        pub(super) fn snapshot(&self) -> ClusterMetrics {
-            ClusterMetrics {
-                msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-                msgs_recv: self.msgs_recv.load(Ordering::Relaxed),
-                retries: self.retries.load(Ordering::Relaxed),
-                activations: self.activations.load(Ordering::Relaxed),
-                expansions: self.expansions.load(Ordering::Relaxed),
-                arbiter_grants: self.arbiter_grants.load(Ordering::Relaxed),
-                arbiter_defers: self.arbiter_defers.load(Ordering::Relaxed),
-                arbiter_wait_ns: self.arbiter_wait_ns.load(Ordering::Relaxed),
-                barrier_waits: self.barrier_waits.load(Ordering::Relaxed),
-                barrier_wait_ns: self.barrier_wait_ns.load(Ordering::Relaxed),
-                faults_injected: self.faults_injected.load(Ordering::Relaxed),
-                max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    pub(super) struct AtomicHist {
-        buckets: Vec<AtomicU64>,
-        count: AtomicU64,
-        sum: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl AtomicHist {
-        pub(super) fn new() -> Self {
-            AtomicHist {
-                buckets: (0..crate::obs::report::HISTOGRAM_BUCKETS)
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
-        }
-
-        pub(super) fn record(&self, value: u64) {
-            self.buckets[Histogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
-        }
-
-        pub(super) fn snapshot(&self) -> Histogram {
-            Histogram {
-                buckets: self
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-                count: self.count.load(Ordering::Relaxed),
-                sum: self.sum.load(Ordering::Relaxed),
-                max: self.max.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// The currently-open phase's accumulator.
-    pub(super) struct PhaseCells {
-        pub kind: PhaseKind,
-        pub start_ns: u64,
-        pub activations: AtomicU64,
-        pub expansions: AtomicU64,
-        pub messages: AtomicU64,
-    }
-
-    /// The locks guard appends and whole-value swaps, valid at every
-    /// step: a worker that crashes tracing must not poison the report.
-    pub(super) struct Inner {
-        pub cfg: ObsConfig,
-        pub t0: Instant,
-        pub clusters: Vec<Cells>,
-        pub current_phase: RwLock<Option<PhaseCells>>,
-        pub done_phases: Mutex<Vec<PhaseStat>>,
-        pub phase_count: AtomicU64,
-        pub events: Mutex<Vec<TraceEvent>>,
-        pub dropped: AtomicU64,
-        pub tick: AtomicU64,
-        pub queue_depth: AtomicHist,
-        pub barrier_wait: AtomicHist,
-    }
-
-    impl Inner {
-        pub(super) fn new(cfg: ObsConfig, clusters: usize) -> Self {
-            Inner {
-                cfg,
-                t0: Instant::now(),
-                clusters: (0..clusters).map(|_| Cells::default()).collect(),
-                current_phase: RwLock::new(None),
-                done_phases: Mutex::new(Vec::new()),
-                phase_count: AtomicU64::new(0),
-                events: Mutex::new(Vec::new()),
-                dropped: AtomicU64::new(0),
-                tick: AtomicU64::new(0),
-                queue_depth: AtomicHist::new(),
-                barrier_wait: AtomicHist::new(),
-            }
-        }
-
-        /// Appends a raw event, honoring sampling and the cap.
-        /// `structural` events (phase transitions) bypass sampling.
-        pub(super) fn push(&self, ev: TraceEvent, structural: bool) {
-            if !structural {
-                let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-                if self.cfg.sample_every > 1
-                    && !tick.is_multiple_of(u64::from(self.cfg.sample_every))
-                {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            let mut events = lock_unpoisoned(&self.events);
-            if events.len() >= self.cfg.max_events {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                events.push(ev);
-            }
-        }
-
-        pub(super) fn cells(&self, track: u16) -> Option<&Cells> {
-            self.clusters.get(usize::from(track))
-        }
-
-        pub(super) fn phase_add(&self, f: impl FnOnce(&PhaseCells)) {
-            if let Some(p) = self
-                .current_phase
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .as_ref()
-            {
-                f(p);
-            }
-        }
-    }
-
-    impl Inner {
-        pub(super) fn queue_hist(&self) -> &AtomicHist {
-            &self.queue_depth
-        }
-        pub(super) fn barrier_hist(&self) -> &AtomicHist {
-            &self.barrier_wait
+    fn snapshot(&self) -> Histogram {
+        Histogram {
+            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         }
     }
 }
 
-#[cfg(feature = "obs")]
-use crate::lock_unpoisoned;
-#[cfg(feature = "obs")]
-use imp::{Inner, PhaseCells};
-#[cfg(feature = "obs")]
-use std::sync::{atomic::Ordering, Arc, PoisonError};
+/// The currently-open phase's accumulator.
+struct PhaseCells {
+    kind: PhaseKind,
+    start_ns: u64,
+    activations: AtomicU64,
+    expansions: AtomicU64,
+    messages: AtomicU64,
+}
+
+/// The locks guard appends and whole-value swaps, valid at every
+/// step: a worker that crashes tracing must not poison the report.
+struct Inner {
+    cfg: ObsConfig,
+    t0: Instant,
+    clusters: Vec<Cells>,
+    current_phase: RwLock<Option<PhaseCells>>,
+    done_phases: Mutex<Vec<PhaseStat>>,
+    phase_count: AtomicU64,
+    events: Mutex<Vec<TraceEvent>>,
+    dropped: AtomicU64,
+    queue_depth: AtomicHist,
+    barrier_wait: AtomicHist,
+}
+
+impl Inner {
+    fn new(cfg: ObsConfig, clusters: usize) -> Self {
+        Inner {
+            cfg,
+            t0: Instant::now(),
+            clusters: (0..clusters).map(|_| Cells::default()).collect(),
+            current_phase: RwLock::new(None),
+            done_phases: Mutex::new(Vec::new()),
+            phase_count: AtomicU64::new(0),
+            events: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+            queue_depth: AtomicHist::default(),
+            barrier_wait: AtomicHist::default(),
+        }
+    }
+
+    /// Appends a raw event on `track`, honoring the cap.
+    fn push(&self, track: u16, stamp: Stamp, kind: EventKind) {
+        let mut events = lock_unpoisoned(&self.events);
+        if events.len() >= self.cfg.max_events {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            events.push(TraceEvent { track, stamp, kind });
+        }
+    }
+
+    fn cells(&self, track: u16) -> Option<&Cells> {
+        self.clusters.get(usize::from(track))
+    }
+
+    fn phase_add(&self, f: impl FnOnce(&PhaseCells)) {
+        if let Some(p) = self
+            .current_phase
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            f(p);
+        }
+    }
+}
 
 /// The recording handle; the default records nothing. See the module
 /// docs for the gating model.
 #[derive(Clone, Default)]
 pub(crate) struct Tracer {
-    #[cfg(feature = "obs")]
     inner: Option<Arc<Inner>>,
 }
 
@@ -253,24 +182,12 @@ impl std::fmt::Debug for Tracer {
 
 impl Tracer {
     /// A tracer from an optional runtime config: `None` disables.
-    /// Without the `obs` feature the result is always disabled.
     pub(crate) fn from_config(cfg: Option<&ObsConfig>, clusters: usize) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            Tracer {
-                inner: cfg.map(|c| Arc::new(Inner::new(*c, clusters))),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (cfg, clusters);
-            Tracer::default()
+        Tracer {
+            inner: cfg.map(|c| Arc::new(Inner::new(*c, clusters))),
         }
     }
-}
 
-#[cfg(feature = "obs")]
-impl Tracer {
     /// `true` when this tracer records.
     #[inline]
     pub(crate) fn is_enabled(&self) -> bool {
@@ -304,12 +221,9 @@ impl Tracer {
             messages: Default::default(),
         });
         i.push(
-            TraceEvent {
-                track: super::event::CONTROLLER_TRACK,
-                stamp,
-                kind: EventKind::PhaseStart { kind, index },
-            },
-            true,
+            super::event::CONTROLLER_TRACK,
+            stamp,
+            EventKind::PhaseStart { kind, index },
         );
     }
 
@@ -337,36 +251,33 @@ impl Tracer {
         let kind = p.kind;
         drop(done);
         i.push(
-            TraceEvent {
-                track: super::event::CONTROLLER_TRACK,
-                stamp,
-                kind: EventKind::PhaseEnd { kind, index },
-            },
-            true,
+            super::event::CONTROLLER_TRACK,
+            stamp,
+            EventKind::PhaseEnd { kind, index },
         );
     }
 
-    /// Records one applied marker activation on `track`.
+    /// Records `n` applied marker activations on `track`.
     #[inline]
-    pub(crate) fn activation(&self, track: u16) {
+    pub(crate) fn activation(&self, track: u16, n: u64) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
-            c.activations.fetch_add(1, Ordering::Relaxed);
+            c.activations.fetch_add(n, Ordering::Relaxed);
         }
         i.phase_add(|p| {
-            p.activations.fetch_add(1, Ordering::Relaxed);
+            p.activations.fetch_add(n, Ordering::Relaxed);
         });
     }
 
-    /// Records one node expansion on `track`.
+    /// Records `n` node expansions on `track`.
     #[inline]
-    pub(crate) fn expansion(&self, track: u16) {
+    pub(crate) fn expansion(&self, track: u16, n: u64) {
         let Some(i) = &self.inner else { return };
         if let Some(c) = i.cells(track) {
-            c.expansions.fetch_add(1, Ordering::Relaxed);
+            c.expansions.fetch_add(n, Ordering::Relaxed);
         }
         i.phase_add(|p| {
-            p.expansions.fetch_add(1, Ordering::Relaxed);
+            p.expansions.fetch_add(n, Ordering::Relaxed);
         });
     }
 
@@ -380,16 +291,13 @@ impl Tracer {
             p.messages.fetch_add(1, Ordering::Relaxed);
         });
         i.push(
-            TraceEvent {
-                track: from,
-                stamp,
-                kind: EventKind::MsgSend {
-                    from: from as u8,
-                    to: to as u8,
-                    hops,
-                },
+            from,
+            stamp,
+            EventKind::MsgSend {
+                from: from as u8,
+                to: to as u8,
+                hops,
             },
-            false,
         );
     }
 
@@ -400,15 +308,12 @@ impl Tracer {
             c.msgs_recv.fetch_add(1, Ordering::Relaxed);
         }
         i.push(
-            TraceEvent {
-                track: to,
-                stamp,
-                kind: EventKind::MsgRecv {
-                    from: from as u8,
-                    to: to as u8,
-                },
+            to,
+            stamp,
+            EventKind::MsgRecv {
+                from: from as u8,
+                to: to as u8,
             },
-            false,
         );
     }
 
@@ -419,15 +324,12 @@ impl Tracer {
             c.retries.fetch_add(1, Ordering::Relaxed);
         }
         i.push(
-            TraceEvent {
-                track: from,
-                stamp,
-                kind: EventKind::MsgRetry {
-                    from: from as u8,
-                    to: to as u8,
-                },
+            from,
+            stamp,
+            EventKind::MsgRetry {
+                from: from as u8,
+                to: to as u8,
             },
-            false,
         );
     }
 
@@ -435,12 +337,9 @@ impl Tracer {
     pub(crate) fn barrier_arrive(&self, level: u8, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         i.push(
-            TraceEvent {
-                track: super::event::GLOBAL_TRACK,
-                stamp,
-                kind: EventKind::BarrierArrive { level },
-            },
-            false,
+            super::event::GLOBAL_TRACK,
+            stamp,
+            EventKind::BarrierArrive { level },
         );
     }
 
@@ -451,30 +350,20 @@ impl Tracer {
             c.barrier_waits.fetch_add(1, Ordering::Relaxed);
             c.barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
         }
-        i.barrier_hist().record(wait_ns);
-        i.push(
-            TraceEvent {
-                track,
-                stamp,
-                kind: EventKind::BarrierRelease { wait_ns },
-            },
-            false,
-        );
+        i.barrier_wait.record(wait_ns);
+        i.push(track, stamp, EventKind::BarrierRelease { wait_ns });
     }
 
     /// Records a watchdog stall classification.
     pub(crate) fn barrier_stall(&self, in_flight: i64, busy_pes: u64, stamp: Stamp) {
         let Some(i) = &self.inner else { return };
         i.push(
-            TraceEvent {
-                track: super::event::GLOBAL_TRACK,
-                stamp,
-                kind: EventKind::BarrierStall {
-                    in_flight,
-                    busy_pes,
-                },
+            super::event::GLOBAL_TRACK,
+            stamp,
+            EventKind::BarrierStall {
+                in_flight,
+                busy_pes,
             },
-            true,
         );
     }
 
@@ -490,18 +379,12 @@ impl Tracer {
                 c.arbiter_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
             }
         }
-        i.push(
-            TraceEvent {
-                track,
-                stamp,
-                kind: if wait_ns == 0 {
-                    EventKind::ArbiterGrant
-                } else {
-                    EventKind::ArbiterDefer { wait_ns }
-                },
-            },
-            false,
-        );
+        let kind = if wait_ns == 0 {
+            EventKind::ArbiterGrant
+        } else {
+            EventKind::ArbiterDefer { wait_ns }
+        };
+        i.push(track, stamp, kind);
     }
 
     /// Records an injected fault of `kind` on `track`.
@@ -510,14 +393,7 @@ impl Tracer {
         if let Some(c) = i.cells(track) {
             c.faults_injected.fetch_add(1, Ordering::Relaxed);
         }
-        i.push(
-            TraceEvent {
-                track,
-                stamp,
-                kind: EventKind::Fault { kind },
-            },
-            false,
-        );
+        i.push(track, stamp, EventKind::Fault { kind });
     }
 
     /// Records a work-queue / outbox depth observation on `track`.
@@ -526,17 +402,9 @@ impl Tracer {
         if let Some(c) = i.cells(track) {
             c.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
         }
-        i.queue_hist().record(depth);
-        i.push(
-            TraceEvent {
-                track,
-                stamp,
-                kind: EventKind::QueueDepth {
-                    depth: depth.min(u64::from(u32::MAX)) as u32,
-                },
-            },
-            false,
-        );
+        i.queue_depth.record(depth);
+        let depth = depth.min(u64::from(u32::MAX)) as u32;
+        i.push(track, stamp, EventKind::QueueDepth { depth });
     }
 
     /// Snapshots everything recorded so far into a [`TraceReport`].
@@ -550,81 +418,22 @@ impl Tracer {
             phases: lock_unpoisoned(&i.done_phases).clone(),
             events: lock_unpoisoned(&i.events).clone(),
             events_dropped: i.dropped.load(Ordering::Relaxed),
-            queue_depth: i.queue_hist().snapshot(),
-            barrier_wait: i.barrier_hist().snapshot(),
+            queue_depth: i.queue_depth.snapshot(),
+            barrier_wait: i.barrier_wait.snapshot(),
         }
     }
 }
 
-#[cfg(not(feature = "obs"))]
-impl Tracer {
-    /// Constant `false`: the `obs` feature is compiled out, so every
-    /// guard folds to a no-op.
-    #[inline(always)]
-    pub(crate) fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub(crate) fn wall_stamp(&self) -> Stamp {
-        Stamp::Wall { ns: 0, phase: 0 }
-    }
-
-    #[inline(always)]
-    pub(crate) fn phase_start(&self, _kind: PhaseKind, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn phase_end(&self, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn activation(&self, _track: u16) {}
-
-    #[inline(always)]
-    pub(crate) fn expansion(&self, _track: u16) {}
-
-    #[inline(always)]
-    pub(crate) fn msg_send(&self, _from: u16, _to: u16, _hops: u8, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn msg_recv(&self, _from: u16, _to: u16, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn msg_retry(&self, _from: u16, _to: u16, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn barrier_arrive(&self, _level: u8, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn barrier_wait(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn barrier_stall(&self, _in_flight: i64, _busy_pes: u64, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn arbiter(&self, _track: u16, _wait_ns: u64, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn fault(&self, _track: u16, _kind: FaultKind, _stamp: Stamp) {}
-
-    #[inline(always)]
-    pub(crate) fn queue_depth(&self, _track: u16, _depth: u64, _stamp: Stamp) {}
-
-    /// Always the default (empty, disabled) report.
-    pub(crate) fn report(&self) -> TraceReport {
-        TraceReport::default()
-    }
-}
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::event::{FaultKind, CONTROLLER_TRACK};
+    use crate::obs::event::CONTROLLER_TRACK;
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::default();
         assert!(!t.is_enabled());
-        t.activation(0);
+        t.activation(0, 1);
         t.msg_send(0, 1, 1, Stamp::Sim(5));
         assert!(t.report().is_empty());
     }
@@ -634,9 +443,9 @@ mod tests {
         let t = Tracer::from_config(Some(&ObsConfig::full()), 2);
         assert!(t.is_enabled());
         t.phase_start(PhaseKind::Propagate, Stamp::Sim(10));
-        t.activation(0);
-        t.activation(1);
-        t.expansion(0);
+        t.activation(0, 1);
+        t.activation(1, 1);
+        t.expansion(0, 1);
         t.msg_send(0, 1, 2, Stamp::Sim(20));
         t.msg_recv(0, 1, Stamp::Sim(30));
         t.phase_end(Stamp::Sim(40));
@@ -663,32 +472,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_drops_raw_events_but_not_counters() {
-        let t = Tracer::from_config(
-            Some(&ObsConfig {
-                sample_every: 10,
-                ..ObsConfig::full()
-            }),
-            1,
-        );
-        for i in 0..100 {
-            t.msg_send(0, 0, 1, Stamp::Sim(i));
-        }
-        let r = t.report();
-        assert_eq!(r.clusters[0].msgs_sent, 100, "counters stay exact");
-        assert_eq!(r.events.len(), 10);
-        assert_eq!(r.events_dropped, 90);
-    }
-
-    #[test]
     fn event_cap_is_honored() {
-        let t = Tracer::from_config(
-            Some(&ObsConfig {
-                sample_every: 1,
-                max_events: 3,
-            }),
-            1,
-        );
+        let t = Tracer::from_config(Some(&ObsConfig { max_events: 3 }), 1);
         for i in 0..10 {
             t.msg_send(0, 0, 1, Stamp::Sim(i));
         }
@@ -702,7 +487,7 @@ mod tests {
     fn counters_only_config_keeps_no_events() {
         let t = Tracer::from_config(Some(&ObsConfig::counters_only()), 1);
         t.phase_start(PhaseKind::Configure, Stamp::Sim(0));
-        t.activation(0);
+        t.activation(0, 1);
         t.phase_end(Stamp::Sim(5));
         let r = t.report();
         assert!(r.events.is_empty());

@@ -148,8 +148,7 @@ pub struct RunReport {
     /// (empty for fault-free runs).
     pub faults: FaultReport,
     /// Structured trace aggregates (empty unless the machine was
-    /// configured with tracing and `snap-core` was built with the `obs`
-    /// feature).
+    /// configured with tracing).
     pub trace: TraceReport,
     /// Locality/balance statistics of the knowledge-base partition the
     /// run used (`None` only in a default report; every engine sets it).
@@ -248,15 +247,8 @@ impl RunReport {
         self.max_propagation_depth = 0;
         self.perf_events = 0;
         self.perf_dropped = 0;
-        // Rebuilding these defaults allocates (the trace report holds
-        // histograms); an untouched one is already equal to default, so
-        // only replace what a run actually wrote into.
-        if !self.faults.is_empty() {
-            self.faults = FaultReport::default();
-        }
-        if !self.trace.is_empty() {
-            self.trace = TraceReport::default();
-        }
+        self.faults = FaultReport::default();
+        self.trace = TraceReport::default();
         self.schedule_digest = 0;
     }
 

@@ -11,16 +11,11 @@
 //! The schedule is deterministic: the same seed and plan reproduce the
 //! same injected faults on every run.
 //!
+//! The chaotic run is also traced: a Perfetto-loadable chrome trace
+//! with one track per cluster lands in `results/chaos_trace.json`.
+//!
 //! ```sh
 //! cargo run --release --example chaos
-//! ```
-//!
-//! With the `obs` feature the chaos run is also traced, and a
-//! Perfetto-loadable chrome trace with one track per cluster lands in
-//! `results/chaos_trace.json`:
-//!
-//! ```sh
-//! cargo run --release --features obs --example chaos
 //! ```
 
 use snap_core::{EngineKind, FaultPlan, Snap1};
@@ -67,8 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .stalls(0.05, 50_000)
         .worker_panic(3, 40);
     println!("\ninjecting: {plan:?}\n");
-    // Full event tracing on the chaotic run; without the `obs` cargo
-    // feature recording is compiled out and this costs nothing.
+    // Full event tracing on the chaotic run only.
     let chaos_machine = builder()
         .faults(plan)
         .trace(snap_core::ObsConfig::full())
@@ -112,18 +106,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the schedule injected faults"
     );
 
-    // Traced builds: dump the last parse's events as a chrome trace
-    // (one track per cluster) and print the compact phase summary.
-    if !last_trace.is_empty() {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("chaos_trace.json");
-        std::fs::write(&path, snap_core::chrome_trace_json(&last_trace))?;
-        println!("\n{}", last_trace.summary());
-        println!(
-            "perfetto trace written to {} — open it at https://ui.perfetto.dev",
-            path.display()
-        );
-    }
+    // Dump the last parse's events as a chrome trace (one track per
+    // cluster) and print the compact phase summary.
+    let dir = std::path::Path::new("results");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join("chaos_trace.json");
+    std::fs::write(&path, snap_core::chrome_trace_json(&last_trace))?;
+    println!("\n{}", last_trace.summary());
+    println!(
+        "perfetto trace written to {} — open it at https://ui.perfetto.dev",
+        path.display()
+    );
     Ok(())
 }

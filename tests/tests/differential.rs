@@ -9,11 +9,11 @@
 //! interleaving fuzzer (`fuzz_interleave.rs`) sweeps the exact same
 //! cells under adversarial schedules.
 //!
-//! With the `obs` feature the harness additionally compares the
-//! engines' `TraceReport` phase sequences: identical runs must have no
-//! diverging phase, and an intentionally perturbed run (propagation
-//! hop budget cut to 1) must be localized to the first `Propagate`
-//! phase by `TraceReport::first_diverging_phase`.
+//! The harness also compares the engines' `TraceReport` phase
+//! sequences: identical runs must have no diverging phase, and an
+//! intentionally perturbed run (propagation hop budget cut to 1) must
+//! be localized to the first `Propagate` phase by
+//! `TraceReport::first_diverging_phase`.
 
 use snap_core::{Cm2, EngineKind, FaultPlan};
 use snap_integration_tests::grid::{
@@ -237,9 +237,7 @@ fn differential_plain_and_resilient_protocols_agree() {
     }
 }
 
-/// Phase-sequence comparison needs recorded traces, which need the
-/// `obs` feature (tracing compiles to no-ops without it).
-#[cfg(feature = "obs")]
+/// Phase-sequence comparison over recorded traces.
 mod obs {
     use super::*;
     use snap_core::PhaseKind;
@@ -332,8 +330,7 @@ mod obs {
         );
     }
 
-    /// Without a trace config the report stays empty even when the
-    /// feature is compiled in (runtime gating).
+    /// Without a trace config the report stays empty.
     #[test]
     fn trace_stays_empty_without_config() {
         let report = run_cell(kb_tree, &program_parse(), 2, EngineKind::Des, None, false);

@@ -290,7 +290,7 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
             (0, 0),
             "warm call {i} took a node-count-sized table: {warm:?}"
         );
-        // What is left is the report the caller is handed: eight
+        // What is left is the report the caller is handed: six
         // allocations (its partition statistics, class maps and vectors)
         // and the collect payload doubling 4, 8, 16, … up to its length.
         // The plan, its dependency sets and the compiled `RuleProgram`
@@ -298,7 +298,7 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
         let payload = report.collects[0].len().max(4).next_power_of_two();
         assert_eq!(
             warm.allocs,
-            8 + u64::from(payload.trailing_zeros() - 1),
+            6 + u64::from(payload.trailing_zeros() - 1),
             "warm call {i}, {} nodes collected",
             report.collects[0].len()
         );
