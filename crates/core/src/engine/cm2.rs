@@ -197,7 +197,8 @@ impl Cm2 {
         report: &mut RunReport,
     ) -> Result<SimTime, CoreError> {
         region.check_group([(source, target)])?;
-        let seeds: Vec<(snap_kb::NodeId, f32)> = region.seeds(source)?.collect();
+        let mut seeds = Vec::new();
+        region.seeds_into(source, &mut seeds)?;
         report.alpha_per_propagate.push(seeds.len() as u64);
         let mut sink = Cm2Sink {
             region,

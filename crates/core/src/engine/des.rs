@@ -431,12 +431,13 @@ impl<'c> Des<'c> {
         self.st.expanded.clear();
 
         // Seed: every cluster scans its marker status table for sources.
+        let mut sources = Vec::new();
         for spec in specs {
             let mut alpha = 0u64;
             for c in 0..self.st.regions.len() {
-                let sources: Vec<_> = self.st.regions[c].seeds(spec.source)?.collect();
+                self.st.regions[c].seeds_into(spec.source, &mut sources)?;
                 alpha += sources.len() as u64;
-                for (node, value) in sources {
+                for (node, value) in sources.drain(..) {
                     if self
                         .st
                         .visited
@@ -756,10 +757,12 @@ impl<'c> Des<'c> {
         self.st.visited.reset();
         // (cluster, task) pairs of the current wave.
         let mut wave: Vec<(usize, PropTask)> = Vec::new();
+        let mut sources = Vec::new();
         for spec in specs {
             let mut alpha = 0u64;
             for c in 0..self.st.regions.len() {
-                for (node, value) in self.st.regions[c].seeds(spec.source)? {
+                self.st.regions[c].seeds_into(spec.source, &mut sources)?;
+                for (node, value) in sources.drain(..) {
                     alpha += 1;
                     if self
                         .st

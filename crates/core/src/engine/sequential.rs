@@ -25,7 +25,7 @@ use crate::kernel::{propagate_wave_in, WaveScratch, WaveSink};
 use crate::obs::{PhaseKind, Stamp, Tracer};
 use crate::prepared::Prepared;
 use crate::propagate::{PropArrival, PropTask};
-use crate::region::{Region, RegionMap};
+use crate::region::{Region, RegionMap, Target};
 use crate::report::{CollectOutput, RunReport};
 use crate::SimTime;
 use snap_isa::{InstrClass, Instruction, Program};
@@ -292,12 +292,12 @@ fn instr_cost(
 }
 
 /// One `PROPAGATE` on one region through the wave kernel: gathers the
-/// seeds where `spec.source` is active, records α, runs
-/// [`propagate_wave_in`] over `scratch` and delivers every arrival
-/// through [`Region::arrive`], returning the propagation's simulated
-/// nanoseconds (`pu_decode_ns` plus every expansion). `report` gains
-/// the expansions, local activations and depth; recording the
-/// instruction is the caller's, like the clock.
+/// seeds where `spec.source` is active, records α, resolves the target
+/// marker once and runs [`propagate_wave_in`] over `scratch`, merging
+/// every arrival through that one resolution, returning the
+/// propagation's simulated nanoseconds (`pu_decode_ns` plus every
+/// expansion). `report` gains the expansions, local activations and
+/// depth; recording the instruction is the caller's, like the clock.
 ///
 /// # Errors
 ///
@@ -311,33 +311,31 @@ fn propagate_region(
     spec: &PropSpec,
     report: &mut RunReport,
 ) -> Result<SimTime, CoreError> {
-    let sources = region.seeds(spec.source)?;
     let mut seeds = std::mem::take(&mut scratch.seeds);
     seeds.clear();
-    seeds.extend(sources);
-    report.alpha_per_propagate.push(seeds.len() as u64);
-    let mut sink = SeqWaveSink {
-        cost,
-        region,
-        target: spec.target,
-        report,
-        ns: cost.pu_decode_ns,
-    };
-    let ran = propagate_wave_in(
-        network, &spec.rule, spec.func, spec.prop, max_hops, &seeds, scratch, &mut sink,
-    );
+    let ran = region.seeds_into(spec.source, &mut seeds).and_then(|()| {
+        report.alpha_per_propagate.push(seeds.len() as u64);
+        let mut sink = SeqWaveSink {
+            cost,
+            target: region.target(spec.target)?,
+            report,
+            ns: cost.pu_decode_ns,
+        };
+        propagate_wave_in(
+            network, &spec.rule, spec.func, spec.prop, max_hops, &seeds, scratch, &mut sink,
+        )?;
+        Ok(sink.ns)
+    });
     scratch.seeds = seeds;
-    ran?;
-    Ok(sink.ns)
+    ran
 }
 
 /// Engine accounting behind the wave kernel: each expansion charges
 /// its cost-model nanoseconds and counts; each arrival merges into the
-/// region's target marker and counts a local activation and its depth.
+/// resolved target marker and counts a local activation and its depth.
 struct SeqWaveSink<'a> {
     cost: &'a CostModel,
-    region: &'a mut Region,
-    target: snap_kb::Marker,
+    target: Target<'a>,
     report: &'a mut RunReport,
     ns: SimTime,
 }
@@ -355,8 +353,7 @@ impl WaveSink for SeqWaveSink<'_> {
     }
 
     fn on_arrival(&mut self, task: &PropTask, arrival: &PropArrival) -> Result<(), CoreError> {
-        self.region
-            .arrive(self.target, arrival.node, arrival.value, task.origin)?;
+        self.target.arrive(arrival.node, arrival.value, task.origin);
         self.report.traffic.local_activations += 1;
         self.report.max_propagation_depth = self.report.max_propagation_depth.max(task.level + 1);
         Ok(())

@@ -902,9 +902,8 @@ impl Worker<'_> {
         for spec in seeded {
             let mut sources: Vec<(NodeId, f32)> = Vec::new();
             for r in &self.regions {
-                match r.seeds(spec.source) {
-                    Ok(seeds) => sources.extend(seeds),
-                    Err(e) => self.report_error(e),
+                if let Err(e) = r.seeds_into(spec.source, &mut sources) {
+                    self.report_error(e);
                 }
             }
             for (node, value) in sources {

@@ -89,6 +89,78 @@ pub enum Arrival {
     Ignored,
 }
 
+/// One marker of one region resolved for a run of writes: register
+/// check, kind, status row and (complex) payload row, done once. Every
+/// arrival of a `PROPAGATE` or hit of a search is then a bit set and a
+/// payload store. [`Region::arrive`] is the one-shot form.
+pub(crate) struct Target<'a> {
+    cluster: ClusterId,
+    map: &'a RegionMap,
+    row: &'a mut StatusRow,
+    /// The full payload row of a complex marker; `None` for a binary one.
+    payload: Option<&'a mut [MarkerValue]>,
+}
+
+impl<'a> Target<'a> {
+    #[inline]
+    fn new(
+        cluster: ClusterId,
+        map: &'a RegionMap,
+        markers: &'a mut MarkerState,
+        marker: Marker,
+    ) -> Result<Self, CoreError> {
+        let global = |local: NodeId| map.members(cluster)[local.index()];
+        let (row, payload) = markers.rows_mut(marker, global)?;
+        Ok(Target {
+            cluster,
+            map,
+            row,
+            payload,
+        })
+    }
+
+    #[inline]
+    fn local(&self, node: NodeId) -> usize {
+        debug_assert_eq!(self.map.cluster_of(node), self.cluster);
+        self.map.local_of(node) as usize
+    }
+
+    /// The merge of [`Region::arrive`], the only place it is written.
+    #[inline]
+    pub(crate) fn arrive(&mut self, node: NodeId, value: f32, origin: NodeId) -> Arrival {
+        let local = self.local(node);
+        let new = self.row.set(NodeId(local as u32));
+        let Some(payload) = self.payload.as_deref_mut() else {
+            return if new { Arrival::New } else { Arrival::Ignored };
+        };
+        let slot = &mut payload[local];
+        if new {
+            *slot = MarkerValue { value, origin };
+            return Arrival::New;
+        }
+        if !improves((slot.value, slot.origin), value, origin) {
+            return Arrival::Ignored;
+        }
+        let value = value.min(slot.value);
+        *slot = MarkerValue { value, origin };
+        Arrival::Improved
+    }
+
+    /// Activates the marker at member `node`, a complex one with `value`
+    /// bound to the node itself: a search hit.
+    #[inline]
+    fn activate(&mut self, node: NodeId, value: f32) {
+        let local = self.local(node);
+        self.row.set(NodeId(local as u32));
+        if let Some(payload) = self.payload.as_deref_mut() {
+            payload[local] = MarkerValue {
+                value,
+                origin: node,
+            };
+        }
+    }
+}
+
 /// One cluster's marker state and local instruction implementations.
 ///
 /// `Clone` supports the threaded engine's recovery path: regions are
@@ -178,27 +250,29 @@ impl Region {
         self.markers.value(marker, self.local(node))
     }
 
-    /// The seeds of a `PROPAGATE` sourced at `marker`: every member node
-    /// where it is active, ascending by global ID, with the value a
-    /// propagation starting there begins with — the stored value for a
-    /// complex marker (0.0 under a set bit with no payload), 0.0 for a
-    /// binary one. The marker is resolved once for the whole set.
+    /// Appends the seeds of a `PROPAGATE` sourced at `marker` to `out`:
+    /// every member node where it is active, ascending by global ID,
+    /// with the value a propagation starting there begins with — the
+    /// stored value for a complex marker (0.0 under a set bit with no
+    /// payload), 0.0 for a binary one. The marker is resolved once for
+    /// the whole set.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] for an out-of-range marker register.
-    pub fn seeds(
+    pub fn seeds_into(
         &self,
         marker: Marker,
-    ) -> Result<impl Iterator<Item = (NodeId, f32)> + '_, CoreError> {
-        let members = self.members();
-        let rows = self.markers.rows(marker)?;
-        Ok(rows.into_iter().flat_map(move |(row, payload)| {
-            row.iter().map(move |local| {
+        out: &mut Vec<(NodeId, f32)>,
+    ) -> Result<(), CoreError> {
+        if let Some((row, payload)) = self.markers.rows(marker)? {
+            let members = self.members();
+            for local in row.iter() {
                 let i = local.index();
-                (members[i], payload.get(i).map_or(0.0, |v| v.value))
-            })
-        }))
+                out.push((members[i], payload.get(i).map_or(0.0, |v| v.value)));
+            }
+        }
+        Ok(())
     }
 
     /// Resolves the `(source, target)` registers of an overlap group's
@@ -272,7 +346,7 @@ impl Region {
         if !self.owns(node) {
             return Ok(false);
         }
-        self.activate(marker, node, value, node)?;
+        self.target(marker)?.activate(node, value);
         Ok(true)
     }
 
@@ -290,16 +364,9 @@ impl Region {
         marker: Marker,
         value: f32,
     ) -> Result<usize, CoreError> {
-        let hits: Vec<NodeId> = self
-            .members()
-            .iter()
-            .copied()
-            .filter(|&n| network.links_by(n, relation).next().is_some())
-            .collect();
-        for &n in &hits {
-            self.activate(marker, n, value, n)?;
-        }
-        Ok(hits.len())
+        self.search(marker, value, |n| {
+            network.links_by(n, relation).next().is_some()
+        })
     }
 
     /// `SEARCH-COLOR` local part: activates `marker` at member nodes of
@@ -315,45 +382,70 @@ impl Region {
         marker: Marker,
         value: f32,
     ) -> Result<usize, CoreError> {
-        let hits: Vec<NodeId> = self
-            .members()
-            .iter()
-            .copied()
-            .filter(|&n| network.color(n).is_ok_and(|c| c == color))
-            .collect();
-        for &n in &hits {
-            self.activate(marker, n, value, n)?;
-        }
-        Ok(hits.len())
+        self.search(marker, value, |n| {
+            network.color(n).is_ok_and(|c| c == color)
+        })
     }
 
-    fn activate(
+    /// Activates `marker` at every member node that `hit`s, resolving
+    /// the marker at the first hit and writing every hit through that
+    /// one resolution. With no hit nothing is resolved, so even an
+    /// out-of-range register reads `Ok(0)`.
+    fn search(
         &mut self,
         marker: Marker,
-        node: NodeId,
         value: f32,
-        origin: NodeId,
-    ) -> Result<(), CoreError> {
-        let local = self.local(node);
-        match marker.kind() {
-            MarkerKind::Complex => {
-                self.markers
-                    .set_value(marker, local, MarkerValue { value, origin })?;
-            }
-            MarkerKind::Binary => {
-                self.markers.set(marker, local)?;
-            }
+        hit: impl Fn(NodeId) -> bool,
+    ) -> Result<usize, CoreError> {
+        let Region {
+            cluster,
+            map,
+            markers,
+            ..
+        } = self;
+        let members = map.members(*cluster);
+        let Some(first) = members.iter().position(|&n| hit(n)) else {
+            return Ok(0);
+        };
+        let mut target = Target::new(*cluster, map, markers, marker)?;
+        let mut hits = 0;
+        for &node in members[first..].iter().filter(|&&n| hit(n)) {
+            target.activate(node, value);
+            hits += 1;
         }
-        Ok(())
+        Ok(hits)
     }
 
     // ----- propagation -----
+
+    /// Resolves `marker` once for a run of writes — a `PROPAGATE`'s
+    /// arrivals or a search's hits — allocating its status row and, for
+    /// a complex marker, its payload row up front.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] for an out-of-range marker register.
+    #[inline]
+    pub(crate) fn target(&mut self, marker: Marker) -> Result<Target<'_>, CoreError> {
+        let Region {
+            cluster,
+            map,
+            markers,
+            ..
+        } = self;
+        Target::new(*cluster, map, markers, marker)
+    }
 
     /// Delivers a propagated marker instance at a member node,
     /// implementing the value-merge contract: first arrival activates;
     /// later arrivals only count if they improve a complex value by more
     /// than [`VALUE_EPSILON`] (smaller values win; ties broken toward
-    /// the smaller origin ID).
+    /// the smaller origin ID). A set bit with no payload behind it reads
+    /// as 0.0 bound to the node itself.
+    ///
+    /// This is the one-shot form of a resolved target: it resolves
+    /// `marker` for this one arrival. The sequential engine resolves a
+    /// `PROPAGATE`'s target once and merges every arrival through it.
     ///
     /// # Errors
     ///
@@ -365,35 +457,7 @@ impl Region {
         value: f32,
         origin: NodeId,
     ) -> Result<Arrival, CoreError> {
-        let local = self.local(node);
-        // One resolution of the marker per arrival: register check, kind
-        // and row look-ups happen here and nowhere below.
-        let (row, payload) = self.markers.rows_mut(marker)?;
-        let new = row.set(local);
-        let Some(payload) = payload else {
-            return Ok(if new { Arrival::New } else { Arrival::Ignored });
-        };
-        let (outcome, stored) = if new {
-            (Arrival::New, MarkerValue { value, origin })
-        } else {
-            // A set bit with no payload behind it reads as 0.0 bound to
-            // the node itself.
-            let current = payload.get(local.index()).copied().unwrap_or(MarkerValue {
-                value: 0.0,
-                origin: node,
-            });
-            if !improves((current.value, current.origin), value, origin) {
-                return Ok(Arrival::Ignored);
-            }
-            let value = value.min(current.value);
-            (Arrival::Improved, MarkerValue { value, origin })
-        };
-        match payload.get_mut(local.index()) {
-            Some(slot) => *slot = stored,
-            // The marker's first payload: `set_value` allocates the row.
-            None => self.markers.set_value(marker, local, stored)?,
-        }
-        Ok(outcome)
+        Ok(self.target(marker)?.arrive(node, value, origin))
     }
 
     /// Bulk write-back for the bit-sliced serving kernel: stores the
@@ -559,9 +623,7 @@ impl Region {
     pub fn set_marker(&mut self, marker: Marker, value: f32) -> Result<usize, CoreError> {
         let words = self.markers.row_mut(marker)?.set_all();
         if marker.kind() == MarkerKind::Complex {
-            for &node in &self.members().to_vec() {
-                self.activate(marker, node, value, node)?;
-            }
+            self.search(marker, value, |_| true)?;
         }
         Ok(words)
     }
@@ -999,12 +1061,17 @@ mod tests {
             r.markers.set(m, NodeId(n)).unwrap();
             assert_eq!(r.value(m, NodeId(n)), None);
         }
-        // A worse value is ignored and leaves the payload unwritten.
+        // A worse value is ignored. Resolving the marker allocated its
+        // payload row, binding every set bit to what it reads as: 0.0 at
+        // the node itself.
         assert_eq!(
             r.arrive(m, NodeId(2), 3.0, NodeId(1)).unwrap(),
             Arrival::Ignored
         );
-        assert_eq!(r.value(m, NodeId(2)), None);
+        for n in [2u32, 3, 5] {
+            let origin = NodeId(n);
+            assert_eq!(r.value(m, origin), Some(MarkerValue { value: 0.0, origin }));
+        }
         // 0.0 from an origin below the node wins the tie against the
         // node itself; from an origin above it does not.
         assert_eq!(
@@ -1063,5 +1130,125 @@ mod tests {
         assert_eq!(r.count(t), 0);
         assert_eq!(r.not_op(Marker::binary(8), t).unwrap(), r.words() * 2);
         assert_eq!(r.count(t), 8);
+    }
+
+    #[test]
+    fn searches_resolve_the_marker_only_at_a_hit() {
+        let (net, _, mut regions) = setup(2);
+        let r = &mut regions[0];
+        let bad = Marker::complex(70);
+        let want = CoreError::Kb(snap_kb::KbError::MarkerOutOfRange {
+            index: 70,
+            capacity: 64,
+        });
+        // No member hits: nothing is resolved, so the register is no error.
+        assert_eq!(r.search_color(&net, Color(4), bad, 0.0), Ok(0));
+        assert_eq!(r.search_relation(&net, RelationType(9), bad, 0.0), Ok(0));
+        // A hit resolves it: the register's typed error, nothing written.
+        assert_eq!(r.search_color(&net, Color(0), bad, 0.0), Err(want.clone()));
+        assert_eq!(
+            r.search_relation(&net, RelationType(1), bad, 0.0),
+            Err(want)
+        );
+        // Every hit is written through the one resolution, a complex one
+        // bound to the hit node: color 0 in cluster 0 is nodes 0 and 6,
+        // relation 1 leaves nodes 0 and 4.
+        let m = Marker::complex(3);
+        assert_eq!(r.search_color(&net, Color(0), m, 1.5), Ok(2));
+        assert_eq!(r.search_relation(&net, RelationType(1), m, 0.5), Ok(2));
+        let bound = |value, n| {
+            Some(MarkerValue {
+                value,
+                origin: NodeId(n),
+            })
+        };
+        assert_eq!(r.active_nodes(m).unwrap(), [0, 4, 6].map(NodeId));
+        assert_eq!(r.value(m, NodeId(0)), bound(0.5, 0));
+        assert_eq!(r.value(m, NodeId(4)), bound(0.5, 4));
+        assert_eq!(r.value(m, NodeId(6)), bound(1.5, 6));
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Arrival values: ties, near-ties inside [`VALUE_EPSILON`] and
+        /// strict improvements.
+        const VALUES: [f32; 7] = [-1.0, 0.0, 5e-7, 0.5, 1.0 - 5e-7, 1.0, 2.0];
+
+        proptest! {
+            /// Random arrival sequences through one resolved target, on a
+            /// complex or a binary marker, in the one region of a
+            /// one-cluster map or the second of a two-cluster one (where
+            /// local and global IDs differ), some bits set beforehand
+            /// without a payload. After every arrival the status row and
+            /// payload must match a model of the merge, and
+            /// [`Region::arrive`] — the one-shot form, on a twin region —
+            /// must answer the same.
+            #[test]
+            fn prop_resolved_target_merges_like_the_model(
+                clusters in 1usize..3,
+                complex in 0u8..2,
+                preset in proptest::collection::vec(0u32..8, 0..4),
+                arrivals in proptest::collection::vec((0u32..8, 0usize..VALUES.len(), 0u32..8), 0..40),
+            ) {
+                let (_, map, mut regions) = setup(clusters);
+                let marker = if complex == 1 { Marker::complex(4) } else { Marker::binary(4) };
+                let cluster = ClusterId(clusters as u8 - 1);
+                let members = map.members(cluster).to_vec();
+                let mut region = regions.pop().unwrap();
+                // `None` is a clear bit; a set bit with no payload reads
+                // as 0.0 bound to the node.
+                let mut model: Vec<Option<(f32, NodeId)>> = vec![None; members.len()];
+                for &n in &preset {
+                    let local = n as usize % members.len();
+                    region.markers.set(marker, NodeId(local as u32)).unwrap();
+                    model[local] = Some((0.0, members[local]));
+                }
+                let mut twin = region.clone();
+                let mut target = region.target(marker).unwrap();
+                for (n, v, origin) in arrivals {
+                    let local = n as usize % members.len();
+                    let (node, value, origin) = (members[local], VALUES[v], NodeId(origin));
+                    let want = match model[local] {
+                        None => Arrival::New,
+                        Some(_) if complex == 0 => Arrival::Ignored,
+                        Some((best, bound)) => {
+                            let wins = value < best - VALUE_EPSILON
+                                || ((value - best).abs() <= VALUE_EPSILON && origin < bound);
+                            if wins { Arrival::Improved } else { Arrival::Ignored }
+                        }
+                    };
+                    match want {
+                        Arrival::New => model[local] = Some((value, origin)),
+                        Arrival::Improved => {
+                            let best = model[local].unwrap().0;
+                            model[local] = Some((value.min(best), origin));
+                        }
+                        Arrival::Ignored => {}
+                    }
+                    prop_assert_eq!(target.arrive(node, value, origin), want);
+                    prop_assert_eq!(twin.arrive(marker, node, value, origin), Ok(want));
+                    for (i, slot) in model.iter().enumerate() {
+                        prop_assert_eq!(target.row.test(NodeId(i as u32)), slot.is_some());
+                        let stored = target.payload.as_deref().map(|p| (p[i].value, p[i].origin));
+                        match (slot, stored) {
+                            (Some(want), Some(got)) => prop_assert_eq!(*want, got),
+                            (_, None) => prop_assert!(complex == 0),
+                            (None, Some(_)) => {}
+                        }
+                    }
+                }
+                // A set bit reads as its payload, or as 0.0 bound to the
+                // node where the twin, never written, has none.
+                let read = |r: &Region, node| {
+                    let value = r.value(marker, node).map(|v| (v.value, v.origin));
+                    r.test(marker, node).then(|| value.unwrap_or((0.0, node)))
+                };
+                for &node in &members {
+                    prop_assert_eq!(read(&region, node), read(&twin, node));
+                }
+            }
+        }
     }
 }

@@ -167,6 +167,14 @@ impl RelationTable {
     /// no-op when nothing is staged. Engines call this before entering
     /// the propagation hot path so expansions read pure slices.
     pub fn flush(&mut self) {
+        debug_assert_eq!(
+            self.pending_per_node
+                .iter()
+                .map(|&c| c as usize)
+                .sum::<usize>(),
+            self.pending.len(),
+            "the staged counts sum to the staged links"
+        );
         if self.pending.is_empty() {
             return;
         }
@@ -335,7 +343,16 @@ impl RelationTable {
         let Some(range) = self.node_range(node) else {
             return (0, 0, &[], &[]);
         };
-        let fanout = range.len() + self.pending_per_node[node.index()] as usize;
+        // Engines flush before propagating: read the staged count only
+        // while links are staged. With none staged every count is 0, as
+        // the counts sum to `pending.len()`.
+        let staged = if self.pending.is_empty() {
+            debug_assert_eq!(self.pending_per_node[node.index()], 0);
+            0
+        } else {
+            self.pending_per_node[node.index()] as usize
+        };
+        let fanout = range.len() + staged;
         let segments = if fanout == 0 {
             1
         } else {

@@ -121,7 +121,7 @@ impl Default for MarkerValue {
 /// register range, whether the row exists. A caller that touches one
 /// marker many times, or reads and then writes it, resolves it once
 /// through [`MarkerState::rows`] / [`MarkerState::rows_mut`] and works on
-/// the status row and payload slice it gets back.
+/// the status row and payload row it gets back.
 #[derive(Debug, Clone)]
 pub struct MarkerState {
     nodes: usize,
@@ -250,25 +250,37 @@ impl MarkerState {
         Ok(row.as_ref().map(|row| (row, payload.unwrap_or_default())))
     }
 
-    /// Resolves `marker` once for writing: its status row, allocated if
-    /// untouched, and — for a complex marker — its payload slice, which
-    /// stays empty until [`MarkerState::set_value`] has written the
-    /// marker's first payload. A binary marker has no payload (`None`).
+    /// Resolves `marker` once for a run of writes: its status row and —
+    /// for a complex marker — its full payload row, both allocated if
+    /// untouched, so no write through them allocates. A binary marker
+    /// has no payload (`None`).
+    ///
+    /// A payload row allocated here binds every bit already set to
+    /// `0.0` at `bound_to(node)`, which is what a set bit without a
+    /// payload reads as to a propagation's merge. Only
+    /// [`MarkerState::set`] and [`MarkerState::merge_bits`] can leave a
+    /// complex bit without one.
     ///
     /// # Errors
     ///
     /// Returns [`KbError::MarkerOutOfRange`] if the index exceeds the
     /// register file.
+    #[inline]
     pub fn rows_mut(
         &mut self,
         marker: Marker,
+        bound_to: impl Fn(NodeId) -> NodeId,
     ) -> Result<(&mut StatusRow, Option<&mut [MarkerValue]>), KbError> {
         let (i, nodes) = (self.register(marker)?, self.nodes);
         Ok(match marker.kind() {
-            MarkerKind::Complex => (
-                self.complex_status[i].get_or_insert_with(|| StatusRow::new(nodes)),
-                Some(self.values[i].as_deref_mut().unwrap_or_default()),
-            ),
+            MarkerKind::Complex => {
+                let row = self.complex_status[i].get_or_insert_with(|| StatusRow::new(nodes));
+                let payload = match &mut self.values[i] {
+                    Some(payload) => payload,
+                    none => none.insert(bound_payload(row, bound_to)),
+                };
+                (row, Some(payload.as_mut_slice()))
+            }
             MarkerKind::Binary => (
                 self.binary_status[i].get_or_insert_with(|| StatusRow::new(nodes)),
                 None,
@@ -458,6 +470,20 @@ impl MarkerState {
     pub fn count(&self, marker: Marker) -> usize {
         self.row(marker).ok().flatten().map_or(0, StatusRow::count)
     }
+}
+
+/// A complex marker's first payload row: every bit `row` already has
+/// set bound to `0.0` at `bound_to(node)`. Out of line, so the
+/// resolution every arrival makes stays small.
+#[cold]
+#[inline(never)]
+fn bound_payload(row: &StatusRow, bound_to: impl Fn(NodeId) -> NodeId) -> Vec<MarkerValue> {
+    let mut payload = vec![MarkerValue::default(); row.nodes()];
+    for node in row.iter() {
+        let origin = bound_to(node);
+        payload[node.index()] = MarkerValue { value: 0.0, origin };
+    }
+    payload
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! layer, built on [`Snap1::run_shared`](snap_core::Snap1::run_shared)
 //! semantics:
 //!
-//! * [`QueryContext`] — one query's isolated execution state (marker
-//!   tables and the report of its run), pooled and cleared in place so
-//!   steady-state serving recycles the heavy per-query allocations;
+//! * [`QueryContext`] — what one lane leaves behind: the report of its
+//!   run and its outcome, pooled and cleared in place so steady-state
+//!   serving recycles the per-query allocations;
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
 //!   with graceful shedding and exact accounting, plus a pump that
 //!   takes the oldest [`ServeConfig::max_batch`] queued queries (64 at
@@ -18,7 +18,8 @@
 //!   the same program walker `Snap1::run` and `Snap1::run_shared` use
 //!   on that engine — one controller plan per query, `PROPAGATE`s as
 //!   independent marker streams, as SNAP-1 overlaps them, each through
-//!   the wave kernel;
+//!   the wave kernel — all in the server's one region of marker tables,
+//!   as a SNAP-1 cluster's marker streams share its one status table;
 //! * a batch is that coalescing window, not a program shape: nothing
 //!   overtakes anything, completions come back in admission order, and
 //!   a query that fails does so alone, with its typed error;

@@ -2,9 +2,9 @@
 
 use crate::context::QueryContext;
 use snap_core::exec::Walker;
-use snap_core::{CoreError, CostModel, MachineConfig, Prepared, RunReport};
+use snap_core::{CoreError, CostModel, MachineConfig, Prepared, Region, RunReport};
 use snap_isa::{InstrClass, Program};
-use snap_kb::{PartitionScheme, SemanticNetwork};
+use snap_kb::{ClusterId, PartitionScheme, SemanticNetwork};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -134,24 +134,26 @@ struct Pending {
 /// [`pump`](Server::pump) takes the oldest
 /// [`ServeConfig::max_batch`] of them, in arrival order, coalesces
 /// bit-identical programs onto one lane and runs each lane through the
-/// sequential engine's [`Walker`]. Nothing overtakes anything, so
-/// completions come back in [`QueryId`] order and no query can starve;
-/// a lane that fails is a lane like any other.
-///
-/// Every buffer the pump touches — the queue, batch staging, query
-/// contexts, the walker's scratch — is pooled on the server, so
+/// sequential engine's [`Walker`] in the server's one [`Region`], as a
+/// SNAP-1 cluster runs every marker stream in its one marker table.
+/// Nothing overtakes anything, so completions come back in [`QueryId`]
+/// order and no query can starve; a lane that fails is a lane like any
+/// other. Every buffer the pump touches — the queue, batch staging, the
+/// region, pooled reports, the walker's scratch — is kept here, so
 /// steady-state serving ([`Server::pump_with`] after warm-up) performs
 /// no heap allocation per query.
 pub struct Server {
     network: Arc<SemanticNetwork>,
-    /// The snapshot's one-region set-up, built once here: pooled query
-    /// contexts take their regions and partition statistics from it.
+    /// The snapshot's one-region set-up, built once here: the region
+    /// and the pooled reports' partition statistics come from it.
     prepared: Prepared,
     cfg: ServeConfig,
     /// The sequential machine every lane runs as:
     /// [`ServeConfig::max_hops`] on the evaluation configuration.
     machine: MachineConfig,
     walker: Walker,
+    /// The marker tables every lane runs in; each run resets them.
+    region: Region,
     queue: VecDeque<Pending>,
     /// The batch being served.
     batch: Vec<Pending>,
@@ -183,6 +185,7 @@ impl Server {
         };
         Ok(Server {
             walker: Walker::new(),
+            region: Region::new(ClusterId(0), Arc::clone(prepared.map()), &network),
             network,
             prepared,
             cfg,
@@ -259,12 +262,12 @@ impl Server {
                 let mut ctx = self
                     .pool
                     .pop()
-                    .unwrap_or_else(|| QueryContext::new(&self.prepared, &self.network));
+                    .unwrap_or_else(|| QueryContext::new(&self.prepared));
                 ctx.outcome = self.walker.run(
                     &self.machine,
                     &self.cfg.cost,
                     &self.network,
-                    &mut ctx.region,
+                    &mut self.region,
                     &p.program,
                     &mut ctx.report,
                 );
@@ -273,10 +276,7 @@ impl Server {
                 self.uniq.len() - 1
             });
             let ctx = &self.active[lane];
-            let result = match &ctx.outcome {
-                Ok(()) => Ok(&ctx.report),
-                Err(e) => Err(e),
-            };
+            let result = ctx.outcome.as_ref().map(|_| &ctx.report);
             match result {
                 Ok(_) => self.stats.completed += 1,
                 Err(_) => self.stats.failed += 1,
@@ -310,8 +310,8 @@ impl Server {
         self.queue.len()
     }
 
-    /// Idle pooled contexts (diagnostic: steady-state serving holds
-    /// this at the most lanes one batch has had, allocating nothing new).
+    /// Idle pooled reports (diagnostic: steady-state serving holds this
+    /// at the most lanes one batch has had, allocating nothing new).
     pub fn pool_size(&self) -> usize {
         self.pool.len()
     }

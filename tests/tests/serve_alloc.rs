@@ -334,6 +334,71 @@ fn warm_solo_call_allocates_no_map_or_partition_tables() {
 }
 
 #[test]
+fn a_deep_pump_holds_the_node_count_sized_tables_of_a_depth_one_server() {
+    let mut kb = DomainSpec::sized(12_000).build().expect("parse KB");
+    kb.network.flush_links();
+    let nouns: Vec<NodeId> = kb
+        .words(PartOfSpeech::Noun)
+        .iter()
+        .filter_map(|w| kb.word(w))
+        .collect();
+    let net = Arc::new(kb.network);
+    let programs: Vec<Program> = nouns.iter().take(16).map(|&n| parse_query(n)).collect();
+    // A marker value row is twice this per node; collects, reports and
+    // the queue stay far below it.
+    let large_at = net.node_count() * 4;
+
+    // Stand a server up and serve the 16 distinct queries twice, every
+    // node-count-sized table it takes counted from construction on.
+    let serve = |max_batch| {
+        let cfg = ServeConfig {
+            max_batch,
+            ..ServeConfig::default()
+        };
+        let rounds = [programs.clone(), programs.clone()];
+        counted(large_at, || {
+            let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
+            for round in rounds {
+                for p in round {
+                    assert!(matches!(server.offer(p), Admission::Admitted(_)));
+                }
+                while server.queue_len() > 0 {
+                    server.pump_with(|c| {
+                        c.result.expect("query succeeds");
+                    });
+                }
+            }
+            server
+        })
+    };
+    let (_, alone) = serve(1);
+    let (mut server, deep) = serve(16);
+    assert!(alone.large >= 1, "the probe sees the tables: {alone:?}");
+    // Sixteen lanes a pump run in the server's one region: no more
+    // marker tables than one lane a pump.
+    assert_eq!(
+        (deep.large, deep.large_bytes),
+        (alone.large, alone.large_bytes),
+        "depth 16 against depth 1"
+    );
+
+    // The warm deep pump allocates nothing at all.
+    for p in programs.clone() {
+        assert!(matches!(server.offer(p), Admission::Admitted(_)));
+    }
+    let mut served = 0;
+    let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
+        server.pump_with(|c| {
+            assert_eq!(c.batch_depth, 16);
+            c.result.expect("warm query succeeds");
+            served += 1;
+        });
+    });
+    assert_eq!((served, allocs), (16, 0), "one warm pump of 16 lanes");
+    server.assert_accounting();
+}
+
+#[test]
 fn warm_exclusive_runs_allocate_no_map_or_partition_tables() {
     let kb = DomainSpec::sized(12_000).build().expect("parse KB");
     let nouns: Vec<NodeId> = kb

@@ -20,6 +20,7 @@ use snap_core::{Cm2, CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid;
 use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
 use snap_kb::{Color, KbError, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
+use snap_nlu::{kb::rel, DomainSpec, PartOfSpeech};
 use snap_serve::{Admission, Completion, ServeConfig, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -136,6 +137,78 @@ fn served_batches_match_serial_runs_across_grid() {
 /// queries that must not notice and with exact accounting. Each program
 /// carries a second, different fault after the bad register, so the
 /// error also says which instruction the run stopped at.
+/// One lane of the benchmark's parse-KB serve streams: seed `node`,
+/// propagate by `rule` into `target`, collect it.
+fn kb_query(node: NodeId, rule: PropRule, func: StepFunc, target: Marker) -> Program {
+    Program::builder()
+        .search_node(node, Marker::binary(1), 0.0)
+        .propagate(Marker::binary(1), target, rule, func)
+        .collect_marker(target)
+        .build()
+}
+
+#[test]
+fn a_lane_failing_mid_propagation_leaves_the_shared_region_clean() {
+    let mut kb = DomainSpec::sized(2_000).build().expect("parse KB");
+    kb.network.flush_links();
+    let nouns: Vec<NodeId> = kb
+        .words(PartOfSpeech::Noun)
+        .iter()
+        .filter_map(|w| kb.word(w))
+        .collect();
+    let (categories, net) = (kb.categories, Arc::new(kb.network));
+    // Every fourth lane's search marks its noun in the server's one
+    // region, then its `PROPAGATE` fails on a target register out of
+    // range; the next lane seeds from that same source marker. The
+    // clean lanes are the three shapes of the serve workloads: the
+    // parse query, a climb and a descent from a category.
+    let lane = |i: usize| {
+        let noun = nouns[i * 7 % nouns.len()];
+        let (rule, func, target) = match i % 4 {
+            0 => (
+                PropRule::Star(rel::IS_A),
+                StepFunc::AddWeight,
+                Marker::complex(70),
+            ),
+            1 => (
+                PropRule::Spread(rel::IS_A, rel::ELEM_OF),
+                StepFunc::AddWeight,
+                Marker::complex(2),
+            ),
+            2 => (
+                PropRule::Star(rel::IS_A),
+                StepFunc::AddWeight,
+                Marker::complex(3),
+            ),
+            _ => {
+                let category = categories[i * 5 % categories.len()];
+                let rule = PropRule::Star(rel::SUBSUMES);
+                return kb_query(category, rule, StepFunc::Identity, Marker::binary(2));
+            }
+        };
+        kb_query(noun, rule, func, target)
+    };
+    let offered: Vec<Program> = (0..16).map(lane).collect();
+    let cfg = ServeConfig::default();
+    let mut server = Server::new(Arc::clone(&net), cfg.clone()).expect("flushed snapshot");
+    for p in &offered {
+        assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
+    }
+    let done = server.pump();
+    assert_eq!(done.len(), 16, "one pump serves every lane");
+    for (i, (c, p)) in done.iter().zip(&offered).enumerate() {
+        let want = serial_oracle(&cfg).run_shared(&net, p);
+        assert_isolated(&format!("lane {i}"), c, &want);
+        assert_eq!(c.result.is_err(), i % 4 == 0, "lane {i}");
+        if let Ok(report) = &c.result {
+            assert!(!report.collects[0].is_empty(), "lane {i} reached nothing");
+        }
+    }
+    let s = server.stats();
+    assert_eq!((s.completed, s.failed), (12, 4));
+    server.assert_accounting();
+}
+
 #[test]
 fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
     let out_of_range = CoreError::Kb(KbError::MarkerOutOfRange {
