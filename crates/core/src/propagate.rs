@@ -77,7 +77,8 @@ impl crate::envelope::Corruptible for PropTask {
 /// on that order for reproducible scheduling, so a single-arc state reads
 /// its run directly and multi-arc states merge their runs by rank (at
 /// most [`MAX_RULE_ARCS`] of them, which `RuleProgram` enforces). The
-/// cost units are unchanged by construction: the hardware fetches every
+/// first arc's run comes from the row probe that yields the cost units,
+/// which are unchanged by construction: the hardware fetches every
 /// relation slot of the node regardless of how many match, so
 /// `links_scanned` stays the node's full fanout and `segments` the
 /// segment-chain length.
@@ -104,12 +105,12 @@ pub fn expand_into(
     if state.is_terminal() {
         return (0, 0);
     }
-    let segments = network.segments(task.node);
-    let links_scanned = network.fanout(task.node);
+    // One row probe for the cost units and the first arc's run.
     let arcs = state.arcs();
+    let (segments, links_scanned, run, ranks) =
+        network.ranked_links_with_cost(task.node, arcs[0].relation);
     if let [arc] = arcs {
         // One arc: the relation run is already in insertion order.
-        let (run, _) = network.ranked_links_by(task.node, arc.relation);
         arrivals.reserve(run.len());
         for link in run {
             arrivals.push(PropArrival {
@@ -125,8 +126,9 @@ pub fn expand_into(
     // and tie-break on arc index, exactly like the scan's inner loop.
     let mut runs = [(&[] as &[snap_kb::Link], &[] as &[u32]); MAX_RULE_ARCS];
     let mut cursors = [0usize; MAX_RULE_ARCS];
-    let mut total = 0;
-    for (slot, arc) in runs.iter_mut().zip(arcs) {
+    runs[0] = (run, ranks);
+    let mut total = run.len();
+    for (slot, arc) in runs.iter_mut().zip(arcs).skip(1) {
         *slot = network.ranked_links_by(task.node, arc.relation);
         total += slot.0.len();
     }

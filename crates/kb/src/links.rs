@@ -319,12 +319,36 @@ impl RelationTable {
     /// insertion-rank slice (used to merge multiple relation runs back
     /// into global insertion order).
     pub fn ranked_run(&self, node: NodeId, relation: RelationType) -> (&[Link], &[u32]) {
-        let Some(range) = self.node_range(node) else {
-            return (&[], &[]);
-        };
+        match self.node_range(node) {
+            Some(range) => self.run_in(range, relation),
+            None => (&[], &[]),
+        }
+    }
+
+    /// The links of relation `relation` within the row `range`, with
+    /// their ranks: the one run finder behind every run accessor. Rows
+    /// are sorted by (relation, rank). A single-segment row — the
+    /// overwhelmingly common case — is cheaper to scan linearly than to
+    /// binary-search; a longer one, a hub's, is binary-searched for
+    /// both ends of the run.
+    fn run_in(&self, range: std::ops::Range<usize>, relation: RelationType) -> (&[Link], &[u32]) {
         let row = &self.links[range.clone()];
-        let lo = row.partition_point(|l| l.relation.0 < relation.0);
-        let hi = row.partition_point(|l| l.relation.0 <= relation.0);
+        let (lo, hi) = if row.len() <= SLOTS_PER_NODE {
+            let mut lo = 0;
+            while lo < row.len() && row[lo].relation.0 < relation.0 {
+                lo += 1;
+            }
+            let mut hi = lo;
+            while hi < row.len() && row[hi].relation.0 == relation.0 {
+                hi += 1;
+            }
+            (lo, hi)
+        } else {
+            (
+                row.partition_point(|l| l.relation.0 < relation.0),
+                row.partition_point(|l| l.relation.0 <= relation.0),
+            )
+        };
         let (s, e) = (range.start + lo, range.start + hi);
         (&self.links[s..e], &self.ranks[s..e])
     }
@@ -358,28 +382,8 @@ impl RelationTable {
         } else {
             fanout.div_ceil(SLOTS_PER_NODE)
         };
-        let row = &self.links[range.clone()];
-        // Rows are sorted by (relation, rank). Single-segment rows — the
-        // overwhelmingly common case — are cheaper to scan linearly than
-        // to binary-search twice.
-        let (lo, hi) = if row.len() <= SLOTS_PER_NODE {
-            let mut lo = 0;
-            while lo < row.len() && row[lo].relation.0 < relation.0 {
-                lo += 1;
-            }
-            let mut hi = lo;
-            while hi < row.len() && row[hi].relation.0 == relation.0 {
-                hi += 1;
-            }
-            (lo, hi)
-        } else {
-            (
-                row.partition_point(|l| l.relation.0 < relation.0),
-                row.partition_point(|l| l.relation.0 <= relation.0),
-            )
-        };
-        let (s, e) = (range.start + lo, range.start + hi);
-        (segments, fanout, &self.links[s..e], &self.ranks[s..e])
+        let (run, ranks) = self.run_in(range, relation);
+        (segments, fanout, run, ranks)
     }
 
     /// Number of relation-table segments (1 + overflow subnodes) backing

@@ -233,6 +233,12 @@ mod tests {
                 ranks.windows(2).all(|w| w[0] < w[1]),
                 "ranks of {node:?} {relation:?}"
             );
+            // The plain run accessor finds the same run.
+            assert_eq!(
+                csr.ranked_run(node, relation),
+                (run, ranks),
+                "ranked_run of {node:?} {relation:?}"
+            );
         }
     }
 

@@ -6,14 +6,18 @@
 //! layer, built on [`Snap1::run_shared`](snap_core::Snap1::run_shared)
 //! semantics:
 //!
-//! * [`QueryContext`] — what one lane leaves behind: the report of its
-//!   run and its outcome, pooled and cleared in place so steady-state
-//!   serving recycles the per-query allocations;
+//! * [`QueryContext`] — what one lane leaves behind: the program it ran,
+//!   the report of that run and its outcome, pooled and cleared in
+//!   place so steady-state serving recycles the per-query allocations,
+//!   and kept as the answer to that program until a lane that misses
+//!   the pool takes the least recently used context;
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
 //!   with graceful shedding and exact accounting, plus a pump that
 //!   takes the oldest [`ServeConfig::max_batch`] queued queries (64 at
 //!   most) in arrival order, collapses bit-identical ones onto a single
-//!   lane whose result they share, and runs each lane as a
+//!   lane whose result they share, answers a lane whose program a
+//!   pooled context already ran from that context's report
+//!   ([`ServeStats::reused`]), and runs each other lane as a
 //!   sequential-engine run: [`Walker::run`](snap_core::exec::Walker::run),
 //!   the same program walker `Snap1::run` and `Snap1::run_shared` use
 //!   on that engine — one controller plan per query, `PROPAGATE`s as
@@ -31,10 +35,11 @@
 //! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)
 //! — the snapshot's one-region map and partition statistics, built once
 //! in [`Server::new`] — so one server = one `Prepared` = one epoch,
-//! expressed by the type rather than a number. Updates mean flushing
-//! links, wrapping the new network in an `Arc`, and standing up a new
-//! server. Maintenance programs are shed at admission for the same
-//! reason `run_shared` rejects them.
+//! expressed by the type rather than a number. It is also why a pooled
+//! report stays a valid answer for the server's whole life. Updates
+//! mean flushing links, wrapping the new network in an `Arc`, and
+//! standing up a new server. Maintenance programs are shed at admission
+//! for the same reason `run_shared` rejects them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 use crate::context::QueryContext;
 use snap_core::exec::Walker;
 use snap_core::{CoreError, CostModel, MachineConfig, Prepared, Region, RunReport};
-use snap_isa::{InstrClass, Program};
-use snap_kb::{ClusterId, PartitionScheme, SemanticNetwork};
+use snap_isa::{Instruction, Program};
+use snap_kb::{ClusterId, Marker, MarkerKind, PartitionScheme, SemanticNetwork};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -85,6 +85,10 @@ pub struct ServeStats {
     pub completed: u64,
     /// Admitted queries that failed with an error.
     pub failed: u64,
+    /// Lanes answered from a pooled report instead of running: each is
+    /// a program an earlier pump ran, which the pool still held. Its
+    /// queries count in `completed` or `failed` like any other.
+    pub reused: u64,
 }
 
 impl ServeStats {
@@ -125,7 +129,58 @@ pub struct CompletionRef<'a> {
 
 struct Pending {
     id: QueryId,
+    /// [`fingerprint`] of `program`: programs that differ here differ.
+    fingerprint: u64,
     program: Program,
+}
+
+/// The multiplier of [`fold`]: the 64-bit golden ratio.
+const FOLD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One multiply-rotate step of a fingerprint.
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(FOLD)
+}
+
+/// The fingerprint of a program a shared snapshot can run: a fold of
+/// each instruction's kind, the markers it names and its node, relation
+/// or colour id. Floats and rules are left out, so equal programs share
+/// a fingerprint and `Program ==` confirms every match. `None` when the
+/// program holds a maintenance instruction: [`Server::offer`] sheds it,
+/// in this one pass over the instructions.
+fn fingerprint(program: &Program) -> Option<u64> {
+    use Instruction::*;
+    // A marker register as nine bits: its index and its kind.
+    let m = |m: &Marker| u64::from(m.index()) << 1 | u64::from(m.kind() == MarkerKind::Binary);
+    let mut h = 0;
+    for instruction in program {
+        let (kind, markers, id) = match instruction {
+            SearchNode { node, marker, .. } => (0, m(marker), u64::from(node.0)),
+            SearchRelation {
+                relation, marker, ..
+            } => (1, m(marker), u64::from(relation.0)),
+            SearchColor { color, marker, .. } => (2, m(marker), u64::from(color.0)),
+            Propagate { source, target, .. } => (3, m(source) | m(target) << 16, 0),
+            AndMarker { a, b, target, .. } => (4, m(a) | m(b) << 16 | m(target) << 32, 0),
+            OrMarker { a, b, target, .. } => (5, m(a) | m(b) << 16 | m(target) << 32, 0),
+            NotMarker { source, target } => (6, m(source) | m(target) << 16, 0),
+            SetMarker { marker, .. } => (7, m(marker), 0),
+            ClearMarker { marker } => (8, m(marker), 0),
+            FuncMarker { marker, .. } => (9, m(marker), 0),
+            CollectMarker { marker } => (10, m(marker), 0),
+            CollectRelation { marker, relation } => (11, m(marker), u64::from(relation.0)),
+            CollectColor { marker } => (12, m(marker), 0),
+            Barrier => (13, 0, 0),
+            Create { .. }
+            | Delete { .. }
+            | SetColor { .. }
+            | MarkerCreate { .. }
+            | MarkerDelete { .. }
+            | MarkerSetColor { .. } => return None,
+        };
+        h = fold(fold(h, kind | markers << 8), id);
+    }
+    Some(h)
 }
 
 /// A query server over one immutable KB snapshot.
@@ -142,6 +197,17 @@ struct Pending {
 /// region, pooled reports, the walker's scratch — is kept here, so
 /// steady-state serving ([`Server::pump_with`] after warm-up) performs
 /// no heap allocation per query.
+///
+/// The snapshot never changes, so a pooled report stays the answer to
+/// the program that produced it for the server's life: a lane asking a
+/// program the pool holds completes from that report, error included,
+/// without running ([`ServeStats::reused`]). A query's fingerprint —
+/// a multiply-rotate fold of its instructions' kinds and integer
+/// operands, taken in the pass [`offer`](Server::offer) makes anyway —
+/// screens both that lookup and in-pump coalescing before `Program ==`
+/// confirms a match. A lane that misses runs in the least recently used
+/// context, so the pool is a FIFO of answers no longer than the most
+/// lanes one pump has had.
 pub struct Server {
     network: Arc<SemanticNetwork>,
     /// The snapshot's one-region set-up, built once here: the region
@@ -159,10 +225,17 @@ pub struct Server {
     batch: Vec<Pending>,
     /// Indices into `batch`: one per distinct program (lane owners).
     uniq: Vec<usize>,
-    pool: Vec<QueryContext>,
+    /// Every context the server has made; `pool` and `active` index it,
+    /// so a context never moves.
+    contexts: Vec<QueryContext>,
+    /// Idle contexts, least recently used first, each with the
+    /// fingerprint of the program it answers: a lane that runs takes
+    /// the front, a finished one goes to the back. A lookup reads these
+    /// pairs, and a context only when its fingerprint matches.
+    pool: VecDeque<(u64, usize)>,
     /// Contexts checked out for the batch in flight: `active[j]` is the
     /// lane `batch[uniq[j]]` owns.
-    active: Vec<QueryContext>,
+    active: Vec<usize>,
     stats: ServeStats,
     next_id: u64,
 }
@@ -193,7 +266,8 @@ impl Server {
             queue: VecDeque::new(),
             batch: Vec::new(),
             uniq: Vec::new(),
-            pool: Vec::new(),
+            contexts: Vec::new(),
+            pool: VecDeque::new(),
             active: Vec::new(),
             stats: ServeStats::default(),
             next_id: 0,
@@ -205,14 +279,10 @@ impl Server {
     /// shared snapshot. Every offer is accounted exactly once.
     pub fn offer(&mut self, program: Program) -> Admission {
         self.stats.offered += 1;
-        if program
-            .instructions()
-            .iter()
-            .any(|i| i.class() == InstrClass::Maintenance)
-        {
+        let Some(fingerprint) = fingerprint(&program) else {
             self.stats.shed_invalid += 1;
             return Admission::Shed(ShedReason::Maintenance);
-        }
+        };
         if self.queue.len() >= self.cfg.queue_capacity {
             self.stats.shed_overload += 1;
             return Admission::Shed(ShedReason::QueueFull);
@@ -220,14 +290,19 @@ impl Server {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.stats.admitted += 1;
-        self.queue.push_back(Pending { id, program });
+        self.queue.push_back(Pending {
+            id,
+            fingerprint,
+            program,
+        });
         Admission::Admitted(id)
     }
 
     /// Serves one batch: the oldest [`ServeConfig::max_batch`] queued
     /// queries, with bit-identical queries coalesced onto a single lane
-    /// and sharing its result. Returns their completions in admission
-    /// order (empty when the queue is idle).
+    /// and sharing its result, and a lane whose program the pool has
+    /// answered before completed from that answer. Returns their
+    /// completions in admission order (empty when the queue is idle).
     ///
     /// This convenience form clones each report out of its pooled
     /// context; the steady-state serving loop uses
@@ -254,28 +329,51 @@ impl Server {
         // One lane per *distinct* program: a duplicate shares its
         // lane's result and skips execution entirely — the report of an
         // identical program on an immutable snapshot is identical by
-        // construction (the differential tests pin this down).
+        // construction (the differential tests pin this down). For the
+        // same reason a lane whose program a pooled context answers
+        // takes that context and does not run either; any other lane
+        // runs in the least recently used one.
         self.uniq.clear();
         for (i, p) in self.batch.iter().enumerate() {
-            let owns = |&u: &usize| self.batch[u].program == p.program;
+            let owns = |&u: &usize| {
+                let q = &self.batch[u];
+                q.fingerprint == p.fingerprint && q.program == p.program
+            };
             let lane = self.uniq.iter().position(owns).unwrap_or_else(|| {
-                let mut ctx = self
-                    .pool
-                    .pop()
-                    .unwrap_or_else(|| QueryContext::new(&self.prepared));
-                ctx.outcome = self.walker.run(
-                    &self.machine,
-                    &self.cfg.cost,
-                    &self.network,
-                    &mut self.region,
-                    &p.program,
-                    &mut ctx.report,
-                );
-                self.active.push(ctx);
+                let contexts = &mut self.contexts;
+                let pooled = self.pool.iter().position(|&(f, k)| {
+                    f == p.fingerprint && contexts[k].program.as_ref() == Some(&p.program)
+                });
+                let k = match pooled.and_then(|at| self.pool.remove(at)) {
+                    Some((_, k)) => {
+                        self.stats.reused += 1;
+                        k
+                    }
+                    None => {
+                        let k = match self.pool.pop_front() {
+                            Some((_, k)) => k,
+                            None => {
+                                contexts.push(QueryContext::new(&self.prepared));
+                                contexts.len() - 1
+                            }
+                        };
+                        let ctx = &mut contexts[k];
+                        ctx.outcome = self.walker.run(
+                            &self.machine,
+                            &self.cfg.cost,
+                            &self.network,
+                            &mut self.region,
+                            &p.program,
+                            &mut ctx.report,
+                        );
+                        k
+                    }
+                };
+                self.active.push(k);
                 self.uniq.push(i);
                 self.uniq.len() - 1
             });
-            let ctx = &self.active[lane];
+            let ctx = &self.contexts[self.active[lane]];
             let result = ctx.outcome.as_ref().map(|_| &ctx.report);
             match result {
                 Ok(_) => self.stats.completed += 1,
@@ -287,7 +385,14 @@ impl Server {
                 result,
             });
         }
-        self.pool.append(&mut self.active);
+        // Each lane's context now answers its owner's program: move the
+        // program in, and the context to the back of the pool.
+        for (&k, &owner) in self.active.iter().zip(&self.uniq) {
+            let p = &mut self.batch[owner];
+            self.contexts[k].program = Some(std::mem::take(&mut p.program));
+            self.pool.push_back((p.fingerprint, k));
+        }
+        self.active.clear();
         self.batch.clear();
     }
 
@@ -310,8 +415,10 @@ impl Server {
         self.queue.len()
     }
 
-    /// Idle pooled reports (diagnostic: steady-state serving holds this
-    /// at the most lanes one batch has had, allocating nothing new).
+    /// Idle pooled contexts, each the answer to the last program it
+    /// ran (diagnostic: the pool never holds more than the most lanes
+    /// one pump has had, so steady-state serving allocates nothing new,
+    /// and it answers at most that many distinct programs).
     pub fn pool_size(&self) -> usize {
         self.pool.len()
     }
@@ -344,7 +451,8 @@ mod tests {
     use super::*;
     use snap_core::{EngineKind, Snap1};
     use snap_isa::{
-        Cmp, Instruction, PropRule, RuleArc, RuleProgram, RuleState, StepFunc, ValueFunc,
+        Cmp, InstrClass, Instruction, PropRule, RuleArc, RuleProgram, RuleState, StepFunc,
+        ValueFunc,
     };
     use snap_kb::synth::scale_free_network;
     use snap_kb::{Marker, NodeId, RelationType};
@@ -596,17 +704,48 @@ mod tests {
     fn maintenance_programs_are_shed_as_invalid() {
         let net = snapshot();
         let mut server = Server::new(net, ServeConfig::default()).unwrap();
-        let program = Program::builder()
-            .instruction(Instruction::SetColor {
-                node: NodeId(0),
-                color: snap_kb::Color(7),
-            })
-            .build();
-        assert_eq!(
-            server.offer(program),
-            Admission::Shed(ShedReason::Maintenance)
-        );
-        assert_eq!(server.stats().shed_invalid, 1);
+        let (node, relation, color) = (NodeId(0), RelationType(1), snap_kb::Color(7));
+        let marker = Marker::binary(1);
+        let maintenance = [
+            Instruction::Create {
+                source: node,
+                relation,
+                weight: 1.0,
+                destination: node,
+            },
+            Instruction::Delete {
+                source: node,
+                relation,
+                destination: node,
+            },
+            Instruction::SetColor { node, color },
+            Instruction::MarkerCreate {
+                marker,
+                forward: relation,
+                end: node,
+                reverse: relation,
+            },
+            Instruction::MarkerDelete {
+                marker,
+                forward: relation,
+                end: node,
+                reverse: relation,
+            },
+            Instruction::MarkerSetColor { marker, color },
+        ];
+        for instruction in maintenance {
+            assert_eq!(instruction.class(), InstrClass::Maintenance);
+            // Behind a query, so the whole program is looked at.
+            let program = Program::builder()
+                .search_node(node, marker, 0.0)
+                .instruction(instruction)
+                .build();
+            assert_eq!(
+                server.offer(program),
+                Admission::Shed(ShedReason::Maintenance)
+            );
+        }
+        assert_eq!(server.stats().shed_invalid, 6);
         server.assert_accounting();
     }
 
@@ -703,6 +842,119 @@ mod tests {
         }
         server.assert_accounting();
         assert_eq!(server.stats().completed, 6);
+    }
+
+    #[test]
+    fn a_program_repeated_in_the_next_pump_does_not_run_again() {
+        let net = snapshot();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        server.offer(query(7));
+        server.offer(spread_query(7));
+        assert_eq!(server.pump().len(), 2);
+        assert_eq!(server.stats().reused, 0, "a cold pool answers nothing");
+        // The next pump asks both again, once twice: two lanes, both
+        // answered from the pool, and one duplicate coalesced onto one.
+        for p in [spread_query(7), query(7), spread_query(7)] {
+            server.offer(p);
+        }
+        let done = server.pump();
+        assert_eq!(server.stats().reused, 2, "neither program ran again");
+        assert_eq!(server.pool_size(), 2);
+        let oracle = oracle();
+        for (c, p) in done
+            .iter()
+            .zip([spread_query(7), query(7), spread_query(7)])
+        {
+            assert_eq!(c.result, oracle.run_shared(&net, &p));
+            assert_eq!(c.batch_depth, 3);
+        }
+        assert_eq!(done.iter().map(|c| c.id.0).collect::<Vec<_>>(), [2, 3, 4]);
+        server.assert_accounting();
+        assert_eq!(server.stats().completed, 5);
+    }
+
+    #[test]
+    fn a_failing_program_answered_from_the_pool_fails_alike() {
+        let net = snapshot();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        // Node 300 is past the KB: the search fails.
+        let want = oracle().run_shared(&net, &query(300));
+        assert!(want.is_err());
+        server.offer(query(300));
+        let first = server.pump();
+        server.offer(query(300));
+        let second = server.pump();
+        assert_eq!(server.stats().reused, 1, "the second pump ran nothing");
+        assert_eq!(first[0].result, want);
+        assert_eq!(second[0].result, want, "the same error, without running");
+        let s = server.stats();
+        assert_eq!((s.completed, s.failed), (0, 2));
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn a_nan_program_is_never_answered_from_the_pool() {
+        let net = snapshot();
+        let program = Program::builder()
+            .search_node(NodeId(3), Marker::complex(2), 0.0)
+            .func_marker(Marker::complex(2), ValueFunc::KeepIf(Cmp::Lt, f32::NAN))
+            .collect_marker(Marker::complex(2))
+            .build();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        let want = oracle().run_shared(&net, &program);
+        for _ in 0..3 {
+            server.offer(program.clone());
+            assert_eq!(server.pump()[0].result, want);
+        }
+        assert_eq!(server.stats().reused, 0, "NaN equals nothing");
+        assert_eq!(server.pool_size(), 1, "each run overwrote the one answer");
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn a_miss_overwrites_the_least_recently_used_answer() {
+        let net = snapshot();
+        let cfg = ServeConfig {
+            max_batch: 2,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
+        let (a, b, c) = (query(1), query(2), query(3));
+        let oracle = oracle();
+        // Each step: the programs one pump serves, and `reused` after it.
+        // The pool (least recently used first) goes [a b], [b c] — `c`
+        // overwrote `a` —, [c b] — `b` was used —, [b a] — `a`
+        // overwrote `c` —, [a b].
+        let steps = [
+            (vec![&a, &b], 0),
+            (vec![&c], 0),
+            (vec![&b], 1),
+            (vec![&a], 1),
+            (vec![&b], 2),
+        ];
+        for (step, (programs, reused)) in steps.into_iter().enumerate() {
+            for p in &programs {
+                server.offer((*p).clone());
+            }
+            for (done, p) in server.pump().iter().zip(&programs) {
+                assert_eq!(done.result, oracle.run_shared(&net, p), "step {step}");
+            }
+            assert_eq!(server.stats().reused, reused, "step {step}");
+            assert_eq!(server.pool_size(), 2, "step {step}");
+        }
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn equal_programs_share_a_fingerprint() {
+        let programs = [query(7), spread_query(7), once_query(7), query(8)];
+        for p in &programs {
+            assert_eq!(fingerprint(p), fingerprint(&p.clone()));
+        }
+        let mut prints: Vec<u64> = programs.iter().map(|p| fingerprint(p).unwrap()).collect();
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(prints.len(), programs.len());
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn steady_state_pump_allocates_nothing_per_query() {
         (PropRule::Star(r0), Marker::binary(2)),
     ];
     // Distinct seeds so every query takes its own lane (no coalescing
-    // shortcut) and the batch runs one wave per lane.
+    // shortcut).
     let seeds = [0u32, 17, 42, 99, 123, 200, 250, 299];
     let programs: Vec<Program> = seeds
         .iter()
@@ -185,7 +185,10 @@ fn steady_state_pump_allocates_nothing_per_query() {
 
     // Warm-up: several full offer-and-drain rounds grow every pool to
     // its steady-state footprint (the queue, contexts, wave scratch,
-    // report maps, the compiled-rule cache).
+    // report maps, the compiled-rule cache). 24 distinct programs round
+    // robin through a pool of 8 answers: every lane misses and runs.
+    // Every pump here has 8 distinct programs, so 8 lanes, and the pool
+    // may never hold more contexts than that.
     for _ in 0..3 {
         for p in &programs {
             assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
@@ -194,40 +197,75 @@ fn steady_state_pump_allocates_nothing_per_query() {
             server.pump_with(|c| {
                 c.result.expect("warm-up query succeeds");
             });
+            assert!(server.pool_size() <= 8, "more answers than lanes");
         }
     }
 
-    // Measured round: programs are cloned before the counter is armed
+    // Measured rounds: programs are cloned before the counter is armed
     // (cloning a Program allocates, and that is the client's work), then
     // admission and the drain — the path the throughput bench times —
     // each run under the armed counter. A warm offer moves the program
-    // into the queue and looks at nothing but its instruction classes.
-    let clones = programs.clone();
-    let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
-        for p in clones {
-            assert!(matches!(server.offer(p), Admission::Admitted(_)));
-        }
-    });
-    assert_eq!(allocs, 0, "warm admission allocated {allocs} time(s)");
-    let mut served = 0u64;
-    let mut reached = 0usize;
-    let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
-        while server.queue_len() > 0 {
-            server.pump_with(|c| {
-                let report = c.result.expect("measured query succeeds");
-                assert_eq!(c.batch_depth, 8, "full batches, three shapes in each");
-                reached += report.collects[0].len();
-                served += 1;
-            });
-        }
-    });
-
-    assert_eq!(served, programs.len() as u64, "every offer completed");
-    assert!(reached > served as usize, "the waves went somewhere");
+    // into the queue and reads nothing but its instructions.
+    let mut measure = |label: &str, stream: &[usize]| {
+        let clones: Vec<Program> = stream.iter().map(|&i| programs[i].clone()).collect();
+        let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
+            for p in clones {
+                assert!(matches!(server.offer(p), Admission::Admitted(_)));
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{label}: warm admission allocated {allocs} time(s)"
+        );
+        let reused = server.stats().reused;
+        let mut served = 0u64;
+        let mut reached = 0usize;
+        let mut pool = 0;
+        let ((), Counts { allocs, .. }) = counted(usize::MAX, || {
+            while server.queue_len() > 0 {
+                server.pump_with(|c| {
+                    let report = c.result.expect("measured query succeeds");
+                    assert_eq!(c.batch_depth, 8, "full batches, three shapes in each");
+                    reached += report.collects[0].len();
+                    served += 1;
+                });
+                pool = pool.max(server.pool_size());
+            }
+        });
+        assert_eq!(
+            served,
+            stream.len() as u64,
+            "{label}: every offer completed"
+        );
+        assert!(
+            reached > served as usize,
+            "{label}: the waves went somewhere"
+        );
+        assert_eq!(
+            allocs, 0,
+            "{label}: steady-state pump allocated {allocs} time(s) serving {served} queries"
+        );
+        assert!(pool <= 8, "{label}: {pool} answers, at most 8 lanes a pump");
+        server.stats().reused - reused
+    };
+    // Misses: the 24 round robin again, every lane runs.
+    let all: Vec<usize> = (0..programs.len()).collect();
+    assert_eq!(measure("misses", &all), 0, "every lane ran");
+    // Both: the pool answers 16..24, least recently used first. Each pump
+    // asks four of its newest answers again and four programs it does
+    // not hold, which overwrite its four oldest answers.
+    let mixed: Vec<usize> = [0, 4, 8]
+        .iter()
+        .flat_map(|&k| (16..20).chain(k..k + 4))
+        .collect();
     assert_eq!(
-        allocs, 0,
-        "steady-state pump allocated {allocs} time(s) serving {served} queries"
+        measure("hits and misses", &mixed),
+        12,
+        "four of eight lanes"
     );
+    // Hits: the last pump's eight programs, all answered from the pool.
+    let last: Vec<usize> = mixed[16..].to_vec();
+    assert_eq!(measure("hits", &last), 8, "no lane ran");
     server.assert_accounting();
 }
 

@@ -13,15 +13,19 @@
 //!   each random program several times so batches mix duplicates (the
 //!   coalescing path) with distinct shapes and, now and then, a rule
 //!   as wide as a rule state may be or a query that fails beside
-//!   siblings that must not notice.
+//!   siblings that must not notice;
+//! * a **pooled-answer sweep** over streams that repeat a few programs
+//!   across pumps, Zipf-like, so most lanes are answered from a report
+//!   an earlier pump left in the pool — a failing program's included,
+//!   and never one with a NaN constant, which equals nothing.
 
 use proptest::prelude::*;
 use snap_core::{Cm2, CoreError, EngineKind, MachineConfig, RunReport, Snap1};
 use snap_integration_tests::grid;
-use snap_isa::{Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc};
+use snap_isa::{Cmp, Program, PropRule, RuleArc, RuleProgram, RuleState, StepFunc, ValueFunc};
 use snap_kb::{Color, KbError, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
 use snap_nlu::{kb::rel, DomainSpec, PartOfSpeech};
-use snap_serve::{Admission, Completion, ServeConfig, Server};
+use snap_serve::{Admission, Completion, ServeConfig, ServeStats, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -61,33 +65,45 @@ fn serve_all(
     copies: usize,
     depth: usize,
 ) -> Vec<(usize, Completion)> {
-    let total = programs.len() * copies;
+    let stream: Vec<usize> = (0..copies).flat_map(|_| 0..programs.len()).collect();
+    serve_stream(net, programs, &stream, depth, stream.len()).0
+}
+
+/// Serves the stream of program indices `stream` at `depth`, offering
+/// `burst` queries between pumps and draining at the end. Returns the
+/// completions paired with the index of the program they carried, and
+/// the server's final counters.
+fn serve_stream(
+    net: &Arc<SemanticNetwork>,
+    programs: &[Program],
+    stream: &[usize],
+    depth: usize,
+    burst: usize,
+) -> (Vec<(usize, Completion)>, ServeStats) {
     let cfg = ServeConfig {
         max_batch: depth,
-        queue_capacity: total,
+        queue_capacity: stream.len(),
         ..ServeConfig::default()
     };
     let mut server = Server::new(Arc::clone(net), cfg).expect("flushed snapshot");
-    let mut offered: Vec<usize> = Vec::with_capacity(total);
-    for _ in 0..copies {
-        for (pi, p) in programs.iter().enumerate() {
-            match server.offer(p.clone()) {
-                Admission::Admitted(id) => {
-                    assert_eq!(id.0 as usize, offered.len(), "IDs are dense");
-                    offered.push(pi);
-                }
-                Admission::Shed(why) => panic!("capacity covers all offers: {why:?}"),
-            }
+    let mut done = Vec::with_capacity(stream.len());
+    for (nth, &pi) in stream.iter().enumerate() {
+        match server.offer(programs[pi].clone()) {
+            Admission::Admitted(id) => assert_eq!(id.0 as usize, nth, "IDs are dense"),
+            Admission::Shed(why) => panic!("capacity covers all offers: {why:?}"),
+        }
+        if (nth + 1) % burst == 0 {
+            done.extend(server.pump());
         }
     }
-    let done = server.drain();
+    done.extend(server.drain());
     server.assert_accounting();
-    assert_eq!(done.len(), total, "every admitted query completes");
+    assert_eq!(done.len(), stream.len(), "every admitted query completes");
     let served = done.into_iter().enumerate().map(|(nth, c)| {
         assert_eq!(c.id.0 as usize, nth, "completion order is admission order");
-        (offered[nth], c)
+        (stream[nth], c)
     });
-    served.collect()
+    (served.collect(), server.stats())
 }
 
 /// The deterministic grid: shared KBs × batch depth, plus the same
@@ -479,5 +495,86 @@ fn served_batches_match_serial_runs_on_fuzzed_inputs() {
     assert!(
         WIDEST_RULES.load(Ordering::Relaxed) > 0,
         "no generated query carried an eight-arc rule state"
+    );
+}
+
+// ---- answers from the pool equal fresh runs ----
+
+/// Zipf(1) over eight ranks, as integer weights `840 / rank`.
+const ZIPF_8: [u32; 8] = [840, 420, 280, 210, 168, 140, 120, 105];
+
+/// The rank a draw in `0..ZIPF_8.iter().sum()` falls on.
+fn zipf_rank(mut draw: u32) -> usize {
+    ZIPF_8
+        .iter()
+        .position(|&w| {
+            let hit = draw < w;
+            draw = draw.saturating_sub(w);
+            hit
+        })
+        .expect("draw below the total weight")
+}
+
+/// Lanes answered from the pool, over all cases of the sweep below.
+static REUSED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    // Not a `#[test]` itself: the wrapper below runs the cases and then
+    // checks that the pool answered lanes. Cases follow
+    // `PROPTEST_CASES`.
+    fn pooled_answers_cases(
+        spec in net_strategy(),
+        clean in proptest::collection::vec(query_strategy(), 7),
+        draws in proptest::collection::vec(0u32..2283, 16..96),
+        depth in prop_oneof![Just(1usize), Just(4), Just(16)],
+        burst in 1usize..24,
+    ) {
+        let net = Arc::new(build_net(&spec));
+        // Rank 1 fails at its search, rank 2 carries a NaN constant
+        // (`value < NaN` never holds, so its report is NaN-free, but the
+        // program equals nothing), the rest run clean.
+        let mut programs: Vec<Program> = clean
+            .iter()
+            .map(|q| build_query(&QuerySpec { fault: Fault::None, ..q.clone() }, spec.nodes))
+            .collect();
+        let failing = QuerySpec { fault: Fault::NodePastKb, ..clean[1].clone() };
+        programs.insert(1, build_query(&failing, spec.nodes));
+        let mut nan = programs[2].clone();
+        nan.push(snap_isa::Instruction::FuncMarker {
+            marker: Marker::complex(2),
+            func: ValueFunc::KeepIf(Cmp::Lt, f32::NAN),
+        });
+        nan.push(snap_isa::Instruction::CollectMarker { marker: Marker::complex(2) });
+        programs[2] = nan;
+        prop_assert_ne!(&programs[2], &programs[2].clone());
+        let oracle = serial_oracle(&ServeConfig::default());
+        let solo: Vec<Result<RunReport, CoreError>> = programs
+            .iter()
+            .map(|p| oracle.run_shared(&net, p))
+            .collect();
+        prop_assert!(solo[1].is_err());
+        let stream: Vec<usize> = draws.iter().map(|&d| zipf_rank(d)).collect();
+        let (served, stats) = serve_stream(&net, &programs, &stream, depth, burst);
+        for (pi, c) in served {
+            assert_isolated(&format!("pooled #{pi} depth {depth}"), &c, &solo[pi]);
+        }
+        // At most one lane per query, and a NaN program's never reused:
+        // every one of its queries ran.
+        let nan_queries = stream.iter().filter(|&&pi| pi == 2).count() as u64;
+        prop_assert!(stats.reused + nan_queries <= stream.len() as u64);
+        REUSED.fetch_add(stats.reused as usize, Ordering::Relaxed);
+    }
+}
+
+/// Streams that repeat eight programs across pumps at depths 1, 4 and
+/// 16: every completion — answered from the pool, coalesced or run —
+/// equals the program's solo `run_shared` report or error, in arrival
+/// order, with exact accounting.
+#[test]
+fn pooled_answers_equal_fresh_runs() {
+    pooled_answers_cases();
+    assert!(
+        REUSED.load(Ordering::Relaxed) > 0,
+        "no generated stream was answered from the pool"
     );
 }
