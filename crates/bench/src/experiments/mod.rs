@@ -17,22 +17,88 @@ pub mod table4;
 
 use crate::ExperimentOutput;
 
-/// Runs every experiment in paper order.
-pub fn run_all(quick: bool) -> Vec<ExperimentOutput> {
-    vec![
-        table1::run(quick),
-        fig06::run(quick),
-        fig08::run(quick),
-        table4::run(quick),
-        fig15::run(quick),
-        fig16::run(quick),
-        fig17::run(quick),
-        fig18::run(quick),
-        fig19::run(quick),
-        fig20::run(quick),
-        fig21::run(quick),
-        beta::run(quick),
-        projection::run(quick),
-        ablations::run(quick),
-    ]
+/// One experiment: its id and the function that runs it (`true` asks
+/// for the reduced `--quick` sizes).
+pub type Experiment = (&'static str, fn(bool) -> ExperimentOutput);
+
+/// Every experiment, in paper order. Each id is the
+/// [`ExperimentOutput::id`] its `run` returns, so it names the files the
+/// experiment writes under `results/`.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    ("table1", table1::run),
+    ("fig06", fig06::run),
+    ("fig08", fig08::run),
+    ("table4", table4::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("fig18", fig18::run),
+    ("fig19", fig19::run),
+    ("fig20", fig20::run),
+    ("fig21", fig21::run),
+    ("beta", beta::run),
+    ("projection", projection::run),
+    ("ablations", ablations::run),
+];
+
+/// The experiments named by `ids`, in the order given; every experiment,
+/// in paper order, when `ids` is empty.
+///
+/// # Errors
+///
+/// Returns the first id that names no experiment.
+pub fn select<'a>(ids: &[&'a str]) -> Result<Vec<Experiment>, &'a str> {
+    if ids.is_empty() {
+        return Ok(EXPERIMENTS.to_vec());
+    }
+    ids.iter()
+        .map(|&id| EXPERIMENTS.into_iter().find(|e| e.0 == id).ok_or(id))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_id_is_listed_once_and_names_its_output() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
+        for (id, run) in EXPERIMENTS {
+            assert_eq!(run(true).id, id);
+        }
+    }
+
+    #[test]
+    fn no_id_selects_all_in_paper_order_and_an_unknown_id_is_rejected() {
+        let all: Vec<&str> = select(&[]).unwrap().iter().map(|e| e.0).collect();
+        assert_eq!(
+            all,
+            [
+                "table1",
+                "fig06",
+                "fig08",
+                "table4",
+                "fig15",
+                "fig16",
+                "fig17",
+                "fig18",
+                "fig19",
+                "fig20",
+                "fig21",
+                "beta",
+                "projection",
+                "ablations"
+            ]
+        );
+        let some: Vec<&str> = select(&["fig21", "beta"])
+            .unwrap()
+            .iter()
+            .map(|e| e.0)
+            .collect();
+        assert_eq!(some, ["fig21", "beta"]);
+        assert_eq!(select(&["fig08", "fig99"]).unwrap_err(), "fig99");
+    }
 }

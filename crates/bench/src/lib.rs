@@ -1,9 +1,10 @@
 //! # snap-bench — regenerating the SNAP-1 evaluation
 //!
 //! One experiment module per table and figure of Section IV, each
-//! producing printable tables and TSV series. The binaries in
-//! `src/bin/` are thin wrappers; `run_all` regenerates everything into
-//! `results/`.
+//! producing printable tables and TSV series, all listed with their ids
+//! in [`experiments::EXPERIMENTS`]. The one binary, `run_all
+//! [--quick] [<id>…]`, regenerates every experiment into `results/`, or
+//! only the named ones.
 //!
 //! Everything here is deterministic simulated time: the checked-in files
 //! under `results/` are this crate's output byte for byte. Nothing here

@@ -85,19 +85,15 @@ impl ExperimentOutput {
     }
 }
 
-/// The default results directory: `results/` at the workspace root.
+/// The results directory: `results/` at the workspace root, fixed when
+/// this crate is compiled, so a binary writes there from any working
+/// directory.
 pub fn results_dir() -> PathBuf {
-    let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-    Path::new(&manifest)
-        .join("../../results")
-        .components()
-        .collect()
-}
-
-/// `true` if the process was invoked with `--quick` (reduced problem
-/// sizes for smoke runs).
-pub fn quick_requested() -> bool {
-    std::env::args().any(|a| a == "--quick")
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join("results")
 }
 
 /// Formats nanoseconds as milliseconds with two decimals.
@@ -137,6 +133,13 @@ mod tests {
         assert_eq!(files.len(), 2);
         assert!(files[1].to_string_lossy().ends_with("figY.tsv"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn results_dir_is_the_checked_in_results() {
+        let dir = results_dir();
+        assert!(dir.join("README.md").is_file(), "{}", dir.display());
+        assert_eq!(dir.file_name().unwrap(), "results");
     }
 
     #[test]

@@ -48,9 +48,6 @@ pub struct MachineConfig {
     /// units block until deliveries free slots — the paper's network
     /// absorption requirement (§II-C, Fig. 8).
     pub cu_outbox_capacity: usize,
-    /// Record an event on the performance-collection network for every
-    /// instruction and barrier (the paper's instrumentation system).
-    pub instrument: bool,
     /// Seeded fault schedule to inject during execution. `None` (the
     /// default) runs fault-free. The DES applies it deterministically
     /// (same seed + same plan ⇒ same injected schedule); the threaded
@@ -92,7 +89,6 @@ impl MachineConfig {
             max_hops: 48,
             lockstep_waves: false,
             cu_outbox_capacity: 1024,
-            instrument: false,
             fault_plan: None,
             trace: None,
             schedule: ScheduleStrategy::Fifo,
@@ -131,15 +127,6 @@ impl MachineConfig {
         self.mus.iter().map(|&m| m + 1 + cu).sum()
     }
 
-    /// MUs in cluster `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    pub fn mus_in(&self, c: usize) -> usize {
-        self.mus[c]
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -171,6 +158,10 @@ impl MachineConfig {
             "the CU needs at least one outbox slot"
         );
         if let Some(plan) = &self.fault_plan {
+            #[allow(
+                clippy::panic,
+                reason = "validate panics on an inconsistent config, as its doc says"
+            )]
             if let Err(e) = plan.validate() {
                 panic!("invalid fault plan: {e}");
             }
@@ -209,7 +200,7 @@ mod tests {
         let c = MachineConfig::uniform(4, 2);
         c.validate();
         assert_eq!(c.pe_count(), 4 * (2 + 2));
-        assert_eq!(c.mus_in(3), 2);
+        assert_eq!(c.mus[3], 2);
     }
 
     #[test]

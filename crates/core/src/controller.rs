@@ -144,6 +144,7 @@ impl PropSpec {
                 rule: rule.compile(),
                 func: *func,
             },
+            #[allow(clippy::panic, reason = "a plan puts only PROPAGATEs in groups")]
             other => panic!("expected PROPAGATE in group, found {}", other.mnemonic()),
         }
     }

@@ -31,7 +31,7 @@ const MAX_HOPS: u8 = 48;
 
 /// Cost model of the SIMD comparator, nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cm2Cost {
+pub(crate) struct Cm2Cost {
     /// Single-bit processing elements in the array (65 536 on a full
     /// CM-2).
     pub pes: usize,
@@ -49,7 +49,7 @@ pub struct Cm2Cost {
 
 impl Cm2Cost {
     /// Default calibration: large per-wave round-trip, cheap slices.
-    pub fn cm2() -> Self {
+    pub(crate) fn cm2() -> Self {
         Cm2Cost {
             pes: 65_536,
             roundtrip_ns: 5_000_000, // 5 ms per controller-array iteration
@@ -98,11 +98,6 @@ impl Cm2 {
     /// A CM-2 with the default calibration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A CM-2 with a custom cost model.
-    pub fn with_cost(cost: Cm2Cost) -> Self {
-        Cm2 { cost }
     }
 
     /// Executes `program`, returning the measured report. Logical

@@ -211,6 +211,10 @@ pub(crate) fn exec_single_shared_into(
     let spare = out.collect.take();
     out.maintenance_ops = 0;
     match instr {
+        #[allow(
+            clippy::panic,
+            reason = "every engine routes a PROPAGATE to its propagation phase"
+        )]
         Instruction::Propagate { .. } => {
             panic!("PROPAGATE must be executed by a propagation phase")
         }

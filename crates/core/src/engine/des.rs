@@ -29,7 +29,6 @@ use crate::engine::common::{phase_of, NetAccess, SingleOutcome};
 use crate::engine::sched::{apply_arrival, maybe_plant_bug, EventQueue, Picker, CONTROL_STREAM};
 use crate::error::CoreError;
 use crate::obs::{FaultKind, PhaseKind, Stamp, Tracer, CONTROLLER_TRACK};
-use crate::perf::PerfCollector;
 use crate::prepared::Prepared;
 use crate::propagate::{expand_into, PropArrival, PropTask, VisitedMap};
 use crate::region::{Region, RegionMap};
@@ -212,7 +211,6 @@ struct Des<'c> {
     st: &'c mut DesState,
     bus: BusModel,
     sync: TieredSyncModel,
-    perf: Option<PerfCollector>,
     injector: Option<crate::inject::FaultInjector>,
     tracer: Tracer,
     /// Schedule decision stream (event tie-breaks). Distinct from `seq`,
@@ -250,9 +248,6 @@ impl<'c> Des<'c> {
             st,
             bus: BusModel::new(),
             sync: TieredSyncModel::new(config.pe_count()),
-            perf: config
-                .instrument
-                .then(|| PerfCollector::new(config.pe_count(), 1 << 16)),
             injector: config
                 .fault_plan
                 .clone()
@@ -284,18 +279,6 @@ impl<'c> Des<'c> {
         }
         self.report.trace = self.tracer.report();
         self.report
-    }
-
-    /// Reports an event on the performance-collection network. The PE
-    /// resumes immediately; only the serial-link shift and FIFO are
-    /// modelled.
-    fn record_perf(&mut self, code: u8) {
-        if let Some(pc) = &mut self.perf {
-            match pc.record(0, self.now, code, self.report.barriers as u32) {
-                Some(_) => self.report.perf_events += 1,
-                None => self.report.perf_dropped += 1,
-            }
-        }
     }
 
     /// Executes one non-propagate instruction with barrier-stable
@@ -366,7 +349,6 @@ impl<'c> Des<'c> {
             self.report.collects.push(c);
         }
         self.report.record(class, self.now - start);
-        self.record_perf(class as u8);
         self.tracer.phase_end(Stamp::Sim(self.now));
     }
 
@@ -508,6 +490,10 @@ impl<'c> Des<'c> {
                                     ob.pop_front();
                                 }
                                 if ob.len() >= capacity {
+                                    #[allow(
+                                        clippy::expect_used,
+                                        reason = "capacity is at least 1 (MachineConfig::validate)"
+                                    )]
                                     let freed = ob.pop_front().expect("full outbox is nonempty");
                                     ready = ready.max(freed);
                                     blocked = true;
@@ -538,8 +524,8 @@ impl<'c> Des<'c> {
                             );
                             let cu_done = cu_start + self.cost.cu_service_ns;
                             self.st.cu_free[cluster] = cu_done;
-                            let wire = hops as SimTime * self.cost.hop_ns
-                                + hops.saturating_sub(1) as SimTime * self.cost.cu_service_ns;
+                            // `cu_done` already holds the sender's CU service.
+                            let wire = self.cost.message_ns(hops) - self.cost.cu_service_ns;
                             let mut deliver = cu_done + wire;
                             let mut duplicated = false;
                             self.tracer.msg_send(
@@ -707,6 +693,10 @@ impl<'c> Des<'c> {
             .count();
         let first = self.st.expanded.len();
         self.st.expanded.extend_from_slice(&self.st.arrivals);
+        #[allow(
+            clippy::expect_used,
+            reason = "a group's arrivals are indexed by u32 and stay below 2^32"
+        )]
         let end = |len: usize| u32::try_from(len).expect("fewer than 2^32 arrivals per group");
         let arrivals = (end(first), end(self.st.expanded.len()));
         let mut dur = self
@@ -723,6 +713,10 @@ impl<'c> Des<'c> {
             dur += stall;
         }
         let mu_free = &mut self.st.mu_free[cluster];
+        #[allow(
+            clippy::expect_used,
+            reason = "every cluster has a marker unit (MachineConfig::validate)"
+        )]
         let mu = (0..mu_free.len())
             .min_by_key(|&i| mu_free[i])
             .expect("cluster has at least one MU");
@@ -805,6 +799,10 @@ impl<'c> Des<'c> {
                     .expand_ns(segments, links_scanned, arrivals.len())
                     .max(1);
                 let mu_free = &mut self.st.mu_free[cluster];
+                #[allow(
+                    clippy::expect_used,
+                    reason = "every cluster has a marker unit (MachineConfig::validate)"
+                )]
                 let mu = (0..mu_free.len())
                     .min_by_key(|&i| mu_free[i])
                     .expect("cluster has at least one MU");
@@ -824,9 +822,7 @@ impl<'c> Des<'c> {
                         self.report.traffic.total_messages += 1;
                         let hops = self.hops(cluster, dest);
                         self.report.traffic.total_hops += hops as u64;
-                        let wire = self.cost.cu_service_ns
-                            + hops as SimTime * self.cost.hop_ns
-                            + hops.saturating_sub(1) as SimTime * self.cost.cu_service_ns;
+                        let wire = self.cost.message_ns(hops);
                         wave_end = wave_end.max(done + wire);
                         self.report.overhead.communication_ns += wire;
                     }
@@ -883,7 +879,6 @@ impl<'c> Des<'c> {
             .messages_per_sync
             .push(self.pending_msgs);
         self.pending_msgs = 0;
-        self.record_perf(0xFF);
         debug_assert!(self.sync.is_complete(), "barrier with in-flight markers");
     }
 }
@@ -1083,26 +1078,6 @@ mod tests {
             cramped.total_ns >= roomy.total_ns,
             "blocking cannot make the run faster"
         );
-    }
-
-    #[test]
-    fn instrumentation_records_events_without_perturbing_results() {
-        let mut cfg = MachineConfig::uniform(4, 2);
-        let program = parse_like_program();
-        let mut n1 = chain_network(64);
-        let plain = run(&cfg, &CostModel::snap1(), &mut n1, &program).unwrap();
-        cfg.instrument = true;
-        let mut n2 = chain_network(64);
-        let instrumented = run(&cfg, &CostModel::snap1(), &mut n2, &program).unwrap();
-        assert_eq!(plain.collects, instrumented.collects);
-        assert_eq!(plain.total_ns, instrumented.total_ns, "separate network");
-        assert_eq!(plain.perf_events, 0);
-        // One event per non-propagate instruction + one per barrier.
-        assert_eq!(
-            instrumented.perf_events,
-            plain.instruction_count() - plain.count_of(InstrClass::Propagate) + plain.barriers
-        );
-        assert_eq!(instrumented.perf_dropped, 0);
     }
 
     #[test]

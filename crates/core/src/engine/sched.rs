@@ -323,6 +323,10 @@ impl<T> EventQueue<T> {
                 self.slab[slot as usize] = Some(item);
                 slot
             }
+            #[allow(
+                clippy::expect_used,
+                reason = "a run schedules fewer than 2^32 events at once"
+            )]
             None => {
                 self.slab.push(Some(item));
                 u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
@@ -395,7 +399,13 @@ impl<T> EventQueue<T> {
             }
         }
         self.free.push(key.slot);
-        let item = self.slab[key.slot as usize].take();
+        #[allow(
+            clippy::expect_used,
+            reason = "a key leaves the heap once, and its slot is freed only then"
+        )]
+        let item = self.slab[key.slot as usize]
+            .take()
+            .expect("a queued key owns its slot");
         if cfg!(feature = "fuzz-bug") {
             // Overtaken: an equal-time event pushed earlier still waits.
             let earlier = |k: &EventKey| k.time == key.time && k.seq < key.seq;
@@ -403,7 +413,7 @@ impl<T> EventQueue<T> {
                 && (self.heap.iter().any(|Reverse(k)| earlier(k))
                     || self.lanes.iter().any(|l| l.waiting.iter().any(earlier)));
         }
-        Some((key.time, item.expect("a queued key owns its slot")))
+        Some((key.time, item))
     }
 
     /// True when no event is scheduled.

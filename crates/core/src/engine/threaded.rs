@@ -246,6 +246,10 @@ pub(crate) fn run(
         // Spawn one worker per cluster, each under a panic catcher that
         // reports the crash instead of aborting the whole scope.
         for c in (0..config.clusters).rev() {
+            #[allow(
+                clippy::expect_used,
+                reason = "one command channel and one inbox were made per cluster"
+            )]
             let worker = Worker {
                 cluster: c,
                 max_hops: config.max_hops,
@@ -596,6 +600,7 @@ impl Controller {
         self.barrier.reset();
         // Prefer a hypercube neighbor (cheapest adoption in the modelled
         // network); fall back to any live worker.
+        #[allow(clippy::expect_used, reason = "live_count() > 0 was checked above")]
         let heir = self
             .fabric
             .topology()
@@ -1178,6 +1183,10 @@ impl Worker<'_> {
         self.steps += 1;
         self.tracer.expansion(self.cluster as u16, 1);
         if let Some(inj) = &self.injector {
+            #[allow(
+                clippy::panic,
+                reason = "the fault plan asked for a worker panic; the run recovers from it"
+            )]
             if inj.should_panic(self.cluster as u8, self.steps as usize) {
                 self.tracer.fault(
                     self.cluster as u16,

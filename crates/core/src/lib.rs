@@ -19,18 +19,20 @@
 //!   components (Fig. 21);
 //! * [`Cm2`] — Fig. 15's CM-2 comparator, a second cost model over the
 //!   same semantics;
-//! * the machine's subsystems, as private modules. Its three networks,
+//! * the machine's subsystems, as private modules. Its two networks,
 //!   which never contend: `bus` (the global bus the controller
-//!   broadcasts instructions over), `topology` (the 4-ary hypercube of
-//!   spanning four-port memories that carries marker messages in at most
-//!   `O(log N)` hops; `fabric` realizes it as channels for the threaded
-//!   engine, with identical hop accounting) and `perf` (the 2 Mb/s
-//!   performance-collection network). `sync` holds the AND-tree and the
-//!   tiered marker counters. The seeded fault model is `plan` (what to
-//!   inject), `inject` (the runtime decisions, pure functions of
-//!   `(seed, site, counter)`, and the retry policy) and `envelope`
-//!   (the resilience protocol's checksummed, sequence-numbered
-//!   envelopes and duplicate suppression). `obs` is the tracer. What
+//!   broadcasts instructions over) and `topology` (the 4-ary hypercube
+//!   of spanning four-port memories that carries marker messages in at
+//!   most `O(log N)` hops; `fabric` realizes it as channels for the
+//!   threaded engine, with identical hop accounting). The paper's third,
+//!   the performance-collection network, has no model here: the tracer
+//!   `obs` is the instrument, off unless an [`ObsConfig`] turns it on.
+//!   `sync` holds the AND-tree and the tiered marker counters. The
+//!   seeded fault model is `plan` (what to inject), `inject` (the
+//!   runtime decisions, pure functions of `(seed, site, counter)`, and
+//!   the retry policy) and `envelope` (the resilience protocol's
+//!   checksummed, sequence-numbered envelopes and duplicate
+//!   suppression). What
 //!   callers configure or read from them is re-exported: [`FaultPlan`],
 //!   [`FaultReport`], [`ObsConfig`], [`TraceReport`], and the
 //!   [`TieredSyncModel`] and [`NaiveSyncModel`] the ablation compares.
@@ -46,6 +48,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A failure is a typed error, never an unwind: non-test code may not
+// unwrap, expect or panic except where an `allow` names the invariant.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -61,7 +69,6 @@ mod inject;
 pub mod kernel;
 mod machine;
 mod obs;
-mod perf;
 mod plan;
 mod prepared;
 pub mod propagate;
@@ -81,7 +88,7 @@ pub mod exec {
 
 pub use config::{EngineKind, MachineConfig};
 pub use cost::CostModel;
-pub use engine::cm2::{Cm2, Cm2Cost};
+pub use engine::cm2::Cm2;
 pub use engine::sched::ScheduleStrategy;
 pub use error::CoreError;
 pub use machine::{Snap1, Snap1Builder};

@@ -330,12 +330,6 @@ impl Snap1Builder {
         self
     }
 
-    /// Enables the performance-collection network instrumentation.
-    pub fn instrument(mut self, on: bool) -> Self {
-        self.config.instrument = on;
-        self
-    }
-
     /// Injects a seeded fault schedule during execution (see
     /// [`MachineConfig::fault_plan`]).
     pub fn faults(mut self, plan: crate::plan::FaultPlan) -> Self {

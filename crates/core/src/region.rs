@@ -223,7 +223,7 @@ impl Region {
 
     /// Status words per marker row in this region.
     pub fn words(&self) -> usize {
-        self.len().div_ceil(snap_kb::WORD_BITS)
+        self.scratch.word_count()
     }
 
     fn local(&self, node: NodeId) -> NodeId {

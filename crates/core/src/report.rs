@@ -104,11 +104,6 @@ impl TrafficStats {
             self.messages_per_sync.iter().sum::<u64>() as f64 / self.messages_per_sync.len() as f64
         }
     }
-
-    /// Largest burst observed at any synchronization point.
-    pub fn max_burst(&self) -> u64 {
-        self.messages_per_sync.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Everything measured during one program execution.
@@ -139,11 +134,6 @@ pub struct RunReport {
     pub alpha_per_propagate: Vec<u64>,
     /// Deepest propagation tier reached (longest path traversed).
     pub max_propagation_depth: u8,
-    /// Events recorded on the performance-collection network (when
-    /// instrumentation is enabled).
-    pub perf_events: u64,
-    /// Instrumentation records lost to collector FIFO overflow.
-    pub perf_dropped: u64,
     /// What the fault subsystem injected and how the engine coped
     /// (empty for fault-free runs).
     pub faults: FaultReport,
@@ -198,16 +188,6 @@ impl RunReport {
         }
     }
 
-    /// Mean α (source activations per propagate).
-    pub fn mean_alpha(&self) -> f64 {
-        if self.alpha_per_propagate.is_empty() {
-            0.0
-        } else {
-            self.alpha_per_propagate.iter().sum::<u64>() as f64
-                / self.alpha_per_propagate.len() as f64
-        }
-    }
-
     /// Records an executed instruction of `class` taking `ns`.
     pub fn record(&mut self, class: InstrClass, ns: SimTime) {
         *self.class_counts.entry(class).or_insert(0) += 1;
@@ -245,8 +225,6 @@ impl RunReport {
         self.expansions = 0;
         self.alpha_per_propagate.clear();
         self.max_propagation_depth = 0;
-        self.perf_events = 0;
-        self.perf_dropped = 0;
         self.faults = FaultReport::default();
         self.trace = TraceReport::default();
         self.schedule_digest = 0;
@@ -393,7 +371,6 @@ mod tests {
             blocked_sends: 0,
         };
         assert_eq!(t.mean_messages_per_sync(), 12.0);
-        assert_eq!(t.max_burst(), 30);
     }
 
     #[test]
@@ -463,7 +440,6 @@ mod tests {
         let r = RunReport::default();
         assert_eq!(r.time_fraction(InstrClass::Propagate), 0.0);
         assert_eq!(r.count_fraction(InstrClass::Propagate), 0.0);
-        assert_eq!(r.mean_alpha(), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! control processor broadcasts each instruction to the array.
 
 use crate::func::{CombineFunc, StepFunc, ValueFunc};
-use crate::instruction::{InstrClass, Instruction};
+use crate::instruction::Instruction;
 use crate::rule::PropRule;
 use snap_kb::{Color, Marker, NodeId, RelationType};
 
@@ -80,15 +80,6 @@ impl Program {
     /// Iterates the instructions.
     pub fn iter(&self) -> std::slice::Iter<'_, Instruction> {
         self.instructions.iter()
-    }
-
-    /// Counts instructions per profile class (the x-axis of Fig. 6).
-    pub fn class_histogram(&self) -> Vec<(InstrClass, usize)> {
-        InstrClass::ALL
-            .iter()
-            .map(|&c| (c, self.iter().filter(|i| i.class() == c).count()))
-            .filter(|&(_, n)| n > 0)
-            .collect()
     }
 }
 
@@ -311,30 +302,6 @@ mod tests {
             .build();
         assert_eq!(p.len(), 3);
         assert_eq!(p.instructions()[2], Instruction::Barrier);
-    }
-
-    #[test]
-    fn class_histogram_counts() {
-        let p = Program::builder()
-            .search_color(Color(1), Marker::binary(0), 0.0)
-            .propagate(
-                Marker::binary(0),
-                Marker::binary(1),
-                PropRule::Star(RelationType(0)),
-                StepFunc::Identity,
-            )
-            .propagate(
-                Marker::binary(0),
-                Marker::binary(2),
-                PropRule::Star(RelationType(1)),
-                StepFunc::Identity,
-            )
-            .collect_marker(Marker::binary(1))
-            .build();
-        let hist = p.class_histogram();
-        assert!(hist.contains(&(InstrClass::Propagate, 2)));
-        assert!(hist.contains(&(InstrClass::Search, 1)));
-        assert!(hist.contains(&(InstrClass::Collect, 1)));
     }
 
     #[test]

@@ -64,21 +64,6 @@ impl Bitmap {
         !was
     }
 
-    /// Clears the bit for `node`. Returns `true` if the bit was set.
-    #[inline]
-    pub fn unset(&mut self, node: NodeId) -> bool {
-        let i = node.index();
-        let (w, b) = (i / BITMAP_WORD_BITS, i % BITMAP_WORD_BITS);
-        match self.words.get_mut(w) {
-            Some(word) => {
-                let was = *word & (1 << b) != 0;
-                *word &= !(1 << b);
-                was
-            }
-            None => false,
-        }
-    }
-
     /// Tests the bit for `node`. Out-of-range nodes read as clear.
     #[inline]
     pub fn test(&self, node: NodeId) -> bool {
@@ -118,16 +103,6 @@ impl Bitmap {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Word-parallel `self |= other`, growing to cover `other`.
-    pub fn union_with(&mut self, other: &Bitmap) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (d, s) in self.words.iter_mut().zip(&other.words) {
-            *d |= s;
-        }
     }
 
     /// Iterates over the set bits in ascending node order.
@@ -269,8 +244,8 @@ mod tests {
         assert!(map.set(NodeId(69)));
         assert!(!map.set(NodeId(69)), "second set reports already-present");
         assert!(map.test(NodeId(69)));
-        assert!(map.unset(NodeId(69)));
-        assert!(!map.unset(NodeId(69)));
+        map.reset();
+        assert!(!map.test(NodeId(69)));
         assert!(map.is_empty());
     }
 
@@ -301,7 +276,9 @@ mod tests {
         let mut b = Bitmap::new(300);
         b.set(NodeId(3));
         b.set(NodeId(250));
-        a.union_with(&b);
+        for node in b.iter() {
+            a.set(node);
+        }
         assert_eq!(a.count(), 2);
         assert!(a.test(NodeId(250)));
         a.clear_all();

@@ -87,7 +87,7 @@ impl RelationType {
 
     /// Returns `true` if this is the reserved internal subnode relation.
     #[inline]
-    pub fn is_subnode(self) -> bool {
+    pub(crate) fn is_subnode(self) -> bool {
         self == Self::SUBNODE
     }
 }

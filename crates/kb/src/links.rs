@@ -16,7 +16,7 @@
 //! by `(node, relation, insertion rank)`: `offsets` gives each node's
 //! range, and because a node's range is relation-sorted, the links of one
 //! `(node, relation)` pair are a contiguous sub-slice found by binary
-//! search ([`RelationTable::relation_run`]). A parallel `ranks` array
+//! search (`RelationTable::relation_run`). A parallel `ranks` array
 //! records each link's insertion rank within its node, and a per-node
 //! rank-sorted permutation of row-relative positions (`by_rank`) drives
 //! insertion-order iteration, so the public accessors behave exactly like
@@ -58,7 +58,6 @@ pub struct Link {
 /// ```
 /// use snap_kb::{Link, NodeId, RelationTable, RelationType};
 /// let mut table = RelationTable::new();
-/// table.ensure_node(NodeId(1));
 /// table.add_link(NodeId(0), RelationType(3), 0.5, NodeId(1))?;
 /// assert_eq!(table.links(NodeId(0)).count(), 1);
 /// # Ok::<(), snap_kb::KbError>(())
@@ -102,7 +101,7 @@ impl RelationTable {
     }
 
     /// Extends the table so that `node` has a row.
-    pub fn ensure_node(&mut self, node: NodeId) {
+    pub(crate) fn ensure_node(&mut self, node: NodeId) {
         let n = node.index() + 1;
         if self.next_rank.len() < n {
             if self.offsets.is_empty() {
@@ -232,7 +231,7 @@ impl RelationTable {
 
     /// Number of staged (not yet merged) links. The propagation fast path
     /// requires this to be zero.
-    pub fn staged_links(&self) -> usize {
+    pub(crate) fn staged_links(&self) -> usize {
         self.pending.len()
     }
 
@@ -310,15 +309,15 @@ impl RelationTable {
 
     /// The contiguous CSR sub-slice of `node`'s links with relation type
     /// `relation`, in insertion order — the hot-path lookup. Excludes
-    /// staged links (see [`RelationTable::staged_links`]).
-    pub fn relation_run(&self, node: NodeId, relation: RelationType) -> &[Link] {
+    /// staged links (see `RelationTable::staged_links`).
+    fn relation_run(&self, node: NodeId, relation: RelationType) -> &[Link] {
         self.ranked_run(node, relation).0
     }
 
-    /// Like [`RelationTable::relation_run`], also returning the parallel
+    /// Like `RelationTable::relation_run`, also returning the parallel
     /// insertion-rank slice (used to merge multiple relation runs back
     /// into global insertion order).
-    pub fn ranked_run(&self, node: NodeId, relation: RelationType) -> (&[Link], &[u32]) {
+    pub(crate) fn ranked_run(&self, node: NodeId, relation: RelationType) -> (&[Link], &[u32]) {
         match self.node_range(node) {
             Some(range) => self.run_in(range, relation),
             None => (&[], &[]),
@@ -359,7 +358,7 @@ impl RelationTable {
     /// relation run, all derived from a single row lookup. Wave kernels
     /// call this once per task instead of paying three separate
     /// offset-array probes.
-    pub fn ranked_run_with_cost(
+    pub(crate) fn ranked_run_with_cost(
         &self,
         node: NodeId,
         relation: RelationType,

@@ -198,8 +198,7 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics if the node is not covered by the partition. Newly created
-    /// runtime nodes must be registered with [`Partition::assign_new_node`].
+    /// Panics if the node is not covered by the partition.
     pub fn cluster_of(&self, node: NodeId) -> ClusterId {
         self.cluster_of[node.index()]
     }
@@ -209,29 +208,8 @@ impl Partition {
         &self.members[cluster.index()]
     }
 
-    /// Registers a node created at runtime (`CREATE` / `MARKER-CREATE`),
-    /// assigning it to the least-loaded cluster.
-    pub fn assign_new_node(&mut self, node: NodeId) -> ClusterId {
-        assert_eq!(
-            node.index(),
-            self.cluster_of.len(),
-            "runtime nodes must be registered in creation order"
-        );
-        let (best, _) = self
-            .members
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| m.len())
-            .expect("partition has at least one cluster");
-        let c = ClusterId(best as u8);
-        self.cluster_of.push(c);
-        self.members[best].push(node);
-        c
-    }
-
-    /// The heaviest cluster's node count (checked against the 1024-node
-    /// granularity of the prototype by callers that model capacity).
-    pub fn max_cluster_load(&self) -> usize {
+    /// The heaviest cluster's node count.
+    fn max_cluster_load(&self) -> usize {
         self.members.iter().map(Vec::len).max().unwrap_or(0)
     }
 
@@ -385,15 +363,6 @@ mod tests {
         let rr = Partition::build(&net, 4, PartitionScheme::RoundRobin);
         assert!(semantic.cut_fraction(&net) < rr.cut_fraction(&net));
         assert!(rr.cut_fraction(&net) > 0.9);
-    }
-
-    #[test]
-    fn assign_new_node_balances_load() {
-        let net = line_network(4);
-        let mut p = Partition::build(&net, 4, PartitionScheme::RoundRobin);
-        let c = p.assign_new_node(NodeId(4));
-        assert_eq!(p.cluster_of(NodeId(4)), c);
-        assert_eq!(p.max_cluster_load(), 2);
     }
 
     #[test]

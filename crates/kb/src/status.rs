@@ -216,7 +216,8 @@ impl StatusRow {
     /// # Panics
     ///
     /// Panics if the rows cover different node counts.
-    pub fn assign_and_not(&mut self, a: &StatusRow, b: &StatusRow) -> usize {
+    #[cfg(test)]
+    pub(crate) fn assign_and_not(&mut self, a: &StatusRow, b: &StatusRow) -> usize {
         self.zip_assign(a, b, |x, y| x & !y, |x, _| x)
     }
 

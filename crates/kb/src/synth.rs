@@ -10,7 +10,7 @@
 //! seed and use a self-contained LCG, so the same call always produces
 //! the same network.
 
-use crate::ids::{Color, NodeId, RelationType};
+use crate::ids::{Color, RelationType};
 use crate::network::{NetworkConfig, SemanticNetwork};
 
 /// Deterministic LCG over `seed` (Knuth's MMIX multiplier), yielding
@@ -41,7 +41,9 @@ pub fn line_network(n: usize) -> SemanticNetwork {
 
 /// Line graph plus `chords` pseudo-random `RelationType(2)` chords:
 /// connected, locality present but not trivial.
-pub fn chorded_network(n: usize, chords: usize, seed: u64) -> SemanticNetwork {
+#[cfg(test)]
+pub(crate) fn chorded_network(n: usize, chords: usize, seed: u64) -> SemanticNetwork {
+    use crate::ids::NodeId;
     let mut net = line_network(n);
     let mut next = lcg(seed);
     for _ in 0..chords {
@@ -147,6 +149,7 @@ pub fn bridge_network(communities: usize, size: usize) -> SemanticNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     #[test]
     fn generators_are_deterministic_and_sized() {

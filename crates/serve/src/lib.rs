@@ -43,6 +43,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A failure is a typed error, never an unwind: non-test code may not
+// unwrap, expect or panic except where an `allow` names the invariant.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod context;
 mod server;

@@ -19,8 +19,9 @@ pub struct ServeConfig {
     /// Most queries served by one pump as one batch: the oldest
     /// `max_batch` in the queue, whatever they ask, which is also the
     /// window identical queries coalesce in. Depth 1 degrades to
-    /// one-query-at-a-time serving (the bench baseline). A pump takes
-    /// at most 64 queries, so a deeper setting becomes more pumps.
+    /// one-query-at-a-time serving (the bench baseline), and so does
+    /// depth 0: a pump takes at least one query. A pump takes at most 64
+    /// queries, so a deeper setting becomes more pumps.
     pub max_batch: usize,
     /// Bounded admission queue: offers beyond this capacity shed with
     /// [`ShedReason::QueueFull`] instead of growing without bound.
@@ -324,7 +325,7 @@ impl Server {
     /// the pools are warm, a pump performs no heap allocation.
     pub fn pump_with(&mut self, mut sink: impl FnMut(CompletionRef<'_>)) {
         debug_assert!(self.batch.is_empty() && self.active.is_empty());
-        let depth = self.queue.len().min(self.cfg.max_batch).min(MAX_PUMP);
+        let depth = self.queue.len().min(self.cfg.max_batch.clamp(1, MAX_PUMP));
         self.batch.extend(self.queue.drain(..depth));
         // One lane per *distinct* program: a duplicate shares its
         // lane's result and skips execution entirely — the report of an
@@ -523,6 +524,25 @@ mod tests {
         }
         server.assert_accounting();
         assert_eq!(server.stats().completed, nodes.len() as u64);
+    }
+
+    #[test]
+    fn a_depth_zero_server_serves_one_query_per_pump() {
+        let net = snapshot();
+        let cfg = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(net, cfg).unwrap();
+        for n in 0..3 {
+            server.offer(query(n));
+        }
+        let pumps: Vec<Vec<usize>> = (0..3)
+            .map(|_| server.pump().iter().map(|c| c.batch_depth).collect())
+            .collect();
+        assert_eq!(pumps, vec![vec![1]; 3]);
+        assert_eq!(server.queue_len(), 0);
+        server.assert_accounting();
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! were recorded from the engine at commit `18bb181` (a `BinaryHeap` of
 //! whole events, per-message `Vec` hop counts, a heap outbox), before
 //! the event queue and message path were rebuilt; a change that alters
-//! any of them has changed the simulated machine, not its speed.
+//! any of them has changed the simulated machine, not its speed. The
+//! digests were re-recorded once, when `RunReport` lost its two
+//! always-zero `perf_events`/`perf_dropped` counters: with
+//! `, perf_events: 0, perf_dropped: 0` spliced back before `faults`,
+//! each new rendering hashes to the old digest.
 
 #[cfg(not(feature = "fuzz-bug"))]
 use snap_core::ScheduleStrategy;
@@ -81,7 +85,7 @@ fn wave_on_16_edgecut_clusters() {
     assert_eq!(report.alpha_per_propagate, vec![2_000]);
     assert_eq!(
         pin(&report),
-        "4ff371765f288d32 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "0ec73cd357509907 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -93,7 +97,7 @@ fn wave_with_a_four_slot_outbox() {
     });
     assert_eq!(
         pin(&report),
-        "bc290e271fbc929a total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "e5e1374497dfb61f total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -122,7 +126,7 @@ fn wave_under_a_seeded_fault_plan() {
     );
     assert_eq!(
         pin(&report),
-        "4cc74213471fb020 total_ns=3003715 comm_ns=625733861 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
+        "b56d4ae2514de431 total_ns=3003715 comm_ns=625733861 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
     );
     // Faults and a cramped outbox together: delayed and retransmitted
     // deliveries leave a blocked sender's outbox out of send order.
@@ -133,7 +137,7 @@ fn wave_under_a_seeded_fault_plan() {
     });
     assert_eq!(
         pin(&cramped),
-        "01182574b755a5ee total_ns=3028254 comm_ns=672966670 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
+        "cad3fa650e178147 total_ns=3028254 comm_ns=672966670 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
     );
     // And under a fuzzed schedule: out-of-order deliveries and drawn
     // tie keys meet in the event queue. The planted ordering bug makes
@@ -147,7 +151,7 @@ fn wave_under_a_seeded_fault_plan() {
         });
         assert_eq!(
             pin(&fuzzed),
-            "dda25351be9f86a6 total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
+            "6a5e55733a59ad07 total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
         );
     }
 }
@@ -157,9 +161,9 @@ fn wave_under_a_seeded_fault_plan() {
 fn wave_under_fuzzed_schedules() {
     let fifo = run_wave(wave_config());
     let want = [
-        "047e8cc9ef61066f total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=91562b6826a2b5c0",
-        "99bd377dc08253a0 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=ef87daf920483a3e",
-        "d0c3afaf94e444fb total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=aa46f3b646df5324",
+        "e3848f12ab73bc18 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=91562b6826a2b5c0",
+        "53ca28e114f3ca8b total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=ef87daf920483a3e",
+        "b927471f44b39bbc total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=aa46f3b646df5324",
     ];
     for (seed, want) in (1u64..).zip(want) {
         let report = run_wave(MachineConfig {
@@ -180,7 +184,7 @@ fn wave_in_lockstep() {
     });
     assert_eq!(
         pin(&report),
-        "fbabfac41eeba1f8 total_ns=2904130 comm_ns=13691720 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "8f6fbd1353f30e4d total_ns=2904130 comm_ns=13691720 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -204,6 +208,6 @@ fn sentence_on_the_evaluation_array() {
     );
     assert_eq!(
         pin(report),
-        "fd9aebf6169a737c total_ns=4643202 comm_ns=106836490 msgs=3486 hops=5257 blocked=0 expansions=3641 depth=8 injected=0 schedule=0000000000000000"
+        "726691a6e12b0467 total_ns=4643202 comm_ns=106836490 msgs=3486 hops=5257 blocked=0 expansions=3641 depth=8 injected=0 schedule=0000000000000000"
     );
 }
