@@ -19,7 +19,7 @@ use snap_kb::PartitionScheme;
 
 /// Measures false-completion rates of the naive detector under random
 /// message schedules (the tiered detector is exact by construction).
-fn sync_ablation(quick: bool) -> (Table, String) {
+fn sync_ablation(quick: bool, out: &mut ExperimentOutput) {
     let trials = if quick { 200 } else { 2_000 };
     let mut rng = StdRng::seed_from_u64(0xAB1A);
     let mut naive_false = 0u64;
@@ -72,15 +72,11 @@ fn sync_ablation(quick: bool) -> (Table, String) {
         tiered_false.to_string(),
         checks.to_string(),
     ]);
-    let note = format!(
-        "naive detector falsely completed {naive_false} times; tiered never did — {}",
-        if tiered_false == 0 && naive_false > 0 {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
+    out.table("tiered vs naive termination detection", table);
+    out.check(
+        format!("naive detector falsely completed {naive_false} times; tiered never did — "),
+        tiered_false == 0 && naive_false > 0,
     );
-    (table, note)
 }
 
 /// Compares partitioning functions by inter-cluster traffic and time.
@@ -108,7 +104,7 @@ fn partition_ablation(quick: bool) -> Table {
 }
 
 /// Sweeps marker units per cluster at fixed cluster count.
-fn mu_ablation() -> (Table, String) {
+fn mu_ablation(out: &mut ExperimentOutput) {
     let mut table = Table::new(vec!["MUs/cluster", "PEs", "time ms"]);
     let mut times = Vec::new();
     for mus in [1usize, 2, 3] {
@@ -123,21 +119,19 @@ fn mu_ablation() -> (Table, String) {
         table.row(vec![mus.to_string(), pes.to_string(), ms(t)]);
         times.push(t as f64);
     }
-    let note = format!(
-        "more MUs per cluster shorten propagation (1→3 MUs: ×{}) — {}",
-        ratio(times[0] / times[2]),
-        if times[2] < times[0] * 0.6 {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
+    out.table("marker units per cluster", table);
+    out.check(
+        format!(
+            "more MUs per cluster shorten propagation (1→3 MUs: ×{}) — ",
+            ratio(times[0] / times[2]),
+        ),
+        times[2] < times[0] * 0.6,
     );
-    (table, note)
 }
 
 /// ICN buffering capacity: the network must absorb marker bursts or
 /// senders block (§II-C, Fig. 8).
-fn icn_buffer_ablation(quick: bool) -> (Table, String) {
+fn icn_buffer_ablation(quick: bool, out: &mut ExperimentOutput) {
     let (kb_nodes, sentences) = if quick { (1_200, 2) } else { (4_000, 4) };
     let mut table = Table::new(vec!["outbox slots", "blocked sends", "total ms"]);
     let mut rows = Vec::new();
@@ -153,22 +147,19 @@ fn icn_buffer_ablation(quick: bool) -> (Table, String) {
         table.row(vec![capacity.to_string(), blocked.to_string(), ms(t)]);
         rows.push((blocked, t));
     }
-    let note = format!(
-        "a cramped outbox blocks senders ({} blocked at 4 slots vs {} at 1024) and \
-         cannot be faster — {}",
-        rows[0].0,
-        rows[2].0,
-        if rows[0].0 > rows[2].0 && rows[0].1 >= rows[2].1 {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
+    out.table("ICN burst-buffer capacity", table);
+    out.check(
+        format!(
+            "a cramped outbox blocks senders ({} blocked at 4 slots vs {} at 1024) and \
+             cannot be faster — ",
+            rows[0].0, rows[2].0,
+        ),
+        rows[0].0 > rows[2].0 && rows[0].1 >= rows[2].1,
     );
-    (table, note)
 }
 
 /// Lockstep (SIMD-only) vs MIMD propagation on the same array.
-fn lockstep_ablation(quick: bool) -> (Table, String) {
+fn lockstep_ablation(quick: bool, out: &mut ExperimentOutput) {
     let (kb_nodes, sentences) = if quick { (1_200, 2) } else { (4_000, 4) };
     let mut table = Table::new(vec!["mode", "total ms"]);
     let mut times = Vec::new();
@@ -185,16 +176,14 @@ fn lockstep_ablation(quick: bool) -> (Table, String) {
         table.row(vec![name.into(), ms(t)]);
         times.push(t as f64);
     }
-    let note = format!(
-        "selective MIMD propagation beats per-wave round-trips ×{} — {}",
-        ratio(times[1] / times[0]),
-        if times[1] > times[0] {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
+    out.table("MIMD vs lockstep propagation", table);
+    out.check(
+        format!(
+            "selective MIMD propagation beats per-wave round-trips ×{} — ",
+            ratio(times[1] / times[0]),
+        ),
+        times[1] > times[0],
     );
-    (table, note)
 }
 
 /// Runs all ablations.
@@ -204,22 +193,14 @@ fn lockstep_ablation(quick: bool) -> (Table, String) {
 /// Panics if a run fails.
 pub fn run(quick: bool) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("ablations", "Design-choice ablations");
-    let (sync_table, sync_note) = sync_ablation(quick);
-    out.table("tiered vs naive termination detection", sync_table);
-    out.note(sync_note);
+    sync_ablation(quick, &mut out);
     out.table(
         "partitioning function vs traffic",
         partition_ablation(quick),
     );
-    let (mu_table, mu_note) = mu_ablation();
-    out.table("marker units per cluster", mu_table);
-    out.note(mu_note);
-    let (ls_table, ls_note) = lockstep_ablation(quick);
-    out.table("MIMD vs lockstep propagation", ls_table);
-    out.note(ls_note);
-    let (icn_table, icn_note) = icn_buffer_ablation(quick);
-    out.table("ICN burst-buffer capacity", icn_table);
-    out.note(icn_note);
+    mu_ablation(&mut out);
+    lockstep_ablation(quick, &mut out);
+    icn_buffer_ablation(quick, &mut out);
     out
 }
 
@@ -229,8 +210,6 @@ mod tests {
 
     #[test]
     fn all_ablations_hold() {
-        let out = run(true);
-        let holds = out.notes.iter().filter(|n| n.contains("HOLDS")).count();
-        assert!(holds >= 3, "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

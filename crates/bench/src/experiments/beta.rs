@@ -60,15 +60,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     let mut out = ExperimentOutput::new("beta", "β-parallelism of the application programs");
     out.table("static overlap analysis", table);
-    out.note(format!(
+    out.check(
         "speech program has more inter-propagation parallelism than the NLU parser \
-         (paper: PASS > DMSNAP): {}",
-        if pass_stats.beta_max() >= dm_max {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
+         (paper: PASS > DMSNAP): ",
+        pass_stats.beta_max() >= dm_max,
+    );
     out
 }
 
@@ -78,7 +74,6 @@ mod tests {
 
     #[test]
     fn pass_beats_dmsnap() {
-        let out = run(true);
-        assert!(out.notes[0].contains("HOLDS"), "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

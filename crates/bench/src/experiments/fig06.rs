@@ -7,8 +7,8 @@
 
 use crate::output::{ratio, ExperimentOutput};
 use crate::table::Table;
-use crate::workloads::parse_batch;
-use snap_core::{EngineKind, RunReport, Snap1};
+use crate::workloads::{class_profile, parse_batch};
+use snap_core::{EngineKind, Snap1};
 use snap_isa::InstrClass;
 
 /// Runs the experiment.
@@ -25,16 +25,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         .engine(EngineKind::Sequential)
         .build();
     let reports = parse_batch(kb_nodes, sentences, &machine, 0x0F160006).expect("parse batch");
-
-    let mut total = RunReport::default();
-    for r in &reports {
-        for (&class, &n) in &r.report.class_counts {
-            *total.class_counts.entry(class).or_insert(0) += n;
-        }
-        for (&class, &ns) in &r.report.class_time_ns {
-            *total.class_time_ns.entry(class).or_insert(0) += ns;
-        }
-    }
+    let total = class_profile(&reports);
 
     let mut table = Table::new(vec!["class", "count", "count %", "time ms", "time %"]);
     for class in InstrClass::ALL {
@@ -61,15 +52,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
         format!("instruction profile over {sentences} parsed sentences, {kb_nodes}-node KB"),
         table,
     );
-    out.note(format!(
-        "PROPAGATE: {prop_count:.1}% of instructions, {prop_time:.1}% of time \
-         (paper: 17.0% / 64.5%) — propagation dominates time, not count: {}",
-        if prop_time > prop_count * 2.0 {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
+    out.check(
+        format!(
+            "PROPAGATE: {prop_count:.1}% of instructions, {prop_time:.1}% of time \
+             (paper: 17.0% / 64.5%) — propagation dominates time, not count: "
+        ),
+        prop_time > prop_count * 2.0,
+    );
     out
 }
 
@@ -80,11 +69,7 @@ mod tests {
     #[test]
     fn propagate_dominates_time_not_count() {
         let out = run(true);
-        assert!(
-            out.notes.iter().any(|n| n.contains("HOLDS")),
-            "{:?}",
-            out.notes
-        );
+        crate::experiments::assert_checks_hold(&out);
         assert_eq!(out.tables.len(), 1);
     }
 }

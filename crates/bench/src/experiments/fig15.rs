@@ -81,21 +81,19 @@ pub fn run(quick: bool) -> ExperimentOutput {
         "root-to-leaf inheritance time vs knowledge-base size",
         table,
     );
-    out.note(format!(
-        "SNAP-1 faster over the measured range (paper: SNAP < 1 s, CM-2 < 10 s at 6.4K): {}",
-        if snap_faster_here { "HOLDS" } else { "CHECK" }
-    ));
-    out.note(format!(
-        "SNAP-1 slope steeper than CM-2 (paper: 'the slope of the increase is higher for \
-         SNAP-1'): snap {} vs cm2 {} per doubling — {}",
-        ratio(snap_slope),
-        ratio(cm2_slope),
-        if snap_slope > cm2_slope {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
+    out.check(
+        "SNAP-1 faster over the measured range (paper: SNAP < 1 s, CM-2 < 10 s at 6.4K): ",
+        snap_faster_here,
+    );
+    out.check(
+        format!(
+            "SNAP-1 slope steeper than CM-2 (paper: 'the slope of the increase is higher for \
+             SNAP-1'): snap {} vs cm2 {} per doubling — ",
+            ratio(snap_slope),
+            ratio(cm2_slope),
+        ),
+        snap_slope > cm2_slope,
+    );
     out.note(format!(
         "extrapolated crossover near {:.0} nodes (paper: 'the lines will cross when larger \
          knowledge bases are used')",
@@ -110,8 +108,6 @@ mod tests {
 
     #[test]
     fn snap_wins_small_but_grows_faster() {
-        let out = run(true);
-        let holds = out.notes.iter().filter(|n| n.contains("HOLDS")).count();
-        assert_eq!(holds, 2, "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

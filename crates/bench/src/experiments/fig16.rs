@@ -86,12 +86,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
         "propagation-phase speedup over the single-PE sequential engine",
         table,
     );
-    let ordered = final_speedups.windows(2).all(|w| w[1] > w[0]);
-    out.note(format!(
+    out.check(
         "larger α yields larger speedup at full configuration \
-         (paper: α=1000 near-linear, α=100 ≈ 20×, α=10 small): {}",
-        if ordered { "HOLDS" } else { "CHECK" }
-    ));
+         (paper: α=1000 near-linear, α=100 ≈ 20×, α=10 small): ",
+        final_speedups.windows(2).all(|w| w[1] > w[0]),
+    );
     if !quick {
         out.note(format!(
             "at 72 PEs: α=10 → {:.1}×, α=100 → {:.1}×, α=1000 → {:.1}×",
@@ -107,7 +106,6 @@ mod tests {
 
     #[test]
     fn alpha_ordering_holds() {
-        let out = run(true);
-        assert!(out.notes[0].contains("HOLDS"), "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

@@ -75,21 +75,21 @@ pub fn run(quick: bool) -> ExperimentOutput {
         "overlap speedup vs number of overlapped propagations",
         table,
     );
-    let rising = speedups.windows(2).all(|w| w[1] >= w[0] * 0.95);
-    out.note(format!(
-        "speedup grows with β: {}",
-        if rising { "HOLDS" } else { "CHECK" }
-    ));
+    out.check(
+        "speedup grows with β: ",
+        speedups.windows(2).all(|w| w[1] >= w[0] * 0.95),
+    );
     if !quick {
         // Saturation: gain from 16 → 48 is small relative to 1 → 16.
         let low_gain = speedups[4] / speedups[0];
         let high_gain = speedups[6] / speedups[4];
-        out.note(format!(
-            "β above 16 has little further impact (paper): 1→16 gain ×{:.2}, 16→48 gain ×{:.2} — {}",
-            low_gain,
-            high_gain,
-            if high_gain < low_gain / 2.0 { "HOLDS" } else { "CHECK" }
-        ));
+        out.check(
+            format!(
+                "β above 16 has little further impact (paper): 1→16 gain ×{low_gain:.2}, \
+                 16→48 gain ×{high_gain:.2} — "
+            ),
+            high_gain < low_gain / 2.0,
+        );
     }
     out
 }
@@ -100,7 +100,6 @@ mod tests {
 
     #[test]
     fn overlap_speedup_rises_with_beta() {
-        let out = run(true);
-        assert!(out.notes[0].contains("HOLDS"), "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::output::{ms, ratio, ExperimentOutput};
 use crate::table::Table;
-use crate::workloads::parse_batch;
+use crate::workloads::{class_profile, parse_batch};
 use snap_core::{MachineConfig, RunReport, Snap1};
 use snap_isa::InstrClass;
 
@@ -14,17 +14,7 @@ fn batch_profile(clusters: usize, kb_nodes: usize, sentences: usize) -> RunRepor
     let mut config = MachineConfig::uniform(clusters, 3);
     config.partition = snap_kb::PartitionScheme::RoundRobin;
     let machine = Snap1::builder().config(config).build();
-    let results = parse_batch(kb_nodes, sentences, &machine, 0x0F160018).expect("parse batch");
-    let mut total = RunReport::default();
-    for r in results {
-        for (&class, &ns) in &r.report.class_time_ns {
-            *total.class_time_ns.entry(class).or_insert(0) += ns;
-        }
-        for (&class, &n) in &r.report.class_counts {
-            *total.class_counts.entry(class).or_insert(0) += n;
-        }
-    }
-    total
+    class_profile(&parse_batch(kb_nodes, sentences, &machine, 0x0F160018).expect("parse batch"))
 }
 
 /// Runs the experiment.
@@ -66,13 +56,15 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let reduction = prop_times[0] / prop_times.last().unwrap();
     let mut out = ExperimentOutput::new("fig18", "Instruction profile vs cluster count");
     out.table("per-class time across the parse batch", table);
-    out.note(format!(
-        "propagation time reduced ×{} from 1 to {} clusters \
-         (paper: nearly an order of magnitude from 1 to 16): {}",
-        ratio(reduction),
-        cluster_counts.last().unwrap(),
-        if reduction > 3.0 { "HOLDS" } else { "CHECK" }
-    ));
+    out.check(
+        format!(
+            "propagation time reduced ×{} from 1 to {} clusters \
+             (paper: nearly an order of magnitude from 1 to 16): ",
+            ratio(reduction),
+            cluster_counts.last().unwrap(),
+        ),
+        reduction > 3.0,
+    );
     out
 }
 
@@ -82,7 +74,6 @@ mod tests {
 
     #[test]
     fn propagation_time_falls_with_clusters() {
-        let out = run(true);
-        assert!(out.notes[0].contains("HOLDS"), "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

@@ -6,8 +6,8 @@
 
 use crate::output::{ms, ratio, ExperimentOutput};
 use crate::table::Table;
-use crate::workloads::parse_batch;
-use snap_core::{RunReport, Snap1};
+use crate::workloads::{class_profile, parse_batch};
+use snap_core::Snap1;
 use snap_isa::InstrClass;
 
 /// Runs the experiment.
@@ -47,13 +47,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut shares = Vec::new();
     let mut dominates = true;
     for &n in &sizes {
-        let results = parse_batch(n, sentences, &machine, 0x0F160019).expect("parse batch");
-        let mut total = RunReport::default();
-        for r in results {
-            for (&class, &ns) in &r.report.class_time_ns {
-                *total.class_time_ns.entry(class).or_insert(0) += ns;
-            }
-        }
+        let total =
+            class_profile(&parse_batch(n, sentences, &machine, 0x0F160019).expect("parse batch"));
         let prop = total.time_of(InstrClass::Propagate);
         let all: u64 = total.class_time_ns.values().sum();
         let share = prop as f64 / all as f64 * 100.0;
@@ -69,17 +64,20 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     let mut out = ExperimentOutput::new("fig19", "Instruction profile vs knowledge-base size");
     out.table("per-class time across the parse batch", table);
-    out.note(format!(
-        "propagation is the largest instruction class at every size: {}",
-        if dominates { "HOLDS" } else { "CHECK" }
-    ));
-    let non_prop_shrinks = shares.last().unwrap() >= shares.first().unwrap();
-    out.note(format!(
-        "relative non-propagation time decreases as the KB grows (share {} → {}%): {}",
-        ratio(*shares.first().unwrap()),
-        ratio(*shares.last().unwrap()),
-        if non_prop_shrinks { "HOLDS" } else { "CHECK" }
-    ));
+    out.check(
+        "propagation is the largest instruction class at every size: ",
+        dominates,
+    );
+    let (first, last) = (shares[0], shares[shares.len() - 1]);
+    out.check(
+        format!(
+            "relative non-propagation time decreases as the KB grows (propagate share {} → \
+             {}%): ",
+            ratio(first),
+            ratio(last),
+        ),
+        last >= first,
+    );
     out
 }
 
@@ -89,7 +87,6 @@ mod tests {
 
     #[test]
     fn propagation_dominates() {
-        let out = run(true);
-        assert!(out.notes[0].contains("HOLDS"), "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

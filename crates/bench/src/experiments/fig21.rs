@@ -74,36 +74,28 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     let mut out = ExperimentOutput::new("fig21", "Components of parallel overhead");
     out.table("overhead per component vs array size", table);
-    out.note(format!(
-        "broadcast constant in cluster count (growth ×{} over ×{span:.0} clusters): {}",
-        ratio(g(first.broadcast_ns, last.broadcast_ns)),
-        if g(first.broadcast_ns, last.broadcast_ns) < 1.5 {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
-    out.note(format!(
-        "collect is the largest overhead at full scale: {}",
-        if last.collect_ns >= last.sync_ns && last.collect_ns >= last.broadcast_ns {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
-    out.note(format!(
-        "sync grows with PEs (×{}) but with a small coefficient; per-message \
-         hop count grows sublinearly (×{}, ∝ log N): {}",
-        ratio(g(first.sync_ns, last.sync_ns)),
-        ratio(g(first.communication_ns, last.communication_ns)),
-        if g(first.communication_ns, last.communication_ns)
-            < rows.last().unwrap().0 as f64 / rows.first().unwrap().0 as f64
-        {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
+    let broadcast_growth = g(first.broadcast_ns, last.broadcast_ns);
+    out.check(
+        format!(
+            "broadcast constant in cluster count (growth ×{} over ×{span:.0} clusters): ",
+            ratio(broadcast_growth),
+        ),
+        broadcast_growth < 1.5,
+    );
+    out.check(
+        "collect is the largest overhead at full scale: ",
+        last.collect_ns >= last.sync_ns && last.collect_ns >= last.broadcast_ns,
+    );
+    let hop_growth = g(first.communication_ns, last.communication_ns);
+    out.check(
+        format!(
+            "sync grows with PEs (×{}) but with a small coefficient; per-message \
+             hop count grows sublinearly (×{}, ∝ log N): ",
+            ratio(g(first.sync_ns, last.sync_ns)),
+            ratio(hop_growth),
+        ),
+        hop_growth < span,
+    );
     out
 }
 
@@ -113,8 +105,6 @@ mod tests {
 
     #[test]
     fn overhead_shape_holds() {
-        let out = run(true);
-        let holds = out.notes.iter().filter(|n| n.contains("HOLDS")).count();
-        assert!(holds >= 2, "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

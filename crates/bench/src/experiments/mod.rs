@@ -56,10 +56,28 @@ pub fn select<'a>(ids: &[&'a str]) -> Result<Vec<Experiment>, &'a str> {
         .collect()
 }
 
+/// Asserts that `out` makes a shape check, unless it is `table1` (whose
+/// capacities are asserted as it runs), and that every check holds;
+/// a failure names the experiment and the check.
+#[cfg(test)]
+pub(crate) fn assert_checks_hold(out: &ExperimentOutput) {
+    let exempt = out.id == "table1";
+    assert!(
+        exempt || out.checks().next().is_some(),
+        "{} makes no check",
+        out.id
+    );
+    for (text, holds) in out.checks() {
+        assert!(holds, "{}: check does not hold: {text}", out.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs every experiment at `--quick` sizes: each names its output,
+    /// and each one's shape checks hold.
     #[test]
     fn each_id_is_listed_once_and_names_its_output() {
         let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
@@ -67,7 +85,9 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), EXPERIMENTS.len());
         for (id, run) in EXPERIMENTS {
-            assert_eq!(run(true).id, id);
+            let out = run(true);
+            assert_eq!(out.id, id);
+            assert_checks_hold(&out);
         }
     }
 

@@ -92,16 +92,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
         ratio(2f64.powf(snap_slope)),
         ratio(2f64.powf(cm2_slope)),
     ));
-    out.note(format!(
-        "SNAP-1 still wins at the paper's 1M-concept design target: {}",
-        if project(*snap_times.last().unwrap(), snap_slope, 1_000_000.0)
-            < project(*cm2_times.last().unwrap(), cm2_slope, 1_000_000.0)
-        {
-            "HOLDS"
-        } else {
-            "CHECK"
-        }
-    ));
+    out.check(
+        "SNAP-1 still wins at the paper's 1M-concept design target: ",
+        project(*snap_times.last().unwrap(), snap_slope, 1_000_000.0)
+            < project(*cm2_times.last().unwrap(), cm2_slope, 1_000_000.0),
+    );
     if crossover.is_finite() {
         out.note(format!(
             "projected crossover near {crossover:.0e} concepts — 'the lines will cross when \
@@ -124,11 +119,7 @@ mod tests {
     #[test]
     fn snap_wins_at_the_million_concept_target() {
         let out = run(true);
-        assert!(
-            out.notes.iter().any(|n| n.contains("HOLDS")),
-            "{:?}",
-            out.notes
-        );
+        crate::experiments::assert_checks_hold(&out);
         assert_eq!(out.tables.len(), 2);
     }
 }

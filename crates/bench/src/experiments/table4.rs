@@ -96,24 +96,25 @@ pub fn run(quick: bool) -> ExperimentOutput {
     };
     let mean_small = batch_mean(kb_sizes[0]);
     let mean_large = batch_mean(kb_sizes[1]);
-    let mb_grows = mean_large >= mean_small;
 
     let mut out = ExperimentOutput::new("table4", "Execution times for MUC-4-like sentences");
     out.table("parse times per sentence and knowledge-base size", table);
-    out.note(format!(
-        "real-time (< 1 s/sentence): {}",
-        if real_time { "HOLDS" } else { "CHECK" }
-    ));
-    out.note(format!(
-        "time grows with sentence length: S4/S1 length ×{len_ratio:.1}, time ×{time_ratio:.1} — {}",
-        if time_ratio > 1.2 { "HOLDS" } else { "CHECK" }
-    ));
-    out.note(format!(
-        "M.B. time increases gradually with KB size (batch mean {:.2} → {:.2} ms): {}",
-        mean_small / 1e6,
-        mean_large / 1e6,
-        if mb_grows { "HOLDS" } else { "CHECK" }
-    ));
+    out.check("real-time (< 1 s/sentence): ", real_time);
+    out.check(
+        format!(
+            "time grows with sentence length: S4/S1 length ×{len_ratio:.1}, time \
+             ×{time_ratio:.1} — "
+        ),
+        time_ratio > 1.2,
+    );
+    out.check(
+        format!(
+            "M.B. time increases gradually with KB size (batch mean {:.2} → {:.2} ms): ",
+            mean_small / 1e6,
+            mean_large / 1e6,
+        ),
+        mean_large >= mean_small,
+    );
     out.note(format!(
         "propagation path lengths (paper: 10–15 max): measured max {}",
         depths.iter().max().unwrap()
@@ -127,8 +128,6 @@ mod tests {
 
     #[test]
     fn parse_times_scale_and_stay_real_time() {
-        let out = run(true);
-        let holds = out.notes.iter().filter(|n| n.contains("HOLDS")).count();
-        assert!(holds >= 2, "{:?}", out.notes);
+        crate::experiments::assert_checks_hold(&run(true));
     }
 }

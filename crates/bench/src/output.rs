@@ -13,8 +13,17 @@ pub struct ExperimentOutput {
     pub title: String,
     /// Captioned tables, in presentation order.
     pub tables: Vec<(String, Table)>,
-    /// Free-form notes (shape checks, paper comparison).
-    pub notes: Vec<String>,
+    /// Note lines (paper comparisons and shape checks), in order.
+    pub notes: Vec<Note>,
+}
+
+/// One note line: plain text, or a shape check with its verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Note {
+    /// The line, without the verdict a check appends.
+    pub text: String,
+    /// `Some(holds)` for a shape check, `None` for a plain note.
+    pub holds: Option<bool>,
 }
 
 impl ExperimentOutput {
@@ -34,10 +43,31 @@ impl ExperimentOutput {
         self
     }
 
-    /// Adds a note line.
-    pub fn note(&mut self, note: impl Into<String>) -> &mut Self {
-        self.notes.push(note.into());
+    /// Adds a plain note line.
+    pub fn note(&mut self, text: impl Into<String>) -> &mut Self {
+        self.notes.push(Note {
+            text: text.into(),
+            holds: None,
+        });
         self
+    }
+
+    /// Adds a shape check: `text` is the line up to its verdict (its
+    /// `: ` or ` — ` separator included), and [`render`](Self::render)
+    /// appends `HOLDS` or `CHECK` as `holds` says.
+    pub fn check(&mut self, text: impl Into<String>, holds: bool) -> &mut Self {
+        self.notes.push(Note {
+            text: text.into(),
+            holds: Some(holds),
+        });
+        self
+    }
+
+    /// The shape checks, in order: each one's text and whether it holds.
+    pub fn checks(&self) -> impl Iterator<Item = (&str, bool)> {
+        self.notes
+            .iter()
+            .filter_map(|n| n.holds.map(|holds| (n.text.as_str(), holds)))
     }
 
     /// Renders everything as text.
@@ -50,7 +80,12 @@ impl ExperimentOutput {
         if !self.notes.is_empty() {
             out.push('\n');
             for n in &self.notes {
-                out.push_str(&format!("note: {n}\n"));
+                let verdict = match n.holds {
+                    Some(true) => "HOLDS",
+                    Some(false) => "CHECK",
+                    None => "",
+                };
+                out.push_str(&format!("note: {}{verdict}\n", n.text));
             }
         }
         out
@@ -115,11 +150,16 @@ mod tests {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1".into()]);
         let mut out = ExperimentOutput::new("figX", "demo");
-        out.table("caption", t).note("shape holds");
+        out.table("caption", t)
+            .check("a grows: ", true)
+            .note("plain")
+            .check("b shrinks — ", false);
         let text = out.render();
         assert!(text.contains("figX"));
         assert!(text.contains("caption"));
-        assert!(text.contains("note: shape holds"));
+        assert!(text.ends_with("\nnote: a grows: HOLDS\nnote: plain\nnote: b shrinks — CHECK\n"));
+        let checks: Vec<_> = out.checks().collect();
+        assert_eq!(checks, [("a grows: ", true), ("b shrinks — ", false)]);
     }
 
     #[test]

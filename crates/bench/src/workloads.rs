@@ -1,6 +1,6 @@
 //! Workload generators for the evaluation experiments.
 
-use snap_core::{CoreError, Snap1};
+use snap_core::{CoreError, RunReport, Snap1};
 use snap_isa::{CombineFunc, Program, PropRule, StepFunc};
 use snap_kb::{Color, KbError, Marker, NetworkConfig, NodeId, RelationType, SemanticNetwork};
 use snap_nlu::{DomainSpec, LinguisticKb, MemoryBasedParser, ParseResult, SentenceGenerator};
@@ -186,6 +186,21 @@ pub fn parse_batch(
         results.push(parser.parse(&mut kb.network, machine, &sentence)?);
     }
     Ok(results)
+}
+
+/// The per-class instruction counts and times of a [`parse_batch`],
+/// summed into one report.
+pub fn class_profile(results: &[ParseResult]) -> RunReport {
+    let mut total = RunReport::default();
+    for r in results {
+        for (&class, &n) in &r.report.class_counts {
+            *total.class_counts.entry(class).or_insert(0) += n;
+        }
+        for (&class, &ns) in &r.report.class_time_ns {
+            *total.class_time_ns.entry(class).or_insert(0) += ns;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -26,11 +26,6 @@ pub struct ServeConfig {
     /// Bounded admission queue: offers beyond this capacity shed with
     /// [`ShedReason::QueueFull`] instead of growing without bound.
     pub queue_capacity: usize,
-    /// Propagation hop cap of the sequential machine every query runs
-    /// on (the rest of it is [`MachineConfig::snap1_eval`]).
-    pub max_hops: u8,
-    /// Cost model stamped into per-query reports.
-    pub cost: CostModel,
 }
 
 impl Default for ServeConfig {
@@ -38,8 +33,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 16,
             queue_capacity: 1024,
-            max_hops: MachineConfig::snap1_eval().max_hops,
-            cost: CostModel::snap1(),
         }
     }
 }
@@ -215,9 +208,11 @@ pub struct Server {
     /// and the pooled reports' partition statistics come from it.
     prepared: Prepared,
     cfg: ServeConfig,
-    /// The sequential machine every lane runs as:
-    /// [`ServeConfig::max_hops`] on the evaluation configuration.
+    /// The sequential machine every lane runs as: the evaluation
+    /// configuration ([`MachineConfig::snap1_eval`]).
     machine: MachineConfig,
+    /// The cost model stamped into every lane's report.
+    cost: CostModel,
     walker: Walker,
     /// The marker tables every lane runs in; each run resets them.
     region: Region,
@@ -253,17 +248,14 @@ impl Server {
     pub fn new(network: Arc<SemanticNetwork>, cfg: ServeConfig) -> Result<Self, CoreError> {
         // The sequential engine holds the whole network in one region.
         let prepared = Prepared::for_snapshot(&network, 1, PartitionScheme::Sequential)?;
-        let machine = MachineConfig {
-            max_hops: cfg.max_hops,
-            ..MachineConfig::snap1_eval()
-        };
         Ok(Server {
             walker: Walker::new(),
             region: Region::new(ClusterId(0), Arc::clone(prepared.map()), &network),
             network,
             prepared,
             cfg,
-            machine,
+            machine: MachineConfig::snap1_eval(),
+            cost: CostModel::snap1(),
             queue: VecDeque::new(),
             batch: Vec::new(),
             uniq: Vec::new(),
@@ -361,7 +353,7 @@ impl Server {
                         let ctx = &mut contexts[k];
                         ctx.outcome = self.walker.run(
                             &self.machine,
-                            &self.cfg.cost,
+                            &self.cost,
                             &self.network,
                             &mut self.region,
                             &p.program,
@@ -695,7 +687,6 @@ mod tests {
         let cfg = ServeConfig {
             queue_capacity: 4,
             max_batch: 2,
-            ..ServeConfig::default()
         };
         let mut server = Server::new(net, cfg).unwrap();
         let mut shed = 0;

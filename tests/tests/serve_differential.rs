@@ -34,13 +34,9 @@ const DEPTHS: [usize; 4] = [1, 4, 16, 64];
 
 /// The serial one-query-at-a-time oracle, configured exactly as the
 /// server configures the machine its lanes run on.
-fn serial_oracle(cfg: &ServeConfig) -> Snap1 {
+fn serial_oracle() -> Snap1 {
     Snap1::builder()
-        .config(MachineConfig {
-            max_hops: cfg.max_hops,
-            ..MachineConfig::snap1_eval()
-        })
-        .cost(cfg.cost.clone())
+        .config(MachineConfig::snap1_eval())
         .engine(EngineKind::Sequential)
         .build()
 }
@@ -83,7 +79,6 @@ fn serve_stream(
     let cfg = ServeConfig {
         max_batch: depth,
         queue_capacity: stream.len(),
-        ..ServeConfig::default()
     };
     let mut server = Server::new(Arc::clone(net), cfg).expect("flushed snapshot");
     let mut done = Vec::with_capacity(stream.len());
@@ -117,8 +112,7 @@ fn served_batches_match_serial_runs_across_grid() {
         let mut raw = kb();
         raw.flush_links();
         let net = Arc::new(raw);
-        let serve_cfg = ServeConfig::default();
-        let oracle = serial_oracle(&serve_cfg);
+        let oracle = serial_oracle();
         let serial: Vec<Result<RunReport, CoreError>> = programs
             .iter()
             .map(|(_, p)| oracle.run_shared(&net, p))
@@ -130,10 +124,8 @@ fn served_batches_match_serial_runs_across_grid() {
                 assert_isolated(&label, &c, &serial[pi]);
             }
         }
-        let mut cfg = MachineConfig::uniform(2, 3);
-        cfg.max_hops = serve_cfg.max_hops;
         let threaded = Snap1::builder()
-            .config(cfg)
+            .config(MachineConfig::uniform(2, 3))
             .engine(EngineKind::Threaded)
             .build();
         for ((pname, p), want) in programs.iter().zip(&serial) {
@@ -205,15 +197,15 @@ fn a_lane_failing_mid_propagation_leaves_the_shared_region_clean() {
         kb_query(noun, rule, func, target)
     };
     let offered: Vec<Program> = (0..16).map(lane).collect();
-    let cfg = ServeConfig::default();
-    let mut server = Server::new(Arc::clone(&net), cfg.clone()).expect("flushed snapshot");
+    let mut server =
+        Server::new(Arc::clone(&net), ServeConfig::default()).expect("flushed snapshot");
     for p in &offered {
         assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
     }
     let done = server.pump();
     assert_eq!(done.len(), 16, "one pump serves every lane");
     for (i, (c, p)) in done.iter().zip(&offered).enumerate() {
-        let want = serial_oracle(&cfg).run_shared(&net, p);
+        let want = serial_oracle().run_shared(&net, p);
         assert_isolated(&format!("lane {i}"), c, &want);
         assert_eq!(c.result.is_err(), i % 4 == 0, "lane {i}");
         if let Ok(report) = &c.result {
@@ -272,7 +264,7 @@ fn an_out_of_range_marker_read_is_one_typed_error_everywhere() {
     let mut raw = grid::kb_chain();
     raw.flush_links();
     let net = Arc::new(raw);
-    let oracle = serial_oracle(&ServeConfig::default());
+    let oracle = serial_oracle();
     let want_clean = oracle.run_shared(&net, &clean);
     assert!(want_clean.is_ok());
     for (name, program) in [
@@ -456,8 +448,7 @@ proptest! {
         let net = Arc::new(build_net(&spec));
         let programs: Vec<Program> =
             queries.iter().map(|q| build_query(q, spec.nodes)).collect();
-        let serve_cfg = ServeConfig::default();
-        let oracle = serial_oracle(&serve_cfg);
+        let oracle = serial_oracle();
         let serial: Vec<Result<RunReport, CoreError>> = programs
             .iter()
             .map(|p| oracle.run_shared(&net, p))
@@ -547,7 +538,7 @@ proptest! {
         nan.push(snap_isa::Instruction::CollectMarker { marker: Marker::complex(2) });
         programs[2] = nan;
         prop_assert_ne!(&programs[2], &programs[2].clone());
-        let oracle = serial_oracle(&ServeConfig::default());
+        let oracle = serial_oracle();
         let solo: Vec<Result<RunReport, CoreError>> = programs
             .iter()
             .map(|p| oracle.run_shared(&net, p))
