@@ -49,8 +49,6 @@ fn sync_ablation(quick: bool, out: &mut ExperimentOutput) {
                 }
             }
             // A mid-schedule completion check, as the controller would.
-            let all_idle = (0..pes).all(|_| true); // naive sees only idle flags
-            let _ = all_idle;
             checks += 1;
             let truly_done = in_flight == 0;
             if naive.is_complete() && !truly_done {

@@ -6,25 +6,26 @@
 //! layer, built on [`Snap1::run_shared`](snap_core::Snap1::run_shared)
 //! semantics:
 //!
-//! * [`QueryContext`] — what one lane leaves behind: the program it ran,
-//!   the report of that run and its outcome, pooled and cleared in
-//!   place so steady-state serving recycles the per-query allocations,
-//!   and kept as the answer to that program until a lane that misses
-//!   the pool takes the least recently used context;
+//! * [`QueryContext`] — one entry of the server's answer table: a
+//!   program, the report of running it and its outcome, cleared in
+//!   place by the next run it holds so steady-state serving recycles
+//!   the per-query allocations;
 //! * [`Server`] — bounded admission ([`ServeConfig::queue_capacity`])
 //!   with graceful shedding and exact accounting, plus a pump that
 //!   takes the oldest [`ServeConfig::max_batch`] queued queries (64 at
-//!   most) in arrival order, collapses bit-identical ones onto a single
-//!   lane whose result they share, answers a lane whose program a
-//!   pooled context already ran from that context's report
-//!   ([`ServeStats::reused`]), and runs each other lane as a
-//!   sequential-engine run: [`Walker::run`](snap_core::exec::Walker::run),
-//!   the same program walker `Snap1::run` and `Snap1::run_shared` use
-//!   on that engine — one controller plan per query, `PROPAGATE`s as
+//!   most) in arrival order and looks each one up in one answer table
+//!   of at most 64 contexts. A query whose program the table holds —
+//!   run by an earlier query of the same pump or of an earlier one —
+//!   completes from that report without running
+//!   ([`ServeStats::reused`]); any other runs as a sequential-engine
+//!   run into a new context, or the least recently used one once the
+//!   table is full: [`Walker::run`](snap_core::exec::Walker::run), the
+//!   same program walker `Snap1::run` and `Snap1::run_shared` use on
+//!   that engine — one controller plan per query, `PROPAGATE`s as
 //!   independent marker streams, as SNAP-1 overlaps them, each through
 //!   the wave kernel — all in the server's one region of marker tables,
 //!   as a SNAP-1 cluster's marker streams share its one status table;
-//! * a batch is that coalescing window, not a program shape: nothing
+//! * a batch is a count of queries, not a program shape: nothing
 //!   overtakes anything, completions come back in admission order, and
 //!   a query that fails does so alone, with its typed error;
 //! * every served report is bit-identical to running the query alone
@@ -35,10 +36,10 @@
 //! epoch is here: the server holds one [`Prepared`](snap_core::Prepared)
 //! — the snapshot's one-region map and partition statistics, built once
 //! in [`Server::new`] — so one server = one `Prepared` = one epoch,
-//! expressed by the type rather than a number. It is also why a pooled
-//! report stays a valid answer for the server's whole life. Updates
-//! mean flushing links, wrapping the new network in an `Arc`, and
-//! standing up a new server. Maintenance programs are shed at admission
+//! expressed by the type rather than a number. It is also why a
+//! context's report stays a valid answer for the server's whole life.
+//! Updates mean flushing links, wrapping the new network in an `Arc`,
+//! and standing up a new server. Maintenance programs are shed at admission
 //! for the same reason `run_shared` rejects them.
 
 #![forbid(unsafe_code)]

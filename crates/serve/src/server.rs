@@ -1,4 +1,5 @@
-//! Admission, arrival-order batching, and exact shed accounting.
+//! Admission, arrival-order batching, the answer table and exact shed
+//! accounting.
 
 use crate::context::QueryContext;
 use snap_core::exec::Walker;
@@ -9,17 +10,19 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Most queries one pump serves, whatever [`ServeConfig::max_batch`]
-/// asks for: coalescing compares each query with every lane before it,
-/// and this bounds that square.
+/// asks for, and most answers the server's answer table holds: a
+/// lookup scans one fingerprint per answer, and a full table is what a
+/// pump of this many distinct programs needs.
 const MAX_PUMP: usize = 64;
 
 /// Serving parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Most queries served by one pump as one batch: the oldest
-    /// `max_batch` in the queue, whatever they ask, which is also the
-    /// window identical queries coalesce in. Depth 1 degrades to
-    /// one-query-at-a-time serving (the bench baseline), and so does
+    /// `max_batch` in the queue, whatever they ask. It bounds how many
+    /// queries a pump serves, not which answers they can share: every
+    /// query is looked up in the whole answer table. Depth 1 degrades
+    /// to one-query-at-a-time serving (the bench baseline), and so does
     /// depth 0: a pump takes at least one query. A pump takes at most 64
     /// queries, so a deeper setting becomes more pumps.
     pub max_batch: usize,
@@ -79,9 +82,10 @@ pub struct ServeStats {
     pub completed: u64,
     /// Admitted queries that failed with an error.
     pub failed: u64,
-    /// Lanes answered from a pooled report instead of running: each is
-    /// a program an earlier pump ran, which the pool still held. Its
-    /// queries count in `completed` or `failed` like any other.
+    /// Queries answered without running: each asked a program the
+    /// answer table held, whether an earlier query of the same pump or
+    /// of an earlier one ran it. They count in `completed` or `failed`
+    /// like any other.
     pub reused: u64,
 }
 
@@ -107,7 +111,7 @@ pub struct Completion {
 }
 
 /// Borrowed view of one finished query, as [`Server::pump_with`]
-/// delivers it: the report stays in its pooled context, so the
+/// delivers it: the report stays in its context, so the
 /// steady-state serving loop observes completions without cloning — or
 /// allocating — anything.
 #[derive(Debug)]
@@ -181,57 +185,54 @@ fn fingerprint(program: &Program) -> Option<u64> {
 ///
 /// [`offer`](Server::offer) admits programs into a bounded queue;
 /// [`pump`](Server::pump) takes the oldest
-/// [`ServeConfig::max_batch`] of them, in arrival order, coalesces
-/// bit-identical programs onto one lane and runs each lane through the
+/// [`ServeConfig::max_batch`] of them, in arrival order, and answers
+/// each from the server's answer table or by running it through the
 /// sequential engine's [`Walker`] in the server's one [`Region`], as a
 /// SNAP-1 cluster runs every marker stream in its one marker table.
 /// Nothing overtakes anything, so completions come back in [`QueryId`]
-/// order and no query can starve; a lane that fails is a lane like any
-/// other. Every buffer the pump touches — the queue, batch staging, the
-/// region, pooled reports, the walker's scratch — is kept here, so
+/// order and no query can starve; a query that fails is a query like
+/// any other. Every buffer the pump touches — the queue, the answer
+/// table, the region, the walker's scratch — is kept here, so
 /// steady-state serving ([`Server::pump_with`] after warm-up) performs
 /// no heap allocation per query.
 ///
-/// The snapshot never changes, so a pooled report stays the answer to
-/// the program that produced it for the server's life: a lane asking a
-/// program the pool holds completes from that report, error included,
-/// without running ([`ServeStats::reused`]). A query's fingerprint —
-/// a multiply-rotate fold of its instructions' kinds and integer
-/// operands, taken in the pass [`offer`](Server::offer) makes anyway —
-/// screens both that lookup and in-pump coalescing before `Program ==`
-/// confirms a match. A lane that misses runs in the least recently used
-/// context, so the pool is a FIFO of answers no longer than the most
-/// lanes one pump has had.
+/// The snapshot never changes, so a context's report stays the answer
+/// to the program that produced it for the server's life. The answer
+/// table is at most 64 contexts, with each context's program
+/// fingerprint — a multiply-rotate fold of its instructions' kinds and
+/// integer operands, taken in the pass [`offer`](Server::offer) makes
+/// anyway — and the [`QueryId`] it last answered kept beside it in
+/// dense arrays. A query scans the fingerprints, and `Program ==`
+/// confirms a match: a query whose program the table holds completes
+/// from that report, error included, without running
+/// ([`ServeStats::reused`]), whether the run it reads came in this pump
+/// or an earlier one. Any other query runs into a new context while the
+/// table has fewer than 64, otherwise into the least recently used one,
+/// and its program moves in.
 pub struct Server {
     network: Arc<SemanticNetwork>,
     /// The snapshot's one-region set-up, built once here: the region
-    /// and the pooled reports' partition statistics come from it.
+    /// and the contexts' partition statistics come from it.
     prepared: Prepared,
     cfg: ServeConfig,
-    /// The sequential machine every lane runs as: the evaluation
+    /// The sequential machine every run is: the evaluation
     /// configuration ([`MachineConfig::snap1_eval`]).
     machine: MachineConfig,
-    /// The cost model stamped into every lane's report.
+    /// The cost model stamped into every report.
     cost: CostModel,
     walker: Walker,
-    /// The marker tables every lane runs in; each run resets them.
+    /// The marker tables every run uses; each run resets them.
     region: Region,
     queue: VecDeque<Pending>,
-    /// The batch being served.
-    batch: Vec<Pending>,
-    /// Indices into `batch`: one per distinct program (lane owners).
-    uniq: Vec<usize>,
-    /// Every context the server has made; `pool` and `active` index it,
-    /// so a context never moves.
+    /// The answer table: at most [`MAX_PUMP`] contexts, each the answer
+    /// to its program.
     contexts: Vec<QueryContext>,
-    /// Idle contexts, least recently used first, each with the
-    /// fingerprint of the program it answers: a lane that runs takes
-    /// the front, a finished one goes to the back. A lookup reads these
-    /// pairs, and a context only when its fingerprint matches.
-    pool: VecDeque<(u64, usize)>,
-    /// Contexts checked out for the batch in flight: `active[j]` is the
-    /// lane `batch[uniq[j]]` owns.
-    active: Vec<usize>,
+    /// `fingerprints[k]` is the [`fingerprint`] of `contexts[k]`'s
+    /// program: a lookup reads these, and a context only on a match.
+    fingerprints: Vec<u64>,
+    /// `last_used[k]` is the last query `contexts[k]` answered: a miss
+    /// in a full table runs in the context with the smallest.
+    last_used: Vec<u64>,
     stats: ServeStats,
     next_id: u64,
 }
@@ -257,11 +258,9 @@ impl Server {
             machine: MachineConfig::snap1_eval(),
             cost: CostModel::snap1(),
             queue: VecDeque::new(),
-            batch: Vec::new(),
-            uniq: Vec::new(),
             contexts: Vec::new(),
-            pool: VecDeque::new(),
-            active: Vec::new(),
+            fingerprints: Vec::new(),
+            last_used: Vec::new(),
             stats: ServeStats::default(),
             next_id: 0,
         })
@@ -292,14 +291,13 @@ impl Server {
     }
 
     /// Serves one batch: the oldest [`ServeConfig::max_batch`] queued
-    /// queries, with bit-identical queries coalesced onto a single lane
-    /// and sharing its result, and a lane whose program the pool has
-    /// answered before completed from that answer. Returns their
-    /// completions in admission order (empty when the queue is idle).
+    /// queries, each answered from the answer table when it holds the
+    /// query's program and run otherwise. Returns their completions in
+    /// admission order (empty when the queue is idle).
     ///
-    /// This convenience form clones each report out of its pooled
-    /// context; the steady-state serving loop uses
-    /// [`Server::pump_with`], which does not.
+    /// This convenience form clones each report out of its context; the
+    /// steady-state serving loop uses [`Server::pump_with`], which does
+    /// not.
     pub fn pump(&mut self) -> Vec<Completion> {
         let mut done = Vec::new();
         self.pump_with(|c| {
@@ -314,59 +312,16 @@ impl Server {
 
     /// [`Server::pump`] without the clones: serves one batch and hands
     /// each completion to `sink` as a borrowed [`CompletionRef`]. Once
-    /// the pools are warm, a pump performs no heap allocation.
+    /// the answer table is warm, a pump performs no heap allocation.
     pub fn pump_with(&mut self, mut sink: impl FnMut(CompletionRef<'_>)) {
-        debug_assert!(self.batch.is_empty() && self.active.is_empty());
         let depth = self.queue.len().min(self.cfg.max_batch.clamp(1, MAX_PUMP));
-        self.batch.extend(self.queue.drain(..depth));
-        // One lane per *distinct* program: a duplicate shares its
-        // lane's result and skips execution entirely — the report of an
-        // identical program on an immutable snapshot is identical by
-        // construction (the differential tests pin this down). For the
-        // same reason a lane whose program a pooled context answers
-        // takes that context and does not run either; any other lane
-        // runs in the least recently used one.
-        self.uniq.clear();
-        for (i, p) in self.batch.iter().enumerate() {
-            let owns = |&u: &usize| {
-                let q = &self.batch[u];
-                q.fingerprint == p.fingerprint && q.program == p.program
+        for _ in 0..depth {
+            let Some(p) = self.queue.pop_front() else {
+                break;
             };
-            let lane = self.uniq.iter().position(owns).unwrap_or_else(|| {
-                let contexts = &mut self.contexts;
-                let pooled = self.pool.iter().position(|&(f, k)| {
-                    f == p.fingerprint && contexts[k].program.as_ref() == Some(&p.program)
-                });
-                let k = match pooled.and_then(|at| self.pool.remove(at)) {
-                    Some((_, k)) => {
-                        self.stats.reused += 1;
-                        k
-                    }
-                    None => {
-                        let k = match self.pool.pop_front() {
-                            Some((_, k)) => k,
-                            None => {
-                                contexts.push(QueryContext::new(&self.prepared));
-                                contexts.len() - 1
-                            }
-                        };
-                        let ctx = &mut contexts[k];
-                        ctx.outcome = self.walker.run(
-                            &self.machine,
-                            &self.cost,
-                            &self.network,
-                            &mut self.region,
-                            &p.program,
-                            &mut ctx.report,
-                        );
-                        k
-                    }
-                };
-                self.active.push(k);
-                self.uniq.push(i);
-                self.uniq.len() - 1
-            });
-            let ctx = &self.contexts[self.active[lane]];
+            let k = self.answer(p.fingerprint, p.program);
+            self.last_used[k] = p.id.0;
+            let ctx = &self.contexts[k];
             let result = ctx.outcome.as_ref().map(|_| &ctx.report);
             match result {
                 Ok(_) => self.stats.completed += 1,
@@ -378,15 +333,44 @@ impl Server {
                 result,
             });
         }
-        // Each lane's context now answers its owner's program: move the
-        // program in, and the context to the back of the pool.
-        for (&k, &owner) in self.active.iter().zip(&self.uniq) {
-            let p = &mut self.batch[owner];
-            self.contexts[k].program = Some(std::mem::take(&mut p.program));
-            self.pool.push_back((p.fingerprint, k));
+    }
+
+    /// The context that answers `program`. The report of a program on
+    /// an immutable snapshot is fixed by construction (the differential
+    /// tests pin this down), so a context that already holds `program`
+    /// answers without running. Otherwise `program` moves into a new
+    /// context or the least recently used one, and runs there.
+    fn answer(&mut self, fingerprint: u64, program: Program) -> usize {
+        let held = (self.fingerprints.iter().zip(&self.contexts))
+            .position(|(&f, ctx)| f == fingerprint && ctx.program == program);
+        if let Some(k) = held {
+            self.stats.reused += 1;
+            return k;
         }
-        self.active.clear();
-        self.batch.clear();
+        let k = if self.contexts.len() < MAX_PUMP {
+            self.contexts
+                .push(QueryContext::new(&self.prepared, program));
+            self.fingerprints.push(fingerprint);
+            self.last_used.push(0);
+            self.contexts.len() - 1
+        } else {
+            let lru = (self.last_used.iter().enumerate())
+                .min_by_key(|&(_, &used)| used)
+                .map_or(0, |(k, _)| k);
+            self.contexts[lru].program = program;
+            self.fingerprints[lru] = fingerprint;
+            lru
+        };
+        let ctx = &mut self.contexts[k];
+        ctx.outcome = self.walker.run(
+            &self.machine,
+            &self.cost,
+            &self.network,
+            &mut self.region,
+            &ctx.program,
+            &mut ctx.report,
+        );
+        k
     }
 
     /// Pumps until the queue is empty, returning all completions.
@@ -408,12 +392,11 @@ impl Server {
         self.queue.len()
     }
 
-    /// Idle pooled contexts, each the answer to the last program it
-    /// ran (diagnostic: the pool never holds more than the most lanes
-    /// one pump has had, so steady-state serving allocates nothing new,
-    /// and it answers at most that many distinct programs).
+    /// Answers the answer table holds, one per context, each the answer
+    /// to the last program that context ran (diagnostic: at most 64, so
+    /// once the table is full serving allocates no new context).
     pub fn pool_size(&self) -> usize {
-        self.pool.len()
+        self.contexts.len()
     }
 
     /// The shared snapshot being served.
@@ -568,17 +551,17 @@ mod tests {
             assert_eq!(c.result.as_ref().unwrap(), &want, "query {n}");
         }
 
-        // 100 copies of one program: the same two pumps, each coalesced
-        // onto a single lane.
+        // 100 copies of one program: the same two pumps, and one run.
         let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
         for _ in 0..100 {
             server.offer(query(42));
         }
         let depths: Vec<usize> = (0..2).map(|_| server.pump().len()).collect();
         assert_eq!(depths, vec![MAX_PUMP, 36]);
-        assert_eq!(server.pool_size(), 1, "each pump ran one lane");
+        assert_eq!(server.pool_size(), 1, "one program, one answer");
         server.assert_accounting();
         assert_eq!(server.stats().completed, 100);
+        assert_eq!(server.stats().reused, 99, "only the first query ran");
     }
 
     /// A third shape: one hop into a binary target.
@@ -650,7 +633,8 @@ mod tests {
         server.offer(program.clone());
         let done = server.pump();
         assert_eq!(done.len(), 2);
-        assert_eq!(server.pool_size(), 2, "two lanes: nothing coalesced");
+        assert_eq!(server.pool_size(), 2, "two runs: nothing answered");
+        assert_eq!(server.stats().reused, 0);
         let want = oracle().run_shared(&net, &program);
         for c in &done {
             assert_eq!(c.batch_depth, 2);
@@ -764,14 +748,14 @@ mod tests {
     fn one_failing_lane_fails_alone_in_a_full_batch() {
         let net = snapshot();
         let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-        // Warm the pool with one clean depth-16 batch.
+        // Warm the table with one clean depth-16 batch.
         for n in 0..16u32 {
             server.offer(query(n));
         }
         assert_eq!(server.pump().len(), 16);
-        let (pool, warm) = (server.pool_size(), server.stats().completed);
+        let warm = server.stats().completed;
         // Lanes 5 and 9 ask — identically — about a node the KB does not
-        // have: one lane fails, both queries get its error.
+        // have: lane 5 runs and fails, lane 9 gets its error unrun.
         let node = |lane: u32| {
             if lane == 5 || lane == 9 {
                 300
@@ -793,8 +777,8 @@ mod tests {
         }
         assert_eq!(done[5].result, done[9].result);
         let s = server.stats();
-        assert_eq!((s.completed - warm, s.failed), (14, 2));
-        assert_eq!(server.pool_size(), pool, "every context came back");
+        assert_eq!((s.completed - warm, s.failed, s.reused), (14, 2, 1));
+        assert_eq!(server.pool_size(), 16 + 15, "one answer per program");
         server.assert_accounting();
     }
 
@@ -819,13 +803,16 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut server = Server::new(net, cfg).unwrap();
+        // The same four programs each round, in a rotated order: the
+        // first round runs them, every later one answers from the table.
         for round in 0..3 {
             for n in 0..4u32 {
-                server.offer(query(n + round));
+                server.offer(query((n + round) % 4));
             }
             let done = server.drain();
             assert_eq!(done.len(), 4);
-            assert_eq!(server.pool_size(), 4, "round {round}: pool stable");
+            assert_eq!(server.pool_size(), 4, "round {round}: table stable");
+            assert_eq!(server.stats().reused, 4 * u64::from(round));
         }
         server.assert_accounting();
     }
@@ -834,7 +821,7 @@ mod tests {
     fn duplicate_queries_coalesce_onto_one_lane() {
         let net = snapshot();
         let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
-        // Six offers, two distinct programs — one lane each.
+        // Six offers, two distinct programs — one run each.
         for n in [7u32, 7, 120, 7, 120, 7] {
             server.offer(query(n));
         }
@@ -846,6 +833,7 @@ mod tests {
             2,
             "only distinct programs took a context"
         );
+        assert_eq!(server.stats().reused, 4, "four duplicates did not run");
         let oracle = oracle();
         for (c, n) in done.iter().zip([7u32, 7, 120, 7, 120, 7]) {
             let want = oracle.run_shared(&net, &query(n)).unwrap();
@@ -862,14 +850,14 @@ mod tests {
         server.offer(query(7));
         server.offer(spread_query(7));
         assert_eq!(server.pump().len(), 2);
-        assert_eq!(server.stats().reused, 0, "a cold pool answers nothing");
-        // The next pump asks both again, once twice: two lanes, both
-        // answered from the pool, and one duplicate coalesced onto one.
+        assert_eq!(server.stats().reused, 0, "a cold table answers nothing");
+        // The next pump asks both again, one of them twice: all three
+        // queries are answered from the table.
         for p in [spread_query(7), query(7), spread_query(7)] {
             server.offer(p);
         }
         let done = server.pump();
-        assert_eq!(server.stats().reused, 2, "neither program ran again");
+        assert_eq!(server.stats().reused, 3, "neither program ran again");
         assert_eq!(server.pool_size(), 2);
         let oracle = oracle();
         for (c, p) in done
@@ -918,7 +906,7 @@ mod tests {
             assert_eq!(server.pump()[0].result, want);
         }
         assert_eq!(server.stats().reused, 0, "NaN equals nothing");
-        assert_eq!(server.pool_size(), 1, "each run overwrote the one answer");
+        assert_eq!(server.pool_size(), 3, "each run took a context of its own");
         server.assert_accounting();
     }
 
@@ -930,29 +918,83 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut server = Server::new(Arc::clone(&net), cfg).unwrap();
-        let (a, b, c) = (query(1), query(2), query(3));
         let oracle = oracle();
-        // Each step: the programs one pump serves, and `reused` after it.
-        // The pool (least recently used first) goes [a b], [b c] — `c`
-        // overwrote `a` —, [c b] — `b` was used —, [b a] — `a`
-        // overwrote `c` —, [a b].
-        let steps = [
-            (vec![&a, &b], 0),
-            (vec![&c], 0),
-            (vec![&b], 1),
-            (vec![&a], 1),
-            (vec![&b], 2),
-        ];
-        for (step, (programs, reused)) in steps.into_iter().enumerate() {
-            for p in &programs {
-                server.offer((*p).clone());
-            }
-            for (done, p) in server.pump().iter().zip(&programs) {
-                assert_eq!(done.result, oracle.run_shared(&net, p), "step {step}");
-            }
-            assert_eq!(server.stats().reused, reused, "step {step}");
-            assert_eq!(server.pool_size(), 2, "step {step}");
+        // Fill the table: `query(n)` for n in 0..64, query 0 answered
+        // first, so least recently used.
+        for n in 0..MAX_PUMP as u32 {
+            server.offer(query(n));
         }
+        server.drain();
+        assert_eq!(server.pool_size(), MAX_PUMP);
+        // Each step: the program one pump asks, and `reused` after it.
+        // Asking 0 makes 1 the least recently used; 64 overwrites 1, so
+        // asking 1 runs again and overwrites 2, the next oldest; 0 and
+        // 64 are still held.
+        let steps = [(0, 1), (64, 1), (1, 1), (0, 2), (64, 3), (2, 3)];
+        for (step, (n, reused)) in steps.into_iter().enumerate() {
+            server.offer(query(n));
+            let done = server.pump();
+            assert_eq!(
+                done[0].result,
+                oracle.run_shared(&net, &query(n)),
+                "step {step}"
+            );
+            assert_eq!(server.stats().reused, reused, "step {step}");
+            assert_eq!(server.pool_size(), MAX_PUMP, "step {step}");
+        }
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn a_zipf_stream_runs_each_program_once() {
+        let net = snapshot();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        // Zipf(1.2) over 32 programs, two shapes over sixteen nodes,
+        // drawn by a fixed xorshift: the serve-hot workload in small.
+        let programs: Vec<Program> = (0..16u32)
+            .flat_map(|n| [query(n * 17), spread_query(n * 17)])
+            .collect();
+        let weights: Vec<f64> = (1..=32).map(|r| f64::from(r).powf(-1.2)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let stream: Vec<usize> = (0..2_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let mut draw = (x >> 11) as f64 / (1u64 << 53) as f64 * total;
+                weights
+                    .iter()
+                    .position(|&w| {
+                        draw -= w;
+                        draw < 0.0
+                    })
+                    .unwrap_or(31)
+            })
+            .collect();
+        let mut seen = [false; 32];
+        stream.iter().for_each(|&i| seen[i] = true);
+        assert!(seen.iter().all(|&s| s), "the stream asks every program");
+        let oracle = oracle();
+        let solo: Vec<_> = programs
+            .iter()
+            .map(|p| oracle.run_shared(&net, p))
+            .collect();
+        for chunk in stream.chunks(64) {
+            for &i in chunk {
+                server.offer(programs[i].clone());
+            }
+            while server.queue_len() > 0 {
+                let done = server.pump();
+                assert!(done.iter().all(|c| c.batch_depth == 16));
+                for c in done {
+                    assert_eq!(c.result, solo[stream[c.id.0 as usize]], "query {}", c.id.0);
+                }
+            }
+        }
+        let s = server.stats();
+        assert_eq!(s.completed + s.failed - s.reused, 32, "one run per program");
+        assert_eq!(server.pool_size(), 32);
         server.assert_accounting();
     }
 

@@ -3,17 +3,22 @@
 //! The simulator's reports — every simulated nanosecond, message, hop,
 //! blocked send, injected fault and schedule decision — are the
 //! contract host-side work on the event loop must not move. Each case
-//! below runs one program on one machine and pins the *complete*
-//! [`RunReport`] as an FNV-1a digest of its `Debug` rendering, with the
-//! headline fields beside it so a failure says what moved. The values
-//! were recorded from the engine at commit `18bb181` (a `BinaryHeap` of
-//! whole events, per-message `Vec` hop counts, a heap outbox), before
-//! the event queue and message path were rebuilt; a change that alters
-//! any of them has changed the simulated machine, not its speed. The
-//! digests were re-recorded once, when `RunReport` lost its two
-//! always-zero `perf_events`/`perf_dropped` counters: with
-//! `, perf_events: 0, perf_dropped: 0` spliced back before `faults`,
-//! each new rendering hashes to the old digest.
+//! below runs one program on one machine and pins the report's
+//! simulated fields — `total_ns`, `class_counts`, `class_time_ns`,
+//! `collects`, `overhead`, `traffic`, `barriers`, `expansions`,
+//! `alpha_per_propagate`, `max_propagation_depth`, `faults` and
+//! `schedule_digest` — as an FNV-1a digest of each field's name and
+//! `Debug` rendering, with the headline fields beside it so a failure
+//! says what moved. The host-side fields (`wall_ns`, `trace`,
+//! `partition`) are left out, so adding, renaming or deleting a
+//! `RunReport` field outside that list moves no digest. The headline
+//! values were recorded from the engine at commit `18bb181` (a
+//! `BinaryHeap` of whole events, per-message `Vec` hop counts, a heap
+//! outbox), before the event queue and message path were rebuilt; a
+//! change that alters any of them has changed the simulated machine,
+//! not its speed. The digests were recorded with this field-by-field
+//! `pin` at commit `e49cf02`, where the whole-report digests it replaced
+//! still held.
 
 #[cfg(not(feature = "fuzz-bug"))]
 use snap_core::ScheduleStrategy;
@@ -24,11 +29,25 @@ use snap_kb::{PartitionScheme, SemanticNetwork};
 use snap_nlu::{DomainSpec, MemoryBasedParser, SentenceGenerator};
 use std::sync::Arc;
 
-/// What a case pins: the whole report's digest, then the fields a
-/// reader wants to see when it moves.
+/// What a case pins: a digest of the report's simulated fields, each
+/// by name, then the fields a reader wants to see when it moves.
 fn pin(report: &RunReport) -> String {
+    let simulated = [
+        format!("total_ns={:?}", report.total_ns),
+        format!("class_counts={:?}", report.class_counts),
+        format!("class_time_ns={:?}", report.class_time_ns),
+        format!("collects={:?}", report.collects),
+        format!("overhead={:?}", report.overhead),
+        format!("traffic={:?}", report.traffic),
+        format!("barriers={:?}", report.barriers),
+        format!("expansions={:?}", report.expansions),
+        format!("alpha_per_propagate={:?}", report.alpha_per_propagate),
+        format!("max_propagation_depth={:?}", report.max_propagation_depth),
+        format!("faults={:?}", report.faults),
+        format!("schedule_digest={:?}", report.schedule_digest),
+    ];
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{report:?}").bytes() {
+    for b in simulated.iter().flat_map(|field| field.bytes()) {
         digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!(
@@ -85,7 +104,7 @@ fn wave_on_16_edgecut_clusters() {
     assert_eq!(report.alpha_per_propagate, vec![2_000]);
     assert_eq!(
         pin(&report),
-        "0ec73cd357509907 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "4fd8a1a8a428c7e7 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -97,7 +116,7 @@ fn wave_with_a_four_slot_outbox() {
     });
     assert_eq!(
         pin(&report),
-        "e5e1374497dfb61f total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "eb9e1760d29b3caf total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -126,7 +145,7 @@ fn wave_under_a_seeded_fault_plan() {
     );
     assert_eq!(
         pin(&report),
-        "b56d4ae2514de431 total_ns=3003715 comm_ns=625733861 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
+        "98fb4d635ad5226f total_ns=3003715 comm_ns=625733861 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
     );
     // Faults and a cramped outbox together: delayed and retransmitted
     // deliveries leave a blocked sender's outbox out of send order.
@@ -137,7 +156,7 @@ fn wave_under_a_seeded_fault_plan() {
     });
     assert_eq!(
         pin(&cramped),
-        "cad3fa650e178147 total_ns=3028254 comm_ns=672966670 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
+        "eb5fcd6b354ec629 total_ns=3028254 comm_ns=672966670 msgs=3958 hops=6398 blocked=3898 expansions=2006 depth=3 injected=1944 schedule=0000000000000000"
     );
     // And under a fuzzed schedule: out-of-order deliveries and drawn
     // tie keys meet in the event queue. The planted ordering bug makes
@@ -151,7 +170,7 @@ fn wave_under_a_seeded_fault_plan() {
         });
         assert_eq!(
             pin(&fuzzed),
-            "6a5e55733a59ad07 total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
+            "f0616678a4a6feab total_ns=2994715 comm_ns=646001477 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=1999 schedule=ba87831da3722c17"
         );
     }
 }
@@ -161,9 +180,9 @@ fn wave_under_a_seeded_fault_plan() {
 fn wave_under_fuzzed_schedules() {
     let fifo = run_wave(wave_config());
     let want = [
-        "e3848f12ab73bc18 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=91562b6826a2b5c0",
-        "53ca28e114f3ca8b total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=ef87daf920483a3e",
-        "b927471f44b39bbc total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=aa46f3b646df5324",
+        "75168bb666fc39a6 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=91562b6826a2b5c0",
+        "86433ede5e46105d total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=ef87daf920483a3e",
+        "d298adcd9369d806 total_ns=2878380 comm_ns=496546920 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=aa46f3b646df5324",
     ];
     for (seed, want) in (1u64..).zip(want) {
         let report = run_wave(MachineConfig {
@@ -184,7 +203,7 @@ fn wave_in_lockstep() {
     });
     assert_eq!(
         pin(&report),
-        "8f6fbd1353f30e4d total_ns=2904130 comm_ns=13691720 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
+        "99e979e403f718ad total_ns=2904130 comm_ns=13691720 msgs=3958 hops=6398 blocked=0 expansions=2006 depth=3 injected=0 schedule=0000000000000000"
     );
 }
 
@@ -208,6 +227,6 @@ fn sentence_on_the_evaluation_array() {
     );
     assert_eq!(
         pin(report),
-        "726691a6e12b0467 total_ns=4643202 comm_ns=106836490 msgs=3486 hops=5257 blocked=0 expansions=3641 depth=8 injected=0 schedule=0000000000000000"
+        "6a1a41c2588fdb94 total_ns=4643202 comm_ns=106836490 msgs=3486 hops=5257 blocked=0 expansions=3641 depth=8 injected=0 schedule=0000000000000000"
     );
 }

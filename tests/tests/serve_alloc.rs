@@ -171,12 +171,12 @@ fn steady_state_pump_allocates_nothing_per_query() {
         (three_states, Marker::complex(2)),
         (PropRule::Star(r0), Marker::binary(2)),
     ];
-    // Distinct seeds so every query takes its own lane (no coalescing
-    // shortcut).
-    let seeds = [0u32, 17, 42, 99, 123, 200, 250, 299];
-    let programs: Vec<Program> = seeds
-        .iter()
-        .flat_map(|&n| {
+    // 32 distinct seeds × 3 shapes: 96 programs, more than the 64
+    // answers the server's table holds, so a round robin over them
+    // misses on every query (no answered-without-running shortcut).
+    let programs: Vec<Program> = (0..32u32)
+        .map(|i| i * 9)
+        .flat_map(|n| {
             shapes
                 .iter()
                 .map(move |(rule, target)| query(n, rule, *target))
@@ -184,11 +184,13 @@ fn steady_state_pump_allocates_nothing_per_query() {
         .collect();
 
     // Warm-up: several full offer-and-drain rounds grow every pool to
-    // its steady-state footprint (the queue, contexts, wave scratch,
-    // report maps, the compiled-rule cache). 24 distinct programs round
-    // robin through a pool of 8 answers: every lane misses and runs.
-    // Every pump here has 8 distinct programs, so 8 lanes, and the pool
-    // may never hold more contexts than that.
+    // its steady-state footprint (the queue, the answer table, wave
+    // scratch, report maps, the compiled-rule cache). 96 distinct
+    // programs round robin through a table of 64 answers: every query
+    // misses and runs, the first 64 into new contexts and each later
+    // one into the least recently used, so query `i` runs in context
+    // `i % 64` and every context meets each of the three programs its
+    // cycle brings it.
     for _ in 0..3 {
         for p in &programs {
             assert!(matches!(server.offer(p.clone()), Admission::Admitted(_)));
@@ -197,9 +199,10 @@ fn steady_state_pump_allocates_nothing_per_query() {
             server.pump_with(|c| {
                 c.result.expect("warm-up query succeeds");
             });
-            assert!(server.pool_size() <= 8, "more answers than lanes");
+            assert!(server.pool_size() <= 64, "more than 64 answers");
         }
     }
+    assert_eq!(server.pool_size(), 64, "the table is full");
 
     // Measured rounds: programs are cloned before the counter is armed
     // (cloning a Program allocates, and that is the client's work), then
@@ -245,27 +248,28 @@ fn steady_state_pump_allocates_nothing_per_query() {
             allocs, 0,
             "{label}: steady-state pump allocated {allocs} time(s) serving {served} queries"
         );
-        assert!(pool <= 8, "{label}: {pool} answers, at most 8 lanes a pump");
+        assert!(pool <= 64, "{label}: {pool} answers, more than 64");
         server.stats().reused - reused
     };
-    // Misses: the 24 round robin again, every lane runs.
+    // Misses: the 96 round robin again, every query runs.
     let all: Vec<usize> = (0..programs.len()).collect();
-    assert_eq!(measure("misses", &all), 0, "every lane ran");
-    // Both: the pool answers 16..24, least recently used first. Each pump
-    // asks four of its newest answers again and four programs it does
-    // not hold, which overwrite its four oldest answers.
+    assert_eq!(measure("misses", &all), 0, "every query ran");
+    // Both: the table answers 32..96, least recently used first. Each
+    // pump asks four of its newest answers again and four programs it
+    // does not hold, which overwrite its four oldest answers — in the
+    // contexts that ran those programs before.
     let mixed: Vec<usize> = [0, 4, 8]
         .iter()
-        .flat_map(|&k| (16..20).chain(k..k + 4))
+        .flat_map(|&k| (88..92).chain(k..k + 4))
         .collect();
     assert_eq!(
         measure("hits and misses", &mixed),
         12,
-        "four of eight lanes"
+        "four of eight queries"
     );
-    // Hits: the last pump's eight programs, all answered from the pool.
+    // Hits: the last pump's eight programs, all answered from the table.
     let last: Vec<usize> = mixed[16..].to_vec();
-    assert_eq!(measure("hits", &last), 8, "no lane ran");
+    assert_eq!(measure("hits", &last), 8, "no query ran");
     server.assert_accounting();
 }
 

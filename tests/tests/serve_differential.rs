@@ -1,6 +1,6 @@
 //! Serve isolation differential: queries answered through the batching
-//! server — arrival-order batches, coalesced duplicates, pooled
-//! contexts — must be indistinguishable from the same queries run
+//! server — arrival-order batches, duplicates and repeats answered from
+//! its answer table — must be indistinguishable from the same queries run
 //! serially, one at a time, on the sequential engine, and come back in
 //! the order they were admitted. The whole `RunReport` is compared per
 //! query.
@@ -10,13 +10,13 @@
 //! * a **deterministic grid** over the shared KB axis × batch depth
 //!   {1, 4, 16, 64}, with a threaded cross-check of the same queries;
 //! * a **proptest sweep** over fuzzed networks and programs, offering
-//!   each random program several times so batches mix duplicates (the
-//!   coalescing path) with distinct shapes and, now and then, a rule
+//!   each random program several times so batches mix duplicates
+//!   (answered from the table) with distinct shapes and, now and then, a rule
 //!   as wide as a rule state may be or a query that fails beside
 //!   siblings that must not notice;
 //! * a **pooled-answer sweep** over streams that repeat a few programs
-//!   across pumps, Zipf-like, so most lanes are answered from a report
-//!   an earlier pump left in the pool — a failing program's included,
+//!   across pumps, Zipf-like, so most queries are answered from a
+//!   report the answer table holds — a failing program's included,
 //!   and never one with a NaN constant, which equals nothing.
 
 use proptest::prelude::*;
@@ -368,7 +368,7 @@ fn build_net(spec: &NetSpec) -> SemanticNetwork {
 /// these mixes shapes within a batch, runs every arc-count path of the
 /// wave kernel side by side (rule 4 has an eight-arc state over four
 /// relations, the widest a rule admits, so arcs share relations) and,
-/// via repeats, coalesces duplicates.
+/// via repeats, answers duplicates from the table.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     seed: u32,
@@ -489,7 +489,7 @@ fn served_batches_match_serial_runs_on_fuzzed_inputs() {
     );
 }
 
-// ---- answers from the pool equal fresh runs ----
+// ---- answers from the table equal fresh runs ----
 
 /// Zipf(1) over eight ranks, as integer weights `840 / rank`.
 const ZIPF_8: [u32; 8] = [840, 420, 280, 210, 168, 140, 120, 105];
@@ -506,12 +506,12 @@ fn zipf_rank(mut draw: u32) -> usize {
         .expect("draw below the total weight")
 }
 
-/// Lanes answered from the pool, over all cases of the sweep below.
+/// Queries answered from the table, over all cases of the sweep below.
 static REUSED: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     // Not a `#[test]` itself: the wrapper below runs the cases and then
-    // checks that the pool answered lanes. Cases follow
+    // checks that the table answered queries. Cases follow
     // `PROPTEST_CASES`.
     fn pooled_answers_cases(
         spec in net_strategy(),
@@ -549,16 +549,24 @@ proptest! {
         for (pi, c) in served {
             assert_isolated(&format!("pooled #{pi} depth {depth}"), &c, &solo[pi]);
         }
-        // At most one lane per query, and a NaN program's never reused:
-        // every one of its queries ran.
+        // The answer table holds all eight programs, so each distinct
+        // program ran once, except the NaN one: every one of its
+        // queries ran.
         let nan_queries = stream.iter().filter(|&&pi| pi == 2).count() as u64;
-        prop_assert!(stats.reused + nan_queries <= stream.len() as u64);
+        let mut distinct: Vec<&Program> = Vec::new();
+        for &pi in stream.iter().filter(|&&pi| pi != 2) {
+            if !distinct.contains(&&programs[pi]) {
+                distinct.push(&programs[pi]);
+            }
+        }
+        let runs = stats.completed + stats.failed - stats.reused;
+        prop_assert_eq!(runs, distinct.len() as u64 + nan_queries);
         REUSED.fetch_add(stats.reused as usize, Ordering::Relaxed);
     }
 }
 
 /// Streams that repeat eight programs across pumps at depths 1, 4 and
-/// 16: every completion — answered from the pool, coalesced or run —
+/// 16: every completion — answered from the table or run —
 /// equals the program's solo `run_shared` report or error, in arrival
 /// order, with exact accounting.
 #[test]
@@ -566,6 +574,6 @@ fn pooled_answers_equal_fresh_runs() {
     pooled_answers_cases();
     assert!(
         REUSED.load(Ordering::Relaxed) > 0,
-        "no generated stream was answered from the pool"
+        "no generated stream was answered from the table"
     );
 }
