@@ -21,7 +21,6 @@
 //! modelled here; the SIMD lockstep ablation path is likewise
 //! uninjected.
 
-use crate::bus::BusModel;
 use crate::config::MachineConfig;
 use crate::controller::{PlanBuf, PlanOp, PropSpec};
 use crate::cost::CostModel;
@@ -209,7 +208,6 @@ struct Des<'c> {
     config: &'c MachineConfig,
     cost: &'c CostModel,
     st: &'c mut DesState,
-    bus: BusModel,
     sync: TieredSyncModel,
     injector: Option<crate::inject::FaultInjector>,
     tracer: Tracer,
@@ -246,7 +244,6 @@ impl<'c> Des<'c> {
             config,
             cost,
             st,
-            bus: BusModel::new(),
             sync: TieredSyncModel::new(config.pe_count()),
             injector: config
                 .fault_plan
@@ -308,7 +305,6 @@ impl<'c> Des<'c> {
             }
             InstrClass::Collect => {
                 let bcast = self.cost.broadcast_ns;
-                self.bus.broadcast(self.now, 2, bcast / 2);
                 self.report.overhead.broadcast_ns += bcast;
                 let ns = self.cost.collect_ns(self.config.clusters, items);
                 self.report.overhead.collect_ns += ns;
@@ -319,7 +315,6 @@ impl<'c> Des<'c> {
             }
             InstrClass::Search | InstrClass::Boolean | InstrClass::SetClear => {
                 let bcast = self.cost.broadcast_ns;
-                self.bus.broadcast(self.now, 2, bcast / 2);
                 self.report.overhead.broadcast_ns += bcast;
                 let t0 = self.now + bcast;
                 // Each cluster executes its local part on one MU.
@@ -365,7 +360,6 @@ impl<'c> Des<'c> {
             .phase_start(PhaseKind::Propagate, Stamp::Sim(start));
         // Broadcast each PROPAGATE of the group over the bus.
         for _ in specs {
-            self.bus.broadcast(self.now, 2, self.cost.broadcast_ns / 2);
             self.report.overhead.broadcast_ns += self.cost.broadcast_ns;
             self.now += self.cost.broadcast_ns;
         }

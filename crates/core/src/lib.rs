@@ -19,12 +19,14 @@
 //!   components (Fig. 21);
 //! * [`Cm2`] — Fig. 15's CM-2 comparator, a second cost model over the
 //!   same semantics;
-//! * the machine's subsystems, as private modules. Its two networks,
-//!   which never contend: `bus` (the global bus the controller
-//!   broadcasts instructions over) and `topology` (the 4-ary hypercube
-//!   of spanning four-port memories that carries marker messages in at
-//!   most `O(log N)` hops; `fabric` realizes it as channels for the
-//!   threaded engine, with identical hop accounting). The paper's third,
+//! * the machine's subsystems, as private modules. Of its two networks,
+//!   which never contend, the global bus the controller broadcasts
+//!   instructions over is a constant per instruction
+//!   ([`CostModel::broadcast_ns`]); `topology` is the other, the 4-ary
+//!   hypercube of spanning four-port memories that carries marker
+//!   messages in at most `O(log N)` hops (`fabric` realizes it as
+//!   channels for the threaded engine, with identical hop accounting).
+//!   The paper's third,
 //!   the performance-collection network, has no model here: the tracer
 //!   `obs` is the instrument, off unless an [`ObsConfig`] turns it on.
 //!   `sync` holds the AND-tree and the tiered marker counters. The
@@ -57,7 +59,6 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-mod bus;
 mod config;
 mod controller;
 mod cost;

@@ -84,8 +84,8 @@ pub fn analyze_beta(program: &Program) -> BetaStats {
     for instr in program {
         match instr.class() {
             InstrClass::Propagate => {
-                let ir: HashSet<Marker> = instr.reads().into_iter().collect();
-                let iw: HashSet<Marker> = instr.writes().into_iter().collect();
+                let ir: HashSet<Marker> = instr.reads_fixed().into_iter().flatten().collect();
+                let iw: HashSet<Marker> = instr.writes_fixed().into_iter().flatten().collect();
                 // Dependent if it reads something the group writes, writes
                 // something the group reads, or writes what the group writes.
                 let dependent = ir.iter().any(|m| writes.contains(m))
@@ -102,10 +102,9 @@ pub fn analyze_beta(program: &Program) -> BetaStats {
             }
             _ => {
                 // Any other instruction touching a live marker closes the group.
-                let touches = instr
-                    .reads()
-                    .into_iter()
-                    .chain(instr.writes())
+                let touches = (instr.reads_fixed().into_iter())
+                    .chain(instr.writes_fixed())
+                    .flatten()
                     .any(|m| reads.contains(&m) || writes.contains(&m));
                 if touches {
                     close(&mut group, &mut reads, &mut writes);

@@ -289,14 +289,9 @@ impl Instruction {
     }
 
     /// Markers this instruction reads (used by β-parallelism analysis and
-    /// by the controller to decide which barriers are required).
-    pub fn reads(&self) -> Vec<Marker> {
-        self.reads_fixed().into_iter().flatten().collect()
-    }
-
-    /// Allocation-free [`Instruction::reads`]: no instruction reads more
-    /// than two markers, so the set fits a fixed pair. Iterate with
-    /// `.into_iter().flatten()`. Pooled serving planners use this form.
+    /// by the controller to decide which barriers are required). No
+    /// instruction reads more than two markers, so the set fits a fixed
+    /// pair, allocation-free; iterate with `.into_iter().flatten()`.
     pub fn reads_fixed(&self) -> [Option<Marker>; 2] {
         use Instruction::*;
         match self {
@@ -314,12 +309,7 @@ impl Instruction {
         }
     }
 
-    /// Markers this instruction writes.
-    pub fn writes(&self) -> Vec<Marker> {
-        self.writes_fixed().into_iter().flatten().collect()
-    }
-
-    /// Allocation-free [`Instruction::writes`] — the write-set twin of
+    /// Markers this instruction writes — the write-set twin of
     /// [`Instruction::reads_fixed`].
     pub fn writes_fixed(&self) -> [Option<Marker>; 2] {
         use Instruction::*;
@@ -488,8 +478,8 @@ mod tests {
     #[test]
     fn propagate_reads_source_writes_target() {
         let p = sample_propagate();
-        assert_eq!(p.reads(), vec![Marker::binary(1)]);
-        assert_eq!(p.writes(), vec![Marker::complex(4)]);
+        assert_eq!(p.reads_fixed(), [Some(Marker::binary(1)), None]);
+        assert_eq!(p.writes_fixed(), [Some(Marker::complex(4)), None]);
     }
 
     #[test]
@@ -500,8 +490,11 @@ mod tests {
             target: Marker::binary(5),
             combine: CombineFunc::Min,
         };
-        assert_eq!(i.reads(), vec![Marker::binary(3), Marker::complex(4)]);
-        assert_eq!(i.writes(), vec![Marker::binary(5)]);
+        assert_eq!(
+            i.reads_fixed(),
+            [Some(Marker::binary(3)), Some(Marker::complex(4))]
+        );
+        assert_eq!(i.writes_fixed(), [Some(Marker::binary(5)), None]);
     }
 
     #[test]
@@ -510,6 +503,6 @@ mod tests {
             marker: Marker::complex(2),
             func: ValueFunc::ClearIf(crate::func::Cmp::Gt, 1.0),
         };
-        assert_eq!(i.reads(), i.writes());
+        assert_eq!(i.reads_fixed(), i.writes_fixed());
     }
 }

@@ -16,9 +16,7 @@
 //! * [`assemble`]/[`disassemble`] — a text dialect mirroring the paper's
 //!   Fig. 5 listings;
 //! * [`analyze_beta`] — the inter-propagation (β) parallelism analysis
-//!   from Section II-C;
-//! * [`schedule_beta`] — a semantics-preserving scheduling pass that
-//!   reorders programs to expose more overlap to the controller.
+//!   from Section II-C.
 //!
 //! # Examples
 //!
@@ -42,7 +40,6 @@ mod func;
 mod instruction;
 mod program;
 mod rule;
-mod schedule;
 
 pub use analysis::{analyze_beta, BetaStats};
 pub use asm::{assemble, disassemble, AsmError, SymbolTable};
@@ -50,4 +47,3 @@ pub use func::{Cmp, CombineFunc, StepFunc, ValueFunc};
 pub use instruction::{InstrClass, Instruction};
 pub use program::{Program, ProgramBuilder};
 pub use rule::{PropRule, RuleArc, RuleProgram, RuleState, MAX_RULE_ARCS, MAX_RULE_STATES};
-pub use schedule::schedule_beta;

@@ -17,6 +17,10 @@ pub const MAX_FEATURES: usize = 16;
 /// concepts subsumed by all of them are collected with their total
 /// subsumption cost.
 ///
+/// The program is written in plan order — clears, then seeds, then the
+/// k feature propagations back to back — so the controller overlaps
+/// the propagations as one β group closed by one barrier.
+///
 /// # Panics
 ///
 /// Panics if `features` is empty or longer than [`MAX_FEATURES`].
@@ -25,41 +29,35 @@ pub fn classification_program(features: &[NodeId]) -> Program {
         !features.is_empty() && features.len() <= MAX_FEATURES,
         "1..={MAX_FEATURES} features required"
     );
+    // One marker pair per feature: its seed and what it reaches.
+    let seed = |i: usize| Marker::binary(i as u8);
+    let reach = |i: usize| Marker::complex(i as u8);
     let mut b = Program::builder();
-    // Configuration + propagation: one marker pair per feature.
+    // Configuration.
+    for i in 0..features.len() {
+        b = b.clear_marker(seed(i)).clear_marker(reach(i));
+    }
     for (i, &feature) in features.iter().enumerate() {
-        let seed = Marker::binary(i as u8);
-        let reach = Marker::complex(i as u8);
-        b = b
-            .clear_marker(seed)
-            .clear_marker(reach)
-            .search_node(feature, seed, 0.0)
-            .propagate(
-                seed,
-                reach,
-                PropRule::Star(rel::SUBSUMES),
-                StepFunc::AddWeight,
-            );
+        b = b.search_node(feature, seed(i), 0.0);
+    }
+    // Propagation: independent feature walks, one overlapped group.
+    for i in 0..features.len() {
+        b = b.propagate(
+            seed(i),
+            reach(i),
+            PropRule::Star(rel::SUBSUMES),
+            StepFunc::AddWeight,
+        );
     }
     // Accumulation: intersect all reach sets.
     let result = Marker::complex(60);
     b = b.clear_marker(result);
     if features.len() == 1 {
-        b = b.or_marker(
-            Marker::complex(0),
-            Marker::complex(0),
-            result,
-            CombineFunc::Left,
-        );
+        b = b.or_marker(reach(0), reach(0), result, CombineFunc::Left);
     } else {
-        b = b.and_marker(
-            Marker::complex(0),
-            Marker::complex(1),
-            result,
-            CombineFunc::Add,
-        );
+        b = b.and_marker(reach(0), reach(1), result, CombineFunc::Add);
         for i in 2..features.len() {
-            b = b.and_marker(result, Marker::complex(i as u8), result, CombineFunc::Add);
+            b = b.and_marker(result, reach(i), result, CombineFunc::Add);
         }
     }
     b.collect_marker(result).build()
@@ -134,6 +132,21 @@ mod tests {
             let c = kb.network.color(*id).unwrap();
             assert!(c == color::WORD || c == color::CATEGORY || c == color::LEAF_CATEGORY);
         }
+    }
+
+    #[test]
+    fn feature_propagations_plan_as_one_group() {
+        let mut w = hierarchy(400, 3).unwrap();
+        let children: Vec<NodeId> = w
+            .network
+            .links_by(w.root, rel::SUBSUMES)
+            .map(|l| l.destination)
+            .collect();
+        let features = [w.root, children[0], children[1]];
+        let program = classification_program(&features);
+        let report = machine().run(&mut w.network, &program).unwrap();
+        assert_eq!(report.barriers, 1, "one barrier closes the group");
+        assert_eq!(report.alpha_per_propagate.len(), features.len());
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //!   time"), including the cancel-marker hypothesis-resolution phase;
 //! * [`hierarchy`] / [`inheritance_program`] — the property-inheritance
 //!   workload of Fig. 15;
-//! * [`classification_program`] — the concept-classification workload;
-//! * [`qa`] — role queries over accepted events (the information-
-//!   extraction output of the MUC-4 task), compiled to marker programs.
+//! * [`classification_program`] — the concept-classification workload:
+//!   up to 16 feature propagations overlapped as one β group, then one
+//!   `AND-MARKER` accumulation;
+//! * [`answer_template`] — the roles of an accepted event (the
+//!   information-extraction output of the MUC-4 task), each answered by
+//!   a marker program.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +40,5 @@ pub use parser::{
     ClauseResult, EventTemplate, MemoryBasedParser, ParsePlan, ParseResult, RoleFiller,
 };
 pub use phrasal::{Clause, PhrasalParse, PhrasalParser, Phrase, PhraseKind};
-pub use qa::{answer_template, ask_role, role_query_program, RoleAnswer, RoleQuery};
+pub use qa::{answer_template, RoleAnswer};
 pub use sentence::{Sentence, SentenceGenerator};

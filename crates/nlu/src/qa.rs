@@ -13,39 +13,63 @@ use snap_core::{CollectOutput, CoreError, Snap1};
 use snap_isa::{CombineFunc, Program, PropRule, StepFunc};
 use snap_kb::{Marker, NodeId, SemanticNetwork};
 
-/// A role query: which concepts can fill element `element_index` of the
-/// accepted sequence, optionally restricted to concepts mentioned in
-/// the sentence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoleQuery {
-    /// Root of the accepted concept sequence.
-    pub root: NodeId,
-    /// Element position within the sequence (0-based).
-    pub element_index: usize,
-    /// Restrict answers to these mentioned concepts (e.g. the sentence's
-    /// word nodes). Empty = no restriction.
-    pub mentioned: Vec<NodeId>,
+/// The interpreted answer to one role of a template.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoleAnswer {
+    /// The element node queried.
+    pub element: NodeId,
+    /// Word-level answers (mentioned concepts or vocabulary), with the
+    /// subsumption cost from the role's category, cheapest first.
+    pub answers: Vec<(NodeId, f32)>,
 }
 
-/// Compiles a role query to a SNAP program:
+/// Answers every role of an extracted [`EventTemplate`]: which concepts
+/// can fill each element of the accepted sequence, restricted to the
+/// `mentioned` concepts (e.g. the sentence's word nodes) unless that is
+/// empty. Role `i` asks about the root's `i`-th `has-elem` element; a
+/// role past the sequence's last element has no answer.
 ///
-/// 1. mark the sequence root and walk `has-elem → filler → subsumes*`
-///    to reach every concept that can fill the role (restricted to the
-///    queried element by seeding it directly);
+/// Each role is one marker program:
+///
+/// 1. mark the element and walk `filler → subsumes*` to reach every
+///    concept that can fill the role;
 /// 2. mark the mentioned concepts;
 /// 3. intersect and collect.
 ///
+/// # Errors
+///
+/// Returns [`CoreError`] if a query program fails.
+///
 /// # Panics
 ///
-/// Panics if the query's mentioned set exceeds 32 concepts (marker
-/// budget for the seed phase).
-pub fn role_query_program(network: &SemanticNetwork, query: &RoleQuery) -> Option<Program> {
-    assert!(query.mentioned.len() <= 32, "too many mentioned concepts");
-    // Resolve the element node at the queried position.
-    let element = network
-        .links_by(query.root, rel::HAS_ELEM)
-        .nth(query.element_index)?
-        .destination;
+/// Panics if `mentioned` holds more than 32 concepts (marker budget for
+/// the seed phase).
+pub fn answer_template(
+    network: &mut SemanticNetwork,
+    machine: &Snap1,
+    template: &EventTemplate,
+    mentioned: &[NodeId],
+) -> Result<Vec<RoleAnswer>, CoreError> {
+    assert!(mentioned.len() <= 32, "too many mentioned concepts");
+    let elements: Vec<NodeId> = network
+        .links_by(template.root, rel::HAS_ELEM)
+        .take(template.roles.len())
+        .map(|l| l.destination)
+        .collect();
+    elements
+        .into_iter()
+        .map(|element| answer_role(network, machine, element, mentioned))
+        .collect()
+}
+
+/// Runs the role program of `element` on `machine` and keeps the
+/// word-level concepts it collects.
+fn answer_role(
+    network: &mut SemanticNetwork,
+    machine: &Snap1,
+    element: NodeId,
+    mentioned: &[NodeId],
+) -> Result<RoleAnswer, CoreError> {
     let seed = Marker::binary(0);
     let reach = Marker::complex(1);
     let mention = Marker::binary(2);
@@ -63,47 +87,15 @@ pub fn role_query_program(network: &SemanticNetwork, query: &RoleQuery) -> Optio
             PropRule::Spread(rel::FILLER, rel::SUBSUMES),
             StepFunc::AddWeight,
         );
-    if query.mentioned.is_empty() {
+    if mentioned.is_empty() {
         b = b.or_marker(reach, reach, answer, CombineFunc::Left);
     } else {
-        for &node in &query.mentioned {
+        for &node in mentioned {
             b = b.search_node(node, mention, 0.0);
         }
         b = b.and_marker(reach, mention, answer, CombineFunc::Left);
     }
-    Some(b.collect_marker(answer).build())
-}
-
-/// The interpreted answer to a role query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoleAnswer {
-    /// The element node queried.
-    pub element: NodeId,
-    /// Word-level answers (mentioned concepts or vocabulary), with the
-    /// subsumption cost from the role's category, cheapest first.
-    pub answers: Vec<(NodeId, f32)>,
-}
-
-/// Runs a role query on `machine` and interprets the result.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the compiled query fails. Returns
-/// `Ok(None)` when the sequence has no element at the queried position.
-pub fn ask_role(
-    network: &mut SemanticNetwork,
-    machine: &Snap1,
-    query: &RoleQuery,
-) -> Result<Option<RoleAnswer>, CoreError> {
-    let Some(program) = role_query_program(network, query) else {
-        return Ok(None);
-    };
-    let element = network
-        .links_by(query.root, rel::HAS_ELEM)
-        .nth(query.element_index)
-        .expect("checked by role_query_program")
-        .destination;
-    let report = machine.run(network, &program)?;
+    let report = machine.run(network, &b.collect_marker(answer).build())?;
     let CollectOutput::Nodes(nodes) = &report.collects[0] else {
         unreachable!("collect-marker returns nodes");
     };
@@ -113,33 +105,7 @@ pub fn ask_role(
         .map(|(n, v)| (*n, v.map_or(0.0, |v| v.value)))
         .collect();
     answers.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    Ok(Some(RoleAnswer { element, answers }))
-}
-
-/// Answers every role of an extracted [`EventTemplate`], restricted to
-/// the given mentioned concepts.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if a query program fails.
-pub fn answer_template(
-    network: &mut SemanticNetwork,
-    machine: &Snap1,
-    template: &EventTemplate,
-    mentioned: &[NodeId],
-) -> Result<Vec<RoleAnswer>, CoreError> {
-    let mut out = Vec::new();
-    for i in 0..template.roles.len() {
-        let query = RoleQuery {
-            root: template.root,
-            element_index: i,
-            mentioned: mentioned.to_vec(),
-        };
-        if let Some(answer) = ask_role(network, machine, &query)? {
-            out.push(answer);
-        }
-    }
-    Ok(out)
+    Ok(RoleAnswer { element, answers })
 }
 
 #[cfg(test)]
@@ -158,18 +124,14 @@ mod tests {
     fn role_query_finds_fillers() {
         let mut kb = DomainSpec::sized(1_500).build().unwrap();
         let seq = kb.sequences[0].clone();
-        let query = RoleQuery {
-            root: seq.root,
-            element_index: 0,
-            mentioned: Vec::new(),
-        };
-        let answer = ask_role(&mut kb.network, &machine(), &query)
-            .unwrap()
-            .expect("element 0 exists");
-        assert!(!answer.answers.is_empty(), "role has vocabulary fillers");
+        let template = MemoryBasedParser::extract_template(&kb.network, seq.root);
+        let answers = answer_template(&mut kb.network, &machine(), &template, &[]).unwrap();
+        assert_eq!(answers.len(), template.roles.len());
+        let first = &answers[0];
+        assert!(!first.answers.is_empty(), "role has vocabulary fillers");
         // Every answer is a word subsumed (transitively) by the element's
         // constraining category.
-        for (node, _) in &answer.answers {
+        for (node, _) in &first.answers {
             assert_eq!(kb.network.color(*node).unwrap(), color::WORD);
         }
     }
@@ -207,13 +169,12 @@ mod tests {
     fn out_of_range_element_is_none() {
         let mut kb = DomainSpec::sized(1_000).build().unwrap();
         let seq = kb.sequences[0].clone();
-        let query = RoleQuery {
-            root: seq.root,
-            element_index: 99,
-            mentioned: Vec::new(),
-        };
-        assert!(ask_role(&mut kb.network, &machine(), &query)
-            .unwrap()
-            .is_none());
+        let mut template = MemoryBasedParser::extract_template(&kb.network, seq.root);
+        let elements = template.roles.len();
+        // Roles past the sequence's last element have no answer.
+        let extra = template.roles[0].clone();
+        template.roles.extend(std::iter::repeat_n(extra, 99));
+        let answers = answer_template(&mut kb.network, &machine(), &template, &[]).unwrap();
+        assert_eq!(answers.len(), elements);
     }
 }

@@ -208,7 +208,9 @@ fn fingerprint(program: &Program) -> Option<u64> {
 /// ([`ServeStats::reused`]), whether the run it reads came in this pump
 /// or an earlier one. Any other query runs into a new context while the
 /// table has fewer than 64, otherwise into the least recently used one,
-/// and its program moves in.
+/// and its program moves in. A program with a NaN constant equals
+/// nothing, itself included, so its answer is read once: the next miss
+/// runs in its context, and such programs never hold more than one.
 pub struct Server {
     network: Arc<SemanticNetwork>,
     /// The snapshot's one-region set-up, built once here: the region
@@ -233,6 +235,9 @@ pub struct Server {
     /// `last_used[k]` is the last query `contexts[k]` answered: a miss
     /// in a full table runs in the context with the smallest.
     last_used: Vec<u64>,
+    /// The context, if any, whose program is not equal to itself: its
+    /// answer matches no query, so the next miss runs there.
+    unreadable: Option<usize>,
     stats: ServeStats,
     next_id: u64,
 }
@@ -261,6 +266,7 @@ impl Server {
             contexts: Vec::new(),
             fingerprints: Vec::new(),
             last_used: Vec::new(),
+            unreadable: None,
             stats: ServeStats::default(),
             next_id: 0,
         })
@@ -338,8 +344,9 @@ impl Server {
     /// The context that answers `program`. The report of a program on
     /// an immutable snapshot is fixed by construction (the differential
     /// tests pin this down), so a context that already holds `program`
-    /// answers without running. Otherwise `program` moves into a new
-    /// context or the least recently used one, and runs there.
+    /// answers without running. Otherwise `program` moves into the
+    /// context whose answer no query can read, if there is one, else a
+    /// new context or the least recently used one, and runs there.
     fn answer(&mut self, fingerprint: u64, program: Program) -> usize {
         let held = (self.fingerprints.iter().zip(&self.contexts))
             .position(|(&f, ctx)| f == fingerprint && ctx.program == program);
@@ -347,21 +354,30 @@ impl Server {
             self.stats.reused += 1;
             return k;
         }
-        let k = if self.contexts.len() < MAX_PUMP {
-            self.contexts
-                .push(QueryContext::new(&self.prepared, program));
-            self.fingerprints.push(fingerprint);
-            self.last_used.push(0);
-            self.contexts.len() - 1
-        } else {
-            let lru = (self.last_used.iter().enumerate())
+        let k = match self.unreadable.take() {
+            Some(k) => k,
+            None if self.contexts.len() < MAX_PUMP => {
+                self.contexts
+                    .push(QueryContext::new(&self.prepared, Program::new()));
+                self.fingerprints.push(0);
+                self.last_used.push(0);
+                self.contexts.len() - 1
+            }
+            None => (self.last_used.iter().enumerate())
                 .min_by_key(|&(_, &used)| used)
-                .map_or(0, |(k, _)| k);
-            self.contexts[lru].program = program;
-            self.fingerprints[lru] = fingerprint;
-            lru
+                .map_or(0, |(k, _)| k),
         };
+        self.fingerprints[k] = fingerprint;
         let ctx = &mut self.contexts[k];
+        ctx.program = program;
+        // A program with a NaN constant is not equal to itself, so no
+        // later query reads this answer: the next miss runs here rather
+        // than displace an answer that can be read.
+        #[allow(clippy::eq_op)]
+        let unreadable = ctx.program != ctx.program;
+        if unreadable {
+            self.unreadable = Some(k);
+        }
         ctx.outcome = self.walker.run(
             &self.machine,
             &self.cost,
@@ -633,7 +649,11 @@ mod tests {
         server.offer(program.clone());
         let done = server.pump();
         assert_eq!(done.len(), 2);
-        assert_eq!(server.pool_size(), 2, "two runs: nothing answered");
+        assert_eq!(
+            server.pool_size(),
+            1,
+            "both ran, in the one unreadable context"
+        );
         assert_eq!(server.stats().reused, 0);
         let want = oracle().run_shared(&net, &program);
         for c in &done {
@@ -891,14 +911,20 @@ mod tests {
         server.assert_accounting();
     }
 
+    /// A one-node walk whose `KEEP-IF value < NaN` makes it unequal to
+    /// itself: it matches no query, not even its own repeat.
+    fn nan_query(node: u32) -> Program {
+        Program::builder()
+            .search_node(NodeId(node), Marker::complex(2), 0.0)
+            .func_marker(Marker::complex(2), ValueFunc::KeepIf(Cmp::Lt, f32::NAN))
+            .collect_marker(Marker::complex(2))
+            .build()
+    }
+
     #[test]
     fn a_nan_program_is_never_answered_from_the_pool() {
         let net = snapshot();
-        let program = Program::builder()
-            .search_node(NodeId(3), Marker::complex(2), 0.0)
-            .func_marker(Marker::complex(2), ValueFunc::KeepIf(Cmp::Lt, f32::NAN))
-            .collect_marker(Marker::complex(2))
-            .build();
+        let program = nan_query(3);
         let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
         let want = oracle().run_shared(&net, &program);
         for _ in 0..3 {
@@ -906,7 +932,42 @@ mod tests {
             assert_eq!(server.pump()[0].result, want);
         }
         assert_eq!(server.stats().reused, 0, "NaN equals nothing");
-        assert_eq!(server.pool_size(), 3, "each run took a context of its own");
+        assert_eq!(
+            server.pool_size(),
+            1,
+            "each run took the unreadable context"
+        );
+        server.assert_accounting();
+    }
+
+    #[test]
+    fn nan_programs_never_displace_a_readable_answer() {
+        let net = snapshot();
+        let oracle = oracle();
+        let mut server = Server::new(Arc::clone(&net), ServeConfig::default()).unwrap();
+        let p = query(5);
+        server.offer(p.clone());
+        for n in 0..70 {
+            server.offer(nan_query(n));
+        }
+        server.offer(p.clone());
+        for c in server.drain() {
+            let want = match c.id.0 {
+                0 | 71 => oracle.run_shared(&net, &p),
+                n => oracle.run_shared(&net, &nan_query(n as u32 - 1)),
+            };
+            assert_eq!(c.result, want, "query {}", c.id.0);
+        }
+        assert_eq!(server.stats().reused, 1, "the repeat of p did not run");
+        assert!(server.pool_size() <= 2, "{}", server.pool_size());
+        // A readable miss takes the unreadable context, and is then held.
+        let q = query(9);
+        for _ in 0..2 {
+            server.offer(q.clone());
+            assert_eq!(server.pump()[0].result, oracle.run_shared(&net, &q));
+        }
+        assert_eq!(server.stats().reused, 2);
+        assert_eq!(server.pool_size(), 2);
         server.assert_accounting();
     }
 

@@ -17,16 +17,17 @@
 
 use snap_core::{Cm2, EngineKind, FaultPlan};
 use snap_integration_tests::grid::{
-    assert_equivalent, program_wave, programs, run_cell, run_cell_cfg, try_run_cell, KbBuilder,
-    CLUSTER_COUNTS, KBS,
+    assert_equivalent, kb_tree, program_classify, program_wave, programs, run_cell, run_cell_cfg,
+    try_run_cell, KbBuilder, CLUSTER_COUNTS, KBS,
 };
 use snap_isa::{Program, PropRule, StepFunc};
 use snap_kb::synth::{bridge_network, scale_free_network, star_network};
 use snap_kb::{Color, Marker, NodeId, PartitionScheme, RelationType};
 
-/// The full differential grid: every engine must agree with the
-/// sequential oracle on every cell. 3 KBs × 2 programs × 2 cluster
-/// counts = 12 configurations, each run on 3 engines.
+/// The full differential grid: every engine, and the CM-2 comparator,
+/// must agree with the sequential oracle on every cell. 3 KBs × 3
+/// programs × 2 cluster counts = 18 configurations, each run on 3
+/// engines and `Cm2`.
 #[test]
 fn differential_grid_engines_agree() {
     let mut combos = 0;
@@ -44,12 +45,14 @@ fn differential_grid_engines_agree() {
                     &oracle.collects,
                     &threaded.collects,
                 );
+                let cm2 = Cm2::new().run(&mut kb(), program).expect("cm2 run");
+                assert_equivalent(&format!("{label}/cm2"), &oracle.collects, &cm2.collects);
             }
         }
     }
     assert!(
-        combos >= 12,
-        "grid shrank below the 12-combo floor: {combos}"
+        combos >= 18,
+        "grid shrank below the 18-combo floor: {combos}"
     );
 
     // A program that must fail fails alike: a search for a node past the
@@ -237,11 +240,27 @@ fn differential_plain_and_resilient_protocols_agree() {
     }
 }
 
+/// The grid's classification cell finds something, so the comparisons
+/// above are not empty against empty: on the tree, features 0, 2 and 6
+/// lie on the right spine, and what all three subsume is its tail.
+#[test]
+fn classification_on_the_tree_is_the_spine_tail() {
+    let report = run_cell(
+        kb_tree,
+        &program_classify(),
+        2,
+        EngineKind::Des,
+        None,
+        false,
+    );
+    assert_eq!(report.collects[0].node_ids(), [NodeId(14), NodeId(30)]);
+}
+
 /// Phase-sequence comparison over recorded traces.
 mod obs {
     use super::*;
     use snap_core::PhaseKind;
-    use snap_integration_tests::grid::{kb_chain, kb_tree, program_parse};
+    use snap_integration_tests::grid::{kb_chain, program_parse};
 
     /// On unique-path topologies the per-phase activation counts are
     /// engine-independent, so equivalent engines must produce fully
