@@ -184,11 +184,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn all_requirements_validate() {
-        let out = run(true);
+        let out = crate::experiments::assert_quick_run_holds("table1");
         assert_eq!(out.tables[0].1.row_count(), 6);
     }
 }
